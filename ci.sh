@@ -6,6 +6,10 @@ cargo build --release --offline
 cargo test -q --offline --workspace
 cargo clippy --all-targets --offline --workspace -- -D warnings
 
+# The workload ledger's unit and smoke tests: every workload end to end at
+# --scale 0.01, with all of its correctness checks.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # The telemetry-disabled build must stay a compile-time no-op path.
 cargo build --offline -p obs --no-default-features
 cargo test -q --offline -p obs --no-default-features
@@ -19,7 +23,6 @@ cargo run --release --offline -p mmr-bench --bin experiments -- bench --trials 2
   --out "$BENCH_OUT" --trace "$BENCH_DIR/trace.json" \
   --metrics "$BENCH_DIR/metrics.prom" --metrics-format prom
 grep -q '"trials_per_sec"' "$BENCH_OUT"
-grep -q '"joined_speedup_vs_legacy"' "$BENCH_OUT"
 grep -q '"chunk_width"' "$BENCH_OUT"
 grep -q '"telemetry_overhead"' "$BENCH_OUT"
 grep -q '"history"' "$BENCH_OUT"

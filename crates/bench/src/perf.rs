@@ -3,10 +3,6 @@
 //!
 //! Most pipelines are single-threaded closed loops over one kernel, timed
 //! wall-clock, so the numbers isolate per-trial cost from runner scheduling.
-//! The `joined_legacy` pipelines rebuild the pre-scratch allocating route
-//! (fresh program per trial, `settle()` with its `Program` clone and
-//! `Permutation` build, allocating disjointness check) so the scratch
-//! kernels' improvement is measured in the same binary on the same machine.
 //! The `joined_mt` pipelines run the same end-to-end trial through the
 //! pool-dispatched runner at the report's `threads` setting, measuring what
 //! the chunk-claiming executor adds on top of the raw kernel — the
@@ -23,7 +19,6 @@
 use crate::sweep;
 use memmodel::MemoryModel;
 use mmr_core::ReliabilityModel;
-use progmodel::ProgramGenerator;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -43,55 +38,6 @@ pub(crate) fn store_guard() -> MutexGuard<'static, ()> {
     STORE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A verbatim copy of the pre-scratch settling route: per-settle order
-/// `Vec`, `Permutation` construction, `Program` clone, and the general
-/// per-step `swap_probability` dispatch. Frozen here so the baseline
-/// measurement cannot silently inherit later library-kernel optimizations
-/// — `joined_legacy` stays the pre-PR kernel even as `settle_into` gets
-/// faster. Draw-for-draw identical to the current kernels (the checksum
-/// assertion in [`run`] proves it on every bench run).
-mod legacy {
-    use progmodel::Program;
-    use rand::rngs::SmallRng;
-    use rand::Rng;
-    use settle::{Permutation, Settler};
-
-    fn settle_one(
-        settler: &Settler,
-        program: &Program,
-        order: &mut [usize],
-        start: usize,
-        rng: &mut SmallRng,
-    ) {
-        let mut pos = start;
-        while pos > 0 {
-            let mover = &program[order[pos]];
-            let above = &program[order[pos - 1]];
-            let p = settler.swap_probability(above, mover);
-            if p <= 0.0 || !rng.gen_bool(p) {
-                break;
-            }
-            order.swap(pos - 1, pos);
-            pos -= 1;
-        }
-    }
-
-    /// Pre-PR `settler.settle(program, rng).window_len()`, allocations and
-    /// all.
-    pub fn window_len(settler: &Settler, program: &Program, rng: &mut SmallRng) -> u64 {
-        let mut order: Vec<usize> = (0..program.len()).collect();
-        for r in 0..program.len() {
-            settle_one(settler, program, &mut order, r, rng);
-        }
-        let permutation =
-            Permutation::from_settled_order(&order).expect("swaps preserve the permutation");
-        let settled_program = program.clone();
-        let ld = permutation.position_of(settled_program.critical_load_index());
-        let st = permutation.position_of(settled_program.critical_store_index());
-        (st - ld - 1) as u64 + 2
-    }
-}
-
 /// Thread count of the joined pipelines.
 const N: usize = 2;
 /// Filler length of the joined pipelines.
@@ -103,8 +49,9 @@ const SHIFT_LENGTHS: [u64; 4] = [4, 3, 2, 5];
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct PipelineResult {
     /// Pipeline id: `settle`, `shift`, `geom`, `geom_fast`, `joined`,
-    /// `joined_legacy`, `joined_mt`, `joined_lanes`, `joined_cached_cold`,
-    /// `joined_cached_warm`.
+    /// `joined_mt`, `joined_lanes`, `joined_cached_cold`,
+    /// `joined_cached_warm` (reports before the legacy kernel's removal
+    /// also carry `joined_legacy`).
     pub name: String,
     /// Memory model short name, or `-` for model-independent kernels.
     pub model: String,
@@ -115,15 +62,6 @@ pub struct PipelineResult {
     /// Kernel-dependent fold of all outcomes (hit count, γ sum, shift sum):
     /// keeps the loop honest and makes runs comparable.
     pub checksum: u64,
-}
-
-/// Scratch-vs-legacy speedup of the joined pipeline for one model.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-pub struct JoinedSpeedup {
-    /// Memory model short name.
-    pub model: String,
-    /// `joined` throughput divided by `joined_legacy` throughput.
-    pub speedup: f64,
 }
 
 /// Telemetry cost of the pool-dispatched pipeline for one model:
@@ -194,10 +132,10 @@ pub struct BenchReport {
     /// needed to read the `joined_mt` numbers (no speedup can materialise
     /// when `threads > host_cores`).
     pub host_cores: usize,
-    /// All measured pipelines.
+    /// All measured pipelines. Reports from before the legacy kernel's
+    /// removal also carry a `joined_speedup_vs_legacy` list; it is
+    /// ignored when they are read back.
     pub pipelines: Vec<PipelineResult>,
-    /// Joined-pipeline speedups, one per memory model.
-    pub joined_speedup_vs_legacy: Vec<JoinedSpeedup>,
     /// `joined_cached_warm` throughput divided by `joined_cached_cold`
     /// throughput: the replay speedup of serving the full sweep from the
     /// content-addressed result cache. `None` in reports that predate the
@@ -355,8 +293,7 @@ pub fn run(trials: u64, seed: u64, threads: usize, lanes: usize) -> BenchReport 
         }));
     }
 
-    // Per model: the settle kernel and both joined pipelines.
-    let mut speedups = Vec::new();
+    // Per model: the settle kernel and the joined pipelines.
     let mut telemetry_overhead = Vec::new();
     let mut flight_overhead = Vec::new();
     let mut serve_overhead = Vec::new();
@@ -377,7 +314,6 @@ pub fn run(trials: u64, seed: u64, threads: usize, lanes: usize) -> BenchReport 
     for model in MemoryModel::NAMED {
         let rm = ReliabilityModel::new(model, N).with_filler_len(M);
         let short = model.short_name();
-        let settler = *rm.settler();
 
         pipelines.push({
             let _span = obs::span("bench.settle");
@@ -400,33 +336,7 @@ pub fn run(trials: u64, seed: u64, threads: usize, lanes: usize) -> BenchReport 
             })
         };
 
-        // The pre-scratch route: everything allocated per trial, settling
-        // through the frozen pre-PR kernel in [`legacy`].
-        let legacy_run = {
-            let _span = obs::span("bench.joined_legacy");
-            measure("joined_legacy", short, trials, || {
-                let gen = ProgramGenerator::new(M);
-                let mut rng = SmallRng::seed_from_u64(seed);
-                move || {
-                    let program = gen.generate(&mut rng);
-                    let windows: Vec<u64> = (0..N)
-                        .map(|_| legacy::window_len(&settler, &program, &mut rng))
-                        .collect();
-                    u64::from(proc.simulate_disjoint(&windows, &mut rng))
-                }
-            })
-        };
-
-        assert_eq!(
-            joined.checksum, legacy_run.checksum,
-            "{short}: scratch and legacy joined pipelines disagree on outcomes"
-        );
-        speedups.push(JoinedSpeedup {
-            model: short.to_owned(),
-            speedup: joined.trials_per_sec / legacy_run.trials_per_sec,
-        });
         pipelines.push(joined);
-        pipelines.push(legacy_run);
 
         // The same end-to-end trial dispatched through the persistent pool
         // (fixed-width chunks, counter-derived streams). Its checksum is the
@@ -610,7 +520,6 @@ pub fn run(trials: u64, seed: u64, threads: usize, lanes: usize) -> BenchReport 
         chunk_width: montecarlo::CHUNK_WIDTH,
         host_cores,
         pipelines,
-        joined_speedup_vs_legacy: speedups,
         cache_speedup: Some(cache_speedup),
         telemetry_overhead,
         flight_overhead: Some(flight_overhead),
@@ -641,9 +550,6 @@ impl BenchReport {
                 p.name, p.model, p.trials_per_sec
             );
         }
-        for s in &self.joined_speedup_vs_legacy {
-            let _ = writeln!(out, "joined speedup {:<4} {:.2}x", s.model, s.speedup);
-        }
         if let Some(s) = self.cache_speedup {
             let _ = writeln!(out, "cache replay warm/cold {s:.0}x");
         }
@@ -671,9 +577,8 @@ mod tests {
     #[test]
     fn report_is_complete_and_serializable() {
         let report = run(2_000, 9, 2, 8);
-        // 3 + 2 model-independent + 6 per named model.
-        assert_eq!(report.pipelines.len(), 5 + 6 * MemoryModel::NAMED.len());
-        assert_eq!(report.joined_speedup_vs_legacy.len(), MemoryModel::NAMED.len());
+        // 3 + 2 model-independent + 5 per named model.
+        assert_eq!(report.pipelines.len(), 5 + 5 * MemoryModel::NAMED.len());
         assert_eq!(report.telemetry_overhead.len(), MemoryModel::NAMED.len());
         assert!(report
             .telemetry_overhead
@@ -725,9 +630,36 @@ mod tests {
         let json = serde_json::to_string(&report).unwrap();
         let back: BenchReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
-        assert!(report.summary().contains("joined speedup"));
         assert!(report.summary().contains("chunk width"));
         assert!(report.summary().contains("telemetry on/off"));
+    }
+
+    #[test]
+    fn reports_from_before_the_legacy_removal_still_parse_and_gate() {
+        // Older BENCH_e2e.json baselines carry a `joined_legacy` pipeline
+        // per model and a `joined_speedup_vs_legacy` list. They must still
+        // load as baselines, and the gate skips the pipeline that no
+        // longer runs.
+        let report = run(500, 7, 1, 4);
+        let json = serde_json::to_string(&report).unwrap();
+        let old = json.replacen(
+            "\"pipelines\":[",
+            "\"joined_speedup_vs_legacy\":[{\"model\":\"WO\",\"speedup\":3.5}],\
+             \"pipelines\":[{\"name\":\"joined_legacy\",\"model\":\"WO\",\"trials\":500,\
+             \"trials_per_sec\":1.0,\"checksum\":0},",
+            1,
+        );
+        assert_ne!(old, json, "the old fields were spliced in");
+        let baseline: BenchReport = serde_json::from_str(&old).unwrap();
+        assert_eq!(baseline.pipelines.len(), report.pipelines.len() + 1);
+        assert!(report.pipelines.iter().all(|p| p.name != "joined_legacy"));
+        let outcome = crate::gate::compare(&baseline, &report);
+        assert_eq!(outcome.rows.len(), report.pipelines.len());
+        assert!(outcome.rows.iter().all(|r| r.name != "joined_legacy"));
+        // The checked-in baseline predates the removal.
+        let checked_in: BenchReport =
+            serde_json::from_str(include_str!("../../../BENCH_e2e.json")).unwrap();
+        assert!(!crate::gate::compare(&checked_in, &report).rows.is_empty());
     }
 
     #[test]
@@ -745,23 +677,6 @@ mod tests {
                     .checksum
             };
             assert_eq!(at("joined_mt"), at("joined_mt_notel"), "{model}");
-        }
-    }
-
-    #[test]
-    fn joined_and_legacy_checksums_agree() {
-        // run() asserts this internally; keep an explicit regression too.
-        let report = run(1_000, 4, 1, 8);
-        for model in MemoryModel::NAMED {
-            let at = |name: &str| {
-                report
-                    .pipelines
-                    .iter()
-                    .find(|p| p.name == name && p.model == model.short_name())
-                    .expect("pipeline present")
-                    .checksum
-            };
-            assert_eq!(at("joined"), at("joined_legacy"), "{model}");
         }
     }
 

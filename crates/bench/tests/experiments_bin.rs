@@ -518,14 +518,14 @@ fn bench_subcommand_writes_machine_readable_report() {
     let out = experiments(&["bench", "--trials", "500", "--out", out_path.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("joined speedup"), "{stderr}");
+    assert!(stderr.contains("telemetry on/off"), "{stderr}");
 
     let report: mmr_bench::perf::BenchReport =
         serde_json::from_str(&std::fs::read_to_string(&out_path).unwrap())
             .expect("valid json benchmark report");
     assert_eq!(report.trials, 500);
     assert!(report.pipelines.iter().all(|p| p.trials_per_sec > 0.0));
-    assert!(!report.joined_speedup_vs_legacy.is_empty());
+    assert!(report.pipelines.iter().any(|p| p.name == "joined"));
     assert!(!dir.join("BENCH.json.tmp").exists());
 
     // `bench` composes with nothing else.

@@ -15,8 +15,10 @@ use memmodel::{MemoryModel, OpType};
 use mmr_core::ReliabilityModel;
 use montecarlo::{Runner, Seed};
 use progmodel::{Program, ProgramGenerator};
-use settle::SettleScratch;
-use shiftproc::exchangeable;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use settle::{SettleScratch, Settler};
+use shiftproc::{exchangeable, ShiftProcess, ShiftScratch};
 
 fn main() {
     println!("survival hits (Seed(42), 50_000 trials):");
@@ -64,4 +66,25 @@ fn main() {
         );
         println!("    (MemoryModel::{model:?}, {:e}),", stats.mean());
     }
+
+    println!("raw kernel sequences (WO γ: m = 64, seed 2024; disjointness: seed 77, [2, 2]):");
+    let settler = Settler::for_model(MemoryModel::Wo);
+    let gen = ProgramGenerator::new(64);
+    let mut program = Program::from_filler_types(&[OpType::Ld; 64]).expect("canonical shape");
+    let mut scratch = SettleScratch::new();
+    let mut rng = SmallRng::seed_from_u64(2024);
+    let gammas: Vec<u64> = (0..16)
+        .map(|_| {
+            gen.regenerate(&mut program, &mut rng);
+            settler.sample_gamma_scratch(&program, &mut scratch, &mut rng)
+        })
+        .collect();
+    println!("    gammas {gammas:?}");
+    let proc = ShiftProcess::canonical();
+    let mut shift_scratch = ShiftScratch::new();
+    let mut rng = SmallRng::seed_from_u64(77);
+    let outcomes: Vec<usize> = (0..32usize)
+        .filter(|_| proc.simulate_disjoint_into(&[2, 2], &mut shift_scratch, &mut rng))
+        .collect();
+    println!("    disjoint trials {outcomes:?}");
 }

@@ -66,18 +66,38 @@ fn results_are_bit_identical_served_unserved_and_under_client_churn() {
     persistent
         .write_all(b"GET /events HTTP/1.0\r\n\r\n")
         .unwrap();
+    // The drain signals once a complete frame has arrived: the server
+    // subscribes a stream before replaying the ring into it, so from then
+    // on every event of the runs below reaches this client.
+    let (subscribed_tx, subscribed) = std::sync::mpsc::channel();
     let drain = std::thread::spawn(move || {
         let mut streamed = Vec::new();
         let mut buf = [0u8; 4096];
+        let mut signal = Some(subscribed_tx);
         while let Ok(n) = persistent.read(&mut buf) {
             if n == 0 {
                 break;
             }
             streamed.extend_from_slice(&buf[..n]);
+            let framed = streamed
+                .windows(4)
+                .position(|w| w == b"\r\n\r\n")
+                .is_some_and(|head| streamed[head + 4..].contains(&b'\n'));
+            if framed {
+                if let Some(tx) = signal.take() {
+                    let _ = tx.send(());
+                }
+            }
         }
         streamed
     });
+    // The unserved runs above left run events in the ring, so the replay
+    // alone delivers a frame.
+    subscribed
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the /events client received its first complete frame");
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let (churning_tx, churning) = std::sync::mpsc::channel();
     let churn = {
         let stop = stop.clone();
         std::thread::spawn(move || {
@@ -91,10 +111,18 @@ fn results_are_bit_identical_served_unserved_and_under_client_churn() {
                 let _ = c.read(&mut [0u8; 512]);
                 drop(c); // hang up mid-stream
                 cycles += 1;
+                if cycles == 1 {
+                    let _ = churning_tx.send(());
+                }
             }
             cycles
         })
     };
+    // Start the runs only once the churn is under way, so they cannot
+    // finish before a single connect-and-hang-up cycle.
+    churning
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the churn thread completed a connection");
 
     for threads in THREADS {
         assert_eq!(

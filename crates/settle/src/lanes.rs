@@ -23,8 +23,9 @@
 //! active lanes — so every trial's results are a pure function of its own
 //! seed: bit-identical for any lane width, any thread count, and any
 //! grouping of trials into blocks. This is a deliberately *different*
-//! stream from the scalar kernels (which share one sequential RNG per
-//! chunk and skip draws on BLOCKED/CERTAIN thresholds); the two paths
+//! stream from the scalar kernels (which draw one settle key per settle
+//! from a sequential RNG per chunk and address each attempt's uniform
+//! from it; see the crate docs); the two paths
 //! agree statistically, not bit-wise, and are validated against each other
 //! by chi-square goodness-of-fit tests.
 //!

@@ -14,8 +14,10 @@
 //! * [`Settler`] — the process itself, configurable by [`memmodel`] matrix,
 //!   per-pair probabilities, and fence pass-probability;
 //! * [`Settled`] — the resulting permutation with critical-window accessors;
-//! * [`SettleScratch`] — reusable buffers for the allocation-free kernel
+//! * [`SettleScratch`] — reusable buffers for the allocation-free kernels
 //!   ([`Settler::settle_into`] / [`Settler::sample_gamma_scratch`]);
+//! * [`lazy`] — the γ kernel behind [`Settler::sample_gamma`] and friends,
+//!   which settles only the climbs the critical window depends on;
 //! * [`SettleTrace`] — a round-by-round trace (reproduces the paper's
 //!   Figure 1);
 //! * [`events`] — observables of the intermediate order `S_m` used by
@@ -24,6 +26,24 @@
 //!   programs (a third, fully exact evaluation route);
 //! * [`beta`] — the single-round insertion-point distribution of
 //!   Appendix A.2, Definition 2.
+//!
+//! # The settle RNG contract
+//!
+//! A settle draws exactly one `u64` from the caller's RNG, its *settle
+//! key* — or nothing when the settler is inert
+//! on the program (no relaxed pair and no hoistable fence, e.g. SC), whose
+//! settled order is then the identity. Attempt `k` of round `r` (the
+//! mover's `k`-th swap attempt) succeeds iff
+//! [`attempt_draw`]`(key, r, k)` — output `r·2³² + k` of the SplitMix64
+//! stream seeded with the key, as a 53-bit integer — is below the pair's
+//! [`bool_threshold`]. BLOCKED (`p = 0`) and CERTAIN (`p = 1`) attempts
+//! read nothing. Every route reads the same addresses: the packed forward
+//! kernel under [`Settler::settle`], [`Settler::settle_rounds`] and
+//! [`Settler::settle_into`]; the general one under [`SettleTrace`]; and the
+//! lazy γ kernel, which reads only the attempts γ depends on. So for a
+//! given RNG state all of them agree bit for bit, and each leaves the RNG
+//! in the same state. The batch-lane kernels ([`Settler::settle_lanes`])
+//! keep their own counter-seeded per-trial stream.
 //!
 //! # Example
 //!
@@ -50,11 +70,12 @@ pub mod beta;
 pub mod events;
 pub mod exact;
 mod lanes;
+pub mod lazy;
 mod perm;
 mod process;
 mod trace;
 
 pub use lanes::{LaneRng, LaneScratch, MAX_LANES};
 pub use perm::{NotAPermutation, Permutation};
-pub use process::{bool_threshold, SettleScratch, Settled, Settler};
+pub use process::{attempt_draw, bool_threshold, SettleScratch, Settled, Settler};
 pub use trace::{SettleTrace, TraceRound};

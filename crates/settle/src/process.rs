@@ -1,5 +1,6 @@
 //! The settling process itself.
 
+use crate::lazy::{Frame, Lazy};
 use crate::Permutation;
 use memmodel::{MemoryModel, OpType, ReorderMatrix, SettleProbs};
 use progmodel::{InstrKind, Instruction, Program};
@@ -119,14 +120,14 @@ impl Settler {
     }
 
     /// Runs the first `rounds` rounds of settling into caller-provided
-    /// scratch — the allocation-free kernel underneath [`settle_rounds`]
-    /// (Settler::settle_rounds).
+    /// scratch — the allocation-free kernel underneath
+    /// [`settle_rounds`](Settler::settle_rounds).
     ///
     /// The scratch's order buffer is reset and reused; once it has grown to
     /// `program.len()` entries, subsequent calls of the same size perform
-    /// no heap allocation. The RNG draw sequence is identical to
-    /// [`settle_rounds`](Settler::settle_rounds), so the two routes are
-    /// interchangeable mid-stream. Returns the settled order: `order[p]`
+    /// no heap allocation. The RNG use is identical to
+    /// [`settle_rounds`](Settler::settle_rounds) (one settle key, see the
+    /// crate docs), so the two routes are interchangeable mid-stream. Returns the settled order: `order[p]`
     /// is the initial index of the instruction at settled position `p`.
     ///
     /// # Panics
@@ -139,102 +140,22 @@ impl Settler {
         scratch: &'s mut SettleScratch,
         rng: &mut R,
     ) -> &'s [usize] {
-        let has_release = scratch.load(program);
-        self.settle_packed(scratch, has_release, rounds, rng);
+        let tables = self.tables(scratch.load(program).has_release);
+        // An inert settle reads no attempt, so its key is never used.
+        let key = if tables.inert() { 0 } else { rng.next_u64() };
+        settle_packed(&mut scratch.packed, &tables, rounds, key);
         scratch.sync_order()
     }
 
-    /// Runs `rounds` settling rounds over the already-loaded packed image.
-    ///
-    /// The hot loop runs over a packed image of the program — one u64 per
-    /// instruction carrying its class/location word and its initial index —
-    /// so each swap-probability evaluation is a single load plus bit tests
-    /// instead of a double indirection through an order buffer into the
-    /// instruction table. The four memory-memory probabilities are resolved
-    /// once per call, as integer draw thresholds (see [`bool_threshold`]).
-    /// Draw-for-draw identical to the general
-    /// [`settle_one`](Settler::settle_one) route: blocked probabilities
-    /// draw nothing on both paths (asserted by the equivalence tests).
-    fn settle_packed<R: Rng + ?Sized>(
-        &self,
-        scratch: &mut SettleScratch,
-        has_release: bool,
-        rounds: usize,
-        rng: &mut R,
-    ) {
-        assert!(
-            rounds <= scratch.packed.len(),
-            "cannot settle {rounds} rounds of a {}-instruction program",
-            scratch.packed.len()
-        );
-        let t_eff = [
-            [
-                bool_threshold(self.probs.effective(&self.matrix, OpType::Ld, OpType::Ld)),
-                bool_threshold(self.probs.effective(&self.matrix, OpType::Ld, OpType::St)),
-            ],
-            [
-                bool_threshold(self.probs.effective(&self.matrix, OpType::St, OpType::Ld)),
-                bool_threshold(self.probs.effective(&self.matrix, OpType::St, OpType::St)),
-            ],
-        ];
-        // With every pair blocked and no hoistable fence, no round can draw
-        // or swap (the SC fast path): the settled order is the identity.
-        let inert = !has_release && t_eff == [[BLOCKED; 2]; 2];
-        if !inert {
-            let t_fence = bool_threshold(self.fence_pass_probability);
-            for r in 0..rounds {
-                self.settle_one_packed(&mut scratch.packed, &t_eff, t_fence, has_release, r, rng);
-            }
-        }
-    }
-
-    /// One settling round over the packed image (see
-    /// [`settle_into`](Settler::settle_into)). `t_eff[earlier][later]` are
-    /// the pre-resolved memory-memory draw thresholds, `t_fence` the
-    /// release-fence one, `has_release` whether the program contains a
-    /// hoistable fence at all.
-    fn settle_one_packed<R: Rng + ?Sized>(
-        &self,
-        packed: &mut [u64],
-        t_eff: &[[u64; 2]; 2],
-        t_fence: u64,
-        has_release: bool,
-        start: usize,
-        rng: &mut R,
-    ) {
-        let mover = (packed[start] >> 32) as u32;
-        if mover & FENCE_FLAG != 0 {
-            // Fences never settle: every swap probability is zero.
-            return;
-        }
-        let mover_loc = mover & LOC_MASK;
-        let mover_st = ((mover >> ST_FLAG_SHIFT) & 1) as usize;
-        // Draw threshold for this mover passing an earlier Ld / St.
-        let row = [t_eff[0][mover_st], t_eff[1][mover_st]];
-        if !has_release && row == [BLOCKED; 2] {
-            // This mover can never pass anything: no draw, no swap.
-            return;
-        }
-        let mut pos = start;
-        while pos > 0 {
-            let above = (packed[pos - 1] >> 32) as u32;
-            let t = if above & FENCE_FLAG != 0 {
-                if above & RELEASE_FLAG != 0 {
-                    t_fence
-                } else {
-                    BLOCKED
-                }
-            } else if above & LOC_MASK == mover_loc {
-                BLOCKED // conflicting pair (the critical LD/ST)
-            } else {
-                row[((above >> ST_FLAG_SHIFT) & 1) as usize]
-            };
-            if t == BLOCKED || (t != CERTAIN && (rng.next_u64() >> 11) >= t) {
-                break;
-            }
-            packed.swap(pos - 1, pos);
-            pos -= 1;
-        }
+    /// The settle key of one settle of `program`: the single `u64` a
+    /// settle draws from the caller's RNG, from which every swap
+    /// attempt's uniform is addressed (see [`attempt_draw`]). `None` when
+    /// the settler is inert on `program` — no memory pair may reorder and
+    /// no fence may be hoisted past — in which case the settle draws
+    /// nothing and the settled order is the identity.
+    pub(crate) fn settle_key<R: Rng + ?Sized>(&self, program: &Program, rng: &mut R) -> Option<u64> {
+        let tables = self.tables(program.iter().any(|ins| is_release(encode(ins))));
+        (!tables.inert()).then(|| rng.next_u64())
     }
 
     /// Runs only the first `rounds` rounds — the paper's intermediate order
@@ -261,25 +182,17 @@ impl Settler {
         }
     }
 
-    /// Settles the instruction currently at position `start` upward by
-    /// repeated swaps. `order` maps positions to initial indices.
+    /// Settles the instruction currently at position `start` (round
+    /// `start`) upward by repeated swaps, reading attempt uniforms from
+    /// `key`. `order` maps positions to initial indices.
     ///
-    /// This is [`swap_probability`](Settler::swap_probability) unrolled for
-    /// the hot loop: the mover is loop-invariant (it travels with the swap),
-    /// so its kind and location are resolved once per round and fence movers
-    /// exit before the loop. Zero probabilities draw nothing, so every early
-    /// exit leaves the RNG stream exactly where the general route would
+    /// This is the general route behind [`SettleTrace`](crate::SettleTrace):
+    /// each step evaluates [`swap_probability`](Settler::swap_probability)'s
+    /// cases directly on the instructions. It reads the same attempt
+    /// addresses as the packed kernel, and zero and one probabilities read
+    /// nothing on both, so the two agree bit for bit for a given key
     /// (asserted by the equivalence regression tests).
-    pub(crate) fn settle_one<R: Rng + ?Sized>(
-        &self,
-        program: &Program,
-        order: &mut [usize],
-        start: usize,
-        rng: &mut R,
-    ) {
-        if start == 0 {
-            return;
-        }
+    pub(crate) fn settle_one(&self, program: &Program, order: &mut [usize], start: usize, key: u64) {
         let mover = &program[order[start]];
         let (mover_op, mover_loc) = match mover.kind() {
             // Fences never settle: every swap probability is zero.
@@ -305,7 +218,7 @@ impl Settler {
                     }
                 }
             };
-            if p <= 0.0 || !rng.gen_bool(p) {
+            if p <= 0.0 || (p < 1.0 && attempt_draw(key, start, start - pos) >= bool_threshold(p)) {
                 break;
             }
             order.swap(pos - 1, pos);
@@ -317,37 +230,38 @@ impl Settler {
     /// the number of instructions strictly between the settled critical LD
     /// and critical ST.
     ///
-    /// `γ` is read straight off the settled order — no `Program` clone and
-    /// no [`Permutation`] construction. Bit-for-bit identical to
-    /// `settle(program, rng).gamma()` under the same RNG state (asserted by
-    /// the equivalence regression tests).
+    /// Computed by the lazy kernel (see [`lazy`](crate::lazy)), which
+    /// settles only the climbs `γ` depends on. Bit-for-bit identical to
+    /// `settle(program, rng).gamma()` under the same RNG state, and leaves
+    /// the RNG in the same state (asserted by the equivalence regression
+    /// tests).
     pub fn sample_gamma<R: Rng + ?Sized>(&self, program: &Program, rng: &mut R) -> u64 {
         let mut scratch = SettleScratch::new();
         self.sample_gamma_scratch(program, &mut scratch, rng)
     }
 
     /// [`sample_gamma`](Settler::sample_gamma) with caller-provided scratch:
-    /// the steady-state allocation-free γ kernel. γ is read straight off
-    /// the packed settling image; the scratch's [`order`](SettleScratch::order)
-    /// buffer is not refreshed (use [`settle_into`](Settler::settle_into)
-    /// when the full settled order is needed).
+    /// the steady-state allocation-free γ kernel. The scratch's
+    /// [`order`](SettleScratch::order) buffer and settled image are not
+    /// refreshed (use [`settle_into`](Settler::settle_into) when the full
+    /// settled order is needed).
     pub fn sample_gamma_scratch<R: Rng + ?Sized>(
         &self,
         program: &Program,
         scratch: &mut SettleScratch,
         rng: &mut R,
     ) -> u64 {
-        let has_release = scratch.load(program);
-        self.settle_packed(scratch, has_release, program.len(), rng);
-        scratch.gamma(program)
+        let mut gamma = [0];
+        self.sample_gammas_scratch(program, &mut gamma, scratch, rng);
+        gamma[0]
     }
 
     /// Samples one γ per slot of `out`, all from fresh settles of the same
-    /// `program` — the per-thread window draws of one trial. The packed
-    /// image is encoded once and restored by `memcpy` between settles, so
-    /// the per-settle overhead is one buffer copy. The RNG stream is
-    /// identical to calling [`sample_gamma_scratch`](Settler::sample_gamma_scratch)
-    /// `out.len()` times.
+    /// `program` — the per-thread window draws of one trial. The program
+    /// image is encoded once; each settle then draws its key and resolves
+    /// only the climbs its γ needs. The RNG stream is identical to calling
+    /// [`sample_gamma_scratch`](Settler::sample_gamma_scratch) `out.len()`
+    /// times.
     pub fn sample_gammas_scratch<R: Rng + ?Sized>(
         &self,
         program: &Program,
@@ -355,22 +269,32 @@ impl Settler {
         scratch: &mut SettleScratch,
         rng: &mut R,
     ) {
-        let has_release = scratch.load(program);
-        scratch.pristine.clear();
-        scratch.pristine.extend_from_slice(&scratch.packed);
-        for (i, slot) in out.iter_mut().enumerate() {
-            if i > 0 {
-                scratch.packed.copy_from_slice(&scratch.pristine);
-            }
-            self.settle_packed(scratch, has_release, program.len(), rng);
-            *slot = scratch.gamma(program);
+        let image = scratch.load(program);
+        let tables = self.tables(image.has_release);
+        for slot in out {
+            *slot = if tables.inert() {
+                (image.st - image.ld - 1) as u64
+            } else {
+                let key = rng.next_u64();
+                scratch.lazy_gamma(&tables, key, image).0
+            };
+        }
+    }
+
+    /// Resolves the integer draw thresholds of this settler for a program
+    /// with (`has_release`) or without a hoistable fence.
+    pub(crate) fn tables(&self, has_release: bool) -> Tables {
+        let (eff, fence) = self.lane_tables();
+        Tables {
+            eff,
+            fence: if has_release { fence } else { BLOCKED },
         }
     }
 
     /// Resolves the integer draw-threshold tables the lane kernel shares
-    /// with [`settle_packed`](Settler::settle_packed): the four
-    /// memory-memory thresholds `t_eff[earlier_st][later_st]` and the
-    /// release-fence threshold, all via [`bool_threshold`].
+    /// with the scalar kernels: the four memory-memory thresholds
+    /// `t_eff[earlier_st][later_st]` and the release-fence threshold, all
+    /// via [`bool_threshold`].
     pub(crate) fn lane_tables(&self) -> ([[u64; 2]; 2], u64) {
         let t_eff = [
             [
@@ -384,6 +308,140 @@ impl Settler {
         ];
         (t_eff, bool_threshold(self.fence_pass_probability))
     }
+}
+
+/// The integer draw thresholds of one settler over one program image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Tables {
+    /// `eff[earlier_st][later_st]`: the memory-memory thresholds.
+    pub(crate) eff: [[u64; 2]; 2],
+    /// The release-fence threshold; BLOCKED when the program has no
+    /// release fence.
+    pub(crate) fence: u64,
+}
+
+impl Tables {
+    /// Whether no attempt can ever succeed: the settle draws no key and
+    /// the settled order is the identity (the SC fast path).
+    pub(crate) fn inert(&self) -> bool {
+        self.eff == [[BLOCKED; 2]; 2] && self.fence == BLOCKED
+    }
+
+    /// The largest threshold a mover of class `st` (1 for a store) can
+    /// meet: a uniform at or above it fails whatever sits above.
+    pub(crate) fn reach(&self, st: usize) -> u64 {
+        self.eff[0][st].max(self.eff[1][st]).max(self.fence)
+    }
+
+    /// The threshold of memory mover `mover` passing `above` (packed
+    /// words).
+    pub(crate) fn threshold(&self, above: u32, mover: u32) -> u64 {
+        if above & FENCE_FLAG != 0 {
+            if above & RELEASE_FLAG != 0 {
+                self.fence
+            } else {
+                BLOCKED
+            }
+        } else if above & LOC_MASK == mover & LOC_MASK {
+            BLOCKED // conflicting pair (the critical LD/ST)
+        } else {
+            self.eff[((above >> ST_FLAG_SHIFT) & 1) as usize][((mover >> ST_FLAG_SHIFT) & 1) as usize]
+        }
+    }
+}
+
+/// The forward kernel: runs `rounds` settling rounds over a packed image
+/// in initial order, permuting it in place. Returns the number of swap
+/// attempts evaluated (climb steps, whether or not they read a uniform).
+///
+/// The hot loop runs over a packed image of the program — one u64 per
+/// instruction carrying its class/location word and its initial index —
+/// so each swap-probability evaluation is a single load plus bit tests.
+/// The probabilities are resolved once per call, as integer draw
+/// thresholds (see [`bool_threshold`]). Attempt `k` of round `r` reads
+/// [`attempt_draw`]`(key, r, k)`; BLOCKED and CERTAIN attempts read
+/// nothing, exactly as on the general [`Settler::settle_one`] route.
+pub(crate) fn settle_packed(packed: &mut [u64], tables: &Tables, rounds: usize, key: u64) -> u64 {
+    assert!(
+        rounds <= packed.len(),
+        "cannot settle {rounds} rounds of a {}-instruction program",
+        packed.len()
+    );
+    if tables.inert() {
+        return 0;
+    }
+    (0..rounds).map(|round| climb(packed, tables, key, round, round)).sum()
+}
+
+/// Continues round `round` of a forward settle: the mover sits at `pos`,
+/// having won attempts `0..round - pos`, and climbs on until an attempt
+/// fails or it reaches the top. Returns the attempts evaluated.
+pub(crate) fn climb(image: &mut [u64], tables: &Tables, key: u64, round: usize, mut pos: usize) -> u64 {
+    let mover = (image[pos] >> 32) as u32;
+    // Fences never settle, and a mover that can pass nothing never
+    // climbs: no attempt, no swap.
+    if mover & FENCE_FLAG != 0 || tables.reach(((mover >> ST_FLAG_SHIFT) & 1) as usize) == BLOCKED {
+        return 0;
+    }
+    let mut attempts = 0;
+    while pos > 0 {
+        attempts += 1;
+        let t = tables.threshold((image[pos - 1] >> 32) as u32, mover);
+        if t == BLOCKED || (t != CERTAIN && attempt_draw(key, round, round - pos) >= t) {
+            break;
+        }
+        image.swap(pos - 1, pos);
+        pos -= 1;
+    }
+    attempts
+}
+
+/// The window growth `γ` of a settled packed image: instructions strictly
+/// between the critical LD (initial index `ld`) and ST (`st`).
+///
+/// # Panics
+///
+/// Panics if either instruction is missing, or if the critical store sits
+/// above the critical load — which settling makes impossible
+/// (same-location swaps always fail).
+pub(crate) fn image_gamma(image: &[u64], ld: usize, st: usize) -> u64 {
+    let position = |i: usize| image.iter().position(|&x| x & 0xffff_ffff == i as u64);
+    let (Some(ld), Some(st)) = (position(ld), position(st)) else {
+        panic!("critical pair missing from settled order");
+    };
+    assert!(st > ld, "critical store settled above critical load");
+    (st - ld - 1) as u64
+}
+
+/// SplitMix64's increment, `2^64 / φ`.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64: one output of the generator whose state was `z` (identical
+/// to `montecarlo::rng::splitmix64`).
+fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The 53-bit uniform of swap attempt `attempt` of settling round `round`
+/// under settle key `key`: output number `round·2³² + attempt` of the
+/// SplitMix64 stream seeded with `key`, shifted down to 53 bits. The
+/// attempt succeeds iff this is below the pair's [`bool_threshold`].
+///
+/// Every attempt has its own address, so a kernel may read attempts in
+/// any order, or skip those its result does not depend on, and still
+/// agree bit for bit with the forward kernels.
+#[must_use]
+pub fn attempt_draw(key: u64, round: usize, attempt: usize) -> u64 {
+    let index = ((round as u64) << 32).wrapping_add(attempt as u64);
+    splitmix64(key.wrapping_add(index.wrapping_mul(GOLDEN_GAMMA))) >> 11
+}
+
+/// Whether a packed word is a hoistable (release) fence.
+fn is_release(word: u32) -> bool {
+    word & (FENCE_FLAG | RELEASE_FLAG) == FENCE_FLAG | RELEASE_FLAG
 }
 
 /// Draw threshold of a zero probability: break without consuming a draw.
@@ -403,15 +461,17 @@ pub(crate) const CERTAIN: u64 = u64::MAX;
 /// of two is exact, and both sides are integers below `2^53`, where `f64`
 /// is exact. So the hot kernels compare raw 53-bit draws against this
 /// threshold as pure `u64` ops, with no float in the loop and no rounding
-/// beyond the single `ceil`.
+/// beyond the single `ceil`. The scalar kernels compare attempt uniforms
+/// ([`attempt_draw`]) against it the same way.
 ///
 /// The endpoints are pinned, not rounded:
 ///
 /// - `p <= 0.0` maps to `0` (**BLOCKED**): no 53-bit draw is below it, and
-///   the scalar kernel breaks without consuming a draw.
+///   the scalar kernels break without reading the attempt's uniform.
 /// - `p >= 1.0` maps to `u64::MAX` (**CERTAIN**): every 53-bit draw is
-///   below it (draws are `< 2^53`), and the scalar kernel swaps without
-///   consuming a draw — mirroring `gen_bool`'s `p >= 1.0` early return.
+///   below it (draws are `< 2^53`), and the scalar kernels swap without
+///   reading the attempt's uniform — mirroring `gen_bool`'s `p >= 1.0`
+///   early return.
 /// - Every denormal-adjacent `0 < p < 1` (down to `f64::MIN_POSITIVE` and
 ///   below) maps to a threshold in `[1, 2^53]`: never 0, never saturated,
 ///   because `ceil` of a positive value is at least 1 and `p < 1` keeps
@@ -462,7 +522,7 @@ pub(crate) fn encode(ins: &Instruction) -> u32 {
     }
 }
 
-/// Reusable buffers for the in-place settling kernel.
+/// Reusable buffers for the in-place settling kernels.
 ///
 /// One scratch serves any number of programs (of any length): the buffers
 /// grow to the largest program seen and are reused thereafter.
@@ -472,22 +532,33 @@ pub struct SettleScratch {
     /// Refreshed by [`Settler::settle_into`] only.
     order: Vec<usize>,
     /// The packed settling image: `(encode(instr) << 32) | initial index`
-    /// per position, permuted in place by the hot loop.
+    /// per position. The forward kernel permutes it in place; the lazy
+    /// kernel only reads it, in initial order.
     packed: Vec<u64>,
-    /// Unpermuted copy of the packed image, for restoring between the
-    /// settles of [`Settler::sample_gammas_scratch`].
-    pristine: Vec<u64>,
+    /// The lazy kernel's per-round climb knowledge.
+    know: Vec<u32>,
+    /// The lazy kernel's suspended walks.
+    stack: Vec<Frame>,
+    /// The lazy kernel's forward-finish image.
+    work: Vec<u64>,
+}
+
+/// Facts about a freshly loaded program image.
+#[derive(Debug, Clone, Copy)]
+struct Image {
+    /// Whether the program contains a hoistable (release) fence.
+    has_release: bool,
+    /// Initial index of the critical load.
+    ld: usize,
+    /// Initial index of the critical store.
+    st: usize,
 }
 
 impl SettleScratch {
     /// An empty scratch; the first settle sizes it.
     #[must_use]
     pub fn new() -> SettleScratch {
-        SettleScratch {
-            order: Vec::new(),
-            packed: Vec::new(),
-            pristine: Vec::new(),
-        }
+        SettleScratch::default()
     }
 
     /// A scratch pre-sized for programs of `len` instructions, so even the
@@ -497,26 +568,54 @@ impl SettleScratch {
         SettleScratch {
             order: Vec::with_capacity(len),
             packed: Vec::with_capacity(len),
-            pristine: Vec::with_capacity(len),
+            know: Vec::with_capacity(len),
+            stack: Vec::with_capacity(len),
+            work: Vec::with_capacity(len),
         }
     }
 
     /// Rebuilds the packed image of `program` in initial order, reusing the
-    /// buffer's allocation. Returns whether the program contains a
-    /// hoistable (release) fence.
-    fn load(&mut self, program: &Program) -> bool {
+    /// buffer's allocation.
+    fn load(&mut self, program: &Program) -> Image {
         assert!(
             u32::try_from(program.len()).is_ok(),
             "program too large for the packed settling image"
         );
-        let mut has_release = false;
+        let mut image = Image {
+            has_release: false,
+            ld: usize::MAX,
+            st: usize::MAX,
+        };
         self.packed.clear();
         self.packed.extend(program.instructions().iter().enumerate().map(|(i, ins)| {
             let item = encode(ins);
-            has_release |= item & (FENCE_FLAG | RELEASE_FLAG) == FENCE_FLAG | RELEASE_FLAG;
+            image.has_release |= is_release(item);
+            // The critical pair are the only accesses to location 0.
+            if item & (FENCE_FLAG | LOC_MASK) == 0 {
+                if (item >> ST_FLAG_SHIFT) & 1 == 0 {
+                    image.ld = i;
+                } else {
+                    image.st = i;
+                }
+            }
             (u64::from(item) << 32) | i as u64
         }));
-        has_release
+        image
+    }
+
+    /// The lazy kernel's `γ` for settle key `key` over the loaded image,
+    /// with the number of swap attempts it decided. `work` is left empty
+    /// unless the kernel finished the settle forward.
+    fn lazy_gamma(&mut self, tables: &Tables, key: u64, image: Image) -> (u64, u64) {
+        let len = self.packed.len();
+        self.know.clear();
+        self.know.resize(len, 0);
+        self.stack.reserve(len);
+        self.work.clear();
+        self.work.reserve(len);
+        let mut lazy = Lazy::new(&self.packed, &mut self.know, &mut self.stack, tables, key);
+        let gamma = lazy.gamma(image.ld, image.st, &mut self.work);
+        (gamma, lazy.attempts())
     }
 
     /// Rewrites `order` from the packed image and returns it.
@@ -537,9 +636,11 @@ impl SettleScratch {
         &self.order
     }
 
-    /// The window growth `γ` of the last settle of `program`: instructions
-    /// strictly between the settled critical LD and critical ST, read
-    /// straight off the packed settling image.
+    /// The window growth `γ` of the last [`Settler::settle_into`] of
+    /// `program`: instructions strictly between the settled critical LD
+    /// and critical ST, read straight off the packed settling image. The
+    /// γ kernels ([`Settler::sample_gamma_scratch`] and friends) leave that
+    /// image unsettled.
     ///
     /// # Panics
     ///
@@ -554,24 +655,32 @@ impl SettleScratch {
             program.len(),
             "scratch does not hold a settled image of this program"
         );
-        let ld_init = program.critical_load_index() as u64;
-        let st_init = program.critical_store_index() as u64;
-        let mut ld = usize::MAX;
-        let mut st = usize::MAX;
-        for (p, &x) in self.packed.iter().enumerate() {
-            let i = x & 0xffff_ffff;
-            if i == ld_init {
-                ld = p;
-            } else if i == st_init {
-                st = p;
-            }
-        }
-        assert!(
-            ld != usize::MAX && st != usize::MAX,
-            "critical pair missing from settled order"
-        );
-        assert!(st > ld, "critical store settled above critical load");
-        (st - ld - 1) as u64
+        image_gamma(
+            &self.packed,
+            program.critical_load_index(),
+            program.critical_store_index(),
+        )
+    }
+}
+
+
+#[cfg(test)]
+impl SettleScratch {
+    /// Both γ kernels on one settle key:
+    /// `((forward γ, forward attempts), (lazy γ, lazy attempts))`, and
+    /// whether the lazy kernel finished forward.
+    pub(crate) fn forward_and_lazy(
+        &mut self,
+        settler: &Settler,
+        program: &Program,
+        key: u64,
+    ) -> ((u64, u64), (u64, u64), bool) {
+        let image = self.load(program);
+        let tables = settler.tables(image.has_release);
+        let lazy = self.lazy_gamma(&tables, key, image);
+        let finished_forward = !self.work.is_empty();
+        let attempts = settle_packed(&mut self.packed, &tables, program.len(), key);
+        ((self.gamma(program), attempts), lazy, finished_forward)
     }
 }
 
@@ -983,6 +1092,47 @@ mod tests {
                 assert_eq!(seq_rng, batch_rng, "{model} seed {seed}: RNG streams diverged");
             }
         }
+    }
+
+    #[test]
+    fn attempt_draws_are_the_splitmix_stream_of_the_key() {
+        // Attempt k of round r is output r·2³² + k of the SplitMix64
+        // stream seeded with the key: the reference outputs of seed 0,
+        // then random access into the stream.
+        let reference = [0xe220_a839_7b1d_cdaf_u64, 0x6e78_9e6a_a1b9_65f4, 0x06c4_5d18_8009_454f];
+        for (attempt, want) in reference.into_iter().enumerate() {
+            assert_eq!(attempt_draw(0, 0, attempt), want >> 11);
+        }
+        let step = 0x9E37_79B9_7F4A_7C15_u64;
+        assert_eq!(attempt_draw(step.wrapping_mul(1 << 32), 0, 1), attempt_draw(0, 1, 1));
+        assert_eq!(attempt_draw(7, 3, 2), attempt_draw(7u64.wrapping_add(step.wrapping_mul(2)), 3, 0));
+    }
+
+    #[test]
+    fn a_settle_draws_one_key_unless_inert() {
+        let p = program(24, 3);
+        for model in MemoryModel::NAMED {
+            let settler = Settler::for_model(model);
+            let draws = usize::from(model != MemoryModel::Sc);
+            let mut gammas = [0u64; 5];
+            let mut a = rng(9);
+            settler.sample_gammas_scratch(&p, &mut gammas, &mut SettleScratch::new(), &mut a);
+            let mut b = rng(9);
+            for _ in 0..gammas.len() * draws {
+                let _ = rand::RngCore::next_u64(&mut b);
+            }
+            assert_eq!(a, b, "{model}: one key per settle");
+            let mut c = rng(9);
+            assert_eq!(settler.settle_key(&p, &mut c).is_some(), draws == 1);
+        }
+        // A release fence with pass probability 0 leaves SC inert.
+        let fenced = p.with_fence_at(10, FenceKind::Release);
+        let sc = Settler::for_model(MemoryModel::Sc)
+            .with_fence_pass_probability(0.0)
+            .unwrap();
+        assert_eq!(sc.settle_key(&fenced, &mut rng(1)), None);
+        let sc = Settler::for_model(MemoryModel::Sc);
+        assert!(sc.settle_key(&fenced, &mut rng(1)).is_some());
     }
 
     #[test]

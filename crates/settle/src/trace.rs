@@ -58,9 +58,11 @@ impl SettleTrace {
     ) -> SettleTrace {
         let mut order: Vec<usize> = (0..program.len()).collect();
         let mut rounds = Vec::with_capacity(program.len());
+        // An inert settle reads no attempt, so its key is never used.
+        let key = settler.settle_key(program, rng).unwrap_or(0);
         for r in 0..program.len() {
             let before = order.iter().position(|&i| i == r).expect("index present");
-            settler.settle_one(program, &mut order, r, rng);
+            settler.settle_one(program, &mut order, r, key);
             let after = order.iter().position(|&i| i == r).expect("index present");
             rounds.push(TraceRound {
                 settling: r,

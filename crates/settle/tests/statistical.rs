@@ -190,3 +190,61 @@ fn custom_model_ld_st_only_never_grows_the_window() {
     });
     assert_eq!(est.point(), 1.0);
 }
+
+#[test]
+fn gamma_route_matches_exact_enumeration_at_small_m() {
+    // The lazy γ kernel behind `sample_gamma` against the exhaustive
+    // settling law of each fixed program (`settle::exact`), over named and
+    // custom matrices, off-canonical probabilities, and fences. One
+    // chi-square test per case; the family-wise false-alarm budget of
+    // 1e-3 is split evenly across the cases (Bonferroni).
+    use memmodel::fence::FenceKind;
+    use memmodel::OpType::{Ld, St};
+    use memmodel::{ReorderMatrix, SettleProbs};
+    use progmodel::Program;
+    use settle::exact;
+
+    const FAMILY_ALPHA: f64 = 1e-3;
+    let canonical = |model: MemoryModel| Settler::for_model(model);
+    let custom = Settler::new(
+        ReorderMatrix::new(true, false, true, true),
+        SettleProbs::per_pair(0.7, 0.3, 0.9, 0.4).expect("valid"),
+    )
+    .with_fence_pass_probability(0.6)
+    .expect("valid");
+    let high = Settler::new(MemoryModel::Wo.matrix(), SettleProbs::uniform(0.9).expect("valid"));
+    let short = Program::from_filler_types(&[St, Ld, St]).expect("valid");
+    let mixed = Program::from_filler_types(&[St, Ld, St, St, Ld]).expect("valid");
+    let stores = Program::from_filler_types(&[St, St, Ld, St, St]).expect("valid");
+    let fenced = Program::from_filler_types(&[St, Ld, St, Ld])
+        .expect("valid")
+        .with_fence_at(2, FenceKind::Release);
+    let cases = [
+        (canonical(MemoryModel::Tso), mixed.clone()),
+        (canonical(MemoryModel::Pso), mixed.clone()),
+        (canonical(MemoryModel::Wo), mixed.clone()),
+        (canonical(MemoryModel::Wo), short.clone()),
+        (canonical(MemoryModel::Pso), stores.clone()),
+        (canonical(MemoryModel::Wo), fenced.clone()),
+        (custom, mixed),
+        (custom, fenced),
+        (high, stores),
+        (high, short),
+    ];
+    let alpha = FAMILY_ALPHA / cases.len() as f64;
+    for (i, (settler, program)) in cases.into_iter().enumerate() {
+        let pmf = exact::window_pmf_for_program(&settler, &program);
+        let prog = program.clone();
+        let h = Runner::new(Seed(200 + i as u64)).histogram(N_SAMPLES, move |rng| {
+            settler.sample_gamma(&prog, rng)
+        });
+        let gof = chi_square_gof(&h, |g| pmf.get(g as usize).copied().unwrap_or(0.0), 5.0);
+        assert!(
+            gof.consistent_at(alpha),
+            "case {i} ({settler:?} on {program:?}): χ²={} dof={} p={}",
+            gof.statistic,
+            gof.dof,
+            gof.p_value
+        );
+    }
+}

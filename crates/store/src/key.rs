@@ -29,8 +29,9 @@ use std::fmt;
 /// **Bump this whenever a golden-pinned kernel changes** (settle, shift,
 /// program generation, RNG fan-out, chunk tiling): the tag is folded into
 /// every canonical string, so old cache contents become unreachable
-/// instead of silently wrong.
-pub const KERNEL_VERSION: &str = "mmr-kernels-v1";
+/// instead of silently wrong. `v2`: settling draws one key per settle and
+/// addresses every swap attempt's uniform from it.
+pub const KERNEL_VERSION: &str = "mmr-kernels-v2";
 
 /// Canonical-string format version (the leading token of every canon).
 pub const CANON_VERSION: &str = "mmrk1";
@@ -41,7 +42,7 @@ pub const CANON_VERSION: &str = "mmrk1";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeySpec {
     /// Kernel version tag plus result kind, e.g.
-    /// `"mmr-kernels-v1/survival"` (kinds: `survival`, `windows`, `rb`,
+    /// `"mmr-kernels-v2/survival"` (kinds: `survival`, `windows`, `rb`,
     /// `survival_lanes`, `windows_lanes`).
     pub kernel: String,
     /// The reorder matrix in its canonical 4-character Table-1 form

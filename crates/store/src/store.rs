@@ -573,6 +573,30 @@ mod tests {
     }
 
     #[test]
+    fn entries_of_an_older_kernel_version_miss() {
+        // A cache written before the settle kernels moved to attempt-
+        // addressed draws holds `mmr-kernels-v1` keys. Under the current
+        // version the same request must miss outright — neither an exact
+        // hit nor a family extension may replay the old stream's values.
+        assert_ne!(KERNEL_VERSION, "mmr-kernels-v1");
+        let dir = tmp_dir("old-kernel");
+        let mut old = spec(5);
+        old.kernel = "mmr-kernels-v1/survival".into();
+        let old_key = old.request(8 * montecarlo::CHUNK_WIDTH, None);
+        {
+            let store = Store::open(&dir).unwrap();
+            store.insert(&old_key, report(3, old_key.trials), vec![prefix(4), prefix(8)]);
+        }
+        let store = Store::open(&dir).unwrap();
+        assert!(matches!(store.lookup(&old_key), Lookup::Hit(_)), "the v1 entry persisted");
+        for trials in [8, 16].map(|chunks| chunks * montecarlo::CHUNK_WIDTH) {
+            let key = spec(5).request(trials, None);
+            assert_eq!(store.lookup(&key), Lookup::Miss, "{trials} trials");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn disk_store_round_trips_and_reopens() {
         let dir = tmp_dir("reopen");
         let key = spec(4).request(8192, None);

@@ -33,15 +33,16 @@ fn tso_survival() -> KeySpec {
 #[test]
 fn kernel_version_is_pinned() {
     // Bumping this invalidates every existing cache — deliberate, but it
-    // must never happen by accident.
-    assert_eq!(KERNEL_VERSION, "mmr-kernels-v1");
+    // must never happen by accident. v2: settling moved to
+    // attempt-addressed draws, which changed every seeded settle stream.
+    assert_eq!(KERNEL_VERSION, "mmr-kernels-v2");
 }
 
 #[test]
 fn family_canon_is_pinned() {
     assert_eq!(
         tso_survival().family_canon(),
-        "mmrk1|kernel=mmr-kernels-v1/survival|matrix=.X..|n=2|m=64|\
+        "mmrk1|kernel=mmr-kernels-v2/survival|matrix=.X..|n=2|m=64|\
          p=3fe0000000000000|s=3fe0000000000000,3fe0000000000000,3fe0000000000000,3fe0000000000000|\
          fence=3ff0000000000000|acq=0|seed=000000000132dd0e|cw=4096|lanes=0"
     );
@@ -65,15 +66,15 @@ fn request_hashes_are_pinned() {
     let spec = tso_survival();
     assert_eq!(
         spec.request(200_000, None).hash().hex(),
-        "15e8d810f19c01ef47d1f58e6754ccac"
+        "dddfb5b6f96869820473b490d65b7777"
     );
     assert_eq!(
         spec.request(200_000, Some(0.01)).hash().hex(),
-        "76da50c10c3773d85c40a9b35997de65"
+        "90b067e9eb286c4733dd9a8200aaa7a2"
     );
     assert_eq!(
         spec.request(200_000, None).family_hash().hex(),
-        "7a090355ecad89b580f21ff81cd0ad52"
+        "cf7f1832b73973142f3673eb8d85788b"
     );
 }
 
@@ -100,12 +101,12 @@ fn model_and_path_variants_hash_distinctly_and_stably() {
         .map(|(_, s)| s.request(200_000, None).hash().hex())
         .collect();
     let expected = [
-        "c56b538c08b88aa1b7b1e9f1a4aa4b7e",
-        "15e8d810f19c01ef47d1f58e6754ccac",
-        "a5f410d17b3feab193e42eb7c1de5367",
-        "2580fd2b130e642165fbb16d28f55045",
-        "4357fe189cba61287a79acbdde24df39",
-        "6cdccbd436ffed806c670a980e4266eb",
+        "5dc9d1a9490c3a748b12398f10fb03c6",
+        "dddfb5b6f96869820473b490d65b7777",
+        "b4d22c15741b3d887bbd4f605e8f893f",
+        "b22895d8ec42d42cdd28b3ed0aca8fae",
+        "291be956ab082f91779da5211ce98032",
+        "2eaf28f8f600ad49241516f1cd92e60e",
     ];
     for (i, ((label, _), hash)) in variants.iter().zip(&hashes).enumerate() {
         assert_eq!(hash, expected[i], "golden hash moved for {label}");

@@ -8,7 +8,7 @@ const TRIALS: u64 = if cfg!(debug_assertions) { 40_000 } else { 250_000 };
 
 #[test]
 fn theorem_62_headline_constants_reproduce() {
-    let cmp = ModelComparison::run(2, TRIALS, 1);
+    let cmp = ModelComparison::run(2, TRIALS, 2);
     for row in cmp.rows() {
         assert!(
             row.consistent(0.999),

@@ -5,23 +5,23 @@ use memmodel::fence::FenceKind;
 use memmodel::{MemoryModel, OpType};
 use montecarlo::{Runner, Seed};
 use progmodel::{Program, ProgramGenerator};
-use settle::{SettleScratch, Settler};
+use settle::{ProgramShape, SettleScratch, Settler};
 use shiftproc::{ShiftProcess, ShiftScratch};
 use std::fmt::Write as _;
 use textplot::Table;
 
 const M: usize = 48;
 
-/// A placeholder program of `M` fillers with `fence` (if any) just before
-/// the critical load — the reusable template the scratch kernels regenerate
-/// in place, matching the old per-trial `generate` + `with_fence_at` route
-/// draw for draw (fence insertion consumes no randomness).
-fn template(fence: Option<FenceKind>) -> Program {
+/// The shape of `M` fillers with `fence` (if any) just before the critical
+/// load — the keyed kernels settle fresh programs over it, matching the
+/// per-trial `generate` + `with_fence_at` route draw for draw (fence
+/// insertion consumes no randomness).
+fn template(fence: Option<FenceKind>) -> ProgramShape {
     let program = Program::from_filler_types(&[OpType::Ld; M]).expect("canonical shape");
-    match fence {
+    ProgramShape::new(&match fence {
         Some(kind) => program.with_fence_at(program.critical_load_index(), kind),
         None => program,
-    }
+    })
 }
 
 /// Settles fenced programs and measures end-to-end survival, checking the
@@ -49,9 +49,11 @@ pub fn run(ctx: &Ctx) -> String {
             let h = Runner::new(Seed(seed)).with_threads(ctx.threads).histogram_scratch(
                 ctx.trials / 2,
                 move || (template(fence), SettleScratch::new()),
-                move |(program, scratch), rng| {
-                    gen.regenerate(program, rng);
-                    settler.sample_gamma_scratch(program, scratch, rng)
+                move |(shape, scratch), rng| {
+                    let mut gamma = [0];
+                    let key = gen.draw_key(rng);
+                    settler.sample_gammas_keyed(shape, gen.store_threshold(), key, &mut gamma, scratch, rng);
+                    gamma[0]
                 },
             );
             // End-to-end survival.
@@ -67,10 +69,11 @@ pub fn run(ctx: &Ctx) -> String {
                             ShiftScratch::with_capacity(2),
                         )
                     },
-                    move |(program, scratch, windows, shift), rng| {
-                        gen.regenerate(program, rng);
+                    move |(shape, scratch, windows, shift), rng| {
+                        let key = gen.draw_key(rng);
+                        settler.sample_gammas_keyed(shape, gen.store_threshold(), key, windows, scratch, rng);
                         for w in windows.iter_mut() {
-                            *w = settler.sample_gamma_scratch(program, scratch, rng) + 2;
+                            *w += 2;
                         }
                         ShiftProcess::canonical().simulate_disjoint_into(&windows[..], shift, rng)
                     },
@@ -115,9 +118,11 @@ pub fn run(ctx: &Ctx) -> String {
     let h = Runner::new(Seed(ctx.seed ^ 0xFEE)).with_threads(ctx.threads).histogram_scratch(
         ctx.trials / 2,
         move || (template(Some(FenceKind::Release)), SettleScratch::new()),
-        move |(program, scratch), rng| {
-            gen.regenerate(program, rng);
-            settler.sample_gamma_scratch(program, scratch, rng)
+        move |(shape, scratch), rng| {
+            let mut gamma = [0];
+            let key = gen.draw_key(rng);
+            settler.sample_gammas_keyed(shape, gen.store_threshold(), key, &mut gamma, scratch, rng);
+            gamma[0]
         },
     );
     let leaky = h.tail(1) > 0.0;

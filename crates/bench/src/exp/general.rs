@@ -7,7 +7,7 @@ use analytic::general::{GeneralWindowLaws, Params};
 use memmodel::{MemoryModel, OpType, SettleProbs};
 use montecarlo::{chi_square_gof, Runner, Seed};
 use progmodel::{Program, ProgramGenerator};
-use settle::{SettleScratch, Settler};
+use settle::{ProgramShape, SettleScratch, Settler};
 use shiftproc::{ShiftProcess, ShiftScratch};
 use std::fmt::Write as _;
 use textplot::Table;
@@ -18,8 +18,8 @@ fn settler(model: MemoryModel, s: f64) -> Settler {
     Settler::new(model.matrix(), SettleProbs::uniform(s).expect("valid s"))
 }
 
-fn blank_program() -> Program {
-    Program::from_filler_types(&[OpType::Ld; M]).expect("canonical shape")
+fn blank_shape() -> ProgramShape {
+    ProgramShape::new(&Program::from_filler_types(&[OpType::Ld; M]).expect("canonical shape"))
 }
 
 /// Validates the generalised window laws and survival formula at off-
@@ -56,10 +56,12 @@ pub fn run(ctx: &Ctx) -> String {
             .with_threads(inner)
             .histogram_scratch(
                 trials / 2,
-                move || (blank_program(), SettleScratch::new()),
-                move |(program, scratch), rng| {
-                    gen.regenerate(program, rng);
-                    st.sample_gamma_scratch(program, scratch, rng)
+                move || (blank_shape(), SettleScratch::new()),
+                move |(shape, scratch), rng| {
+                    let mut gamma = [0];
+                    let key = gen.draw_key(rng);
+                    st.sample_gammas_keyed(shape, gen.store_threshold(), key, &mut gamma, scratch, rng);
+                    gamma[0]
                 },
             );
         let gof = chi_square_gof(&h, |g| laws.pmf(model, g).expect("named"), 5.0);
@@ -110,11 +112,12 @@ pub fn run(ctx: &Ctx) -> String {
             .with_threads(inner)
             .bernoulli_scratch(
                 trials / 2,
-                move || (blank_program(), SettleScratch::new(), [0u64; 2], ShiftScratch::new()),
-                move |(program, scratch, windows, shift), rng| {
-                    gen.regenerate(program, rng);
+                move || (blank_shape(), SettleScratch::new(), [0u64; 2], ShiftScratch::new()),
+                move |(shape, scratch, windows, shift), rng| {
+                    let key = gen.draw_key(rng);
+                    st.sample_gammas_keyed(shape, gen.store_threshold(), key, windows, scratch, rng);
                     for w in windows.iter_mut() {
-                        *w = st.sample_gamma_scratch(program, scratch, rng) + 2;
+                        *w += 2;
                     }
                     proc.simulate_disjoint_into(&windows[..], shift, rng)
                 },
@@ -161,11 +164,12 @@ pub fn run(ctx: &Ctx) -> String {
             .with_threads(ctx.threads)
             .try_bernoulli_scratch(
                 ctx.trials,
-                move || (blank_program(), SettleScratch::new(), [0u64; 2], ShiftScratch::new()),
-                move |(program, scratch, windows, shift), rng| {
-                    gen.regenerate(program, rng);
+                move || (blank_shape(), SettleScratch::new(), [0u64; 2], ShiftScratch::new()),
+                move |(shape, scratch, windows, shift), rng| {
+                    let key = gen.draw_key(rng);
+                    st.sample_gammas_keyed(shape, gen.store_threshold(), key, windows, scratch, rng);
                     for w in windows.iter_mut() {
-                        *w = st.sample_gamma_scratch(program, scratch, rng) + 2;
+                        *w += 2;
                     }
                     ShiftProcess::canonical().simulate_disjoint_into(&windows[..], shift, rng)
                 },

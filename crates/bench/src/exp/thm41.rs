@@ -5,25 +5,29 @@ use analytic::window_law::{self, WindowLaws};
 use memmodel::{MemoryModel, OpType};
 use montecarlo::{chi_square_gof, Histogram, Runner, Seed};
 use progmodel::{Program, ProgramGenerator};
-use settle::{SettleScratch, Settler};
+use settle::{ProgramShape, SettleScratch, Settler};
 use std::fmt::Write as _;
 use textplot::Table;
 
 const M: usize = 64;
 
-/// Seeded window histogram through the allocation-free settle kernel;
-/// draw-for-draw identical to the old `generate` + `sample_gamma` route.
+/// Seeded window histogram through the allocation-free keyed settle
+/// kernel; draw-for-draw identical to the `generate` + `sample_gamma`
+/// route.
 fn gamma_histogram(settler: Settler, m: usize, trials: u64, seed: u64, threads: usize) -> Histogram {
+    let gen = ProgramGenerator::new(m);
     Runner::new(Seed(seed)).with_threads(threads).histogram_scratch(
         trials,
         move || {
             let program =
                 Program::from_filler_types(&vec![OpType::Ld; m]).expect("canonical shape");
-            (program, SettleScratch::with_capacity(m + 2))
+            (ProgramShape::new(&program), SettleScratch::with_capacity(m + 2))
         },
-        move |(program, scratch), rng| {
-            ProgramGenerator::new(m).regenerate(program, rng);
-            settler.sample_gamma_scratch(program, scratch, rng)
+        move |(shape, scratch), rng| {
+            let mut gamma = [0];
+            let key = gen.draw_key(rng);
+            settler.sample_gammas_keyed(shape, gen.store_threshold(), key, &mut gamma, scratch, rng);
+            gamma[0]
         },
     )
 }

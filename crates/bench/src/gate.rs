@@ -10,6 +10,10 @@
 //! tolerance is `clamp(0.30 + 2 * max |ratio - 1|, 0.30, 0.45)`: never
 //! tighter than 30% (ordinary scheduling noise), never looser than 45%
 //! (so a genuine 2x slowdown — ratio 0.5 — always fails).
+//!
+//! Only runs of the same size compare: pipelines are matched on
+//! `(name, model, trials)`, since some throughputs scale with the trial
+//! count (a warm cache replay costs the same at any size).
 
 use crate::perf::BenchReport;
 use serde::{Deserialize, Serialize};
@@ -38,6 +42,9 @@ pub struct GateRow {
 pub struct GateOutcome {
     /// Per-pipeline comparisons, in the current report's order.
     pub rows: Vec<GateRow>,
+    /// Current pipelines with no usable baseline at the same
+    /// `(name, model, trials)`, as `name/model@trials`.
+    pub skipped: Vec<String>,
     /// The noise-aware relative slowdown threshold used.
     pub tolerance: f64,
     /// Whether any pipeline regressed.
@@ -59,23 +66,21 @@ pub fn tolerance(baseline: &BenchReport, current: &BenchReport) -> f64 {
 
 /// Compares `current` against `baseline`, pipeline by pipeline.
 ///
-/// Pipelines are matched by `(name, model)`; pipelines present on only one
-/// side are skipped (the gate guards regressions, not coverage).
+/// Pipelines are matched by `(name, model, trials)`; a current pipeline
+/// with no baseline at the same trial count is skipped and listed in
+/// [`GateOutcome::skipped`] (the gate guards regressions, not coverage).
 #[must_use]
 pub fn compare(baseline: &BenchReport, current: &BenchReport) -> GateOutcome {
     let tol = tolerance(baseline, current);
     let mut rows = Vec::new();
+    let mut skipped = Vec::new();
     for cur in &current.pipelines {
-        let Some(base) = baseline
-            .pipelines
-            .iter()
-            .find(|p| p.name == cur.name && p.model == cur.model)
-        else {
+        let Some(base) = baseline.pipelines.iter().find(|p| {
+            p.name == cur.name && p.model == cur.model && p.trials == cur.trials && p.trials_per_sec > 0.0
+        }) else {
+            skipped.push(format!("{}/{}@{}", cur.name, cur.model, cur.trials));
             continue;
         };
-        if base.trials_per_sec <= 0.0 {
-            continue;
-        }
         let ratio = cur.trials_per_sec / base.trials_per_sec;
         rows.push(GateRow {
             name: cur.name.clone(),
@@ -90,6 +95,7 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport) -> GateOutcome {
         regressed: rows.iter().any(|r| r.regressed),
         tolerance: tol,
         rows,
+        skipped,
     }
 }
 
@@ -141,6 +147,14 @@ impl GateOutcome {
                 out,
                 "REGRESSION {:<14} {:<4} {:>12.0} -> {:>12.0} trials/sec ({:.2}x)",
                 r.name, r.model, r.baseline_tps, r.current_tps, r.ratio
+            );
+        }
+        if !self.skipped.is_empty() {
+            let _ = writeln!(
+                out,
+                "skipped {} pipelines with no baseline at the same trial count: {}",
+                self.skipped.len(),
+                self.skipped.join(", ")
             );
         }
         out
@@ -215,5 +229,28 @@ mod tests {
         let outcome = compare(&pruned, &report);
         assert!(outcome.rows.iter().all(|r| r.name != "geom"));
         assert!(!outcome.regressed);
+    }
+
+    #[test]
+    fn pipelines_match_only_at_the_same_trial_count() {
+        // A baseline taken at 10x the trials, where a size-dependent
+        // pipeline (a warm cache replay) reads 10x the throughput, must
+        // not flag the smaller run: nothing matches, and every pipeline is
+        // listed as skipped.
+        let report = perf::run(500, 7, 1, 4);
+        let mut bigger = report.clone();
+        for p in &mut bigger.pipelines {
+            p.trials *= 10;
+            p.trials_per_sec *= 10.0;
+        }
+        let outcome = compare(&bigger, &report);
+        assert!(outcome.rows.is_empty());
+        assert!(!outcome.regressed);
+        assert_eq!(outcome.skipped.len(), report.pipelines.len());
+        let rendered = outcome.render();
+        assert!(rendered.contains(&format!("skipped {} pipelines", report.pipelines.len())), "{rendered}");
+        assert!(rendered.contains("joined_cached_warm/"), "{rendered}");
+        // Against a same-size baseline nothing is skipped.
+        assert!(compare(&report, &report).skipped.is_empty());
     }
 }

@@ -656,10 +656,15 @@ mod tests {
         let outcome = crate::gate::compare(&baseline, &report);
         assert_eq!(outcome.rows.len(), report.pipelines.len());
         assert!(outcome.rows.iter().all(|r| r.name != "joined_legacy"));
-        // The checked-in baseline predates the removal.
+        // The checked-in baseline predates the removal. It was taken at
+        // 200k trials, so it gates a run of its own size and skips every
+        // pipeline of this 500-trial one.
         let checked_in: BenchReport =
             serde_json::from_str(include_str!("../../../BENCH_e2e.json")).unwrap();
-        assert!(!crate::gate::compare(&checked_in, &report).rows.is_empty());
+        assert!(!crate::gate::compare(&checked_in, &checked_in).rows.is_empty());
+        let against = crate::gate::compare(&checked_in, &report);
+        assert!(against.rows.is_empty());
+        assert_eq!(against.skipped.len(), report.pipelines.len());
     }
 
     #[test]

@@ -4,7 +4,7 @@ use memmodel::{MemoryModel, OpType, CANONICAL_P};
 use montecarlo::{BernoulliEstimate, EstimatorStats, Histogram, RunReport, Runner, Seed};
 use progmodel::{Program, ProgramGenerator};
 use rand::Rng;
-use settle::{SettleScratch, Settler};
+use settle::{ProgramShape, SettleScratch, Settler};
 use shiftproc::{ShiftProcess, ShiftScratch};
 use std::fmt;
 
@@ -121,8 +121,9 @@ impl ReliabilityModel {
     }
 
     /// The shared program template: placeholder filler types, fences and
-    /// critical pair in place. Every trial kernel (scalar or lane) redraws
-    /// the filler types of a copy of this shape.
+    /// critical pair in place. The scalar kernels settle keyed programs
+    /// over its [`ProgramShape`]; the lane kernels redraw the filler types
+    /// of a copy.
     pub(crate) fn template(&self) -> Program {
         let mut program = Program::from_filler_types(&vec![OpType::Ld; self.m])
             .expect("canonical program shape is valid");
@@ -135,17 +136,17 @@ impl ReliabilityModel {
     /// A fresh [`TrialScratch`] sized for this configuration.
     ///
     /// Construction allocates (and draws nothing from any RNG); every trial
-    /// that reuses the scratch afterwards is allocation-free. The embedded
-    /// program starts with placeholder filler types — each kernel call
-    /// redraws them before use.
+    /// that reuses the scratch afterwards is allocation-free. The scratch
+    /// holds the template's [`ProgramShape`]; each trial's program is a
+    /// fresh key over it.
     #[must_use]
     pub fn scratch(&self) -> TrialScratch {
-        let program = self.template();
+        let template = self.template();
         TrialScratch {
-            settle: SettleScratch::with_capacity(program.len()),
+            settle: SettleScratch::with_capacity(template.len()),
             shift: ShiftScratch::with_capacity(self.n),
             windows: Vec::with_capacity(self.n),
-            program,
+            shape: ProgramShape::new(&template),
         }
     }
 
@@ -176,28 +177,45 @@ impl ReliabilityModel {
         }
     }
 
-    /// The allocation-free window kernel: regenerates the scratch program
-    /// in place and settles `n` copies, returning the window lengths.
+    /// The allocation-free window kernel: draws one program key and
+    /// settles `n` copies of the keyed program, returning the window
+    /// lengths.
     ///
-    /// Draw-for-draw identical to
-    /// [`sample_windows`](ReliabilityModel::sample_windows) — program
-    /// regeneration redraws exactly the `m` filler types `generate` would
-    /// draw, and each settle consumes the same swap decisions — so seeded
-    /// streams agree bit-for-bit between the two routes.
+    /// The program is never materialised: the keyed γ kernel
+    /// ([`Settler::sample_gammas_keyed`]) types only the fillers the
+    /// windows depend on, straight from the key (`progmodel`'s
+    /// program-key contract). It is draw-for-draw identical to
+    /// [`sample_windows`](ReliabilityModel::sample_windows) — `generate`
+    /// draws the same key and types every filler from it, and each settle
+    /// consumes the same settle key — so seeded streams agree bit for bit
+    /// between the two routes.
     pub fn sample_windows_scratch<'s, R: Rng + ?Sized>(
         &self,
         scratch: &'s mut TrialScratch,
         rng: &mut R,
     ) -> &'s [u64] {
-        self.generator().regenerate(&mut scratch.program, rng);
         scratch.windows.clear();
         scratch.windows.resize(self.n, 0);
-        self.settler
-            .sample_gammas_scratch(&scratch.program, &mut scratch.windows, &mut scratch.settle, rng);
+        self.sample_keyed(scratch, rng);
         for w in &mut scratch.windows {
             *w += 2;
         }
         &scratch.windows
+    }
+
+    /// Draws a program key and fills `scratch.windows` with the γ of one
+    /// settle of the keyed program per slot.
+    fn sample_keyed<R: Rng + ?Sized>(&self, scratch: &mut TrialScratch, rng: &mut R) {
+        let generator = self.generator();
+        let key = generator.draw_key(rng);
+        self.settler.sample_gammas_keyed(
+            &scratch.shape,
+            generator.store_threshold(),
+            key,
+            &mut scratch.windows,
+            &mut scratch.settle,
+            rng,
+        );
     }
 
     /// Simulates one end-to-end trial: `true` when the bug does **not**
@@ -306,12 +324,10 @@ impl ReliabilityModel {
                         trials,
                         move || this.scratch(),
                         move |scratch, rng| {
-                            this.generator().regenerate(&mut scratch.program, rng);
-                            this.settler.sample_gamma_scratch(
-                                &scratch.program,
-                                &mut scratch.settle,
-                                rng,
-                            )
+                            scratch.windows.clear();
+                            scratch.windows.push(0);
+                            this.sample_keyed(scratch, rng);
+                            scratch.windows[0]
                         },
                         resume,
                     )
@@ -332,8 +348,8 @@ impl ReliabilityModel {
 /// the two routes are interchangeable trial-for-trial under a fixed seed.
 #[derive(Debug, Clone)]
 pub struct TrialScratch {
-    /// The reused program; filler types are redrawn in place each trial.
-    program: Program,
+    /// The fixed part of every trial's program.
+    shape: ProgramShape,
     /// Window lengths `Γ_1 … Γ_n` of the current trial.
     windows: Vec<u64>,
     settle: SettleScratch,
@@ -461,9 +477,9 @@ mod tests {
 
     #[test]
     fn fenced_scratch_kernel_matches_allocating_route() {
-        // The fence is baked into the reused scratch program once;
-        // regeneration must leave it in place and keep draw parity with a
-        // fresh scratch (which re-inserts it) every trial.
+        // The fence is baked into the scratch's program shape once; the
+        // keyed kernel must keep it in place and keep draw parity with the
+        // allocating route (which re-inserts it) every trial.
         let m = ReliabilityModel::new(MemoryModel::Wo, 2).with_acquire_fence();
         let mut scratch = m.scratch();
         let mut old_rng = SmallRng::seed_from_u64(200);

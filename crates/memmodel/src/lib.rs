@@ -12,7 +12,9 @@
 //!   generalised settling process (footnote 3 of the paper),
 //! * [`MemoryModel`] — the four named models analysed in the paper
 //!   (SC, TSO, PSO, WO) plus fully custom models,
-//! * [`fence`] — acquire/release/full fences, the extension sketched in §7.
+//! * [`fence`] — acquire/release/full fences, the extension sketched in §7;
+//! * [`draw`] — the counter-addressed uniforms every seeded kernel reads
+//!   ([`addressed_uniform`], [`bool_threshold`]).
 //!
 //! # Example
 //!
@@ -36,7 +38,10 @@ mod op;
 mod probs;
 mod table;
 
+pub mod draw;
 pub mod fence;
+
+pub use draw::{addressed_uniform, bool_threshold, splitmix64};
 
 pub use matrix::ReorderMatrix;
 pub use model::{MemoryModel, ParseMemoryModelError};

@@ -1,9 +1,28 @@
 //! Random program generation (§3.1.1).
 
 use crate::{Program, ProgramError};
-use memmodel::{OpType, CANONICAL_P};
+use memmodel::{addressed_uniform, bool_threshold, OpType, CANONICAL_P};
 use rand::Rng;
 use std::fmt;
+
+/// Whether filler `j` of the program with key `key` is a store, for a
+/// generator whose [`store_threshold`](ProgramGenerator::store_threshold)
+/// is `store_threshold`: iff uniform `j` of the key
+/// ([`memmodel::addressed_uniform`]) is below the threshold. This is the
+/// whole program-key contract — each filler type is addressed on its own,
+/// so a kernel may read only the fillers it needs.
+#[must_use]
+pub fn filler_is_store(key: u64, j: usize, store_threshold: u64) -> bool {
+    addressed_uniform(key, j as u64) < store_threshold
+}
+
+fn op_type(store: bool) -> OpType {
+    if store {
+        OpType::St
+    } else {
+        OpType::Ld
+    }
+}
 
 /// Generator of random initial program orders.
 ///
@@ -66,18 +85,25 @@ impl ProgramGenerator {
         self.p
     }
 
-    /// Draws a random initial program order `S_0`.
+    /// The integer draw threshold of the store probability `p` (see
+    /// [`memmodel::bool_threshold`]): filler `j` of the program with key
+    /// `key` is a store iff [`filler_is_store`]`(key, j, threshold)`.
+    #[must_use]
+    pub fn store_threshold(&self) -> u64 {
+        bool_threshold(self.p)
+    }
+
+    /// Draws a program key: the one `u64` a program draws from the
+    /// caller's RNG. The program's filler types are a function of the key
+    /// alone (see [`filler_is_store`]).
+    pub fn draw_key<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        rng.next_u64()
+    }
+
+    /// Draws a random initial program order `S_0` (one program key).
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Program {
-        let types: Vec<OpType> = (0..self.m)
-            .map(|_| {
-                if rng.gen_bool(self.p) {
-                    OpType::St
-                } else {
-                    OpType::Ld
-                }
-            })
-            .collect();
-        Program::from_filler_types(&types).expect("generated programs satisfy the model invariants")
+        Program::from_filler_types(&self.generate_types(rng))
+            .expect("generated programs satisfy the model invariants")
     }
 
     /// Redraws a program's filler operation types in place — the
@@ -85,48 +111,43 @@ impl ProgramGenerator {
     ///
     /// Locations and roles are fixed across draws of the §3.1.1 process (only
     /// the LD/ST types are random), so regeneration rewrites each filler
-    /// memory access with a fresh type and touches nothing else. The draw
-    /// sequence is identical to `generate` — `m` Bernoulli draws in program
-    /// order — so a seeded RNG ends in the same state whichever route built
-    /// the program. Fences and the critical pair consume no draws and are
-    /// left untouched, so fenced programs keep draw-count parity too.
+    /// memory access with a fresh type and touches nothing else. Like
+    /// `generate`, it draws one program key and types filler `j` — the
+    /// `j`-th memory access that is neither critical nor a fence, in
+    /// program order — by [`filler_is_store`]. So a seeded RNG ends in the
+    /// same state whichever route built the program, and fences and the
+    /// critical pair change nothing about the draws.
     ///
     /// # Panics
     ///
     /// Panics if the program's filler memory-access count differs from this
-    /// generator's `m` (the draw sequences would not correspond).
+    /// generator's `m`.
     pub fn regenerate<R: Rng + ?Sized>(&self, program: &mut Program, rng: &mut R) {
-        let mut drawn = 0;
+        let key = self.draw_key(rng);
+        let threshold = self.store_threshold();
+        let mut filler = 0;
         for ins in program.instrs_mut() {
             if ins.is_critical() || ins.is_fence() {
                 continue;
             }
-            let ty = if rng.gen_bool(self.p) {
-                OpType::St
-            } else {
-                OpType::Ld
-            };
-            ins.set_mem_op(ty);
-            drawn += 1;
+            ins.set_mem_op(op_type(filler_is_store(key, filler, threshold)));
+            filler += 1;
         }
         assert_eq!(
-            drawn, self.m,
-            "program has {drawn} filler memory accesses but the generator draws {}",
+            filler, self.m,
+            "program has {filler} filler memory accesses but the generator draws {}",
             self.m
         );
     }
 
     /// Draws only the filler type sequence (no allocation of locations);
-    /// useful for analytic code that needs the type string alone.
+    /// useful for analytic code that needs the type string alone. One
+    /// program key, as [`generate`](ProgramGenerator::generate) draws.
     pub fn generate_types<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<OpType> {
+        let key = self.draw_key(rng);
+        let threshold = self.store_threshold();
         (0..self.m)
-            .map(|_| {
-                if rng.gen_bool(self.p) {
-                    OpType::St
-                } else {
-                    OpType::Ld
-                }
-            })
+            .map(|j| op_type(filler_is_store(key, j, threshold)))
             .collect()
     }
 
@@ -277,6 +298,40 @@ mod tests {
         let gen = ProgramGenerator::new(4);
         let mut wrong = ProgramGenerator::new(5).generate(&mut SmallRng::seed_from_u64(8));
         gen.regenerate(&mut wrong, &mut SmallRng::seed_from_u64(9));
+    }
+
+    #[test]
+    fn a_program_draws_exactly_one_key() {
+        // Every route draws one u64, whatever m, p or fences, and the
+        // filler types are a function of that key alone.
+        let one_draw = |seed: u64| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let key = rand::RngCore::next_u64(&mut rng);
+            (key, rng)
+        };
+        for (m, p) in [(0usize, 0.5), (1, 0.0), (64, 0.5), (200, 1.0), (37, 0.3)] {
+            let gen = ProgramGenerator::new(m).with_store_probability(p).unwrap();
+            let (key, after) = one_draw(m as u64);
+            let expected: Vec<OpType> = (0..m)
+                .map(|j| op_type(filler_is_store(key, j, gen.store_threshold())))
+                .collect();
+
+            let mut rng = SmallRng::seed_from_u64(m as u64);
+            assert_eq!(gen.generate_types(&mut rng), expected);
+            assert_eq!(rng, after, "generate_types m={m}");
+
+            let mut rng = SmallRng::seed_from_u64(m as u64);
+            assert_eq!(gen.generate(&mut rng).filler_types(), expected);
+            assert_eq!(rng, after, "generate m={m}");
+
+            let mut fenced = gen
+                .generate(&mut SmallRng::seed_from_u64(1))
+                .with_acquire_before_critical();
+            let mut rng = SmallRng::seed_from_u64(m as u64);
+            gen.regenerate(&mut fenced, &mut rng);
+            assert_eq!(fenced.filler_types(), expected);
+            assert_eq!(rng, after, "regenerate m={m}");
+        }
     }
 
     #[test]

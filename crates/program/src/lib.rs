@@ -8,6 +8,21 @@
 //! location, and therefore the only pair that can never reorder with each
 //! other.
 //!
+//! # The program-key contract
+//!
+//! A random program draws exactly one `u64` from the caller's RNG, its
+//! *program key* ([`ProgramGenerator::draw_key`]). Filler `j` — the `j`-th
+//! memory access in program order that is neither critical nor a fence —
+//! is a store iff [`filler_is_store`]`(key, j, threshold)`: uniform `j` of
+//! the key's SplitMix64 stream ([`memmodel::addressed_uniform`]) is below
+//! the store probability's [`memmodel::bool_threshold`]. The types are
+//! i.i.d. Bernoulli(`p`) as §3.1.1 asks, a program can be rebuilt from its
+//! key alone, and a kernel that needs only a few filler types (the lazy γ
+//! kernel in `settle`) reads just those, never materialising the rest.
+//! [`ProgramGenerator::generate`], [`ProgramGenerator::regenerate`] and
+//! [`ProgramGenerator::generate_types`] all follow it, so for one RNG
+//! state they build the same types and leave the RNG in the same state.
+//!
 //! # Example
 //!
 //! ```
@@ -30,7 +45,7 @@ mod instr;
 mod location;
 mod program;
 
-pub use gen::ProgramGenerator;
+pub use gen::{filler_is_store, ProgramGenerator};
 pub use instr::{InstrKind, Instruction, Role};
 pub use location::Location;
 pub use program::{Program, ProgramError};

@@ -40,10 +40,10 @@
 //! 3. any downstream draws (e.g. the shift process) the caller takes from
 //!    the same per-lane stream.
 
-use crate::process::{
-    bool_threshold, encode, BLOCKED, FENCE_FLAG, LOC_MASK, RELEASE_FLAG, ST_FLAG_SHIFT,
-};
+use crate::process::{encode, BLOCKED, FENCE_FLAG, LOC_MASK, RELEASE_FLAG, ST_FLAG_SHIFT};
 use crate::Settler;
+use memmodel::bool_threshold;
+use memmodel::draw::{splitmix64, GOLDEN_GAMMA};
 use progmodel::Program;
 
 /// Largest supported lane width.
@@ -122,17 +122,14 @@ impl LaneRng {
         self.s2.clear();
         self.s3.clear();
         for &seed in seeds {
-            let mut state = seed;
             let mut s = [0u64; 4];
+            let mut state = seed;
             for word in &mut s {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                *word = z ^ (z >> 31);
+                *word = splitmix64(state);
+                state = state.wrapping_add(GOLDEN_GAMMA);
             }
             if s == [0, 0, 0, 0] {
-                s[0] = 0x9E37_79B9_7F4A_7C15;
+                s[0] = GOLDEN_GAMMA;
             }
             self.s0.push(s[0]);
             self.s1.push(s[1]);

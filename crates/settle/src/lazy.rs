@@ -60,8 +60,22 @@
 //! evaluating only the attempts it has not. Both halves read the same
 //! attempt addresses, so γ is unchanged, and the attempts evaluated are
 //! still a subset of the forward kernel's.
+//!
+//! # Keyed programs
+//!
+//! The kernel reads each instruction's packed word through a word source.
+//! Over a materialised program that is the packed image. Over a program
+//! given by its key ([`crate::Settler::sample_gammas_keyed`]) it is the
+//! [`crate::ProgramShape`]'s word plus the filler's addressed store bit,
+//! typed on first read and memoised across the program's settles — the
+//! program-key analogue of the deferred decisions above, so a settle
+//! types only the fillers its γ depends on.
 
-use crate::process::{attempt_draw, climb, image_gamma, Tables, BLOCKED, CERTAIN, FENCE_FLAG, ST_FLAG_SHIFT};
+use crate::process::{
+    attempt_draw, climb, image_gamma, Image, ProgramShape, Tables, BLOCKED, CERTAIN, FENCE_FLAG,
+    NOT_FILLER, ST_ENTRY_BIT, ST_FLAG_SHIFT,
+};
+use progmodel::filler_is_store;
 
 /// Knowledge-word flag: the round's climb is fully known. The remaining
 /// bits hold the successes revealed so far.
@@ -81,16 +95,129 @@ const UNREAD: u64 = u64::MAX;
 /// instruction above the mover. `draw` is the attempt's uniform, or
 /// [`UNREAD`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Frame {
+struct Frame {
     round: u32,
     depth: u32,
     draw: u64,
 }
 
-/// One lazy settle over a packed image in initial order.
-pub(crate) struct Lazy<'s> {
-    /// The packed program image, indexed by initial index.
-    packed: &'s [u64],
+/// The packed entries (`word << 32 | initial index`) of the program a lazy
+/// settle runs over, by initial index.
+pub(crate) trait Entries {
+    /// The number of instructions.
+    fn len(&self) -> usize;
+    /// The packed entry of instruction `i`.
+    fn entry(&mut self, i: usize) -> u64;
+}
+
+/// A materialised program: its packed image.
+impl Entries for &[u64] {
+    fn len(&self) -> usize {
+        <[u64]>::len(self)
+    }
+
+    fn entry(&mut self, i: usize) -> u64 {
+        self[i]
+    }
+}
+
+/// A keyed program: the shape's entries with each filler's store bit
+/// addressed by the program key, typed on first read.
+pub(crate) struct Keyed<'s> {
+    shape: &'s ProgramShape,
+    key: u64,
+    store_threshold: u64,
+    /// Per instruction: 0 while untyped, otherwise 1 + the store bit.
+    memo: &'s mut [u8],
+}
+
+impl<'s> Keyed<'s> {
+    /// The program of key `key` over `shape`; `memo` holds one byte per
+    /// instruction, zeroed when the program is new.
+    pub(crate) fn new(shape: &'s ProgramShape, key: u64, store_threshold: u64, memo: &'s mut [u8]) -> Keyed<'s> {
+        debug_assert_eq!(memo.len(), shape.len());
+        Keyed {
+            shape,
+            key,
+            store_threshold,
+            memo,
+        }
+    }
+}
+
+impl Entries for Keyed<'_> {
+    fn len(&self) -> usize {
+        self.shape.len()
+    }
+
+    fn entry(&mut self, i: usize) -> u64 {
+        let mut typed = self.memo[i];
+        if typed == 0 {
+            let j = self.shape.fillers[i];
+            typed = 1 + u8::from(j != NOT_FILLER && filler_is_store(self.key, j as usize, self.store_threshold));
+            self.memo[i] = typed;
+        }
+        self.shape.words[i] | if typed == 2 { ST_ENTRY_BIT } else { 0 }
+    }
+}
+
+/// Reusable buffers of the lazy kernel.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LazyScratch {
+    /// Per round: `successes << 1 | DONE`.
+    know: Vec<u32>,
+    /// Suspended walks.
+    stack: Vec<Frame>,
+    /// The forward-finish image; empty unless the last settle finished
+    /// forward.
+    work: Vec<u64>,
+}
+
+impl LazyScratch {
+    /// Buffers pre-sized for programs of `len` instructions.
+    pub(crate) fn with_capacity(len: usize) -> LazyScratch {
+        LazyScratch {
+            know: Vec::with_capacity(len),
+            stack: Vec::with_capacity(len),
+            work: Vec::with_capacity(len),
+        }
+    }
+
+    /// The lazy kernel's `γ` for settle key `key` over `entries`, with the
+    /// number of swap attempts it decided.
+    pub(crate) fn gamma<E: Entries>(&mut self, entries: E, tables: &Tables, key: u64, image: Image) -> (u64, u64) {
+        let len = entries.len();
+        self.know.clear();
+        self.know.resize(len, 0);
+        debug_assert!(self.stack.is_empty());
+        self.stack.reserve(len);
+        self.work.clear();
+        self.work.reserve(len);
+        let mut lazy = Lazy {
+            entries,
+            know: &mut self.know,
+            stack: &mut self.stack,
+            tables,
+            reach: [tables.reach(0), tables.reach(1)],
+            key,
+            attempts: 0,
+            budget: STEPS_PER_INSTRUCTION * len,
+        };
+        let gamma = lazy.gamma(image.ld, image.st, &mut self.work);
+        (gamma, lazy.attempts)
+    }
+
+    /// Whether the last settle ran out of walk budget and finished
+    /// forward.
+    #[cfg(test)]
+    pub(crate) fn finished_forward(&self) -> bool {
+        !self.work.is_empty()
+    }
+}
+
+/// One lazy settle over a program's entries in initial order.
+struct Lazy<'s, E> {
+    entries: E,
     /// Per round: `successes << 1 | DONE`. All zero at the start.
     know: &'s mut [u32],
     /// Suspended walks, innermost last.
@@ -105,41 +232,16 @@ pub(crate) struct Lazy<'s> {
     budget: usize,
 }
 
-impl<'s> Lazy<'s> {
-    /// A lazy settle with settle key `key`. `know` must be zeroed, one
-    /// word per instruction, and `stack` empty.
-    pub(crate) fn new(
-        packed: &'s [u64],
-        know: &'s mut [u32],
-        stack: &'s mut Vec<Frame>,
-        tables: &'s Tables,
-        key: u64,
-    ) -> Lazy<'s> {
-        debug_assert_eq!(packed.len(), know.len());
-        debug_assert!(stack.is_empty());
-        Lazy {
-            packed,
-            know,
-            stack,
-            tables,
-            reach: [tables.reach(0), tables.reach(1)],
-            key,
-            attempts: 0,
-            budget: STEPS_PER_INSTRUCTION * packed.len(),
-        }
-    }
-
-    /// Swap attempts decided so far (each by its uniform, by the
-    /// instruction above, or both). An attempt suspended when the walk
-    /// budget runs out is decided, and counted, by the forward finish.
-    pub(crate) fn attempts(&self) -> u64 {
-        self.attempts
+impl<E: Entries> Lazy<'_, E> {
+    /// The packed word of instruction `i`.
+    fn word(&mut self, i: usize) -> u32 {
+        (self.entries.entry(i) >> 32) as u32
     }
 
     /// The window growth `γ` of the settle, for the critical LD at initial
     /// index `ld` and the critical ST at `st`. `work` is the buffer of the
     /// forward finish.
-    pub(crate) fn gamma(&mut self, ld: usize, st: usize, work: &mut Vec<u64>) -> u64 {
+    fn gamma(&mut self, ld: usize, st: usize, work: &mut Vec<u64>) -> u64 {
         self.gamma_within_budget(ld, st)
             .unwrap_or_else(|| self.finish_forward(ld, st, work))
     }
@@ -152,7 +254,7 @@ impl<'s> Lazy<'s> {
     fn gamma_within_budget(&mut self, ld: usize, st: usize) -> Option<u64> {
         let mut ld_depth = self.climb(ld, u32::MAX)?;
         let mut st_depth = 0;
-        for r in ld + 1..self.packed.len() {
+        for r in ld + 1..self.entries.len() {
             if r == st {
                 // The critical ST stops below the critical LD at the latest.
                 st_depth = self.climb(r, u32::MAX)?;
@@ -173,7 +275,7 @@ impl<'s> Lazy<'s> {
     fn finish_forward(&mut self, ld: usize, st: usize, work: &mut Vec<u64>) -> u64 {
         self.stack.clear();
         work.clear();
-        work.extend_from_slice(self.packed);
+        work.extend((0..self.entries.len()).map(|i| self.entries.entry(i)));
         for r in 0..work.len() {
             let know = self.know[r];
             let pos = r - (know >> 1) as usize;
@@ -200,7 +302,7 @@ impl<'s> Lazy<'s> {
                 if let Some(draw) = self.open(r, successes) {
                     // Suspend, and look up what the mover meets: the
                     // instruction at depth `successes` after round r - 1.
-                    #[allow(clippy::cast_possible_truncation)] // rounds fit u32 (see `load`)
+                    #[allow(clippy::cast_possible_truncation)] // rounds fit u32 (see `encode_image`)
                     self.stack.push(Frame {
                         round: r as u32,
                         depth: d,
@@ -235,7 +337,7 @@ impl<'s> Lazy<'s> {
     /// uniform, or [`UNREAD`] when no uniform can fail it before the
     /// lookup.
     fn open(&mut self, r: usize, k: u32) -> Option<u64> {
-        let mover = (self.packed[r] >> 32) as u32;
+        let mover = self.word(r);
         if k as usize == r || mover & FENCE_FLAG != 0 {
             // At the top of the prefix, or a fence (fences never settle).
             self.know[r] = k << 1 | DONE;
@@ -264,9 +366,8 @@ impl<'s> Lazy<'s> {
         self.attempts += 1;
         let r = frame.round as usize;
         let k = self.know[r] >> 1;
-        let t = self
-            .tables
-            .threshold((self.packed[above] >> 32) as u32, (self.packed[r] >> 32) as u32);
+        let (above, mover) = (self.word(above), self.word(r));
+        let t = self.tables.threshold(above, mover);
         let pass = t != BLOCKED
             && (t == CERTAIN || {
                 let u = if frame.draw == UNREAD {
@@ -282,10 +383,10 @@ impl<'s> Lazy<'s> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{SettleScratch, Settler};
+    use crate::{ProgramShape, SettleScratch, Settler};
     use memmodel::fence::FenceKind;
     use memmodel::{MemoryModel, OpType, ReorderMatrix, SettleProbs};
-    use progmodel::{Instruction, Location, Program};
+    use progmodel::{Instruction, Location, Program, ProgramGenerator};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -375,5 +476,44 @@ mod tests {
         // Both halves of the kernel are exercised: most settles stay lazy,
         // and some long-climb settles run out of walk budget.
         assert!(finished_forward > 0 && finished_forward < cases / 2, "{finished_forward}");
+    }
+
+    #[test]
+    fn keyed_gammas_are_materialised_gammas() {
+        // 10^4 program shapes × 10 (settler, p, n, RNG state) draws = 10^5
+        // cases: drawing a program key and settling the keyed program must
+        // give regenerate + sample_gammas_scratch's γ vector and RNG end
+        // state, bit for bit.
+        let mut rng = SmallRng::seed_from_u64(0x6e7d);
+        let (mut materialised, mut keyed) = (SettleScratch::new(), SettleScratch::new());
+        let (mut out_m, mut out_k) = ([0u64; 16], [0u64; 16]);
+        let mut cases = 0u64;
+        for _ in 0..10_000 {
+            let m = if rng.gen_bool(0.2) { rng.gen_range(0..=200) } else { rng.gen_range(0..=24) };
+            let mut program = program(&mut rng, m);
+            if rng.gen_bool(0.2) {
+                program = program.with_acquire_before_critical();
+            }
+            let shape = ProgramShape::new(&program);
+            for _ in 0..10 {
+                let settler = settler(&mut rng);
+                let gen = ProgramGenerator::new(m)
+                    .with_store_probability(probability(&mut rng))
+                    .expect("valid probability");
+                let n = rng.gen_range(1..=16);
+                let mut a = SmallRng::seed_from_u64(rng.gen());
+                let mut b = a.clone();
+
+                gen.regenerate(&mut program, &mut a);
+                settler.sample_gammas_scratch(&program, &mut out_m[..n], &mut materialised, &mut a);
+                let key = gen.draw_key(&mut b);
+                settler.sample_gammas_keyed(&shape, gen.store_threshold(), key, &mut out_k[..n], &mut keyed, &mut b);
+
+                assert_eq!(out_k[..n], out_m[..n], "{settler:?} {gen} key {key:#x} on {program:?}");
+                assert_eq!(a, b, "RNG end states differ: {settler:?} {gen} on {program:?}");
+                cases += 1;
+            }
+        }
+        assert_eq!(cases, 100_000);
     }
 }

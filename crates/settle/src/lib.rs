@@ -16,6 +16,9 @@
 //! * [`Settled`] — the resulting permutation with critical-window accessors;
 //! * [`SettleScratch`] — reusable buffers for the allocation-free kernels
 //!   ([`Settler::settle_into`] / [`Settler::sample_gamma_scratch`]);
+//! * [`ProgramShape`] — the fixed part of a family of random programs, over
+//!   which [`Settler::sample_gammas_keyed`] settles a program given only
+//!   its key;
 //! * [`lazy`] — the γ kernel behind [`Settler::sample_gamma`] and friends,
 //!   which settles only the climbs the critical window depends on;
 //! * [`SettleTrace`] — a round-by-round trace (reproduces the paper's
@@ -44,6 +47,12 @@
 //! given RNG state all of them agree bit for bit, and each leaves the RNG
 //! in the same state. The batch-lane kernels ([`Settler::settle_lanes`])
 //! keep their own counter-seeded per-trial stream.
+//!
+//! A keyed program (`progmodel`'s program-key contract) reads its filler
+//! types from the same primitive, [`memmodel::addressed_uniform`], so
+//! [`Settler::sample_gammas_keyed`] may type only the fillers γ depends
+//! on and still agree bit for bit with regenerating the program and
+//! calling [`Settler::sample_gammas_scratch`].
 //!
 //! # Example
 //!
@@ -77,5 +86,6 @@ mod trace;
 
 pub use lanes::{LaneRng, LaneScratch, MAX_LANES};
 pub use perm::{NotAPermutation, Permutation};
-pub use process::{attempt_draw, bool_threshold, SettleScratch, Settled, Settler};
+pub use memmodel::bool_threshold;
+pub use process::{attempt_draw, ProgramShape, SettleScratch, Settled, Settler};
 pub use trace::{SettleTrace, TraceRound};

@@ -1,8 +1,10 @@
 //! The settling process itself.
 
-use crate::lazy::{Frame, Lazy};
+use crate::lazy::{Keyed, LazyScratch};
 use crate::Permutation;
-use memmodel::{MemoryModel, OpType, ReorderMatrix, SettleProbs};
+use memmodel::draw::addressed_uniform;
+pub(crate) use memmodel::draw::{BLOCKED, CERTAIN};
+use memmodel::{bool_threshold, MemoryModel, OpType, ReorderMatrix, SettleProbs};
 use progmodel::{InstrKind, Instruction, Program};
 use rand::Rng;
 use std::fmt;
@@ -140,7 +142,7 @@ impl Settler {
         scratch: &'s mut SettleScratch,
         rng: &mut R,
     ) -> &'s [usize] {
-        let tables = self.tables(scratch.load(program).has_release);
+        let tables = self.tables(encode_image(program, &mut scratch.packed).has_release);
         // An inert settle reads no attempt, so its key is never used.
         let key = if tables.inert() { 0 } else { rng.next_u64() };
         settle_packed(&mut scratch.packed, &tables, rounds, key);
@@ -269,15 +271,52 @@ impl Settler {
         scratch: &mut SettleScratch,
         rng: &mut R,
     ) {
-        let image = scratch.load(program);
+        let image = encode_image(program, &mut scratch.packed);
         let tables = self.tables(image.has_release);
         for slot in out {
             *slot = if tables.inert() {
-                (image.st - image.ld - 1) as u64
+                image.inert_gamma()
             } else {
                 let key = rng.next_u64();
-                scratch.lazy_gamma(&tables, key, image).0
+                scratch.lazy.gamma(scratch.packed.as_slice(), &tables, key, image).0
             };
+        }
+    }
+
+    /// [`sample_gammas_scratch`](Settler::sample_gammas_scratch) on the
+    /// program of key `program_key` (see `progmodel`'s program-key
+    /// contract) over `shape`, without materialising it: the lazy kernel
+    /// reads each instruction's packed word as the shape's word plus the
+    /// addressed store bit of its filler, so a settle types only the
+    /// fillers its γ depends on. Types are memoised across the
+    /// `out.len()` settles of the program.
+    ///
+    /// For one RNG state, drawing `program_key` with
+    /// [`ProgramGenerator::draw_key`](progmodel::ProgramGenerator::draw_key)
+    /// and calling this gives the γ vector, and leaves the RNG in the
+    /// state, of [`ProgramGenerator::regenerate`](progmodel::ProgramGenerator::regenerate)
+    /// followed by `sample_gammas_scratch` — bit for bit. The settle keys
+    /// are drawn from `rng` exactly as there.
+    pub fn sample_gammas_keyed<R: Rng + ?Sized>(
+        &self,
+        shape: &ProgramShape,
+        store_threshold: u64,
+        program_key: u64,
+        out: &mut [u64],
+        scratch: &mut SettleScratch,
+        rng: &mut R,
+    ) {
+        let tables = self.tables(shape.image.has_release);
+        if tables.inert() {
+            out.fill(shape.image.inert_gamma());
+            return;
+        }
+        scratch.memo.clear();
+        scratch.memo.resize(shape.len(), 0);
+        for slot in out {
+            let key = rng.next_u64();
+            let entries = Keyed::new(shape, program_key, store_threshold, &mut scratch.memo);
+            *slot = scratch.lazy.gamma(entries, &tables, key, shape.image).0;
         }
     }
 
@@ -413,86 +452,23 @@ pub(crate) fn image_gamma(image: &[u64], ld: usize, st: usize) -> u64 {
     (st - ld - 1) as u64
 }
 
-/// SplitMix64's increment, `2^64 / φ`.
-const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// SplitMix64: one output of the generator whose state was `z` (identical
-/// to `montecarlo::rng::splitmix64`).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(GOLDEN_GAMMA);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The 53-bit uniform of swap attempt `attempt` of settling round `round`
-/// under settle key `key`: output number `round·2³² + attempt` of the
-/// SplitMix64 stream seeded with `key`, shifted down to 53 bits. The
-/// attempt succeeds iff this is below the pair's [`bool_threshold`].
+/// under settle key `key`: [`memmodel::addressed_uniform`] number
+/// `round·2³² + attempt`, i.e. that output of the SplitMix64 stream seeded
+/// with `key`, shifted down to 53 bits. The attempt succeeds iff this is
+/// below the pair's [`bool_threshold`].
 ///
 /// Every attempt has its own address, so a kernel may read attempts in
 /// any order, or skip those its result does not depend on, and still
 /// agree bit for bit with the forward kernels.
 #[must_use]
 pub fn attempt_draw(key: u64, round: usize, attempt: usize) -> u64 {
-    let index = ((round as u64) << 32).wrapping_add(attempt as u64);
-    splitmix64(key.wrapping_add(index.wrapping_mul(GOLDEN_GAMMA))) >> 11
+    addressed_uniform(key, ((round as u64) << 32).wrapping_add(attempt as u64))
 }
 
 /// Whether a packed word is a hoistable (release) fence.
 fn is_release(word: u32) -> bool {
     word & (FENCE_FLAG | RELEASE_FLAG) == FENCE_FLAG | RELEASE_FLAG
-}
-
-/// Draw threshold of a zero probability: break without consuming a draw.
-pub(crate) const BLOCKED: u64 = 0;
-/// Draw threshold of probability one: swap without consuming a draw
-/// (matching `gen_bool`'s `p >= 1.0` early return).
-pub(crate) const CERTAIN: u64 = u64::MAX;
-
-/// Converts a swap probability into its 53-bit integer draw threshold.
-///
-/// # The 53-bit rounding contract
-///
-/// The threshold is exactly equivalent to `rng.gen_bool(p)` on the
-/// vendored `rand`: `gen_bool(p)` compares
-/// `(next_u64() >> 11) as f64 * 2^-53 < p`, and for `0 < p < 1` that
-/// holds iff `next_u64() >> 11 < ceil(p * 2^53)` — the scaling by a power
-/// of two is exact, and both sides are integers below `2^53`, where `f64`
-/// is exact. So the hot kernels compare raw 53-bit draws against this
-/// threshold as pure `u64` ops, with no float in the loop and no rounding
-/// beyond the single `ceil`. The scalar kernels compare attempt uniforms
-/// ([`attempt_draw`]) against it the same way.
-///
-/// The endpoints are pinned, not rounded:
-///
-/// - `p <= 0.0` maps to `0` (**BLOCKED**): no 53-bit draw is below it, and
-///   the scalar kernels break without reading the attempt's uniform.
-/// - `p >= 1.0` maps to `u64::MAX` (**CERTAIN**): every 53-bit draw is
-///   below it (draws are `< 2^53`), and the scalar kernels swap without
-///   reading the attempt's uniform — mirroring `gen_bool`'s `p >= 1.0`
-///   early return.
-/// - Every denormal-adjacent `0 < p < 1` (down to `f64::MIN_POSITIVE` and
-///   below) maps to a threshold in `[1, 2^53]`: never 0, never saturated,
-///   because `ceil` of a positive value is at least 1 and `p < 1` keeps
-///   the product below `2^53`.
-///
-/// The batch-lane kernels ([`Settler::settle_lanes`]) reuse these
-/// thresholds verbatim; they differ only in always consuming one draw per
-/// active climb step (`draw < t` is false for BLOCKED and true for
-/// CERTAIN on every possible 53-bit draw, so no branch is needed).
-#[must_use]
-pub fn bool_threshold(p: f64) -> u64 {
-    if p <= 0.0 {
-        BLOCKED
-    } else if p >= 1.0 {
-        CERTAIN
-    } else {
-        #[allow(clippy::cast_precision_loss, clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-        {
-            (p * (1u64 << 53) as f64).ceil() as u64
-        }
-    }
 }
 
 /// Packed-image flag: the instruction is a fence.
@@ -522,6 +498,109 @@ pub(crate) fn encode(ins: &Instruction) -> u32 {
     }
 }
 
+/// Facts about a packed program image.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Image {
+    /// Whether the program contains a hoistable (release) fence.
+    pub(crate) has_release: bool,
+    /// Initial index of the critical load.
+    pub(crate) ld: usize,
+    /// Initial index of the critical store.
+    pub(crate) st: usize,
+}
+
+impl Image {
+    /// γ of a settle that moves nothing.
+    fn inert_gamma(self) -> u64 {
+        (self.st - self.ld - 1) as u64
+    }
+}
+
+/// Encodes `program` into `packed` in initial order — `(encode(instr) <<
+/// 32) | initial index` per instruction — reusing the buffer's allocation.
+fn encode_image(program: &Program, packed: &mut Vec<u64>) -> Image {
+    assert!(
+        u32::try_from(program.len()).is_ok(),
+        "program too large for the packed settling image"
+    );
+    let mut image = Image {
+        has_release: false,
+        ld: usize::MAX,
+        st: usize::MAX,
+    };
+    packed.clear();
+    packed.extend(program.instructions().iter().enumerate().map(|(i, ins)| {
+        let item = encode(ins);
+        image.has_release |= is_release(item);
+        // The critical pair are the only accesses to location 0.
+        if item & (FENCE_FLAG | LOC_MASK) == 0 {
+            if (item >> ST_FLAG_SHIFT) & 1 == 0 {
+                image.ld = i;
+            } else {
+                image.st = i;
+            }
+        }
+        (u64::from(item) << 32) | i as u64
+    }));
+    image
+}
+
+/// The packed entry bit of a store.
+pub(crate) const ST_ENTRY_BIT: u64 = 1 << (32 + ST_FLAG_SHIFT);
+
+/// Ordinal of an instruction that is not a filler (critical or fence).
+pub(crate) const NOT_FILLER: u32 = u32::MAX;
+
+/// The fixed part of a family of random programs: everything but the
+/// filler types, which a program key supplies (see `progmodel`'s
+/// program-key contract). Built once from a template program; the keyed
+/// γ kernel ([`Settler::sample_gammas_keyed`]) then settles any program of
+/// the family from its key alone.
+#[derive(Debug, Clone)]
+pub struct ProgramShape {
+    /// The template's packed entries with every filler's store bit
+    /// cleared.
+    pub(crate) words: Vec<u64>,
+    /// Per instruction: its filler ordinal `j` (the `j`-th memory access
+    /// that is neither critical nor a fence), or [`NOT_FILLER`].
+    pub(crate) fillers: Vec<u32>,
+    pub(crate) image: Image,
+}
+
+impl ProgramShape {
+    /// The shape of `template`: its fences, locations and critical pair.
+    /// Its filler types are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program is too large for the packed settling image.
+    #[must_use]
+    pub fn new(template: &Program) -> ProgramShape {
+        let mut words = Vec::with_capacity(template.len());
+        let image = encode_image(template, &mut words);
+        let mut filler = 0;
+        let fillers = template
+            .iter()
+            .zip(&mut words)
+            .map(|(ins, word)| {
+                if ins.is_critical() || ins.is_fence() {
+                    NOT_FILLER
+                } else {
+                    *word &= !ST_ENTRY_BIT;
+                    filler += 1;
+                    filler - 1
+                }
+            })
+            .collect();
+        ProgramShape { words, fillers, image }
+    }
+
+    /// The number of instructions of every program of the shape.
+    pub(crate) fn len(&self) -> usize {
+        self.words.len()
+    }
+}
+
 /// Reusable buffers for the in-place settling kernels.
 ///
 /// One scratch serves any number of programs (of any length): the buffers
@@ -535,23 +614,10 @@ pub struct SettleScratch {
     /// per position. The forward kernel permutes it in place; the lazy
     /// kernel only reads it, in initial order.
     packed: Vec<u64>,
-    /// The lazy kernel's per-round climb knowledge.
-    know: Vec<u32>,
-    /// The lazy kernel's suspended walks.
-    stack: Vec<Frame>,
-    /// The lazy kernel's forward-finish image.
-    work: Vec<u64>,
-}
-
-/// Facts about a freshly loaded program image.
-#[derive(Debug, Clone, Copy)]
-struct Image {
-    /// Whether the program contains a hoistable (release) fence.
-    has_release: bool,
-    /// Initial index of the critical load.
-    ld: usize,
-    /// Initial index of the critical store.
-    st: usize,
+    /// The keyed kernel's type memo, per instruction: 0 while unread,
+    /// otherwise 1 + the store bit.
+    memo: Vec<u8>,
+    lazy: LazyScratch,
 }
 
 impl SettleScratch {
@@ -568,54 +634,9 @@ impl SettleScratch {
         SettleScratch {
             order: Vec::with_capacity(len),
             packed: Vec::with_capacity(len),
-            know: Vec::with_capacity(len),
-            stack: Vec::with_capacity(len),
-            work: Vec::with_capacity(len),
+            memo: Vec::with_capacity(len),
+            lazy: LazyScratch::with_capacity(len),
         }
-    }
-
-    /// Rebuilds the packed image of `program` in initial order, reusing the
-    /// buffer's allocation.
-    fn load(&mut self, program: &Program) -> Image {
-        assert!(
-            u32::try_from(program.len()).is_ok(),
-            "program too large for the packed settling image"
-        );
-        let mut image = Image {
-            has_release: false,
-            ld: usize::MAX,
-            st: usize::MAX,
-        };
-        self.packed.clear();
-        self.packed.extend(program.instructions().iter().enumerate().map(|(i, ins)| {
-            let item = encode(ins);
-            image.has_release |= is_release(item);
-            // The critical pair are the only accesses to location 0.
-            if item & (FENCE_FLAG | LOC_MASK) == 0 {
-                if (item >> ST_FLAG_SHIFT) & 1 == 0 {
-                    image.ld = i;
-                } else {
-                    image.st = i;
-                }
-            }
-            (u64::from(item) << 32) | i as u64
-        }));
-        image
-    }
-
-    /// The lazy kernel's `γ` for settle key `key` over the loaded image,
-    /// with the number of swap attempts it decided. `work` is left empty
-    /// unless the kernel finished the settle forward.
-    fn lazy_gamma(&mut self, tables: &Tables, key: u64, image: Image) -> (u64, u64) {
-        let len = self.packed.len();
-        self.know.clear();
-        self.know.resize(len, 0);
-        self.stack.reserve(len);
-        self.work.clear();
-        self.work.reserve(len);
-        let mut lazy = Lazy::new(&self.packed, &mut self.know, &mut self.stack, tables, key);
-        let gamma = lazy.gamma(image.ld, image.st, &mut self.work);
-        (gamma, lazy.attempts())
     }
 
     /// Rewrites `order` from the packed image and returns it.
@@ -675,10 +696,10 @@ impl SettleScratch {
         program: &Program,
         key: u64,
     ) -> ((u64, u64), (u64, u64), bool) {
-        let image = self.load(program);
+        let image = encode_image(program, &mut self.packed);
         let tables = settler.tables(image.has_release);
-        let lazy = self.lazy_gamma(&tables, key, image);
-        let finished_forward = !self.work.is_empty();
+        let lazy = self.lazy.gamma(self.packed.as_slice(), &tables, key, image);
+        let finished_forward = self.lazy.finished_forward();
         let attempts = settle_packed(&mut self.packed, &tables, program.len(), key);
         ((self.gamma(program), attempts), lazy, finished_forward)
     }
@@ -1133,52 +1154,6 @@ mod tests {
         assert_eq!(sc.settle_key(&fenced, &mut rng(1)), None);
         let sc = Settler::for_model(MemoryModel::Sc);
         assert!(sc.settle_key(&fenced, &mut rng(1)).is_some());
-    }
-
-    #[test]
-    fn bool_threshold_pins_the_endpoints() {
-        // p = 0 is BLOCKED: no 53-bit draw is below it, and the kernels
-        // must be able to recognise it without drawing.
-        assert_eq!(bool_threshold(0.0), BLOCKED);
-        assert_eq!(bool_threshold(-0.0), BLOCKED);
-        assert_eq!(bool_threshold(-1.0), BLOCKED);
-        // p = 1 is CERTAIN: every 53-bit draw is below it.
-        assert_eq!(bool_threshold(1.0), CERTAIN);
-        assert_eq!(bool_threshold(2.0), CERTAIN);
-    }
-
-    #[test]
-    fn bool_threshold_denormal_adjacent_probabilities_stay_interior() {
-        // The smallest positive denormal still rounds up to threshold 1:
-        // possible in principle, never BLOCKED.
-        assert_eq!(bool_threshold(f64::from_bits(1)), 1);
-        assert_eq!(bool_threshold(f64::MIN_POSITIVE), 1);
-        // The largest p below 1.0 stays strictly below CERTAIN: it is
-        // 1 - 2^-53, whose scaled value 2^53 - 1 is exact, so the top
-        // draw value still rejects — interior p never saturates.
-        let below_one = f64::from_bits(1.0f64.to_bits() - 1);
-        let t = bool_threshold(below_one);
-        assert_eq!(t, (1u64 << 53) - 1);
-        assert_ne!(t, CERTAIN);
-        // Tiny-but-normal p also lands in [1, 2^53].
-        assert_eq!(bool_threshold(2f64.powi(-60)), 1);
-    }
-
-    #[test]
-    fn bool_threshold_matches_gen_bool_on_interior_probabilities() {
-        // The contract: (draw >> 11) < threshold  <=>  gen_bool accepts.
-        // Check exact midpoints and an irrational-ish p against a direct
-        // float comparison over boundary draws.
-        for p in [0.5, 0.25, 1.0 / 3.0, 0.9, 1e-9] {
-            let t = bool_threshold(p);
-            assert_eq!(t, (p * (1u64 << 53) as f64).ceil() as u64, "p={p}");
-            // Boundary draws: t-1 accepts, t rejects (as floats, exactly).
-            let accept = (t - 1) as f64 * (1.0 / (1u64 << 53) as f64);
-            let reject = t as f64 * (1.0 / (1u64 << 53) as f64);
-            assert!(accept < p, "p={p}: draw t-1 must accept");
-            assert!(reject >= p, "p={p}: draw t must reject");
-        }
-        assert_eq!(bool_threshold(0.5), 1u64 << 52);
     }
 
     #[test]

@@ -35,14 +35,16 @@ fn kernel_version_is_pinned() {
     // Bumping this invalidates every existing cache — deliberate, but it
     // must never happen by accident. v2: settling moved to
     // attempt-addressed draws, which changed every seeded settle stream.
-    assert_eq!(KERNEL_VERSION, "mmr-kernels-v2");
+    // v3: programs moved to one key with addressed filler types, which
+    // changed every seeded program stream.
+    assert_eq!(KERNEL_VERSION, "mmr-kernels-v3");
 }
 
 #[test]
 fn family_canon_is_pinned() {
     assert_eq!(
         tso_survival().family_canon(),
-        "mmrk1|kernel=mmr-kernels-v2/survival|matrix=.X..|n=2|m=64|\
+        "mmrk1|kernel=mmr-kernels-v3/survival|matrix=.X..|n=2|m=64|\
          p=3fe0000000000000|s=3fe0000000000000,3fe0000000000000,3fe0000000000000,3fe0000000000000|\
          fence=3ff0000000000000|acq=0|seed=000000000132dd0e|cw=4096|lanes=0"
     );
@@ -66,15 +68,15 @@ fn request_hashes_are_pinned() {
     let spec = tso_survival();
     assert_eq!(
         spec.request(200_000, None).hash().hex(),
-        "dddfb5b6f96869820473b490d65b7777"
+        "1839f6b838fadb39a4ef87ae48d74a47"
     );
     assert_eq!(
         spec.request(200_000, Some(0.01)).hash().hex(),
-        "90b067e9eb286c4733dd9a8200aaa7a2"
+        "2af92d81997e1d4e2e1ac25d24d2c019"
     );
     assert_eq!(
         spec.request(200_000, None).family_hash().hex(),
-        "cf7f1832b73973142f3673eb8d85788b"
+        "067b7ba7a5cc9ad37f413daf9612c90d"
     );
 }
 
@@ -101,12 +103,12 @@ fn model_and_path_variants_hash_distinctly_and_stably() {
         .map(|(_, s)| s.request(200_000, None).hash().hex())
         .collect();
     let expected = [
-        "5dc9d1a9490c3a748b12398f10fb03c6",
-        "dddfb5b6f96869820473b490d65b7777",
-        "b4d22c15741b3d887bbd4f605e8f893f",
-        "b22895d8ec42d42cdd28b3ed0aca8fae",
-        "291be956ab082f91779da5211ce98032",
-        "2eaf28f8f600ad49241516f1cd92e60e",
+        "bd21c31c0ff018278b1b6c595ce42f49",
+        "1839f6b838fadb39a4ef87ae48d74a47",
+        "11364e1d9ef5a6175992b80f556f63e2",
+        "32b8b3ebbc3263a706dc7d5f96927901",
+        "f1293c9a58b26906f9fd52c87494eda3",
+        "282e4cb21b0ee132fac2a210f50ee8d3",
     ];
     for (i, ((label, _), hash)) in variants.iter().zip(&hashes).enumerate() {
         assert_eq!(hash, expected[i], "golden hash moved for {label}");

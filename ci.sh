@@ -93,18 +93,6 @@ diff "$DET_DIR/t1.stripped" "$DET_DIR/t4.stripped"
 grep -q '"mc.runner.chunks_claimed"' "$DET_DIR/m4.json"
 rm -rf "$DET_DIR"
 
-# Batch-lane determinism smoke: the same seeded --lanes 8 windows run must
-# print bit-identical output at --workers 1 and --workers 4 (the lane
-# path's per-trial counter streams are invariant in both lane width and
-# worker count; DESIGN.md §14).
-LANE_DIR="$(mktemp -d)"
-cargo run --release --offline -- windows --model wo --trials 20000 --seed 11 \
-  --lanes 8 --workers 1 > "$LANE_DIR/w1.txt"
-cargo run --release --offline -- windows --model wo --trials 20000 --seed 11 \
-  --lanes 8 --workers 4 > "$LANE_DIR/w4.txt"
-diff "$LANE_DIR/w1.txt" "$LANE_DIR/w4.txt"
-rm -rf "$LANE_DIR"
-
 # Metrics snapshot schema check: a full registry run with --metrics must
 # emit every runner/pool/per-model counter (validated in-process), and
 # METRICS.md must document every name such a run emits.

@@ -27,7 +27,6 @@ fn spec(seed: u64) -> store::KeySpec {
         acquire_fence: false,
         seed,
         chunk_width: montecarlo::CHUNK_WIDTH,
-        lanes: 0,
     }
 }
 

@@ -43,7 +43,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: experiments [--quick] [--trials N] [--seed S] [--threads T] [--out FILE] [--json FILE] [--checkpoint FILE] [--cache DIR] [--metrics FILE] [--metrics-format json|prom] [--trace FILE] [--flight FILE] [--dossier-dir DIR] [--serve ADDR] [--chaos SEED[:PROFILE]] [--progress] [--quiet] [--list] [ids...]\n       experiments bench [--trials N] [--seed S] [--threads T] [--lanes L] [--out FILE (default BENCH_e2e.json)] [--baseline FILE] [--metrics FILE] [--metrics-format json|prom] [--trace FILE] [--quiet]\n       experiments inspect ARTIFACT [--diff OTHER]\n\n--threads bounds worker parallelism only; results are identical for any value\n--lanes sets the batch width of the joined_lanes bench pipelines (1..=64, default 8)\n--cache enables the content-addressed result store in DIR: repeated runs are served\n        bit-identically from cache, grown runs resume from cached chunk prefixes\n        (an unusable DIR degrades to uncached with a warning; bench ignores --cache,\n        its cached pipelines manage their own stores)\n--flight mirrors the structured flight-event ring to FILE as CRC-framed MMRE lines\n--dossier-dir writes a crash dossier (last events + metrics + fault delta) into DIR\n        on panic, degradation, or deadline truncation\n--serve ADDR exposes live telemetry over HTTP/1.0 for the run's duration:\n        GET /metrics (Prometheus exposition), /events (MMRE event stream),\n        /status (run state + convergence trajectory + fault ledger)\n        (an unusable artifact path or address degrades with a warning and exit code 2)\n--metrics/--metrics-format/--trace/--flight/--dossier-dir/--serve/--progress/--quiet are observational only and never change results\n--chaos injects a seeded, reproducible fault schedule; profiles: mixed (default) | panics | stalls | corrupt | torn | export | hard\nbench --baseline compares throughput against a prior BENCH_e2e.json and fails on regression\ninspect auto-detects ARTIFACT: flight log (MMRE), crash dossier (JSON), checkpoint\n        journal (MMRJ), cache or dossier directory; --diff compares two flight logs\nexit codes: 0 success, 1 mismatch, 2 usage/IO/bad-checkpoint error, 3 degraded run (partial results)";
+const USAGE: &str = "usage: experiments [--quick] [--trials N] [--seed S] [--threads T] [--out FILE] [--json FILE] [--checkpoint FILE] [--cache DIR] [--metrics FILE] [--metrics-format json|prom] [--trace FILE] [--flight FILE] [--dossier-dir DIR] [--serve ADDR] [--chaos SEED[:PROFILE]] [--progress] [--quiet] [--list] [ids...]\n       experiments bench [--trials N] [--seed S] [--threads T] [--out FILE (default BENCH_e2e.json)] [--baseline FILE] [--metrics FILE] [--metrics-format json|prom] [--trace FILE] [--quiet]\n       experiments inspect ARTIFACT [--diff OTHER]\n\n--threads bounds worker parallelism only; results are identical for any value\n--cache enables the content-addressed result store in DIR: repeated runs are served\n        bit-identically from cache, grown runs resume from cached chunk prefixes\n        (an unusable DIR degrades to uncached with a warning; bench ignores --cache,\n        its cached pipelines manage their own stores)\n--flight mirrors the structured flight-event ring to FILE as CRC-framed MMRE lines\n--dossier-dir writes a crash dossier (last events + metrics + fault delta) into DIR\n        on panic, degradation, or deadline truncation\n--serve ADDR exposes live telemetry over HTTP/1.0 for the run's duration:\n        GET /metrics (Prometheus exposition), /events (MMRE event stream),\n        /status (run state + convergence trajectory + fault ledger)\n        (an unusable artifact path or address degrades with a warning and exit code 2)\n--metrics/--metrics-format/--trace/--flight/--dossier-dir/--serve/--progress/--quiet are observational only and never change results\n--chaos injects a seeded, reproducible fault schedule; profiles: mixed (default) | panics | stalls | corrupt | torn | export | hard\nbench --baseline compares throughput against a prior BENCH_e2e.json and fails on regression\ninspect auto-detects ARTIFACT: flight log (MMRE), crash dossier (JSON), checkpoint\n        journal (MMRJ), cache or dossier directory; --diff compares two flight logs\nexit codes: 0 success, 1 mismatch, 2 usage/IO/bad-checkpoint error, 3 degraded run (partial results)";
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum MetricsFormat {
@@ -53,8 +53,6 @@ enum MetricsFormat {
 
 struct Args {
     ctx: Ctx,
-    lanes: usize,
-    lanes_set: bool,
     ids: Vec<String>,
     out_path: Option<PathBuf>,
     json_path: Option<PathBuf>,
@@ -78,8 +76,6 @@ struct Args {
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut parsed = Args {
         ctx: Ctx::standard(),
-        lanes: 8,
-        lanes_set: false,
         ids: Vec::new(),
         out_path: None,
         json_path: None,
@@ -126,20 +122,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
                     return Err("--threads must be at least 1".into());
                 }
                 parsed.ctx = parsed.ctx.with_threads(threads);
-            }
-            "--lanes" => {
-                let v = args.next().ok_or("--lanes needs a value")?;
-                let lanes: usize = v
-                    .parse()
-                    .map_err(|_| format!("--lanes takes a positive integer, got {v:?}"))?;
-                if !(1..=settle::MAX_LANES).contains(&lanes) {
-                    return Err(format!(
-                        "--lanes must be in 1..={}, got {lanes}",
-                        settle::MAX_LANES
-                    ));
-                }
-                parsed.lanes = lanes;
-                parsed.lanes_set = true;
             }
             "--out" => parsed.out_path = Some(args.next().ok_or("--out needs a path")?.into()),
             "--json" => parsed.json_path = Some(args.next().ok_or("--json needs a path")?.into()),
@@ -405,39 +387,9 @@ fn run_bench(args: &Args) -> Result<ExitCode, mmr_bench::Error> {
         .out_path
         .clone()
         .unwrap_or_else(|| PathBuf::from("BENCH_e2e.json"));
-    let mut report =
-        mmr_bench::perf::run(args.ctx.trials, args.ctx.seed, args.ctx.threads, args.lanes);
+    let mut report = mmr_bench::perf::run(args.ctx.trials, args.ctx.seed, args.ctx.threads);
     if obs::log::enabled(obs::log::Level::Info) {
         eprint!("{}", report.summary());
-    }
-
-    // The lane width was asked for explicitly: flag it when the lane path
-    // fails to amortize — a relaxed model whose lockstep pipeline ran
-    // slower than the scalar pool path (SC settles deterministically, so
-    // its lane numbers say nothing about amortization).
-    if args.lanes_set {
-        let tps = |name: &str, model: &str| {
-            report
-                .pipelines
-                .iter()
-                .find(|p| p.name == name && p.model == model)
-                .map(|p| p.trials_per_sec)
-        };
-        let worst = memmodel::MemoryModel::NAMED
-            .iter()
-            .filter(|m| !matches!(m, memmodel::MemoryModel::Sc))
-            .filter_map(|m| {
-                let s = m.short_name();
-                Some((s, tps("joined_lanes", s)? / tps("joined_mt", s)?))
-            })
-            .filter(|&(_, ratio)| ratio < 1.0)
-            .min_by(|a, b| a.1.total_cmp(&b.1));
-        if let Some((model, ratio)) = worst {
-            eprintln!(
-                "warning: --lanes {} does not amortize: joined_lanes/{model} ran at {ratio:.2}x of joined_mt",
-                args.lanes
-            );
-        }
     }
 
     let mut regressed = false;

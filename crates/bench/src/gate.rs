@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn clean_self_comparison_passes() {
-        let report = perf::run(500, 7, 1, 4);
+        let report = perf::run(500, 7, 1);
         let outcome = compare(&report, &report);
         assert!(!outcome.regressed);
         assert_eq!(outcome.rows.len(), report.pipelines.len());
@@ -181,7 +181,7 @@ mod tests {
         // A baseline claiming 2x the throughput models a 50% slowdown in
         // the current run: ratio 0.5 < 1 - 0.45, below even the loosest
         // tolerance, so the gate must fail.
-        let report = perf::run(500, 7, 1, 4);
+        let report = perf::run(500, 7, 1);
         let mut doctored = report.clone();
         for p in &mut doctored.pipelines {
             p.trials_per_sec *= 2.0;
@@ -194,7 +194,7 @@ mod tests {
 
     #[test]
     fn tolerance_tracks_overhead_jitter_within_bounds() {
-        let report = perf::run(500, 7, 1, 4);
+        let report = perf::run(500, 7, 1);
         let tol = tolerance(&report, &report);
         assert!((0.30..=0.45).contains(&tol), "tolerance {tol}");
         // Wildly jittery overhead arms saturate at the cap.
@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn history_less_baseline_warns_instead_of_silently_passing() {
-        let report = perf::run(500, 7, 1, 4);
+        let report = perf::run(500, 7, 1);
         assert!(
             baseline_warnings(&report).is_empty(),
             "a freshly produced report must not warn"
@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn unmatched_pipelines_are_skipped() {
-        let report = perf::run(500, 7, 1, 4);
+        let report = perf::run(500, 7, 1);
         let mut pruned = report.clone();
         pruned.pipelines.retain(|p| p.name != "geom");
         let outcome = compare(&pruned, &report);
@@ -237,7 +237,7 @@ mod tests {
         // pipeline (a warm cache replay) reads 10x the throughput, must
         // not flag the smaller run: nothing matches, and every pipeline is
         // listed as skipped.
-        let report = perf::run(500, 7, 1, 4);
+        let report = perf::run(500, 7, 1);
         let mut bigger = report.clone();
         for p in &mut bigger.pipelines {
             p.trials *= 10;

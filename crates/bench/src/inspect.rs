@@ -453,7 +453,6 @@ mod tests {
             acquire_fence: false,
             seed: 7,
             chunk_width: 4096,
-            lanes: 0,
         }
         .request(4096, None);
         let report = store::CachedReport {

@@ -7,14 +7,11 @@
 //! pool-dispatched runner at the report's `threads` setting, measuring what
 //! the chunk-claiming executor adds on top of the raw kernel — the
 //! multi-thread scaling number is only meaningful when `host_cores` is at
-//! least the thread count. The `joined_lanes` pipelines run the same
-//! trial volume through the batch-lane kernels (lockstep SoA settle/shift,
-//! counter-seeded per-trial streams) at the report's `lanes` width, so the
-//! lane speedup over `joined_mt` is measured in the same binary. The
-//! `joined_cached_*` pair prices the content-addressed result cache: the
-//! full 16-point survival sweep run cold through a fresh store (compute +
-//! insert on every point) versus warm against the populated store (sixteen
-//! pure lookups, asserted bit-identical to the cold fold).
+//! least the thread count. The `joined_cached_*` pair prices the
+//! content-addressed result cache: the full 16-point survival sweep run
+//! cold through a fresh store (compute + insert on every point) versus
+//! warm against the populated store (sixteen pure lookups, asserted
+//! bit-identical to the cold fold).
 
 use crate::sweep;
 use memmodel::MemoryModel;
@@ -49,9 +46,8 @@ const SHIFT_LENGTHS: [u64; 4] = [4, 3, 2, 5];
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct PipelineResult {
     /// Pipeline id: `settle`, `shift`, `geom`, `geom_fast`, `joined`,
-    /// `joined_mt`, `joined_lanes`, `joined_cached_cold`,
-    /// `joined_cached_warm` (reports before the legacy kernel's removal
-    /// also carry `joined_legacy`).
+    /// `joined_mt`, `joined_cached_cold`, `joined_cached_warm` (older
+    /// reports also carry `joined_legacy` and `joined_lanes`).
     pub name: String,
     /// Memory model short name, or `-` for model-independent kernels.
     pub model: String,
@@ -123,9 +119,6 @@ pub struct BenchReport {
     pub git_rev: String,
     /// Worker threads used by the `joined_mt` pipelines.
     pub threads: usize,
-    /// Lane width of the `joined_lanes` pipelines; `None` in reports that
-    /// predate the lane kernels (the field deserializes as absent there).
-    pub lanes: Option<usize>,
     /// The runner's fixed chunk width (trials per pool task).
     pub chunk_width: u64,
     /// Logical cores of the machine that produced this report — the context
@@ -246,20 +239,15 @@ fn measure_batch(
 }
 
 /// Runs every pipeline at the given size and seed, with `threads` worker
-/// threads for the pool-dispatched `joined_mt`/`joined_lanes` pipelines and
-/// `lanes` lockstep lanes for `joined_lanes`.
+/// threads for the pool-dispatched `joined_mt` pipelines.
 ///
 /// The simulation entry points consult the process-global result store
 /// when one is installed, so `run` takes [`store_guard`] for its whole
 /// duration and uninstalls any ambient store: every pipeline except the
 /// `joined_cached_*` pair (which manages its own stores) measures the
 /// uncached kernels.
-///
-/// # Panics
-///
-/// Panics if `lanes` is outside `1..=`[`settle::MAX_LANES`].
 #[must_use]
-pub fn run(trials: u64, seed: u64, threads: usize, lanes: usize) -> BenchReport {
+pub fn run(trials: u64, seed: u64, threads: usize) -> BenchReport {
     let _store_lock = store_guard();
     store::clear();
     let before = obs::snapshot();
@@ -404,20 +392,6 @@ pub fn run(trials: u64, seed: u64, threads: usize, lanes: usize) -> BenchReport 
         }
         pipelines.push(mt);
         pipelines.push(mt_notel);
-
-        // The lane path at the same trial volume, seed, and thread count:
-        // lockstep SoA kernels over counter-seeded per-trial streams. Its
-        // checksum is a success count like `joined_mt`'s but from the lane
-        // stream, so the two agree statistically, not bit-wise; the
-        // cross-rep assertion in `measure_batch` still pins determinism.
-        let lanes_batch = move || {
-            rm.simulate_survival_lanes_with(trials, seed, lanes, threads)
-                .successes()
-        };
-        pipelines.push({
-            let _span = obs::span("bench.joined_lanes");
-            measure_batch("joined_lanes", short, trials, lanes_batch)
-        });
     }
 
     // Shut the endpoint down before the cached sweep: dropping the server
@@ -516,7 +490,6 @@ pub fn run(trials: u64, seed: u64, threads: usize, lanes: usize) -> BenchReport 
         seed,
         git_rev,
         threads,
-        lanes: Some(lanes),
         chunk_width: montecarlo::CHUNK_WIDTH,
         host_cores,
         pipelines,
@@ -537,9 +510,8 @@ impl BenchReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "threads {} | lanes {} | chunk width {} | host cores {}",
+            "threads {} | chunk width {} | host cores {}",
             self.threads,
-            self.lanes.map_or_else(|| "-".to_owned(), |l| l.to_string()),
             self.chunk_width,
             self.host_cores
         );
@@ -576,9 +548,9 @@ mod tests {
 
     #[test]
     fn report_is_complete_and_serializable() {
-        let report = run(2_000, 9, 2, 8);
-        // 3 + 2 model-independent + 5 per named model.
-        assert_eq!(report.pipelines.len(), 5 + 5 * MemoryModel::NAMED.len());
+        let report = run(2_000, 9, 2);
+        // 3 + 2 model-independent + 4 per named model.
+        assert_eq!(report.pipelines.len(), 5 + 4 * MemoryModel::NAMED.len());
         assert_eq!(report.telemetry_overhead.len(), MemoryModel::NAMED.len());
         assert!(report
             .telemetry_overhead
@@ -594,14 +566,12 @@ mod tests {
         assert!(report.summary().contains("serve on/off"));
         assert!(report.pipelines.iter().all(|p| p.trials_per_sec > 0.0));
         assert_eq!(report.threads, 2);
-        assert_eq!(report.lanes, Some(8));
         assert_eq!(report.chunk_width, montecarlo::CHUNK_WIDTH);
         assert!(report.host_cores >= 1);
         // The embedded snapshot carries the runner counters and the
         // per-stage spans the bench just produced.
         assert!(report.telemetry.counter("mc.runner.runs").unwrap_or(0) >= 1);
         assert!(report.telemetry.span("bench.joined_mt").is_some());
-        assert!(report.telemetry.span("bench.joined_lanes").is_some());
         assert!(report.telemetry.span("bench.joined_cached").is_some());
         // The warm replay must beat the cold sweep (in practice by orders
         // of magnitude; >1 keeps the test robust on loaded machines).
@@ -640,7 +610,7 @@ mod tests {
         // per model and a `joined_speedup_vs_legacy` list. They must still
         // load as baselines, and the gate skips the pipeline that no
         // longer runs.
-        let report = run(500, 7, 1, 4);
+        let report = run(500, 7, 1);
         let json = serde_json::to_string(&report).unwrap();
         let old = json.replacen(
             "\"pipelines\":[",
@@ -671,7 +641,7 @@ mod tests {
     fn telemetry_recording_does_not_change_joined_mt_checksums() {
         // run() asserts joined_mt == joined_mt_notel internally; pin the
         // pairing explicitly as a regression guard.
-        let report = run(1_000, 4, 2, 8);
+        let report = run(1_000, 4, 2);
         for model in MemoryModel::NAMED {
             let at = |name: &str| {
                 report
@@ -689,8 +659,8 @@ mod tests {
     fn joined_mt_checksum_is_thread_count_invariant() {
         // The pool-dispatched pipeline derives every chunk's RNG from the
         // chunk index, so its outcome fold is identical at any threads.
-        let a = run(1_000, 4, 1, 8);
-        let b = run(1_000, 4, 4, 8);
+        let a = run(1_000, 4, 1);
+        let b = run(1_000, 4, 4);
         let mt = |r: &BenchReport, model: MemoryModel| {
             r.pipelines
                 .iter()

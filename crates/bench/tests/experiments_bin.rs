@@ -252,9 +252,14 @@ fn bench_gate_fails_on_injected_regression_and_passes_clean() {
 
 #[test]
 fn rejects_unknown_flag_and_unknown_experiment() {
-    let out = experiments(&["--frobnicate"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+    for args in [&["--frobnicate"][..], &["bench", "--lanes", "8"]] {
+        let out = experiments(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown flag"),
+            "{args:?}"
+        );
+    }
 
     let out = experiments(&["--quick", "not-an-experiment"]);
     assert_eq!(out.status.code(), Some(2));

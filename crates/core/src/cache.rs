@@ -32,17 +32,8 @@ use store::{CacheableAcc, CachedPrefix, CachedReport, Lookup, RequestKey};
 impl ReliabilityModel {
     /// The canonical cache key of one runner request against this model:
     /// kernel version + result kind, the settler's reorder matrix and
-    /// probabilities, program shape, seed, chunk width, and path
-    /// (`lane_path` keys the batch-lane kernels, whose results are
-    /// lane-width-invariant — so the key carries only the path, never
-    /// the width).
-    pub(crate) fn request_key(
-        &self,
-        kind: &str,
-        lane_path: bool,
-        runner: &Runner,
-        trials: u64,
-    ) -> RequestKey {
+    /// probabilities, program shape, seed and chunk width.
+    pub(crate) fn request_key(&self, kind: &str, runner: &Runner, trials: u64) -> RequestKey {
         use memmodel::OpType::{Ld, St};
         let settler = self.settler();
         let probs = settler.probs();
@@ -63,7 +54,6 @@ impl ReliabilityModel {
             acquire_fence: self.acquire_fence(),
             seed: runner.seed().0,
             chunk_width: CHUNK_WIDTH,
-            lanes: u64::from(lane_path),
         }
         .request(trials, runner.target_rse())
     }

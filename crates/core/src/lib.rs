@@ -36,7 +36,6 @@
 
 mod cache;
 mod compare;
-mod lanes;
 mod model;
 pub mod pairs;
 mod scaling;
@@ -44,7 +43,6 @@ mod survival;
 mod telemetry;
 
 pub use compare::{ModelComparison, ModelRow};
-pub use lanes::LaneTrialScratch;
 pub use model::{ReliabilityModel, TrialScratch, DEFAULT_M};
 pub use scaling::{scaling_curve, scaling_curve_with, ScalingPoint};
 pub use survival::RbSurvival;

@@ -109,7 +109,7 @@ impl ReliabilityModel {
             .expect("validated probability")
     }
 
-    /// The store probability `p` (for the lane kernels' regeneration).
+    /// The store probability `p` (for the cache key).
     pub(crate) fn store_prob(&self) -> f64 {
         self.p
     }
@@ -120,28 +120,20 @@ impl ReliabilityModel {
         self.acquire_fence
     }
 
-    /// The shared program template: placeholder filler types, fences and
-    /// critical pair in place. The scalar kernels settle keyed programs
-    /// over its [`ProgramShape`]; the lane kernels redraw the filler types
-    /// of a copy.
-    pub(crate) fn template(&self) -> Program {
-        let mut program = Program::from_filler_types(&vec![OpType::Ld; self.m])
-            .expect("canonical program shape is valid");
-        if self.acquire_fence {
-            program = program.with_acquire_before_critical();
-        }
-        program
-    }
-
     /// A fresh [`TrialScratch`] sized for this configuration.
     ///
     /// Construction allocates (and draws nothing from any RNG); every trial
     /// that reuses the scratch afterwards is allocation-free. The scratch
-    /// holds the template's [`ProgramShape`]; each trial's program is a
-    /// fresh key over it.
+    /// holds the [`ProgramShape`] of the shared program template
+    /// (placeholder filler types, fences and critical pair in place); each
+    /// trial's program is a fresh key over it.
     #[must_use]
     pub fn scratch(&self) -> TrialScratch {
-        let template = self.template();
+        let mut template = Program::from_filler_types(&vec![OpType::Ld; self.m])
+            .expect("canonical program shape is valid");
+        if self.acquire_fence {
+            template = template.with_acquire_before_critical();
+        }
         TrialScratch {
             settle: SettleScratch::with_capacity(template.len()),
             shift: ShiftScratch::with_capacity(self.n),
@@ -276,7 +268,7 @@ impl ReliabilityModel {
     ) -> RunReport<BernoulliEstimate> {
         let this = *self;
         let r = *runner;
-        let key = self.request_key("survival", false, runner, trials);
+        let key = self.request_key("survival", runner, trials);
         crate::cache::cached_run(
             &key,
             runner,
@@ -312,7 +304,7 @@ impl ReliabilityModel {
 
     fn histogram_runner(&self, runner: Runner, trials: u64) -> Histogram {
         let this = *self;
-        let key = self.request_key("windows", false, &runner, trials);
+        let key = self.request_key("windows", &runner, trials);
         crate::cache::cached_run(
             &key,
             &runner,

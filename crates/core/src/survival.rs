@@ -64,7 +64,7 @@ impl ReliabilityModel {
 
     fn rb_runner(&self, runner: Runner, trials: u64) -> RbSurvival {
         let this = *self;
-        let key = self.request_key("rb", false, &runner, trials);
+        let key = self.request_key("rb", &runner, trials);
         let stats: Welford = crate::cache::cached_run(
             &key,
             &runner,

@@ -45,30 +45,6 @@ fn metrics_for(model: MemoryModel) -> &'static ModelMetrics {
         .map_or(&cache.other, |(_, metrics)| metrics)
 }
 
-/// Handles for the batch-lane kernel metrics (`mc.lanes.*`).
-pub(crate) struct LaneMetrics {
-    /// Configured lane width of the most recent lane block.
-    pub width: obs::Gauge,
-    /// Cumulative lockstep draw-steps executed by the lane settle kernel
-    /// (each step drew one word per then-active lane).
-    pub retire_rounds: obs::Counter,
-    /// Trials simulated through the lane path.
-    pub trials: obs::Counter,
-}
-
-/// Resolves the lane-metric handles once per process.
-pub(crate) fn lane_metrics() -> &'static LaneMetrics {
-    static CACHE: OnceLock<LaneMetrics> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        let g = obs::global();
-        LaneMetrics {
-            width: g.gauge("mc.lanes.width"),
-            retire_rounds: g.counter("mc.lanes.retire_rounds"),
-            trials: g.counter("mc.lanes.trials"),
-        }
-    })
-}
-
 /// Times one runner call for `model`, crediting `trials` and the elapsed
 /// wall time to the model's counters. The closure's value passes through
 /// untouched.

@@ -3,8 +3,8 @@
 //! The cache's whole value rests on one promise: a warm-served result —
 //! whether a pure hit, a chunk-prefix extension, or a `with_target_rse`
 //! replay — is **bit-for-bit identical** to the cold run it stands in
-//! for, at every worker count and lane width. These tests pin that
-//! promise at threads {1, 2, 3, 8} and lanes {1, 8}, prove via
+//! for, at every worker count. These tests pin that promise at
+//! threads {1, 2, 3, 8}, prove via
 //! `extends` counters that the warm runs actually reused cached
 //! prefixes (rather than silently recomputing), and chaos-test the
 //! insert path: a torn cache write recovers to a valid segment prefix
@@ -130,42 +130,6 @@ fn warm_target_rse_replay_is_bit_identical_to_cold_at_every_thread_count() {
         assert_eq!(cache.stats().hits, 1);
         store::clear();
     }
-}
-
-#[test]
-fn trials_grown_lane_runs_extend_across_lane_widths() {
-    let _session = Session::start();
-    let m = model();
-    let small = 6 * CHUNK_WIDTH;
-    let large = 10 * CHUNK_WIDTH + 1000;
-
-    // Lane results are lane-width-invariant, so one cold reference
-    // serves both widths.
-    let cold_large = m.simulate_survival_lanes(large, SEED, 4);
-
-    for lanes in [1usize, 8] {
-        let cache = Arc::new(store::Store::in_memory());
-        store::install(Arc::clone(&cache));
-
-        let _ = m.simulate_survival_lanes_with(small, SEED, lanes, 2);
-        assert_eq!(
-            m.simulate_survival_lanes_with(large, SEED, lanes, 2),
-            cold_large
-        );
-        assert_eq!(cache.stats().extends, 1, "lane width {lanes} must extend");
-        store::clear();
-    }
-
-    // Widths share one cache line: a prefix written by a width-1 run
-    // extends a width-8 request.
-    let cache = Arc::new(store::Store::in_memory());
-    store::install(Arc::clone(&cache));
-    let _ = m.simulate_survival_lanes_with(small, SEED, 1, 1);
-    assert_eq!(
-        m.simulate_survival_lanes_with(large, SEED, 8, 2),
-        cold_large
-    );
-    assert_eq!(cache.stats().extends, 1);
 }
 
 #[test]

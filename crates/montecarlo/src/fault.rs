@@ -26,6 +26,7 @@
 //! builds. [`Ledger::snapshot`] + [`LedgerSnapshot::since`] give per-scope
 //! deltas.
 
+use crate::rng::splitmix64;
 use crate::Seed;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -122,13 +123,6 @@ impl FaultInjector {
             }
         }
     }
-}
-
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 // ---------------------------------------------------------------------------

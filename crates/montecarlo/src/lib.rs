@@ -42,6 +42,6 @@ pub use chi2::{chi_square_gof, GofResult};
 pub use converge::EstimatorStats;
 pub use error::Error;
 pub use hist::Histogram;
-pub use rng::{task_rng, trial_seed, Seed};
+pub use rng::{splitmix64, task_rng, Seed};
 pub use runner::{ChunkPrefix, RunReport, Runner, CHUNK_WIDTH};
 pub use stats::{normal_quantile, BernoulliEstimate, Welford};

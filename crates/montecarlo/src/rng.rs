@@ -32,7 +32,8 @@ impl Default for Seed {
 }
 
 /// The SplitMix64 finaliser — a high-quality 64-bit mix used to decorrelate
-/// task streams.
+/// task streams. Bit-identical to `memmodel::draw::splitmix64` (pinned by
+/// a test); the fault schedules and the cache's key hash use this copy.
 #[must_use]
 pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -45,28 +46,6 @@ pub fn splitmix64(mut z: u64) -> u64 {
 #[must_use]
 pub fn task_rng(seed: Seed, index: u64) -> SmallRng {
     SmallRng::seed_from_u64(seed.for_task(index))
-}
-
-/// Derives the counter-based stream seed for one trial: a pure function of
-/// `(seed, chunk_index, trial_in_chunk)`.
-///
-/// This is a strictly stronger invariance than the sequential per-chunk
-/// stream of [`task_rng`]: because no trial's draws depend on any *other*
-/// trial's draws, a kernel that seeds each trial with `trial_seed` produces
-/// bit-identical results for any batching of trials — any lane width, any
-/// thread count, any block size — as long as per-trial outputs are
-/// combined in trial order. The batch-lane kernels are built on exactly
-/// this contract (`montecarlo/tests/determinism.rs` pins it at lane widths
-/// {1, 4, 8, 16} × threads {1, 2, 3, 8}).
-///
-/// The derivation double-scrambles: the chunk sub-seed (the same value
-/// [`task_rng`] expands) is mixed with a SplitMix64-offset of the
-/// chunk-local trial index, so trial streams decorrelate across both axes.
-#[must_use]
-pub fn trial_seed(seed: Seed, chunk_index: u64, trial_in_chunk: u64) -> u64 {
-    splitmix64(
-        seed.for_task(chunk_index) ^ splitmix64(trial_in_chunk.wrapping_add(0x9E37_79B9_7F4A_7C15)),
-    )
 }
 
 #[cfg(test)]
@@ -100,21 +79,20 @@ mod tests {
     }
 
     #[test]
-    fn trial_streams_are_pure_and_decorrelated() {
-        // Pure: same inputs, same seed value.
-        assert_eq!(trial_seed(Seed(9), 2, 17), trial_seed(Seed(9), 2, 17));
-        // Decorrelated across every axis (spot check for collisions).
-        let outs: std::collections::HashSet<u64> = (0..64u64)
-            .flat_map(|c| (0..64u64).map(move |t| trial_seed(Seed(9), c, t)))
-            .chain((100..164u64).map(|s| trial_seed(Seed(s), 0, 0)))
-            .collect();
-        assert_eq!(outs.len(), 64 * 64 + 64);
-    }
-
-    #[test]
     fn splitmix_is_a_bijection_sample() {
         // Distinct inputs map to distinct outputs (spot check).
         let outs: std::collections::HashSet<u64> = (0..10_000u64).map(splitmix64).collect();
         assert_eq!(outs.len(), 10_000);
+    }
+
+    #[test]
+    fn splitmix_is_memmodels() {
+        let edges = [u64::MAX, u64::MAX - 1, 1 << 63, 0x9E37_79B9_7F4A_7C15];
+        for z in (0..10_000u64)
+            .map(|i| i.wrapping_mul(0x2545_F491_4F6C_DD1D))
+            .chain(edges)
+        {
+            assert_eq!(splitmix64(z), memmodel::draw::splitmix64(z), "z = {z:#x}");
+        }
     }
 }

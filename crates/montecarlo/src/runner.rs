@@ -169,13 +169,26 @@ pub struct ChunkPrefix<A> {
     pub value: A,
 }
 
-/// Builds one per-attempt worker state for a chunk index (the scalar path
-/// packs the scratch with the sequential chunk RNG; the block path carries
-/// scratch alone).
-type StateInit<S> = dyn Fn(u64) -> S + Send + Sync;
+/// Builds one per-attempt trial scratch.
+type ScratchInit<S> = dyn Fn() -> S + Send + Sync;
 
-/// Runs one bounded batch: `(state, acc, chunk_index, chunk-local span)`.
-type BatchFn<S, A> = dyn Fn(&mut S, &mut A, u64, std::ops::Range<u64>) + Send + Sync;
+/// Runs one bounded batch of `count` consecutive trials:
+/// `(scratch, chunk rng, acc, count)`.
+type BatchFn<S, A> = dyn Fn(&mut S, &mut SmallRng, &mut A, u64) + Send + Sync;
+
+/// Wraps a per-trial kernel and its fold into one batch body, so a
+/// dyn-dispatched call covers `BATCH` trials and the indirection is
+/// invisible in the hot loop.
+fn trial_batch<S, T, A>(
+    trial: impl Fn(&mut S, &mut SmallRng) -> T + Send + Sync + 'static,
+    fold: impl Fn(&mut A, T) + Send + Sync + 'static,
+) -> Arc<BatchFn<S, A>> {
+    Arc::new(move |scratch, rng, acc, count| {
+        for _ in 0..count {
+            fold(acc, trial(scratch, rng));
+        }
+    })
+}
 
 /// What one worker chunk reports back to the coordinator.
 enum ChunkOutcome<A> {
@@ -467,19 +480,16 @@ impl Runner {
         S: 'static,
         A: Send + 'static,
     {
-        // The scalar path's per-attempt state is the scratch plus the
-        // sequential chunk RNG; one dyn-dispatched batch call covers
-        // `BATCH` trials, so the indirection is invisible in the hot loop.
-        let seed = self.seed;
-        let state_init: Arc<StateInit<(S, SmallRng)>> =
-            Arc::new(move |idx| (scratch_init(), crate::task_rng(seed, idx)));
-        let batch: Arc<BatchFn<(S, SmallRng), A>> = Arc::new(move |state, acc, _idx, span| {
-            let (scratch, rng) = state;
-            for _ in span {
-                fold(acc, trial(scratch, rng));
-            }
-        });
-        self.try_run_stop(trials, state_init, Arc::new(init), batch, merge, stop, None, |_, _| {})
+        self.try_run_stop(
+            trials,
+            Arc::new(scratch_init),
+            Arc::new(init),
+            trial_batch(trial, fold),
+            merge,
+            stop,
+            None,
+            |_, _| {},
+        )
     }
 
     /// [`try_fold_scratch_stop`](Runner::try_fold_scratch_stop) extended
@@ -503,21 +513,12 @@ impl Runner {
         S: 'static,
         A: Send + Clone + 'static,
     {
-        let seed = self.seed;
-        let state_init: Arc<StateInit<(S, SmallRng)>> =
-            Arc::new(move |idx| (scratch_init(), crate::task_rng(seed, idx)));
-        let batch: Arc<BatchFn<(S, SmallRng), A>> = Arc::new(move |state, acc, _idx, span| {
-            let (scratch, rng) = state;
-            for _ in span {
-                fold(acc, trial(scratch, rng));
-            }
-        });
         let mut snapshots = Vec::new();
         let report = self.try_run_stop(
             trials,
-            state_init,
+            Arc::new(scratch_init),
             Arc::new(init),
-            batch,
+            trial_batch(trial, fold),
             merge,
             stop,
             resume,
@@ -532,130 +533,9 @@ impl Runner {
         Ok((report, snapshots))
     }
 
-    /// Runs `trials` trials through a **block** kernel: instead of one
-    /// callback per trial fed by the sequential chunk RNG, `block` receives
-    /// whole chunk-local trial spans and derives randomness itself — the
-    /// entry point behind the batch-lane kernels.
-    ///
-    /// For every chunk `c`, `block` is invoked with
-    /// `(scratch, seed, c, lo..hi, acc)` for consecutive spans `lo..hi`
-    /// partitioning `[0, chunk_len)` in ascending order (spans are bounded,
-    /// currently at 256 trials, so deadline/cancellation checks stay
-    /// responsive). Chunk-local index `t` names global trial
-    /// `c * CHUNK_WIDTH + t`.
-    ///
-    /// Determinism contract: the work for trial `t` of chunk `c` must be a
-    /// pure function of `(seed, c, t)` — derive per-trial streams with
-    /// [`trial_seed`](crate::trial_seed), never from previously drawn
-    /// state — and `acc` must receive per-trial results in span order.
-    /// Under that contract the merged result is bit-identical for any
-    /// thread count *and* any internal batching (lane width) the kernel
-    /// chooses, and the per-chunk retry/canary machinery recovers faults
-    /// bit-for-bit exactly as on the scalar path: a retried chunk gets a
-    /// fresh `scratch_init()` scratch and replays the same spans.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
-    pub fn try_fold_blocks<S, A>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        init: impl Fn() -> A + Send + Sync + 'static,
-        block: impl Fn(&mut S, Seed, u64, std::ops::Range<u64>, &mut A) + Send + Sync + 'static,
-        merge: impl Fn(&mut A, A),
-    ) -> Result<RunReport<A>, Error>
-    where
-        S: 'static,
-        A: Send + 'static,
-    {
-        let seed = self.seed;
-        let state_init: Arc<StateInit<S>> = Arc::new(move |_idx| scratch_init());
-        let batch: Arc<BatchFn<S, A>> =
-            Arc::new(move |scratch, acc, idx, span| block(scratch, seed, idx, span, acc));
-        self.try_run_stop(
-            trials,
-            state_init,
-            Arc::new(init),
-            batch,
-            merge,
-            |_| false,
-            None,
-            |_, _| {},
-        )
-    }
-
-    /// [`try_fold_blocks`](Runner::try_fold_blocks) extended with the cache
-    /// seam: resume from a stored [`ChunkPrefix`] and capture the prefixes
-    /// this run produces. The block determinism contract is unchanged —
-    /// trial `t` of chunk `c` must be a pure function of `(seed, c, t)` —
-    /// which is exactly what makes a resumed lane run bit-identical to a
-    /// cold one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
-    pub fn try_fold_blocks_resume<S, A>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        init: impl Fn() -> A + Send + Sync + 'static,
-        block: impl Fn(&mut S, Seed, u64, std::ops::Range<u64>, &mut A) + Send + Sync + 'static,
-        merge: impl Fn(&mut A, A),
-        resume: Option<ChunkPrefix<A>>,
-    ) -> Result<(RunReport<A>, Vec<ChunkPrefix<A>>), Error>
-    where
-        S: 'static,
-        A: Send + Clone + 'static,
-    {
-        let seed = self.seed;
-        let state_init: Arc<StateInit<S>> = Arc::new(move |_idx| scratch_init());
-        let batch: Arc<BatchFn<S, A>> =
-            Arc::new(move |scratch, acc, idx, span| block(scratch, seed, idx, span, acc));
-        let mut snapshots = Vec::new();
-        let report = self.try_run_stop(
-            trials,
-            state_init,
-            Arc::new(init),
-            batch,
-            merge,
-            |_| false,
-            resume,
-            |chunks, value: &A| {
-                snapshots.push(ChunkPrefix {
-                    chunks,
-                    trials: chunks * CHUNK_WIDTH,
-                    value: value.clone(),
-                });
-            },
-        )?;
-        Ok((report, snapshots))
-    }
-
-    /// Infallible [`try_fold_blocks`](Runner::try_fold_blocks): panics if a
-    /// chunk fails every retry, matching the crate's original contract.
-    pub fn fold_blocks<S, A>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        init: impl Fn() -> A + Send + Sync + 'static,
-        block: impl Fn(&mut S, Seed, u64, std::ops::Range<u64>, &mut A) + Send + Sync + 'static,
-        merge: impl Fn(&mut A, A),
-    ) -> A
-    where
-        S: 'static,
-        A: Send + 'static,
-    {
-        match self.try_fold_blocks(trials, scratch_init, init, block, merge) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
-        }
-    }
-
-    /// The wave/merge/stop loop every entry point funnels into, generic
-    /// over the per-attempt state and the batch body (scalar trials or
-    /// lane blocks) so the chunk contract — tiling, retry, canary,
-    /// deadline, telemetry — is written once.
+    /// The wave/merge/stop loop every entry point funnels into, so the
+    /// chunk contract — tiling, retry, canary, deadline, telemetry — is
+    /// written once.
     ///
     /// `resume` re-enters the fold after its prefix instead of at chunk 0;
     /// `observe` is called (on the calling thread, in chunk order) with the
@@ -668,7 +548,7 @@ impl Runner {
     fn try_run_stop<S, A>(
         &self,
         trials: u64,
-        state_init: Arc<StateInit<S>>,
+        scratch_init: Arc<ScratchInit<S>>,
         init: Arc<dyn Fn() -> A + Send + Sync>,
         batch: Arc<BatchFn<S, A>>,
         merge: impl Fn(&mut A, A),
@@ -754,8 +634,8 @@ impl Runner {
             let base = done_chunks;
             let runner = *self;
             let job_ctl = Arc::clone(&ctl);
-            let (sti, ini, bat) = (
-                Arc::clone(&state_init),
+            let (scr, ini, bat) = (
+                Arc::clone(&scratch_init),
                 Arc::clone(&init),
                 Arc::clone(&batch),
             );
@@ -773,7 +653,7 @@ impl Runner {
                     obs::flight::event("chunk_claimed").chunk(idx).emit();
                     let chunk_started = obs::recording().then(Instant::now);
                     let outcome =
-                        runner.run_chunk(idx, count, &*sti, &*ini, &*bat, &job_ctl, degrade);
+                        runner.run_chunk(idx, count, &*scr, &*ini, &*bat, &job_ctl, degrade);
                     if let Some(started) = chunk_started {
                         tele.chunk_wall_us.record(started.elapsed().as_micros() as u64);
                     }
@@ -887,7 +767,7 @@ impl Runner {
         &self,
         idx: u64,
         count: u64,
-        state_init: &(dyn Fn(u64) -> S + Send + Sync),
+        scratch_init: &ScratchInit<S>,
         init: &(dyn Fn() -> A + Send + Sync),
         batch: &BatchFn<S, A>,
         ctl: &Ctl,
@@ -908,7 +788,8 @@ impl Runner {
                     // attempt; both recover through the paths below.
                     plan.perturb_chunk(idx, attempt);
                 }
-                let mut state = state_init(idx);
+                let mut scratch = scratch_init();
+                let mut rng = crate::task_rng(self.seed, idx);
                 let mut acc = init();
                 let mut ran = 0u64;
                 while ran < count {
@@ -916,7 +797,7 @@ impl Runner {
                         break;
                     }
                     let step = BATCH.min(count - ran);
-                    batch(&mut state, &mut acc, idx, ran..ran + step);
+                    batch(&mut scratch, &mut rng, &mut acc, step);
                     ran += step;
                     counted.set(counted.get() + step);
                     let total = ctl.completed.fetch_add(step, Ordering::Relaxed) + step;

@@ -172,85 +172,6 @@ fn watchdog_requeue_is_deterministic_across_thread_counts() {
     }
 }
 
-/// The lane-path analogue of [`checksum_run`]: trials advance 8 at a time
-/// through a [`settle::LaneRng`] reseeded per group from
-/// [`montecarlo::trial_seed`], exactly like the production lane kernels.
-fn lane_checksum_run(threads: usize) -> RunReport<u64> {
-    const WIDTH: usize = 8;
-    const WORDS: usize = 3;
-    Runner::new(Seed(2011))
-        .with_threads(threads)
-        .with_retry_backoff(Duration::ZERO)
-        .try_fold_blocks(
-            TRIALS,
-            || {
-                (
-                    settle::LaneRng::with_capacity(WIDTH),
-                    vec![0u64; WORDS * WIDTH],
-                    Vec::with_capacity(WIDTH),
-                )
-            },
-            || 0u64,
-            |(rng, draws, seeds), seed, chunk, span, acc| {
-                let mut t = span.start;
-                while t < span.end {
-                    let w =
-                        usize::try_from(span.end - t).map_or(WIDTH, |rest| rest.min(WIDTH));
-                    seeds.clear();
-                    seeds.extend(
-                        (0..w as u64).map(|k| montecarlo::trial_seed(seed, chunk, t + k)),
-                    );
-                    rng.reseed(seeds);
-                    rng.fill(draws, WORDS, w);
-                    for l in 0..w {
-                        for j in 0..WORDS {
-                            *acc = acc.wrapping_mul(0x100_0003).wrapping_add(draws[j * w + l]);
-                        }
-                    }
-                    t += w as u64;
-                }
-            },
-            |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
-        )
-        .expect("recoverable chaos must never fail the lane run")
-}
-
-#[test]
-fn lane_path_recovers_bit_identically_under_mixed_faults() {
-    // Satellite: the block-dispatch path rebuilds its lane scratch (RNG
-    // lane states, draw buffers) from `state_init` on every attempt, and
-    // per-trial counter seeding makes a replayed chunk's draws pure in
-    // (seed, chunk, trial) — so a mixed plan of panics and scratch
-    // corruption must recover to the exact fault-free bits at every
-    // thread count.
-    let _lock = chaos_lock();
-    fault::clear();
-    let clean = lane_checksum_run(1);
-    assert!(!clean.degraded && !clean.truncated);
-    assert_eq!(clean.trials_completed, TRIALS);
-
-    let seed = (0..100_000u64)
-        .find(|&s| {
-            let p = FaultPlan::new(s, Profile::Mixed);
-            (0..CHUNKS).any(|c| p.chunk_panics(c, 1) || p.corrupts_scratch(c, 1))
-        })
-        .expect("a firing seed exists in the search range");
-    for threads in THREADS {
-        let before = fault::ledger().snapshot();
-        let _guard = PlanGuard;
-        fault::install(FaultPlan::new(seed, Profile::Mixed));
-        let report = lane_checksum_run(threads);
-        drop(_guard);
-        let delta = fault::ledger().snapshot().since(&before);
-        assert!(
-            delta.injected_panics + delta.injected_corruptions > 0,
-            "mixed plan seed {seed} must actually fire at threads={threads}"
-        );
-        assert_same_result(&report, &clean, &format!("lane mixed threads={threads}"));
-        assert!(report.retried_chunks > 0, "lane recovery implies retries");
-    }
-}
-
 #[test]
 fn hard_profile_degrades_identically_at_every_thread_count() {
     let _lock = chaos_lock();

@@ -198,105 +198,6 @@ fn sequential_stopping_unchanged_by_recording_state() {
     assert!(on.converged_early);
 }
 
-/// Order-sensitive polynomial checksum of one block's per-trial words,
-/// drawn `L` lanes at a time through [`settle::LaneRng`]. Because every
-/// lane is reseeded from [`montecarlo::trial_seed`]`(seed, chunk, trial)`
-/// and read back trial-major, the checksum is a pure function of the
-/// trial indices — independent of the lane width used to draw it.
-fn lane_block_checksum(
-    rng: &mut settle::LaneRng,
-    seed: Seed,
-    chunk: u64,
-    span: std::ops::Range<u64>,
-    width: usize,
-    acc: &mut u64,
-) {
-    const WORDS: usize = 3;
-    let mut seeds = Vec::with_capacity(width);
-    let mut draws = vec![0u64; WORDS * width];
-    let mut t = span.start;
-    while t < span.end {
-        let w = usize::try_from(span.end - t).map_or(width, |rest| rest.min(width));
-        seeds.clear();
-        seeds.extend((0..w as u64).map(|k| montecarlo::trial_seed(seed, chunk, t + k)));
-        rng.reseed(&seeds);
-        rng.fill(&mut draws, WORDS, w);
-        for l in 0..w {
-            for j in 0..WORDS {
-                *acc = acc.wrapping_mul(0x100_0003).wrapping_add(draws[j * w + l]);
-            }
-        }
-        t += w as u64;
-    }
-}
-
-#[test]
-fn lane_checksum_identical_across_widths_and_thread_counts() {
-    // The lane determinism contract, at the runner level: the block path
-    // with per-trial counter seeding is bit-identical for every lane
-    // width and every worker count. Width 1 × 1 worker is the reference.
-    let run = |width: usize, threads: usize| {
-        Runner::new(Seed(2020)).with_threads(threads).fold_blocks(
-            TRIALS,
-            move || settle::LaneRng::with_capacity(width),
-            || 0u64,
-            move |rng, seed, chunk, span, acc| {
-                lane_block_checksum(rng, seed, chunk, span, width, acc);
-            },
-            |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
-        )
-    };
-    let base = run(1, 1);
-    for width in [1usize, 4, 8, 16] {
-        for threads in THREADS {
-            assert_eq!(
-                run(width, threads),
-                base,
-                "lane checksum drifted at width={width} threads={threads}"
-            );
-        }
-    }
-}
-
-#[test]
-fn lane_checksum_matches_a_hand_rolled_chunk_loop() {
-    // Nothing about the runner's tiling is load-bearing for the lane
-    // stream: the same checksum falls out of a plain sequential loop over
-    // (chunk, trial) with a scalar rand::SmallRng seeded per trial. This
-    // pins both halves of the contract — trial_seed is the only coupling,
-    // and width-1 LaneRng is bit-compatible with SmallRng.
-    use rand::{rngs::SmallRng, SeedableRng};
-    const WORDS: usize = 3;
-    let seed = Seed(2020);
-    let mut chunks: Vec<u64> = Vec::new();
-    let mut t = 0;
-    while t < TRIALS {
-        let in_chunk = (TRIALS - t).min(CHUNK_WIDTH);
-        let chunk = t / CHUNK_WIDTH;
-        let mut acc = 0u64;
-        for trial in 0..in_chunk {
-            let mut rng = SmallRng::seed_from_u64(montecarlo::trial_seed(seed, chunk, trial));
-            for _ in 0..WORDS {
-                acc = acc.wrapping_mul(0x100_0003).wrapping_add(rng.gen::<u64>());
-            }
-        }
-        chunks.push(acc);
-        t += in_chunk;
-    }
-    let by_hand = chunks
-        .into_iter()
-        .fold(0u64, |a, b| a.wrapping_mul(0x9E37_79B9).wrapping_add(b));
-
-    let via_runner = Runner::new(seed).with_threads(3).fold_blocks(
-        TRIALS,
-        || settle::LaneRng::with_capacity(8),
-        || 0u64,
-        |rng, seed, chunk, span, acc| lane_block_checksum(rng, seed, chunk, span, 8, acc),
-        |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
-    );
-    assert_eq!(via_runner, by_hand, "runner tiling leaked into the lane stream");
-}
-
 #[test]
 fn repeated_runs_are_stable() {
     // Same seed + same workload twice at an asymmetric thread count: the

@@ -45,8 +45,7 @@
 //! [`Settler::settle_into`]; the general one under [`SettleTrace`]; and the
 //! lazy γ kernel, which reads only the attempts γ depends on. So for a
 //! given RNG state all of them agree bit for bit, and each leaves the RNG
-//! in the same state. The batch-lane kernels ([`Settler::settle_lanes`])
-//! keep their own counter-seeded per-trial stream.
+//! in the same state.
 //!
 //! A keyed program (`progmodel`'s program-key contract) reads its filler
 //! types from the same primitive, [`memmodel::addressed_uniform`], so
@@ -78,13 +77,11 @@
 pub mod beta;
 pub mod events;
 pub mod exact;
-mod lanes;
 pub mod lazy;
 mod perm;
 mod process;
 mod trace;
 
-pub use lanes::{LaneRng, LaneScratch, MAX_LANES};
 pub use perm::{NotAPermutation, Permutation};
 pub use memmodel::bool_threshold;
 pub use process::{attempt_draw, ProgramShape, SettleScratch, Settled, Settler};

@@ -321,31 +321,29 @@ impl Settler {
     }
 
     /// Resolves the integer draw thresholds of this settler for a program
-    /// with (`has_release`) or without a hoistable fence.
+    /// with (`has_release`) or without a hoistable fence: the four
+    /// memory-memory thresholds `eff[earlier_st][later_st]` and the
+    /// release-fence threshold, all via [`bool_threshold`].
     pub(crate) fn tables(&self, has_release: bool) -> Tables {
-        let (eff, fence) = self.lane_tables();
+        let threshold =
+            |earlier, later| bool_threshold(self.probs.effective(&self.matrix, earlier, later));
         Tables {
-            eff,
-            fence: if has_release { fence } else { BLOCKED },
+            eff: [
+                [
+                    threshold(OpType::Ld, OpType::Ld),
+                    threshold(OpType::Ld, OpType::St),
+                ],
+                [
+                    threshold(OpType::St, OpType::Ld),
+                    threshold(OpType::St, OpType::St),
+                ],
+            ],
+            fence: if has_release {
+                bool_threshold(self.fence_pass_probability)
+            } else {
+                BLOCKED
+            },
         }
-    }
-
-    /// Resolves the integer draw-threshold tables the lane kernel shares
-    /// with the scalar kernels: the four memory-memory thresholds
-    /// `t_eff[earlier_st][later_st]` and the release-fence threshold, all
-    /// via [`bool_threshold`].
-    pub(crate) fn lane_tables(&self) -> ([[u64; 2]; 2], u64) {
-        let t_eff = [
-            [
-                bool_threshold(self.probs.effective(&self.matrix, OpType::Ld, OpType::Ld)),
-                bool_threshold(self.probs.effective(&self.matrix, OpType::Ld, OpType::St)),
-            ],
-            [
-                bool_threshold(self.probs.effective(&self.matrix, OpType::St, OpType::Ld)),
-                bool_threshold(self.probs.effective(&self.matrix, OpType::St, OpType::St)),
-            ],
-        ];
-        (t_eff, bool_threshold(self.fence_pass_probability))
     }
 }
 

@@ -160,64 +160,6 @@ impl ShiftProcess {
         }
         true
     }
-
-    /// Batch-lane disjointness kernel: evaluates the event `A(γ̄)` for
-    /// `out.len()` independent trials from pre-drawn shift words.
-    ///
-    /// `lengths` and `draws` are window-major with `stride` lanes per row:
-    /// trial `l`'s `i`-th window length is `lengths[i * stride + l]` and
-    /// its shift word `draws[i * stride + l]`. The shift is the word's
-    /// trailing-zero count — the canonical `q = 1/2` geometric, exactly as
-    /// [`sample_shift_fast`](ShiftProcess::sample_shift_fast) decodes it,
-    /// except that an all-zero word (probability `2^-64` per window) is
-    /// truncated to shift 64 instead of drawing again, keeping the lane
-    /// draw count fixed at one word per window.
-    ///
-    /// Unlike the scalar kernel there is no early exit in the *stream* —
-    /// the caller has already drawn all `n` words per lane in bulk — so
-    /// per-lane short-circuiting here affects neither determinism nor
-    /// unbiasedness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q != 1/2` (the lane path exists for the canonical
-    /// process only), if `out.len() > stride`, or if `lengths`/`draws`
-    /// hold fewer than `n` rows of `stride`.
-    pub fn disjoint_lanes(
-        &self,
-        lengths: &[u64],
-        draws: &[u64],
-        n: usize,
-        stride: usize,
-        out: &mut [bool],
-    ) {
-        assert!(
-            self.q == 0.5,
-            "disjoint_lanes supports the canonical q = 1/2 only (q = {})",
-            self.q
-        );
-        assert!(out.len() <= stride, "lane width exceeds stride");
-        assert!(lengths.len() >= n * stride, "lengths buffer too short");
-        assert!(draws.len() >= n * stride, "draws buffer too short");
-        for (l, slot) in out.iter_mut().enumerate() {
-            let seg = |i: usize| {
-                let s = u64::from(draws[i * stride + l].trailing_zeros());
-                (s, s + lengths[i * stride + l])
-            };
-            let mut disjoint = true;
-            'windows: for i in 1..n {
-                let (si, ei) = seg(i);
-                for j in 0..i {
-                    let (sj, ej) = seg(j);
-                    if si <= ej && sj <= ei {
-                        disjoint = false;
-                        break 'windows;
-                    }
-                }
-            }
-            *slot = disjoint;
-        }
-    }
 }
 
 /// Reusable buffers for the in-place shift kernels.
@@ -387,72 +329,6 @@ mod tests {
             let _ = reference.next_u64();
         }
         assert_eq!(counting, reference);
-    }
-
-    #[test]
-    fn disjoint_lanes_matches_segment_semantics() {
-        // Hand-built draws: trailing zeros give the shifts; compare each
-        // lane against the Segment reference on the same decoded shifts.
-        let p = ShiftProcess::canonical();
-        let stride = 4;
-        let n = 3;
-        let mut r = rng(11);
-        for _ in 0..200 {
-            let lengths: Vec<u64> = (0..n * stride).map(|_| r.next_u64() % 5 + 2).collect();
-            let draws: Vec<u64> = (0..n * stride).map(|_| r.next_u64()).collect();
-            let mut out = [false; 4];
-            p.disjoint_lanes(&lengths, &draws, n, stride, &mut out);
-            for (l, &got) in out.iter().enumerate() {
-                let segs: Vec<Segment> = (0..n)
-                    .map(|i| {
-                        Segment::new(
-                            u64::from(draws[i * stride + l].trailing_zeros()),
-                            lengths[i * stride + l],
-                        )
-                    })
-                    .collect();
-                assert_eq!(got, Segment::all_disjoint(&segs), "lane {l}");
-            }
-        }
-    }
-
-    #[test]
-    fn disjoint_lanes_agrees_with_scalar_statistically() {
-        // Same distribution as the scalar kernel: survival frequency over
-        // many trials matches within Monte-Carlo noise.
-        let p = ShiftProcess::canonical();
-        let lengths_per_trial = [3u64, 2, 5];
-        let trials = 40_000usize;
-        let mut scalar_rng = rng(21);
-        let scalar_hits = (0..trials)
-            .filter(|_| p.simulate_disjoint(&lengths_per_trial, &mut scalar_rng))
-            .count();
-        let stride = 8;
-        let mut lane_rng = rng(22);
-        let mut lane_hits = 0usize;
-        let mut lengths = vec![0u64; 3 * stride];
-        let mut draws = vec![0u64; 3 * stride];
-        let mut out = [false; 8];
-        for _ in 0..trials / stride {
-            for i in 0..3 {
-                for l in 0..stride {
-                    lengths[i * stride + l] = lengths_per_trial[i];
-                    draws[i * stride + l] = lane_rng.next_u64();
-                }
-            }
-            p.disjoint_lanes(&lengths, &draws, 3, stride, &mut out);
-            lane_hits += out.iter().filter(|&&b| b).count();
-        }
-        let a = scalar_hits as f64 / trials as f64;
-        let b = lane_hits as f64 / trials as f64;
-        assert!((a - b).abs() < 0.02, "scalar {a:.4} vs lanes {b:.4}");
-    }
-
-    #[test]
-    #[should_panic(expected = "canonical q = 1/2 only")]
-    fn disjoint_lanes_rejects_general_q() {
-        let p = ShiftProcess::with_q(0.3).unwrap();
-        p.disjoint_lanes(&[2], &[1], 1, 1, &mut [false]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every cacheable result in this workspace is a pure function of a small
 //! request tuple: kernel version, reorder matrix, program/settle
-//! parameters, seed, chunk width, lane width, trial count, and (for
+//! parameters, seed, chunk width, trial count, and (for
 //! sequential-stopping runs) the RSE target. This module serializes that
 //! tuple into one *canonical string* — versioned, field-ordered, floats as
 //! IEEE-754 bit patterns so formatting can never split the cache — and
@@ -22,6 +22,9 @@
 //! accidental canonicalization change (field reorder, float formatting,
 //! hash tweak) fails loudly instead of silently invalidating every cache.
 
+/// The SplitMix64 finaliser of the RNG fan-out, used to mix the second
+/// hash word.
+pub use montecarlo::splitmix64;
 use std::fmt;
 
 /// Version tag of the simulation kernels whose outputs this cache stores.
@@ -35,7 +38,8 @@ use std::fmt;
 pub const KERNEL_VERSION: &str = "mmr-kernels-v3";
 
 /// Canonical-string format version (the leading token of every canon).
-pub const CANON_VERSION: &str = "mmrk1";
+/// `mmrk2`: the `lanes=` field is gone with the batch-lane kernels.
+pub const CANON_VERSION: &str = "mmrk2";
 
 /// The identity of one seeded kernel run family — everything that
 /// determines the per-chunk trial streams except how many trials are
@@ -43,8 +47,7 @@ pub const CANON_VERSION: &str = "mmrk1";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeySpec {
     /// Kernel version tag plus result kind, e.g.
-    /// `"mmr-kernels-v3/survival"` (kinds: `survival`, `windows`, `rb`,
-    /// `survival_lanes`, `windows_lanes`).
+    /// `"mmr-kernels-v3/survival"` (kinds: `survival`, `windows`, `rb`).
     pub kernel: String,
     /// The reorder matrix in its canonical 4-character Table-1 form
     /// (`....` = SC, `.X..` = TSO, `XX..` = PSO, `XXXX` = WO).
@@ -66,11 +69,6 @@ pub struct KeySpec {
     pub seed: u64,
     /// Chunk width of the runner tiling (results depend on it).
     pub chunk_width: u64,
-    /// Lane width of the batch-lane path; `0` for the scalar path (the
-    /// two paths draw different per-trial streams, so they never share
-    /// cache lines — except that lane results are lane-width-invariant,
-    /// which callers express by passing a fixed `1` for every width).
-    pub lanes: u64,
 }
 
 impl KeySpec {
@@ -80,7 +78,7 @@ impl KeySpec {
     pub fn family_canon(&self) -> String {
         let [s0, s1, s2, s3] = self.settle_bits;
         format!(
-            "{CANON_VERSION}|kernel={}|matrix={}|n={}|m={}|p={:016x}|s={s0:016x},{s1:016x},{s2:016x},{s3:016x}|fence={:016x}|acq={}|seed={:016x}|cw={}|lanes={}",
+            "{CANON_VERSION}|kernel={}|matrix={}|n={}|m={}|p={:016x}|s={s0:016x},{s1:016x},{s2:016x},{s3:016x}|fence={:016x}|acq={}|seed={:016x}|cw={}",
             self.kernel,
             self.matrix,
             self.threads_n,
@@ -90,7 +88,6 @@ impl KeySpec {
             u8::from(self.acquire_fence),
             self.seed,
             self.chunk_width,
-            self.lanes,
         )
     }
 
@@ -181,16 +178,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The SplitMix64 finaliser (same constants as the RNG fan-out in
-/// `montecarlo::rng`), used to mix the second hash word.
-#[must_use]
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,7 +194,6 @@ mod tests {
             acquire_fence: false,
             seed: 20_110_606,
             chunk_width: 4096,
-            lanes: 0,
         }
     }
 
@@ -227,7 +213,7 @@ mod tests {
         b.seed += 1;
         assert_ne!(a.family_canon(), b.family_canon());
         let mut c = spec();
-        c.lanes = 8;
+        c.acquire_fence = true;
         assert_ne!(a.family_canon(), c.family_canon());
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Every kernel run in this workspace is a pure function of a small
 //! request tuple (kernel version, reorder matrix, program/settle
-//! parameters, seed, chunk width, lane path, trial budget, stopping
-//! target) — the runner guarantees bit-identical results for any worker
+//! parameters, seed, chunk width, trial budget, stopping target)
+//! — the runner guarantees bit-identical results for any worker
 //! count. This crate turns that purity into reuse:
 //!
 //! * [`KeySpec`]/[`RequestKey`] canonicalize the tuple into a versioned

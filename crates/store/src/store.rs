@@ -469,7 +469,7 @@ mod tests {
     use super::*;
     use crate::acc::{AccState, BernoulliState};
     use crate::key::KeySpec;
-    use crate::KERNEL_VERSION;
+    use crate::{CANON_VERSION, KERNEL_VERSION};
 
     fn spec(seed: u64) -> KeySpec {
         KeySpec {
@@ -483,7 +483,6 @@ mod tests {
             acquire_fence: false,
             seed,
             chunk_width: montecarlo::CHUNK_WIDTH,
-            lanes: 0,
         }
     }
 
@@ -574,26 +573,43 @@ mod tests {
 
     #[test]
     fn entries_of_an_older_kernel_version_miss() {
-        // A cache written by older kernels holds `mmr-kernels-v1` keys
-        // (before attempt-addressed settle draws) or `mmr-kernels-v2` keys
-        // (before keyed programs). Under the current version the same
+        // A cache written by older code holds `mmr-kernels-v1` keys
+        // (before attempt-addressed settle draws), `mmr-kernels-v2` keys
+        // (before keyed programs) or `mmrk1` canons (which carried a
+        // batch-lane `lanes=` field). Under the current versions the same
         // request must miss outright — neither an exact hit nor a family
         // extension may replay an old stream's values.
-        for version in ["mmr-kernels-v1", "mmr-kernels-v2"] {
-            assert_ne!(KERNEL_VERSION, version);
-            let dir = tmp_dir(&format!("old-kernel-{version}"));
+        let old_kernel = |version: &str| {
             let mut old = spec(5);
             old.kernel = format!("{version}/survival");
-            let old_key = old.request(8 * montecarlo::CHUNK_WIDTH, None);
+            old.family_canon()
+        };
+        let mmrk1 = format!(
+            "{}|lanes=0",
+            spec(5).family_canon().replacen(CANON_VERSION, "mmrk1", 1)
+        );
+        let olds = [
+            ("mmr-kernels-v1", old_kernel("mmr-kernels-v1")),
+            ("mmr-kernels-v2", old_kernel("mmr-kernels-v2")),
+            ("mmrk1", mmrk1),
+        ];
+        for (label, family) in olds {
+            assert_ne!(family, spec(5).family_canon());
+            let dir = tmp_dir(&format!("old-{label}"));
+            let old_key = RequestKey {
+                family,
+                trials: 8 * montecarlo::CHUNK_WIDTH,
+                rse_bits: None,
+            };
             {
                 let store = Store::open(&dir).unwrap();
                 store.insert(&old_key, report(3, old_key.trials), vec![prefix(4), prefix(8)]);
             }
             let store = Store::open(&dir).unwrap();
-            assert!(matches!(store.lookup(&old_key), Lookup::Hit(_)), "the {version} entry persisted");
+            assert!(matches!(store.lookup(&old_key), Lookup::Hit(_)), "the {label} entry persisted");
             for trials in [8, 16].map(|chunks| chunks * montecarlo::CHUNK_WIDTH) {
                 let key = spec(5).request(trials, None);
-                assert_eq!(store.lookup(&key), Lookup::Miss, "{version}: {trials} trials");
+                assert_eq!(store.lookup(&key), Lookup::Miss, "{label}: {trials} trials");
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }

@@ -3,12 +3,15 @@
 //! The content address of a request is a contract: sweep memoization,
 //! run extension, and every on-disk segment record depend on the same
 //! canonical string and hash being produced forever (for a fixed
-//! [`store::KERNEL_VERSION`]). These tests pin exact canon strings and
-//! 128-bit hashes for representative requests across the Table-1 models,
-//! the lane path, and the stopping-target variants. If any of them
-//! changes, either bump `KERNEL_VERSION` (kernel behaviour changed — old
-//! caches *should* become unreachable) or revert the accidental
-//! canonicalization change; silently re-keying a cache is never correct.
+//! [`store::KERNEL_VERSION`] and [`store::CANON_VERSION`]). These tests
+//! pin exact canon strings and 128-bit hashes for representative requests
+//! across the Table-1 models, the acquire-fence variant, and the
+//! stopping-target variants. If any of them changes, either revert the
+//! accidental canonicalization change, or make the change deliberate:
+//! bump `KERNEL_VERSION` (kernel behaviour changed) or `CANON_VERSION`
+//! (canon format changed), so old caches become unreachable, then re-pin
+//! every value below from the failing assertions. Silently re-keying a
+//! cache is never correct.
 
 use store::{KeyHash, KeySpec, KERNEL_VERSION};
 
@@ -26,7 +29,6 @@ fn tso_survival() -> KeySpec {
         acquire_fence: false,
         seed: 20_110_606,
         chunk_width: 4096,
-        lanes: 0,
     }
 }
 
@@ -44,9 +46,9 @@ fn kernel_version_is_pinned() {
 fn family_canon_is_pinned() {
     assert_eq!(
         tso_survival().family_canon(),
-        "mmrk1|kernel=mmr-kernels-v3/survival|matrix=.X..|n=2|m=64|\
+        "mmrk2|kernel=mmr-kernels-v3/survival|matrix=.X..|n=2|m=64|\
          p=3fe0000000000000|s=3fe0000000000000,3fe0000000000000,3fe0000000000000,3fe0000000000000|\
-         fence=3ff0000000000000|acq=0|seed=000000000132dd0e|cw=4096|lanes=0"
+         fence=3ff0000000000000|acq=0|seed=000000000132dd0e|cw=4096"
     );
 }
 
@@ -68,32 +70,28 @@ fn request_hashes_are_pinned() {
     let spec = tso_survival();
     assert_eq!(
         spec.request(200_000, None).hash().hex(),
-        "1839f6b838fadb39a4ef87ae48d74a47"
+        "22e9fe0e6acb75a23ac9b606e2dad401"
     );
     assert_eq!(
         spec.request(200_000, Some(0.01)).hash().hex(),
-        "2af92d81997e1d4e2e1ac25d24d2c019"
+        "8cf4f307740bbce7d55a7e7ac3cdb31b"
     );
     assert_eq!(
         spec.request(200_000, None).family_hash().hex(),
-        "067b7ba7a5cc9ad37f413daf9612c90d"
+        "a497b8adfdc20634fb5767f904a2a359"
     );
 }
 
 #[test]
-fn model_and_path_variants_hash_distinctly_and_stably() {
-    // One pinned hash per Table-1 matrix plus the lane path and an
-    // acquire-fence variant; all ten must be pairwise distinct.
+fn model_and_fence_variants_hash_distinctly_and_stably() {
+    // One pinned hash per Table-1 matrix plus an acquire-fence variant;
+    // all five must be pairwise distinct.
     let mut variants: Vec<(String, KeySpec)> = Vec::new();
     for matrix in ["....", ".X..", "XX..", "XXXX"] {
         let mut s = tso_survival();
         s.matrix = matrix.into();
         variants.push((format!("matrix {matrix}"), s));
     }
-    let mut lanes = tso_survival();
-    lanes.kernel = format!("{KERNEL_VERSION}/survival_lanes");
-    lanes.lanes = 1;
-    variants.push(("lane path".into(), lanes));
     let mut acq = tso_survival();
     acq.acquire_fence = true;
     variants.push(("acquire fence".into(), acq));
@@ -103,12 +101,11 @@ fn model_and_path_variants_hash_distinctly_and_stably() {
         .map(|(_, s)| s.request(200_000, None).hash().hex())
         .collect();
     let expected = [
-        "bd21c31c0ff018278b1b6c595ce42f49",
-        "1839f6b838fadb39a4ef87ae48d74a47",
-        "11364e1d9ef5a6175992b80f556f63e2",
-        "32b8b3ebbc3263a706dc7d5f96927901",
-        "f1293c9a58b26906f9fd52c87494eda3",
-        "282e4cb21b0ee132fac2a210f50ee8d3",
+        "81b11a9d7f7d02d8f15109ee5a986351",
+        "22e9fe0e6acb75a23ac9b606e2dad401",
+        "833e3eb0ccbb5174a03bb991bb0c4d00",
+        "efff3ce66fbc891009efca19891f96c3",
+        "b0cc4420c36b5fad0827688cbf231040",
     ];
     for (i, ((label, _), hash)) in variants.iter().zip(&hashes).enumerate() {
         assert_eq!(hash, expected[i], "golden hash moved for {label}");

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! mmreliab table1
-//! mmreliab survival --model tso --threads 2 [--trials N] [--seed S] [--workers W] [--lanes L]
-//! mmreliab windows  --model wo  [--trials N] [--seed S] [--workers W] [--lanes L]
+//! mmreliab survival --model tso --threads 2 [--trials N] [--seed S] [--workers W]
+//! mmreliab windows  --model wo  [--trials N] [--seed S] [--workers W]
 //! mmreliab trace    --model tso [--m M] [--seed S]
 //! mmreliab opsim    [--threads N] [--trials N] [--seed S] [--workers W]
 //! mmreliab litmus   [--trials N] [--seed S]
@@ -14,12 +14,6 @@
 //! `--threads` is the *simulated* core count `n` of the model; `--workers`
 //! is how many OS threads run the Monte-Carlo trials. Workers only change
 //! wall-clock time — every result is identical for any worker count.
-//! `--lanes L` (1..=64) opts the `survival` and `windows` Monte-Carlo
-//! estimates into the batch-lane kernels: `L` trials advance in lockstep
-//! per step, each on its own counter-seeded stream. Lane results are
-//! bit-identical for any `L` and any worker count, but come from a
-//! different RNG stream than the scalar path, so they match the default
-//! route statistically rather than bit-wise.
 //!
 //! `--cache DIR` enables the content-addressed result store: a repeated
 //! Monte-Carlo request is served bit-identically from DIR and a grown one
@@ -71,7 +65,6 @@ struct Args {
     m: usize,
     param: String,
     workers: usize,
-    lanes: Option<usize>,
     cache: Option<std::path::PathBuf>,
     metrics: Option<std::path::PathBuf>,
     metrics_prom: bool,
@@ -97,7 +90,6 @@ fn parse_args() -> Result<Args, mmreliab::Error> {
         workers: std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1),
-        lanes: None,
         cache: None,
         metrics: None,
         metrics_prom: false,
@@ -143,17 +135,6 @@ fn parse_args() -> Result<Args, mmreliab::Error> {
                     return Err(invalid(format!("--workers must be at least 1\n{}", usage())));
                 }
             }
-            "--lanes" => {
-                let lanes: usize = value()?.parse().map_err(|e| invalid(format!("{e}")))?;
-                if !(1..=settle::MAX_LANES).contains(&lanes) {
-                    return Err(invalid(format!(
-                        "--lanes must be in 1..={}\n{}",
-                        settle::MAX_LANES,
-                        usage()
-                    )));
-                }
-                args.lanes = Some(lanes);
-            }
             "--cache" => args.cache = Some(value()?.into()),
             "--metrics" => args.metrics = Some(value()?.into()),
             "--metrics-format" => {
@@ -190,7 +171,7 @@ fn usage() -> String {
     String::from(
         "usage: mmreliab <table1|survival|windows|trace|opsim|litmus|sweep> \
          [--model sc|tso|pso|wo] [--threads N] [--trials N] [--seed S] [--m M] [--param s|p|q] \
-         [--workers W] [--lanes L] [--cache DIR] [--metrics FILE] [--metrics-format json|prom] \
+         [--workers W] [--cache DIR] [--metrics FILE] [--metrics-format json|prom] \
          [--trace FILE] [--flight FILE] [--dossier-dir DIR] [--serve ADDR] [--progress] \
          [--quiet]\n       \
          mmreliab inspect ARTIFACT [--diff OTHER]",
@@ -460,16 +441,8 @@ fn cmd_survival(args: &Args) {
         rb.samples
     );
     if args.threads <= 3 {
-        let direct = match args.lanes {
-            Some(lanes) => {
-                rm.simulate_survival_lanes_with(args.trials, args.seed ^ 1, lanes, args.workers)
-            }
-            None => rm.simulate_survival_with(args.trials, args.seed ^ 1, args.workers),
-        };
-        match args.lanes {
-            Some(lanes) => println!("  direct simulation:   {direct}   (lane kernels, L = {lanes})"),
-            None => println!("  direct simulation:   {direct}"),
-        }
+        let direct = rm.simulate_survival_with(args.trials, args.seed ^ 1, args.workers);
+        println!("  direct simulation:   {direct}");
     } else {
         println!("  direct simulation:   skipped (Pr[A] ~ e^-n^2 is below MC reach)");
     }
@@ -484,10 +457,7 @@ fn cmd_survival(args: &Args) {
 
 fn cmd_windows(args: &Args) {
     let rm = ReliabilityModel::new(args.model, 2);
-    let h = match args.lanes {
-        Some(lanes) => rm.window_histogram_lanes_with(args.trials, args.seed, lanes, args.workers),
-        None => rm.window_histogram_with(args.trials, args.seed, args.workers),
-    };
+    let h = rm.window_histogram_with(args.trials, args.seed, args.workers);
     let laws = WindowLaws::new();
     println!(
         "critical-window growth gamma under {} ({} samples):\n",

@@ -110,11 +110,14 @@ fn zero_m_rejected() {
 fn survival_output_is_identical_across_worker_counts() {
     // --workers only changes wall-clock time: the chunk-tiled executor
     // produces the same bits at any worker count.
-    let base = ["survival", "--model", "tso", "--trials", "4000", "--seed", "5"];
-    let (ok1, one, _) = run(&[&base[..], &["--workers", "1"]].concat());
-    let (ok4, four, _) = run(&[&base[..], &["--workers", "4"]].concat());
-    assert!(ok1 && ok4);
-    assert_eq!(one, four);
+    let survival = ["survival", "--model", "tso", "--trials", "4000", "--seed", "5"];
+    let windows = ["windows", "--model", "wo", "--trials", "20000", "--seed", "11"];
+    for base in [&survival[..], &windows[..]] {
+        let (ok1, one, _) = run(&[base, &["--workers", "1"]].concat());
+        let (ok4, four, _) = run(&[base, &["--workers", "4"]].concat());
+        assert!(ok1 && ok4, "{base:?}");
+        assert_eq!(one, four, "{base:?}");
+    }
 }
 
 #[test]
@@ -163,8 +166,14 @@ fn progress_flag_is_accepted() {
 
 #[test]
 fn unknown_flag_fails_with_usage() {
-    let (ok, _, stderr) = run(&["survival", "--bogus"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown flag"));
-    assert!(stderr.contains("usage:"));
+    for args in [&["survival", "--bogus"][..], &["windows", "--lanes", "8"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mmreliab"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}");
+    }
 }

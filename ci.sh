@@ -83,10 +83,10 @@ rm -rf "$BENCH_DIR"
 DET_DIR="$(mktemp -d)"
 cargo run --release --offline -p mmr-bench --bin experiments -- \
   --quick --seed 20110606 --threads 1 --json "$DET_DIR/t1.json" \
-  --metrics "$DET_DIR/m1.json" lem42 thm62
+  --metrics "$DET_DIR/m1.json" clm43 lem42 opsim thm62
 cargo run --release --offline -p mmr-bench --bin experiments -- \
   --quick --seed 20110606 --threads 4 --json "$DET_DIR/t4.json" \
-  --metrics "$DET_DIR/m4.json" lem42 thm62
+  --metrics "$DET_DIR/m4.json" clm43 lem42 opsim thm62
 grep -vE '"(elapsed_secs|threads|host_cores|trials_per_sec)":' "$DET_DIR/t1.json" > "$DET_DIR/t1.stripped"
 grep -vE '"(elapsed_secs|threads|host_cores|trials_per_sec)":' "$DET_DIR/t4.json" > "$DET_DIR/t4.stripped"
 diff "$DET_DIR/t1.stripped" "$DET_DIR/t4.stripped"

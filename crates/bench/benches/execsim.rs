@@ -2,7 +2,7 @@
 //! model and core count (DESIGN.md ablation 5's machinery).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use execsim::{increment_workload, Machine, SimParams};
+use execsim::{increment_workload, IncrementMachine, SimParams};
 use memmodel::MemoryModel;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -17,12 +17,8 @@ fn bench_machine(c: &mut Criterion) {
                 &n,
                 |b, &n| {
                     let mut rng = SmallRng::seed_from_u64(7);
-                    b.iter(|| {
-                        let programs = increment_workload(n, 8, &mut rng);
-                        let mut machine =
-                            Machine::new(programs, SimParams::for_model(model), &mut rng);
-                        black_box(machine.run(&mut rng).expect("quiesces"))
-                    });
+                    let mut machine = IncrementMachine::new(n, 8, SimParams::for_model(model));
+                    b.iter(|| black_box(machine.run(&mut rng).expect("quiesces")));
                 },
             );
         }

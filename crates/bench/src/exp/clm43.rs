@@ -22,9 +22,10 @@ pub fn run(ctx: &Ctx) -> String {
         let gen = ProgramGenerator::new(48);
         let report = Runner::new(Seed(ctx.seed.wrapping_add(k as u64)))
             .with_threads(ctx.threads)
-            .try_bernoulli(ctx.trials, move |rng| {
-                let program = gen.generate(rng);
-                events::observe_bottom_store(&settler, &program, i, rng)
+            .try_bernoulli_scratch(ctx.trials, || super::keyed_scratch(48), move |(shape, scratch), rng| {
+                let key = gen.draw_key(rng);
+                events::bottom_store_keyed(&settler, shape, key, gen.store_threshold(), i, scratch, rng)
+                    .expect("i is within the program")
             })
             .expect("panic-free simulation");
         crate::diag::record_report(format!("clm43.i{i}"), &report);
@@ -58,9 +59,10 @@ pub fn run(ctx: &Ctx) -> String {
         );
         let est = Runner::new(Seed(ctx.seed ^ ((p * 100.0) as u64) ^ ((s * 10.0) as u64)))
             .with_threads(ctx.threads)
-            .bernoulli(ctx.trials / 2, move |rng| {
-                let program = gen.generate(rng);
-                events::observe_bottom_store(&settler_g, &program, 48, rng)
+            .bernoulli_scratch(ctx.trials / 2, || super::keyed_scratch(48), move |(shape, scratch), rng| {
+                let key = gen.draw_key(rng);
+                events::bottom_store_keyed(&settler_g, shape, key, gen.store_threshold(), 48, scratch, rng)
+                    .expect("i is within the program")
             });
         let covered = est.covers(limit, 0.999);
         ok &= covered;

@@ -16,10 +16,14 @@ pub fn run(ctx: &Ctx) -> String {
     let mut out = String::new();
     let settler = Settler::for_model(MemoryModel::Tso);
     let gen = ProgramGenerator::new(64);
-    let h = Runner::new(Seed(ctx.seed ^ 0x42)).with_threads(ctx.threads).histogram(ctx.trials, move |rng| {
-        let program = gen.generate(rng);
-        events::observe_l_mu(&settler, &program, rng)
-    });
+    let h = Runner::new(Seed(ctx.seed ^ 0x42)).with_threads(ctx.threads).histogram_scratch(
+        ctx.trials,
+        || super::keyed_scratch(64),
+        move |(shape, scratch), rng| {
+            let key = gen.draw_key(rng);
+            events::l_mu_keyed(&settler, shape, key, gen.store_threshold(), scratch, rng)
+        },
+    );
 
     let series = lemma42::pr_l_mu_series_all(96, lemma42::DEFAULT_Q_MAX);
     let mut table = Table::new(vec!["mu", "paper lower bound", "series", "measured"]);

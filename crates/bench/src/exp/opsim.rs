@@ -1,7 +1,7 @@
 //! EXP-OPSIM: operational multiprocessor ground truth for the §2.2 bug.
 
 use crate::{verdict, Ctx};
-use execsim::{run_increment_trial, SimParams};
+use execsim::{IncrementMachine, SimParams};
 use memmodel::MemoryModel;
 use montecarlo::{BernoulliEstimate, Runner, Seed};
 use std::fmt::Write as _;
@@ -13,9 +13,11 @@ fn bug_rate(ctx: &Ctx, model: MemoryModel, n: usize, salt: u64) -> BernoulliEsti
     let params = SimParams::for_model(model);
     let report = Runner::new(Seed(ctx.seed.wrapping_add(salt)))
         .with_threads(ctx.threads)
-        .try_bernoulli(ctx.trials / 4, move |rng| {
-            run_increment_trial(n, FILLER, params, rng)
-        })
+        .try_bernoulli_scratch(
+            ctx.trials / 4,
+            move || IncrementMachine::new(n, FILLER, params),
+            |machine, rng| machine.run(rng).expect("the increment workload quiesces").bug_manifested(),
+        )
         .expect("panic-free simulation");
     crate::diag::record_report(format!("opsim.n{n}.{}", model.short_name()), &report);
     report.value

@@ -73,20 +73,24 @@ impl StoreBuffer {
         if self.entries.is_empty() {
             return None;
         }
-        // Collect the distinct locations present, pick one, pop its oldest.
-        let mut locs: Vec<Location> = Vec::new();
-        for &(l, _) in &self.entries {
-            if !locs.contains(&l) {
-                locs.push(l);
-            }
-        }
-        let chosen = locs[rng.gen_range(0..locs.len())];
-        let idx = self
-            .entries
-            .iter()
-            .position(|&(l, _)| l == chosen)
+        // Pick one of the distinct locations present, in order of their
+        // oldest entries, and pop that oldest entry.
+        let oldest = |&i: &usize| {
+            let loc = self.entries[i].0;
+            !self.entries.iter().take(i).any(|&(l, _)| l == loc)
+        };
+        let distinct = (0..self.entries.len()).filter(oldest).count();
+        let chosen = rng.gen_range(0..distinct);
+        let idx = (0..self.entries.len())
+            .filter(oldest)
+            .nth(chosen)
             .expect("chosen location present");
         self.entries.remove(idx)
+    }
+
+    /// Empties the buffer, keeping its allocation.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
     }
 
     /// Number of buffered stores.

@@ -2,7 +2,7 @@
 
 use crate::{CoreProgram, Op, Reg, SharedMemory, StoreBuffer};
 use memmodel::fence::FenceKind;
-use memmodel::MemoryModel;
+use memmodel::{MemoryModel, ReorderMatrix};
 use rand::Rng;
 
 /// Execution state of a core.
@@ -40,10 +40,23 @@ pub struct Cpu {
     start_delay: u64,
     /// In-order models: next op index. OoO: lowest un-issued index.
     pc: usize,
-    /// OoO only: per-op issued flags.
-    issued: Vec<bool>,
     window: usize,
     drain_prob: f64,
+    /// Whether the core issues out of order (WO, or any custom model that
+    /// relaxes a pair beyond what a store buffer expresses).
+    out_of_order: bool,
+    /// In-order only: whether stores pass through the store buffer (the
+    /// model lets loads pass earlier stores).
+    buffered: bool,
+    /// OoO only: the issue dependencies, one bitset row of
+    /// [`Cpu::words`] words per op: bit `j` of row `i` is set when op `i`
+    /// may not issue while earlier op `j` is un-issued. Only pairs that
+    /// can share the window are recorded.
+    deps: Vec<u64>,
+    /// OoO only: bitset of the un-issued ops.
+    pending: Vec<u64>,
+    /// OoO only: the ops ready to issue this step (reused buffer).
+    ready: Vec<usize>,
 }
 
 impl Cpu {
@@ -58,18 +71,26 @@ impl Cpu {
         window: usize,
         drain_prob: f64,
     ) -> Cpu {
-        let issued = vec![false; program.len()];
-        Cpu {
+        use memmodel::OpType::{Ld, St};
+        let m = model.matrix();
+        let mut cpu = Cpu {
             program,
             regs: [0; Reg::COUNT],
             model,
             buffer: StoreBuffer::new(),
             start_delay,
             pc: 0,
-            issued,
             window: window.max(1),
             drain_prob,
-        }
+            out_of_order: m.allows(Ld, Ld) || m.allows(Ld, St),
+            buffered: m.allows(St, Ld),
+            deps: Vec::new(),
+            pending: Vec::new(),
+            ready: Vec::new(),
+        };
+        cpu.plan();
+        cpu.restart(start_delay);
+        cpu
     }
 
     /// Current execution state.
@@ -92,12 +113,62 @@ impl Cpu {
         &self.regs
     }
 
-    /// Whether this core uses out-of-order issue (WO, or any custom model
-    /// that relaxes a pair beyond what a store buffer expresses).
-    fn is_out_of_order(&self) -> bool {
-        use memmodel::OpType::{Ld, St};
-        let m = self.model.matrix();
-        m.allows(Ld, Ld) || m.allows(Ld, St)
+    /// The words per row of the OoO bitsets.
+    fn words(&self) -> usize {
+        self.program.len().div_ceil(64)
+    }
+
+    /// The program's ops, to rewrite in place; call [`Cpu::plan`] (or
+    /// [`Cpu::copy_plan`]) and [`Cpu::restart`] afterwards.
+    pub(crate) fn ops_mut(&mut self) -> &mut [Op] {
+        self.program.ops_mut()
+    }
+
+    /// Derives the OoO issue dependencies of the current program (nothing
+    /// for an in-order core).
+    pub(crate) fn plan(&mut self) {
+        self.deps.clear();
+        if !self.out_of_order {
+            return;
+        }
+        let words = self.words();
+        let ops = self.program.ops();
+        let matrix = self.model.matrix();
+        self.deps.resize(ops.len() * words, 0);
+        for (i, op) in ops.iter().enumerate() {
+            // An op in the window is at most `window - 1` past the lowest
+            // un-issued op, so earlier ops further back are issued.
+            let first = i.saturating_sub(self.window - 1);
+            for (j, earlier) in ops[first..i].iter().enumerate().map(|(k, e)| (first + k, e)) {
+                if blocks(earlier, op, matrix) {
+                    self.deps[i * words + j / 64] |= 1 << (j % 64);
+                }
+            }
+        }
+    }
+
+    /// Takes the issue dependencies of `other`, a core of the same model
+    /// and window whose program has the same dependency structure.
+    pub(crate) fn copy_plan(&mut self, other: &Cpu) {
+        debug_assert_eq!(self.program.len(), other.program.len());
+        self.deps.clone_from(&other.deps);
+    }
+
+    /// Resets the core to the start of its program with an empty store
+    /// buffer and zeroed registers, waiting `start_delay` cycles.
+    pub(crate) fn restart(&mut self, start_delay: u64) {
+        self.regs = [0; Reg::COUNT];
+        self.buffer.clear();
+        self.start_delay = start_delay;
+        self.pc = 0;
+        self.pending.clear();
+        if self.out_of_order {
+            let len = self.program.len();
+            self.pending.resize(self.words(), u64::MAX);
+            if !len.is_multiple_of(64) {
+                *self.pending.last_mut().expect("a non-empty program") = (1 << (len % 64)) - 1;
+            }
+        }
     }
 
     /// Runs one cycle: possibly executes one instruction, then possibly
@@ -111,7 +182,7 @@ impl Cpu {
             return event;
         }
         if self.pc < self.program.len() {
-            event.executed = if self.is_out_of_order() {
+            event.executed = if self.out_of_order {
                 self.step_out_of_order(mem, rng)
             } else {
                 self.step_in_order(mem)
@@ -134,14 +205,10 @@ impl Cpu {
     /// In-order pipeline with a store buffer (SC / TSO / PSO). Returns the
     /// executed instruction, or `None` on a fence stall.
     fn step_in_order(&mut self, mem: &mut SharedMemory) -> Option<Op> {
-        let uses_buffer = self
-            .model
-            .matrix()
-            .allows(memmodel::OpType::St, memmodel::OpType::Ld);
         let op = self.program.ops()[self.pc];
         match op {
             Op::Load { reg, loc } => {
-                let value = if uses_buffer {
+                let value = if self.buffered {
                     self.buffer.forward(loc).unwrap_or_else(|| mem.read(loc))
                 } else {
                     mem.read(loc)
@@ -150,7 +217,7 @@ impl Cpu {
             }
             Op::Store { reg, loc } => {
                 let value = self.regs[reg.index()];
-                if uses_buffer {
+                if self.buffered {
                     self.buffer.push(loc, value);
                 } else {
                     mem.stage_write(loc, value);
@@ -181,60 +248,35 @@ impl Cpu {
         rng: &mut R,
     ) -> Option<Op> {
         let end = (self.pc + self.window).min(self.program.len());
-        let ready: Vec<usize> = (self.pc..end)
-            .filter(|&i| !self.issued[i] && self.is_ready(i))
-            .collect();
-        if ready.is_empty() {
+        self.ready.clear();
+        for i in self.pc..end {
+            if self.is_ready(i) {
+                self.ready.push(i);
+            }
+        }
+        if self.ready.is_empty() {
             return None;
         }
-        let choice = ready[rng.gen_range(0..ready.len())];
+        let choice = self.ready[rng.gen_range(0..self.ready.len())];
         self.execute_now(choice, mem);
-        self.issued[choice] = true;
-        while self.pc < self.program.len() && self.issued[self.pc] {
+        self.pending[choice / 64] &= !(1 << (choice % 64));
+        while self.pc < self.program.len() && !self.is_pending(self.pc) {
             self.pc += 1;
         }
         Some(self.program.ops()[choice])
     }
 
-    /// Whether op `i` may issue ahead of all earlier un-issued ops.
+    /// Whether op `i` is un-issued.
+    fn is_pending(&self, i: usize) -> bool {
+        self.pending[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Whether op `i` is un-issued and may issue ahead of all earlier
+    /// un-issued ops.
     fn is_ready(&self, i: usize) -> bool {
-        let ops = self.program.ops();
-        let op = ops[i];
-        let matrix = self.model.matrix();
-        for (j, &earlier) in ops.iter().enumerate().take(i).skip(self.pc) {
-            if self.issued[j] {
-                continue;
-            }
-            // Register dependencies (RAW, WAW, WAR) always bind.
-            let raw = earlier.writes_reg().is_some() && earlier.writes_reg() == op.reads_reg();
-            let waw = earlier.writes_reg().is_some() && earlier.writes_reg() == op.writes_reg();
-            let war = earlier.reads_reg().is_some() && earlier.reads_reg() == op.writes_reg();
-            if raw || waw || war {
-                return false;
-            }
-            // Same-location memory dependencies always bind.
-            if earlier.loc().is_some() && earlier.loc() == op.loc() {
-                return false;
-            }
-            // Fence constraints.
-            if let Op::Fence(k) = earlier {
-                if !k.permits_hoist_above() {
-                    return false;
-                }
-            }
-            if let Op::Fence(k) = op {
-                if !k.permits_sink_below() {
-                    return false;
-                }
-            }
-            // Memory-model pair constraints for two memory ops.
-            if let (Some(te), Some(tm)) = (op_type(&earlier), op_type(&op)) {
-                if !matrix.allows(te, tm) {
-                    return false;
-                }
-            }
-        }
-        true
+        let words = self.words();
+        let row = &self.deps[i * words..(i + 1) * words];
+        self.is_pending(i) && row.iter().zip(&self.pending).all(|(dep, pending)| dep & pending == 0)
     }
 
     fn execute_now(&mut self, i: usize, mem: &mut SharedMemory) {
@@ -247,6 +289,22 @@ impl Cpu {
             Op::Fence(_) => {}
         }
     }
+}
+
+/// Whether `op` may not issue while the earlier `earlier` is un-issued.
+fn blocks(earlier: &Op, op: &Op, matrix: ReorderMatrix) -> bool {
+    // Register dependencies (RAW, WAW, WAR) always bind.
+    let raw = earlier.writes_reg().is_some() && earlier.writes_reg() == op.reads_reg();
+    let waw = earlier.writes_reg().is_some() && earlier.writes_reg() == op.writes_reg();
+    let war = earlier.reads_reg().is_some() && earlier.reads_reg() == op.writes_reg();
+    // Same-location memory dependencies always bind.
+    let same_loc = earlier.loc().is_some() && earlier.loc() == op.loc();
+    // Fence constraints.
+    let fenced = matches!(earlier, Op::Fence(k) if !k.permits_hoist_above())
+        || matches!(op, Op::Fence(k) if !k.permits_sink_below());
+    // Memory-model pair constraints for two memory ops.
+    let ordered = matches!((op_type(earlier), op_type(op)), (Some(te), Some(tm)) if !matrix.allows(te, tm));
+    raw || waw || war || same_loc || fenced || ordered
 }
 
 fn op_type(op: &Op) -> Option<memmodel::OpType> {

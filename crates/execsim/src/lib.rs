@@ -11,7 +11,10 @@
 //! Running the §2.2 canonical increment (`LD x; ADD 1; ST x`) on `n` cores
 //! and checking whether the final value of `x` equals `n` gives a
 //! ground-truth bug-manifestation measurement to compare against the
-//! abstract model (experiment EXP-OPSIM in DESIGN.md).
+//! abstract model (experiment EXP-OPSIM in DESIGN.md). Repeated trials of
+//! that workload reuse one [`IncrementMachine`], which resets the cores,
+//! programs and memory in place and draws exactly what building the
+//! workload and a fresh [`Machine`] would.
 //!
 //! # Example
 //!
@@ -45,6 +48,6 @@ mod workload;
 pub use buffer::StoreBuffer;
 pub use cpu::{Cpu, CpuState, StepEvent};
 pub use isa::{CoreProgram, Op, Reg};
-pub use machine::{run_increment_trial, Machine, Outcome, RunError, SimParams};
+pub use machine::{run_increment_trial, IncrementMachine, Machine, Outcome, RunError, SimParams};
 pub use memory::SharedMemory;
 pub use workload::{increment_workload, increment_workload_fenced, CANONICAL_FILLER};

@@ -57,6 +57,12 @@ impl SharedMemory {
         n
     }
 
+    /// Forgets every write, committed or staged, keeping the allocations.
+    pub(crate) fn clear(&mut self) {
+        self.words.clear();
+        self.staged.clear();
+    }
+
     /// Number of writes currently staged.
     #[must_use]
     pub fn staged_count(&self) -> usize {

@@ -27,7 +27,8 @@ pub fn increment_workload<R: Rng + ?Sized>(
     filler: usize,
     rng: &mut R,
 ) -> Vec<CoreProgram> {
-    let pattern: Vec<bool> = (0..filler).map(|_| rng.gen_bool(0.5)).collect();
+    let mut pattern = vec![false; filler];
+    draw_pattern(&mut pattern, rng);
     build_workload(n, &pattern, None)
 }
 
@@ -39,22 +40,43 @@ pub fn increment_workload_fenced<R: Rng + ?Sized>(
     fence: FenceKind,
     rng: &mut R,
 ) -> Vec<CoreProgram> {
-    let pattern: Vec<bool> = (0..filler).map(|_| rng.gen_bool(0.5)).collect();
+    let mut pattern = vec![false; filler];
+    draw_pattern(&mut pattern, rng);
     build_workload(n, &pattern, Some(fence))
 }
 
-fn build_workload(n: usize, store_pattern: &[bool], fence: Option<FenceKind>) -> Vec<CoreProgram> {
+/// Draws a filler store pattern: each slot a store with probability 1/2.
+pub(crate) fn draw_pattern<R: Rng + ?Sized>(pattern: &mut [bool], rng: &mut R) {
+    for is_store in pattern {
+        *is_store = rng.gen_bool(0.5);
+    }
+}
+
+/// Rewrites the filler accesses at the head of a workload program's `ops`
+/// to the types of `store_pattern`, keeping their registers and locations.
+pub(crate) fn retype(ops: &mut [Op], store_pattern: &[bool]) {
+    for (op, &is_store) in ops.iter_mut().zip(store_pattern) {
+        let loc = op.loc().expect("filler ops access memory");
+        *op = filler_op(is_store, loc);
+    }
+}
+
+fn filler_op(is_store: bool, loc: Location) -> Op {
+    if is_store {
+        Op::Store { reg: SCRATCH, loc }
+    } else {
+        Op::Load { reg: SCRATCH, loc }
+    }
+}
+
+pub(crate) fn build_workload(n: usize, store_pattern: &[bool], fence: Option<FenceKind>) -> Vec<CoreProgram> {
     (0..n)
         .map(|core| {
             let mut ops = Vec::with_capacity(store_pattern.len() + 4);
             for (slot, &is_store) in store_pattern.iter().enumerate() {
                 // Private per-(core, slot) location: never shared.
                 let loc = Location::filler(1 + core * (store_pattern.len() + 1) + slot);
-                if is_store {
-                    ops.push(Op::Store { reg: SCRATCH, loc });
-                } else {
-                    ops.push(Op::Load { reg: SCRATCH, loc });
-                }
+                ops.push(filler_op(is_store, loc));
             }
             if let Some(kind) = fence {
                 ops.push(Op::Fence(kind));

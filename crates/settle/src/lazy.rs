@@ -70,6 +70,13 @@
 //! typed on first read and memoised across the program's settles — the
 //! program-key analogue of the deferred decisions above, so a settle
 //! types only the fillers its γ depends on.
+//!
+//! # Prefix observables
+//!
+//! The same lookups answer Section 4's questions about the bottom of a
+//! settled prefix ([`crate::events`]): the run of stores at depths
+//! `0, 1, …` after the prefix's last round is a loop of `Q(r, d)` lookups
+//! at fixed `r`. Past the walk budget only the prefix is settled forward.
 
 use crate::process::{
     attempt_draw, climb, image_gamma, Image, ProgramShape, Tables, BLOCKED, CERTAIN, FENCE_FLAG,
@@ -187,13 +194,27 @@ impl LazyScratch {
     /// number of swap attempts it decided.
     pub(crate) fn gamma<E: Entries>(&mut self, entries: E, tables: &Tables, key: u64, image: Image) -> (u64, u64) {
         let len = entries.len();
+        let (mut lazy, work) = self.start(entries, tables, key, len);
+        let gamma = lazy.gamma(image.ld, image.st, work);
+        (gamma, lazy.attempts)
+    }
+
+    /// A lazy settle of the first `rounds` rounds over `entries` with
+    /// nothing revealed, and the buffer of its forward finish.
+    fn start<'s, E: Entries>(
+        &'s mut self,
+        entries: E,
+        tables: &'s Tables,
+        key: u64,
+        rounds: usize,
+    ) -> (Lazy<'s, E>, &'s mut Vec<u64>) {
         self.know.clear();
-        self.know.resize(len, 0);
+        self.know.resize(rounds, 0);
         debug_assert!(self.stack.is_empty());
-        self.stack.reserve(len);
+        self.stack.reserve(rounds);
         self.work.clear();
-        self.work.reserve(len);
-        let mut lazy = Lazy {
+        self.work.reserve(rounds);
+        let lazy = Lazy {
             entries,
             know: &mut self.know,
             stack: &mut self.stack,
@@ -201,10 +222,36 @@ impl LazyScratch {
             reach: [tables.reach(0), tables.reach(1)],
             key,
             attempts: 0,
-            budget: STEPS_PER_INSTRUCTION * len,
+            budget: STEPS_PER_INSTRUCTION * rounds,
         };
-        let gamma = lazy.gamma(image.ld, image.st, &mut self.work);
-        (gamma, lazy.attempts)
+        (lazy, &mut self.work)
+    }
+
+    /// The number of stores at the bottom of the settled prefix after
+    /// `rounds` rounds (depths `0, 1, …` up to the first non-store),
+    /// counting at most `cap`, for settle key `key` over `entries`.
+    ///
+    /// Each depth is a lookup `Q(rounds - 1, d)`, so only the climbs the
+    /// bottom of the prefix depends on are settled. Past the walk budget
+    /// (`STEPS_PER_INSTRUCTION` per prefix round) the prefix, and only the
+    /// prefix, is settled forward instead. Both halves read the forward
+    /// kernel's attempt addresses, so the count is the forward prefix's
+    /// bit for bit.
+    pub(crate) fn store_run<E: Entries>(
+        &mut self,
+        entries: E,
+        tables: &Tables,
+        key: u64,
+        rounds: usize,
+        cap: usize,
+    ) -> u64 {
+        debug_assert!(cap <= rounds && rounds <= entries.len());
+        let (mut lazy, work) = self.start(entries, tables, key, rounds);
+        lazy.store_run_within_budget(rounds, cap).unwrap_or_else(|| {
+            lazy.settle_forward(rounds, work);
+            let bottom = work.iter().rev().take(cap);
+            bottom.take_while(|&&entry| is_store((entry >> 32) as u32)).count() as u64
+        })
     }
 
     /// Whether the last settle ran out of walk budget and finished
@@ -213,6 +260,11 @@ impl LazyScratch {
     pub(crate) fn finished_forward(&self) -> bool {
         !self.work.is_empty()
     }
+}
+
+/// Whether a packed word is a store (critical or filler).
+fn is_store(word: u32) -> bool {
+    word & FENCE_FLAG == 0 && (word >> ST_FLAG_SHIFT) & 1 == 1
 }
 
 /// One lazy settle over a program's entries in initial order.
@@ -269,14 +321,26 @@ impl<E: Entries> Lazy<'_, E> {
         Some(u64::from(ld_depth - st_depth - 1))
     }
 
-    /// Settles the whole program forward in `work`, replaying every climb
-    /// already revealed and evaluating only the attempts that are not,
-    /// then reads γ off the settled image.
+    /// Settles the whole program forward in `work`, then reads γ off the
+    /// settled image.
     fn finish_forward(&mut self, ld: usize, st: usize, work: &mut Vec<u64>) -> u64 {
+        self.settle_forward(self.entries.len(), work);
+        image_gamma(work, ld, st)
+    }
+
+    /// Settles the first `rounds` rounds forward in `work` (the prefix
+    /// `S_{rounds-1}`, in settled order), replaying every climb already
+    /// revealed and evaluating only the attempts that are not.
+    ///
+    /// The rare fallback of both kernels: kept out of line so that it
+    /// does not weigh on the lookup walks' code.
+    #[cold]
+    #[inline(never)]
+    fn settle_forward(&mut self, rounds: usize, work: &mut Vec<u64>) {
         self.stack.clear();
         work.clear();
-        work.extend((0..self.entries.len()).map(|i| self.entries.entry(i)));
-        for r in 0..work.len() {
+        work.extend((0..rounds).map(|i| self.entries.entry(i)));
+        for r in 0..rounds {
             let know = self.know[r];
             let pos = r - (know >> 1) as usize;
             work[pos..=r].rotate_right(1);
@@ -284,7 +348,37 @@ impl<E: Entries> Lazy<'_, E> {
                 self.attempts += climb(work, self.tables, self.key, r, pos);
             }
         }
-        image_gamma(work, ld, st)
+    }
+
+    /// [`LazyScratch::store_run`] by lookups alone, or `None` once the walk
+    /// budget runs out.
+    fn store_run_within_budget(&mut self, rounds: usize, cap: usize) -> Option<u64> {
+        let mut run = 0;
+        while run < cap {
+            #[allow(clippy::cast_possible_truncation)] // depths fit u32 (see `encode_image`)
+            let i = self.lookup(rounds - 1, run as u32)?;
+            if !is_store(self.word(i)) {
+                break;
+            }
+            run += 1;
+        }
+        Some(run as u64)
+    }
+
+    /// `Q(r, d)`: the initial index of the instruction at depth `d` (from
+    /// the bottom) of the settled prefix after round `r`, by walking down
+    /// the rounds. `None` once the walk budget runs out.
+    fn lookup(&mut self, mut r: usize, mut d: u32) -> Option<usize> {
+        loop {
+            let climbed = self.climb(r, d)?;
+            if climbed == d {
+                return Some(r);
+            }
+            if climbed < d {
+                d -= 1;
+            }
+            r -= 1;
+        }
     }
 
     /// Reveals round `round`'s climb until it is known or exceeds `limit`,
@@ -383,7 +477,7 @@ impl<E: Entries> Lazy<'_, E> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ProgramShape, SettleScratch, Settler};
+    use crate::{events, ProgramShape, SettleScratch, Settler};
     use memmodel::fence::FenceKind;
     use memmodel::{MemoryModel, OpType, ReorderMatrix, SettleProbs};
     use progmodel::{Instruction, Location, Program, ProgramGenerator};
@@ -515,5 +609,63 @@ mod tests {
             }
         }
         assert_eq!(cases, 100_000);
+    }
+
+    #[test]
+    fn keyed_observables_are_forward_observables() {
+        // 10^4 program shapes × 10 (settler, p, prefix, RNG state) draws =
+        // 10^5 cases, each checking both observables: drawing a program key
+        // and reading the keyed observable must give regenerate + the
+        // forward observable's value and RNG end state, bit for bit.
+        let mut rng = SmallRng::seed_from_u64(0x5e43);
+        let mut scratch = SettleScratch::new();
+        let mut cases = 0u64;
+        let (mut lazy, mut forward) = (0u64, 0u64);
+        let mut tally = |scratch: &SettleScratch| {
+            if scratch.finished_forward() {
+                forward += 1;
+            } else {
+                lazy += 1;
+            }
+        };
+        for _ in 0..10_000 {
+            let m = if rng.gen_bool(0.2) { rng.gen_range(0..=200) } else { rng.gen_range(0..=24) };
+            let mut program = program(&mut rng, m);
+            if rng.gen_bool(0.2) {
+                program = program.with_acquire_before_critical();
+            }
+            let shape = ProgramShape::new(&program);
+            for _ in 0..10 {
+                let settler = settler(&mut rng);
+                let gen = ProgramGenerator::new(m)
+                    .with_store_probability(probability(&mut rng))
+                    .expect("valid probability");
+                let threshold = gen.store_threshold();
+                let i = rng.gen_range(1..=program.len());
+                let mut a = SmallRng::seed_from_u64(rng.gen());
+                let mut b = a.clone();
+
+                gen.regenerate(&mut program, &mut a);
+                let bottom = events::observe_bottom_store(&settler, &program, i, &mut a);
+                gen.regenerate(&mut program, &mut a);
+                let l_mu = events::observe_l_mu(&settler, &program, &mut a);
+
+                let key = gen.draw_key(&mut b);
+                let keyed_bottom = events::bottom_store_keyed(&settler, &shape, key, threshold, i, &mut scratch, &mut b);
+                tally(&scratch);
+                let key = gen.draw_key(&mut b);
+                let keyed_l_mu = events::l_mu_keyed(&settler, &shape, key, threshold, &mut scratch, &mut b);
+                tally(&scratch);
+
+                assert_eq!(keyed_bottom, Ok(bottom), "{settler:?} {gen} i {i} on {program:?}");
+                assert_eq!(keyed_l_mu, l_mu, "{settler:?} {gen} on {program:?}");
+                assert_eq!(a, b, "RNG end states differ: {settler:?} {gen} i {i} on {program:?}");
+                cases += 1;
+            }
+        }
+        assert_eq!(cases, 100_000);
+        // Both halves of the kernel are exercised: most prefixes are read by
+        // lookups, and some long-climb prefixes run out of walk budget.
+        assert!(forward > 0 && forward < lazy, "lazy {lazy}, forward {forward}");
     }
 }

@@ -24,7 +24,8 @@
 //! * [`SettleTrace`] — a round-by-round trace (reproduces the paper's
 //!   Figure 1);
 //! * [`events`] — observables of the intermediate order `S_m` used by
-//!   Lemma 4.2 and Claim 4.3;
+//!   Lemma 4.2 and Claim 4.3, read by the lazy kernel's lookups on a keyed
+//!   program or off a forward settle;
 //! * [`exact`] — exhaustive finite-`m` settling distributions for small
 //!   programs (a third, fully exact evaluation route);
 //! * [`beta`] — the single-round insertion-point distribution of

@@ -320,6 +320,33 @@ impl Settler {
         }
     }
 
+    /// The number of stores at the bottom of the settled prefix of
+    /// `rounds` rounds of the program of key `program_key` over `shape`,
+    /// counting at most `cap` — the keyed kernel under
+    /// [`events::bottom_store_keyed`](crate::events::bottom_store_keyed)
+    /// and [`events::l_mu_keyed`](crate::events::l_mu_keyed). Draws one
+    /// settle key unless the settler is inert on the shape, exactly as
+    /// [`settle_rounds`](Settler::settle_rounds) does.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn store_run_keyed<R: Rng + ?Sized>(
+        &self,
+        shape: &ProgramShape,
+        store_threshold: u64,
+        program_key: u64,
+        rounds: usize,
+        cap: usize,
+        scratch: &mut SettleScratch,
+        rng: &mut R,
+    ) -> u64 {
+        let tables = self.tables(shape.image.has_release);
+        // An inert settle reads no attempt, so its key is never used.
+        let key = if tables.inert() { 0 } else { rng.next_u64() };
+        scratch.memo.clear();
+        scratch.memo.resize(shape.len(), 0);
+        let entries = Keyed::new(shape, program_key, store_threshold, &mut scratch.memo);
+        scratch.lazy.store_run(entries, &tables, key, rounds, cap)
+    }
+
     /// Resolves the integer draw thresholds of this settler for a program
     /// with (`has_release`) or without a hoistable fence: the four
     /// memory-memory thresholds `eff[earlier_st][later_st]` and the
@@ -597,6 +624,11 @@ impl ProgramShape {
     pub(crate) fn len(&self) -> usize {
         self.words.len()
     }
+
+    /// The initial index of the critical load.
+    pub(crate) fn critical_load_index(&self) -> usize {
+        self.image.ld
+    }
 }
 
 /// Reusable buffers for the in-place settling kernels.
@@ -700,6 +732,12 @@ impl SettleScratch {
         let finished_forward = self.lazy.finished_forward();
         let attempts = settle_packed(&mut self.packed, &tables, program.len(), key);
         ((self.gamma(program), attempts), lazy, finished_forward)
+    }
+
+    /// Whether the last lazy settle ran out of walk budget and finished
+    /// forward.
+    pub(crate) fn finished_forward(&self) -> bool {
+        self.lazy.finished_forward()
     }
 }
 

@@ -7,7 +7,7 @@
 //! cargo run --release --example atomicity_violation [n_threads]
 //! ```
 
-use execsim::{increment_workload, increment_workload_fenced, Machine, SimParams};
+use execsim::{IncrementMachine, SimParams};
 use memmodel::fence::FenceKind;
 use memmodel::MemoryModel;
 use montecarlo::{Runner, Seed};
@@ -26,12 +26,11 @@ fn main() {
     println!("{:<6} {:>12} {:>14} {:>12}", "model", "bug rate", "mean final x", "mean cycles");
     for model in MemoryModel::NAMED {
         let params = SimParams::for_model(model);
-        let stats = Runner::new(Seed(42)).fold(
+        let stats = Runner::new(Seed(42)).fold_scratch(
             trials,
+            move || IncrementMachine::new(n, filler, params),
             || (0u64, 0i64, 0u64),
-            move |rng| {
-                let programs = increment_workload(n, filler, rng);
-                let mut machine = Machine::new(programs, params, rng);
+            |machine, rng| {
                 let out = machine.run(rng).expect("quiesces");
                 (out.bug_manifested(), out.shared_value(), out.cycles())
             },
@@ -59,11 +58,11 @@ fn main() {
     println!("{:<6} {:>12}", "model", "bug rate");
     for model in [MemoryModel::Tso, MemoryModel::Wo] {
         let params = SimParams::for_model(model);
-        let est = Runner::new(Seed(43)).bernoulli(trials, move |rng| {
-            let programs = increment_workload_fenced(n, filler, FenceKind::Full, rng);
-            let mut machine = Machine::new(programs, params, rng);
-            machine.run(rng).expect("quiesces").bug_manifested()
-        });
+        let est = Runner::new(Seed(43)).bernoulli_scratch(
+            trials,
+            move || IncrementMachine::fenced(n, filler, FenceKind::Full, params),
+            |machine, rng| machine.run(rng).expect("quiesces").bug_manifested(),
+        );
         println!("{:<6} {:>12.4}", model.short_name(), est.point());
     }
     println!("\nThe fence narrows the racy window back to its SC size; the");

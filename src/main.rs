@@ -516,7 +516,7 @@ fn cmd_trace(args: &Args) {
 }
 
 fn cmd_opsim(args: &Args) -> Result<(), mmreliab::Error> {
-    use execsim::{run_increment_trial, SimParams};
+    use execsim::{IncrementMachine, SimParams};
     println!(
         "operational bug rate, {} cores, canonical increment ({} trials):\n",
         args.threads, args.trials
@@ -527,9 +527,11 @@ fn cmd_opsim(args: &Args) -> Result<(), mmreliab::Error> {
         let n = args.threads;
         let report = Runner::new(Seed(args.seed))
             .with_threads(args.workers)
-            .try_bernoulli(args.trials, move |rng| {
-                run_increment_trial(n, 8, params, rng)
-            })?;
+            .try_bernoulli_scratch(
+                args.trials,
+                move || IncrementMachine::new(n, 8, params),
+                |machine, rng| machine.run(rng).expect("the increment workload quiesces").bug_manifested(),
+            )?;
         bars.bar(model.short_name(), report.value.point());
     }
     print!("{}", bars.render());

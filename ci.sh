@@ -15,19 +15,14 @@ cargo build --offline -p obs --no-default-features
 cargo test -q --offline -p obs --no-default-features
 cargo build --offline -p montecarlo --no-default-features
 
-# Fast benchmark smoke: the trajectory must run end to end and emit valid
-# JSON, plus structurally valid Chrome-trace and Prometheus exports.
-BENCH_DIR="$(mktemp -d)"
-BENCH_OUT="$BENCH_DIR/BENCH_smoke.json"
-cargo run --release --offline -p mmr-bench --bin experiments -- bench --trials 2000 \
-  --out "$BENCH_OUT" --trace "$BENCH_DIR/trace.json" \
-  --metrics "$BENCH_DIR/metrics.prom" --metrics-format prom
-grep -q '"trials_per_sec"' "$BENCH_OUT"
-grep -q '"chunk_width"' "$BENCH_OUT"
-grep -q '"telemetry_overhead"' "$BENCH_OUT"
-grep -q '"history"' "$BENCH_OUT"
+# Exporter smoke: a quick experiment run must write a structurally valid
+# Chrome trace and a Prometheus exposition that lints clean.
+EXPORT_DIR="$(mktemp -d)"
+cargo run --release --offline -p mmr-bench --bin experiments -- \
+  --quick --quiet --trace "$EXPORT_DIR/trace.json" \
+  --metrics "$EXPORT_DIR/metrics.prom" --metrics-format prom t1 thm62
 # The trace must be JSON with a non-empty traceEvents array.
-python3 - "$BENCH_DIR/trace.json" <<'EOF'
+python3 - "$EXPORT_DIR/trace.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     trace = json.load(f)
@@ -36,7 +31,7 @@ assert isinstance(events, list) and events, "traceEvents must be non-empty"
 EOF
 # The exposition must lint clean: TYPE before samples, monotone cumulative
 # buckets, +Inf == _count.
-python3 - "$BENCH_DIR/metrics.prom" <<'EOF'
+python3 - "$EXPORT_DIR/metrics.prom" <<'EOF'
 import sys
 types, hist = {}, {}
 for line in open(sys.argv[1]):
@@ -68,12 +63,7 @@ for base, h in hist.items():
     assert values[-1] == h["count"], f"{base}: +Inf != _count"
 print(f"prom lint ok: {len(types)} series, {len(hist)} histograms")
 EOF
-# Perf gate, warn-only: compare against the checked-in trajectory but do
-# not fail CI on throughput noise from the host running this script.
-cargo run --release --offline -p mmr-bench --bin experiments -- bench --trials 2000 \
-  --baseline BENCH_e2e.json --out "$BENCH_DIR/BENCH_gated.json" \
-  || echo "warning: perf gate regressed vs BENCH_e2e.json (soft check)"
-rm -rf "$BENCH_DIR"
+rm -rf "$EXPORT_DIR"
 
 # Cross-thread-count determinism smoke: a seeded experiment run must emit
 # identical structured results at --threads 1 and --threads 4 once the
@@ -221,13 +211,15 @@ rm -rf "$FLIGHT_DIR"
 # Prometheus exposition and stream at least one CRC-framed MMRE event
 # mid-run, and serving must be invisible in the results — the final JSON
 # is bit-identical to an unserved twin. An unusable --serve address
-# degrades to a warning plus exit code 2 with results intact.
+# degrades to a warning plus exit code 2 with results intact. These runs
+# use the standard trial count, not --quick: a --quick run ends in tens
+# of milliseconds, before a scraping client can attach.
 SERVE_DIR="$(mktemp -d)"
 cargo run --release --offline -p mmr-bench --bin experiments -- \
-  --quick --seed 20110606 --threads 2 --json "$SERVE_DIR/unserved.json" \
+  --seed 20110606 --threads 2 --json "$SERVE_DIR/unserved.json" \
   --chaos 20110606:mixed lem42 thm62
 cargo run --release --offline -p mmr-bench --bin experiments -- \
-  --quick --seed 20110606 --threads 2 --json "$SERVE_DIR/served.json" \
+  --seed 20110606 --threads 2 --json "$SERVE_DIR/served.json" \
   --chaos 20110606:mixed --serve 127.0.0.1:0 lem42 thm62 \
   2> "$SERVE_DIR/served.log" &
 SERVE_PID=$!
@@ -295,7 +287,7 @@ print("serve smoke ok: served run is bit-identical")
 EOF2
 SERVE_RC=0
 cargo run --release --offline -p mmr-bench --bin experiments -- \
-  --quick --seed 20110606 --threads 2 --json "$SERVE_DIR/degraded.json" \
+  --seed 20110606 --threads 2 --json "$SERVE_DIR/degraded.json" \
   --chaos 20110606:mixed --serve not-an-address lem42 thm62 \
   2> "$SERVE_DIR/degraded.log" || SERVE_RC=$?
 test "$SERVE_RC" -eq 2

@@ -1,5 +1,5 @@
-//! Benchmarks the cost of telemetry on the pool-dispatched `joined_mt`
-//! pipeline: the identical seeded batch with metric recording on vs. off.
+//! Benchmarks the cost of telemetry on the pool-dispatched survival batch:
+//! the identical seeded batch with metric recording on vs. off.
 //!
 //! Instrumentation is chunk-granular (one histogram record and a handful
 //! of relaxed counter ops per 4096 trials), so the two arms should be
@@ -14,9 +14,8 @@ use mmr_core::ReliabilityModel;
 use montecarlo::{Runner, Seed};
 use std::hint::black_box;
 
-/// The `joined_mt` batch from `experiments bench`: the end-to-end survival
-/// kernel through the persistent pool.
-fn joined_mt_successes(trials: u64, seed: u64, threads: usize) -> u64 {
+/// The end-to-end survival kernel dispatched through the persistent pool.
+fn survival_successes(trials: u64, seed: u64, threads: usize) -> u64 {
     let rm = ReliabilityModel::new(MemoryModel::Tso, 2);
     Runner::new(Seed(seed))
         .with_threads(threads)
@@ -38,7 +37,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
                 &(trials, threads),
                 |b, &(trials, threads)| {
                     obs::set_recording(true);
-                    b.iter(|| black_box(joined_mt_successes(trials, 7, threads)));
+                    b.iter(|| black_box(survival_successes(trials, 7, threads)));
                 },
             );
             group.bench_with_input(
@@ -46,7 +45,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
                 &(trials, threads),
                 |b, &(trials, threads)| {
                     obs::set_recording(false);
-                    b.iter(|| black_box(joined_mt_successes(trials, 7, threads)));
+                    b.iter(|| black_box(survival_successes(trials, 7, threads)));
                     obs::set_recording(true);
                 },
             );

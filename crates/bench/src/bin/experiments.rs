@@ -22,10 +22,6 @@
 //! suppresses status lines (errors still print; exit codes are unchanged)
 //! and wins over `--progress`.
 //!
-//! `experiments bench --baseline BENCH_e2e.json` additionally runs the
-//! noise-aware perf-regression gate against the checked-in trajectory and
-//! exits non-zero on a regression.
-//!
 //! `--serve ADDR` exposes live telemetry over HTTP/1.0 (`GET /metrics`,
 //! `/events`, `/status`) for the run's duration; clients attaching or
 //! detaching never change a seeded result, and an unusable ADDR follows
@@ -43,7 +39,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: experiments [--quick] [--trials N] [--seed S] [--threads T] [--out FILE] [--json FILE] [--checkpoint FILE] [--cache DIR] [--metrics FILE] [--metrics-format json|prom] [--trace FILE] [--flight FILE] [--dossier-dir DIR] [--serve ADDR] [--chaos SEED[:PROFILE]] [--progress] [--quiet] [--list] [ids...]\n       experiments bench [--trials N] [--seed S] [--threads T] [--out FILE (default BENCH_e2e.json)] [--baseline FILE] [--metrics FILE] [--metrics-format json|prom] [--trace FILE] [--quiet]\n       experiments inspect ARTIFACT [--diff OTHER]\n\n--threads bounds worker parallelism only; results are identical for any value\n--cache enables the content-addressed result store in DIR: repeated runs are served\n        bit-identically from cache, grown runs resume from cached chunk prefixes\n        (an unusable DIR degrades to uncached with a warning; bench ignores --cache,\n        its cached pipelines manage their own stores)\n--flight mirrors the structured flight-event ring to FILE as CRC-framed MMRE lines\n--dossier-dir writes a crash dossier (last events + metrics + fault delta) into DIR\n        on panic, degradation, or deadline truncation\n--serve ADDR exposes live telemetry over HTTP/1.0 for the run's duration:\n        GET /metrics (Prometheus exposition), /events (MMRE event stream),\n        /status (run state + convergence trajectory + fault ledger)\n        (an unusable artifact path or address degrades with a warning and exit code 2)\n--metrics/--metrics-format/--trace/--flight/--dossier-dir/--serve/--progress/--quiet are observational only and never change results\n--chaos injects a seeded, reproducible fault schedule; profiles: mixed (default) | panics | stalls | corrupt | torn | export | hard\nbench --baseline compares throughput against a prior BENCH_e2e.json and fails on regression\ninspect auto-detects ARTIFACT: flight log (MMRE), crash dossier (JSON), checkpoint\n        journal (MMRJ), cache or dossier directory; --diff compares two flight logs\nexit codes: 0 success, 1 mismatch, 2 usage/IO/bad-checkpoint error, 3 degraded run (partial results)";
+const USAGE: &str = "usage: experiments [--quick] [--trials N] [--seed S] [--threads T] [--out FILE] [--json FILE] [--checkpoint FILE] [--cache DIR] [--metrics FILE] [--metrics-format json|prom] [--trace FILE] [--flight FILE] [--dossier-dir DIR] [--serve ADDR] [--chaos SEED[:PROFILE]] [--progress] [--quiet] [--list] [ids...]\n       experiments inspect ARTIFACT [--diff OTHER]\n\n--threads bounds worker parallelism only; results are identical for any value\n--cache enables the content-addressed result store in DIR: repeated runs are served\n        bit-identically from cache, grown runs resume from cached chunk prefixes\n        (an unusable DIR degrades to uncached with a warning)\n--flight mirrors the structured flight-event ring to FILE as CRC-framed MMRE lines\n--dossier-dir writes a crash dossier (last events + metrics + fault delta) into DIR\n        on panic, degradation, or deadline truncation\n--serve ADDR exposes live telemetry over HTTP/1.0 for the run's duration:\n        GET /metrics (Prometheus exposition), /events (MMRE event stream),\n        /status (run state + convergence trajectory + fault ledger)\n        (an unusable artifact path or address degrades with a warning and exit code 2)\n--metrics/--metrics-format/--trace/--flight/--dossier-dir/--serve/--progress/--quiet are observational only and never change results\n--chaos injects a seeded, reproducible fault schedule; profiles: mixed (default) | panics | stalls | corrupt | torn | export | hard\ninspect auto-detects ARTIFACT: flight log (MMRE), crash dossier (JSON), checkpoint\n        journal (MMRJ), cache or dossier directory; --diff compares two flight logs\nexit codes: 0 success, 1 mismatch, 2 usage/IO/bad-checkpoint error, 3 degraded run (partial results)";
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum MetricsFormat {
@@ -64,7 +60,6 @@ struct Args {
     flight_path: Option<PathBuf>,
     dossier_dir: Option<PathBuf>,
     diff_path: Option<PathBuf>,
-    baseline_path: Option<PathBuf>,
     serve: Option<String>,
     chaos: Option<String>,
     progress: bool,
@@ -87,7 +82,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
         flight_path: None,
         dossier_dir: None,
         diff_path: None,
-        baseline_path: None,
         serve: None,
         chaos: None,
         progress: false,
@@ -154,9 +148,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             "--diff" => {
                 parsed.diff_path = Some(args.next().ok_or("--diff needs a path")?.into());
-            }
-            "--baseline" => {
-                parsed.baseline_path = Some(args.next().ok_or("--baseline needs a path")?.into());
             }
             "--serve" => {
                 parsed.serve = Some(args.next().ok_or("--serve needs an address")?);
@@ -330,30 +321,6 @@ fn main() -> ExitCode {
         montecarlo::fault::install(plan);
     }
 
-    if args.ids.first().map(String::as_str) == Some("bench") {
-        if args.ids.len() > 1 {
-            eprintln!("error: `bench` takes no experiment ids");
-            return ExitCode::from(2);
-        }
-        if args.cache_path.is_some() {
-            // perf::run measures the uncached kernels by design (the
-            // cached pipelines manage their own stores), so an installed
-            // handle would be cleared anyway.
-            obs::info!("bench measures uncached kernels; --cache ignored");
-        }
-        return match run_bench(&args) {
-            // Results landed; an unusable flight/dossier path or serve
-            // address still has to surface in the exit code (I/O outranks
-            // a regression, same precedence as the experiments path).
-            Ok(_) if artifacts.is_degraded() => ExitCode::from(obs::degrade::EXIT_CODE),
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
     // The content-addressed result store: repeated and grown requests are
     // served (or resumed) from DIR. An unusable directory degrades to an
     // uncached run, same ledger contract as every artifact above.
@@ -374,61 +341,6 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-/// The `bench` subcommand: measure kernel throughput, optionally gate it
-/// against a baseline trajectory, and emit `BENCH_e2e.json`.
-///
-/// With `--baseline`, the written report's `history` is the baseline's
-/// accumulated history plus this run, and a throughput regression beyond
-/// the noise-aware tolerance exits with code 1.
-fn run_bench(args: &Args) -> Result<ExitCode, mmr_bench::Error> {
-    let out = args
-        .out_path
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_e2e.json"));
-    let mut report = mmr_bench::perf::run(args.ctx.trials, args.ctx.seed, args.ctx.threads);
-    if obs::log::enabled(obs::log::Level::Info) {
-        eprint!("{}", report.summary());
-    }
-
-    let mut regressed = false;
-    if let Some(path) = &args.baseline_path {
-        let text = std::fs::read_to_string(path).map_err(|source| mmr_bench::Error::Io {
-            path: path.clone(),
-            source,
-        })?;
-        let baseline: mmr_bench::perf::BenchReport =
-            serde_json::from_str(&text).map_err(|e| mmr_bench::Error::BadBaseline {
-                path: path.clone(),
-                detail: e.to_string(),
-            })?;
-        for warning in mmr_bench::gate::baseline_warnings(&baseline) {
-            eprintln!("warning: {warning}");
-        }
-        let outcome = mmr_bench::gate::compare(&baseline, &report);
-        eprint!("{}", outcome.render());
-        regressed = outcome.regressed;
-        // Accumulate the trajectory: baseline history, then this run.
-        let own = report.history.clone();
-        report.history = baseline.history;
-        report.history.extend(own);
-    }
-
-    let json = serde_json::to_string_pretty(&report).expect("serializable report");
-    write_atomic(&out, &json)?;
-    obs::info!("benchmark trajectory written to {}", out.display());
-    if let Some(path) = &args.trace_path {
-        emit_trace(path)?;
-    }
-    if let Some(path) = &args.metrics_path {
-        emit_metrics(path, args.metrics_format)?;
-    }
-    Ok(if regressed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    })
 }
 
 fn run(

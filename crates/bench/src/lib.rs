@@ -11,10 +11,8 @@
 
 pub mod diag;
 pub mod exp;
-pub mod gate;
 pub mod inspect;
 pub mod journal;
-pub mod perf;
 pub mod sweep;
 
 use serde::{Deserialize, Serialize};
@@ -44,13 +42,6 @@ pub enum Error {
         /// Why it was rejected.
         detail: String,
     },
-    /// A perf-gate baseline file exists but is not a benchmark report.
-    BadBaseline {
-        /// The baseline file.
-        path: PathBuf,
-        /// Why it was rejected.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for Error {
@@ -64,9 +55,6 @@ impl std::fmt::Display for Error {
             }
             Error::BadCheckpoint { path, detail } => {
                 write!(f, "bad checkpoint {}: {detail}", path.display())
-            }
-            Error::BadBaseline { path, detail } => {
-                write!(f, "bad perf baseline {}: {detail}", path.display())
             }
         }
     }

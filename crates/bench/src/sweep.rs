@@ -120,6 +120,15 @@ pub fn survival_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serializes the tests of this binary that install (or must observe
+    /// the absence of) the process-global result-store handle.
+    static STORE_LOCK: Mutex<()> = Mutex::new(());
+
+    fn store_guard() -> MutexGuard<'static, ()> {
+        STORE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn grid_is_row_major() {
@@ -173,9 +182,7 @@ mod tests {
 
     #[test]
     fn survival_sweep_is_memoized_by_the_result_store() {
-        // Serialize against every other store-installing measurement in
-        // this binary (the handle is process-global).
-        let _lock = crate::perf::store_guard();
+        let _lock = store_guard();
         store::clear();
         let points = grid(
             &[MemoryModel::Tso, MemoryModel::Wo],

@@ -332,7 +332,7 @@ mod tests {
         assert!(help_text("mmr.model.SC.trials").contains("Survival trials per model"));
         assert!(help_text("exp.t1.runs").contains("Completions per experiment"));
         // Span rows are looked up by raw span name.
-        assert!(help_text("bench.joined").contains("joined scratch pipeline"));
+        assert!(help_text("t1").contains("one span per completed run"));
         // Undocumented names get the explicit fallback.
         assert!(help_text("export.test.undocumented").contains("Undocumented metric"));
         assert!(!covers("mmr.model.*.trials", "mmr.model.trials"));

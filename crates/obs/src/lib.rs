@@ -255,82 +255,6 @@ impl Snapshot {
         self.flight_events.as_deref().unwrap_or(&[])
     }
 
-    /// What happened between `earlier` and `self`: per-name deltas of the
-    /// monotone series, assuming both snapshots come from the same process.
-    ///
-    /// Semantics per section:
-    ///
-    /// * **counters** — `self − earlier` (saturating). A name missing from
-    ///   `earlier` keeps its full value (it was created in between); a name
-    ///   only in `earlier` is dropped (nothing happened to it since).
-    /// * **gauges** — point-in-time values, not diffable: `self`'s value is
-    ///   kept as-is.
-    /// * **histograms** — `count`/`sum` and per-bucket counts are diffed
-    ///   bucket-wise; `min`/`max` are running extremes and not diffable, so
-    ///   `self`'s values are kept.
-    /// * **spans** — `count`/`total_us` are diffed; `max_us` (a running
-    ///   maximum) keeps `self`'s value.
-    /// * **span_events** / **flight_events** — the rings are bounded
-    ///   timelines, not monotone series; the diff carries no events.
-    #[must_use]
-    pub fn diff(&self, earlier: &Snapshot) -> Snapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|c| CounterSnapshot {
-                name: c.name.clone(),
-                value: c.value.saturating_sub(earlier.counter(&c.name).unwrap_or(0)),
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|h| {
-                let prev = earlier.histogram(&h.name);
-                let bucket_before = |lo: u64| {
-                    prev.and_then(|p| p.buckets.iter().find(|b| b.lo == lo))
-                        .map_or(0, |b| b.count)
-                };
-                HistogramSnapshot {
-                    name: h.name.clone(),
-                    count: h.count.saturating_sub(prev.map_or(0, |p| p.count)),
-                    sum: h.sum.saturating_sub(prev.map_or(0, |p| p.sum)),
-                    min: h.min,
-                    max: h.max,
-                    buckets: h
-                        .buckets
-                        .iter()
-                        .filter_map(|b| {
-                            let count = b.count.saturating_sub(bucket_before(b.lo));
-                            (count > 0).then_some(HistogramBucket { lo: b.lo, count })
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        let spans = self
-            .spans
-            .iter()
-            .map(|s| {
-                let prev = earlier.span(&s.name);
-                SpanSnapshot {
-                    name: s.name.clone(),
-                    count: s.count.saturating_sub(prev.map_or(0, |p| p.count)),
-                    total_us: s.total_us.saturating_sub(prev.map_or(0, |p| p.total_us)),
-                    max_us: s.max_us,
-                }
-            })
-            .collect();
-        Snapshot {
-            counters,
-            gauges: self.gauges.clone(),
-            histograms,
-            spans,
-            span_events: Vec::new(),
-            flight_events: None,
-            build_info: self.build_info.clone(),
-        }
-    }
 }
 
 /// Snapshots the [`global`] registry plus the span sink and the flight
@@ -430,116 +354,6 @@ mod tests {
         assert!(snap.histogram("lib.test.hist").unwrap().count >= 1);
         assert!(snap.span("lib.test.span").unwrap().count >= 1);
         assert!(snap.counter("lib.test.missing").is_none());
-    }
-
-    fn named_counter(name: &str, value: u64) -> CounterSnapshot {
-        CounterSnapshot {
-            name: name.into(),
-            value,
-        }
-    }
-
-    #[test]
-    fn diff_subtracts_counters_per_name() {
-        let earlier = Snapshot {
-            counters: vec![named_counter("a", 10), named_counter("gone", 5)],
-            gauges: Vec::new(),
-            histograms: Vec::new(),
-            spans: Vec::new(),
-            span_events: Vec::new(),
-            flight_events: None,
-            build_info: None,
-        };
-        let later = Snapshot {
-            counters: vec![named_counter("a", 17), named_counter("new", 3)],
-            gauges: vec![GaugeSnapshot {
-                name: "g".into(),
-                value: 9,
-            }],
-            histograms: Vec::new(),
-            spans: Vec::new(),
-            span_events: vec![SpanEventSnapshot {
-                name: "e".into(),
-                start_us: 0,
-                dur_us: 1,
-                tid: 1,
-            }],
-            flight_events: None,
-            build_info: None,
-        };
-        let d = later.diff(&earlier);
-        assert_eq!(d.counter("a"), Some(7));
-        // Only in `later`: created in between, full value kept.
-        assert_eq!(d.counter("new"), Some(3));
-        // Only in `earlier`: dropped from the delta.
-        assert_eq!(d.counter("gone"), None);
-        // Gauges pass through; the ring timeline does not diff.
-        assert_eq!(d.gauge("g"), Some(9));
-        assert!(d.span_events.is_empty());
-    }
-
-    #[test]
-    fn diff_handles_histograms_and_spans() {
-        let hist = |count: u64, sum: u64, buckets: Vec<(u64, u64)>| HistogramSnapshot {
-            name: "h".into(),
-            count,
-            sum,
-            min: 1,
-            max: 8,
-            buckets: buckets
-                .into_iter()
-                .map(|(lo, count)| HistogramBucket { lo, count })
-                .collect(),
-        };
-        let span = |count: u64, total_us: u64| SpanSnapshot {
-            name: "s".into(),
-            count,
-            total_us,
-            max_us: 40,
-        };
-        let earlier = Snapshot {
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            histograms: vec![hist(3, 11, vec![(1, 2), (8, 1)])],
-            spans: vec![span(2, 50)],
-            span_events: Vec::new(),
-            flight_events: None,
-            build_info: None,
-        };
-        let later = Snapshot {
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            histograms: vec![hist(7, 30, vec![(1, 4), (4, 2), (8, 1)])],
-            spans: vec![span(5, 90)],
-            span_events: Vec::new(),
-            flight_events: None,
-            build_info: None,
-        };
-        let d = later.diff(&earlier);
-        let h = d.histogram("h").unwrap();
-        assert_eq!((h.count, h.sum), (4, 19));
-        // Bucket-wise delta; the unchanged bucket (lo = 8) disappears, the
-        // bucket new to `later` (lo = 4) keeps its full count.
-        let bucket = |lo: u64| h.buckets.iter().find(|b| b.lo == lo).map(|b| b.count);
-        assert_eq!(bucket(1), Some(2));
-        assert_eq!(bucket(4), Some(2));
-        assert_eq!(bucket(8), None);
-        // min/max are running extremes: kept from `later`, not diffed.
-        assert_eq!((h.min, h.max), (1, 8));
-        let s = d.span("s").unwrap();
-        assert_eq!((s.count, s.total_us, s.max_us), (3, 40, 40));
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn diff_of_identical_live_snapshots_is_zero() {
-        let _guard = recording_lock();
-        global().counter("lib.test.diff_zero").add(5);
-        let snap = snapshot();
-        let d = snap.diff(&snap);
-        assert!(d.counters.iter().all(|c| c.value == 0));
-        assert!(d.histograms.iter().all(|h| h.count == 0));
-        assert!(d.spans.iter().all(|s| s.count == 0));
     }
 
     #[cfg(feature = "enabled")]

@@ -57,43 +57,13 @@ impl ShiftProcess {
     /// flip (one RNG draw) per trial.
     ///
     /// This is the *stream-defining* sampler: every seeded result in the
-    /// workspace is expressed in terms of its draw sequence. Use
-    /// [`sample_shift_fast`](ShiftProcess::sample_shift_fast) where raw
-    /// throughput matters and stream compatibility does not.
+    /// workspace is expressed in terms of its draw sequence.
     pub fn sample_shift<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let mut k = 0;
         while !rng.gen_bool(self.q) {
             k += 1;
         }
         k
-    }
-
-    /// Draws one geometric shift using one `u64` per ~64 flips.
-    ///
-    /// For the canonical `q = 1/2`, a uniform `u64` encodes 64 i.i.d. fair
-    /// coin flips; the number of failures before the first success is its
-    /// count of trailing zero bits (`Pr[tz = k] = 2^-(k+1)`), and an
-    /// all-zero word (probability `2^-64`) means 64 failures and counting —
-    /// draw again. One RNG draw replaces an expected two `gen_bool` draws
-    /// *and* their float conversions. For general `q` this falls back to
-    /// the flip loop.
-    ///
-    /// The sampled distribution is exactly that of [`sample_shift`]
-    /// (ShiftProcess::sample_shift) — validated by a chi-squared
-    /// goodness-of-fit test — but the RNG *draw count* differs, so the two
-    /// samplers are not interchangeable mid-stream of a seeded run.
-    pub fn sample_shift_fast<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        if self.q != 0.5 {
-            return self.sample_shift(rng);
-        }
-        let mut base = 0u64;
-        loop {
-            let word = rng.next_u64();
-            if word != 0 {
-                return base + u64::from(word.trailing_zeros());
-            }
-            base += 64;
-        }
     }
 
     /// Shifts segments of the given lengths, returning them in input order.
@@ -205,7 +175,7 @@ impl fmt::Display for ShiftProcess {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::{RngCore, SeedableRng};
+    use rand::SeedableRng;
 
     fn rng(seed: u64) -> SmallRng {
         SmallRng::seed_from_u64(seed)
@@ -302,33 +272,6 @@ mod tests {
             assert_eq!(owned, buf);
         }
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fast_sampler_general_q_falls_back_to_flip_loop() {
-        // For q != 1/2 the fast sampler IS the flip loop: identical values
-        // and identical RNG consumption.
-        let p = ShiftProcess::with_q(0.3).unwrap();
-        let mut a = rng(7);
-        let mut b = a.clone();
-        for _ in 0..200 {
-            assert_eq!(p.sample_shift(&mut a), p.sample_shift_fast(&mut b));
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fast_sampler_draws_one_word_per_64_flips() {
-        // At q = 1/2 the fast sampler consumes exactly one u64 per draw
-        // (an all-zero word has probability 2^-64 — unobservable here).
-        let p = ShiftProcess::canonical();
-        let mut counting = rng(8);
-        let mut reference = counting.clone();
-        for _ in 0..1_000 {
-            let _ = p.sample_shift_fast(&mut counting);
-            let _ = reference.next_u64();
-        }
-        assert_eq!(counting, reference);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Statistical validation of Theorem 5.1: Monte-Carlo disjointness
 //! frequencies must match the exact permutation-sum probabilities.
 
-use montecarlo::{chi_square_gof, Histogram, Runner, Seed};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use montecarlo::{Runner, Seed};
 use shiftproc::{exact, ShiftProcess};
 
 // Debug builds still need enough trials for the 99.9% CI check to have
@@ -59,41 +57,6 @@ fn heterogeneous_vs_homogeneous_at_equal_total_length() {
         proc.simulate_disjoint(&[2, 2], rng)
     });
     assert!(h.point() > m.point());
-}
-
-#[test]
-fn fast_geometric_sampler_fits_exact_law() {
-    // The trailing_zeros sampler must produce *exactly* the canonical
-    // geometric law Pr[s = k] = 2^-(k+1): chi-squared goodness-of-fit
-    // against the exact pmf, tail pooled at expected count ≥ 5.
-    let proc = ShiftProcess::canonical();
-    let mut rng = SmallRng::seed_from_u64(777);
-    let h: Histogram = (0..TRIALS).map(|_| proc.sample_shift_fast(&mut rng)).collect();
-    let gof = chi_square_gof(&h, |k| 2f64.powi(-(k as i32) - 1), 5.0);
-    assert!(
-        gof.consistent_at(0.001),
-        "fast sampler rejected against 2^-(k+1): p = {}, chi2 = {} over {} bins",
-        gof.p_value,
-        gof.statistic,
-        gof.bins
-    );
-    // Enough unpooled support to make the test meaningful.
-    assert!(gof.bins >= 10, "only {} bins", gof.bins);
-}
-
-#[test]
-fn fast_geometric_sampler_general_q_fits_exact_law() {
-    // The general-q fallback path of the fast sampler, against q(1-q)^k.
-    let q = 0.3;
-    let proc = ShiftProcess::with_q(q).expect("valid q");
-    let mut rng = SmallRng::seed_from_u64(778);
-    let h: Histogram = (0..TRIALS).map(|_| proc.sample_shift_fast(&mut rng)).collect();
-    let gof = chi_square_gof(&h, |k| q * (1.0 - q).powi(k as i32), 5.0);
-    assert!(
-        gof.consistent_at(0.001),
-        "fallback sampler rejected against q(1-q)^k: p = {}",
-        gof.p_value
-    );
 }
 
 #[test]

@@ -113,13 +113,16 @@ fn weighted_phi_table(mu: u32, q: u32, x: f64) -> Vec<Vec<f64>> {
 pub fn pr_l_mu_all(mu_max: u32, q_max: u32, p: f64, s: f64) -> Vec<f64> {
     let limit = bottom_store_limit(p, s);
     let g = weighted_phi_table(mu_max, q_max, s);
+    // Per-q factors `(1−p)^q` and `1 − L·s^q`, shared by every µ.
+    let (lq, tail): (Vec<f64>, Vec<f64>) = (0..=q_max)
+        .map(|q| ((1.0 - p).powi(q as i32), 1.0 - limit * s.powi(q as i32)))
+        .unzip();
     let mut out = Vec::with_capacity(mu_max as usize + 1);
     out.push(1.0 - limit);
     for mu in 1..=mu_max {
         let mut total = 0.0;
-        for q in 0..=q_max {
-            let lq = (1.0 - p).powi(q as i32);
-            total += lq * g[mu as usize][q as usize] * (1.0 - limit * s.powi(q as i32));
+        for q in 0..=q_max as usize {
+            total += lq[q] * g[mu as usize][q] * tail[q];
         }
         out.push(total * p.powi(mu as i32));
     }
@@ -158,14 +161,15 @@ impl GeneralWindowLaws {
         let (p, s) = (params.p, params.s);
         let l = pr_l_mu_all(DEPTH, DEPTH, p, s);
         let depth = u64::from(DEPTH);
+        let s_pow: Vec<f64> = (0..=DEPTH).map(|k| s.powi(k as i32)).collect();
         // TSO: Pr[B_γ] = Σ_{µ≥γ} b(γ|µ)·Pr[L_µ].
         let b_given_l = |gamma: u64, mu: u64| -> f64 {
             if mu < gamma {
                 0.0
             } else if mu == gamma {
-                s.powi(gamma as i32)
+                s_pow[gamma as usize]
             } else {
-                s.powi(gamma as i32) * (1.0 - s)
+                s_pow[gamma as usize] * (1.0 - s)
             }
         };
         let tso_pmf: Vec<f64> = (0..=depth)
@@ -180,9 +184,9 @@ impl GeneralWindowLaws {
             if passed > j {
                 0.0
             } else if passed == j {
-                s.powi(j as i32)
+                s_pow[j as usize]
             } else {
-                s.powi(passed as i32) * (1.0 - s)
+                s_pow[passed as usize] * (1.0 - s)
             }
         };
         let pso_pmf: Vec<f64> = (0..=depth)
@@ -260,6 +264,28 @@ mod tests {
         assert!(Params::new(0.5, 1.0, 0.5).is_err()); // s = 1 degenerate
         assert!(Params::new(0.5, 0.5, 0.0).is_err()); // q = 0 degenerate
         assert!(Params::new(0.5, 0.5, 1.0).is_ok());
+    }
+
+    #[test]
+    fn general_laws_are_pinned_bit_for_bit() {
+        // FNV-1a over the `to_bits` of every pmf value on a 9 × 7 (p, s)
+        // grid, γ ≤ DEPTH, for the four named models, plus each model's
+        // two-thread survival. Recorded before the `powi` tables were
+        // hoisted out of the series loops: the laws must not move by an ulp.
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |x: f64| hash = (hash ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3);
+        for p in (0..9).map(|i| f64::from(i) / 8.0) {
+            for s in (0..7).map(|i| f64::from(i) * 0.15) {
+                let laws = GeneralWindowLaws::new(Params::new(p, s, 0.5).unwrap());
+                for model in MemoryModel::NAMED {
+                    for gamma in 0..=u64::from(DEPTH) {
+                        fold(laws.pmf(model, gamma).unwrap());
+                    }
+                    fold(laws.two_thread_survival(model).unwrap());
+                }
+            }
+        }
+        assert_eq!(hash, 0xef92_0c7a_47c5_9e07, "generalised laws moved: {hash:#018x}");
     }
 
     #[test]

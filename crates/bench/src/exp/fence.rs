@@ -3,25 +3,26 @@
 use crate::{verdict, Ctx};
 use memmodel::fence::FenceKind;
 use memmodel::{MemoryModel, OpType};
+use mmr_core::{direct_trial, TrialScratch};
 use montecarlo::{Runner, Seed};
 use progmodel::{Program, ProgramGenerator};
 use settle::{ProgramShape, SettleScratch, Settler};
-use shiftproc::{ShiftProcess, ShiftScratch};
+use shiftproc::ShiftProcess;
 use std::fmt::Write as _;
 use textplot::Table;
 
 const M: usize = 48;
 
-/// The shape of `M` fillers with `fence` (if any) just before the critical
-/// load — the keyed kernels settle fresh programs over it, matching the
-/// per-trial `generate` + `with_fence_at` route draw for draw (fence
+/// A program of `M` fillers with `fence` (if any) just before the critical
+/// load — the keyed kernels settle fresh programs over its shape, matching
+/// the per-trial `generate` + `with_fence_at` route draw for draw (fence
 /// insertion consumes no randomness).
-fn template(fence: Option<FenceKind>) -> ProgramShape {
+fn template(fence: Option<FenceKind>) -> Program {
     let program = Program::from_filler_types(&[OpType::Ld; M]).expect("canonical shape");
-    ProgramShape::new(&match fence {
+    match fence {
         Some(kind) => program.with_fence_at(program.critical_load_index(), kind),
         None => program,
-    })
+    }
 }
 
 /// Settles fenced programs and measures end-to-end survival, checking the
@@ -48,7 +49,7 @@ pub fn run(ctx: &Ctx) -> String {
             // Window distribution.
             let h = Runner::new(Seed(seed)).with_threads(ctx.threads).histogram_scratch(
                 ctx.trials / 2,
-                move || (template(fence), SettleScratch::new()),
+                move || (ProgramShape::new(&template(fence)), SettleScratch::new()),
                 move |(shape, scratch), rng| {
                     let mut gamma = [0];
                     let key = gen.draw_key(rng);
@@ -61,21 +62,9 @@ pub fn run(ctx: &Ctx) -> String {
                 .with_threads(ctx.threads)
                 .try_bernoulli_scratch(
                     ctx.trials / 2,
-                    move || {
-                        (
-                            template(fence),
-                            SettleScratch::new(),
-                            [0u64; 2],
-                            ShiftScratch::with_capacity(2),
-                        )
-                    },
-                    move |(shape, scratch, windows, shift), rng| {
-                        let key = gen.draw_key(rng);
-                        settler.sample_gammas_keyed(shape, gen.store_threshold(), key, windows, scratch, rng);
-                        for w in windows.iter_mut() {
-                            *w += 2;
-                        }
-                        ShiftProcess::canonical().simulate_disjoint_into(&windows[..], shift, rng)
+                    move || TrialScratch::new(&template(fence), 2),
+                    move |scratch, rng| {
+                        direct_trial(&settler, &gen, &ShiftProcess::canonical(), 2, scratch, rng)
                     },
                 )
                 .expect("panic-free simulation");
@@ -117,7 +106,7 @@ pub fn run(ctx: &Ctx) -> String {
     let gen = ProgramGenerator::new(M);
     let h = Runner::new(Seed(ctx.seed ^ 0xFEE)).with_threads(ctx.threads).histogram_scratch(
         ctx.trials / 2,
-        move || (template(Some(FenceKind::Release)), SettleScratch::new()),
+        move || (ProgramShape::new(&template(Some(FenceKind::Release))), SettleScratch::new()),
         move |(shape, scratch), rng| {
             let mut gamma = [0];
             let key = gen.draw_key(rng);

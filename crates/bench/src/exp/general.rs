@@ -5,10 +5,11 @@
 use crate::{sweep, verdict, Ctx};
 use analytic::general::{GeneralWindowLaws, Params};
 use memmodel::{MemoryModel, OpType, SettleProbs};
+use mmr_core::{direct_trial, TrialScratch};
 use montecarlo::{chi_square_gof, Runner, Seed};
 use progmodel::{Program, ProgramGenerator};
 use settle::{ProgramShape, SettleScratch, Settler};
-use shiftproc::{ShiftProcess, ShiftScratch};
+use shiftproc::ShiftProcess;
 use std::fmt::Write as _;
 use textplot::Table;
 
@@ -18,8 +19,8 @@ fn settler(model: MemoryModel, s: f64) -> Settler {
     Settler::new(model.matrix(), SettleProbs::uniform(s).expect("valid s"))
 }
 
-fn blank_shape() -> ProgramShape {
-    ProgramShape::new(&Program::from_filler_types(&[OpType::Ld; M]).expect("canonical shape"))
+fn blank() -> Program {
+    Program::from_filler_types(&[OpType::Ld; M]).expect("canonical shape")
 }
 
 /// Validates the generalised window laws and survival formula at off-
@@ -56,7 +57,7 @@ pub fn run(ctx: &Ctx) -> String {
             .with_threads(inner)
             .histogram_scratch(
                 trials / 2,
-                move || (blank_shape(), SettleScratch::new()),
+                move || (ProgramShape::new(&blank()), SettleScratch::new()),
                 move |(shape, scratch), rng| {
                     let mut gamma = [0];
                     let key = gen.draw_key(rng);
@@ -112,15 +113,8 @@ pub fn run(ctx: &Ctx) -> String {
             .with_threads(inner)
             .bernoulli_scratch(
                 trials / 2,
-                move || (blank_shape(), SettleScratch::new(), [0u64; 2], ShiftScratch::new()),
-                move |(shape, scratch, windows, shift), rng| {
-                    let key = gen.draw_key(rng);
-                    st.sample_gammas_keyed(shape, gen.store_threshold(), key, windows, scratch, rng);
-                    for w in windows.iter_mut() {
-                        *w += 2;
-                    }
-                    proc.simulate_disjoint_into(&windows[..], shift, rng)
-                },
+                move || TrialScratch::new(&blank(), 2),
+                move |scratch, rng| direct_trial(&st, &gen, &proc, 2, scratch, rng),
             );
         (p, s, q, model, analytic_v, est)
     });
@@ -164,15 +158,8 @@ pub fn run(ctx: &Ctx) -> String {
             .with_threads(ctx.threads)
             .try_bernoulli_scratch(
                 ctx.trials,
-                move || (blank_shape(), SettleScratch::new(), [0u64; 2], ShiftScratch::new()),
-                move |(shape, scratch, windows, shift), rng| {
-                    let key = gen.draw_key(rng);
-                    st.sample_gammas_keyed(shape, gen.store_threshold(), key, windows, scratch, rng);
-                    for w in windows.iter_mut() {
-                        *w += 2;
-                    }
-                    ShiftProcess::canonical().simulate_disjoint_into(&windows[..], shift, rng)
-                },
+                move || TrialScratch::new(&blank(), 2),
+                move |scratch, rng| direct_trial(&st, &gen, &ShiftProcess::canonical(), 2, scratch, rng),
             )
             .expect("panic-free simulation");
         crate::diag::record_report(

@@ -14,7 +14,8 @@
 //! * **exact / bounds** — Theorem 6.2 constants at `n = 2`, the exact SC
 //!   probability at any `n`, and the Claim B.2 sandwich for everything else;
 //! * **direct Monte Carlo** — literally simulate the event (feasible while
-//!   `Pr[A] ≫ 1/trials`, i.e. `n ≤ 3`);
+//!   `Pr[A] ≫ 1/trials`, i.e. `n ≤ 3`); one trial is [`direct_trial`],
+//!   which settles a window only when the shift test reads it;
 //! * **Rao-Blackwellised estimator** — sample window vectors, evaluate the
 //!   disjointness probability conditional on them exactly (Theorem 6.1),
 //!   and average; this reaches `n` in the dozens where `Pr[A] ~ e^{-n²}`.
@@ -43,6 +44,6 @@ mod survival;
 mod telemetry;
 
 pub use compare::{ModelComparison, ModelRow};
-pub use model::{ReliabilityModel, TrialScratch, DEFAULT_M};
+pub use model::{direct_trial, ReliabilityModel, TrialScratch, DEFAULT_M};
 pub use scaling::{scaling_curve, scaling_curve_with, ScalingPoint};
 pub use survival::RbSurvival;

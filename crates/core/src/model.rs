@@ -5,7 +5,7 @@ use montecarlo::{BernoulliEstimate, EstimatorStats, Histogram, RunReport, Runner
 use progmodel::{Program, ProgramGenerator};
 use rand::Rng;
 use settle::{ProgramShape, SettleScratch, Settler};
-use shiftproc::{ShiftProcess, ShiftScratch};
+use shiftproc::{exchangeable, ShiftProcess, ShiftScratch};
 use std::fmt;
 
 /// Default filler length; window-law truncation error decays like `2^-m`.
@@ -134,12 +134,7 @@ impl ReliabilityModel {
         if self.acquire_fence {
             template = template.with_acquire_before_critical();
         }
-        TrialScratch {
-            settle: SettleScratch::with_capacity(template.len()),
-            shift: ShiftScratch::with_capacity(self.n),
-            windows: Vec::with_capacity(self.n),
-            shape: ProgramShape::new(&template),
-        }
+        TrialScratch::new(&template, self.n)
     }
 
     /// Samples one window-length vector `Γ_1 … Γ_n`: one random program,
@@ -219,15 +214,33 @@ impl ReliabilityModel {
 
     /// [`simulate_survival_once`](ReliabilityModel::simulate_survival_once)
     /// with caller-provided scratch: the steady-state allocation-free
-    /// joined kernel (regenerate → settle ×`n` → shift), draw-for-draw
-    /// identical to the allocating route.
+    /// [`direct_trial`] of this configuration, draw-for-draw identical to
+    /// the allocating route.
     pub fn simulate_survival_once_scratch<R: Rng + ?Sized>(
         &self,
         scratch: &mut TrialScratch,
         rng: &mut R,
     ) -> bool {
-        self.sample_windows_scratch(scratch, rng);
-        ShiftProcess::canonical().simulate_disjoint_into(&scratch.windows, &mut scratch.shift, rng)
+        direct_trial(&self.settler, &self.generator(), &ShiftProcess::canonical(), self.n, scratch, rng)
+    }
+
+    /// One sample of the Rao-Blackwellised factor
+    /// ([`exchangeable::sample_factor`]) of a fresh window vector: the
+    /// draws, windows and factor of `sample_windows_scratch` +
+    /// `sample_factor` bit for bit, without settling the last window,
+    /// whose weight is 0.
+    pub(crate) fn rb_factor<R: Rng + ?Sized>(&self, scratch: &mut TrialScratch, rng: &mut R) -> f64 {
+        let generator = self.generator();
+        let key = generator.draw_key(rng);
+        let mut windows = self.settler.keyed_windows(
+            &scratch.shape,
+            generator.store_threshold(),
+            key,
+            self.n,
+            &mut scratch.settle,
+            rng,
+        );
+        exchangeable::sample_factor_with(self.n, 2, |i| windows.gamma(i) + 2)
     }
 
     /// Direct Monte-Carlo estimate of `Pr[A]` over `trials` runs, using
@@ -330,14 +343,49 @@ impl ReliabilityModel {
     }
 }
 
+/// One direct trial of the joined process (§6): `true` when the bug does
+/// **not** manifest, i.e. the `n` shifted windows are pairwise disjoint
+/// (the event `A`).
+///
+/// The trial draws one program key from `generator`, the `n` settle keys
+/// of the program's copies under `settler` (none when it is inert on the
+/// scratch's program shape), then `shift`'s geometric shifts, stopping at
+/// the first overlap. Window `i` has length `Γ_i = γ_i + 2 ≥ 2`, so two
+/// shifts at most 2 apart overlap whatever the windows, and otherwise
+/// only the earlier window decides: a window is settled only when the
+/// shift test reads it ([`Settler::keyed_windows`],
+/// [`ShiftProcess::simulate_disjoint_lazy`]). Since a settle reads nothing
+/// from `rng` beyond its key, the outcome and the RNG end state are those
+/// of settling every window first (`sample_gammas_keyed`, `+ 2`,
+/// `simulate_disjoint_into`) bit for bit.
+pub fn direct_trial<R: Rng + ?Sized>(
+    settler: &Settler,
+    generator: &ProgramGenerator,
+    shift: &ShiftProcess,
+    n: usize,
+    scratch: &mut TrialScratch,
+    rng: &mut R,
+) -> bool {
+    let key = generator.draw_key(rng);
+    let mut windows = settler.keyed_windows(
+        &scratch.shape,
+        generator.store_threshold(),
+        key,
+        n,
+        &mut scratch.settle,
+        rng,
+    );
+    shift.simulate_disjoint_lazy(n, 2, |i| windows.gamma(i) + 2, &mut scratch.shift, rng)
+}
+
 /// Reusable buffers for the joined model's allocation-free kernels
-/// ([`ReliabilityModel::sample_windows_scratch`],
+/// ([`direct_trial`], [`ReliabilityModel::sample_windows_scratch`],
 /// [`ReliabilityModel::simulate_survival_once_scratch`]).
 ///
-/// Obtained from [`ReliabilityModel::scratch`]; one scratch serves any
-/// number of trials of that configuration. The scratch-accepting kernels
-/// draw exactly the same RNG sequence as their allocating counterparts, so
-/// the two routes are interchangeable trial-for-trial under a fixed seed.
+/// One scratch serves any number of trials of one program shape. The
+/// scratch-accepting kernels draw exactly the same RNG sequence as their
+/// allocating counterparts, so the two routes are interchangeable
+/// trial-for-trial under a fixed seed.
 #[derive(Debug, Clone)]
 pub struct TrialScratch {
     /// The fixed part of every trial's program.
@@ -346,6 +394,25 @@ pub struct TrialScratch {
     windows: Vec<u64>,
     settle: SettleScratch,
     shift: ShiftScratch,
+}
+
+impl TrialScratch {
+    /// Buffers for trials of `n` threads whose programs have the shape of
+    /// `template` (its fences, locations and critical pair; its filler
+    /// types are ignored). Draws nothing from any RNG.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program is too large for the packed settling image.
+    #[must_use]
+    pub fn new(template: &Program, n: usize) -> TrialScratch {
+        TrialScratch {
+            settle: SettleScratch::with_capacity(template.len()),
+            shift: ShiftScratch::with_capacity(n),
+            windows: Vec::with_capacity(n),
+            shape: ProgramShape::new(template),
+        }
+    }
 }
 
 impl fmt::Display for ReliabilityModel {
@@ -482,6 +549,58 @@ mod tests {
             assert_eq!(old, new);
         }
         assert_eq!(old_rng, new_rng);
+    }
+
+    #[test]
+    fn canonical_two_thread_trials_settle_one_window_in_six() {
+        // A window is settled only when the two shifts are more than 2
+        // apart: Pr[|Δ| ≥ 3] = 2(1−q)³/(2−q) = 1/6 at q = ½.
+        let trials = 100_000u32;
+        for model in [MemoryModel::Tso, MemoryModel::Wo] {
+            let m = ReliabilityModel::new(model, 2);
+            let mut scratch = m.scratch();
+            let mut rng = SmallRng::seed_from_u64(61);
+            let mut settled = 0usize;
+            for _ in 0..trials {
+                m.simulate_survival_once_scratch(&mut scratch, &mut rng);
+                let read = scratch.settle.windows_settled();
+                assert!(read <= 1, "{model}: a two-thread trial settled {read} windows");
+                settled += read;
+            }
+            let (rate, expected) = (settled as f64 / f64::from(trials), 1.0 / 6.0);
+            let sigma = (expected * (1.0 - expected) / f64::from(trials)).sqrt();
+            assert!((rate - expected).abs() < 5.0 * sigma, "{model}: {rate} settles per trial");
+        }
+        // An inert settler settles nothing.
+        let sc = ReliabilityModel::new(MemoryModel::Sc, 2);
+        let mut scratch = sc.scratch();
+        sc.simulate_survival_once_scratch(&mut scratch, &mut SmallRng::seed_from_u64(62));
+        assert_eq!(scratch.settle.windows_settled(), 0);
+    }
+
+    #[test]
+    fn rb_factor_is_the_eager_factor() {
+        // Random (model, n, m): the factor must be sample_windows_scratch +
+        // sample_factor's bit for bit, with the same RNG end state, while
+        // the zero-weight last window is never settled.
+        let mut cases = SmallRng::seed_from_u64(63);
+        for _ in 0..400 {
+            let model = MemoryModel::NAMED[cases.gen_range(0..4)];
+            let n = cases.gen_range(1..=16);
+            let m = ReliabilityModel::new(model, n).with_filler_len(cases.gen_range(0..=64));
+            let (mut eager_scratch, mut lazy_scratch) = (m.scratch(), m.scratch());
+            let mut eager_rng = SmallRng::seed_from_u64(cases.gen());
+            let mut lazy_rng = eager_rng.clone();
+            for _ in 0..25 {
+                let windows = m.sample_windows_scratch(&mut eager_scratch, &mut eager_rng);
+                let eager = exchangeable::sample_factor(windows, 2);
+                let lazy = m.rb_factor(&mut lazy_scratch, &mut lazy_rng);
+                assert_eq!(lazy.to_bits(), eager.to_bits(), "{m}");
+                let settled = lazy_scratch.settle.windows_settled();
+                assert!(settled == n - 1 || (settled == 0 && model == MemoryModel::Sc), "{m}: {settled}");
+            }
+            assert_eq!(lazy_rng, eager_rng, "{m}: RNG streams diverged");
+        }
     }
 
     #[test]

@@ -75,10 +75,7 @@ impl ReliabilityModel {
                     runner.try_mean_scratch_resume(
                         trials,
                         move || this.scratch(),
-                        move |scratch, rng| {
-                            let windows = this.sample_windows_scratch(scratch, rng);
-                            exchangeable::sample_factor(windows, 2)
-                        },
+                        move |scratch, rng| this.rb_factor(scratch, rng),
                         resume,
                     )
                 })

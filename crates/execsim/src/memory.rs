@@ -1,7 +1,6 @@
 //! Two-phase-commit shared memory.
 
 use progmodel::Location;
-use std::collections::HashMap;
 
 /// Word-addressed shared memory with the paper's cycle semantics: loads
 /// observe the state at the *beginning* of a cycle; stores staged during the
@@ -21,9 +20,15 @@ use std::collections::HashMap;
 /// mem.commit_cycle();
 /// assert_eq!(mem.read(Location::SHARED), 7);
 /// ```
+///
+/// Words are stored densely, indexed by [`Location::raw`], so the store
+/// grows to the largest location written: programs address the shared
+/// location and their fillers, numbered from 1.
 #[derive(Debug, Clone, Default)]
 pub struct SharedMemory {
-    words: HashMap<Location, i64>,
+    /// `words[raw]` is the committed value of the location; locations past
+    /// the end have never been written.
+    words: Vec<i64>,
     staged: Vec<(Location, i64)>,
 }
 
@@ -37,7 +42,7 @@ impl SharedMemory {
     /// Reads the begin-of-cycle value of `loc` (0 if never written).
     #[must_use]
     pub fn read(&self, loc: Location) -> i64 {
-        self.words.get(&loc).copied().unwrap_or(0)
+        self.words.get(loc.raw() as usize).copied().unwrap_or(0)
     }
 
     /// Stages a write to commit at the end of the cycle. Staged writes from
@@ -52,7 +57,11 @@ impl SharedMemory {
     pub fn commit_cycle(&mut self) -> usize {
         let n = self.staged.len();
         for (loc, value) in self.staged.drain(..) {
-            self.words.insert(loc, value);
+            let i = loc.raw() as usize;
+            if i >= self.words.len() {
+                self.words.resize(i + 1, 0);
+            }
+            self.words[i] = value;
         }
         n
     }
@@ -99,6 +108,19 @@ mod tests {
         mem.stage_write(Location::SHARED, 2);
         mem.commit_cycle();
         assert_eq!(mem.read(Location::SHARED), 2);
+    }
+
+    #[test]
+    fn clear_forgets_writes_and_keeps_the_allocation() {
+        let mut mem = SharedMemory::new();
+        mem.stage_write(Location::filler(9), 3);
+        mem.commit_cycle();
+        mem.stage_write(Location::SHARED, 4);
+        let capacity = mem.words.capacity();
+        mem.clear();
+        assert_eq!(mem.read(Location::filler(9)), 0);
+        assert_eq!(mem.staged_count(), 0);
+        assert_eq!(mem.words.capacity(), capacity);
     }
 
     #[test]

@@ -69,7 +69,9 @@
 //! [`crate::ProgramShape`]'s word plus the filler's addressed store bit,
 //! typed on first read and memoised across the program's settles — the
 //! program-key analogue of the deferred decisions above, so a settle
-//! types only the fillers its γ depends on.
+//! types only the fillers its γ depends on. One level up,
+//! [`crate::Settler::keyed_windows`] defers whole settles the same way: a
+//! window is settled only when its caller first reads it.
 //!
 //! # Prefix observables
 //!

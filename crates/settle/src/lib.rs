@@ -19,6 +19,8 @@
 //! * [`ProgramShape`] — the fixed part of a family of random programs, over
 //!   which [`Settler::sample_gammas_keyed`] settles a program given only
 //!   its key;
+//! * [`KeyedWindows`] — the windows of one keyed program's settles, each
+//!   settled only when first read ([`Settler::keyed_windows`]);
 //! * [`lazy`] — the γ kernel behind [`Settler::sample_gamma`] and friends,
 //!   which settles only the climbs the critical window depends on;
 //! * [`SettleTrace`] — a round-by-round trace (reproduces the paper's
@@ -47,6 +49,11 @@
 //! lazy γ kernel, which reads only the attempts γ depends on. So for a
 //! given RNG state all of them agree bit for bit, and each leaves the RNG
 //! in the same state.
+//!
+//! A settle reads nothing from the caller's RNG beyond its key, so the
+//! keys of several settles may be drawn before any of them runs, and a
+//! settle may run later or never: [`Settler::keyed_windows`] draws `n`
+//! keys up front and settles each window on its first read.
 //!
 //! A keyed program (`progmodel`'s program-key contract) reads its filler
 //! types from the same primitive, [`memmodel::addressed_uniform`], so
@@ -85,5 +92,5 @@ mod trace;
 
 pub use perm::{NotAPermutation, Permutation};
 pub use memmodel::bool_threshold;
-pub use process::{attempt_draw, ProgramShape, SettleScratch, Settled, Settler};
+pub use process::{attempt_draw, KeyedWindows, ProgramShape, SettleScratch, Settled, Settler};
 pub use trace::{SettleTrace, TraceRound};

@@ -285,11 +285,8 @@ impl Settler {
 
     /// [`sample_gammas_scratch`](Settler::sample_gammas_scratch) on the
     /// program of key `program_key` (see `progmodel`'s program-key
-    /// contract) over `shape`, without materialising it: the lazy kernel
-    /// reads each instruction's packed word as the shape's word plus the
-    /// addressed store bit of its filler, so a settle types only the
-    /// fillers its γ depends on. Types are memoised across the
-    /// `out.len()` settles of the program.
+    /// contract) over `shape`, without materialising it: every slot of
+    /// [`keyed_windows`](Settler::keyed_windows), read in order.
     ///
     /// For one RNG state, drawing `program_key` with
     /// [`ProgramGenerator::draw_key`](progmodel::ProgramGenerator::draw_key)
@@ -306,17 +303,51 @@ impl Settler {
         scratch: &mut SettleScratch,
         rng: &mut R,
     ) {
-        let tables = self.tables(shape.image.has_release);
-        if tables.inert() {
-            out.fill(shape.image.inert_gamma());
-            return;
+        let mut windows = self.keyed_windows(shape, store_threshold, program_key, out.len(), scratch, rng);
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = windows.gamma(i);
         }
-        scratch.memo.clear();
-        scratch.memo.resize(shape.len(), 0);
-        for slot in out {
-            let key = rng.next_u64();
-            let entries = Keyed::new(shape, program_key, store_threshold, &mut scratch.memo);
-            *slot = scratch.lazy.gamma(entries, &tables, key, shape.image).0;
+    }
+
+    /// The `n` windows of `n` independent settles of the program of key
+    /// `program_key` over `shape`, each settled only when it is first
+    /// read ([`KeyedWindows::gamma`]).
+    ///
+    /// Draws the `n` settle keys from `rng` now, in slot order, or none
+    /// when the settler is inert on the shape — exactly the draws of `n`
+    /// eager settles, since a settle reads nothing from `rng` beyond its
+    /// key. A window read later, or never, therefore leaves every other
+    /// draw of the caller's stream where it was. The lazy γ kernel reads
+    /// each instruction's packed word as the shape's word plus the
+    /// addressed store bit of its filler, so a settle types only the
+    /// fillers its γ depends on; types are memoised across the program's
+    /// settles.
+    pub fn keyed_windows<'s, R: Rng + ?Sized>(
+        &self,
+        shape: &'s ProgramShape,
+        store_threshold: u64,
+        program_key: u64,
+        n: usize,
+        scratch: &'s mut SettleScratch,
+        rng: &mut R,
+    ) -> KeyedWindows<'s> {
+        let tables = self.tables(shape.image.has_release);
+        scratch.keys.clear();
+        scratch.windows.clear();
+        if tables.inert() {
+            scratch.windows.resize(n, shape.image.inert_gamma());
+        } else {
+            scratch.keys.extend((0..n).map(|_| rng.next_u64()));
+            scratch.windows.resize(n, UNSETTLED);
+            scratch.memo.clear();
+            scratch.memo.resize(shape.len(), 0);
+        }
+        KeyedWindows {
+            shape,
+            tables,
+            program_key,
+            store_threshold,
+            scratch,
         }
     }
 
@@ -373,6 +404,41 @@ impl Settler {
         }
     }
 }
+
+/// The windows of one keyed program's settles, each settled on first read
+/// and memoised (see [`Settler::keyed_windows`]).
+#[derive(Debug)]
+pub struct KeyedWindows<'s> {
+    shape: &'s ProgramShape,
+    tables: Tables,
+    program_key: u64,
+    store_threshold: u64,
+    scratch: &'s mut SettleScratch,
+}
+
+impl KeyedWindows<'_> {
+    /// The window growth γ of settle `slot`: settled by the lazy kernel
+    /// under the slot's settle key on the first call, read back after.
+    /// Bit for bit the γ an eager settle with that key gives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not below the `n` the windows were drawn for.
+    pub fn gamma(&mut self, slot: usize) -> u64 {
+        let memo = self.scratch.windows[slot];
+        if memo != UNSETTLED {
+            return memo;
+        }
+        let scratch = &mut *self.scratch;
+        let entries = Keyed::new(self.shape, self.program_key, self.store_threshold, &mut scratch.memo);
+        let gamma = scratch.lazy.gamma(entries, &self.tables, scratch.keys[slot], self.shape.image).0;
+        scratch.windows[slot] = gamma;
+        gamma
+    }
+}
+
+/// The memoised γ of a window not settled yet (no γ reaches it).
+const UNSETTLED: u64 = u64::MAX;
 
 /// The integer draw thresholds of one settler over one program image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -647,6 +713,11 @@ pub struct SettleScratch {
     /// The keyed kernel's type memo, per instruction: 0 while unread,
     /// otherwise 1 + the store bit.
     memo: Vec<u8>,
+    /// The settle keys of the current [`KeyedWindows`], by slot (empty when
+    /// the settler is inert).
+    keys: Vec<u64>,
+    /// The γ of each slot of the current [`KeyedWindows`], or `UNSETTLED`.
+    windows: Vec<u64>,
     lazy: LazyScratch,
 }
 
@@ -665,6 +736,8 @@ impl SettleScratch {
             order: Vec::with_capacity(len),
             packed: Vec::with_capacity(len),
             memo: Vec::with_capacity(len),
+            keys: Vec::new(),
+            windows: Vec::new(),
             lazy: LazyScratch::with_capacity(len),
         }
     }
@@ -675,6 +748,16 @@ impl SettleScratch {
         self.order
             .extend(self.packed.iter().map(|&x| (x & 0xffff_ffff) as usize));
         &self.order
+    }
+
+    /// How many windows the last [`Settler::keyed_windows`] handle has
+    /// settled: the slots read so far, or 0 when the settler is inert.
+    #[must_use]
+    pub fn windows_settled(&self) -> usize {
+        if self.keys.is_empty() {
+            return 0;
+        }
+        self.windows.iter().filter(|&&gamma| gamma != UNSETTLED).count()
     }
 
     /// The settled order of the last [`Settler::settle_into`] call:

@@ -31,9 +31,25 @@ use analytic::shift_law::{log2_prefactor, triangle};
 /// Panics if some length is below `base`.
 #[must_use]
 pub fn sample_factor(lengths: &[u64], base: u64) -> f64 {
-    let n = lengths.len();
+    if let Some(&last) = lengths.last() {
+        assert!(last >= base, "length {last} below baseline {base}");
+    }
+    sample_factor_with(lengths.len(), base, |i| lengths[i])
+}
+
+/// [`sample_factor`] over `n` lengths read on demand: `length(i)` is
+/// called once for each weighted position `i < n − 1`, and never for the
+/// last position, whose weight is 0 — its term would subtract `0.0`, so
+/// the factor is bit for bit the same.
+///
+/// # Panics
+///
+/// Panics if a length read is below `base`.
+#[must_use]
+pub fn sample_factor_with(n: usize, base: u64, mut length: impl FnMut(usize) -> u64) -> f64 {
     let mut log2_sum = 0.0;
-    for (i, &g) in lengths.iter().enumerate() {
+    for i in 0..n.saturating_sub(1) {
+        let g = length(i);
         assert!(g >= base, "length {g} below baseline {base}");
         let weight = (n - 1 - i) as f64;
         log2_sum -= weight * (g - base) as f64;
@@ -90,6 +106,34 @@ mod tests {
     #[should_panic(expected = "below baseline")]
     fn factor_rejects_sub_baseline() {
         let _ = sample_factor(&[1, 2], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "below baseline")]
+    fn factor_rejects_sub_baseline_in_the_unweighted_position() {
+        let _ = sample_factor(&[2, 1], 2);
+    }
+
+    #[test]
+    fn factor_with_never_reads_the_unweighted_position() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        for n in 0..=12usize {
+            let lengths: Vec<u64> = (0..n).map(|_| rng.gen_range(2..40)).collect();
+            let mut read = vec![false; n];
+            let f = sample_factor_with(n, 2, |i| {
+                read[i] = true;
+                lengths[i]
+            });
+            // The eager sum over every position, zero weight included.
+            let mut log2_sum = 0.0;
+            for (i, &g) in lengths.iter().enumerate() {
+                log2_sum -= (n - 1 - i) as f64 * (g - 2) as f64;
+            }
+            assert_eq!(f.to_bits(), 2f64.powf(log2_sum).to_bits(), "n={n}");
+            assert_eq!(f.to_bits(), sample_factor(&lengths, 2).to_bits());
+            assert!(read.iter().rev().skip(1).all(|&r| r), "n={n}: a weighted position unread");
+            assert!(!read.last().copied().unwrap_or(false), "n={n}: the last position was read");
+        }
     }
 
     #[test]

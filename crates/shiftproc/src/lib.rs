@@ -21,7 +21,9 @@
 //! * [`exact::pr_disjoint`] — an `O(2ⁿ·n)` subset dynamic program;
 //! * [`ShiftProcess::simulate_disjoint`] — direct Monte-Carlo simulation
 //!   (with [`ShiftProcess::simulate_disjoint_into`] as its allocation-free
-//!   kernel over a caller-held [`ShiftScratch`]).
+//!   kernel over a caller-held [`ShiftScratch`], and
+//!   [`ShiftProcess::simulate_disjoint_lazy`] reading each length only when
+//!   the shifts alone cannot decide an overlap).
 //!
 //! # Example
 //!

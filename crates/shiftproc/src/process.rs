@@ -117,16 +117,49 @@ impl ShiftProcess {
         scratch: &mut ShiftScratch,
         rng: &mut R,
     ) -> bool {
-        // Incremental check: test each new segment against all previous
-        // (n is small in practice).
-        let placed = &mut scratch.placed;
-        placed.clear();
-        for &len in lengths {
-            let seg = Segment::new(self.sample_shift(rng), len);
-            if placed.iter().any(|p| p.overlaps(&seg)) {
+        self.simulate_disjoint_lazy(lengths.len(), 0, |i| lengths[i], scratch, rng)
+    }
+
+    /// [`simulate_disjoint_into`](ShiftProcess::simulate_disjoint_into)
+    /// over `n` segments whose lengths are read on demand: `length(i)` is
+    /// called only when the shifts cannot decide an overlap with segment
+    /// `i`, and every length must be at least `min_len`.
+    ///
+    /// Two closed segments with shifts `a ≤ b` overlap iff `b − a` is at
+    /// most the length of the one at `a`, so a pair overlaps whatever its
+    /// lengths when `b − a ≤ min_len`, and otherwise only the earlier
+    /// segment's length decides it. Each new shift is first tested against
+    /// every placed one by that gap alone; only then are lengths read. The
+    /// outcome is that of `simulate_disjoint_into` on the same lengths, and
+    /// the draws — one geometric per segment up to the first overlap — are
+    /// the same, whichever lengths were read.
+    pub fn simulate_disjoint_lazy<R, F>(
+        &self,
+        n: usize,
+        min_len: u64,
+        mut length: F,
+        scratch: &mut ShiftScratch,
+        rng: &mut R,
+    ) -> bool
+    where
+        R: Rng + ?Sized,
+        F: FnMut(usize) -> u64,
+    {
+        let starts = &mut scratch.starts;
+        starts.clear();
+        for i in 0..n {
+            let b = self.sample_shift(rng);
+            if starts.iter().any(|&a| a.abs_diff(b) <= min_len) {
                 return false;
             }
-            placed.push(seg);
+            for (j, &a) in starts.iter().enumerate() {
+                let len = length(if a < b { j } else { i });
+                debug_assert!(len >= min_len, "length {len} below the bound {min_len}");
+                if a.abs_diff(b) <= len {
+                    return false;
+                }
+            }
+            starts.push(b);
         }
         true
     }
@@ -138,15 +171,15 @@ impl ShiftProcess {
 /// largest vector seen and is reused thereafter.
 #[derive(Debug, Clone, Default)]
 pub struct ShiftScratch {
-    /// Segments placed so far in the current trial.
-    placed: Vec<Segment>,
+    /// Shifts of the segments placed so far in the current trial.
+    starts: Vec<u64>,
 }
 
 impl ShiftScratch {
     /// An empty scratch; the first simulation sizes it.
     #[must_use]
     pub fn new() -> ShiftScratch {
-        ShiftScratch { placed: Vec::new() }
+        ShiftScratch { starts: Vec::new() }
     }
 
     /// A scratch pre-sized for `n` segments, so even the first simulation
@@ -154,7 +187,7 @@ impl ShiftScratch {
     #[must_use]
     pub fn with_capacity(n: usize) -> ShiftScratch {
         ShiftScratch {
-            placed: Vec::with_capacity(n),
+            starts: Vec::with_capacity(n),
         }
     }
 }
@@ -175,7 +208,7 @@ impl fmt::Display for ShiftProcess {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn rng(seed: u64) -> SmallRng {
         SmallRng::seed_from_u64(seed)
@@ -257,6 +290,82 @@ mod tests {
                 }
                 assert_eq!(old_rng, new_rng, "RNG streams diverged on {lengths:?}");
             }
+        }
+    }
+
+    /// The eager placement test: every length known up front, each new
+    /// segment tested against the placed ones, stopping at the first
+    /// overlap.
+    fn eager_disjoint(p: &ShiftProcess, lengths: &[u64], rng: &mut SmallRng) -> bool {
+        let mut placed: Vec<Segment> = Vec::new();
+        for &len in lengths {
+            let seg = Segment::new(p.sample_shift(rng), len);
+            if placed.iter().any(|q| q.overlaps(&seg)) {
+                return false;
+            }
+            placed.push(seg);
+        }
+        true
+    }
+
+    #[test]
+    fn lazy_disjoint_is_eager_disjoint_and_reads_only_undecided_lengths() {
+        let mut cases = rng(7);
+        let mut scratch = ShiftScratch::new();
+        let (mut reads, mut decided_by_gaps) = (0u64, 0u64);
+        for _ in 0..20_000 {
+            let p = ShiftProcess::with_q(1.0 - cases.gen::<f64>()).unwrap();
+            let n = cases.gen_range(0..=8);
+            let min_len = cases.gen_range(0..=3);
+            let lengths: Vec<u64> = (0..n).map(|_| min_len + cases.gen_range(0..=6)).collect();
+            let mut eager_rng = rng(cases.gen());
+            let mut lazy_rng = eager_rng.clone();
+            let eager = eager_disjoint(&p, &lengths, &mut eager_rng);
+            let mut read = 0;
+            let lazy = p.simulate_disjoint_lazy(
+                n,
+                min_len,
+                |i| {
+                    read += 1;
+                    lengths[i]
+                },
+                &mut scratch,
+                &mut lazy_rng,
+            );
+            assert_eq!(lazy, eager, "{p} on {lengths:?}");
+            assert_eq!(lazy_rng, eager_rng, "RNG streams diverged: {p} on {lengths:?}");
+            assert_eq!(
+                p.simulate_disjoint_into(&lengths, &mut scratch, &mut rng(1)),
+                eager_disjoint(&p, &lengths, &mut rng(1))
+            );
+            reads += read;
+            decided_by_gaps += u64::from(read == 0 && n >= 2);
+        }
+        assert!(reads > 0 && decided_by_gaps > 0, "reads {reads}, decided by gaps {decided_by_gaps}");
+    }
+
+    #[test]
+    fn two_segments_read_one_length_only_past_the_bound() {
+        // Shifts differing by at most the bound overlap unread; otherwise
+        // exactly the earlier segment's length is read.
+        let p = ShiftProcess::canonical();
+        let mut scratch = ShiftScratch::new();
+        let mut r = rng(8);
+        for _ in 0..2_000 {
+            let mut probe = r.clone();
+            let gap = p.sample_shift(&mut probe).abs_diff(p.sample_shift(&mut probe));
+            let mut read = Vec::new();
+            p.simulate_disjoint_lazy(
+                2,
+                2,
+                |i| {
+                    read.push(i);
+                    3
+                },
+                &mut scratch,
+                &mut r,
+            );
+            assert_eq!(read.len(), usize::from(gap > 2), "gap {gap}: read {read:?}");
         }
     }
 

@@ -57,6 +57,9 @@ pub struct Cpu {
     pending: Vec<u64>,
     /// OoO only: the ops ready to issue this step (reused buffer).
     ready: Vec<usize>,
+    /// OoO only: [`Cpu::plan`]'s bitsets of the ops planned so far, one
+    /// row of [`Cpu::words`] words per blocker class (reused buffer).
+    blockers: Vec<u64>,
 }
 
 impl Cpu {
@@ -87,6 +90,7 @@ impl Cpu {
             deps: Vec::new(),
             pending: Vec::new(),
             ready: Vec::new(),
+            blockers: Vec::new(),
         };
         cpu.plan();
         cpu.restart(start_delay);
@@ -125,7 +129,10 @@ impl Cpu {
     }
 
     /// Derives the OoO issue dependencies of the current program (nothing
-    /// for an in-order core).
+    /// for an in-order core), in one pass: an op's row is the union of the
+    /// bitsets of the earlier ops in the blocker classes that bind it (see
+    /// [`blocker_classes`]) and of those accessing its location, cut to
+    /// its window.
     pub(crate) fn plan(&mut self) {
         self.deps.clear();
         if !self.out_of_order {
@@ -135,14 +142,28 @@ impl Cpu {
         let ops = self.program.ops();
         let matrix = self.model.matrix();
         self.deps.resize(ops.len() * words, 0);
+        self.blockers.clear();
+        self.blockers.resize(BLOCKER_CLASSES * words, 0);
         for (i, op) in ops.iter().enumerate() {
+            let (member, bound) = blocker_classes(op, matrix);
             // An op in the window is at most `window - 1` past the lowest
             // un-issued op, so earlier ops further back are issued.
             let first = i.saturating_sub(self.window - 1);
-            for (j, earlier) in ops[first..i].iter().enumerate().map(|(k, e)| (first + k, e)) {
-                if blocks(earlier, op, matrix) {
-                    self.deps[i * words + j / 64] |= 1 << (j % 64);
+            let row = &mut self.deps[i * words..(i + 1) * words];
+            for class in set_bits(bound) {
+                let earlier = &self.blockers[class * words..(class + 1) * words];
+                row.iter_mut().zip(earlier).for_each(|(r, e)| *r |= e);
+            }
+            if let Some(loc) = op.loc() {
+                for j in (first..i).filter(|&j| ops[j].loc() == Some(loc)) {
+                    row[j / 64] |= 1 << (j % 64);
                 }
+            }
+            for (w, r) in row.iter_mut().enumerate() {
+                *r &= bits_between(w, first, i);
+            }
+            for class in set_bits(member) {
+                self.blockers[class * words + i / 64] |= 1 << (i % 64);
             }
         }
     }
@@ -291,7 +312,76 @@ impl Cpu {
     }
 }
 
-/// Whether `op` may not issue while the earlier `earlier` is un-issued.
+/// Blocker class of the ops writing register `r`: `WRITES + r`.
+const WRITES: usize = 0;
+/// Blocker class of the ops reading register `r`: `READS + r`.
+const READS: usize = Reg::COUNT;
+/// Blocker class of the loads.
+const LOADS: usize = 2 * Reg::COUNT;
+/// Blocker class of the stores.
+const STORES: usize = LOADS + 1;
+/// Blocker class of the fences nothing may be hoisted above.
+const HOIST_BARRIERS: usize = LOADS + 2;
+/// Blocker class of every op.
+const ANY: usize = LOADS + 3;
+/// The number of blocker classes.
+const BLOCKER_CLASSES: usize = ANY + 1;
+
+/// The blocker classes `op` is in, and those that bind it, as bitsets:
+/// `op` may not issue while an earlier un-issued op of a class that binds
+/// it is in its window — the pairwise rule apart from same-location pairs.
+fn blocker_classes(op: &Op, matrix: ReorderMatrix) -> (u32, u32) {
+    use memmodel::OpType::{Ld, St};
+    let (mut member, mut bound) = (1 << ANY, 1 << HOIST_BARRIERS);
+    if let Some(r) = op.reads_reg() {
+        member |= 1 << (READS + r.index());
+        bound |= 1 << (WRITES + r.index()); // RAW
+    }
+    if let Some(r) = op.writes_reg() {
+        member |= 1 << (WRITES + r.index());
+        bound |= 1 << (WRITES + r.index()) | 1 << (READS + r.index()); // WAW, WAR
+    }
+    if let Some(t) = op_type(op) {
+        member |= 1 << if t == Ld { LOADS } else { STORES };
+        if !matrix.allows(Ld, t) {
+            bound |= 1 << LOADS;
+        }
+        if !matrix.allows(St, t) {
+            bound |= 1 << STORES;
+        }
+    }
+    if let Op::Fence(k) = op {
+        if !k.permits_hoist_above() {
+            member |= 1 << HOIST_BARRIERS;
+        }
+        if !k.permits_sink_below() {
+            bound |= 1 << ANY;
+        }
+    }
+    (member, bound)
+}
+
+/// The positions of the set bits of `bits`.
+fn set_bits(mut bits: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = bits.trailing_zeros();
+        bits &= bits.wrapping_sub(1);
+        (bit < 32).then_some(bit as usize)
+    })
+}
+
+/// The bits of word `w` of a bitset that stand for positions in `lo..hi`.
+fn bits_between(w: usize, lo: usize, hi: usize) -> u64 {
+    let below = |n: usize| match n.saturating_sub(64 * w) {
+        n if n >= 64 => u64::MAX,
+        n => (1 << n) - 1,
+    };
+    below(hi) & !below(lo)
+}
+
+/// Whether `op` may not issue while the earlier `earlier` is un-issued:
+/// the pairwise rule [`Cpu::plan`] derives its rows from in one pass.
+#[cfg(test)]
 fn blocks(earlier: &Op, op: &Op, matrix: ReorderMatrix) -> bool {
     // Register dependencies (RAW, WAW, WAR) always bind.
     let raw = earlier.writes_reg().is_some() && earlier.writes_reg() == op.reads_reg();
@@ -527,5 +617,42 @@ mod tests {
             }
         }
         assert!(seen_early_second, "WO window never reordered independent stores");
+    }
+
+    #[test]
+    fn planned_rows_are_the_pairwise_rule() {
+        // Random programs of every op kind over a few registers and
+        // locations, windows up to past a bitset word, out-of-order models
+        // named and custom: each planned row is the set of earlier ops in
+        // the window that `blocks` the op.
+        use memmodel::fence::FenceKind;
+        use rand::Rng;
+        let mut r = rng(0x91a4);
+        for _ in 0..2_000 {
+            let len = if r.gen_bool(0.2) { r.gen_range(60..=140) } else { r.gen_range(0..=12) };
+            let ops: Vec<Op> = (0..len)
+                .map(|_| {
+                    let (reg, loc) = (Reg(r.gen_range(0..3)), Location::filler(r.gen_range(0..4)));
+                    match r.gen_range(0..4) {
+                        0 => Op::Load { reg, loc },
+                        1 => Op::Store { reg, loc },
+                        2 => Op::AddImm { reg, imm: 1 },
+                        _ => Op::Fence(FenceKind::ALL[r.gen_range(0..3)]),
+                    }
+                })
+                .collect();
+            let matrix = ReorderMatrix::new(r.gen(), r.gen(), r.gen(), true);
+            let model = if r.gen() { MemoryModel::Wo } else { MemoryModel::Custom(matrix) };
+            let window = [1, 2, 3, 8, 64, 80][r.gen_range(0..6)];
+            let cpu = Cpu::new(CoreProgram::from_ops(ops.clone()), model, 0, window, 0.5);
+            let words = cpu.words();
+            for (i, op) in ops.iter().enumerate() {
+                for j in 0..i {
+                    let planned = cpu.deps[i * words + j / 64] >> (j % 64) & 1 == 1;
+                    let rule = j + window > i && blocks(&ops[j], op, model.matrix());
+                    assert_eq!(planned, rule, "op {i} after op {j}, window {window}: {ops:?}");
+                }
+            }
+        }
     }
 }

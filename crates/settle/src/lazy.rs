@@ -36,18 +36,24 @@
 //! `0..k` of that round as successes, the attempts it evaluates are a
 //! subset of those the forward kernel evaluates.
 //!
-//! Two shortcuts skip lookups entirely:
+//! # The walk
 //!
-//! * a fence mover, or a mover whose every passable threshold is BLOCKED,
-//!   never climbs;
-//! * a uniform at or above every threshold the mover could meet fails
-//!   whatever sits above it.
+//! One loop answers every query. At `(r, d)` it either knows where round
+//! `r`'s mover sits relative to depth `d` and steps down a round, or it
+//! opens the mover's next attempt. An attempt is decided on the spot when
+//! the mover never climbs (a fence, or a mover whose every threshold is
+//! BLOCKED), sits at the top of the prefix, or draws a uniform at or above
+//! every threshold it could meet. Otherwise the attempt is suspended, with
+//! its uniform, on a stack pre-sized to the program, and the walk looks up
+//! the instruction above the mover; when the lookup lands, one threshold
+//! lookup by (above class, mover class) and one location compare decide
+//! the attempt, and the walk resumes where it was suspended. The kernel
+//! never recurses, and allocates nothing once the scratch has grown to
+//! the program's length.
 //!
 //! Per-round knowledge (successes revealed so far, and whether the climb
-//! is known) lives in the scratch, so no attempt is evaluated twice. Walks
-//! that are waiting on a lookup are kept on an explicit stack, so the
-//! kernel never recurses, and it allocates nothing once the scratch has
-//! grown to the program's length.
+//! is known) lives in the scratch, so no attempt is evaluated twice. A
+//! settle clears it again only for the rounds its walk reached.
 //!
 //! # Long climbs
 //!
@@ -63,15 +69,16 @@
 //!
 //! # Keyed programs
 //!
-//! The kernel reads each instruction's packed word through a word source.
-//! Over a materialised program that is the packed image. Over a program
-//! given by its key ([`crate::Settler::sample_gammas_keyed`]) it is the
-//! [`crate::ProgramShape`]'s word plus the filler's addressed store bit,
-//! typed on first read and memoised across the program's settles — the
-//! program-key analogue of the deferred decisions above, so a settle
-//! types only the fillers its γ depends on. One level up,
-//! [`crate::Settler::keyed_windows`] defers whole settles the same way: a
-//! window is settled only when its caller first reads it.
+//! The kernel reads a program as the words of a [`crate::ProgramShape`],
+//! each instruction decoded once into its class (load, store, fence kind)
+//! and location. Over a materialised program the shape fixes every type.
+//! Over a program given by its key ([`crate::Settler::sample_gammas_keyed`])
+//! a filler's word is marked untyped until its first read types it from
+//! the key, in the program's copy of the words kept across its settles —
+//! the program-key analogue of the deferred decisions above, so a settle
+//! types only the fillers its γ depends on.
+//! One level up, [`crate::Settler::keyed_windows`] defers whole settles the
+//! same way: a window is settled only when its caller first reads it.
 //!
 //! # Prefix observables
 //!
@@ -81,101 +88,99 @@
 //! at fixed `r`. Past the walk budget only the prefix is settled forward.
 
 use crate::process::{
-    attempt_draw, climb, image_gamma, Image, ProgramShape, Tables, BLOCKED, CERTAIN, FENCE_FLAG,
-    NOT_FILLER, ST_ENTRY_BIT, ST_FLAG_SHIFT,
+    attempt_draw, climb, image_gamma, is_store, ProgramShape, Tables, BLOCKED, ST_FLAG_SHIFT, UNTYPED,
 };
 use progmodel::filler_is_store;
 
-/// Knowledge-word flag: the round's climb is fully known. The remaining
-/// bits hold the successes revealed so far.
-const DONE: u32 = 1;
+/// Knowledge-word flag: the round's climb is fully known. The bits below
+/// hold the successes revealed so far, so a round whose next attempt a walk
+/// at depth `d` needs is one whose word is at most `d`.
+const DONE: u32 = 1 << 31;
+
+/// The depth limit of a climb revealed until it is known.
+const UNLIMITED: u32 = DONE - 1;
 
 /// Lookup-walk steps per instruction before the kernel settles forward
 /// instead. At the canonical `s = 1/2` no settle of the named models comes
 /// near it; at `s ≥ 0.95` most do.
 const STEPS_PER_INSTRUCTION: usize = 4;
 
-/// The draw of a suspended attempt whose uniform is not read yet (53-bit
-/// uniforms never equal it).
-const UNREAD: u64 = u64::MAX;
-
-/// A walk suspended on a lookup: at `(round, depth)` it needs the outcome
-/// of the next unrevealed attempt of `round`, which waits for the
-/// instruction above the mover. `draw` is the attempt's uniform, or
-/// [`UNREAD`].
-#[derive(Debug, Clone, Copy)]
+/// A suspended attempt: the next attempt of round `round`, whose mover has
+/// packed word `mover` and uniform `draw`, waits for the instruction above
+/// the mover; the walk was at depth `depth` of `round` when it opened it.
+#[derive(Debug, Clone, Copy, Default)]
 struct Frame {
+    draw: u64,
     round: u32,
     depth: u32,
-    draw: u64,
+    mover: u32,
 }
 
-/// The packed entries (`word << 32 | initial index`) of the program a lazy
-/// settle runs over, by initial index.
-pub(crate) trait Entries {
-    /// The number of instructions.
-    fn len(&self) -> usize;
-    /// The packed entry of instruction `i`.
-    fn entry(&mut self, i: usize) -> u64;
-}
-
-/// A materialised program: its packed image.
-impl Entries for &[u64] {
-    fn len(&self) -> usize {
-        <[u64]>::len(self)
-    }
-
-    fn entry(&mut self, i: usize) -> u64 {
-        self[i]
-    }
-}
-
-/// A keyed program: the shape's entries with each filler's store bit
-/// addressed by the program key, typed on first read.
-pub(crate) struct Keyed<'s> {
-    shape: &'s ProgramShape,
+/// One program over a [`ProgramShape`]: the shape's words, with each
+/// filler typed from the program key on its first read.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ProgramWords {
+    /// The program key the fillers are typed from.
     key: u64,
     store_threshold: u64,
-    /// Per instruction: 0 while untyped, otherwise 1 + the store bit.
-    memo: &'s mut [u8],
+    /// The packed words read so far; empty until the first read.
+    words: Vec<u32>,
 }
 
-impl<'s> Keyed<'s> {
-    /// The program of key `key` over `shape`; `memo` holds one byte per
-    /// instruction, zeroed when the program is new.
-    pub(crate) fn new(shape: &'s ProgramShape, key: u64, store_threshold: u64, memo: &'s mut [u8]) -> Keyed<'s> {
-        debug_assert_eq!(memo.len(), shape.len());
-        Keyed {
-            shape,
-            key,
-            store_threshold,
-            memo,
+impl ProgramWords {
+    /// Buffers pre-sized for programs of `len` instructions.
+    pub(crate) fn with_capacity(len: usize) -> ProgramWords {
+        ProgramWords {
+            words: Vec::with_capacity(len),
+            ..ProgramWords::default()
         }
     }
-}
 
-impl Entries for Keyed<'_> {
-    fn len(&self) -> usize {
-        self.shape.len()
+    /// Forgets every filler type: the program of key `key`, over the shape
+    /// of the next settle.
+    pub(crate) fn reset(&mut self, key: u64, store_threshold: u64) {
+        self.key = key;
+        self.store_threshold = store_threshold;
+        self.words.clear();
     }
 
-    fn entry(&mut self, i: usize) -> u64 {
-        let mut typed = self.memo[i];
-        if typed == 0 {
-            let j = self.shape.fillers[i];
-            typed = 1 + u8::from(j != NOT_FILLER && filler_is_store(self.key, j as usize, self.store_threshold));
-            self.memo[i] = typed;
+    /// Copies the shape's words on a settle of a program not read yet.
+    #[inline(always)]
+    fn load(&mut self, shape: &ProgramShape) {
+        if self.words.is_empty() {
+            self.words.extend_from_slice(&shape.words);
         }
-        self.shape.words[i] | if typed == 2 { ST_ENTRY_BIT } else { 0 }
+    }
+
+    /// The packed word of instruction `i` of the program, typing it first
+    /// if it is an untyped filler.
+    #[inline(always)]
+    fn word(&mut self, shape: &ProgramShape, i: usize) -> u32 {
+        let word = self.words[i];
+        if word & UNTYPED == 0 {
+            word
+        } else {
+            self.type_filler(shape, i)
+        }
+    }
+
+    /// Types filler `i` from the program key, and returns its word.
+    #[inline(never)]
+    fn type_filler(&mut self, shape: &ProgramShape, i: usize) -> u32 {
+        let store = filler_is_store(self.key, shape.fillers[i] as usize, self.store_threshold);
+        let word = (self.words[i] & !UNTYPED) | u32::from(store) << ST_FLAG_SHIFT;
+        self.words[i] = word;
+        word
     }
 }
 
 /// Reusable buffers of the lazy kernel.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LazyScratch {
-    /// Per round: `successes << 1 | DONE`.
+    /// Per round: the successes revealed, `| DONE` once the climb is known;
+    /// all zero between settles.
     know: Vec<u32>,
-    /// Suspended walks.
+    /// Suspended attempts, one slot per round.
     stack: Vec<Frame>,
     /// The forward-finish image; empty unless the last settle finished
     /// forward.
@@ -186,52 +191,35 @@ impl LazyScratch {
     /// Buffers pre-sized for programs of `len` instructions.
     pub(crate) fn with_capacity(len: usize) -> LazyScratch {
         LazyScratch {
-            know: Vec::with_capacity(len),
-            stack: Vec::with_capacity(len),
+            know: vec![0; len],
+            stack: vec![Frame::default(); len],
             work: Vec::with_capacity(len),
         }
     }
 
-    /// The lazy kernel's `γ` for settle key `key` over `entries`, with the
-    /// number of swap attempts it decided.
-    pub(crate) fn gamma<E: Entries>(&mut self, entries: E, tables: &Tables, key: u64, image: Image) -> (u64, u64) {
-        let len = entries.len();
-        let (mut lazy, work) = self.start(entries, tables, key, len);
-        let gamma = lazy.gamma(image.ld, image.st, work);
-        (gamma, lazy.attempts)
-    }
-
-    /// A lazy settle of the first `rounds` rounds over `entries` with
-    /// nothing revealed, and the buffer of its forward finish.
-    fn start<'s, E: Entries>(
-        &'s mut self,
-        entries: E,
-        tables: &'s Tables,
+    /// The lazy kernel's `γ` for settle key `key` of `program` over
+    /// `shape`, with the number of swap attempts it decided.
+    pub(crate) fn gamma(
+        &mut self,
+        shape: &ProgramShape,
+        program: &mut ProgramWords,
+        tables: &Tables,
         key: u64,
-        rounds: usize,
-    ) -> (Lazy<'s, E>, &'s mut Vec<u64>) {
-        self.know.clear();
-        self.know.resize(rounds, 0);
-        debug_assert!(self.stack.is_empty());
-        self.stack.reserve(rounds);
-        self.work.clear();
-        self.work.reserve(rounds);
-        let lazy = Lazy {
-            entries,
-            know: &mut self.know,
-            stack: &mut self.stack,
-            tables,
-            reach: [tables.reach(0), tables.reach(1)],
-            key,
-            attempts: 0,
-            budget: STEPS_PER_INSTRUCTION * rounds,
-        };
-        (lazy, &mut self.work)
+    ) -> (u64, u64) {
+        let len = shape.len();
+        let (ld, st) = (shape.image.ld, shape.image.st);
+        let mut walk = self.start(shape, program, tables, key, len);
+        let gamma = walk.gamma_within_budget(ld, st).unwrap_or_else(|| {
+            walk.settle_forward(len);
+            image_gamma(walk.work, ld, st)
+        });
+        (gamma, walk.finish(len))
     }
 
     /// The number of stores at the bottom of the settled prefix after
     /// `rounds` rounds (depths `0, 1, …` up to the first non-store),
-    /// counting at most `cap`, for settle key `key` over `entries`.
+    /// counting at most `cap`, for settle key `key` of `program` over
+    /// `shape`, with the number of swap attempts it decided.
     ///
     /// Each depth is a lookup `Q(rounds - 1, d)`, so only the climbs the
     /// bottom of the prefix depends on are settled. Past the walk budget
@@ -239,21 +227,60 @@ impl LazyScratch {
     /// prefix, is settled forward instead. Both halves read the forward
     /// kernel's attempt addresses, so the count is the forward prefix's
     /// bit for bit.
-    pub(crate) fn store_run<E: Entries>(
+    pub(crate) fn store_run(
         &mut self,
-        entries: E,
+        shape: &ProgramShape,
+        program: &mut ProgramWords,
         tables: &Tables,
         key: u64,
         rounds: usize,
         cap: usize,
-    ) -> u64 {
-        debug_assert!(cap <= rounds && rounds <= entries.len());
-        let (mut lazy, work) = self.start(entries, tables, key, rounds);
-        lazy.store_run_within_budget(rounds, cap).unwrap_or_else(|| {
-            lazy.settle_forward(rounds, work);
-            let bottom = work.iter().rev().take(cap);
+    ) -> (u64, u64) {
+        debug_assert!(cap <= rounds && rounds <= shape.len());
+        let mut walk = self.start(shape, program, tables, key, rounds);
+        let run = walk.store_run_within_budget(rounds, cap).unwrap_or_else(|| {
+            walk.settle_forward(rounds);
+            let bottom = walk.work.iter().rev().take(cap);
             bottom.take_while(|&&entry| is_store((entry >> 32) as u32)).count() as u64
-        })
+        });
+        (run, walk.finish(rounds))
+    }
+
+    /// A lazy settle of the first `rounds` rounds with nothing revealed.
+    #[inline(always)]
+    fn start<'s>(
+        &'s mut self,
+        shape: &'s ProgramShape,
+        program: &'s mut ProgramWords,
+        tables: &'s Tables,
+        key: u64,
+        rounds: usize,
+    ) -> Walk<'s> {
+        program.load(shape);
+        if self.know.len() < rounds {
+            self.grow(rounds);
+        }
+        self.work.clear();
+        Walk {
+            shape,
+            program,
+            tables,
+            know: &mut self.know,
+            stack: &mut self.stack,
+            work: &mut self.work,
+            key,
+            attempts: 0,
+            budget: STEPS_PER_INSTRUCTION * rounds,
+            low: rounds,
+        }
+    }
+
+    /// Sizes the buffers for programs of `len` instructions.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, len: usize) {
+        self.know.resize(len, 0);
+        self.stack.resize(len, Frame::default());
     }
 
     /// Whether the last settle ran out of walk budget and finished
@@ -264,70 +291,71 @@ impl LazyScratch {
     }
 }
 
-/// Whether a packed word is a store (critical or filler).
-fn is_store(word: u32) -> bool {
-    word & FENCE_FLAG == 0 && (word >> ST_FLAG_SHIFT) & 1 == 1
-}
-
-/// One lazy settle over a program's entries in initial order.
-struct Lazy<'s, E> {
-    entries: E,
-    /// Per round: `successes << 1 | DONE`. All zero at the start.
-    know: &'s mut [u32],
-    /// Suspended walks, innermost last.
-    stack: &'s mut Vec<Frame>,
+/// One lazy settle of a program in initial order.
+struct Walk<'s> {
+    shape: &'s ProgramShape,
+    program: &'s mut ProgramWords,
     tables: &'s Tables,
-    /// `tables.reach` for Ld and St movers.
-    reach: [u64; 2],
+    /// Per round: the successes revealed, `| DONE` once the climb is
+    /// known. All zero at the start.
+    know: &'s mut [u32],
+    /// Suspended attempts, innermost last; as long as `know`, since their
+    /// rounds strictly decrease.
+    stack: &'s mut [Frame],
+    /// The buffer of the forward finish.
+    work: &'s mut Vec<u64>,
     key: u64,
     /// Swap attempts decided.
     attempts: u64,
     /// Lookup-walk steps left before settling forward.
     budget: usize,
+    /// The lowest round whose knowledge the walk may have written.
+    low: usize,
 }
 
-impl<E: Entries> Lazy<'_, E> {
+impl Walk<'_> {
     /// The packed word of instruction `i`.
+    #[inline(always)]
     fn word(&mut self, i: usize) -> u32 {
-        (self.entries.entry(i) >> 32) as u32
+        self.program.word(self.shape, i)
     }
 
-    /// The window growth `γ` of the settle, for the critical LD at initial
-    /// index `ld` and the critical ST at `st`. `work` is the buffer of the
-    /// forward finish.
-    fn gamma(&mut self, ld: usize, st: usize, work: &mut Vec<u64>) -> u64 {
-        self.gamma_within_budget(ld, st)
-            .unwrap_or_else(|| self.finish_forward(ld, st, work))
+    /// Clears the knowledge of the rounds below `top` the walk reached,
+    /// and returns the swap attempts it decided.
+    fn finish(self, top: usize) -> u64 {
+        self.know[self.low.min(top)..top].fill(0);
+        self.attempts
     }
 
-    /// [`gamma`](Lazy::gamma) by lookups alone, or `None` once the walk
-    /// budget runs out.
+    /// [`LazyScratch::gamma`] by lookups alone, or `None` once the walk
+    /// budget runs out, for the critical LD at initial index `ld` and the
+    /// critical ST at `st`.
     ///
     /// Tracks both depths through the rounds from `ld` on: a later mover
     /// that does not climb past an instruction pushes it one deeper.
     fn gamma_within_budget(&mut self, ld: usize, st: usize) -> Option<u64> {
-        let mut ld_depth = self.climb(ld, u32::MAX)?;
-        let mut st_depth = 0;
-        for r in ld + 1..self.entries.len() {
-            if r == st {
+        let (mut ld_depth, mut st_depth) = (0, 0);
+        for r in ld..self.shape.len() {
+            // The critical pair climb as far as they go; a later mover
+            // matters only as far as the critical LD's depth (revealing it
+            // in one climb decides the same attempts as first revealing it
+            // to the critical ST's depth).
+            let limit = if r == ld || r == st { u32::MAX } else { ld_depth };
+            let climbed = self.climb(r, limit)?;
+            if r == ld {
+                ld_depth = climbed;
+            } else if r == st {
                 // The critical ST stops below the critical LD at the latest.
-                st_depth = self.climb(r, u32::MAX)?;
+                st_depth = climbed;
                 ld_depth += 1;
-            } else if r > st && self.climb(r, st_depth)? <= st_depth {
+            } else if r > st && climbed <= st_depth {
                 st_depth += 1;
                 ld_depth += 1;
-            } else if self.climb(r, ld_depth)? <= ld_depth {
+            } else if climbed <= ld_depth {
                 ld_depth += 1;
             }
         }
         Some(u64::from(ld_depth - st_depth - 1))
-    }
-
-    /// Settles the whole program forward in `work`, then reads γ off the
-    /// settled image.
-    fn finish_forward(&mut self, ld: usize, st: usize, work: &mut Vec<u64>) -> u64 {
-        self.settle_forward(self.entries.len(), work);
-        image_gamma(work, ld, st)
     }
 
     /// Settles the first `rounds` rounds forward in `work` (the prefix
@@ -335,21 +363,24 @@ impl<E: Entries> Lazy<'_, E> {
     /// revealed and evaluating only the attempts that are not.
     ///
     /// The rare fallback of both kernels: kept out of line so that it
-    /// does not weigh on the lookup walks' code.
+    /// does not weigh on the walk's code.
     #[cold]
     #[inline(never)]
-    fn settle_forward(&mut self, rounds: usize, work: &mut Vec<u64>) {
-        self.stack.clear();
-        work.clear();
-        work.extend((0..rounds).map(|i| self.entries.entry(i)));
+    fn settle_forward(&mut self, rounds: usize) {
+        self.work.clear();
+        for i in 0..rounds {
+            let word = self.word(i);
+            self.work.push(u64::from(word) << 32 | i as u64);
+        }
         for r in 0..rounds {
             let know = self.know[r];
-            let pos = r - (know >> 1) as usize;
-            work[pos..=r].rotate_right(1);
+            let pos = r - (know & !DONE) as usize;
+            self.work[pos..=r].rotate_right(1);
             if know & DONE == 0 {
-                self.attempts += climb(work, self.tables, self.key, r, pos);
+                self.attempts += climb(self.work, self.tables, self.key, r, pos);
             }
         }
+        self.low = 0;
     }
 
     /// [`LazyScratch::store_run`] by lookups alone, or `None` once the walk
@@ -357,7 +388,7 @@ impl<E: Entries> Lazy<'_, E> {
     fn store_run_within_budget(&mut self, rounds: usize, cap: usize) -> Option<u64> {
         let mut run = 0;
         while run < cap {
-            #[allow(clippy::cast_possible_truncation)] // depths fit u32 (see `encode_image`)
+            #[allow(clippy::cast_possible_truncation)] // depths fit u32 (see `encode_with`)
             let i = self.lookup(rounds - 1, run as u32)?;
             if !is_store(self.word(i)) {
                 break;
@@ -386,94 +417,69 @@ impl<E: Entries> Lazy<'_, E> {
     /// Reveals round `round`'s climb until it is known or exceeds `limit`,
     /// and returns the successes revealed: at most `limit` means the climb
     /// is exactly that. `None` once the walk budget runs out.
+    #[inline(always)]
     fn climb(&mut self, round: usize, limit: u32) -> Option<u32> {
-        // The walk's position: on the empty stack, the top-level round;
+        // The walk's position: with nothing suspended, the top-level round;
         // otherwise a lookup of "the instruction at depth d after round r".
-        let (mut r, mut d) = (round, limit);
+        let (mut r, mut d) = (round, limit.min(UNLIMITED));
+        let mut suspended = 0;
+        self.low = self.low.min(r);
+        let mut know = self.know[r];
         loop {
-            let know = self.know[r];
-            let successes = know >> 1;
-            if know & DONE == 0 && successes <= d {
-                // The next attempt of round r decides where the walk goes.
-                if let Some(draw) = self.open(r, successes) {
-                    // Suspend, and look up what the mover meets: the
-                    // instruction at depth `successes` after round r - 1.
-                    #[allow(clippy::cast_possible_truncation)] // rounds fit u32 (see `encode_image`)
-                    self.stack.push(Frame {
-                        round: r as u32,
-                        depth: d,
-                        draw,
-                    });
-                    r -= 1;
-                    d = successes;
+            if know <= d {
+                // Attempt k of round r decides where the walk goes. It fails
+                // on the spot at the top of the prefix, for a mover that
+                // never climbs, or for a uniform at or above its reach.
+                let k = know;
+                let mover = self.word(r);
+                let reach = self.tables.reach(mover);
+                if k as usize != r && reach != BLOCKED {
+                    let draw = attempt_draw(self.key, r, k as usize);
+                    if draw < reach {
+                        // Suspend, and look up what the mover meets: the
+                        // instruction at depth k after round r - 1.
+                        #[allow(clippy::cast_possible_truncation)] // rounds fit u32 (see `encode_with`)
+                        let frame = Frame { draw, round: r as u32, depth: d, mover };
+                        self.stack[suspended] = frame;
+                        suspended += 1;
+                        r -= 1;
+                        d = k;
+                        self.low = self.low.min(r);
+                        know = self.know[r];
+                        continue;
+                    }
+                    self.attempts += 1;
                 }
-                continue;
+                know = k | DONE;
+                self.know[r] = know;
             }
-            if self.stack.is_empty() {
-                return Some(successes);
+            let k = know & !DONE;
+            if suspended == 0 {
+                return Some(k);
             }
             self.budget = self.budget.checked_sub(1)?;
-            if successes > d {
+            if k != d {
+                if k < d {
+                    d -= 1;
+                }
                 r -= 1;
-            } else if successes < d {
-                r -= 1;
-                d -= 1;
-            } else {
-                // x_r itself sits at depth d: resume the suspended walk.
-                let frame = self.stack.pop().expect("a suspended walk");
-                self.close(frame, r);
-                r = frame.round as usize;
-                d = frame.depth;
+                self.low = self.low.min(r);
+                know = self.know[r];
+                continue;
             }
-        }
-    }
-
-    /// Opens the next attempt (`k`) of round `r`. Returns `None` when it
-    /// is decided without a lookup (recording the outcome), otherwise its
-    /// uniform, or [`UNREAD`] when no uniform can fail it before the
-    /// lookup.
-    fn open(&mut self, r: usize, k: u32) -> Option<u64> {
-        let mover = self.word(r);
-        if k as usize == r || mover & FENCE_FLAG != 0 {
-            // At the top of the prefix, or a fence (fences never settle).
-            self.know[r] = k << 1 | DONE;
-            return None;
-        }
-        let reach = self.reach[((mover >> ST_FLAG_SHIFT) & 1) as usize];
-        if reach == BLOCKED {
-            self.know[r] = DONE;
-            return None;
-        }
-        if reach == CERTAIN {
-            return Some(UNREAD);
-        }
-        let u = attempt_draw(self.key, r, k as usize);
-        if u >= reach {
+            // x_r itself sits at depth d: it is above the suspended mover,
+            // which passes it iff its uniform is below the pair's threshold.
+            suspended -= 1;
+            let frame = self.stack[suspended];
+            let mover = frame.round as usize;
             self.attempts += 1;
-            self.know[r] = k << 1 | DONE;
-            return None;
+            let threshold = self.tables.threshold(self.word(r), frame.mover);
+            let k = self.know[mover];
+            know = if frame.draw < threshold { k + 1 } else { k | DONE };
+            self.know[mover] = know;
+            r = mover;
+            d = frame.depth;
         }
-        Some(u)
-    }
-
-    /// Decides the suspended attempt of `frame` now that the instruction
-    /// above the mover is known to be `above` (an initial index).
-    fn close(&mut self, frame: Frame, above: usize) {
-        self.attempts += 1;
-        let r = frame.round as usize;
-        let k = self.know[r] >> 1;
-        let (above, mover) = (self.word(above), self.word(r));
-        let t = self.tables.threshold(above, mover);
-        let pass = t != BLOCKED
-            && (t == CERTAIN || {
-                let u = if frame.draw == UNREAD {
-                    attempt_draw(self.key, r, k as usize)
-                } else {
-                    frame.draw
-                };
-                u < t
-            });
-        self.know[r] = if pass { (k + 1) << 1 } else { k << 1 | DONE };
     }
 }
 
@@ -572,6 +578,91 @@ mod tests {
         // Both halves of the kernel are exercised: most settles stay lazy,
         // and some long-climb settles run out of walk budget.
         assert!(finished_forward > 0 && finished_forward < cases / 2, "{finished_forward}");
+    }
+
+    #[test]
+    fn settle_stream_is_pinned() {
+        // FNV-1a over (γ or store run, attempts decided, finished forward)
+        // of 10^5 lazy settles: per program, one materialised settle, two
+        // keyed settles of one program key and two keyed store runs.
+        // Recorded before the walk was rewritten: a kernel change may not
+        // move a γ, an attempt count or the walk budget's verdict.
+        let mut rng = SmallRng::seed_from_u64(0x9e11);
+        let mut scratch = SettleScratch::new();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |(value, attempts, forward): (u64, u64, bool)| {
+            for x in [value, attempts, u64::from(forward)] {
+                hash = (hash ^ x).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let (mut settles, mut forward) = (0u64, 0u64);
+        for _ in 0..20_000 {
+            let m = match rng.gen_range(0..10) {
+                0..=1 => rng.gen_range(0..=200),
+                2..=3 => 64,
+                _ => rng.gen_range(0..=24),
+            };
+            let mut program = program(&mut rng, m);
+            if rng.gen_bool(0.2) {
+                program = program.with_acquire_before_critical();
+            }
+            let shape = ProgramShape::new(&program);
+            let settler = settler(&mut rng);
+            let store_threshold = memmodel::bool_threshold(probability(&mut rng));
+            let program_key = rng.gen();
+            let (_, (gamma, attempts), finished) = scratch.forward_and_lazy(&settler, &program, rng.gen());
+            let mut settled = vec![(gamma, attempts, finished)];
+            for fresh in [true, false] {
+                settled.push(scratch.traced_keyed_gamma(&settler, &shape, store_threshold, program_key, rng.gen(), fresh));
+            }
+            for _ in 0..2 {
+                let rounds = rng.gen_range(1..=program.len());
+                let cap = rng.gen_range(0..=rounds);
+                let key = rng.gen();
+                settled.push(scratch.traced_store_run(&settler, &shape, store_threshold, program_key, key, rounds, cap));
+            }
+            for settle in settled {
+                forward += u64::from(settle.2);
+                settles += 1;
+                fold(settle);
+            }
+        }
+        assert_eq!(settles, 100_000);
+        assert!(forward > 0, "no settle ran out of walk budget");
+        assert_eq!(hash, 0x7fd3_4b59_1c6d_44ff, "the settle stream moved: {hash:#018x} ({forward} finished forward)");
+    }
+
+    #[test]
+    fn deep_walks_agree_with_forward_on_a_default_stack() {
+        // Long programs at swap probabilities near and at 1, with fences
+        // anywhere: every climb is long, so walks run deep and most settles
+        // run out of walk budget and finish forward. The walk keeps its
+        // suspended attempts on an explicit stack, so a worker thread's
+        // default stack suffices whatever the depth.
+        let worker = std::thread::spawn(|| {
+            let mut rng = SmallRng::seed_from_u64(0xdee9);
+            let mut scratch = SettleScratch::new();
+            let (mut settles, mut forward) = (0u64, 0u64);
+            for m in [2_000, 8_000] {
+                for s in [0.95, 1.0 - 2f64.powi(-20), 1.0] {
+                    for model in [MemoryModel::Tso, MemoryModel::Wo] {
+                        let probs = SettleProbs::uniform(s).expect("valid s");
+                        let settler = Settler::new(model.matrix(), probs)
+                            .with_fence_pass_probability(s)
+                            .expect("valid fence probability");
+                        let program = program(&mut rng, m);
+                        let key = rng.gen();
+                        let ((gamma, _), (lazy, _), finished) = scratch.forward_and_lazy(&settler, &program, key);
+                        assert_eq!(lazy, gamma, "{model} m {m}, s {s}, key {key:#x}");
+                        forward += u64::from(finished);
+                        settles += 1;
+                    }
+                }
+            }
+            (settles, forward)
+        });
+        let (settles, forward) = worker.join().expect("the deep walks ran on a default stack");
+        assert!(forward > 0 && forward < settles, "{forward} of {settles} settles finished forward");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The settling process itself.
 
-use crate::lazy::{Keyed, LazyScratch};
+use crate::lazy::{LazyScratch, ProgramWords};
 use crate::Permutation;
 use memmodel::draw::addressed_uniform;
 pub(crate) use memmodel::draw::{BLOCKED, CERTAIN};
@@ -30,33 +30,28 @@ use std::fmt;
 /// let settled = sc.settle(&program, &mut SmallRng::seed_from_u64(0));
 /// assert!(settled.permutation().is_identity()); // SC never reorders
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, PartialEq)]
 pub struct Settler {
     matrix: ReorderMatrix,
     probs: SettleProbs,
     fence_pass_probability: f64,
+    /// The draw thresholds of the three fields above, for a program
+    /// without and with a hoistable fence (see [`Settler::tables`]).
+    tables: [Tables; 2],
 }
 
 impl Settler {
     /// The canonical settler for a named model (`s = 1/2` on relaxed pairs).
     #[must_use]
     pub fn for_model(model: MemoryModel) -> Settler {
-        Settler {
-            matrix: model.matrix(),
-            probs: SettleProbs::canonical(),
-            fence_pass_probability: 0.5,
-        }
+        Settler::new(model.matrix(), SettleProbs::canonical())
     }
 
     /// A settler with an explicit matrix and probabilities (the generalised
     /// model of footnote 3).
     #[must_use]
     pub fn new(matrix: ReorderMatrix, probs: SettleProbs) -> Settler {
-        Settler {
-            matrix,
-            probs,
-            fence_pass_probability: 0.5,
-        }
+        Settler::with_tables(matrix, probs, 0.5)
     }
 
     /// Replaces the probability of hoisting past a release fence.
@@ -64,12 +59,28 @@ impl Settler {
     /// # Errors
     ///
     /// Returns the invalid value if `p` is not in `[0, 1]`.
-    pub fn with_fence_pass_probability(mut self, p: f64) -> Result<Settler, f64> {
+    pub fn with_fence_pass_probability(self, p: f64) -> Result<Settler, f64> {
         if !(0.0..=1.0).contains(&p) {
             return Err(p);
         }
-        self.fence_pass_probability = p;
-        Ok(self)
+        Ok(Settler::with_tables(self.matrix, self.probs, p))
+    }
+
+    /// The settler of the given parameters, with its draw thresholds
+    /// resolved.
+    fn with_tables(matrix: ReorderMatrix, probs: SettleProbs, fence_pass_probability: f64) -> Settler {
+        let threshold = |earlier, later| bool_threshold(probs.effective(&matrix, earlier, later));
+        let eff = [
+            [threshold(OpType::Ld, OpType::Ld), threshold(OpType::Ld, OpType::St)],
+            [threshold(OpType::St, OpType::Ld), threshold(OpType::St, OpType::St)],
+        ];
+        let fence = bool_threshold(fence_pass_probability);
+        Settler {
+            matrix,
+            probs,
+            fence_pass_probability,
+            tables: [Tables::new(eff, BLOCKED), Tables::new(eff, fence)],
+        }
     }
 
     /// The relaxation matrix in force.
@@ -145,7 +156,7 @@ impl Settler {
         let tables = self.tables(encode_image(program, &mut scratch.packed).has_release);
         // An inert settle reads no attempt, so its key is never used.
         let key = if tables.inert() { 0 } else { rng.next_u64() };
-        settle_packed(&mut scratch.packed, &tables, rounds, key);
+        settle_packed(&mut scratch.packed, tables, rounds, key);
         scratch.sync_order()
     }
 
@@ -271,15 +282,16 @@ impl Settler {
         scratch: &mut SettleScratch,
         rng: &mut R,
     ) {
-        let image = encode_image(program, &mut scratch.packed);
-        let tables = self.tables(image.has_release);
+        let shape = &mut scratch.materialised;
+        shape.encode(program, false);
+        let tables = self.tables(shape.image.has_release);
+        if tables.inert() {
+            out.fill(shape.image.inert_gamma());
+            return;
+        }
+        scratch.words.reset(0, 0);
         for slot in out {
-            *slot = if tables.inert() {
-                image.inert_gamma()
-            } else {
-                let key = rng.next_u64();
-                scratch.lazy.gamma(scratch.packed.as_slice(), &tables, key, image).0
-            };
+            *slot = scratch.lazy.gamma(shape, &mut scratch.words, tables, rng.next_u64()).0;
         }
     }
 
@@ -317,13 +329,12 @@ impl Settler {
     /// when the settler is inert on the shape — exactly the draws of `n`
     /// eager settles, since a settle reads nothing from `rng` beyond its
     /// key. A window read later, or never, therefore leaves every other
-    /// draw of the caller's stream where it was. The lazy γ kernel reads
-    /// each instruction's packed word as the shape's word plus the
-    /// addressed store bit of its filler, so a settle types only the
-    /// fillers its γ depends on; types are memoised across the program's
-    /// settles.
+    /// draw of the caller's stream where it was. The lazy γ kernel types a
+    /// filler from the program key on its first read, so a settle types
+    /// only the fillers its γ depends on; types are kept across the
+    /// program's settles.
     pub fn keyed_windows<'s, R: Rng + ?Sized>(
-        &self,
+        &'s self,
         shape: &'s ProgramShape,
         store_threshold: u64,
         program_key: u64,
@@ -339,16 +350,9 @@ impl Settler {
         } else {
             scratch.keys.extend((0..n).map(|_| rng.next_u64()));
             scratch.windows.resize(n, UNSETTLED);
-            scratch.memo.clear();
-            scratch.memo.resize(shape.len(), 0);
+            scratch.words.reset(program_key, store_threshold);
         }
-        KeyedWindows {
-            shape,
-            tables,
-            program_key,
-            store_threshold,
-            scratch,
-        }
+        KeyedWindows { shape, tables, scratch }
     }
 
     /// The number of stores at the bottom of the settled prefix of
@@ -372,36 +376,25 @@ impl Settler {
         let tables = self.tables(shape.image.has_release);
         // An inert settle reads no attempt, so its key is never used.
         let key = if tables.inert() { 0 } else { rng.next_u64() };
-        scratch.memo.clear();
-        scratch.memo.resize(shape.len(), 0);
-        let entries = Keyed::new(shape, program_key, store_threshold, &mut scratch.memo);
-        scratch.lazy.store_run(entries, &tables, key, rounds, cap)
+        scratch.words.reset(program_key, store_threshold);
+        scratch.lazy.store_run(shape, &mut scratch.words, tables, key, rounds, cap).0
     }
 
-    /// Resolves the integer draw thresholds of this settler for a program
-    /// with (`has_release`) or without a hoistable fence: the four
-    /// memory-memory thresholds `eff[earlier_st][later_st]` and the
-    /// release-fence threshold, all via [`bool_threshold`].
-    pub(crate) fn tables(&self, has_release: bool) -> Tables {
-        let threshold =
-            |earlier, later| bool_threshold(self.probs.effective(&self.matrix, earlier, later));
-        Tables {
-            eff: [
-                [
-                    threshold(OpType::Ld, OpType::Ld),
-                    threshold(OpType::Ld, OpType::St),
-                ],
-                [
-                    threshold(OpType::St, OpType::Ld),
-                    threshold(OpType::St, OpType::St),
-                ],
-            ],
-            fence: if has_release {
-                bool_threshold(self.fence_pass_probability)
-            } else {
-                BLOCKED
-            },
-        }
+    /// The integer draw thresholds of this settler for a program with
+    /// (`has_release`) or without a hoistable fence, all via
+    /// [`bool_threshold`]; resolved once, when the settler is made.
+    pub(crate) fn tables(&self, has_release: bool) -> &Tables {
+        &self.tables[usize::from(has_release)]
+    }
+}
+
+impl fmt::Debug for Settler {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Settler")
+            .field("matrix", &self.matrix)
+            .field("probs", &self.probs)
+            .field("fence_pass_probability", &self.fence_pass_probability)
+            .finish()
     }
 }
 
@@ -410,9 +403,7 @@ impl Settler {
 #[derive(Debug)]
 pub struct KeyedWindows<'s> {
     shape: &'s ProgramShape,
-    tables: Tables,
-    program_key: u64,
-    store_threshold: u64,
+    tables: &'s Tables,
     scratch: &'s mut SettleScratch,
 }
 
@@ -430,8 +421,7 @@ impl KeyedWindows<'_> {
             return memo;
         }
         let scratch = &mut *self.scratch;
-        let entries = Keyed::new(self.shape, self.program_key, self.store_threshold, &mut scratch.memo);
-        let gamma = scratch.lazy.gamma(entries, &self.tables, scratch.keys[slot], self.shape.image).0;
+        let gamma = scratch.lazy.gamma(self.shape, &mut scratch.words, self.tables, scratch.keys[slot]).0;
         scratch.windows[slot] = gamma;
         gamma
     }
@@ -440,43 +430,57 @@ impl KeyedWindows<'_> {
 /// The memoised γ of a window not settled yet (no γ reaches it).
 const UNSETTLED: u64 = u64::MAX;
 
-/// The integer draw thresholds of one settler over one program image.
+/// The integer draw thresholds of one settler over one program image,
+/// indexed by instruction class: a packed word's top three bits (fence,
+/// release, store).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Tables {
-    /// `eff[earlier_st][later_st]`: the memory-memory thresholds.
-    pub(crate) eff: [[u64; 2]; 2],
-    /// The release-fence threshold; BLOCKED when the program has no
-    /// release fence.
-    pub(crate) fence: u64,
+    /// `pass[above class][mover is a store]`: the threshold of a memory
+    /// mover passing an instruction of another location.
+    pass: [[u64; 2]; 8],
+    /// `reach[mover class]`: the largest threshold the mover can meet, so
+    /// a uniform at or above it fails whatever sits above; BLOCKED for a
+    /// fence, which never settles.
+    reach: [u64; 8],
 }
 
 impl Tables {
+    /// The thresholds of the memory-memory pairs `eff[earlier_st][later_st]`
+    /// and of passing a release fence, `fence` (BLOCKED when the program
+    /// has no release fence).
+    fn new(eff: [[u64; 2]; 2], fence: u64) -> Tables {
+        let mut pass = [[BLOCKED; 2]; 8];
+        pass[0] = [eff[0][0], eff[0][1]];
+        pass[1] = [eff[1][0], eff[1][1]];
+        pass[((FENCE_FLAG | RELEASE_FLAG) >> ST_FLAG_SHIFT) as usize] = [fence; 2];
+        let mut reach = [BLOCKED; 8];
+        for st in 0..2 {
+            reach[st] = pass.iter().map(|row| row[st]).max().unwrap_or(BLOCKED);
+        }
+        Tables { pass, reach }
+    }
+
     /// Whether no attempt can ever succeed: the settle draws no key and
     /// the settled order is the identity (the SC fast path).
     pub(crate) fn inert(&self) -> bool {
-        self.eff == [[BLOCKED; 2]; 2] && self.fence == BLOCKED
+        self.reach == [BLOCKED; 8]
     }
 
-    /// The largest threshold a mover of class `st` (1 for a store) can
-    /// meet: a uniform at or above it fails whatever sits above.
-    pub(crate) fn reach(&self, st: usize) -> u64 {
-        self.eff[0][st].max(self.eff[1][st]).max(self.fence)
+    /// The largest threshold the instruction of packed word `mover` can
+    /// meet.
+    #[inline]
+    pub(crate) fn reach(&self, mover: u32) -> u64 {
+        self.reach[(mover >> ST_FLAG_SHIFT) as usize]
     }
 
     /// The threshold of memory mover `mover` passing `above` (packed
-    /// words).
+    /// words): BLOCKED when the two share a location (the critical LD/ST).
+    #[inline]
     pub(crate) fn threshold(&self, above: u32, mover: u32) -> u64 {
-        if above & FENCE_FLAG != 0 {
-            if above & RELEASE_FLAG != 0 {
-                self.fence
-            } else {
-                BLOCKED
-            }
-        } else if above & LOC_MASK == mover & LOC_MASK {
-            BLOCKED // conflicting pair (the critical LD/ST)
-        } else {
-            self.eff[((above >> ST_FLAG_SHIFT) & 1) as usize][((mover >> ST_FLAG_SHIFT) & 1) as usize]
+        if (above ^ mover) & LOC_MASK == 0 {
+            return BLOCKED;
         }
+        self.pass[(above >> ST_FLAG_SHIFT) as usize][((mover >> ST_FLAG_SHIFT) & 1) as usize]
     }
 }
 
@@ -510,7 +514,7 @@ pub(crate) fn climb(image: &mut [u64], tables: &Tables, key: u64, round: usize, 
     let mover = (image[pos] >> 32) as u32;
     // Fences never settle, and a mover that can pass nothing never
     // climbs: no attempt, no swap.
-    if mover & FENCE_FLAG != 0 || tables.reach(((mover >> ST_FLAG_SHIFT) & 1) as usize) == BLOCKED {
+    if tables.reach(mover) == BLOCKED {
         return 0;
     }
     let mut attempts = 0;
@@ -568,29 +572,38 @@ pub(crate) const FENCE_FLAG: u32 = 1 << 31;
 pub(crate) const RELEASE_FLAG: u32 = 1 << 30;
 /// Packed-image bit position of the St flag for memory operations.
 pub(crate) const ST_FLAG_SHIFT: u32 = 29;
-/// Packed-image mask of the location id for memory operations.
-pub(crate) const LOC_MASK: u32 = (1 << 29) - 1;
+/// Packed-image flag of a keyed program's filler whose type is not read
+/// yet (its store bit is clear).
+pub(crate) const UNTYPED: u32 = 1 << 28;
+/// Packed-image mask of the location id. A fence's location bits are all
+/// set, a location no memory access has, so it shares none.
+pub(crate) const LOC_MASK: u32 = UNTYPED - 1;
 
 /// Encodes one instruction's settling-relevant facts into a u32 word.
 pub(crate) fn encode(ins: &Instruction) -> u32 {
     match ins.kind() {
         InstrKind::Fence(k) => {
             if k.permits_hoist_above() {
-                FENCE_FLAG | RELEASE_FLAG
+                FENCE_FLAG | RELEASE_FLAG | LOC_MASK
             } else {
-                FENCE_FLAG
+                FENCE_FLAG | LOC_MASK
             }
         }
         InstrKind::Mem(op) => {
             let loc = ins.loc().expect("memory access has a location").raw();
-            assert!(loc <= LOC_MASK, "location id {loc} exceeds the packed encoding");
+            assert!(loc < LOC_MASK, "location id {loc} exceeds the packed encoding");
             (u32::from(op == OpType::St) << ST_FLAG_SHIFT) | loc
         }
     }
 }
 
+/// Whether a packed word is a store (critical or filler).
+pub(crate) fn is_store(word: u32) -> bool {
+    (word >> ST_FLAG_SHIFT) & 1 == 1
+}
+
 /// Facts about a packed program image.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Image {
     /// Whether the program contains a hoistable (release) fence.
     pub(crate) has_release: bool,
@@ -610,50 +623,50 @@ impl Image {
 /// Encodes `program` into `packed` in initial order — `(encode(instr) <<
 /// 32) | initial index` per instruction — reusing the buffer's allocation.
 fn encode_image(program: &Program, packed: &mut Vec<u64>) -> Image {
-    assert!(
-        u32::try_from(program.len()).is_ok(),
-        "program too large for the packed settling image"
-    );
+    packed.clear();
+    encode_with(program, |i, word| packed.push((u64::from(word) << 32) | i as u64))
+}
+
+/// Encodes each instruction of `program` in initial order, handing
+/// `(initial index, word)` to `push`.
+fn encode_with(program: &Program, mut push: impl FnMut(usize, u32)) -> Image {
+    // Rounds, depths and climbs fit 31 bits (the lazy kernel's knowledge
+    // words keep a flag in the 32nd).
+    assert!(program.len() < 1 << 31, "program too large for the packed settling image");
     let mut image = Image {
         has_release: false,
         ld: usize::MAX,
         st: usize::MAX,
     };
-    packed.clear();
-    packed.extend(program.instructions().iter().enumerate().map(|(i, ins)| {
-        let item = encode(ins);
-        image.has_release |= is_release(item);
+    for (i, ins) in program.instructions().iter().enumerate() {
+        let word = encode(ins);
+        image.has_release |= is_release(word);
         // The critical pair are the only accesses to location 0.
-        if item & (FENCE_FLAG | LOC_MASK) == 0 {
-            if (item >> ST_FLAG_SHIFT) & 1 == 0 {
-                image.ld = i;
-            } else {
+        if word & (FENCE_FLAG | LOC_MASK) == 0 {
+            if is_store(word) {
                 image.st = i;
+            } else {
+                image.ld = i;
             }
         }
-        (u64::from(item) << 32) | i as u64
-    }));
+        push(i, word);
+    }
     image
 }
-
-/// The packed entry bit of a store.
-pub(crate) const ST_ENTRY_BIT: u64 = 1 << (32 + ST_FLAG_SHIFT);
-
-/// Ordinal of an instruction that is not a filler (critical or fence).
-pub(crate) const NOT_FILLER: u32 = u32::MAX;
 
 /// The fixed part of a family of random programs: everything but the
 /// filler types, which a program key supplies (see `progmodel`'s
 /// program-key contract). Built once from a template program; the keyed
 /// γ kernel ([`Settler::sample_gammas_keyed`]) then settles any program of
 /// the family from its key alone.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProgramShape {
-    /// The template's packed entries with every filler's store bit
-    /// cleared.
-    pub(crate) words: Vec<u64>,
-    /// Per instruction: its filler ordinal `j` (the `j`-th memory access
-    /// that is neither critical nor a fence), or [`NOT_FILLER`].
+    /// Per instruction: its packed word; a filler's is [`UNTYPED`] with
+    /// the store bit clear, unless the shape is of a materialised program.
+    pub(crate) words: Vec<u32>,
+    /// Per instruction of a keyed shape: its filler ordinal `j` (the
+    /// `j`-th memory access that is neither critical nor a fence), or 0
+    /// when not [`UNTYPED`]. Empty for a materialised program.
     pub(crate) fillers: Vec<u32>,
     pub(crate) image: Image,
 }
@@ -667,23 +680,31 @@ impl ProgramShape {
     /// Panics if the program is too large for the packed settling image.
     #[must_use]
     pub fn new(template: &Program) -> ProgramShape {
-        let mut words = Vec::with_capacity(template.len());
-        let image = encode_image(template, &mut words);
+        let mut shape = ProgramShape::default();
+        shape.encode(template, true);
+        shape
+    }
+
+    /// Encodes `program` in place, reusing the buffers: as the shape of a
+    /// keyed family when `keyed`, otherwise as the one materialised
+    /// program, with every type fixed.
+    pub(crate) fn encode(&mut self, program: &Program, keyed: bool) {
+        self.words.clear();
+        self.image = encode_with(program, |_, word| self.words.push(word));
+        self.fillers.clear();
+        if !keyed {
+            return;
+        }
         let mut filler = 0;
-        let fillers = template
-            .iter()
-            .zip(&mut words)
-            .map(|(ins, word)| {
-                if ins.is_critical() || ins.is_fence() {
-                    NOT_FILLER
-                } else {
-                    *word &= !ST_ENTRY_BIT;
-                    filler += 1;
-                    filler - 1
-                }
-            })
-            .collect();
-        ProgramShape { words, fillers, image }
+        for (ins, word) in program.iter().zip(&mut self.words) {
+            if ins.is_critical() || ins.is_fence() {
+                self.fillers.push(0);
+            } else {
+                *word = (*word & !(1 << ST_FLAG_SHIFT)) | UNTYPED;
+                self.fillers.push(filler);
+                filler += 1;
+            }
+        }
     }
 
     /// The number of instructions of every program of the shape.
@@ -706,13 +727,14 @@ pub struct SettleScratch {
     /// `order[p]` = initial index of the instruction currently at `p`.
     /// Refreshed by [`Settler::settle_into`] only.
     order: Vec<usize>,
-    /// The packed settling image: `(encode(instr) << 32) | initial index`
-    /// per position. The forward kernel permutes it in place; the lazy
-    /// kernel only reads it, in initial order.
+    /// The packed settling image of the forward kernel: `(encode(instr) <<
+    /// 32) | initial index` per position, permuted in place.
     packed: Vec<u64>,
-    /// The keyed kernel's type memo, per instruction: 0 while unread,
-    /// otherwise 1 + the store bit.
-    memo: Vec<u8>,
+    /// The shape of the materialised program the lazy kernel last read
+    /// ([`Settler::sample_gammas_scratch`]), every type fixed.
+    materialised: ProgramShape,
+    /// The words of the program the lazy kernel reads, typed as read.
+    words: ProgramWords,
     /// The settle keys of the current [`KeyedWindows`], by slot (empty when
     /// the settler is inert).
     keys: Vec<u64>,
@@ -735,7 +757,11 @@ impl SettleScratch {
         SettleScratch {
             order: Vec::with_capacity(len),
             packed: Vec::with_capacity(len),
-            memo: Vec::with_capacity(len),
+            materialised: ProgramShape {
+                words: Vec::with_capacity(len),
+                ..ProgramShape::default()
+            },
+            words: ProgramWords::with_capacity(len),
             keys: Vec::new(),
             windows: Vec::new(),
             lazy: LazyScratch::with_capacity(len),
@@ -763,8 +789,8 @@ impl SettleScratch {
     /// The settled order of the last [`Settler::settle_into`] call:
     /// `order()[p]` is the initial index of the instruction at settled
     /// position `p`. Empty before the first settle. The γ-only kernels
-    /// ([`Settler::sample_gamma_scratch`] and friends) work on the packed
-    /// image and do not refresh this buffer.
+    /// ([`Settler::sample_gamma_scratch`] and friends) do not refresh this
+    /// buffer.
     #[must_use]
     pub fn order(&self) -> &[usize] {
         &self.order
@@ -773,8 +799,8 @@ impl SettleScratch {
     /// The window growth `γ` of the last [`Settler::settle_into`] of
     /// `program`: instructions strictly between the settled critical LD
     /// and critical ST, read straight off the packed settling image. The
-    /// γ kernels ([`Settler::sample_gamma_scratch`] and friends) leave that
-    /// image unsettled.
+    /// γ kernels ([`Settler::sample_gamma_scratch`] and friends) do not
+    /// write that image.
     ///
     /// # Panics
     ///
@@ -809,11 +835,13 @@ impl SettleScratch {
         program: &Program,
         key: u64,
     ) -> ((u64, u64), (u64, u64), bool) {
-        let image = encode_image(program, &mut self.packed);
-        let tables = settler.tables(image.has_release);
-        let lazy = self.lazy.gamma(self.packed.as_slice(), &tables, key, image);
+        self.materialised.encode(program, false);
+        let tables = settler.tables(self.materialised.image.has_release);
+        self.words.reset(0, 0);
+        let lazy = self.lazy.gamma(&self.materialised, &mut self.words, tables, key);
         let finished_forward = self.lazy.finished_forward();
-        let attempts = settle_packed(&mut self.packed, &tables, program.len(), key);
+        encode_image(program, &mut self.packed);
+        let attempts = settle_packed(&mut self.packed, tables, program.len(), key);
         ((self.gamma(program), attempts), lazy, finished_forward)
     }
 
@@ -821,6 +849,49 @@ impl SettleScratch {
     /// forward.
     pub(crate) fn finished_forward(&self) -> bool {
         self.lazy.finished_forward()
+    }
+
+    /// The lazy kernel on one settle of the program of key `program_key`
+    /// over `shape` under settle key `key`, as [`KeyedWindows::gamma`] runs
+    /// it, with the filler types of earlier calls on the same program key
+    /// kept: `(γ, attempts decided, finished forward)`.
+    pub(crate) fn traced_keyed_gamma(
+        &mut self,
+        settler: &Settler,
+        shape: &ProgramShape,
+        store_threshold: u64,
+        program_key: u64,
+        key: u64,
+        fresh_program: bool,
+    ) -> (u64, u64, bool) {
+        let tables = settler.tables(shape.image.has_release);
+        if tables.inert() {
+            return (shape.image.inert_gamma(), 0, false);
+        }
+        if fresh_program {
+            self.words.reset(program_key, store_threshold);
+        }
+        let (gamma, attempts) = self.lazy.gamma(shape, &mut self.words, tables, key);
+        (gamma, attempts, self.lazy.finished_forward())
+    }
+
+    /// The keyed store run of [`Settler::store_run_keyed`] under settle key
+    /// `key`: `(run, attempts decided, finished forward)`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn traced_store_run(
+        &mut self,
+        settler: &Settler,
+        shape: &ProgramShape,
+        store_threshold: u64,
+        program_key: u64,
+        key: u64,
+        rounds: usize,
+        cap: usize,
+    ) -> (u64, u64, bool) {
+        let tables = settler.tables(shape.image.has_release);
+        self.words.reset(program_key, store_threshold);
+        let (run, attempts) = self.lazy.store_run(shape, &mut self.words, tables, key, rounds, cap);
+        (run, attempts, self.lazy.finished_forward())
     }
 }
 

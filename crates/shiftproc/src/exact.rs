@@ -13,6 +13,7 @@
 
 use analytic::bigq::BigRational;
 use analytic::shift_law::{log2_prefactor, prefactor_exact, triangle};
+use std::cell::RefCell;
 
 /// Largest `n` accepted by the subset-DP evaluators (memory `O(2ⁿ)`).
 pub const MAX_SUBSET_N: usize = 22;
@@ -60,27 +61,48 @@ fn permute(items: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
     }
 }
 
+thread_local! {
+    /// The subset table of [`scaled_permanent`], reused across calls.
+    static SUBSETS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `2^-k`, exactly: what `2f64.powf(-(k as f64))` rounds to, normal,
+/// subnormal or 0 — assembled from the exponent bits, with no `powf`.
+fn exp2_neg(k: u64) -> f64 {
+    if k <= 1022 {
+        f64::from_bits((1023 - k) << 52)
+    } else if k <= 1074 {
+        f64::from_bits(1 << (1074 - k))
+    } else {
+        0.0
+    }
+}
+
 /// The permanent `T(γ̄)` with lengths reduced by `base` (`γ_j − base`), via
 /// the subset dynamic program. Reducing by the minimum length keeps every
 /// weight in `[0, 1]` and the accumulator within `n!`, far inside `f64`
-/// range.
+/// range. The weights are exact powers of two and the table is reused, so
+/// a call neither allocates (past the largest `n` seen on its thread) nor
+/// calls `powf`.
 fn scaled_permanent(lengths: &[u64], base: u64) -> f64 {
     let n = lengths.len();
-    let mut f = vec![0.0f64; 1 << n];
-    f[0] = 1.0;
-    for mask in 1usize..(1 << n) {
-        let filled = mask.count_ones() as usize; // position being assigned
-        let weight_exp = (n - filled) as f64;
-        let mut acc = 0.0;
-        for j in 0..n {
-            if mask & (1 << j) != 0 {
-                let e = (lengths[j] - base) as f64;
-                acc += f[mask ^ (1 << j)] * 2f64.powf(-weight_exp * e);
+    SUBSETS.with_borrow_mut(|f| {
+        f.resize(f.len().max(1 << n), 0.0);
+        f[0] = 1.0;
+        for mask in 1usize..(1 << n) {
+            let filled = mask.count_ones() as usize; // position being assigned
+            let weight_exp = (n - filled) as u64;
+            let mut acc = 0.0;
+            for j in 0..n {
+                if mask & (1 << j) != 0 {
+                    let e = lengths[j] - base;
+                    acc += f[mask ^ (1 << j)] * exp2_neg(weight_exp.saturating_mul(e));
+                }
             }
+            f[mask] = acc;
         }
-        f[mask] = acc;
-    }
-    f[(1 << n) - 1]
+        f[(1 << n) - 1]
+    })
 }
 
 /// `log2 Pr[A(γ̄)]`, stable for probabilities far below `f64`'s smallest
@@ -276,6 +298,55 @@ mod tests {
             let dp = log2_pr_disjoint(&lengths);
             let exact = survival_identical_segments_exact(n, 2).log2_abs();
             assert!((dp - exact).abs() < 1e-8, "n={n}: {dp} vs {exact}");
+        }
+    }
+
+    #[test]
+    fn exact_powers_of_two_are_powf_bit_for_bit() {
+        // Normal, subnormal and underflowing powers alike.
+        for k in 0..=1100u64 {
+            assert_eq!(exp2_neg(k).to_bits(), 2f64.powf(-(k as f64)).to_bits(), "k = {k}");
+        }
+        assert_eq!(exp2_neg(u64::MAX), 0.0);
+    }
+
+    /// The subset DP as it was written with `powf` weights and a fresh
+    /// table per call: the reference the table-reusing one must match.
+    fn scaled_permanent_powf(lengths: &[u64], base: u64) -> f64 {
+        let n = lengths.len();
+        let mut f = vec![0.0f64; 1 << n];
+        f[0] = 1.0;
+        for mask in 1usize..(1 << n) {
+            let weight_exp = (n - mask.count_ones() as usize) as f64;
+            let mut acc = 0.0;
+            for j in 0..n {
+                if mask & (1 << j) != 0 {
+                    let e = (lengths[j] - base) as f64;
+                    acc += f[mask ^ (1 << j)] * 2f64.powf(-weight_exp * e);
+                }
+            }
+            f[mask] = acc;
+        }
+        f[(1 << n) - 1]
+    }
+
+    #[test]
+    fn scaled_permanent_is_the_powf_dp_bit_for_bit() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x5ca1);
+        for case in 0..20_000 {
+            // Mostly small n, with a larger one now and then, so the
+            // reused table is read both at and below its full size; lengths
+            // reach far past underflow.
+            let n = if case % 100 == 99 { rng.gen_range(9..=12) } else { rng.gen_range(1..=6) };
+            let top = [4u64, 64, 2_000][rng.gen_range(0..3)];
+            let lengths: Vec<u64> = (0..n).map(|_| rng.gen_range(0..=top)).collect();
+            let base = *lengths.iter().min().expect("nonempty");
+            for b in [0, base] {
+                let (new, old) = (scaled_permanent(&lengths, b), scaled_permanent_powf(&lengths, b));
+                assert_eq!(new.to_bits(), old.to_bits(), "{lengths:?} base {b}");
+            }
         }
     }
 

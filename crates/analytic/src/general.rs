@@ -92,37 +92,31 @@ pub fn bottom_store_limit(p: f64, s: f64) -> f64 {
     crate::recurrence::bottom_store_fraction_limit(p, s)
 }
 
-/// `G_µ(q; x) = Σ_δ φ(δ, q, µ)·x^δ` for all `m ≤ µ`, `j ≤ q` at once.
-fn weighted_phi_table(mu: u32, q: u32, x: f64) -> Vec<Vec<f64>> {
-    let (m, qq) = (mu as usize, q as usize);
-    let mut g = vec![vec![0.0f64; qq + 1]; m + 1];
-    for row in g.iter_mut() {
-        row[0] = 1.0;
-    }
-    for cur_mu in 1..=m {
-        let xpow = x.powi(cur_mu as i32);
-        for cur_q in 1..=qq {
-            g[cur_mu][cur_q] = g[cur_mu - 1][cur_q] + xpow * g[cur_mu][cur_q - 1];
-        }
-    }
-    g
-}
-
 /// Generalised `Pr[L_µ]` for every `µ ≤ mu_max`.
+///
+/// Row `µ` of `G_µ(q; s) = Σ_δ φ(δ, q, µ)·s^δ` (`q ≤ q_max`) follows from
+/// row `µ − 1` by `G_µ(q) = G_{µ−1}(q) + s^µ·G_µ(q − 1)`, so one row is
+/// updated in place, in ascending `q`, and summed as it completes.
 #[must_use]
 pub fn pr_l_mu_all(mu_max: u32, q_max: u32, p: f64, s: f64) -> Vec<f64> {
     let limit = bottom_store_limit(p, s);
-    let g = weighted_phi_table(mu_max, q_max, s);
     // Per-q factors `(1−p)^q` and `1 − L·s^q`, shared by every µ.
     let (lq, tail): (Vec<f64>, Vec<f64>) = (0..=q_max)
         .map(|q| ((1.0 - p).powi(q as i32), 1.0 - limit * s.powi(q as i32)))
         .unzip();
+    // Row 0: `G_0(q) = [q = 0]`.
+    let mut g = vec![0.0f64; q_max as usize + 1];
+    g[0] = 1.0;
     let mut out = Vec::with_capacity(mu_max as usize + 1);
     out.push(1.0 - limit);
     for mu in 1..=mu_max {
+        let xpow = s.powi(mu as i32);
+        for q in 1..g.len() {
+            g[q] += xpow * g[q - 1];
+        }
         let mut total = 0.0;
-        for q in 0..=q_max as usize {
-            total += lq[q] * g[mu as usize][q] * tail[q];
+        for ((l, g), t) in lq.iter().zip(&g).zip(&tail) {
+            total += l * g * t;
         }
         out.push(total * p.powi(mu as i32));
     }
@@ -160,40 +154,25 @@ impl GeneralWindowLaws {
     pub fn new(params: Params) -> GeneralWindowLaws {
         let (p, s) = (params.p, params.s);
         let l = pr_l_mu_all(DEPTH, DEPTH, p, s);
-        let depth = u64::from(DEPTH);
         let s_pow: Vec<f64> = (0..=DEPTH).map(|k| s.powi(k as i32)).collect();
-        // TSO: Pr[B_γ] = Σ_{µ≥γ} b(γ|µ)·Pr[L_µ].
-        let b_given_l = |gamma: u64, mu: u64| -> f64 {
-            if mu < gamma {
-                0.0
-            } else if mu == gamma {
-                s_pow[gamma as usize]
-            } else {
-                s_pow[gamma as usize] * (1.0 - s)
-            }
-        };
-        let tso_pmf: Vec<f64> = (0..=depth)
+        // `s^k·(1 − s)`: passing exactly `k` of more than `k` candidates.
+        let s_pow_stop: Vec<f64> = s_pow.iter().map(|sk| sk * (1.0 - s)).collect();
+        // TSO: Pr[B_γ] = s^γ·Pr[L_γ] + Σ_{µ>γ} s^γ(1−s)·Pr[L_µ].
+        let tso_pmf: Vec<f64> = (0..l.len())
             .map(|gamma| {
-                (gamma..=depth)
-                    .map(|mu| b_given_l(gamma, mu) * l[mu as usize])
+                let stop = s_pow_stop[gamma];
+                std::iter::once(s_pow[gamma] * l[gamma])
+                    .chain(l[gamma + 1..].iter().map(|l_mu| stop * l_mu))
                     .sum()
             })
             .collect();
-        // PSO: convolve with the generalised climb-back.
-        let climb = |passed: u64, j: u64| -> f64 {
-            if passed > j {
-                0.0
-            } else if passed == j {
-                s_pow[j as usize]
-            } else {
-                s_pow[passed as usize] * (1.0 - s)
-            }
-        };
-        let pso_pmf: Vec<f64> = (0..=depth)
+        // PSO: convolve with the generalised climb-back, which passes
+        // `k < j` of the `j` ahead with odds `s^k(1−s)` and all `j` with
+        // `s^j`.
+        let pso_pmf: Vec<f64> = (0..tso_pmf.len())
             .map(|gamma| {
-                (gamma..=depth)
-                    .map(|j| tso_pmf[j as usize] * climb(j - gamma, j))
-                    .sum()
+                let climb = if gamma == 0 { &s_pow } else { &s_pow_stop };
+                tso_pmf[gamma..].iter().zip(climb).map(|(t, c)| t * c).sum()
             })
             .collect();
         GeneralWindowLaws {

@@ -11,6 +11,7 @@ use progmodel::{Program, ProgramGenerator};
 use settle::{ProgramShape, SettleScratch, Settler};
 use shiftproc::ShiftProcess;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use textplot::Table;
 
 const M: usize = 64;
@@ -23,32 +24,51 @@ fn blank() -> Program {
     Program::from_filler_types(&[OpType::Ld; M]).expect("canonical shape")
 }
 
+/// The laws of each distinct parameter point the experiment reads, built
+/// once.
+#[derive(Default)]
+struct LawCache(Vec<Arc<GeneralWindowLaws>>);
+
+impl LawCache {
+    fn get(&mut self, p: f64, s: f64, q: f64) -> Arc<GeneralWindowLaws> {
+        let params = Params::new(p, s, q).expect("valid params");
+        if let Some(laws) = self.0.iter().find(|laws| laws.params() == params) {
+            return Arc::clone(laws);
+        }
+        let laws = Arc::new(GeneralWindowLaws::new(params));
+        self.0.push(Arc::clone(&laws));
+        laws
+    }
+}
+
 /// Validates the generalised window laws and survival formula at off-
 /// canonical parameters, then demonstrates that the paper's TSO > WO
 /// survival ordering is *not* robust: it inverts at high swap probability.
 pub fn run(ctx: &Ctx) -> String {
     let mut out = String::new();
     let mut ok = true;
+    let mut cache = LawCache::default();
 
     // Generalised laws vs MC at two off-canonical parameter points. The
     // 2×3 (params × model) grid runs concurrently through the sweep
     // layer; every point keeps its serial seed salt, so the report is
     // identical to the old serial loop at any thread count.
     let _ = writeln!(out, "generalised window laws vs simulation (chi-square):\n");
-    let law_grid: Vec<(usize, f64, f64, usize, MemoryModel)> = [(0.3f64, 0.6f64), (0.7, 0.4)]
+    type LawPoint = (usize, f64, f64, usize, MemoryModel, Arc<GeneralWindowLaws>);
+    let law_grid: Vec<LawPoint> = [(0.3f64, 0.6f64), (0.7, 0.4)]
         .into_iter()
         .enumerate()
         .flat_map(|(pi, (p, s))| {
+            let laws = cache.get(p, s, 0.5);
             [MemoryModel::Tso, MemoryModel::Wo, MemoryModel::Pso]
                 .into_iter()
                 .enumerate()
-                .map(move |(mi, model)| (pi, p, s, mi, model))
+                .map(move |(mi, model)| (pi, p, s, mi, model, Arc::clone(&laws)))
         })
         .collect();
     let inner = ctx.threads.div_ceil(law_grid.len()).max(1);
     let (trials, seed) = (ctx.trials, ctx.seed);
-    let law_rows = sweep::sweep(law_grid, ctx.threads, move |_, &(pi, p, s, mi, model)| {
-        let laws = GeneralWindowLaws::new(Params::new(p, s, 0.5).expect("valid params"));
+    let law_rows = sweep::sweep(law_grid, ctx.threads, move |_, &(pi, p, s, mi, model, ref laws)| {
         let st = settler(model, s);
         let gen = ProgramGenerator::new(M)
             .with_store_probability(p)
@@ -89,20 +109,20 @@ pub fn run(ctx: &Ctx) -> String {
         "\ngeneralised two-thread survival Pr[A] = 2(1-q)/(2-q) E[(1-q)^Gamma]:\n"
     );
     let mut table = Table::new(vec!["(p, s, q)", "model", "analytic", "simulated", "covered"]);
-    let surv_grid: Vec<(usize, f64, f64, f64, usize, MemoryModel)> =
-        [(0.5f64, 0.5f64, 0.3f64), (0.3, 0.6, 0.7)]
-            .into_iter()
-            .enumerate()
-            .flat_map(|(ci, (p, s, q))| {
-                MemoryModel::NAMED
-                    .into_iter()
-                    .enumerate()
-                    .map(move |(mi, model)| (ci, p, s, q, mi, model))
-            })
-            .collect();
+    type SurvivalPoint = (usize, f64, f64, f64, usize, MemoryModel, Arc<GeneralWindowLaws>);
+    let surv_grid: Vec<SurvivalPoint> = [(0.5f64, 0.5f64, 0.3f64), (0.3, 0.6, 0.7)]
+        .into_iter()
+        .enumerate()
+        .flat_map(|(ci, (p, s, q))| {
+            let laws = cache.get(p, s, q);
+            MemoryModel::NAMED
+                .into_iter()
+                .enumerate()
+                .map(move |(mi, model)| (ci, p, s, q, mi, model, Arc::clone(&laws)))
+        })
+        .collect();
     let inner = ctx.threads.div_ceil(surv_grid.len()).max(1);
-    let surv_rows = sweep::sweep(surv_grid, ctx.threads, move |_, &(ci, p, s, q, mi, model)| {
-        let laws = GeneralWindowLaws::new(Params::new(p, s, q).expect("valid params"));
+    let surv_rows = sweep::sweep(surv_grid, ctx.threads, move |_, &(ci, p, s, q, mi, model, ref laws)| {
         let analytic_v = laws.two_thread_survival(model).expect("named");
         let st = settler(model, s);
         let gen = ProgramGenerator::new(M)
@@ -133,8 +153,8 @@ pub fn run(ctx: &Ctx) -> String {
 
     // The robustness finding: TSO > WO at canonical parameters, but the
     // ordering inverts at high s.
-    let canonical = GeneralWindowLaws::new(Params::canonical());
-    let high_s = GeneralWindowLaws::new(Params::new(0.5, 0.8, 0.5).expect("valid params"));
+    let canonical = cache.get(0.5, 0.5, 0.5);
+    let high_s = cache.get(0.5, 0.8, 0.5);
     let v = |laws: &GeneralWindowLaws, m| laws.two_thread_survival(m).expect("named");
     let canon_order = v(&canonical, MemoryModel::Tso) > v(&canonical, MemoryModel::Wo);
     let flipped = v(&high_s, MemoryModel::Wo) > v(&high_s, MemoryModel::Tso);
@@ -187,7 +207,7 @@ pub fn run(ctx: &Ctx) -> String {
     let mut robust = true;
     for p in [0.2, 0.5, 0.8] {
         for s in [0.2, 0.5, 0.8] {
-            let laws = GeneralWindowLaws::new(Params::new(p, s, 0.5).expect("valid params"));
+            let laws = cache.get(p, s, 0.5);
             robust &= v(&laws, MemoryModel::Sc) >= v(&laws, MemoryModel::Pso) - 1e-9;
             robust &= v(&laws, MemoryModel::Sc) >= v(&laws, MemoryModel::Wo) - 1e-9;
             robust &= v(&laws, MemoryModel::Pso) >= v(&laws, MemoryModel::Tso) - 1e-9;

@@ -122,57 +122,14 @@ impl Cpu {
         self.program.len().div_ceil(64)
     }
 
-    /// The program's ops, to rewrite in place; call [`Cpu::plan`] (or
-    /// [`Cpu::copy_plan`]) and [`Cpu::restart`] afterwards.
-    pub(crate) fn ops_mut(&mut self) -> &mut [Op] {
-        self.program.ops_mut()
-    }
-
     /// Derives the OoO issue dependencies of the current program (nothing
-    /// for an in-order core), in one pass: an op's row is the union of the
-    /// bitsets of the earlier ops in the blocker classes that bind it (see
-    /// [`blocker_classes`]) and of those accessing its location, cut to
-    /// its window.
+    /// for an in-order core); see [`plan_rows`].
     pub(crate) fn plan(&mut self) {
         self.deps.clear();
-        if !self.out_of_order {
-            return;
+        if self.out_of_order {
+            self.deps.resize(self.program.len() * self.words(), 0);
+            plan_rows(self.program.ops(), self.model.matrix(), self.window, &mut self.deps, &mut self.blockers);
         }
-        let words = self.words();
-        let ops = self.program.ops();
-        let matrix = self.model.matrix();
-        self.deps.resize(ops.len() * words, 0);
-        self.blockers.clear();
-        self.blockers.resize(BLOCKER_CLASSES * words, 0);
-        for (i, op) in ops.iter().enumerate() {
-            let (member, bound) = blocker_classes(op, matrix);
-            // An op in the window is at most `window - 1` past the lowest
-            // un-issued op, so earlier ops further back are issued.
-            let first = i.saturating_sub(self.window - 1);
-            let row = &mut self.deps[i * words..(i + 1) * words];
-            for class in set_bits(bound) {
-                let earlier = &self.blockers[class * words..(class + 1) * words];
-                row.iter_mut().zip(earlier).for_each(|(r, e)| *r |= e);
-            }
-            if let Some(loc) = op.loc() {
-                for j in (first..i).filter(|&j| ops[j].loc() == Some(loc)) {
-                    row[j / 64] |= 1 << (j % 64);
-                }
-            }
-            for (w, r) in row.iter_mut().enumerate() {
-                *r &= bits_between(w, first, i);
-            }
-            for class in set_bits(member) {
-                self.blockers[class * words + i / 64] |= 1 << (i % 64);
-            }
-        }
-    }
-
-    /// Takes the issue dependencies of `other`, a core of the same model
-    /// and window whose program has the same dependency structure.
-    pub(crate) fn copy_plan(&mut self, other: &Cpu) {
-        debug_assert_eq!(self.program.len(), other.program.len());
-        self.deps.clone_from(&other.deps);
     }
 
     /// Resets the core to the start of its program with an empty store
@@ -308,6 +265,43 @@ impl Cpu {
                 self.regs[reg.index()] = self.regs[reg.index()].wrapping_add(imm);
             }
             Op::Fence(_) => {}
+        }
+    }
+}
+
+/// Writes the OoO issue dependencies of `ops` under `matrix` and a
+/// `window`-op issue window to `deps`: one bitset row of
+/// `ops.len().div_ceil(64)` words per op, bit `j` of row `i` set when op
+/// `i` may not issue while earlier op `j` is un-issued. One pass: an op's
+/// row is the union of the bitsets of the earlier ops in the blocker
+/// classes that bind it (see [`blocker_classes`]) and of those accessing
+/// its location, cut to its window. `blockers` is scratch.
+pub(crate) fn plan_rows(ops: &[Op], matrix: ReorderMatrix, window: usize, deps: &mut [u64], blockers: &mut Vec<u64>) {
+    let words = ops.len().div_ceil(64);
+    assert_eq!(deps.len(), ops.len() * words, "one row per op");
+    deps.fill(0);
+    blockers.clear();
+    blockers.resize(BLOCKER_CLASSES * words, 0);
+    for (i, op) in ops.iter().enumerate() {
+        let (member, bound) = blocker_classes(op, matrix);
+        // An op in the window is at most `window - 1` past the lowest
+        // un-issued op, so earlier ops further back are issued.
+        let first = i.saturating_sub(window.max(1) - 1);
+        let row = &mut deps[i * words..(i + 1) * words];
+        for class in set_bits(bound) {
+            let earlier = &blockers[class * words..(class + 1) * words];
+            row.iter_mut().zip(earlier).for_each(|(r, e)| *r |= e);
+        }
+        if let Some(loc) = op.loc() {
+            for j in (first..i).filter(|&j| ops[j].loc() == Some(loc)) {
+                row[j / 64] |= 1 << (j % 64);
+            }
+        }
+        for (w, r) in row.iter_mut().enumerate() {
+            *r &= bits_between(w, first, i);
+        }
+        for class in set_bits(member) {
+            blockers[class * words + i / 64] |= 1 << (i % 64);
         }
     }
 }

@@ -137,11 +137,6 @@ impl CoreProgram {
         &self.ops
     }
 
-    /// The ops, to rewrite in place.
-    pub(crate) fn ops_mut(&mut self) -> &mut [Op] {
-        &mut self.ops
-    }
-
     /// Number of ops.
     #[must_use]
     pub fn len(&self) -> usize {

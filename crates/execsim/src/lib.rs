@@ -38,6 +38,7 @@
 
 mod buffer;
 mod cpu;
+mod increment;
 mod isa;
 pub mod litmus;
 mod machine;
@@ -48,6 +49,7 @@ mod workload;
 pub use buffer::StoreBuffer;
 pub use cpu::{Cpu, CpuState, StepEvent};
 pub use isa::{CoreProgram, Op, Reg};
-pub use machine::{run_increment_trial, IncrementMachine, Machine, Outcome, RunError, SimParams};
+pub use increment::IncrementMachine;
+pub use machine::{run_increment_trial, Machine, Outcome, RunError, SimParams};
 pub use memory::SharedMemory;
 pub use workload::{increment_workload, increment_workload_fenced, CANONICAL_FILLER};

@@ -179,21 +179,28 @@ pub fn all() -> Vec<LitmusTest> {
 impl LitmusTest {
     /// Runs the test once; `true` if the relaxed outcome was observed.
     pub fn run_once<R: Rng + ?Sized>(&self, params: SimParams, rng: &mut R) -> bool {
-        let mut machine = Machine::new(self.programs.clone(), params, rng);
-        machine.run(rng).expect("litmus tests quiesce");
-        let regs: Vec<[i64; Reg::COUNT]> = machine.cpus().iter().map(|c| *c.regs()).collect();
-        (self.check)(&regs)
+        self.relaxed_outcome_count(params, 1, rng) == 1
     }
 
     /// Runs `trials` times; returns how often the relaxed outcome appeared.
+    /// The runs share one machine, restarted in place before each: each
+    /// draws and observes exactly what a fresh machine would.
     pub fn relaxed_outcome_count<R: Rng + ?Sized>(
         &self,
         params: SimParams,
         trials: u64,
         rng: &mut R,
     ) -> u64 {
+        let mut machine = Machine::reusable(self.programs.clone(), params);
+        let mut regs = Vec::with_capacity(self.programs.len());
         (0..trials)
-            .filter(|_| self.run_once(params, rng))
+            .filter(|_| {
+                machine.restart(params, rng);
+                machine.run(rng).expect("litmus tests quiesce");
+                regs.clear();
+                regs.extend(machine.cpus().iter().map(|c| *c.regs()));
+                (self.check)(&regs)
+            })
             .count() as u64
     }
 }
@@ -212,6 +219,36 @@ mod tests {
         // No stagger: maximum interleaving pressure, deterministic shape.
         let params = SimParams::for_model(model).without_stagger();
         test.relaxed_outcome_count(params, TRIALS, &mut rng)
+    }
+
+    #[test]
+    fn reused_litmus_machine_is_a_fresh_machine_per_run() {
+        // Every litmus test under the four named models and an
+        // everything-relaxed custom one, staggered and not: 300 runs on one
+        // restarted machine give each run's register files and RNG end
+        // state of building a fresh machine from the same state.
+        use memmodel::ReorderMatrix;
+        let models = MemoryModel::NAMED.into_iter().chain([MemoryModel::Custom(ReorderMatrix::all())]);
+        for model in models {
+            for test in [sb(), mp(), lb(), corr(), iriw()] {
+                for stagger in [false, true] {
+                    let mut params = SimParams::for_model(model);
+                    params.stagger = stagger;
+                    let mut fresh_rng = SmallRng::seed_from_u64(0x117);
+                    let mut reused_rng = fresh_rng.clone();
+                    let mut machine = Machine::reusable(test.programs.clone(), params);
+                    for _ in 0..300 {
+                        let mut fresh = Machine::new(test.programs.clone(), params, &mut fresh_rng);
+                        let fresh_out = fresh.run(&mut fresh_rng);
+                        machine.restart(params, &mut reused_rng);
+                        assert_eq!(machine.run(&mut reused_rng), fresh_out, "{} under {model}", test.name);
+                        let regs = |m: &Machine| m.cpus().iter().map(|c| *c.regs()).collect::<Vec<_>>();
+                        assert_eq!(regs(&machine), regs(&fresh), "{} under {model}", test.name);
+                        assert_eq!(reused_rng, fresh_rng, "{} under {model}", test.name);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::timeline::{CycleRecord, Timeline};
 use crate::{CoreProgram, Cpu, CpuState, SharedMemory};
-use memmodel::fence::FenceKind;
 use memmodel::MemoryModel;
 use progmodel::Location;
 use rand::Rng;
@@ -67,6 +66,14 @@ pub struct Outcome {
 }
 
 impl Outcome {
+    pub(crate) fn new(shared_value: i64, cycles: u64, n_cores: usize) -> Outcome {
+        Outcome {
+            shared_value,
+            cycles,
+            n_cores,
+        }
+    }
+
     /// Final value of the shared location `X`.
     #[must_use]
     pub fn shared_value(&self) -> i64 {
@@ -98,11 +105,14 @@ pub struct Machine {
     service: Vec<usize>,
 }
 
-/// A core's start delay under `params`: geometric from `rng` when
-/// staggering is on (the shift process's `η`), otherwise 0.
-fn start_delay<R: Rng + ?Sized>(params: SimParams, rng: &mut R) -> u64 {
+/// The cycle budget of a run unless overridden.
+pub(crate) const MAX_CYCLES: u64 = 1_000_000;
+
+/// A core's start delay: geometric from `rng` when staggering is on (the
+/// shift process's `η`), otherwise 0.
+pub(crate) fn start_delay<R: Rng + ?Sized>(stagger: bool, rng: &mut R) -> u64 {
     let mut k = 0;
-    if params.stagger {
+    if stagger {
         while !rng.gen_bool(0.5) {
             k += 1;
         }
@@ -118,25 +128,34 @@ impl Machine {
         params: SimParams,
         rng: &mut R,
     ) -> Machine {
-        Machine::with_cpus(
-            programs
-                .into_iter()
-                .map(|p| {
-                    let delay = start_delay(params, rng);
-                    Cpu::new(p, params.model, delay, params.window, params.drain_prob)
-                })
-                .collect(),
-        )
+        let mut machine = Machine::reusable(programs, params);
+        machine.restart(params, rng);
+        machine
     }
 
-    /// A machine over `cpus` with fresh memory and the default cycle budget.
-    fn with_cpus(cpus: Vec<Cpu>) -> Machine {
+    /// A machine running one program per core under `params`, to be
+    /// [`restart`](Machine::restart)ed before each run.
+    pub(crate) fn reusable(programs: Vec<CoreProgram>, params: SimParams) -> Machine {
+        let cpus: Vec<Cpu> = programs
+            .into_iter()
+            .map(|p| Cpu::new(p, params.model, 0, params.window, params.drain_prob))
+            .collect();
         Machine {
             service: Vec::with_capacity(cpus.len()),
             cpus,
             memory: SharedMemory::new(),
-            max_cycles: 1_000_000,
+            max_cycles: MAX_CYCLES,
         }
+    }
+
+    /// Resets the cores and the memory in place, drawing each core's start
+    /// delay under `params` as [`Machine::new`] does: a run after a restart
+    /// is draw for draw the run of a fresh machine.
+    pub(crate) fn restart<R: Rng + ?Sized>(&mut self, params: SimParams, rng: &mut R) {
+        for cpu in &mut self.cpus {
+            cpu.restart(start_delay(params.stagger, rng));
+        }
+        self.memory.clear();
     }
 
     /// Overrides the cycle budget.
@@ -223,107 +242,17 @@ impl Machine {
     }
 }
 
-/// A reusable machine for the canonical increment workload
-/// ([`increment_workload`](crate::increment_workload), or
-/// [`increment_workload_fenced`](crate::increment_workload_fenced)): each
-/// [`run`](IncrementMachine::run) is one fresh trial.
-///
-/// A trial rewrites the filler types of the cores' programs, the store
-/// buffers, registers and memory in place, and derives the out-of-order
-/// issue dependencies once, shared by every core (their programs differ
-/// only in private filler locations). So steady-state trials allocate
-/// nothing, and each is draw for draw the trial of building the workload
-/// and a [`Machine::new`] afresh from the same RNG state: same outcome,
-/// same cycle count, same RNG end state.
-///
-/// # Example
-///
-/// ```
-/// use execsim::{IncrementMachine, SimParams};
-/// use memmodel::MemoryModel;
-/// use rand::SeedableRng;
-/// use rand::rngs::SmallRng;
-///
-/// let mut rng = SmallRng::seed_from_u64(5);
-/// let mut machine = IncrementMachine::new(2, 4, SimParams::for_model(MemoryModel::Wo));
-/// for _ in 0..3 {
-///     let outcome = machine.run(&mut rng).expect("terminates");
-///     assert!(outcome.shared_value() == 1 || outcome.shared_value() == 2);
-/// }
-/// ```
-#[derive(Debug, Clone)]
-pub struct IncrementMachine {
-    machine: Machine,
-    params: SimParams,
-    /// The filler store pattern of the current trial.
-    pattern: Vec<bool>,
-}
-
-impl IncrementMachine {
-    /// A machine running [`increment_workload`](crate::increment_workload)`(n, filler, ·)`
-    /// under `params`.
-    #[must_use]
-    pub fn new(n: usize, filler: usize, params: SimParams) -> IncrementMachine {
-        IncrementMachine::build(n, filler, None, params)
-    }
-
-    /// A machine running
-    /// [`increment_workload_fenced`](crate::increment_workload_fenced)`(n, filler, fence, ·)`
-    /// under `params`.
-    #[must_use]
-    pub fn fenced(n: usize, filler: usize, fence: FenceKind, params: SimParams) -> IncrementMachine {
-        IncrementMachine::build(n, filler, Some(fence), params)
-    }
-
-    fn build(n: usize, filler: usize, fence: Option<FenceKind>, params: SimParams) -> IncrementMachine {
-        let pattern = vec![false; filler];
-        let cpus = crate::workload::build_workload(n, &pattern, fence)
-            .into_iter()
-            .map(|p| Cpu::new(p, params.model, 0, params.window, params.drain_prob))
-            .collect();
-        IncrementMachine {
-            machine: Machine::with_cpus(cpus),
-            params,
-            pattern,
-        }
-    }
-
-    /// Runs one trial: draws the filler types and the start delays, then
-    /// runs to quiescence (see [`Machine::run`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError`] if the machine fails to quiesce within the cycle
-    /// budget.
-    pub fn run<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Result<Outcome, RunError> {
-        crate::workload::draw_pattern(&mut self.pattern, rng);
-        let machine = &mut self.machine;
-        if let Some((first, rest)) = machine.cpus.split_first_mut() {
-            crate::workload::retype(first.ops_mut(), &self.pattern);
-            first.plan();
-            for cpu in rest {
-                crate::workload::retype(cpu.ops_mut(), &self.pattern);
-                cpu.copy_plan(first);
-            }
-        }
-        for cpu in &mut machine.cpus {
-            cpu.restart(start_delay(self.params, rng));
-        }
-        machine.memory.clear();
-        machine.run(rng)
-    }
-}
-
 /// Convenience: runs the canonical increment workload once and reports
 /// whether the bug manifested. Repeated trials should reuse an
-/// [`IncrementMachine`] instead; this builds one per call.
+/// [`IncrementMachine`](crate::IncrementMachine) instead; this builds one
+/// per call.
 pub fn run_increment_trial<R: Rng + ?Sized>(
     n_threads: usize,
     filler: usize,
     params: SimParams,
     rng: &mut R,
 ) -> bool {
-    IncrementMachine::new(n_threads, filler, params)
+    crate::IncrementMachine::new(n_threads, filler, params)
         .run(rng)
         .expect("increment workload quiesces well within budget")
         .bug_manifested()
@@ -332,6 +261,7 @@ pub fn run_increment_trial<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memmodel::fence::FenceKind;
     use crate::increment_workload;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -415,61 +345,6 @@ mod tests {
         let err = m.run(&mut r).unwrap_err();
         assert_eq!(err.max_cycles, 500);
         assert!(err.to_string().contains("500"));
-    }
-
-    #[test]
-    fn reused_increment_machine_is_a_fresh_machine_per_trial() {
-        // 4 core counts × 4 filler lengths × 6 models × 2 stagger settings
-        // × 2 workloads = 384 configurations of 30 trials each: 11,520
-        // trials. One reused machine per configuration must give each
-        // trial's outcome (final value, cycle count) and RNG end state of
-        // building the workload and a fresh Machine from the same state.
-        use crate::increment_workload_fenced;
-        use memmodel::ReorderMatrix;
-        let models = [
-            MemoryModel::Sc,
-            MemoryModel::Tso,
-            MemoryModel::Pso,
-            MemoryModel::Wo,
-            // Out of order on LD/LD and ST/ST only.
-            MemoryModel::Custom(ReorderMatrix::new(true, false, false, true)),
-            // PSO's matrix without PSO's drain policy: in order, FIFO buffer.
-            MemoryModel::Custom(MemoryModel::Pso.matrix()),
-        ];
-        let mut r = rng(0xe5e5);
-        let mut trials = 0;
-        for n in 1..=4 {
-            // 70 fillers make a program longer than one bitset word.
-            for filler in [0, 8, 16, 70] {
-                for model in models {
-                    for stagger in [true, false] {
-                        for fence in [None, Some(FenceKind::ALL[r.gen_range(0..3)])] {
-                            let mut params = SimParams::for_model(model);
-                            params.stagger = stagger;
-                            params.window = [1, 3, 8, 80][r.gen_range(0..4)];
-                            let mut machine = match fence {
-                                None => IncrementMachine::new(n, filler, params),
-                                Some(kind) => IncrementMachine::fenced(n, filler, kind, params),
-                            };
-                            for _ in 0..30 {
-                                let mut fresh_rng = rng(r.gen());
-                                let mut reused_rng = fresh_rng.clone();
-                                let programs = match fence {
-                                    None => increment_workload(n, filler, &mut fresh_rng),
-                                    Some(kind) => increment_workload_fenced(n, filler, kind, &mut fresh_rng),
-                                };
-                                let fresh = Machine::new(programs, params, &mut fresh_rng).run(&mut fresh_rng);
-                                let reused = machine.run(&mut reused_rng);
-                                assert_eq!(reused, fresh, "{params:?} n {n} filler {filler} fence {fence:?}");
-                                assert_eq!(reused_rng, fresh_rng, "RNG end states differ: {params:?} n {n}");
-                                trials += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        assert_eq!(trials, 11_520);
     }
 
     #[test]

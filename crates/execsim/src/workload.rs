@@ -52,12 +52,14 @@ pub(crate) fn draw_pattern<R: Rng + ?Sized>(pattern: &mut [bool], rng: &mut R) {
     }
 }
 
-/// Rewrites the filler accesses at the head of a workload program's `ops`
-/// to the types of `store_pattern`, keeping their registers and locations.
-pub(crate) fn retype(ops: &mut [Op], store_pattern: &[bool]) {
-    for (op, &is_store) in ops.iter_mut().zip(store_pattern) {
+/// Rewrites the first `fillers` ops of a workload program, its filler
+/// accesses, to the store bits of `pattern` (filler `j` is a store iff bit
+/// `j % 64` of word `j / 64` is set), keeping their registers and
+/// locations.
+pub(crate) fn retype(ops: &mut [Op], fillers: usize, pattern: &[u64]) {
+    for (j, op) in ops[..fillers].iter_mut().enumerate() {
         let loc = op.loc().expect("filler ops access memory");
-        *op = filler_op(is_store, loc);
+        *op = filler_op(pattern[j / 64] >> (j % 64) & 1 == 1, loc);
     }
 }
 

@@ -95,8 +95,8 @@ pub fn bottom_store_limit(p: f64, s: f64) -> f64 {
 /// Generalised `Pr[L_µ]` for every `µ ≤ mu_max`.
 ///
 /// Row `µ` of `G_µ(q; s) = Σ_δ φ(δ, q, µ)·s^δ` (`q ≤ q_max`) follows from
-/// row `µ − 1` by `G_µ(q) = G_{µ−1}(q) + s^µ·G_µ(q − 1)`, so one row is
-/// updated in place, in ascending `q`, and summed as it completes.
+/// row `µ − 1` by Lemma 4.2's recurrence (`lemma42::advance_phi_row`),
+/// so one row is updated in place and summed as it completes.
 #[must_use]
 pub fn pr_l_mu_all(mu_max: u32, q_max: u32, p: f64, s: f64) -> Vec<f64> {
     let limit = bottom_store_limit(p, s);
@@ -104,16 +104,11 @@ pub fn pr_l_mu_all(mu_max: u32, q_max: u32, p: f64, s: f64) -> Vec<f64> {
     let (lq, tail): (Vec<f64>, Vec<f64>) = (0..=q_max)
         .map(|q| ((1.0 - p).powi(q as i32), 1.0 - limit * s.powi(q as i32)))
         .unzip();
-    // Row 0: `G_0(q) = [q = 0]`.
-    let mut g = vec![0.0f64; q_max as usize + 1];
-    g[0] = 1.0;
+    let mut g = crate::lemma42::phi_row_zero(q_max);
     let mut out = Vec::with_capacity(mu_max as usize + 1);
     out.push(1.0 - limit);
     for mu in 1..=mu_max {
-        let xpow = s.powi(mu as i32);
-        for q in 1..g.len() {
-            g[q] += xpow * g[q - 1];
-        }
+        crate::lemma42::advance_phi_row(&mut g, s.powi(mu as i32));
         let mut total = 0.0;
         for ((l, g), t) in lq.iter().zip(&g).zip(&tail) {
             total += l * g * t;

@@ -79,30 +79,39 @@ pub fn pr_psi(mu: u32, q: u32) -> f64 {
     2f64.powi(-(mu as i32) - q as i32) * choose_f64(u64::from(mu) + u64::from(q) - 1, u64::from(q))
 }
 
-/// The weighted partition sum `G_µ(q) = Σ_δ φ(δ, q, µ) · x^δ` at `x = 1/2`.
-///
-/// Computed by the recurrence `G_µ(q) = G_{µ−1}(q) + x^µ · G_µ(q−1)`
-/// (split on whether some part equals `µ`), so a whole `(µ, q)` table costs
-/// `O(µ·q)` — no per-δ partition counting.
-#[must_use]
-pub fn weighted_phi_sum(mu: u32, q: u32) -> f64 {
-    weighted_phi_table(mu, q)[mu as usize][q as usize]
+/// Row 0 of the weighted partition sums `G_µ(q; x) = Σ_δ φ(δ, q, µ)·x^δ`
+/// for `q ≤ q_max`: `G_0(q) = [q = 0]` (zero parts: only `δ = 0`).
+pub(crate) fn phi_row_zero(q_max: u32) -> Vec<f64> {
+    let mut row = vec![0.0f64; q_max as usize + 1];
+    row[0] = 1.0;
+    row
 }
 
-/// The full table `G_m(j)` for `m ≤ µ`, `j ≤ q` at `x = 1/2`.
-fn weighted_phi_table(mu: u32, q: u32) -> Vec<Vec<f64>> {
-    let (m, qq) = (mu as usize, q as usize);
-    let mut g = vec![vec![0.0f64; qq + 1]; m + 1];
-    for row in g.iter_mut() {
-        row[0] = 1.0; // exactly zero parts: only δ = 0.
+/// Advances row `µ − 1` of `G_µ(q; x)` to row `µ` in place, given
+/// `xpow = x^µ`, by the recurrence `G_µ(q) = G_{µ−1}(q) + x^µ·G_µ(q−1)`
+/// (split on whether some part equals `µ`). Ascending `q`, so `row[q − 1]`
+/// already holds row `µ`. A whole `(µ, q)` table costs `O(µ·q)`, with no
+/// per-δ partition counting.
+pub(crate) fn advance_phi_row(row: &mut [f64], xpow: f64) {
+    for q in 1..row.len() {
+        row[q] += xpow * row[q - 1];
     }
-    for cur_mu in 1..=m {
-        let xpow = 2f64.powi(-(cur_mu as i32));
-        for cur_q in 1..=qq {
-            g[cur_mu][cur_q] = g[cur_mu - 1][cur_q] + xpow * g[cur_mu][cur_q - 1];
-        }
+}
+
+/// Row `µ` of `G_µ(q; 1/2)` for `q ≤ q_max`.
+fn weighted_phi_row(mu: u32, q_max: u32) -> Vec<f64> {
+    let mut row = phi_row_zero(q_max);
+    for m in 1..=mu {
+        advance_phi_row(&mut row, 2f64.powi(-(m as i32)));
     }
-    g
+    row
+}
+
+/// The weighted partition sum `G_µ(q) = Σ_δ φ(δ, q, µ) · x^δ` at `x = 1/2`,
+/// by the row recurrence `advance_phi_row`.
+#[must_use]
+pub fn weighted_phi_sum(mu: u32, q: u32) -> f64 {
+    weighted_phi_row(mu, q)[q as usize]
 }
 
 /// `Pr[F_µ | Ψ_µ = q]` exactly (as an m→∞ limit):
@@ -149,29 +158,29 @@ pub fn pr_l_mu_series(mu: u32, q_max: u32) -> f64 {
     if mu == 0 {
         return 1.0 / 3.0;
     }
-    let g = weighted_phi_table(mu, q_max);
+    series_term(mu, &weighted_phi_row(mu, q_max))
+}
+
+/// `Pr[L_µ]` from row `µ` of `G_µ(q; 1/2)`.
+fn series_term(mu: u32, g: &[f64]) -> f64 {
     let mut total = 0.0;
-    for q in 0..=q_max {
+    for (q, g) in g.iter().enumerate() {
         let two_q = 2f64.powi(-(q as i32));
-        total += two_q * g[mu as usize][q as usize] * (1.0 - (2.0 / 3.0) * two_q);
+        total += two_q * g * (1.0 - (2.0 / 3.0) * two_q);
     }
     total * 2f64.powi(-(mu as i32))
 }
 
-/// `Pr[L_µ]` for every `µ ≤ mu_max` in one pass: the weighted-φ table is
-/// built once, so the whole vector costs `O(µ_max · q_max)`.
+/// `Pr[L_µ]` for every `µ ≤ mu_max` in one pass: one weighted-φ row is
+/// advanced in place, so the whole vector costs `O(µ_max · q_max)`.
 #[must_use]
 pub fn pr_l_mu_series_all(mu_max: u32, q_max: u32) -> Vec<f64> {
-    let g = weighted_phi_table(mu_max, q_max);
+    let mut g = phi_row_zero(q_max);
     let mut out = Vec::with_capacity(mu_max as usize + 1);
     out.push(1.0 / 3.0); // µ = 0 is exact.
     for mu in 1..=mu_max {
-        let mut total = 0.0;
-        for q in 0..=q_max {
-            let two_q = 2f64.powi(-(q as i32));
-            total += two_q * g[mu as usize][q as usize] * (1.0 - (2.0 / 3.0) * two_q);
-        }
-        out.push(total * 2f64.powi(-(mu as i32)));
+        advance_phi_row(&mut g, 2f64.powi(-(mu as i32)));
+        out.push(series_term(mu, &g));
     }
     out
 }
@@ -183,6 +192,37 @@ pub const DEFAULT_Q_MAX: u32 = 64;
 mod tests {
     use super::*;
     use crate::partitions::phi;
+
+    /// FNV-1a over the bits of each value.
+    fn fnv(values: impl IntoIterator<Item = f64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for v in values {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn phi_recurrence_is_pinned_bit_for_bit() {
+        // Captured from the (µ+1)×(q+1) table this crate filled before
+        // lemma42 and `general::pr_l_mu_all` shared one in-place row.
+        let grid = || (0..=40u32).flat_map(|mu| (0..=40u32).map(move |q| (mu, q)));
+        let w = fnv(grid().map(|(mu, q)| weighted_phi_sum(mu, q)));
+        let f = fnv(grid().filter(|&(mu, _)| mu >= 1).map(|(mu, q)| pr_f_given_psi(mu, q)));
+        assert_eq!(w, 0xfda3_93ef_c151_17a4, "weighted_phi_sum drifted");
+        assert_eq!(f, 0x37f2_fe21_562b_a907, "pr_f_given_psi drifted");
+        assert_eq!(weighted_phi_sum(5, 7).to_bits(), 0x3f99_d0f9_7980_0000);
+        assert_eq!(pr_f_given_psi(5, 7).to_bits(), 0x3f14_06f6_4888_8889);
+        assert_eq!(weighted_phi_sum(40, 40).to_bits(), 0x3d8b_b3b4_7fe6_d3eb);
+        assert_eq!(fnv(pr_l_mu_series_all(96, 64)), 0x69a7_adb7_0e47_acbf);
+        let general = crate::general::pr_l_mu_all(64, 64, 0.5, 0.5)
+            .into_iter()
+            .chain(crate::general::pr_l_mu_all(64, 64, 0.3, 0.6));
+        assert_eq!(fnv(general), 0x09a2_dbee_b31c_7bd7, "general::pr_l_mu_all drifted");
+    }
 
     #[test]
     fn h1_is_four_sevenths() {

@@ -84,7 +84,7 @@ mod tests {
 
     #[test]
     fn reproduces_claim_43() {
-        let out = run(&Ctx::quick());
+        let out = crate::exp::run_quick(run);
         assert!(out.contains("overall: REPRODUCED"), "{out}");
     }
 }

@@ -58,7 +58,7 @@ mod tests {
 
     #[test]
     fn reproduces_corollary_52() {
-        let out = run(&Ctx::quick());
+        let out = crate::exp::run_quick(run);
         assert!(out.contains("overall: REPRODUCED"), "{out}");
     }
 }

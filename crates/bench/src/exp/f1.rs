@@ -76,7 +76,7 @@ mod tests {
 
     #[test]
     fn renders_the_figure_and_invariants_hold() {
-        let out = run(&Ctx::quick());
+        let out = crate::exp::run_quick(run);
         assert!(out.contains("REPRODUCED"));
         assert!(out.contains("LD*"));
         assert!(out.contains("ST*"));

@@ -77,7 +77,7 @@ mod tests {
 
     #[test]
     fn reproduces_figure_2() {
-        let out = run(&Ctx::quick());
+        let out = crate::exp::run_quick(run);
         assert!(out.contains("REPRODUCED"));
         assert!(out.contains("2^-13"));
     }

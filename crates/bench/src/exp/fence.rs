@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn reproduces_fence_conjecture() {
-        let out = run(&Ctx::quick());
+        let out = crate::exp::run_quick(run);
         assert!(out.contains("overall: REPRODUCED"), "{out}");
     }
 }

@@ -230,7 +230,7 @@ mod tests {
 
     #[test]
     fn reproduces_general_laws_and_flip() {
-        let out = run(&Ctx::quick());
+        let out = crate::exp::run_quick(run);
         assert!(out.contains("overall: REPRODUCED"), "{out}");
     }
 }

@@ -88,7 +88,7 @@ mod tests {
 
     #[test]
     fn reproduces_lemma_42() {
-        let out = run(&Ctx::quick());
+        let out = crate::exp::run_quick(run);
         assert!(out.contains("overall: REPRODUCED"), "{out}");
     }
 }

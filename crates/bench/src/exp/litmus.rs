@@ -63,7 +63,7 @@ mod tests {
 
     #[test]
     fn reproduces_litmus_matrix() {
-        let out = run(&Ctx::quick());
+        let out = crate::exp::run_quick(run);
         assert!(out.contains("overall: REPRODUCED"), "{out}");
     }
 }

@@ -26,3 +26,12 @@ fn keyed_scratch(m: usize) -> (ProgramShape, SettleScratch) {
     let template = ProgramGenerator::all_loads(m).expect("canonical program shape is valid");
     (ProgramShape::new(&template), SettleScratch::with_capacity(template.len()))
 }
+
+/// Runs an experiment at the quick context inside a diagnostics session,
+/// as `run_one_isolated` does, so that its records cannot land in the
+/// session of a test running alongside it.
+#[cfg(test)]
+fn run_quick(run: fn(&crate::Ctx) -> String) -> String {
+    let _session = crate::diag::session();
+    run(&crate::Ctx::quick())
+}

@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn reproduces_operational_shape() {
-        let out = run(&Ctx::quick());
+        let out = crate::exp::run_quick(run);
         assert!(out.contains("overall: REPRODUCED"), "{out}");
     }
 }

@@ -62,7 +62,7 @@ mod tests {
 
     #[test]
     fn reproduces_pso_extension() {
-        let out = run(&Ctx::quick());
+        let out = crate::exp::run_quick(run);
         assert!(out.contains("overall: REPRODUCED"), "{out}");
     }
 }

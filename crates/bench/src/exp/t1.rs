@@ -43,7 +43,7 @@ mod tests {
 
     #[test]
     fn reproduces_all_cells() {
-        let out = run(&Ctx::quick());
+        let out = crate::exp::run_quick(run);
         assert!(out.contains("REPRODUCED"));
         assert!(!out.contains("MISMATCH"));
     }

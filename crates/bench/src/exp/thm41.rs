@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn reproduces_window_laws() {
-        let out = run(&Ctx::quick());
+        let out = crate::exp::run_quick(run);
         assert!(out.contains("overall: REPRODUCED"), "{out}");
     }
 }

@@ -109,7 +109,7 @@ mod tests {
 
     #[test]
     fn reproduces_theorem_62() {
-        let out = run(&Ctx::quick());
+        let out = crate::exp::run_quick(run);
         assert!(out.contains("overall: REPRODUCED"), "{out}");
     }
 }

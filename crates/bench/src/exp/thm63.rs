@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn reproduces_theorem_63() {
-        let out = run(&Ctx::quick());
+        let out = crate::exp::run_quick(run);
         assert!(out.contains("overall: REPRODUCED"), "{out}");
     }
 }

@@ -4,14 +4,12 @@
 //! renders the matching report:
 //!
 //! * a **flight event log** (`MMRE` frames, written by `--flight`) —
-//!   chronological timeline with per-chunk retry/requeue causality,
+//!   chronological timeline with per-chunk retry causality,
 //!   event-type histogram, and the convergence trajectory; with
 //!   `--diff OTHER`, the payload comparison against a second log
 //!   (typically a chaos run against its fault-free twin);
 //! * a **crash dossier** (JSON, written into `--dossier-dir`) — reason,
 //!   request key, fault-ledger delta, and the final ring of events;
-//! * a **checkpoint journal** (`MMRJ` frames) — recovered context and
-//!   per-experiment verdict summary;
 //! * a **cache directory** (`seg-*.mmrs` segments) or **dossier
 //!   directory** — a per-file record census without modifying anything.
 //!
@@ -45,14 +43,11 @@ pub fn inspect(path: &Path, diff: Option<&Path>) -> Result<String, String> {
     if diff.is_some() {
         return Err("--diff only applies to flight event logs".into());
     }
-    if bytes.starts_with(b"MMRJ") {
-        return inspect_journal(path, &bytes);
-    }
     if bytes.starts_with(b"{") {
         return inspect_dossier(path, &bytes);
     }
     Err(format!(
-        "{}: not a flight log (MMRE), journal (MMRJ), dossier (JSON), or cache directory",
+        "{}: not a flight log (MMRE), dossier (JSON), or cache directory",
         path.display()
     ))
 }
@@ -110,33 +105,6 @@ fn inspect_dossier(path: &Path, bytes: &[u8]) -> Result<String, String> {
     let dossier: obs::flight::Dossier = serde_json::from_str(text)
         .map_err(|e| format!("{}: not a crash dossier: {e:?}", path.display()))?;
     Ok(obs::flight::render_dossier(&dossier))
-}
-
-fn inspect_journal(path: &Path, bytes: &[u8]) -> Result<String, String> {
-    let run = crate::journal::parse(path, bytes)
-        .map_err(|e| format!("{}: {e}", path.display()))?
-        .ok_or_else(|| format!("{}: journal holds no recovered records", path.display()))?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "checkpoint journal: trials={} seed={} threads={} ({} experiment(s))",
-        run.trials,
-        run.seed,
-        run.threads,
-        run.experiments.len()
-    );
-    for e in &run.experiments {
-        let _ = writeln!(
-            out,
-            "  {:<10} reproduced={} mismatched={} {:>8.2}s{}",
-            e.id,
-            e.reproduced,
-            e.mismatched,
-            e.elapsed_secs,
-            if e.degraded { "  DEGRADED" } else { "" }
-        );
-    }
-    Ok(out)
 }
 
 /// A directory is either a cache (segment files) or a dossier drop.
@@ -408,32 +376,6 @@ mod tests {
         assert!(err.contains("not a flight log"), "{err}");
         let err = inspect(&dir, None).unwrap_err();
         assert!(err.contains("neither cache segments"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn journal_summary_lists_experiments() {
-        let dir = tmp_dir("journal");
-        let path = dir.join("ck.journal");
-        let ctx = crate::Ctx::quick();
-        let mut j = crate::journal::Journal::open(&path, &ctx).unwrap();
-        j.append(&crate::ExperimentResult {
-            id: "t1".into(),
-            artifact: "a".into(),
-            reproduced: 2,
-            mismatched: 0,
-            elapsed_secs: 0.5,
-            report: "REPRODUCED\n".into(),
-            diagnostics: Vec::new(),
-            degraded: false,
-            fault_ledger: crate::FaultLedger::default(),
-        })
-        .unwrap();
-        drop(j);
-        let report = inspect(&path, None).unwrap();
-        assert!(report.contains("checkpoint journal:"), "{report}");
-        assert!(report.contains("t1"), "{report}");
-        assert!(report.contains("reproduced=2"), "{report}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

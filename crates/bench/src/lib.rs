@@ -9,10 +9,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod diag;
 pub mod exp;
 pub mod inspect;
-pub mod journal;
 pub mod sweep;
 
 use serde::{Deserialize, Serialize};
@@ -35,13 +35,6 @@ pub enum Error {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// A checkpoint file exists but cannot be understood.
-    BadCheckpoint {
-        /// The checkpoint file.
-        path: PathBuf,
-        /// Why it was rejected.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for Error {
@@ -52,9 +45,6 @@ impl std::fmt::Display for Error {
             }
             Error::Io { path, source } => {
                 write!(f, "cannot access {}: {source}", path.display())
-            }
-            Error::BadCheckpoint { path, detail } => {
-                write!(f, "bad checkpoint {}: {detail}", path.display())
             }
         }
     }
@@ -254,44 +244,36 @@ pub struct ExperimentResult {
 /// Per-experiment fault and recovery tallies, copied from the
 /// [`montecarlo::fault::Ledger`] deltas around the experiment's run.
 ///
-/// Serialized with every [`ExperimentResult`] so JSON output, checkpoints,
-/// and degraded reports carry their fault history. Timing-profile entries
-/// (which faults fired when) can legitimately differ between bit-identical
-/// runs — e.g. a capped stall landing on a different chunk — so
-/// [`RunResult::strip_diagnostics`] zeroes the ledger for equality
-/// comparisons, exactly like throughput numbers.
+/// Serialized with every [`ExperimentResult`] so JSON output and degraded
+/// reports carry their fault history. Recovery tallies can legitimately
+/// differ between bit-identical runs — a chaos run retries chunks its
+/// fault-free twin never did — so [`RunResult::strip_diagnostics`] zeroes
+/// the ledger for equality comparisons, exactly like throughput numbers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[allow(missing_docs)] // field names mirror the ledger; see montecarlo::fault
 pub struct FaultLedger {
     pub injected_panics: u64,
-    pub injected_stalls: u64,
     pub injected_corruptions: u64,
     pub injected_torn_writes: u64,
     pub injected_export_faults: u64,
     pub chunks_retried: u64,
-    pub watchdog_requeues: u64,
     pub chunks_abandoned: u64,
-    pub journal_torn_tails: u64,
 }
 
 impl From<montecarlo::fault::LedgerSnapshot> for FaultLedger {
     fn from(s: montecarlo::fault::LedgerSnapshot) -> FaultLedger {
         FaultLedger {
             injected_panics: s.injected_panics,
-            injected_stalls: s.injected_stalls,
             injected_corruptions: s.injected_corruptions,
             injected_torn_writes: s.injected_torn_writes,
             injected_export_faults: s.injected_export_faults,
             chunks_retried: s.chunks_retried,
-            watchdog_requeues: s.watchdog_requeues,
             chunks_abandoned: s.chunks_abandoned,
-            journal_torn_tails: s.journal_torn_tails,
         }
     }
 }
 
-/// Machine-readable result of a whole run (the `--json` output and the
-/// `--checkpoint` on-disk format).
+/// Machine-readable result of a whole run (the `--json` output).
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct RunResult {
     /// Trial count of the context.
@@ -336,9 +318,8 @@ impl RunResult {
             for d in &mut e.diagnostics {
                 d.trials_per_sec = 0.0;
             }
-            // Which faults fired is a timing profile (stall caps, watchdog
-            // races), not payload; `degraded` stays — it changes the
-            // meaning of the results.
+            // Which faults fired and what recovered them is not payload;
+            // `degraded` stays — it changes the meaning of the results.
             e.fault_ledger = FaultLedger::default();
         }
         stripped
@@ -361,7 +342,7 @@ fn emit_dossier(reason: &str, delta: &montecarlo::fault::LedgerSnapshot) {
 ///
 /// A panicking experiment becomes a result with one `MISMATCH` and a
 /// report recording the panic, so one broken experiment cannot take down
-/// the rest of a long batch (or a checkpointed run's accumulated state).
+/// the rest of a long batch.
 #[must_use]
 pub fn run_one_isolated(e: &Experiment, ctx: &Ctx) -> ExperimentResult {
     let run = e.run;
@@ -451,7 +432,7 @@ pub fn run_experiments_structured(ids: &[String], ctx: &Ctx) -> RunResult {
 
 /// Writes `contents` to `path` atomically: the bytes land in a sibling
 /// `*.tmp` file which is then renamed over the target, so a crash mid-write
-/// can never leave a truncated report, JSON dump, or checkpoint behind.
+/// can never leave a truncated report, JSON dump, or export behind.
 ///
 /// # Errors
 ///
@@ -471,68 +452,6 @@ pub fn write_atomic(path: &Path, contents: &str) -> Result<(), Error> {
         path: path.to_path_buf(),
         source,
     })
-}
-
-/// Checkpoint persistence for long experiment batches.
-///
-/// The on-disk format is the append-only CRC-framed journal of
-/// [`journal`]: a `ctx` record followed by one `exp` record per completed
-/// experiment, each durably appended the moment the experiment finishes —
-/// a kill -9 mid-write never loses completed records, and recovery
-/// truncates any torn tail. A restart opens the journal
-/// ([`journal::Journal::open`]), verifies the context matches, and skips
-/// everything already present. Legacy whole-file JSON checkpoints are
-/// still read (and converted on open). This module keeps the read-only
-/// load/save API used by tools that don't hold a journal open.
-pub mod checkpoint {
-    use super::{journal, Ctx, Error, RunResult};
-    use std::path::Path;
-
-    /// Loads a checkpoint (journal or legacy JSON) read-only; `Ok(None)`
-    /// when `path` does not exist or holds no complete records.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Io`] on read failure, [`Error::BadCheckpoint`] when the
-    /// file is neither a journal nor a legacy checkpoint JSON.
-    pub fn load(path: &Path) -> Result<Option<RunResult>, Error> {
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(source) => {
-                return Err(Error::Io {
-                    path: path.to_path_buf(),
-                    source,
-                })
-            }
-        };
-        journal::parse(path, &bytes)
-    }
-
-    /// Whether a loaded checkpoint belongs to this run context; resuming
-    /// under a different trial count or seed would silently mix
-    /// incompatible estimates.
-    #[must_use]
-    pub fn matches_ctx(prev: &RunResult, ctx: &Ctx) -> bool {
-        prev.trials == ctx.trials && prev.seed == ctx.seed
-    }
-
-    /// Persists a full checkpoint atomically in journal format (see
-    /// [`super::write_atomic`]). Incremental appends should use
-    /// [`journal::Journal`] instead.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Io`] when the file cannot be written.
-    pub fn save(path: &Path, state: &RunResult) -> Result<(), Error> {
-        let ctx_rec = journal::CtxRecord {
-            trials: state.trials,
-            seed: state.seed,
-            threads: state.threads,
-            host_cores: state.host_cores,
-        };
-        super::write_atomic(path, &journal::render(&ctx_rec, &state.experiments))
-    }
 }
 
 #[cfg(test)]
@@ -607,39 +526,6 @@ mod tests {
         let json = serde_json::to_string(&res).unwrap();
         let back: RunResult = serde_json::from_str(&json).unwrap();
         assert_eq!(back, res);
-    }
-
-    #[test]
-    fn checkpoint_roundtrip_and_ctx_guard() {
-        let dir = std::env::temp_dir().join(format!(
-            "mmr-bench-ckpt-{}-{}",
-            std::process::id(),
-            line!()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("state.json");
-
-        assert!(checkpoint::load(&path).unwrap().is_none(), "no file yet");
-
-        let ctx = Ctx::quick();
-        let state = run_experiments_structured(&["t1".into()], &ctx);
-        checkpoint::save(&path, &state).unwrap();
-        let loaded = checkpoint::load(&path).unwrap().expect("file exists");
-        assert_eq!(loaded, state);
-        assert!(checkpoint::matches_ctx(&loaded, &ctx));
-        assert!(!checkpoint::matches_ctx(&loaded, &Ctx::standard()));
-
-        // No stray temporary file remains after an atomic save.
-        assert!(!dir.join("state.json.tmp").exists());
-
-        std::fs::write(&path, "{ not json").unwrap();
-        let err = checkpoint::load(&path).unwrap_err();
-        assert!(
-            matches!(err, Error::BadCheckpoint { .. }),
-            "unexpected error: {err}"
-        );
-
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The shared unusable-artifact degradation contract, table-driven over
-//! every artifact flag of the `experiments` binary: an unusable path or
-//! address warns (`warning: <artifact> disabled: …`), the run completes
+//! every artifact flag of the `experiments` binary: an unusable path
+//! warns (`warning: <artifact> disabled: …`), the run completes
 //! with results intact, and the process exits 2.
 
 use std::path::PathBuf;
@@ -30,8 +30,6 @@ fn every_artifact_flag_degrades_to_warning_and_exit_2_with_results_intact() {
         ("--flight", unusable),
         ("--dossier-dir", unusable),
         ("--cache", unusable),
-        ("--checkpoint", unusable),
-        ("--serve", "not-an-address"),
     ];
     for (i, (flag, value)) in cases.iter().enumerate() {
         let json = dir.join(format!("results-{i}.json"));

@@ -10,8 +10,8 @@
 //!
 //! [`FaultPlan`] is a *seeded schedule of fault events* for the whole
 //! process. Production code carries permanent injection seams — the runner
-//! asks the plan whether a chunk panics, stalls, or corrupts its scratch
-//! checksum; the checkpoint journal asks whether a record write tears; the
+//! asks the plan whether a chunk panics or corrupts its scratch checksum;
+//! the result store asks whether a segment record write tears; the
 //! exporters ask whether their I/O fails — and every decision is a pure
 //! hash of `(plan seed, site salt, index)`, so a chaos run is exactly
 //! reproducible from its `--chaos SEED[:PROFILE]` spec. When no plan is
@@ -132,32 +132,26 @@ impl FaultInjector {
 /// Site salts decorrelating the per-seam hash streams of one plan seed.
 const SALT_PANIC: u64 = 0x70616e69_633a3a31; // "panic::1"
 const SALT_HARD: u64 = 0x68617264_3a3a6b6f;
-const SALT_STALL: u64 = 0x7374616c_6c3a3a31;
 const SALT_CORRUPT: u64 = 0x636f7272_3a3a3131;
 const SALT_TORN: u64 = 0x746f726e_3a3a3131;
 
 /// Which fault family a [`FaultPlan`] schedules.
 ///
-/// Every named profile is parseable from `--chaos SEED:PROFILE`;
-/// [`Profile::StallChunk`] is a programmatic variant for tests that need a
-/// specific victim chunk.
+/// Every profile is parseable from `--chaos SEED:PROFILE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Profile {
     /// A little of everything recoverable: transient chunk panics, scratch
-    /// corruption, capped worker stalls, and torn checkpoint writes. The
-    /// default profile; never degrades a run.
+    /// corruption, and torn store-segment writes. The default profile;
+    /// never degrades a run.
     Mixed,
     /// Transient chunk panics only (first attempt of ~1 in 6 chunks).
     Panics,
-    /// Worker stalls only (~1 in 16 chunks sleeps well past the chunk
-    /// budget, capped at 3 stalls per plan so runs stay fast).
-    Stalls,
     /// Scratch corruption only: the per-chunk integrity checksum is
     /// flipped on the first attempt of ~1 in 6 chunks; detection panics
     /// the chunk into the ordinary retry path.
     Corrupt,
-    /// Checkpoint torn writes only (~1 in 2 journal records).
+    /// Torn writes only (~1 in 2 store-segment records).
     TornWrites,
     /// Exporter I/O errors only: every `--metrics`/`--trace` write fails.
     ExportErrors,
@@ -165,16 +159,6 @@ pub enum Profile {
     /// retries. Plans with this profile degrade runs instead of failing
     /// them (see [`FaultPlan::degrade_on_exhaustion`]).
     Hard,
-    /// Stall exactly one chunk, once, with an explicit watchdog budget —
-    /// the deterministic victim used by watchdog tests.
-    StallChunk {
-        /// The chunk index that stalls.
-        chunk: u64,
-        /// How long the stalled executor sleeps.
-        stall: Duration,
-        /// The per-chunk wall budget the plan hands to the supervisor.
-        budget: Duration,
-    },
 }
 
 impl std::fmt::Display for Profile {
@@ -182,12 +166,10 @@ impl std::fmt::Display for Profile {
         match self {
             Profile::Mixed => write!(f, "mixed"),
             Profile::Panics => write!(f, "panics"),
-            Profile::Stalls => write!(f, "stalls"),
             Profile::Corrupt => write!(f, "corrupt"),
             Profile::TornWrites => write!(f, "torn"),
             Profile::ExportErrors => write!(f, "export"),
             Profile::Hard => write!(f, "hard"),
-            Profile::StallChunk { chunk, .. } => write!(f, "stall-chunk-{chunk}"),
         }
     }
 }
@@ -196,29 +178,22 @@ impl std::fmt::Display for Profile {
 ///
 /// Decisions are pure functions of `(seed, site, index)` — install the same
 /// plan twice and exactly the same chunks panic, the same records tear, the
-/// same exports fail. The only mutable state is the stall cap (stalls are
-/// timing-only faults, so a cap cannot affect results).
+/// same exports fail.
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
     profile: Profile,
-    stalls_fired: AtomicU64,
 }
 
 impl FaultPlan {
     /// A plan scheduling `profile` faults under `seed`.
     #[must_use]
     pub fn new(seed: u64, profile: Profile) -> FaultPlan {
-        FaultPlan {
-            seed,
-            profile,
-            stalls_fired: AtomicU64::new(0),
-        }
+        FaultPlan { seed, profile }
     }
 
     /// Parses a `--chaos` spec: `SEED` or `SEED:PROFILE` with profile one
-    /// of `mixed` (default), `panics`, `stalls`, `corrupt`, `torn`,
-    /// `export`, `hard`.
+    /// of `mixed` (default), `panics`, `corrupt`, `torn`, `export`, `hard`.
     ///
     /// # Errors
     ///
@@ -236,14 +211,13 @@ impl FaultPlan {
             Some(p) => match p.to_ascii_lowercase().as_str() {
                 "mixed" => Profile::Mixed,
                 "panics" => Profile::Panics,
-                "stalls" => Profile::Stalls,
                 "corrupt" => Profile::Corrupt,
                 "torn" => Profile::TornWrites,
                 "export" => Profile::ExportErrors,
                 "hard" => Profile::Hard,
                 other => {
                     return Err(format!(
-                        "--chaos profile must be one of mixed|panics|stalls|corrupt|torn|export|hard, got {other:?}"
+                        "--chaos profile must be one of mixed|panics|corrupt|torn|export|hard, got {other:?}"
                     ))
                 }
             },
@@ -283,43 +257,10 @@ impl FaultPlan {
         }
     }
 
-    /// How long the executor of `chunk` stalls on its first attempt, if it
-    /// is one of this plan's (capped) stall victims.
-    ///
-    /// Stalls are one-shot per victim: the requeued replacement runs clean.
-    /// This is the one stateful decision in a plan — stalls perturb timing
-    /// only, never results, so statefulness cannot break determinism.
-    #[must_use]
-    pub fn stall(&self, chunk: u64, attempt: u32) -> Option<Duration> {
-        if attempt != 1 {
-            return None;
-        }
-        let (hit, cap, dur) = match self.profile {
-            Profile::Stalls => (self.roll(SALT_STALL, chunk, 16), 3, Duration::from_millis(60)),
-            Profile::Mixed => (self.roll(SALT_STALL, chunk, 32), 2, Duration::from_millis(40)),
-            Profile::StallChunk { chunk: victim, stall, .. } => (chunk == victim, 1, stall),
-            _ => (false, 0, Duration::ZERO),
-        };
-        if hit && self.stalls_fired.fetch_add(1, Ordering::Relaxed) < cap {
-            Some(dur)
-        } else {
-            None
-        }
-    }
-
-    /// Runs the chunk-start seams: stalls and/or panics this attempt when
-    /// the schedule says so, tallying the ledger. Call inside the chunk's
-    /// unwind boundary.
+    /// Runs the chunk-start seam: panics this attempt when the schedule
+    /// says so, tallying the ledger. Call inside the chunk's unwind
+    /// boundary.
     pub fn perturb_chunk(&self, chunk: u64, attempt: u32) {
-        if let Some(stall) = self.stall(chunk, attempt) {
-            ledger().note_injected_stall();
-            obs::flight::event("fault_fired")
-                .chunk(chunk)
-                .attempt(attempt)
-                .detail("stall")
-                .emit();
-            std::thread::sleep(stall);
-        }
         if self.chunk_panics(chunk, attempt) {
             ledger().note_injected_panic();
             obs::flight::event("fault_fired")
@@ -343,8 +284,8 @@ impl FaultPlan {
         }
     }
 
-    /// Whether journal record number `record` is written torn (a partial
-    /// frame with the handle dropped mid-write).
+    /// Whether store-segment record number `record` is written torn (a
+    /// partial frame with the handle dropped mid-write).
     #[must_use]
     pub fn torn_write(&self, record: u64) -> bool {
         match self.profile {
@@ -358,18 +299,6 @@ impl FaultPlan {
     #[must_use]
     pub fn export_fault(&self) -> bool {
         self.profile == Profile::ExportErrors
-    }
-
-    /// The per-chunk wall budget this plan wants the worker supervisor to
-    /// enforce. `None` for profiles that never stall (no watchdog, no
-    /// supervision overhead).
-    #[must_use]
-    pub fn default_chunk_budget(&self) -> Option<Duration> {
-        match self.profile {
-            Profile::Stalls | Profile::Mixed => Some(Duration::from_millis(15)),
-            Profile::StallChunk { budget, .. } => Some(budget),
-            _ => None,
-        }
     }
 
     /// Whether runs under this plan turn retry exhaustion into a degraded
@@ -462,15 +391,12 @@ pub fn retry_backoff(seed: Seed, chunk: u64, attempt: u32, base: Duration) -> Du
 #[derive(Debug)]
 pub struct Ledger {
     injected_panics: AtomicU64,
-    injected_stalls: AtomicU64,
     injected_corruptions: AtomicU64,
     injected_torn_writes: AtomicU64,
     injected_export_faults: AtomicU64,
     chunks_retried: AtomicU64,
-    watchdog_requeues: AtomicU64,
     chunks_abandoned: AtomicU64,
     degraded_runs: AtomicU64,
-    journal_torn_tails: AtomicU64,
 }
 
 /// A point-in-time copy of the [`Ledger`]; subtract two with
@@ -479,15 +405,12 @@ pub struct Ledger {
 #[allow(missing_docs)] // field names are the documentation; see Ledger
 pub struct LedgerSnapshot {
     pub injected_panics: u64,
-    pub injected_stalls: u64,
     pub injected_corruptions: u64,
     pub injected_torn_writes: u64,
     pub injected_export_faults: u64,
     pub chunks_retried: u64,
-    pub watchdog_requeues: u64,
     pub chunks_abandoned: u64,
     pub degraded_runs: u64,
-    pub journal_torn_tails: u64,
 }
 
 impl LedgerSnapshot {
@@ -496,7 +419,6 @@ impl LedgerSnapshot {
     pub fn since(&self, earlier: &LedgerSnapshot) -> LedgerSnapshot {
         LedgerSnapshot {
             injected_panics: self.injected_panics.saturating_sub(earlier.injected_panics),
-            injected_stalls: self.injected_stalls.saturating_sub(earlier.injected_stalls),
             injected_corruptions: self
                 .injected_corruptions
                 .saturating_sub(earlier.injected_corruptions),
@@ -507,16 +429,10 @@ impl LedgerSnapshot {
                 .injected_export_faults
                 .saturating_sub(earlier.injected_export_faults),
             chunks_retried: self.chunks_retried.saturating_sub(earlier.chunks_retried),
-            watchdog_requeues: self
-                .watchdog_requeues
-                .saturating_sub(earlier.watchdog_requeues),
             chunks_abandoned: self
                 .chunks_abandoned
                 .saturating_sub(earlier.chunks_abandoned),
             degraded_runs: self.degraded_runs.saturating_sub(earlier.degraded_runs),
-            journal_torn_tails: self
-                .journal_torn_tails
-                .saturating_sub(earlier.journal_torn_tails),
         }
     }
 
@@ -524,7 +440,6 @@ impl LedgerSnapshot {
     #[must_use]
     pub fn total_injected(&self) -> u64 {
         self.injected_panics
-            + self.injected_stalls
             + self.injected_corruptions
             + self.injected_torn_writes
             + self.injected_export_faults
@@ -539,18 +454,15 @@ impl LedgerSnapshot {
     /// Every tally as a `(name, count)` pair, in declaration order — the
     /// shape crash dossiers embed.
     #[must_use]
-    pub fn named_fields(&self) -> [(&'static str, u64); 10] {
+    pub fn named_fields(&self) -> [(&'static str, u64); 7] {
         [
             ("injected_panics", self.injected_panics),
-            ("injected_stalls", self.injected_stalls),
             ("injected_corruptions", self.injected_corruptions),
             ("injected_torn_writes", self.injected_torn_writes),
             ("injected_export_faults", self.injected_export_faults),
             ("chunks_retried", self.chunks_retried),
-            ("watchdog_requeues", self.watchdog_requeues),
             ("chunks_abandoned", self.chunks_abandoned),
             ("degraded_runs", self.degraded_runs),
-            ("journal_torn_tails", self.journal_torn_tails),
         ]
     }
 }
@@ -559,15 +471,12 @@ impl Ledger {
     const fn new() -> Ledger {
         Ledger {
             injected_panics: AtomicU64::new(0),
-            injected_stalls: AtomicU64::new(0),
             injected_corruptions: AtomicU64::new(0),
             injected_torn_writes: AtomicU64::new(0),
             injected_export_faults: AtomicU64::new(0),
             chunks_retried: AtomicU64::new(0),
-            watchdog_requeues: AtomicU64::new(0),
             chunks_abandoned: AtomicU64::new(0),
             degraded_runs: AtomicU64::new(0),
-            journal_torn_tails: AtomicU64::new(0),
         }
     }
 
@@ -576,15 +485,12 @@ impl Ledger {
     pub fn snapshot(&self) -> LedgerSnapshot {
         LedgerSnapshot {
             injected_panics: self.injected_panics.load(Ordering::Relaxed),
-            injected_stalls: self.injected_stalls.load(Ordering::Relaxed),
             injected_corruptions: self.injected_corruptions.load(Ordering::Relaxed),
             injected_torn_writes: self.injected_torn_writes.load(Ordering::Relaxed),
             injected_export_faults: self.injected_export_faults.load(Ordering::Relaxed),
             chunks_retried: self.chunks_retried.load(Ordering::Relaxed),
-            watchdog_requeues: self.watchdog_requeues.load(Ordering::Relaxed),
             chunks_abandoned: self.chunks_abandoned.load(Ordering::Relaxed),
             degraded_runs: self.degraded_runs.load(Ordering::Relaxed),
-            journal_torn_tails: self.journal_torn_tails.load(Ordering::Relaxed),
         }
     }
 
@@ -593,17 +499,12 @@ impl Ledger {
         self.injected_panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// An injected worker stall fired.
-    pub fn note_injected_stall(&self) {
-        self.injected_stalls.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// An injected scratch corruption fired.
     pub fn note_injected_corruption(&self) {
         self.injected_corruptions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// An injected torn checkpoint write fired.
+    /// An injected torn store-segment write fired.
     pub fn note_injected_torn_write(&self) {
         self.injected_torn_writes.fetch_add(1, Ordering::Relaxed);
     }
@@ -618,11 +519,6 @@ impl Ledger {
         self.chunks_retried.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The watchdog requeued an over-budget chunk and retired its worker.
-    pub fn note_watchdog_requeue(&self) {
-        self.watchdog_requeues.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A chunk exhausted its retries and was abandoned (degraded mode).
     pub fn note_chunk_abandoned(&self) {
         self.chunks_abandoned.fetch_add(1, Ordering::Relaxed);
@@ -631,11 +527,6 @@ impl Ledger {
     /// A run finished with at least one abandoned chunk.
     pub fn note_degraded_run(&self) {
         self.degraded_runs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Journal recovery truncated a torn tail.
-    pub fn note_journal_torn_tail(&self) {
-        self.journal_torn_tails.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -699,7 +590,6 @@ mod tests {
         assert_eq!(plan.profile(), Profile::Mixed);
         for (spec, profile) in [
             ("7:panics", Profile::Panics),
-            ("7:stalls", Profile::Stalls),
             ("7:corrupt", Profile::Corrupt),
             ("7:torn", Profile::TornWrites),
             ("7:export", Profile::ExportErrors),
@@ -710,6 +600,7 @@ mod tests {
         }
         assert!(FaultPlan::parse("x").is_err());
         assert!(FaultPlan::parse("7:frobnicate").is_err());
+        assert!(FaultPlan::parse("7:stalls").is_err(), "the stall profile is gone");
         assert!(FaultPlan::parse("").is_err());
     }
 
@@ -734,24 +625,6 @@ mod tests {
         }
         assert!(hard.degrade_on_exhaustion());
         assert!(!a.degrade_on_exhaustion());
-    }
-
-    #[test]
-    fn stall_cap_limits_fires_and_stall_chunk_is_one_shot() {
-        let plan = FaultPlan::new(3, Profile::Stalls);
-        let fired: usize = (0..4096).filter(|&i| plan.stall(i, 1).is_some()).count();
-        assert!(fired <= 3, "cap must bound stalls, got {fired}");
-        assert!(fired > 0, "1/16 over 4096 chunks must hit the cap");
-
-        let one = FaultPlan::new(0, Profile::StallChunk {
-            chunk: 5,
-            stall: Duration::from_millis(7),
-            budget: Duration::from_millis(2),
-        });
-        assert!(one.stall(4, 1).is_none());
-        assert_eq!(one.stall(5, 1), Some(Duration::from_millis(7)));
-        assert!(one.stall(5, 1).is_none(), "one-shot: the replacement runs clean");
-        assert_eq!(one.default_chunk_budget(), Some(Duration::from_millis(2)));
     }
 
     #[test]
@@ -792,13 +665,11 @@ mod tests {
         let before = ledger().snapshot();
         ledger().note_injected_panic();
         ledger().note_chunk_retry();
-        ledger().note_journal_torn_tail();
         let delta = ledger().snapshot().since(&before);
         assert_eq!(delta.injected_panics, 1);
         assert_eq!(delta.chunks_retried, 1);
-        assert_eq!(delta.journal_torn_tails, 1);
-        assert_eq!(delta.injected_stalls, 0);
-        // Torn-tail recovery is a recovery action, not an injected fault.
+        assert_eq!(delta.injected_corruptions, 0);
+        // A retry is a recovery action, not an injected fault.
         assert_eq!(delta.total_injected(), 1);
         assert!(!delta.is_zero());
         assert!(LedgerSnapshot::default().is_zero());

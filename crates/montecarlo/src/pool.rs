@@ -19,9 +19,9 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A unit of queued work, stamped at submission so the pool can report
 /// queue wait. The stamp is `None` whenever telemetry is off, keeping the
@@ -133,123 +133,26 @@ struct Scatter<T, F> {
     cursor: AtomicUsize,
     board: Mutex<Board<T>>,
     done: Condvar,
-    /// Per-index wall budget enforced by the watchdog; `None` disables
-    /// supervision entirely (no claim stamps, no watchdog thread).
-    budget: Option<Duration>,
-    /// Set by the submitting thread once every slot has reported, so the
-    /// watchdog knows to retire.
-    finished: AtomicBool,
 }
 
 struct Board<T> {
     slots: Vec<Option<std::thread::Result<T>>>,
     reported: usize,
-    /// Indices the watchdog handed back for re-execution; drained before
-    /// fresh cursor claims. Supervised scatters only.
-    requeued: VecDeque<usize>,
-    /// Claim stamp per in-flight index (empty when unsupervised): when the
-    /// current executor started, reset on requeue and cleared on report.
-    claims: Vec<Option<Instant>>,
 }
 
-/// Claims and runs indices until the cursor (and any watchdog requeues)
-/// are exhausted.
-///
-/// Supervised scatters may execute an index twice — the presumed-stuck
-/// original and its requeued replacement. The first report wins the slot;
-/// the loser's result is discarded and its executor retires, which keeps
-/// duplicated execution invisible as long as `job(i)` is a pure function
-/// of `i` (the runner's chunk jobs are, by construction).
+/// Claims and runs indices until the cursor is exhausted.
 fn drain<T, F: Fn(usize) -> T>(s: &Scatter<T, F>) {
-    let supervised = s.budget.is_some();
     loop {
-        let idx = if supervised {
-            let mut board = lock(&s.board);
-            loop {
-                match board.requeued.pop_front() {
-                    // The presumed-stuck executor reported after all; the
-                    // requeue is moot.
-                    Some(i) if board.slots[i].is_some() => continue,
-                    Some(i) => break i,
-                    None => {
-                        let i = s.cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= s.count {
-                            return;
-                        }
-                        break i;
-                    }
-                }
-            }
-        } else {
-            let idx = s.cursor.fetch_add(1, Ordering::Relaxed);
-            if idx >= s.count {
-                return;
-            }
-            idx
-        };
-        if supervised {
-            let mut board = lock(&s.board);
-            board.claims[idx] = Some(Instant::now());
-            drop(board);
+        let idx = s.cursor.fetch_add(1, Ordering::Relaxed);
+        if idx >= s.count {
+            return;
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| (s.job)(idx)));
         let mut board = lock(&s.board);
-        if board.slots[idx].is_some() {
-            // A duplicate executor won the race; this one was presumed
-            // lost (and replaced), so it retires rather than claiming on.
-            return;
-        }
-        if supervised {
-            board.claims[idx] = None;
-        }
         board.slots[idx] = Some(outcome);
         board.reported += 1;
         if board.reported == s.count {
             s.done.notify_all();
-        }
-    }
-}
-
-/// The supervision loop: wakes every quarter-budget, requeues any claimed
-/// index whose executor has been running past the budget, and submits one
-/// replacement drain ticket per requeue (the stuck worker, wherever it is,
-/// is written off — if it ever reports, first-report-wins discards the
-/// duplicate).
-fn watchdog<T, F>(s: &Arc<Scatter<T, F>>)
-where
-    T: Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + 'static,
-{
-    let budget = s.budget.expect("watchdog only runs supervised");
-    let poll = (budget / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
-    loop {
-        std::thread::park_timeout(poll);
-        if s.finished.load(Ordering::Acquire) {
-            return;
-        }
-        let mut stale: Vec<usize> = Vec::new();
-        {
-            let mut board = lock(&s.board);
-            let now = Instant::now();
-            for idx in 0..s.count {
-                let Some(claimed) = board.claims[idx] else {
-                    continue;
-                };
-                if board.slots[idx].is_none() && now.duration_since(claimed) >= budget {
-                    // Restamp so the next poll gives the replacement a
-                    // full budget of its own.
-                    board.claims[idx] = Some(now);
-                    board.requeued.push_back(idx);
-                    stale.push(idx);
-                }
-            }
-        }
-        for idx in stale {
-            crate::telemetry::pool().watchdog_requeues.inc();
-            crate::fault::ledger().note_watchdog_requeue();
-            obs::flight::event("watchdog_requeue").n(idx as u64).emit();
-            let replacement = Arc::clone(s);
-            submit(Box::new(move || drain(&*replacement)));
         }
     }
 }
@@ -279,42 +182,10 @@ where
     T: Send + 'static,
     F: Fn(usize) -> T + Send + Sync + 'static,
 {
-    scatter_supervised(count, threads, None, job)
-}
-
-/// [`scatter`] with worker supervision: when `budget` is set, a dedicated
-/// watchdog thread detects indices whose executor exceeds the per-index
-/// wall budget, requeues them, and submits a replacement executor — the
-/// stuck worker is retired (its late report, if any, loses to the
-/// replacement's under first-report-wins).
-///
-/// With `budget = None` this is exactly [`scatter`]: no claim stamps, no
-/// watchdog thread, no extra clock reads on the fault-free path.
-///
-/// Requeued duplicates make results *at-least-once* rather than
-/// exactly-once, which is safe here because every caller's `job(i)` is a
-/// pure function of `i` — both executions produce identical values, and
-/// only one is merged.
-///
-/// # Panics
-///
-/// As [`scatter`]: the lowest-index panic payload is re-raised after all
-/// slots report.
-pub fn scatter_supervised<T, F>(
-    count: usize,
-    threads: usize,
-    budget: Option<Duration>,
-    job: F,
-) -> Vec<T>
-where
-    T: Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + 'static,
-{
     if count == 0 {
         return Vec::new();
     }
     crate::telemetry::pool().scatter_calls.inc();
-    let supervised = budget.is_some();
     let state = Arc::new(Scatter {
         job,
         count,
@@ -322,23 +193,8 @@ where
         board: Mutex::new(Board {
             slots: (0..count).map(|_| None).collect(),
             reported: 0,
-            requeued: VecDeque::new(),
-            claims: if supervised {
-                vec![None; count]
-            } else {
-                Vec::new()
-            },
         }),
         done: Condvar::new(),
-        budget,
-        finished: AtomicBool::new(false),
-    });
-    let guard = supervised.then(|| {
-        let s = Arc::clone(&state);
-        std::thread::Builder::new()
-            .name("mc-watchdog".into())
-            .spawn(move || watchdog(&s))
-            .ok()
     });
     let helpers = threads.clamp(1, count) - 1;
     for _ in 0..helpers {
@@ -355,11 +211,6 @@ where
     }
     let slots = std::mem::take(&mut board.slots);
     drop(board);
-    if let Some(handle) = guard.flatten() {
-        state.finished.store(true, Ordering::Release);
-        handle.thread().unpark();
-        let _ = handle.join();
-    }
     slots
         .into_iter()
         .map(|slot| {
@@ -402,32 +253,6 @@ mod tests {
         let out = scatter(4, 4, |i| scatter(4, 4, move |j| i * 4 + j));
         let flat: Vec<usize> = out.into_iter().flatten().collect();
         assert_eq!(flat, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn supervised_scatter_matches_unsupervised() {
-        for threads in [1usize, 2, 3, 8] {
-            let out = scatter_supervised(25, threads, Some(Duration::from_secs(5)), |i| i * i);
-            assert_eq!(out, (0..25).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn watchdog_requeues_a_stalled_index_and_the_run_completes() {
-        // One index stalls far past the budget on its first execution
-        // only; the watchdog requeues it and a replacement finishes it.
-        let stalled = Arc::new(AtomicBool::new(false));
-        let before = crate::fault::ledger().snapshot();
-        let flag = Arc::clone(&stalled);
-        let out = scatter_supervised(8, 2, Some(Duration::from_millis(20)), move |i| {
-            if i == 3 && !flag.swap(true, Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(250));
-            }
-            i * 10
-        });
-        assert_eq!(out, (0..8).map(|i| i * 10).collect::<Vec<_>>());
-        let delta = crate::fault::ledger().snapshot().since(&before);
-        assert!(delta.watchdog_requeues >= 1, "the stall must trip the watchdog");
     }
 
     #[test]

@@ -63,7 +63,6 @@ pub struct Runner {
     min_trials: u64,
     max_chunk_retries: u32,
     target_rse: Option<f64>,
-    chunk_budget: Option<Duration>,
     backoff_base: Duration,
     degrade_on_exhaustion: bool,
 }
@@ -205,8 +204,6 @@ struct Ctl {
     completed: AtomicU64,
     cancel: AtomicBool,
     retried: AtomicU64,
-    /// Trials requested, so the progress heartbeat can report done/total.
-    target: u64,
     /// Set when an expired deadline had to keep running for `min_trials`.
     floor_bound: AtomicBool,
 }
@@ -226,7 +223,6 @@ impl Runner {
             min_trials: 0,
             max_chunk_retries: 2,
             target_rse: None,
-            chunk_budget: None,
             backoff_base: Duration::from_micros(500),
             degrade_on_exhaustion: false,
         }
@@ -306,23 +302,6 @@ impl Runner {
         self
     }
 
-    /// Sets a per-chunk wall budget enforced by the pool watchdog: a chunk
-    /// executor running past `budget` is presumed stuck, its chunk is
-    /// requeued through the claim cursor and re-executed by a replacement
-    /// worker (see [`pool::scatter_supervised`]).
-    ///
-    /// Because a chunk's result is a pure function of `(seed, chunk)`, the
-    /// duplicate execution a requeue may cause is invisible in results —
-    /// first report wins, both reports are identical. Supervision is
-    /// timing-only; results stay bit-for-bit deterministic. Without a
-    /// budget (the default) no watchdog runs and the scatter path carries
-    /// zero supervision overhead.
-    #[must_use]
-    pub fn with_chunk_budget(mut self, budget: Duration) -> Runner {
-        self.chunk_budget = Some(budget);
-        self
-    }
-
     /// Sets the base delay of the seeded exponential backoff slept before
     /// each chunk retry (default 500µs; `Duration::ZERO` disables
     /// backoff).
@@ -382,12 +361,6 @@ impl Runner {
     #[must_use]
     pub fn target_rse(&self) -> Option<f64> {
         self.target_rse
-    }
-
-    /// The per-chunk watchdog budget, if any.
-    #[must_use]
-    pub fn chunk_budget(&self) -> Option<Duration> {
-        self.chunk_budget
     }
 
     /// The base delay of the seeded retry backoff.
@@ -594,23 +567,17 @@ impl Runner {
         }
         // Scope for this run's crash-dossier fault delta.
         let ledger_start = crate::fault::ledger().snapshot();
-        // An installed chaos plan can supply a chunk budget (so its stalls
-        // actually trip the watchdog) and a degradation policy; explicit
+        // An installed chaos plan can supply a degradation policy; explicit
         // runner configuration always wins.
-        let active_plan = crate::fault::active();
-        let chunk_budget = self
-            .chunk_budget
-            .or_else(|| active_plan.as_ref().and_then(|p| p.default_chunk_budget()));
         let degrade = self.degrade_on_exhaustion
-            || active_plan.as_ref().is_some_and(|p| p.degrade_on_exhaustion());
+            || crate::fault::active().is_some_and(|p| p.degrade_on_exhaustion());
         let ctl = Arc::new(Ctl {
             start: Instant::now(),
-            // Resumed trials count toward the progress display and the
-            // min-trials floor: they are real, merged samples.
+            // Resumed trials count toward the min-trials floor: they are
+            // real, merged samples.
             completed: AtomicU64::new(resume_trials),
             cancel: AtomicBool::new(false),
             retried: AtomicU64::new(0),
-            target: trials,
             floor_bound: AtomicBool::new(false),
         });
         let mut value = match resume {
@@ -639,26 +606,25 @@ impl Runner {
                 Arc::clone(&init),
                 Arc::clone(&batch),
             );
-            let outcomes =
-                pool::scatter_supervised(until - base, self.threads, chunk_budget, move |i| {
-                    let idx = (base + i) as u64;
-                    let count = CHUNK_WIDTH.min(trials - idx * CHUNK_WIDTH);
-                    if job_ctl.cancel.load(Ordering::Relaxed) {
-                        // Deadline already hit (or the run already failed):
-                        // contribute an empty chunk instead of wasted work.
-                        return ChunkOutcome::Done { acc: ini(), ran: 0 };
-                    }
-                    let tele = crate::telemetry::runner();
-                    tele.chunks_claimed.inc();
-                    obs::flight::event("chunk_claimed").chunk(idx).emit();
-                    let chunk_started = obs::recording().then(Instant::now);
-                    let outcome =
-                        runner.run_chunk(idx, count, &*scr, &*ini, &*bat, &job_ctl, degrade);
-                    if let Some(started) = chunk_started {
-                        tele.chunk_wall_us.record(started.elapsed().as_micros() as u64);
-                    }
-                    outcome
-                });
+            let outcomes = pool::scatter(until - base, self.threads, move |i| {
+                let idx = (base + i) as u64;
+                let count = CHUNK_WIDTH.min(trials - idx * CHUNK_WIDTH);
+                if job_ctl.cancel.load(Ordering::Relaxed) {
+                    // Deadline already hit (or the run already failed):
+                    // contribute an empty chunk instead of wasted work.
+                    return ChunkOutcome::Done { acc: ini(), ran: 0 };
+                }
+                let tele = crate::telemetry::runner();
+                tele.chunks_claimed.inc();
+                obs::flight::event("chunk_claimed").chunk(idx).emit();
+                let chunk_started = obs::recording().then(Instant::now);
+                let outcome =
+                    runner.run_chunk(idx, count, &*scr, &*ini, &*bat, &job_ctl, degrade);
+                if let Some(started) = chunk_started {
+                    tele.chunk_wall_us.record(started.elapsed().as_micros() as u64);
+                }
+                outcome
+            });
 
             for (i, outcome) in outcomes.into_iter().enumerate() {
                 match outcome {
@@ -784,8 +750,8 @@ impl Runner {
             let counted = Cell::new(0u64);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if let Some(plan) = plan.as_deref() {
-                    // Chaos seam: may stall this executor and/or panic the
-                    // attempt; both recover through the paths below.
+                    // Chaos seam: may panic the attempt, which recovers
+                    // through the retry path below.
                     plan.perturb_chunk(idx, attempt);
                 }
                 let mut scratch = scratch_init();
@@ -801,7 +767,6 @@ impl Runner {
                     ran += step;
                     counted.set(counted.get() + step);
                     let total = ctl.completed.fetch_add(step, Ordering::Relaxed) + step;
-                    obs::progress::tick("trials", total, ctl.target, ctl.start);
                     if let Some(limit) = self.deadline {
                         if ctl.start.elapsed() >= limit {
                             if total >= self.min_trials {
@@ -1289,30 +1254,20 @@ fn is_prefix_snapshot(clean_full_chunks: u64, max_full_chunks: u64) -> bool {
 }
 
 /// Wraps a sequential-stopping RSE target as the runner's stop
-/// predicate: computes the statistic once, publishes it to the progress
-/// heartbeat, records the wave decision in the flight recorder, and
-/// returns whether the target was met. NaN RSE (degenerate estimate)
-/// compares false — never "converged". The telemetry side effects are
-/// strictly out-of-band: the returned decision is a pure function of the
-/// merged accumulator.
+/// predicate: computes the statistic once, records the wave decision in
+/// the flight recorder, and returns whether the target was met. NaN RSE
+/// (degenerate estimate) compares false — never "converged". The telemetry
+/// side effect is strictly out-of-band: the returned decision is a pure
+/// function of the merged accumulator.
 fn wave_stop<A: crate::EstimatorStats>(target: f64) -> impl Fn(&A) -> bool {
     move |acc| {
         let rse = crate::EstimatorStats::rse(acc);
         let converged = rse <= target;
-        obs::progress::set_live_rse(rse);
-        let n = crate::EstimatorStats::count(acc);
         obs::flight::event("wave_decided")
-            .n(n)
+            .n(crate::EstimatorStats::count(acc))
             .value(rse)
             .detail(if converged { "converged" } else { "continue" })
             .emit();
-        // Wave-boundary frame for live subscribers (`--serve` clients):
-        // gated on attached queues so an unserved run publishes nothing,
-        // and skipped by the heartbeat printer (which renders only
-        // throttled `heartbeat` frames).
-        if obs::bus::queue_subscribers() > 0 {
-            obs::bus::publish_frame(obs::bus::Frame::collect("wave", "trials", n, 0, 0.0));
-        }
         converged
     }
 }

@@ -90,9 +90,6 @@ pub(crate) struct PoolMetrics {
     /// Workers currently running a ticket (occupancy; excludes the
     /// submitting thread, which always participates directly).
     pub workers_busy: obs::Gauge,
-    /// Over-budget chunks the watchdog requeued (each also retires the
-    /// worker presumed stuck on it).
-    pub watchdog_requeues: obs::Counter,
     /// Queue wait from submit to pop, microseconds.
     pub queue_wait_us: obs::Histogram,
     /// Time a worker spent inside one ticket, microseconds.
@@ -109,7 +106,6 @@ pub(crate) fn pool() -> &'static PoolMetrics {
             tickets_run: g.counter("mc.pool.tickets_run"),
             workers_spawned: g.gauge("mc.pool.workers_spawned"),
             workers_busy: g.gauge("mc.pool.workers_busy"),
-            watchdog_requeues: g.counter("mc.watchdog.requeues"),
             queue_wait_us: g.histogram("mc.pool.queue_wait_us"),
             ticket_busy_us: g.histogram("mc.pool.ticket_busy_us"),
         }

@@ -1,8 +1,7 @@
 //! Telemetry is strictly out-of-band: these tests prove that metric
-//! collection, the recording master switch, and the progress heartbeat
-//! never change any seeded result, and that the fault-retry counter is
-//! exact — N injected panics read back as exactly N retries with a
-//! bit-for-bit recovered estimate.
+//! collection and the recording master switch never change any seeded
+//! result, and that the fault-retry counter is exact — N injected panics
+//! read back as exactly N retries with a bit-for-bit recovered estimate.
 //!
 //! Counter assertions and recording toggles act on process-global state,
 //! so every test here serializes through one lock.
@@ -61,7 +60,7 @@ fn injected_panics_count_exactly_and_recover_bit_for_bit() {
 }
 
 #[test]
-fn results_identical_with_recording_on_off_and_progress() {
+fn results_identical_with_recording_on_and_off() {
     let _guard = global_lock();
     let run = |threads: usize| {
         Runner::new(Seed(2018)).with_threads(threads).fold(
@@ -77,9 +76,6 @@ fn results_identical_with_recording_on_off_and_progress() {
     for threads in [1usize, 2, 3, 8] {
         obs::set_recording(true);
         assert_eq!(run(threads), base, "recording on, threads={threads}");
-        obs::progress::set_enabled(true);
-        assert_eq!(run(threads), base, "progress on, threads={threads}");
-        obs::progress::set_enabled(false);
         obs::set_recording(false);
         assert_eq!(run(threads), base, "recording off, threads={threads}");
         obs::set_recording(true);

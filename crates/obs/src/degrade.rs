@@ -1,7 +1,7 @@
 //! The shared unusable-artifact degradation contract.
 //!
 //! Every optional artifact flag (`--metrics`, `--trace`, `--flight`,
-//! `--dossier-dir`, `--cache`, `--checkpoint`, `--serve`) degrades the
+//! `--dossier-dir`, `--cache`) degrades the
 //! same way when its path or address is unusable: the run continues and
 //! produces results normally, a `warning: <artifact> disabled: <error>`
 //! line goes to stderr, the `obs.degraded_artifacts` counter is bumped,

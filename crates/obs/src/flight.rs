@@ -24,15 +24,12 @@
 //! | `chunk_retried` | `chunk`, `attempt` | runner |
 //! | `chunk_abandoned` | `chunk`, `attempt` | runner |
 //! | `chunk_failed` | `chunk`, `attempt` (retries exhausted, run fails) | runner |
-//! | `watchdog_requeue` | `n` = scatter-local index requeued | pool |
-//! | `fault_fired` | `chunk`, `attempt`, `detail` = `panic`/`stall`/`corruption`/`torn_write` | fault plan |
+//! | `fault_fired` | `chunk`, `attempt`, `detail` = `panic`/`corruption` | fault plan |
 //! | `backoff_slept` | `chunk`, `attempt`, `n` = µs | runner |
 //! | `wave_decided` | `n` = trials merged, `value` = RSE, `detail` = `converged`/`continue` | stop predicate |
 //! | `request` | `detail` = full canonical request key | cache seam |
 //! | `cache_hit` / `cache_extend` / `cache_miss` | `detail` = key, `n` = prefix chunks (extend) | store |
 //! | `cache_compacted` | `n` = records kept | store |
-//! | `journal_append` | `detail` = experiment id | checkpoint journal |
-//! | `journal_torn_tail` | `n` = bytes kept | checkpoint journal |
 //!
 //! # On-disk framing
 //!
@@ -145,11 +142,10 @@ impl EventBuilder {
         self
     }
 
-    /// Records the event into the ring and publishes it on the broadcast
-    /// bus (the single event path the disk mirror and TCP clients
-    /// subscribe to). A no-op unless both the master recording switch
-    /// and the flight switch are on; always a no-op in builds without
-    /// the `enabled` feature.
+    /// Records the event into the ring and appends it to the disk mirror,
+    /// if one is installed. A no-op unless both the master recording
+    /// switch and the flight switch are on; always a no-op in builds
+    /// without the `enabled` feature.
     pub fn emit(self) {
         if !recording() {
             return;
@@ -170,10 +166,15 @@ impl EventBuilder {
                 value: self.value,
                 detail: self.detail,
             };
-            // Published under the sink lock so every subscriber —
-            // including the lossless disk-mirror sink — observes events
+            // Written under the sink lock, so the mirror is lossless and
             // in sequence order.
-            crate::bus::publish_event(&ev);
+            if let Some(file) = sink.mirror.as_mut() {
+                if let Some(line) = frame_line(&ev) {
+                    // Best-effort: a mirror that starts failing mid-run
+                    // must not take the run down with it.
+                    let _ = file.write_all(line.as_bytes());
+                }
+            }
             sink.ring.push(crate::ring_capacity(), ev)
         };
         if dropped > 0 {
@@ -202,15 +203,15 @@ pub fn recording() -> bool {
 struct FlightSink {
     ring: crate::ring::Ring<FlightEvent>,
     seq: u64,
+    /// The `--flight` disk mirror, if installed.
+    mirror: Option<std::fs::File>,
 }
 
 static SINK: Mutex<FlightSink> = Mutex::new(FlightSink {
     ring: crate::ring::Ring::new(),
     seq: 0,
+    mirror: None,
 });
-
-/// Bus-sink id of the installed disk mirror, if any.
-static MIRROR_SINK: Mutex<Option<u64>> = Mutex::new(None);
 
 fn lock() -> std::sync::MutexGuard<'static, FlightSink> {
     SINK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -243,38 +244,14 @@ pub fn clear() {
 ///
 /// Any error opening `path` for append.
 pub fn mirror_to(path: &Path) -> std::io::Result<()> {
-    let mut file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-    let mut guard = MIRROR_SINK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(old) = guard.take() {
-        crate::bus::remove_sink(old);
-    }
-    // The mirror is an ordinary bus subscriber: a synchronous sink, so
-    // it stays lossless and sequence-ordered (events are published under
-    // the recorder lock), while remote clients ride bounded queues.
-    let id = crate::bus::install_sink(Box::new(move |msg| {
-        if let crate::bus::BusMessage::Event(ev) = msg {
-            if let Some(line) = frame_line(ev) {
-                // Best-effort: a mirror that starts failing mid-run
-                // must not take the run down with it.
-                let _ = file.write_all(line.as_bytes());
-            }
-        }
-    }));
-    *guard = Some(id);
+    let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+    lock().mirror = Some(file);
     Ok(())
 }
 
 /// Stops mirroring (the ring keeps recording).
 pub fn unmirror() {
-    let old = MIRROR_SINK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take();
-    if let Some(id) = old {
-        crate::bus::remove_sink(id);
-    }
+    lock().mirror = None;
 }
 
 /// Frame tag opening every flight-log line.
@@ -288,17 +265,17 @@ fn frame(json: &str) -> String {
     format!("{TAG} {VERSION} {crc:08x} {json}\n")
 }
 
-/// Frames one event as its on-disk/on-wire `MMRE` line — what the disk
-/// mirror appends and `GET /events` streams. `None` if serialization
-/// fails (it never does for recorder-built events).
+/// Frames one event as its on-disk `MMRE` line — what the disk mirror
+/// appends. `None` if serialization fails (it never does for
+/// recorder-built events).
 #[must_use]
-pub(crate) fn frame_line(ev: &FlightEvent) -> Option<String> {
+fn frame_line(ev: &FlightEvent) -> Option<String> {
     serde_json::to_string(ev).ok().map(|json| frame(&json))
 }
 
 /// CRC-32 (zlib polynomial, reflected, init/xorout `0xFFFFFFFF`) — the
-/// same checksum the checkpoint journal and cache segments use, computed
-/// here so `obs` stays dependency-free.
+/// same checksum the cache segments use, computed here so `obs` stays
+/// dependency-free.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
@@ -507,7 +484,7 @@ pub fn write_dossier(
 
 /// Event kinds that are deterministic run payload: equal between a
 /// chaos run and its fault-free twin whenever recovery succeeded.
-/// Everything else (faults, retries, requeues, cache/journal traffic)
+/// Everything else (faults, retries, cache traffic)
 /// is incident reporting, compared only informationally by
 /// [`diff_logs`].
 #[must_use]
@@ -543,8 +520,8 @@ fn fmt_payload(ev: &FlightEvent) -> String {
     out
 }
 
-/// Renders the chronological timeline plus per-chunk retry/requeue
-/// causality chains — the `inspect` view of a flight log.
+/// Renders the chronological timeline plus per-chunk retry causality
+/// chains — the `inspect` view of a flight log.
 #[must_use]
 pub fn render_timeline(events: &[FlightEvent]) -> String {
     let mut out = String::new();

@@ -1,6 +1,6 @@
 //! In-process telemetry for the reproduction: a metrics registry of atomic
 //! counters/gauges/histograms, RAII span timers with a ring-buffer event
-//! sink, a throttled progress heartbeat, and a small leveled stderr logger.
+//! sink, the flight recorder, and a small leveled stderr logger.
 //!
 //! The crate exists so that the Monte-Carlo stack (pool → runner → model →
 //! experiments) can report what it is doing without perturbing what it
@@ -35,15 +35,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bus;
 pub mod degrade;
 pub mod export;
 pub mod flight;
 pub mod log;
 mod metrics;
-pub mod progress;
 mod ring;
-pub mod serve;
 mod span;
 
 pub use flight::FlightEvent;
@@ -121,9 +118,9 @@ pub fn ring_capacity() -> usize {
 }
 
 /// Build metadata stamped once by the binary and carried on every
-/// [`Snapshot`], Prometheus exposition (`mmr_build_info`), `/status`
-/// response, and crash dossier — so any artifact can be traced back to
-/// the exact build and host shape that produced it.
+/// [`Snapshot`], Prometheus exposition (`mmr_build_info`) and crash
+/// dossier — so any artifact can be traced back to the exact build and
+/// host shape that produced it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BuildInfo {
     /// The binary's crate version (`CARGO_PKG_VERSION`).

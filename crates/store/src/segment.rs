@@ -1,8 +1,8 @@
 //! The on-disk cache tier: append-only CRC-framed segments plus an
 //! atomically-rewritten index.
 //!
-//! Segments reuse the checkpoint journal's frame format (one record per
-//! line):
+//! Segments are CRC-framed, one record per line, the same framing
+//! discipline as the flight log's `MMRE` lines:
 //!
 //! ```text
 //! MMRS <version> <kind> <crc32-8hex> <compact-json>\n
@@ -16,8 +16,7 @@
 //! so a crash mid-compaction leaves either the old or the new view, never
 //! a mix.
 //!
-//! Recovery policy differs from the journal in one deliberate way: cache
-//! data is *disposable*. A torn tail is truncated (normal crash recovery,
+//! Cache data is *disposable*. A torn tail is truncated (normal crash recovery,
 //! not an error); a file that is not a segment at all is skipped whole
 //! with `mc.cache.errors` counted; and a CRC-valid record whose JSON fails
 //! to parse is *skipped* and counted, not fatal — losing a cache record
@@ -40,7 +39,7 @@ pub const VERSION: u32 = 1;
 pub(crate) const DEFAULT_ROLL_BYTES: u64 = 4 << 20;
 
 /// CRC-32 (reflected, polynomial `0xEDB88320`, init/xorout `0xFFFFFFFF`)
-/// — identical parameters to the checkpoint journal, zlib, and PNG, so
+/// — identical parameters to the flight log, zlib, and PNG, so
 /// frames are checkable with any standard tool.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -403,8 +402,7 @@ impl DiskTier {
     ///
     /// Under an installed chaos plan this record's write may be torn: a
     /// partial frame is flushed first, then the real recovery path
-    /// (rescan, truncate) runs before the full record lands — the same
-    /// discipline as the checkpoint journal.
+    /// (rescan, truncate) runs before the full record lands.
     ///
     /// # Errors
     ///

@@ -55,9 +55,7 @@ pub use shiftproc::ShiftProcess;
 /// Wraps the layer-specific errors so binaries can report one type:
 /// configuration problems stay [`Error::InvalidArgs`] (conventionally exit
 /// code 2), runtime failures from the simulation layer arrive as
-/// [`Error::Simulation`] (exit code 1), and failed telemetry exports —
-/// which never disturb already-printed results — as [`Error::Export`]
-/// (exit code 2).
+/// [`Error::Simulation`] (exit code 1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {
@@ -67,26 +65,6 @@ pub enum Error {
     /// The monte-carlo layer failed at runtime (for example, a worker
     /// panicked on every retry).
     Simulation(montecarlo::Error),
-    /// A telemetry export (`--metrics`, `--trace`) could not be written.
-    /// Exports run after the results print, so the computed output is
-    /// intact when this surfaces (conventionally exit code 2 — the flag's
-    /// path, not the simulation, is at fault).
-    Export {
-        /// The file that could not be written.
-        path: std::path::PathBuf,
-        /// The underlying failure, rendered.
-        detail: String,
-    },
-    /// The `--cache` result store could not be opened. The run proceeds
-    /// uncached (the cache is an accelerator, never an authority), but the
-    /// degradation is reported and exits with code 2 after the results
-    /// print — the same contract as [`Error::Export`].
-    Cache {
-        /// The cache directory that could not be used.
-        path: std::path::PathBuf,
-        /// The underlying failure, rendered.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for Error {
@@ -94,12 +72,6 @@ impl std::fmt::Display for Error {
         match self {
             Error::InvalidArgs(msg) => f.write_str(msg),
             Error::Simulation(e) => write!(f, "simulation failed: {e}"),
-            Error::Export { path, detail } => {
-                write!(f, "cannot write telemetry export {}: {detail}", path.display())
-            }
-            Error::Cache { path, detail } => {
-                write!(f, "result cache {} unavailable: {detail}", path.display())
-            }
         }
     }
 }
@@ -109,7 +81,6 @@ impl std::error::Error for Error {
         match self {
             Error::InvalidArgs(_) => None,
             Error::Simulation(e) => Some(e),
-            Error::Export { .. } | Error::Cache { .. } => None,
         }
     }
 }

@@ -11,46 +11,35 @@
 //! mmreliab inspect  ARTIFACT [--diff OTHER]
 //! ```
 //!
+//! Every command also takes the shared flags below.
+//!
 //! `--threads` is the *simulated* core count `n` of the model; `--workers`
 //! is how many OS threads run the Monte-Carlo trials. Workers only change
 //! wall-clock time — every result is identical for any worker count.
 //!
-//! `--cache DIR` enables the content-addressed result store: a repeated
-//! Monte-Carlo request is served bit-identically from DIR and a grown one
-//! resumes from its cached chunk prefixes. An unusable DIR degrades to an
-//! uncached run with a warning and exits with code 2 after the results
-//! print — the same contract as the telemetry exports below.
+//! The cache and observability flags are the seven `experiments` takes
+//! too, parsed, set up and exported by the shared `mmr_bench::cli`
+//! layer. `--cache DIR` enables the content-addressed result store: a
+//! repeated Monte-Carlo request is served bit-identically from DIR and a
+//! grown one resumes from its cached chunk prefixes. `--metrics FILE`
+//! writes the process telemetry snapshot at exit (JSON by default;
+//! `--metrics-format prom` switches to Prometheus text exposition),
+//! `--trace FILE` writes the span ring as Chrome trace-event JSON,
+//! `--flight FILE` mirrors the flight-event ring as CRC-framed `MMRE`
+//! lines, `--dossier-dir DIR` collects crash dossiers, and `--quiet`
+//! suppresses status lines (errors still print). None of them changes a
+//! result. An unusable path warns, the results still print, and the
+//! process exits 2.
 //!
-//! Observability flags (all strictly out-of-band — no result changes):
-//! `--metrics FILE` writes the process telemetry snapshot at exit (JSON by
-//! default; `--metrics-format prom` switches to Prometheus text
-//! exposition), `--trace FILE` writes the span ring as Chrome trace-event
-//! JSON, `--progress` enables a throttled stderr heartbeat during long
-//! runs, and `--quiet` suppresses status lines (errors still print) and
-//! wins over `--progress`. Export failures exit with code 2 after the
-//! results have printed.
-//!
-//! `--flight FILE` mirrors the structured flight-event ring to FILE as
-//! CRC-framed `MMRE` lines; `--dossier-dir DIR` writes a crash dossier
-//! (last events + metrics snapshot + fault-ledger delta) into DIR on
-//! panic or degradation. Both follow the export contract: an unusable
-//! path degrades with a warning and exit code 2 after results print.
-//! `mmreliab inspect` renders a flight log (timeline, histogram,
-//! convergence trajectory; `--diff` compares two logs) or a crash
-//! dossier; checkpoint journals and cache directories are handled by the
-//! wider `experiments inspect`.
-//!
-//! `--serve ADDR` starts the live telemetry endpoint (`GET /metrics`,
-//! `/events`, `/status` over HTTP/1.0) for the duration of the run.
-//! Serving is strictly out-of-band — clients attaching, detaching, or
-//! stalling never change a seeded result — and an unusable ADDR follows
-//! the same degradation contract as every other artifact flag: warn,
-//! run to completion, exit 2.
+//! `mmreliab inspect` is `experiments inspect`: it renders a flight log
+//! (timeline, histogram, convergence trajectory; `--diff` compares two
+//! logs), a crash dossier, or a cache or dossier directory.
 
 use memmodel::MemoryModel;
 use mmreliab::analytic::general::{GeneralWindowLaws, Params};
 use mmreliab::settle;
 use mmreliab::analytic::window_law::WindowLaws;
+use mmr_bench::cli::SharedFlags;
 use mmreliab::montecarlo::{task_rng, Runner, Seed};
 use mmreliab::{ModelComparison, ProgramGenerator, ReliabilityModel};
 use textplot::{sparkline, BarChart, Chart, Heatmap, Table};
@@ -65,17 +54,9 @@ struct Args {
     m: usize,
     param: String,
     workers: usize,
-    cache: Option<std::path::PathBuf>,
-    metrics: Option<std::path::PathBuf>,
-    metrics_prom: bool,
-    trace: Option<std::path::PathBuf>,
-    flight: Option<std::path::PathBuf>,
-    dossier_dir: Option<std::path::PathBuf>,
+    shared: SharedFlags,
     diff: Option<std::path::PathBuf>,
     artifact: Option<std::path::PathBuf>,
-    serve: Option<String>,
-    progress: bool,
-    quiet: bool,
 }
 
 fn parse_args() -> Result<Args, mmreliab::Error> {
@@ -90,22 +71,17 @@ fn parse_args() -> Result<Args, mmreliab::Error> {
         workers: std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1),
-        cache: None,
-        metrics: None,
-        metrics_prom: false,
-        trace: None,
-        flight: None,
-        dossier_dir: None,
+        shared: SharedFlags::default(),
         diff: None,
         artifact: None,
-        serve: None,
-        progress: false,
-        quiet: false,
     };
     let invalid = mmreliab::Error::InvalidArgs;
     let mut it = std::env::args().skip(1);
     args.command = it.next().ok_or_else(|| invalid(usage()))?;
     while let Some(flag) = it.next() {
+        if args.shared.parse_flag(&flag, &mut it).map_err(invalid)? {
+            continue;
+        }
         let mut value = || it.next().ok_or(invalid(format!("{flag} needs a value")));
         match flag.as_str() {
             "--model" => args.model = value()?.parse().map_err(|e| invalid(format!("{e}")))?,
@@ -135,26 +111,7 @@ fn parse_args() -> Result<Args, mmreliab::Error> {
                     return Err(invalid(format!("--workers must be at least 1\n{}", usage())));
                 }
             }
-            "--cache" => args.cache = Some(value()?.into()),
-            "--metrics" => args.metrics = Some(value()?.into()),
-            "--metrics-format" => {
-                args.metrics_prom = match value()?.as_str() {
-                    "prom" => true,
-                    "json" => false,
-                    other => {
-                        return Err(invalid(format!(
-                            "--metrics-format takes json or prom, got {other}"
-                        )))
-                    }
-                }
-            }
-            "--trace" => args.trace = Some(value()?.into()),
-            "--flight" => args.flight = Some(value()?.into()),
-            "--dossier-dir" => args.dossier_dir = Some(value()?.into()),
             "--diff" => args.diff = Some(value()?.into()),
-            "--serve" => args.serve = Some(value()?),
-            "--progress" => args.progress = true,
-            "--quiet" => args.quiet = true,
             other if !other.starts_with("--")
                 && args.command == "inspect"
                 && args.artifact.is_none() =>
@@ -168,13 +125,12 @@ fn parse_args() -> Result<Args, mmreliab::Error> {
 }
 
 fn usage() -> String {
-    String::from(
+    format!(
         "usage: mmreliab <table1|survival|windows|trace|opsim|litmus|sweep> \
          [--model sc|tso|pso|wo] [--threads N] [--trials N] [--seed S] [--m M] [--param s|p|q] \
-         [--workers W] [--cache DIR] [--metrics FILE] [--metrics-format json|prom] \
-         [--trace FILE] [--flight FILE] [--dossier-dir DIR] [--serve ADDR] [--progress] \
-         [--quiet]\n       \
+         [--workers W] {}\n       \
          mmreliab inspect ARTIFACT [--diff OTHER]",
+        mmr_bench::cli::USAGE
     )
 }
 
@@ -186,72 +142,15 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if args.quiet {
-        obs::log::set_level(obs::log::Level::Quiet);
+    // The forensic analyzer is read-only, so it runs before any recorder
+    // or cache is set up.
+    if args.command == "inspect" {
+        cmd_inspect(&args);
     }
-    // --quiet wins over --progress: quiet means a silent stderr.
-    obs::progress::set_enabled(args.progress && !args.quiet);
-    obs::set_build_info(obs::BuildInfo::detect(
-        env!("CARGO_PKG_VERSION"),
-        mmreliab::montecarlo::CHUNK_WIDTH,
-    ));
-    obs::serve::set_status_ext(Box::new(|| {
-        let fields = mmreliab::montecarlo::fault::ledger().snapshot().named_fields();
-        let faults = fields
-            .iter()
-            .map(|&(name, count)| {
-                (
-                    name.to_string(),
-                    serde_json::Value::Number(serde_json::Number::U(count)),
-                )
-            })
-            .collect();
-        vec![("faults".to_string(), serde_json::Value::Object(faults))]
-    }));
-    // Every optional artifact — cache, flight mirror, dossiers, telemetry
-    // server — shares one degradation contract: an unusable path or
-    // address warns, the run completes with results intact, and the
-    // process exits 2. The ledger tracks what degraded.
-    let mut artifacts = obs::degrade::Artifacts::new();
-    if let Some(dir) = &args.cache {
-        if let Some(s) = artifacts.install("result cache", store::Store::open(dir)) {
-            obs::info!("result cache at {}", dir.display());
-            store::install(std::sync::Arc::new(s));
-        }
-    }
-    if let Some(path) = &args.flight {
-        if artifacts
-            .install("flight event log", obs::flight::mirror_to(path))
-            .is_some()
-        {
-            obs::info!("flight events mirrored to {}", path.display());
-        }
-    }
-    if let Some(dir) = &args.dossier_dir {
-        if artifacts
-            .install("crash dossiers", obs::flight::set_dossier_dir(dir))
-            .is_some()
-        {
-            obs::info!("crash dossiers will be written to {}", dir.display());
-        }
-    }
-    // Held for the run's duration; dropping it stops the accept loop.
-    let server = args
-        .serve
-        .as_deref()
-        .and_then(|addr| artifacts.install("telemetry server", obs::serve::serve(addr)));
-    if let Some(server) = &server {
-        // Unconditional (not obs::info!): scripts binding port 0 discover
-        // the chosen port from this line.
-        eprintln!("serving telemetry on {}", server.addr());
-    }
+    let mut artifacts = args.shared.install(None);
     let result = match args.command.as_str() {
         "table1" => {
             cmd_table1();
-            Ok(())
-        }
-        "inspect" => {
-            cmd_inspect(&args);
             Ok(())
         }
         "survival" => {
@@ -286,130 +185,26 @@ fn main() {
     }
     // Telemetry exports run last, so a bad export path never disturbs the
     // results above; their failures join the shared degradation ledger.
-    artifacts.install("telemetry exports", emit_exports(&args));
-    drop(server);
+    args.shared.export(&mut artifacts);
     std::process::exit(i32::from(artifacts.exit_code(0)));
 }
 
-/// The `inspect` command: renders a flight event log (with an optional
-/// `--diff` against a second log), a crash dossier, or a dossier
-/// directory. Anything else — journals, cache directories — is the
-/// `experiments inspect` analyzer's wider beat.
-fn cmd_inspect(args: &Args) {
-    let fail = |msg: String| -> ! {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
+/// The `inspect` command: the shared forensic analyzer.
+fn cmd_inspect(args: &Args) -> ! {
+    let result = match &args.artifact {
+        Some(path) => mmr_bench::inspect::inspect(path, args.diff.as_deref()),
+        None => Err(format!("inspect takes an artifact path\n{}", usage())),
     };
-    let Some(path) = &args.artifact else {
-        fail(format!("inspect takes an artifact path\n{}", usage()));
-    };
-    let read = |path: &std::path::Path| -> Vec<u8> {
-        std::fs::read(path)
-            .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", path.display())))
-    };
-    let parse_flight = |path: &std::path::Path, bytes: &[u8]| -> obs::flight::ParsedLog {
-        let parsed = obs::flight::parse_log(&String::from_utf8_lossy(bytes));
-        if parsed.torn {
-            println!(
-                "note: torn tail truncated after {} valid events ({})",
-                parsed.events.len(),
-                path.display()
-            );
+    match result {
+        Ok(text) => {
+            print!("{text}");
+            std::process::exit(0);
         }
-        if parsed.skipped > 0 {
-            println!(
-                "note: {} well-framed line(s) of an unknown version skipped",
-                parsed.skipped
-            );
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            std::process::exit(2);
         }
-        parsed
-    };
-    let render_dossier_bytes = |path: &std::path::Path, bytes: &[u8]| {
-        let text = String::from_utf8_lossy(bytes);
-        match serde_json::from_str::<obs::flight::Dossier>(&text) {
-            Ok(d) => print!("{}", obs::flight::render_dossier(&d)),
-            Err(e) => fail(format!("{}: not a crash dossier: {e:?}", path.display())),
-        }
-    };
-    if path.is_dir() {
-        let mut names: Vec<String> = std::fs::read_dir(path)
-            .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", path.display())))
-            .filter_map(Result::ok)
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.starts_with("dossier-") && n.ends_with(".json"))
-            .collect();
-        names.sort();
-        if names.is_empty() {
-            fail(format!(
-                "{}: no dossiers here; use `experiments inspect` for journals and cache directories",
-                path.display()
-            ));
-        }
-        println!("dossier directory: {} dossier(s)", names.len());
-        for name in names {
-            println!("--- {name}");
-            let file = path.join(&name);
-            render_dossier_bytes(&file, &read(&file));
-        }
-        return;
     }
-    let bytes = read(path);
-    if bytes.starts_with(b"MMRE") {
-        let parsed = parse_flight(path, &bytes);
-        print!("{}", obs::flight::render_timeline(&parsed.events));
-        print!("{}", obs::flight::render_histogram(&parsed.events));
-        print!("{}", obs::flight::render_convergence(&parsed.events));
-        if let Some(other) = &args.diff {
-            let other_bytes = read(other);
-            if !other_bytes.starts_with(b"MMRE") {
-                fail(format!("{}: not a flight event log", other.display()));
-            }
-            let other_parsed = parse_flight(other, &other_bytes);
-            println!("diff vs {}:", other.display());
-            print!(
-                "{}",
-                obs::flight::diff_logs(&parsed.events, &other_parsed.events).render()
-            );
-            print!(
-                "{}",
-                obs::flight::diff_trajectories(&parsed.events, &other_parsed.events).render()
-            );
-        }
-        return;
-    }
-    if bytes.starts_with(b"{") {
-        render_dossier_bytes(path, &bytes);
-        return;
-    }
-    fail(format!(
-        "{}: not a flight log or dossier; use `experiments inspect` for journals and cache directories",
-        path.display()
-    ));
-}
-
-/// Writes the `--trace` and `--metrics` exports, if requested.
-fn emit_exports(args: &Args) -> Result<(), mmreliab::Error> {
-    let write = |path: &std::path::Path, text: String| {
-        std::fs::write(path, text).map_err(|e| mmreliab::Error::Export {
-            path: path.to_owned(),
-            detail: e.to_string(),
-        })
-    };
-    if let Some(path) = &args.trace {
-        write(path, obs::export::chrome_trace(&obs::snapshot()))?;
-        obs::info!("chrome trace written to {}", path.display());
-    }
-    if let Some(path) = &args.metrics {
-        let snapshot = obs::snapshot();
-        let text = if args.metrics_prom {
-            obs::export::prometheus(&snapshot)
-        } else {
-            serde_json::to_string_pretty(&snapshot).expect("serializable snapshot")
-        };
-        write(path, text)?;
-        obs::info!("metrics snapshot written to {}", path.display());
-    }
-    Ok(())
 }
 
 fn cmd_table1() {

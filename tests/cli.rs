@@ -159,14 +159,14 @@ fn metrics_flag_writes_parseable_snapshot_and_quiet_is_quiet() {
 }
 
 #[test]
-fn progress_flag_is_accepted() {
-    let (ok, stdout, _) = run(&["opsim", "--trials", "2000", "--progress"]);
-    assert!(ok, "{stdout}");
-}
-
-#[test]
 fn unknown_flag_fails_with_usage() {
-    for args in [&["survival", "--bogus"][..], &["windows", "--lanes", "8"]] {
+    for args in [
+        &["survival", "--bogus"][..],
+        &["windows", "--lanes", "8"],
+        // Removed surfaces: the heartbeat and live telemetry.
+        &["opsim", "--trials", "2000", "--progress"],
+        &["table1", "--serve", "127.0.0.1:0"],
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_mmreliab"))
             .args(args)
             .output()
@@ -176,4 +176,34 @@ fn unknown_flag_fails_with_usage() {
         assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
         assert!(stderr.contains("usage:"), "{args:?}");
     }
+}
+
+#[test]
+fn inspect_renders_a_survival_flight_log_and_diffs_it_against_itself() {
+    let dir = std::env::temp_dir().join(format!("mmreliab-cli-inspect-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("survival.flight");
+    let log = log.to_str().unwrap();
+
+    let (ok, _, stderr) = run(&[
+        "survival", "--model", "tso", "--trials", "4000", "--seed", "5", "--flight", log,
+    ]);
+    assert!(ok, "{stderr}");
+
+    let (ok, timeline, stderr) = run(&["inspect", log]);
+    assert!(ok, "{stderr}");
+    assert!(timeline.contains("flight timeline: "), "{timeline}");
+    assert!(timeline.contains("run_start"), "{timeline}");
+    assert!(timeline.contains("chunk_claimed"), "{timeline}");
+
+    let (ok, diff, stderr) = run(&["inspect", log, "--diff", log]);
+    assert!(ok, "{stderr}");
+    assert!(diff.contains("payload divergence: 0"), "{diff}");
+
+    // A missing artifact is a usage error, not a panic.
+    let (ok, _, stderr) = run(&["inspect", dir.join("absent").to_str().unwrap()]);
+    assert!(!ok);
+    assert!(stderr.contains("cannot read"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

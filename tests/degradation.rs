@@ -1,6 +1,6 @@
 //! The shared unusable-artifact degradation contract, table-driven over
-//! every artifact flag of the `mmreliab` binary: an unusable path or
-//! address warns (`warning: <artifact> disabled: …`), the results still
+//! every artifact flag of the `mmreliab` binary: an unusable path
+//! warns (`warning: <artifact> disabled: …`), the results still
 //! print, and the process exits 2 — never 0 (the caller must notice the
 //! missing artifact) and never a crash (the computation must survive).
 
@@ -30,7 +30,6 @@ fn every_artifact_flag_degrades_to_warning_and_exit_2_with_results_intact() {
         ("--flight", unusable),
         ("--dossier-dir", unusable),
         ("--cache", unusable),
-        ("--serve", "not-an-address"),
     ];
     for (flag, value) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_mmreliab"))
@@ -61,15 +60,12 @@ fn every_artifact_flag_degrades_to_warning_and_exit_2_with_results_intact() {
             ok.join("dossiers").to_str().unwrap(),
             "--cache",
             ok.join("cache").to_str().unwrap(),
-            "--serve",
-            "127.0.0.1:0",
         ])
         .output()
         .unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(!stderr.contains("disabled"), "{stderr}");
-    assert!(stderr.contains("serving telemetry on 127.0.0.1:"), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -88,8 +84,8 @@ fn degradations_accumulate_but_exit_code_stays_2() {
             unusable,
             "--flight",
             unusable,
-            "--serve",
-            "not-an-address",
+            "--dossier-dir",
+            unusable,
         ])
         .output()
         .unwrap();
@@ -97,6 +93,6 @@ fn degradations_accumulate_but_exit_code_stays_2() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("result cache disabled"), "{stderr}");
     assert!(stderr.contains("flight event log disabled"), "{stderr}");
-    assert!(stderr.contains("telemetry server disabled"), "{stderr}");
+    assert!(stderr.contains("crash dossiers disabled"), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -134,7 +134,9 @@ impl BigInt {
 impl From<i64> for BigInt {
     fn from(v: i64) -> BigInt {
         match v.cmp(&0) {
-            Ordering::Less => BigInt::from_sign_mag(Sign::Negative, BigUint::from(v.unsigned_abs())),
+            Ordering::Less => {
+                BigInt::from_sign_mag(Sign::Negative, BigUint::from(v.unsigned_abs()))
+            }
             Ordering::Equal => BigInt::zero(),
             Ordering::Greater => BigInt::from_sign_mag(Sign::Positive, BigUint::from(v as u64)),
         }

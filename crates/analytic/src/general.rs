@@ -205,7 +205,8 @@ impl GeneralWindowLaws {
         let base = 1.0 - q;
         let e: f64 = (0..=u64::from(DEPTH))
             .map(|gamma| {
-                self.pmf(model, gamma).map(|p| p * base.powi(gamma as i32 + 2))
+                self.pmf(model, gamma)
+                    .map(|p| p * base.powi(gamma as i32 + 2))
             })
             .sum::<Option<f64>>()?;
         Some(2.0 * base / (2.0 - q) * e)
@@ -217,9 +218,7 @@ impl GeneralWindowLaws {
 #[must_use]
 pub fn canonical_tso_within_bounds(laws: &GeneralWindowLaws, gamma_max: u64) -> bool {
     (0..=gamma_max).all(|gamma| {
-        let v = laws
-            .pmf(MemoryModel::Tso, gamma)
-            .expect("named model");
+        let v = laws.pmf(MemoryModel::Tso, gamma).expect("named model");
         let (lo, hi) = tso_pmf_bounds(gamma);
         v >= lo - 1e-9 && v <= hi + 1e-9
     })
@@ -259,7 +258,10 @@ mod tests {
                 }
             }
         }
-        assert_eq!(hash, 0xef92_0c7a_47c5_9e07, "generalised laws moved: {hash:#018x}");
+        assert_eq!(
+            hash, 0xef92_0c7a_47c5_9e07,
+            "generalised laws moved: {hash:#018x}"
+        );
     }
 
     #[test]
@@ -328,10 +330,7 @@ mod tests {
                     let v = |m| laws.two_thread_survival(m).unwrap();
                     let sc = v(MemoryModel::Sc);
                     for m in [MemoryModel::Pso, MemoryModel::Tso, MemoryModel::Wo] {
-                        assert!(
-                            sc >= v(m) - 1e-9,
-                            "SC beaten by {m} at p={p} s={s} q={q}"
-                        );
+                        assert!(sc >= v(m) - 1e-9, "SC beaten by {m} at p={p} s={s} q={q}");
                     }
                     assert!(
                         v(MemoryModel::Pso) >= v(MemoryModel::Tso) - 1e-9,
@@ -364,10 +363,7 @@ mod tests {
             "expected the WO/TSO inversion at s = 0.8"
         );
         // The B_0 comparison that drives it.
-        assert!(
-            high_s.pmf(MemoryModel::Wo, 0).unwrap()
-                > high_s.pmf(MemoryModel::Tso, 0).unwrap()
-        );
+        assert!(high_s.pmf(MemoryModel::Wo, 0).unwrap() > high_s.pmf(MemoryModel::Tso, 0).unwrap());
         assert!(
             (canonical.pmf(MemoryModel::Wo, 0).unwrap()
                 - canonical.pmf(MemoryModel::Tso, 0).unwrap())

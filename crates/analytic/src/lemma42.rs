@@ -211,7 +211,9 @@ mod tests {
         // lemma42 and `general::pr_l_mu_all` shared one in-place row.
         let grid = || (0..=40u32).flat_map(|mu| (0..=40u32).map(move |q| (mu, q)));
         let w = fnv(grid().map(|(mu, q)| weighted_phi_sum(mu, q)));
-        let f = fnv(grid().filter(|&(mu, _)| mu >= 1).map(|(mu, q)| pr_f_given_psi(mu, q)));
+        let f = fnv(grid()
+            .filter(|&(mu, _)| mu >= 1)
+            .map(|(mu, q)| pr_f_given_psi(mu, q)));
         assert_eq!(w, 0xfda3_93ef_c151_17a4, "weighted_phi_sum drifted");
         assert_eq!(f, 0x37f2_fe21_562b_a907, "pr_f_given_psi drifted");
         assert_eq!(weighted_phi_sum(5, 7).to_bits(), 0x3f99_d0f9_7980_0000);
@@ -221,7 +223,11 @@ mod tests {
         let general = crate::general::pr_l_mu_all(64, 64, 0.5, 0.5)
             .into_iter()
             .chain(crate::general::pr_l_mu_all(64, 64, 0.3, 0.6));
-        assert_eq!(fnv(general), 0x09a2_dbee_b31c_7bd7, "general::pr_l_mu_all drifted");
+        assert_eq!(
+            fnv(general),
+            0x09a2_dbee_b31c_7bd7,
+            "general::pr_l_mu_all drifted"
+        );
     }
 
     #[test]

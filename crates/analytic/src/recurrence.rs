@@ -91,10 +91,7 @@ mod tests {
         for (p, s) in [(0.5, 0.5), (0.3, 0.7), (0.9, 0.1)] {
             let limit = bottom_store_fraction_limit(p, s);
             let x60 = bottom_store_fraction(p, s, 60);
-            assert!(
-                (x60 - limit).abs() < 1e-12,
-                "p={p} s={s}: {x60} vs {limit}"
-            );
+            assert!((x60 - limit).abs() < 1e-12, "p={p} s={s}: {x60} vs {limit}");
         }
     }
 

@@ -12,15 +12,11 @@ fn bench_trial(c: &mut Criterion) {
     let mut group = c.benchmark_group("end_to_end_trial");
     for model in MemoryModel::NAMED {
         for n in [2usize, 4, 8] {
-            group.bench_with_input(
-                BenchmarkId::new(model.short_name(), n),
-                &n,
-                |b, &n| {
-                    let rm = ReliabilityModel::new(model, n);
-                    let mut rng = SmallRng::seed_from_u64(3);
-                    b.iter(|| black_box(rm.simulate_survival_once(&mut rng)));
-                },
-            );
+            group.bench_with_input(BenchmarkId::new(model.short_name(), n), &n, |b, &n| {
+                let rm = ReliabilityModel::new(model, n);
+                let mut rng = SmallRng::seed_from_u64(3);
+                b.iter(|| black_box(rm.simulate_survival_once(&mut rng)));
+            });
         }
     }
     group.finish();
@@ -32,18 +28,12 @@ fn bench_trial_scratch(c: &mut Criterion) {
     let mut group = c.benchmark_group("end_to_end_trial_scratch");
     for model in MemoryModel::NAMED {
         for n in [2usize, 4, 8] {
-            group.bench_with_input(
-                BenchmarkId::new(model.short_name(), n),
-                &n,
-                |b, &n| {
-                    let rm = ReliabilityModel::new(model, n);
-                    let mut scratch = rm.scratch();
-                    let mut rng = SmallRng::seed_from_u64(3);
-                    b.iter(|| {
-                        black_box(rm.simulate_survival_once_scratch(&mut scratch, &mut rng))
-                    });
-                },
-            );
+            group.bench_with_input(BenchmarkId::new(model.short_name(), n), &n, |b, &n| {
+                let rm = ReliabilityModel::new(model, n);
+                let mut scratch = rm.scratch();
+                let mut rng = SmallRng::seed_from_u64(3);
+                b.iter(|| black_box(rm.simulate_survival_once_scratch(&mut scratch, &mut rng)));
+            });
         }
     }
     group.finish();
@@ -68,9 +58,7 @@ fn bench_window_vector_scratch(c: &mut Criterion) {
             let rm = ReliabilityModel::new(MemoryModel::Tso, n);
             let mut scratch = rm.scratch();
             let mut rng = SmallRng::seed_from_u64(4);
-            b.iter(|| {
-                black_box(rm.sample_windows_scratch(&mut scratch, &mut rng).len())
-            });
+            b.iter(|| black_box(rm.sample_windows_scratch(&mut scratch, &mut rng).len()));
         });
     }
     group.finish();

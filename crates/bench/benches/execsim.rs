@@ -12,15 +12,11 @@ fn bench_machine(c: &mut Criterion) {
     let mut group = c.benchmark_group("machine_run");
     for model in MemoryModel::NAMED {
         for n in [2usize, 4, 8] {
-            group.bench_with_input(
-                BenchmarkId::new(model.short_name(), n),
-                &n,
-                |b, &n| {
-                    let mut rng = SmallRng::seed_from_u64(7);
-                    let mut machine = IncrementMachine::new(n, 8, SimParams::for_model(model));
-                    b.iter(|| black_box(machine.run(&mut rng).expect("quiesces")));
-                },
-            );
+            group.bench_with_input(BenchmarkId::new(model.short_name(), n), &n, |b, &n| {
+                let mut rng = SmallRng::seed_from_u64(7);
+                let mut machine = IncrementMachine::new(n, 8, SimParams::for_model(model));
+                b.iter(|| black_box(machine.run(&mut rng).expect("quiesces")));
+            });
         }
     }
     group.finish();

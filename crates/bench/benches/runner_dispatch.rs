@@ -33,7 +33,8 @@ fn scoped_spawn_successes(trials: u64, seed: u64, threads: usize) -> u64 {
                     let mut rng = task_rng(Seed(seed), t as u64);
                     let mut hits = 0u64;
                     for _ in 0..count {
-                        hits += u64::from(rm.simulate_survival_once_scratch(&mut scratch, &mut rng));
+                        hits +=
+                            u64::from(rm.simulate_survival_once_scratch(&mut scratch, &mut rng));
                     }
                     hits
                 })

@@ -51,8 +51,7 @@ fn bench_lookup(c: &mut Criterion) {
         let mut keys = Vec::new();
         for seed in 0..n {
             let key = spec(seed).request(TRIALS, None);
-            let est = ReliabilityModel::new(MemoryModel::Tso, 2)
-                .simulate_survival(8, seed);
+            let est = ReliabilityModel::new(MemoryModel::Tso, 2).simulate_survival(8, seed);
             let report = montecarlo::RunReport {
                 value: est,
                 trials_requested: TRIALS,

@@ -16,16 +16,12 @@ fn bench_settle(c: &mut Criterion) {
     let mut group = c.benchmark_group("settle_one_program");
     for model in MemoryModel::NAMED {
         for m in [16usize, 64, 256] {
-            group.bench_with_input(
-                BenchmarkId::new(model.short_name(), m),
-                &m,
-                |b, &m| {
-                    let settler = Settler::for_model(model);
-                    let mut rng = SmallRng::seed_from_u64(1);
-                    let program = ProgramGenerator::new(m).generate(&mut rng);
-                    b.iter(|| black_box(settler.sample_gamma(&program, &mut rng)));
-                },
-            );
+            group.bench_with_input(BenchmarkId::new(model.short_name(), m), &m, |b, &m| {
+                let settler = Settler::for_model(model);
+                let mut rng = SmallRng::seed_from_u64(1);
+                let program = ProgramGenerator::new(m).generate(&mut rng);
+                b.iter(|| black_box(settler.sample_gamma(&program, &mut rng)));
+            });
         }
     }
     group.finish();

@@ -160,10 +160,8 @@ fn main() -> ExitCode {
             eprintln!("error: `inspect` takes exactly one artifact path");
             return ExitCode::from(2);
         }
-        return match mmr_bench::inspect::inspect(
-            Path::new(&args.ids[1]),
-            args.diff_path.as_deref(),
-        ) {
+        return match mmr_bench::inspect::inspect(Path::new(&args.ids[1]), args.diff_path.as_deref())
+        {
             Ok(text) => {
                 print!("{text}");
                 ExitCode::SUCCESS
@@ -192,10 +190,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(
-    args: &Args,
-    artifacts: &mut obs::degrade::Artifacts,
-) -> Result<ExitCode, mmr_bench::Error> {
+fn run(args: &Args, artifacts: &mut obs::degrade::Artifacts) -> Result<ExitCode, mmr_bench::Error> {
     let registry = registry();
     let selected = mmr_bench::select(&registry, &args.ids)?;
 

@@ -72,7 +72,9 @@ impl SharedFlags {
                     "json" => MetricsFormat::Json,
                     "prom" => MetricsFormat::Prom,
                     other => {
-                        return Err(format!("--metrics-format takes json or prom, got {other:?}"))
+                        return Err(format!(
+                            "--metrics-format takes json or prom, got {other:?}"
+                        ))
                     }
                 };
             }
@@ -133,8 +135,7 @@ impl SharedFlags {
     /// is written atomically; a failed one joins `artifacts`.
     pub fn export(&self, artifacts: &mut Artifacts) {
         if let Some(path) = &self.trace {
-            let written =
-                write_export(path, || obs::export::chrome_trace(&obs::snapshot()));
+            let written = write_export(path, || obs::export::chrome_trace(&obs::snapshot()));
             if artifacts.install("span trace export", written).is_some() {
                 obs::info!("chrome trace written to {}", path.display());
             }
@@ -169,7 +170,10 @@ fn io(path: &Path, source: std::io::Error) -> Error {
 fn write_export(path: &Path, render: impl FnOnce() -> String) -> Result<(), Error> {
     if montecarlo::fault::active().is_some_and(|p| p.export_fault()) {
         montecarlo::fault::ledger().note_injected_export_fault();
-        return Err(io(path, std::io::Error::other("injected export fault (chaos)")));
+        return Err(io(
+            path,
+            std::io::Error::other("injected export fault (chaos)"),
+        ));
     }
     write_atomic(path, &render())
 }
@@ -193,8 +197,21 @@ mod tests {
     #[test]
     fn parses_the_seven_flags_and_leaves_the_rest() {
         let (flags, rest) = parse(&[
-            "--cache", "c", "--metrics", "m", "--metrics-format", "prom", "--trace", "t",
-            "--flight", "f", "--dossier-dir", "d", "--quiet", "--seed", "7",
+            "--cache",
+            "c",
+            "--metrics",
+            "m",
+            "--metrics-format",
+            "prom",
+            "--trace",
+            "t",
+            "--flight",
+            "f",
+            "--dossier-dir",
+            "d",
+            "--quiet",
+            "--seed",
+            "7",
         ])
         .unwrap();
         assert_eq!(flags.cache.as_deref(), Some(Path::new("c")));
@@ -209,7 +226,10 @@ mod tests {
 
     #[test]
     fn missing_and_malformed_values_are_usage_errors() {
-        assert_eq!(parse(&["--cache"]).unwrap_err(), "--cache needs a directory");
+        assert_eq!(
+            parse(&["--cache"]).unwrap_err(),
+            "--cache needs a directory"
+        );
         assert_eq!(parse(&["--flight"]).unwrap_err(), "--flight needs a path");
         let err = parse(&["--metrics-format", "xml"]).unwrap_err();
         assert!(err.contains("json or prom"), "{err}");

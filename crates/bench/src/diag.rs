@@ -91,7 +91,11 @@ pub fn record(diag: EstimatorDiag) {
 /// Records the diagnostics of a runner report, using the report's own wall
 /// time for throughput.
 pub fn record_report<A: EstimatorStats>(name: impl Into<String>, report: &RunReport<A>) {
-    record(EstimatorDiag::from_stats(name, &report.value, report.elapsed));
+    record(EstimatorDiag::from_stats(
+        name,
+        &report.value,
+        report.elapsed,
+    ));
 }
 
 /// Exclusive claim on the diagnostics buffer for the duration of one

@@ -22,11 +22,23 @@ pub fn run(ctx: &Ctx) -> String {
         let gen = ProgramGenerator::new(48);
         let report = Runner::new(Seed(ctx.seed.wrapping_add(k as u64)))
             .with_threads(ctx.threads)
-            .try_bernoulli_scratch(ctx.trials, || super::keyed_scratch(48), move |(shape, scratch), rng| {
-                let key = gen.draw_key(rng);
-                events::bottom_store_keyed(&settler, shape, key, gen.store_threshold(), i, scratch, rng)
+            .try_bernoulli_scratch(
+                ctx.trials,
+                || super::keyed_scratch(48),
+                move |(shape, scratch), rng| {
+                    let key = gen.draw_key(rng);
+                    events::bottom_store_keyed(
+                        &settler,
+                        shape,
+                        key,
+                        gen.store_threshold(),
+                        i,
+                        scratch,
+                        rng,
+                    )
                     .expect("i is within the program")
-            })
+                },
+            )
             .expect("panic-free simulation");
         crate::diag::record_report(format!("clm43.i{i}"), &report);
         let est = report.value;
@@ -52,18 +64,32 @@ pub fn run(ctx: &Ctx) -> String {
     out.push_str("\ngeneralised fixed point p / (1 - (1-p)s):\n");
     for (p, s) in [(0.3f64, 0.5f64), (0.7, 0.5), (0.5, 0.8)] {
         let limit = recurrence::bottom_store_fraction_limit(p, s);
-        let gen = ProgramGenerator::new(48).with_store_probability(p).expect("valid p");
+        let gen = ProgramGenerator::new(48)
+            .with_store_probability(p)
+            .expect("valid p");
         let settler_g = Settler::new(
             MemoryModel::Tso.matrix(),
             memmodel::SettleProbs::uniform(s).expect("valid s"),
         );
         let est = Runner::new(Seed(ctx.seed ^ ((p * 100.0) as u64) ^ ((s * 10.0) as u64)))
             .with_threads(ctx.threads)
-            .bernoulli_scratch(ctx.trials / 2, || super::keyed_scratch(48), move |(shape, scratch), rng| {
-                let key = gen.draw_key(rng);
-                events::bottom_store_keyed(&settler_g, shape, key, gen.store_threshold(), 48, scratch, rng)
+            .bernoulli_scratch(
+                ctx.trials / 2,
+                || super::keyed_scratch(48),
+                move |(shape, scratch), rng| {
+                    let key = gen.draw_key(rng);
+                    events::bottom_store_keyed(
+                        &settler_g,
+                        shape,
+                        key,
+                        gen.store_threshold(),
+                        48,
+                        scratch,
+                        rng,
+                    )
                     .expect("i is within the program")
-            });
+                },
+            );
         let covered = est.covers(limit, 0.999);
         ok &= covered;
         let _ = writeln!(

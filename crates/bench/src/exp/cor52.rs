@@ -13,7 +13,11 @@ pub fn run(_ctx: &Ctx) -> String {
 
     let c2 = shift_law::c_n_exact(2);
     let c2_ok = c2 == BigRational::ratio(8, 3);
-    let _ = writeln!(out, "c(2) = {c2} (paper: 8/3 exactly) -> {}", verdict(c2_ok));
+    let _ = writeln!(
+        out,
+        "c(2) = {c2} (paper: 8/3 exactly) -> {}",
+        verdict(c2_ok)
+    );
 
     let values: Vec<f64> = (1..=64).map(shift_law::c_n).collect();
     let range_ok = values.iter().all(|&c| (2.0..=4.0).contains(&c));
@@ -34,9 +38,13 @@ pub fn run(_ctx: &Ctx) -> String {
     let _ = writeln!(out, "c(n) increasing: {}", verdict(monotone));
 
     // Exact rationals agree with floats out to n = 32.
-    let exact_ok = (1..=32u32)
-        .all(|n| (shift_law::c_n_exact(n).to_f64() - shift_law::c_n(n)).abs() < 1e-12);
-    let _ = writeln!(out, "exact rationals match floats (n <= 32): {}", verdict(exact_ok));
+    let exact_ok =
+        (1..=32u32).all(|n| (shift_law::c_n_exact(n).to_f64() - shift_law::c_n(n)).abs() < 1e-12);
+    let _ = writeln!(
+        out,
+        "exact rationals match floats (n <= 32): {}",
+        verdict(exact_ok)
+    );
 
     // The paper's derivation bound: the product term is at least 1/2.
     let product: f64 = 2.0 / shift_law::c_infinity();

@@ -67,7 +67,11 @@ pub fn run(_ctx: &Ctx) -> String {
     );
 
     let ok = prob_ok && !drawn_disjoint && Segment::all_disjoint(&separated);
-    let _ = writeln!(out, "\nshift probability 2^-13 and overlap semantics: {}", verdict(ok));
+    let _ = writeln!(
+        out,
+        "\nshift probability 2^-13 and overlap semantics: {}",
+        verdict(ok)
+    );
     out
 }
 

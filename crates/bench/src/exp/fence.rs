@@ -47,16 +47,25 @@ pub fn run(ctx: &Ctx) -> String {
             let gen = ProgramGenerator::new(M);
             let seed = ctx.seed.wrapping_add((mi * 10 + vi) as u64) ^ 0xFE;
             // Window distribution.
-            let h = Runner::new(Seed(seed)).with_threads(ctx.threads).histogram_scratch(
-                ctx.trials / 2,
-                move || (ProgramShape::new(&template(fence)), SettleScratch::new()),
-                move |(shape, scratch), rng| {
-                    let mut gamma = [0];
-                    let key = gen.draw_key(rng);
-                    settler.sample_gammas_keyed(shape, gen.store_threshold(), key, &mut gamma, scratch, rng);
-                    gamma[0]
-                },
-            );
+            let h = Runner::new(Seed(seed))
+                .with_threads(ctx.threads)
+                .histogram_scratch(
+                    ctx.trials / 2,
+                    move || (ProgramShape::new(&template(fence)), SettleScratch::new()),
+                    move |(shape, scratch), rng| {
+                        let mut gamma = [0];
+                        let key = gen.draw_key(rng);
+                        settler.sample_gammas_keyed(
+                            shape,
+                            gen.store_threshold(),
+                            key,
+                            &mut gamma,
+                            scratch,
+                            rng,
+                        );
+                        gamma[0]
+                    },
+                );
             // End-to-end survival.
             let report = Runner::new(Seed(seed ^ 1))
                 .with_threads(ctx.threads)
@@ -68,10 +77,7 @@ pub fn run(ctx: &Ctx) -> String {
                     },
                 )
                 .expect("panic-free simulation");
-            crate::diag::record_report(
-                format!("fence.{}.v{vi}", model.short_name()),
-                &report,
-            );
+            crate::diag::record_report(format!("fence.{}.v{vi}", model.short_name()), &report);
             let est = report.value;
             if fence.is_some() {
                 // Fenced windows must be pinned at gamma = 0 for these
@@ -104,16 +110,30 @@ pub fn run(ctx: &Ctx) -> String {
     // critical window (operations may still hoist above it).
     let settler = Settler::for_model(MemoryModel::Wo);
     let gen = ProgramGenerator::new(M);
-    let h = Runner::new(Seed(ctx.seed ^ 0xFEE)).with_threads(ctx.threads).histogram_scratch(
-        ctx.trials / 2,
-        move || (ProgramShape::new(&template(Some(FenceKind::Release))), SettleScratch::new()),
-        move |(shape, scratch), rng| {
-            let mut gamma = [0];
-            let key = gen.draw_key(rng);
-            settler.sample_gammas_keyed(shape, gen.store_threshold(), key, &mut gamma, scratch, rng);
-            gamma[0]
-        },
-    );
+    let h = Runner::new(Seed(ctx.seed ^ 0xFEE))
+        .with_threads(ctx.threads)
+        .histogram_scratch(
+            ctx.trials / 2,
+            move || {
+                (
+                    ProgramShape::new(&template(Some(FenceKind::Release))),
+                    SettleScratch::new(),
+                )
+            },
+            move |(shape, scratch), rng| {
+                let mut gamma = [0];
+                let key = gen.draw_key(rng);
+                settler.sample_gammas_keyed(
+                    shape,
+                    gen.store_threshold(),
+                    key,
+                    &mut gamma,
+                    scratch,
+                    rng,
+                );
+                gamma[0]
+            },
+        );
     let leaky = h.tail(1) > 0.0;
     ok &= leaky;
     let _ = writeln!(

@@ -68,26 +68,37 @@ pub fn run(ctx: &Ctx) -> String {
         .collect();
     let inner = ctx.threads.div_ceil(law_grid.len()).max(1);
     let (trials, seed) = (ctx.trials, ctx.seed);
-    let law_rows = sweep::sweep(law_grid, ctx.threads, move |_, &(pi, p, s, mi, model, ref laws)| {
-        let st = settler(model, s);
-        let gen = ProgramGenerator::new(M)
-            .with_store_probability(p)
-            .expect("valid p");
-        let h = Runner::new(Seed(seed.wrapping_add((pi * 10 + mi) as u64) ^ 0x6E))
-            .with_threads(inner)
-            .histogram_scratch(
-                trials / 2,
-                move || (ProgramShape::new(&blank()), SettleScratch::new()),
-                move |(shape, scratch), rng| {
-                    let mut gamma = [0];
-                    let key = gen.draw_key(rng);
-                    st.sample_gammas_keyed(shape, gen.store_threshold(), key, &mut gamma, scratch, rng);
-                    gamma[0]
-                },
-            );
-        let gof = chi_square_gof(&h, |g| laws.pmf(model, g).expect("named"), 5.0);
-        (p, s, model, gof)
-    });
+    let law_rows = sweep::sweep(
+        law_grid,
+        ctx.threads,
+        move |_, &(pi, p, s, mi, model, ref laws)| {
+            let st = settler(model, s);
+            let gen = ProgramGenerator::new(M)
+                .with_store_probability(p)
+                .expect("valid p");
+            let h = Runner::new(Seed(seed.wrapping_add((pi * 10 + mi) as u64) ^ 0x6E))
+                .with_threads(inner)
+                .histogram_scratch(
+                    trials / 2,
+                    move || (ProgramShape::new(&blank()), SettleScratch::new()),
+                    move |(shape, scratch), rng| {
+                        let mut gamma = [0];
+                        let key = gen.draw_key(rng);
+                        st.sample_gammas_keyed(
+                            shape,
+                            gen.store_threshold(),
+                            key,
+                            &mut gamma,
+                            scratch,
+                            rng,
+                        );
+                        gamma[0]
+                    },
+                );
+            let gof = chi_square_gof(&h, |g| laws.pmf(model, g).expect("named"), 5.0);
+            (p, s, model, gof)
+        },
+    );
     for (p, s, model, gof) in law_rows {
         let pass = gof.consistent_at(0.001);
         ok &= pass;
@@ -108,8 +119,22 @@ pub fn run(ctx: &Ctx) -> String {
         out,
         "\ngeneralised two-thread survival Pr[A] = 2(1-q)/(2-q) E[(1-q)^Gamma]:\n"
     );
-    let mut table = Table::new(vec!["(p, s, q)", "model", "analytic", "simulated", "covered"]);
-    type SurvivalPoint = (usize, f64, f64, f64, usize, MemoryModel, Arc<GeneralWindowLaws>);
+    let mut table = Table::new(vec![
+        "(p, s, q)",
+        "model",
+        "analytic",
+        "simulated",
+        "covered",
+    ]);
+    type SurvivalPoint = (
+        usize,
+        f64,
+        f64,
+        f64,
+        usize,
+        MemoryModel,
+        Arc<GeneralWindowLaws>,
+    );
     let surv_grid: Vec<SurvivalPoint> = [(0.5f64, 0.5f64, 0.3f64), (0.3, 0.6, 0.7)]
         .into_iter()
         .enumerate()
@@ -122,22 +147,26 @@ pub fn run(ctx: &Ctx) -> String {
         })
         .collect();
     let inner = ctx.threads.div_ceil(surv_grid.len()).max(1);
-    let surv_rows = sweep::sweep(surv_grid, ctx.threads, move |_, &(ci, p, s, q, mi, model, ref laws)| {
-        let analytic_v = laws.two_thread_survival(model).expect("named");
-        let st = settler(model, s);
-        let gen = ProgramGenerator::new(M)
-            .with_store_probability(p)
-            .expect("valid p");
-        let proc = ShiftProcess::with_q(q).expect("valid q");
-        let est = Runner::new(Seed(seed.wrapping_add((ci * 10 + mi) as u64) ^ 0x6F))
-            .with_threads(inner)
-            .bernoulli_scratch(
-                trials / 2,
-                move || TrialScratch::new(&blank(), 2),
-                move |scratch, rng| direct_trial(&st, &gen, &proc, 2, scratch, rng),
-            );
-        (p, s, q, model, analytic_v, est)
-    });
+    let surv_rows = sweep::sweep(
+        surv_grid,
+        ctx.threads,
+        move |_, &(ci, p, s, q, mi, model, ref laws)| {
+            let analytic_v = laws.two_thread_survival(model).expect("named");
+            let st = settler(model, s);
+            let gen = ProgramGenerator::new(M)
+                .with_store_probability(p)
+                .expect("valid p");
+            let proc = ShiftProcess::with_q(q).expect("valid q");
+            let est = Runner::new(Seed(seed.wrapping_add((ci * 10 + mi) as u64) ^ 0x6F))
+                .with_threads(inner)
+                .bernoulli_scratch(
+                    trials / 2,
+                    move || TrialScratch::new(&blank(), 2),
+                    move |scratch, rng| direct_trial(&st, &gen, &proc, 2, scratch, rng),
+                );
+            (p, s, q, model, analytic_v, est)
+        },
+    );
     for (p, s, q, model, analytic_v, est) in surv_rows {
         let covered = est.covers(analytic_v, 0.999);
         ok &= covered;
@@ -179,13 +208,12 @@ pub fn run(ctx: &Ctx) -> String {
             .try_bernoulli_scratch(
                 ctx.trials,
                 move || TrialScratch::new(&blank(), 2),
-                move |scratch, rng| direct_trial(&st, &gen, &ShiftProcess::canonical(), 2, scratch, rng),
+                move |scratch, rng| {
+                    direct_trial(&st, &gen, &ShiftProcess::canonical(), 2, scratch, rng)
+                },
             )
             .expect("panic-free simulation");
-        crate::diag::record_report(
-            format!("general.high_s.{}", model.short_name()),
-            &report,
-        );
+        crate::diag::record_report(format!("general.high_s.{}", model.short_name()), &report);
         report.value
     };
     let wo_sim = sim(MemoryModel::Wo, 0x701);

@@ -16,14 +16,16 @@ pub fn run(ctx: &Ctx) -> String {
     let mut out = String::new();
     let settler = Settler::for_model(MemoryModel::Tso);
     let gen = ProgramGenerator::new(64);
-    let h = Runner::new(Seed(ctx.seed ^ 0x42)).with_threads(ctx.threads).histogram_scratch(
-        ctx.trials,
-        || super::keyed_scratch(64),
-        move |(shape, scratch), rng| {
-            let key = gen.draw_key(rng);
-            events::l_mu_keyed(&settler, shape, key, gen.store_threshold(), scratch, rng)
-        },
-    );
+    let h = Runner::new(Seed(ctx.seed ^ 0x42))
+        .with_threads(ctx.threads)
+        .histogram_scratch(
+            ctx.trials,
+            || super::keyed_scratch(64),
+            move |(shape, scratch), rng| {
+                let key = gen.draw_key(rng);
+                events::l_mu_keyed(&settler, shape, key, gen.store_threshold(), scratch, rng)
+            },
+        );
 
     let series = lemma42::pr_l_mu_series_all(96, lemma42::DEFAULT_Q_MAX);
     let mut table = Table::new(vec!["mu", "paper lower bound", "series", "measured"]);
@@ -44,7 +46,11 @@ pub fn run(ctx: &Ctx) -> String {
     }
     out.push_str(&table.render());
 
-    let gof = chi_square_gof(&h, |mu| series.get(mu as usize).copied().unwrap_or(0.0), 5.0);
+    let gof = chi_square_gof(
+        &h,
+        |mu| series.get(mu as usize).copied().unwrap_or(0.0),
+        5.0,
+    );
     let gof_ok = gof.consistent_at(0.001);
     let _ = writeln!(
         out,
@@ -75,7 +81,11 @@ pub fn run(ctx: &Ctx) -> String {
                 >= lemma42::pr_f_given_psi_lower_bound(mu, q) - 1e-12;
         }
     }
-    let _ = writeln!(out, "Claim 4.4 partition bound holds on mu,q <= 10: {}", verdict(f_ok));
+    let _ = writeln!(
+        out,
+        "Claim 4.4 partition bound holds on mu,q <= 10: {}",
+        verdict(f_ok)
+    );
 
     let ok = bound_ok && gof_ok && h_ok && f_ok;
     let _ = writeln!(out, "\noverall: {}", verdict(ok));

@@ -24,7 +24,10 @@ use settle::{ProgramShape, SettleScratch};
 /// `m` fillers: their shape, and settle buffers.
 fn keyed_scratch(m: usize) -> (ProgramShape, SettleScratch) {
     let template = ProgramGenerator::all_loads(m).expect("canonical program shape is valid");
-    (ProgramShape::new(&template), SettleScratch::with_capacity(template.len()))
+    (
+        ProgramShape::new(&template),
+        SettleScratch::with_capacity(template.len()),
+    )
 }
 
 /// Runs an experiment at the quick context inside a diagnostics session,

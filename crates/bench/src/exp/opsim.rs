@@ -16,7 +16,12 @@ fn bug_rate(ctx: &Ctx, model: MemoryModel, n: usize, salt: u64) -> BernoulliEsti
         .try_bernoulli_scratch(
             ctx.trials / 4,
             move || IncrementMachine::new(n, FILLER, params),
-            |machine, rng| machine.run(rng).expect("the increment workload quiesces").bug_manifested(),
+            |machine, rng| {
+                machine
+                    .run(rng)
+                    .expect("the increment workload quiesces")
+                    .bug_manifested()
+            },
         )
         .expect("panic-free simulation");
     crate::diag::record_report(format!("opsim.n{n}.{}", model.short_name()), &report);
@@ -62,7 +67,11 @@ pub fn run(ctx: &Ctx) -> String {
     let gap4 = r(4, MemoryModel::Wo) - r(4, MemoryModel::Sc);
     let gap_shrinks = gap4 < gap2 && gap4 < 0.02;
 
-    let _ = writeln!(out, "\nSC is strictly safest at n = 2: {}", verdict(sc_safest));
+    let _ = writeln!(
+        out,
+        "\nSC is strictly safest at n = 2: {}",
+        verdict(sc_safest)
+    );
     let _ = writeln!(
         out,
         "PSO <= TSO (critical store jumps the drain queue): {}",

@@ -14,22 +14,40 @@ const M: usize = 64;
 /// Seeded window histogram through the allocation-free keyed settle
 /// kernel; draw-for-draw identical to the `generate` + `sample_gamma`
 /// route.
-fn gamma_histogram(settler: Settler, m: usize, trials: u64, seed: u64, threads: usize) -> Histogram {
+fn gamma_histogram(
+    settler: Settler,
+    m: usize,
+    trials: u64,
+    seed: u64,
+    threads: usize,
+) -> Histogram {
     let gen = ProgramGenerator::new(m);
-    Runner::new(Seed(seed)).with_threads(threads).histogram_scratch(
-        trials,
-        move || {
-            let program =
-                Program::from_filler_types(&vec![OpType::Ld; m]).expect("canonical shape");
-            (ProgramShape::new(&program), SettleScratch::with_capacity(m + 2))
-        },
-        move |(shape, scratch), rng| {
-            let mut gamma = [0];
-            let key = gen.draw_key(rng);
-            settler.sample_gammas_keyed(shape, gen.store_threshold(), key, &mut gamma, scratch, rng);
-            gamma[0]
-        },
-    )
+    Runner::new(Seed(seed))
+        .with_threads(threads)
+        .histogram_scratch(
+            trials,
+            move || {
+                let program =
+                    Program::from_filler_types(&vec![OpType::Ld; m]).expect("canonical shape");
+                (
+                    ProgramShape::new(&program),
+                    SettleScratch::with_capacity(m + 2),
+                )
+            },
+            move |(shape, scratch), rng| {
+                let mut gamma = [0];
+                let key = gen.draw_key(rng);
+                settler.sample_gammas_keyed(
+                    shape,
+                    gen.store_threshold(),
+                    key,
+                    &mut gamma,
+                    scratch,
+                    rng,
+                );
+                gamma[0]
+            },
+        )
 }
 
 /// Per model: Monte-Carlo window histogram vs the closed-form / series law,
@@ -39,12 +57,16 @@ pub fn run(ctx: &Ctx) -> String {
     let mut out = String::new();
     let mut all_ok = true;
 
-    let mut table = Table::new(vec![
-        "model", "gamma", "paper Pr[B_gamma]", "measured", "",
-    ]);
+    let mut table = Table::new(vec!["model", "gamma", "paper Pr[B_gamma]", "measured", ""]);
     for (mi, model) in MemoryModel::NAMED.into_iter().enumerate() {
         let settler = Settler::for_model(model);
-        let h = gamma_histogram(settler, M, ctx.trials, ctx.seed.wrapping_add(mi as u64), ctx.threads);
+        let h = gamma_histogram(
+            settler,
+            M,
+            ctx.trials,
+            ctx.seed.wrapping_add(mi as u64),
+            ctx.threads,
+        );
         for gamma in 0..=4u64 {
             let paper = laws.pmf(model, gamma).expect("named model");
             let measured = h.pmf(gamma);
@@ -60,7 +82,12 @@ pub fn run(ctx: &Ctx) -> String {
             // Point mass: chi-square is degenerate; check the support directly.
             let ok = h.count(0) == h.total();
             all_ok &= ok;
-            let _ = writeln!(out, "SC : window never grew in {} runs -> {}", h.total(), verdict(ok));
+            let _ = writeln!(
+                out,
+                "SC : window never grew in {} runs -> {}",
+                h.total(),
+                verdict(ok)
+            );
         } else {
             let gof = chi_square_gof(&h, |g| laws.pmf(model, g).expect("named model"), 5.0);
             let ok = gof.consistent_at(0.001);

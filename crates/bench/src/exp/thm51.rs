@@ -21,7 +21,12 @@ pub fn run(ctx: &Ctx) -> String {
         &[2, 2, 2, 2, 2, 2],
     ];
     let mut table = Table::new(vec![
-        "segments", "perm-sum", "subset-DP", "exact", "simulated", "covered",
+        "segments",
+        "perm-sum",
+        "subset-DP",
+        "exact",
+        "simulated",
+        "covered",
     ]);
     let mut ok = true;
     for (i, &lengths) in cases.iter().enumerate() {

@@ -15,20 +15,23 @@ pub fn run(ctx: &Ctx) -> String {
     let mut out = String::new();
     let mut ok = true;
 
-    for (label, model) in [("TSO windows", MemoryModel::Tso), ("WO windows", MemoryModel::Wo)] {
+    for (label, model) in [
+        ("TSO windows", MemoryModel::Tso),
+        ("WO windows", MemoryModel::Wo),
+    ] {
         for n in [2usize, 3, 4] {
             let rm = ReliabilityModel::new(model, n);
             // Mean of exact conditional probabilities.
             let exact_mean = Runner::new(Seed(ctx.seed ^ (n as u64) << 3))
                 .with_threads(ctx.threads)
                 .mean_scratch(
-                ctx.trials / 2,
-                move || rm.scratch(),
-                move |scratch, rng| {
-                    let w = rm.sample_windows_scratch(scratch, rng);
-                    exact::pr_disjoint(w)
-                },
-            );
+                    ctx.trials / 2,
+                    move || rm.scratch(),
+                    move |scratch, rng| {
+                        let w = rm.sample_windows_scratch(scratch, rng);
+                        exact::pr_disjoint(w)
+                    },
+                );
             // Exchangeable estimator from the same distribution.
             let est = rm.estimate_survival_rb_with(ctx.trials / 2, ctx.seed ^ 0x61, ctx.threads);
             let rel = (est.survival() - exact_mean.mean()).abs() / exact_mean.mean();

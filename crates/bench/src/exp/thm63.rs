@@ -27,8 +27,13 @@ pub fn run(ctx: &Ctx) -> String {
     // Route 1: sampled RB on the shared-program model.
     let ns_rb = [2usize, 3, 4, 6, 8, 12, 16];
     let trials = (ctx.trials / 2).max(2_000);
-    let points =
-        scaling_curve_with(&MemoryModel::NAMED, &ns_rb, trials, ctx.seed ^ 0x63, ctx.threads);
+    let points = scaling_curve_with(
+        &MemoryModel::NAMED,
+        &ns_rb,
+        trials,
+        ctx.seed ^ 0x63,
+        ctx.threads,
+    );
     let mut table = Table::new(vec!["n", "SC", "TSO", "PSO", "WO", "SC exact", "sandwich"]);
     for &n in &ns_rb {
         let get = |model| {

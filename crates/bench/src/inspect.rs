@@ -35,8 +35,7 @@ pub fn inspect(path: &Path, diff: Option<&Path>) -> Result<String, String> {
         }
         return inspect_dir(path);
     }
-    let bytes =
-        std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     if bytes.starts_with(b"MMRE") {
         return inspect_flight(path, &bytes, diff);
     }
@@ -83,8 +82,8 @@ fn inspect_flight(path: &Path, bytes: &[u8], diff: Option<&Path>) -> Result<Stri
     out.push_str(&obs::flight::render_histogram(&parsed.events));
     out.push_str(&obs::flight::render_convergence(&parsed.events));
     if let Some(other) = diff {
-        let other_bytes = std::fs::read(other)
-            .map_err(|e| format!("cannot read {}: {e}", other.display()))?;
+        let other_bytes =
+            std::fs::read(other).map_err(|e| format!("cannot read {}: {e}", other.display()))?;
         if !other_bytes.starts_with(b"MMRE") {
             return Err(format!("{}: not a flight event log", other.display()));
         }
@@ -100,8 +99,8 @@ fn inspect_flight(path: &Path, bytes: &[u8], diff: Option<&Path>) -> Result<Stri
 }
 
 fn inspect_dossier(path: &Path, bytes: &[u8]) -> Result<String, String> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|e| format!("{}: not UTF-8: {e}", path.display()))?;
+    let text =
+        std::str::from_utf8(bytes).map_err(|e| format!("{}: not UTF-8: {e}", path.display()))?;
     let dossier: obs::flight::Dossier = serde_json::from_str(text)
         .map_err(|e| format!("{}: not a crash dossier: {e:?}", path.display()))?;
     Ok(obs::flight::render_dossier(&dossier))
@@ -179,7 +178,11 @@ fn inspect_cache_dir(dir: &Path, segments: &[&String], indexed: bool) -> Result<
             if scan.torn { ", TORN TAIL" } else { "" }
         );
     }
-    let _ = writeln!(out, "records: {total} total, {} distinct key(s)", live.len());
+    let _ = writeln!(
+        out,
+        "records: {total} total, {} distinct key(s)",
+        live.len()
+    );
     for key in &live {
         let _ = writeln!(out, "  {key}");
     }
@@ -222,9 +225,8 @@ fn scan_segment(bytes: &[u8]) -> SegmentScan {
             parts.next().unwrap_or(""),
         );
         let framed = tag == "MMRS"
-            && u32::from_str_radix(crc_hex, 16).is_ok_and(|crc| {
-                crc == store::crc32(format!("{ver} {kind} {json}").as_bytes())
-            });
+            && u32::from_str_radix(crc_hex, 16)
+                .is_ok_and(|crc| crc == store::crc32(format!("{ver} {kind} {json}").as_bytes()));
         if !framed {
             out.torn = true;
             break;
@@ -256,8 +258,7 @@ mod tests {
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("mmr-inspect-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("mmr-inspect-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -288,7 +289,10 @@ mod tests {
         let report = inspect(&path, None).unwrap();
         assert!(report.contains("flight timeline: 4 events"), "{report}");
         assert!(report.contains("event histogram (4 events):"), "{report}");
-        assert!(report.contains("convergence trajectory (2 waves):"), "{report}");
+        assert!(
+            report.contains("convergence trajectory (2 waves):"),
+            "{report}"
+        );
         assert!(!report.contains("note: torn tail"), "{report}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -312,7 +316,10 @@ mod tests {
 
         let report = inspect(&a, Some(&b)).unwrap();
         assert!(report.contains("payload divergence: 0"), "{report}");
-        assert!(report.contains("incident events (informational): 0 vs 1"), "{report}");
+        assert!(
+            report.contains("incident events (informational): 0 vs 1"),
+            "{report}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -362,7 +369,10 @@ mod tests {
         std::fs::write(&path, &text).unwrap();
 
         let report = inspect(&path, None).unwrap();
-        assert!(report.contains("note: torn tail truncated after 1 valid events"), "{report}");
+        assert!(
+            report.contains("note: torn tail truncated after 1 valid events"),
+            "{report}"
+        );
         assert!(report.contains("flight timeline: 1 events"), "{report}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

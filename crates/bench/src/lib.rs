@@ -131,22 +131,86 @@ pub struct Experiment {
 #[must_use]
 pub fn registry() -> Vec<Experiment> {
     vec![
-        Experiment { id: "t1", artifact: "Table 1 — memory-model relaxation matrix", run: exp::t1::run },
-        Experiment { id: "f1", artifact: "Figure 1 — a settling-process instantiation under TSO", run: exp::f1::run },
-        Experiment { id: "f2", artifact: "Figure 2 — a shift-process instantiation", run: exp::f2::run },
-        Experiment { id: "thm41", artifact: "Theorem 4.1 — critical-window growth laws", run: exp::thm41::run },
-        Experiment { id: "clm43", artifact: "Claim 4.3 — steady-state bottom store fraction 2/3", run: exp::clm43::run },
-        Experiment { id: "lem42", artifact: "Lemma 4.2 — Pr[L_mu] bounds and series", run: exp::lem42::run },
-        Experiment { id: "thm51", artifact: "Theorem 5.1 — exact shift disjointness", run: exp::thm51::run },
-        Experiment { id: "cor52", artifact: "Corollary 5.2 — c(n) in [2,4], c(2) = 8/3", run: exp::cor52::run },
-        Experiment { id: "thm61", artifact: "Theorem 6.1 — exchangeability reduction", run: exp::thm61::run },
-        Experiment { id: "thm62", artifact: "Theorem 6.2 — two-thread survival table", run: exp::thm62::run },
-        Experiment { id: "thm63", artifact: "Theorem 6.3 — large-n asymptotics", run: exp::thm63::run },
-        Experiment { id: "pso", artifact: "footnote 4 — the omitted PSO result", run: exp::pso::run },
-        Experiment { id: "fence", artifact: "section 7 — fences shrink windows", run: exp::fence::run },
-        Experiment { id: "opsim", artifact: "section 2.2 — operational multiprocessor ground truth", run: exp::opsim::run },
-        Experiment { id: "litmus", artifact: "section 2.1 semantics — SB/MP/LB litmus matrix", run: exp::litmus::run },
-        Experiment { id: "general", artifact: "section 7 robustness — laws at arbitrary (p, s, q)", run: exp::general::run },
+        Experiment {
+            id: "t1",
+            artifact: "Table 1 — memory-model relaxation matrix",
+            run: exp::t1::run,
+        },
+        Experiment {
+            id: "f1",
+            artifact: "Figure 1 — a settling-process instantiation under TSO",
+            run: exp::f1::run,
+        },
+        Experiment {
+            id: "f2",
+            artifact: "Figure 2 — a shift-process instantiation",
+            run: exp::f2::run,
+        },
+        Experiment {
+            id: "thm41",
+            artifact: "Theorem 4.1 — critical-window growth laws",
+            run: exp::thm41::run,
+        },
+        Experiment {
+            id: "clm43",
+            artifact: "Claim 4.3 — steady-state bottom store fraction 2/3",
+            run: exp::clm43::run,
+        },
+        Experiment {
+            id: "lem42",
+            artifact: "Lemma 4.2 — Pr[L_mu] bounds and series",
+            run: exp::lem42::run,
+        },
+        Experiment {
+            id: "thm51",
+            artifact: "Theorem 5.1 — exact shift disjointness",
+            run: exp::thm51::run,
+        },
+        Experiment {
+            id: "cor52",
+            artifact: "Corollary 5.2 — c(n) in [2,4], c(2) = 8/3",
+            run: exp::cor52::run,
+        },
+        Experiment {
+            id: "thm61",
+            artifact: "Theorem 6.1 — exchangeability reduction",
+            run: exp::thm61::run,
+        },
+        Experiment {
+            id: "thm62",
+            artifact: "Theorem 6.2 — two-thread survival table",
+            run: exp::thm62::run,
+        },
+        Experiment {
+            id: "thm63",
+            artifact: "Theorem 6.3 — large-n asymptotics",
+            run: exp::thm63::run,
+        },
+        Experiment {
+            id: "pso",
+            artifact: "footnote 4 — the omitted PSO result",
+            run: exp::pso::run,
+        },
+        Experiment {
+            id: "fence",
+            artifact: "section 7 — fences shrink windows",
+            run: exp::fence::run,
+        },
+        Experiment {
+            id: "opsim",
+            artifact: "section 2.2 — operational multiprocessor ground truth",
+            run: exp::opsim::run,
+        },
+        Experiment {
+            id: "litmus",
+            artifact: "section 2.1 semantics — SB/MP/LB litmus matrix",
+            run: exp::litmus::run,
+        },
+        Experiment {
+            id: "general",
+            artifact: "section 7 robustness — laws at arbitrary (p, s, q)",
+            run: exp::general::run,
+        },
     ]
 }
 
@@ -156,7 +220,10 @@ pub fn registry() -> Vec<Experiment> {
 /// # Errors
 ///
 /// [`Error::UnknownExperiment`] for any id not in `registry`.
-pub fn select<'r>(registry: &'r [Experiment], ids: &[String]) -> Result<Vec<&'r Experiment>, Error> {
+pub fn select<'r>(
+    registry: &'r [Experiment],
+    ids: &[String],
+) -> Result<Vec<&'r Experiment>, Error> {
     if ids.is_empty() {
         return Ok(registry.iter().collect());
     }

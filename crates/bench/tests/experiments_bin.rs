@@ -83,22 +83,29 @@ fn results_are_identical_across_thread_counts() {
             ]
             .concat(),
         );
-        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         let parsed: mmr_bench::RunResult =
             serde_json::from_str(&std::fs::read_to_string(&json).unwrap())
                 .expect("valid run result json");
         assert_eq!(parsed.threads, threads.parse::<usize>().unwrap());
         assert!(parsed.experiments.iter().all(|e| e.elapsed_secs >= 0.0));
         // Telemetry was collected alongside and parses back as a snapshot.
-        let snap: obs::Snapshot =
-            serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap())
-                .expect("valid metrics snapshot json");
+        let snap: obs::Snapshot = serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap())
+            .expect("valid metrics snapshot json");
         assert!(snap.counter("mc.runner.runs").unwrap_or(0) > 0);
         runs.push(parsed);
     }
     let baseline = runs[0].strip_diagnostics();
     assert!(
-        baseline.experiments.iter().any(|e| !e.diagnostics.is_empty()),
+        baseline
+            .experiments
+            .iter()
+            .any(|e| !e.diagnostics.is_empty()),
         "estimator experiments should surface convergence diagnostics"
     );
     for run in &runs[1..] {
@@ -155,17 +162,20 @@ fn trace_and_prom_exports_are_structurally_valid() {
         "prom",
         "t1",
     ]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // The Chrome trace parses and carries at least the experiment span.
     let parsed: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&trace).unwrap())
-            .expect("valid trace json");
+        serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).expect("valid trace json");
     let serde_json::Value::Object(fields) = &parsed else {
         panic!("trace root should be an object");
     };
-    let serde_json::Value::Array(events) = serde_json::Value::field(fields, "traceEvents")
-    else {
+    let serde_json::Value::Array(events) = serde_json::Value::field(fields, "traceEvents") else {
         panic!("traceEvents should be an array");
     };
     assert!(!events.is_empty(), "trace should carry at least one span");
@@ -225,7 +235,10 @@ fn list_and_help_succeed() {
     let out = experiments(&["--help"]);
     assert_eq!(out.status.code(), Some(0));
     let help = String::from_utf8_lossy(&out.stdout);
-    assert!(help.contains("--cache") && help.contains("--chaos"), "{help}");
+    assert!(
+        help.contains("--cache") && help.contains("--chaos"),
+        "{help}"
+    );
 }
 
 #[test]
@@ -239,13 +252,19 @@ fn chaos_spec_is_validated_at_parse_time() {
     let out = experiments(&["--chaos", "7:nope", "t1"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("mixed|panics|corrupt|torn|export|hard"), "{stderr}");
+    assert!(
+        stderr.contains("mixed|panics|corrupt|torn|export|hard"),
+        "{stderr}"
+    );
 
     // The stall profile went with the pool watchdog.
     let out = experiments(&["--chaos", "7:stalls", "t1"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--chaos profile must be one of"), "{stderr}");
+    assert!(
+        stderr.contains("--chaos profile must be one of"),
+        "{stderr}"
+    );
 
     let out = experiments(&["--chaos"]);
     assert_eq!(out.status.code(), Some(2));
@@ -265,9 +284,18 @@ fn chaos_recoverable_run_is_bit_identical_to_fault_free() {
     let ids = ["lem42", "thm62"];
 
     let out = experiments(
-        &[&["--quick", "--json", clean_json.to_str().unwrap()], &ids[..]].concat(),
+        &[
+            &["--quick", "--json", clean_json.to_str().unwrap()],
+            &ids[..],
+        ]
+        .concat(),
     );
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Seed-search a plan that provably injects into chunk 0 — the one
     // chunk every Monte-Carlo experiment has — so the run cannot pass
@@ -291,7 +319,12 @@ fn chaos_recoverable_run_is_bit_identical_to_fault_free() {
         ]
         .concat(),
     );
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     let clean: mmr_bench::RunResult =
         serde_json::from_str(&std::fs::read_to_string(&clean_json).unwrap()).unwrap();
@@ -328,13 +361,21 @@ fn hard_chaos_degrades_with_exit_3_and_honest_summary() {
         &format!("{chaos_seed}:hard"),
         "lem42",
     ]);
-    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("1 DEGRADED"), "{stderr}");
 
     let parsed: mmr_bench::RunResult =
         serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).unwrap();
-    assert!(parsed.experiments[0].degraded, "the record must carry the flag");
+    assert!(
+        parsed.experiments[0].degraded,
+        "the record must carry the flag"
+    );
     assert!(parsed.experiments[0].fault_ledger.chunks_abandoned > 0);
     assert!(
         parsed.experiments[0].report.contains("DEGRADED"),
@@ -358,7 +399,12 @@ fn export_chaos_fails_metrics_with_typed_error() {
         "7:export",
         "t1",
     ]);
-    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("injected export fault"), "{stderr}");
     assert!(!metrics.exists(), "the export must have been blocked");
@@ -380,15 +426,20 @@ fn out_and_json_are_written_atomically_together() {
         json.to_str().unwrap(),
         "t1",
     ]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     let text = std::fs::read_to_string(&report).unwrap();
     assert!(text.starts_with("# Experiment report"));
     assert!(text.contains("## T1"));
     assert!(text.contains("total wall time"));
 
-    let parsed: serde_json::Value = serde_json::from_str(&std::fs::read_to_string(&json).unwrap())
-        .expect("valid json output");
+    let parsed: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).expect("valid json output");
     drop(parsed);
 
     assert!(!dir.join("report.md.tmp").exists());

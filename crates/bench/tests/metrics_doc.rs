@@ -12,7 +12,9 @@ fn documented_names(doc: &str) -> Vec<String> {
         if !line.starts_with('|') {
             continue;
         }
-        let Some(start) = line.find('`') else { continue };
+        let Some(start) = line.find('`') else {
+            continue;
+        };
         let rest = &line[start + 1..];
         let Some(end) = rest.find('`') else { continue };
         names.push(rest[..end].to_owned());
@@ -29,11 +31,7 @@ fn covered(name: &str, patterns: &[String]) -> bool {
         }
         let pat: Vec<&str> = p.split('.').collect();
         let got: Vec<&str> = name.split('.').collect();
-        pat.len() == got.len()
-            && pat
-                .iter()
-                .zip(&got)
-                .all(|(p, g)| *p == "*" || p == g)
+        pat.len() == got.len() && pat.iter().zip(&got).all(|(p, g)| *p == "*" || p == g)
     })
 }
 

@@ -42,11 +42,14 @@ fn full_run_metrics_snapshot_has_complete_schema() {
         String::from_utf8_lossy(&out.stderr)
     );
     // --quiet suppresses every status line.
-    assert!(out.stderr.is_empty(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
-    let snap: obs::Snapshot =
-        serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap())
-            .expect("metrics snapshot parses as obs::Snapshot");
+    let snap: obs::Snapshot = serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap())
+        .expect("metrics snapshot parses as obs::Snapshot");
 
     // Runner layer: every experiment drives the Monte-Carlo runner, so the
     // chunk machinery must show real work.
@@ -73,7 +76,9 @@ fn full_run_metrics_snapshot_has_complete_schema() {
 
     // Histograms observed real durations.
     for name in ["mc.runner.chunk_wall_us", "mc.pool.queue_wait_us"] {
-        let h = snap.histogram(name).unwrap_or_else(|| panic!("{name} missing"));
+        let h = snap
+            .histogram(name)
+            .unwrap_or_else(|| panic!("{name} missing"));
         assert!(h.count > 0, "{name} recorded nothing");
         assert!(h.max >= h.min);
     }
@@ -88,7 +93,9 @@ fn full_run_metrics_snapshot_has_complete_schema() {
             "exp.{}.runs missing or wrong",
             e.id
         );
-        let span = snap.span(e.id).unwrap_or_else(|| panic!("span {} missing", e.id));
+        let span = snap
+            .span(e.id)
+            .unwrap_or_else(|| panic!("span {} missing", e.id));
         assert_eq!(span.count, 1);
         assert!(span.total_us >= span.max_us);
     }

@@ -40,8 +40,8 @@ fn main() {
         let h = Runner::new(Seed(7)).with_threads(4).histogram_scratch(
             20_000,
             move || {
-                let program = Program::from_filler_types(&vec![OpType::Ld; m])
-                    .expect("canonical shape");
+                let program =
+                    Program::from_filler_types(&vec![OpType::Ld; m]).expect("canonical shape");
                 (program, SettleScratch::with_capacity(m + 2))
             },
             move |(program, scratch), rng| {

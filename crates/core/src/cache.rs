@@ -122,10 +122,15 @@ fn plan_extension<A: CacheableAcc + Clone>(
         obs::flight::event("wave_decided")
             .n(decoded.trials)
             .value(rse)
-            .detail(if rse <= target { "converged" } else { "continue" })
+            .detail(if rse <= target {
+                "converged"
+            } else {
+                "continue"
+            })
             .emit();
         if rse <= target {
-            let keep: Vec<CachedPrefix> = prefixes.iter().filter(|q| q.chunks <= g).cloned().collect();
+            let keep: Vec<CachedPrefix> =
+                prefixes.iter().filter(|q| q.chunks <= g).cloned().collect();
             let completed = decoded.trials;
             return Extension::Finished(full_report(decoded.value, completed, true), keep);
         }
@@ -198,8 +203,7 @@ where
     };
     let (report, snapshots) = finish(run(resume));
     if let Some(cached) = CachedReport::from_report(&report) {
-        let prefixes: Vec<CachedPrefix> =
-            snapshots.iter().map(CachedPrefix::from_prefix).collect();
+        let prefixes: Vec<CachedPrefix> = snapshots.iter().map(CachedPrefix::from_prefix).collect();
         cache.insert(key, cached, prefixes);
     }
     report

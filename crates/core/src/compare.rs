@@ -140,7 +140,11 @@ impl fmt::Display for ModelComparison {
 mod tests {
     use super::*;
 
-    const TRIALS: u64 = if cfg!(debug_assertions) { 30_000 } else { 200_000 };
+    const TRIALS: u64 = if cfg!(debug_assertions) {
+        30_000
+    } else {
+        200_000
+    };
 
     #[test]
     fn two_thread_comparison_reproduces_theorem_62() {
@@ -166,11 +170,7 @@ mod tests {
         // The paper's qualitative takeaway from Theorem 6.2.
         let cmp = ModelComparison::run(2, TRIALS, 43);
         let p = |m| cmp.row(m).unwrap().estimate.point();
-        let (sc, tso, wo) = (
-            p(MemoryModel::Sc),
-            p(MemoryModel::Tso),
-            p(MemoryModel::Wo),
-        );
+        let (sc, tso, wo) = (p(MemoryModel::Sc), p(MemoryModel::Tso), p(MemoryModel::Wo));
         assert!((tso - wo).abs() < (tso - sc).abs());
     }
 

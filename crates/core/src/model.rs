@@ -160,7 +160,11 @@ impl ReliabilityModel {
         let mut settle = SettleScratch::with_capacity(program.len());
         out.clear();
         for _ in 0..self.n {
-            out.push(self.settler.sample_gamma_scratch(&program, &mut settle, rng) + 2);
+            out.push(
+                self.settler
+                    .sample_gamma_scratch(&program, &mut settle, rng)
+                    + 2,
+            );
         }
     }
 
@@ -221,7 +225,14 @@ impl ReliabilityModel {
         scratch: &mut TrialScratch,
         rng: &mut R,
     ) -> bool {
-        direct_trial(&self.settler, &self.generator(), &ShiftProcess::canonical(), self.n, scratch, rng)
+        direct_trial(
+            &self.settler,
+            &self.generator(),
+            &ShiftProcess::canonical(),
+            self.n,
+            scratch,
+            rng,
+        )
     }
 
     /// One sample of the Rao-Blackwellised factor
@@ -229,7 +240,11 @@ impl ReliabilityModel {
     /// draws, windows and factor of `sample_windows_scratch` +
     /// `sample_factor` bit for bit, without settling the last window,
     /// whose weight is 0.
-    pub(crate) fn rb_factor<R: Rng + ?Sized>(&self, scratch: &mut TrialScratch, rng: &mut R) -> f64 {
+    pub(crate) fn rb_factor<R: Rng + ?Sized>(
+        &self,
+        scratch: &mut TrialScratch,
+        rng: &mut R,
+    ) -> f64 {
         let generator = self.generator();
         let key = generator.draw_key(rng);
         let mut windows = self.settler.keyed_windows(
@@ -257,7 +272,12 @@ impl ReliabilityModel {
     /// only — the runner's fixed-width chunk tiling makes the estimate
     /// independent of it.
     #[must_use]
-    pub fn simulate_survival_with(&self, trials: u64, seed: u64, workers: usize) -> BernoulliEstimate {
+    pub fn simulate_survival_with(
+        &self,
+        trials: u64,
+        seed: u64,
+        workers: usize,
+    ) -> BernoulliEstimate {
         self.survival_runner(Runner::new(Seed(seed)).with_threads(workers), trials)
     }
 
@@ -282,22 +302,16 @@ impl ReliabilityModel {
         let this = *self;
         let r = *runner;
         let key = self.request_key("survival", runner, trials);
-        crate::cache::cached_run(
-            &key,
-            runner,
-            trials,
-            EstimatorStats::rse,
-            move |resume| {
-                crate::telemetry::timed_run(this.model, trials, move || {
-                    r.try_bernoulli_scratch_resume(
-                        trials,
-                        move || this.scratch(),
-                        move |scratch, rng| this.simulate_survival_once_scratch(scratch, rng),
-                        resume,
-                    )
-                })
-            },
-        )
+        crate::cache::cached_run(&key, runner, trials, EstimatorStats::rse, move |resume| {
+            crate::telemetry::timed_run(this.model, trials, move || {
+                r.try_bernoulli_scratch_resume(
+                    trials,
+                    move || this.scratch(),
+                    move |scratch, rng| this.simulate_survival_once_scratch(scratch, rng),
+                    resume,
+                )
+            })
+        })
     }
 
     /// Empirical distribution of the per-thread window growth `γ = Γ − 2`,
@@ -564,12 +578,18 @@ mod tests {
             for _ in 0..trials {
                 m.simulate_survival_once_scratch(&mut scratch, &mut rng);
                 let read = scratch.settle.windows_settled();
-                assert!(read <= 1, "{model}: a two-thread trial settled {read} windows");
+                assert!(
+                    read <= 1,
+                    "{model}: a two-thread trial settled {read} windows"
+                );
                 settled += read;
             }
             let (rate, expected) = (settled as f64 / f64::from(trials), 1.0 / 6.0);
             let sigma = (expected * (1.0 - expected) / f64::from(trials)).sqrt();
-            assert!((rate - expected).abs() < 5.0 * sigma, "{model}: {rate} settles per trial");
+            assert!(
+                (rate - expected).abs() < 5.0 * sigma,
+                "{model}: {rate} settles per trial"
+            );
         }
         // An inert settler settles nothing.
         let sc = ReliabilityModel::new(MemoryModel::Sc, 2);
@@ -597,7 +617,10 @@ mod tests {
                 let lazy = m.rb_factor(&mut lazy_scratch, &mut lazy_rng);
                 assert_eq!(lazy.to_bits(), eager.to_bits(), "{m}");
                 let settled = lazy_scratch.settle.windows_settled();
-                assert!(settled == n - 1 || (settled == 0 && model == MemoryModel::Sc), "{m}: {settled}");
+                assert!(
+                    settled == n - 1 || (settled == 0 && model == MemoryModel::Sc),
+                    "{m}: {settled}"
+                );
             }
             assert_eq!(lazy_rng, eager_rng, "{m}: RNG streams diverged");
         }

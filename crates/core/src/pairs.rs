@@ -62,7 +62,11 @@ impl ReliabilityModel {
                 let windows = this.sample_windows_scratch(scratch, rng);
                 let proc = ShiftProcess::canonical();
                 segments.clear();
-                segments.extend(windows.iter().map(|&w| Segment::new(proc.sample_shift(rng), w)));
+                segments.extend(
+                    windows
+                        .iter()
+                        .map(|&w| Segment::new(proc.sample_shift(rng), w)),
+                );
                 let mut overlaps = 0u64;
                 for (i, a) in segments.iter().enumerate() {
                     for b in &segments[i + 1..] {
@@ -79,7 +83,11 @@ impl ReliabilityModel {
 mod tests {
     use super::*;
 
-    const TRIALS: u64 = if cfg!(debug_assertions) { 30_000 } else { 150_000 };
+    const TRIALS: u64 = if cfg!(debug_assertions) {
+        30_000
+    } else {
+        150_000
+    };
 
     #[test]
     fn expected_pairs_matches_simulation() {
@@ -127,7 +135,11 @@ mod tests {
         // independent-pairs product lands within a small factor at small n —
         // above actual for SC (shared shifts), below it for WO (a lucky
         // short window survives against *all* peers at once).
-        let ns: &[usize] = if cfg!(debug_assertions) { &[3] } else { &[3, 4] };
+        let ns: &[usize] = if cfg!(debug_assertions) {
+            &[3]
+        } else {
+            &[3, 4]
+        };
         for model in [MemoryModel::Sc, MemoryModel::Wo] {
             for &n in ns {
                 let poisson = 2f64.powf(log2_poisson_heuristic(model, n).unwrap());
@@ -164,10 +176,9 @@ mod tests {
 
     #[test]
     fn custom_models_have_no_closed_form() {
-        assert!(expected_overlapping_pairs(
-            MemoryModel::Custom(memmodel::ReorderMatrix::all()),
-            3
-        )
-        .is_none());
+        assert!(
+            expected_overlapping_pairs(MemoryModel::Custom(memmodel::ReorderMatrix::all()), 3)
+                .is_none()
+        );
     }
 }

@@ -52,17 +52,18 @@ pub fn scaling_curve_with(
     let grid: Vec<(usize, MemoryModel, usize, usize)> = models
         .iter()
         .enumerate()
-        .flat_map(|(mi, &model)| ns.iter().enumerate().map(move |(ni, &n)| (mi, model, ni, n)))
+        .flat_map(|(mi, &model)| {
+            ns.iter()
+                .enumerate()
+                .map(move |(ni, &n)| (mi, model, ni, n))
+        })
         .collect();
     let inner = workers.div_ceil(grid.len().max(1)).max(1);
     montecarlo::pool::scatter(grid.len(), workers.max(1), move |i| {
         let (mi, model, ni, n) = grid[i];
         let rm = ReliabilityModel::new(model, n);
-        let est = rm.estimate_survival_rb_with(
-            trials,
-            seed.wrapping_add((mi * 1009 + ni) as u64),
-            inner,
-        );
+        let est =
+            rm.estimate_survival_rb_with(trials, seed.wrapping_add((mi * 1009 + ni) as u64), inner);
         ScalingPoint {
             model,
             n,
@@ -76,7 +77,11 @@ pub fn scaling_curve_with(
 mod tests {
     use super::*;
 
-    const TRIALS: u64 = if cfg!(debug_assertions) { 10_000 } else { 60_000 };
+    const TRIALS: u64 = if cfg!(debug_assertions) {
+        10_000
+    } else {
+        60_000
+    };
 
     #[test]
     fn curve_has_a_point_per_model_per_n() {

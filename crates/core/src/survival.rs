@@ -65,12 +65,8 @@ impl ReliabilityModel {
     fn rb_runner(&self, runner: Runner, trials: u64) -> RbSurvival {
         let this = *self;
         let key = self.request_key("rb", &runner, trials);
-        let stats: Welford = crate::cache::cached_run(
-            &key,
-            &runner,
-            trials,
-            EstimatorStats::rse,
-            move |resume| {
+        let stats: Welford =
+            crate::cache::cached_run(&key, &runner, trials, EstimatorStats::rse, move |resume| {
                 crate::telemetry::timed_run(this.memory_model(), trials, move || {
                     runner.try_mean_scratch_resume(
                         trials,
@@ -79,9 +75,8 @@ impl ReliabilityModel {
                         resume,
                     )
                 })
-            },
-        )
-        .value;
+            })
+            .value;
         let mean = stats.mean();
         RbSurvival {
             log2_survival: exchangeable::log2_survival(
@@ -127,7 +122,11 @@ impl ReliabilityModel {
 mod tests {
     use super::*;
 
-    const TRIALS: u64 = if cfg!(debug_assertions) { 20_000 } else { 200_000 };
+    const TRIALS: u64 = if cfg!(debug_assertions) {
+        20_000
+    } else {
+        200_000
+    };
 
     #[test]
     fn rb_matches_exact_for_sc() {
@@ -155,8 +154,7 @@ mod tests {
             // "bounds" are a point, so the whole tolerance is sampling noise).
             let slack = 4.0 * est.factor_sem / est.mean_factor / std::f64::consts::LN_2;
             assert!(
-                est.log2_survival >= lo - slack - 1e-6
-                    && est.log2_survival <= hi + slack + 1e-6,
+                est.log2_survival >= lo - slack - 1e-6 && est.log2_survival <= hi + slack + 1e-6,
                 "{model}: log2 {} outside [{lo}, {hi}] ± {slack}",
                 est.log2_survival
             );
@@ -208,16 +206,10 @@ mod tests {
 
     #[test]
     fn custom_model_has_no_two_thread_closed_form() {
-        let m = ReliabilityModel::new(
-            MemoryModel::Custom(memmodel::ReorderMatrix::all()),
-            2,
-        );
+        let m = ReliabilityModel::new(MemoryModel::Custom(memmodel::ReorderMatrix::all()), 2);
         assert!(m.log2_survival_bounds().is_none());
         // But the sandwich applies at n >= 3.
-        let m3 = ReliabilityModel::new(
-            MemoryModel::Custom(memmodel::ReorderMatrix::all()),
-            3,
-        );
+        let m3 = ReliabilityModel::new(MemoryModel::Custom(memmodel::ReorderMatrix::all()), 3);
         assert!(m3.log2_survival_bounds().is_some());
     }
 }

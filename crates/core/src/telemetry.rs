@@ -54,9 +54,7 @@ pub(crate) fn timed_run<T>(model: MemoryModel, trials: u64, run: impl FnOnce() -
     let value = run();
     if let Some(started) = started {
         metrics.trials.add(trials);
-        metrics
-            .elapsed_us
-            .add(started.elapsed().as_micros() as u64);
+        metrics.elapsed_us.add(started.elapsed().as_micros() as u64);
     }
     value
 }

@@ -99,10 +99,7 @@ fn warm_target_rse_replay_is_bit_identical_to_cold_at_every_thread_count() {
     // converges there, well short of the full 16 chunks.
     let target = 0.05;
 
-    let cold = m.simulate_survival_runner(
-        &Runner::new(Seed(SEED)).with_target_rse(target),
-        trials,
-    );
+    let cold = m.simulate_survival_runner(&Runner::new(Seed(SEED)).with_target_rse(target), trials);
     assert!(cold.converged_early, "target chosen to stop early");
     assert_eq!(cold.trials_completed, 4 * CHUNK_WIDTH);
 

@@ -39,8 +39,13 @@ fn settler(rng: &mut SmallRng) -> Settler {
     let probs = if rng.gen_bool(0.3) {
         SettleProbs::canonical()
     } else {
-        SettleProbs::per_pair(probability(rng), probability(rng), probability(rng), probability(rng))
-            .expect("valid probabilities")
+        SettleProbs::per_pair(
+            probability(rng),
+            probability(rng),
+            probability(rng),
+            probability(rng),
+        )
+        .expect("valid probabilities")
     };
     Settler::new(matrix, probs)
         .with_fence_pass_probability([0.0, 0.5, 1.0][rng.gen_range(0..3)])
@@ -83,7 +88,11 @@ fn lazy_direct_trial_is_the_eager_route() {
     let mut windows = [0u64; 8];
     let (mut cases, mut survived) = (0u64, 0u64);
     for _ in 0..10_000 {
-        let m = if rng.gen_bool(0.2) { rng.gen_range(0..=64) } else { rng.gen_range(0..=16) };
+        let m = if rng.gen_bool(0.2) {
+            rng.gen_range(0..=64)
+        } else {
+            rng.gen_range(0..=16)
+        };
         let program = template(&mut rng, m);
         let shape = ProgramShape::new(&program);
         let mut scratch = TrialScratch::new(&program, 8);
@@ -104,7 +113,14 @@ fn lazy_direct_trial_is_the_eager_route() {
 
             let key = gen.draw_key(&mut eager_rng);
             let lengths = &mut windows[..n];
-            settler.sample_gammas_keyed(&shape, gen.store_threshold(), key, lengths, &mut settle, &mut eager_rng);
+            settler.sample_gammas_keyed(
+                &shape,
+                gen.store_threshold(),
+                key,
+                lengths,
+                &mut settle,
+                &mut eager_rng,
+            );
             for w in lengths.iter_mut() {
                 *w += 2;
             }
@@ -114,12 +130,18 @@ fn lazy_direct_trial_is_the_eager_route() {
 
             assert_eq!(eager, placed, "{proc} on {lengths:?}");
             assert_eq!(lazy, eager, "{settler:?} {gen} {proc} n={n} on {program:?}");
-            assert_eq!(lazy_rng, eager_rng, "RNG end states differ: {settler:?} {gen} {proc} n={n} on {program:?}");
+            assert_eq!(
+                lazy_rng, eager_rng,
+                "RNG end states differ: {settler:?} {gen} {proc} n={n} on {program:?}"
+            );
             survived += u64::from(lazy);
             cases += 1;
         }
     }
     assert_eq!(cases, 100_000);
     // Both outcomes occur, so neither branch of the shift test is vacuous.
-    assert!(survived > 0 && survived < cases, "{survived} of {cases} survived");
+    assert!(
+        survived > 0 && survived < cases,
+        "{survived} of {cases} survived"
+    );
 }

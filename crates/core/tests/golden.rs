@@ -37,7 +37,11 @@ fn survival_hits_are_unchanged_from_prescratch_kernels() {
             move |scratch, rng| rm.simulate_survival_once_scratch(scratch, rng),
         );
         assert_eq!(est.trials(), 50_000);
-        assert_eq!(est.successes(), hits, "{model}: seeded survival stream drifted");
+        assert_eq!(
+            est.successes(),
+            hits,
+            "{model}: seeded survival stream drifted"
+        );
     }
 }
 
@@ -55,8 +59,8 @@ fn window_histograms_are_unchanged_from_prescratch_kernels() {
         let h = Runner::new(Seed(7)).with_threads(4).histogram_scratch(
             20_000,
             move || {
-                let program = Program::from_filler_types(&vec![OpType::Ld; m])
-                    .expect("canonical shape");
+                let program =
+                    Program::from_filler_types(&vec![OpType::Ld; m]).expect("canonical shape");
                 (program, SettleScratch::with_capacity(m + 2))
             },
             move |(program, scratch), rng| {

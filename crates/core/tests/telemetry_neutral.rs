@@ -32,7 +32,11 @@ fn survival_is_identical_with_recording_and_flight_on_or_off() {
             let before = model_trials(model);
             let recorded = run();
             assert_eq!(recorded.trials(), TRIALS);
-            assert_eq!(model_trials(model) - before, TRIALS, "{model}: recording was on");
+            assert_eq!(
+                model_trials(model) - before,
+                TRIALS,
+                "{model}: recording was on"
+            );
 
             obs::set_recording(false);
             let before = model_trials(model);
@@ -40,12 +44,18 @@ fn survival_is_identical_with_recording_and_flight_on_or_off() {
             let counted = model_trials(model) - before;
             obs::set_recording(true);
             assert_eq!(counted, 0, "{model}: recording was off");
-            assert_eq!(recorded, unrecorded, "{model} at {workers} workers: recording on vs off");
+            assert_eq!(
+                recorded, unrecorded,
+                "{model} at {workers} workers: recording on vs off"
+            );
 
             obs::flight::set_flight_recording(false);
             let unflown = run();
             obs::flight::set_flight_recording(true);
-            assert_eq!(recorded, unflown, "{model} at {workers} workers: flight on vs off");
+            assert_eq!(
+                recorded, unflown,
+                "{model} at {workers} workers: flight on vs off"
+            );
         }
     }
 }

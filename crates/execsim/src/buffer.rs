@@ -182,6 +182,9 @@ mod tests {
         assert_eq!(b.len(), 1);
         let _ = b.drain_fifo();
         assert!(b.is_empty());
-        assert_eq!(b.drain_random_location(&mut SmallRng::seed_from_u64(0)), None);
+        assert_eq!(
+            b.drain_random_location(&mut SmallRng::seed_from_u64(0)),
+            None
+        );
     }
 }

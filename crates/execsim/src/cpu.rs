@@ -128,7 +128,13 @@ impl Cpu {
         self.deps.clear();
         if self.out_of_order {
             self.deps.resize(self.program.len() * self.words(), 0);
-            plan_rows(self.program.ops(), self.model.matrix(), self.window, &mut self.deps, &mut self.blockers);
+            plan_rows(
+                self.program.ops(),
+                self.model.matrix(),
+                self.window,
+                &mut self.deps,
+                &mut self.blockers,
+            );
         }
     }
 
@@ -254,7 +260,11 @@ impl Cpu {
     fn is_ready(&self, i: usize) -> bool {
         let words = self.words();
         let row = &self.deps[i * words..(i + 1) * words];
-        self.is_pending(i) && row.iter().zip(&self.pending).all(|(dep, pending)| dep & pending == 0)
+        self.is_pending(i)
+            && row
+                .iter()
+                .zip(&self.pending)
+                .all(|(dep, pending)| dep & pending == 0)
     }
 
     fn execute_now(&mut self, i: usize, mem: &mut SharedMemory) {
@@ -276,7 +286,13 @@ impl Cpu {
 /// row is the union of the bitsets of the earlier ops in the blocker
 /// classes that bind it (see [`blocker_classes`]) and of those accessing
 /// its location, cut to its window. `blockers` is scratch.
-pub(crate) fn plan_rows(ops: &[Op], matrix: ReorderMatrix, window: usize, deps: &mut [u64], blockers: &mut Vec<u64>) {
+pub(crate) fn plan_rows(
+    ops: &[Op],
+    matrix: ReorderMatrix,
+    window: usize,
+    deps: &mut [u64],
+    blockers: &mut Vec<u64>,
+) {
     let words = ops.len().div_ceil(64);
     assert_eq!(deps.len(), ops.len() * words, "one row per op");
     deps.fill(0);
@@ -387,7 +403,8 @@ fn blocks(earlier: &Op, op: &Op, matrix: ReorderMatrix) -> bool {
     let fenced = matches!(earlier, Op::Fence(k) if !k.permits_hoist_above())
         || matches!(op, Op::Fence(k) if !k.permits_sink_below());
     // Memory-model pair constraints for two memory ops.
-    let ordered = matches!((op_type(earlier), op_type(op)), (Some(te), Some(tm)) if !matrix.allows(te, tm));
+    let ordered =
+        matches!((op_type(earlier), op_type(op)), (Some(te), Some(tm)) if !matrix.allows(te, tm));
     raw || waw || war || same_loc || fenced || ordered
 }
 
@@ -579,12 +596,18 @@ mod tests {
         let mut seen_early_second = false;
         for seed in 0..200 {
             let program = CoreProgram::from_ops(vec![
-                Op::AddImm { reg: Reg(1), imm: 5 },
+                Op::AddImm {
+                    reg: Reg(1),
+                    imm: 5,
+                },
                 Op::Store {
                     reg: Reg(1),
                     loc: Location::filler(0),
                 },
-                Op::AddImm { reg: Reg(2), imm: 6 },
+                Op::AddImm {
+                    reg: Reg(2),
+                    imm: 6,
+                },
                 Op::Store {
                     reg: Reg(2),
                     loc: Location::filler(1),
@@ -610,7 +633,10 @@ mod tests {
                 break;
             }
         }
-        assert!(seen_early_second, "WO window never reordered independent stores");
+        assert!(
+            seen_early_second,
+            "WO window never reordered independent stores"
+        );
     }
 
     #[test]
@@ -623,7 +649,11 @@ mod tests {
         use rand::Rng;
         let mut r = rng(0x91a4);
         for _ in 0..2_000 {
-            let len = if r.gen_bool(0.2) { r.gen_range(60..=140) } else { r.gen_range(0..=12) };
+            let len = if r.gen_bool(0.2) {
+                r.gen_range(60..=140)
+            } else {
+                r.gen_range(0..=12)
+            };
             let ops: Vec<Op> = (0..len)
                 .map(|_| {
                     let (reg, loc) = (Reg(r.gen_range(0..3)), Location::filler(r.gen_range(0..4)));
@@ -636,7 +666,11 @@ mod tests {
                 })
                 .collect();
             let matrix = ReorderMatrix::new(r.gen(), r.gen(), r.gen(), true);
-            let model = if r.gen() { MemoryModel::Wo } else { MemoryModel::Custom(matrix) };
+            let model = if r.gen() {
+                MemoryModel::Wo
+            } else {
+                MemoryModel::Custom(matrix)
+            };
             let window = [1, 2, 3, 8, 64, 80][r.gen_range(0..6)];
             let cpu = Cpu::new(CoreProgram::from_ops(ops.clone()), model, 0, window, 0.5);
             let words = cpu.words();
@@ -644,7 +678,10 @@ mod tests {
                 for j in 0..i {
                     let planned = cpu.deps[i * words + j / 64] >> (j % 64) & 1 == 1;
                     let rule = j + window > i && blocks(&ops[j], op, model.matrix());
-                    assert_eq!(planned, rule, "op {i} after op {j}, window {window}: {ops:?}");
+                    assert_eq!(
+                        planned, rule,
+                        "op {i} after op {j}, window {window}: {ops:?}"
+                    );
                 }
             }
         }

@@ -42,14 +42,14 @@ mod increment;
 mod isa;
 pub mod litmus;
 mod machine;
-pub mod timeline;
 mod memory;
+pub mod timeline;
 mod workload;
 
 pub use buffer::StoreBuffer;
 pub use cpu::{Cpu, CpuState, StepEvent};
-pub use isa::{CoreProgram, Op, Reg};
 pub use increment::IncrementMachine;
+pub use isa::{CoreProgram, Op, Reg};
 pub use machine::{run_increment_trial, Machine, Outcome, RunError, SimParams};
 pub use memory::SharedMemory;
 pub use workload::{increment_workload, increment_workload_fenced, CANONICAL_FILLER};

@@ -43,12 +43,18 @@ pub fn sb() -> LitmusTest {
     let t0 = CoreProgram::from_ops(vec![
         Op::AddImm { reg: ONE, imm: 1 },
         Op::Store { reg: ONE, loc: x() },
-        Op::Load { reg: OBS_A, loc: y() },
+        Op::Load {
+            reg: OBS_A,
+            loc: y(),
+        },
     ]);
     let t1 = CoreProgram::from_ops(vec![
         Op::AddImm { reg: ONE, imm: 1 },
         Op::Store { reg: ONE, loc: y() },
-        Op::Load { reg: OBS_A, loc: x() },
+        Op::Load {
+            reg: OBS_A,
+            loc: x(),
+        },
     ]);
     LitmusTest {
         name: "SB",
@@ -65,15 +71,27 @@ pub fn mp() -> LitmusTest {
     let flag = y();
     let t0 = CoreProgram::from_ops(vec![
         Op::AddImm { reg: ONE, imm: 1 },
-        Op::Store { reg: ONE, loc: data },
-        Op::Store { reg: ONE, loc: flag },
+        Op::Store {
+            reg: ONE,
+            loc: data,
+        },
+        Op::Store {
+            reg: ONE,
+            loc: flag,
+        },
     ]);
     // Pad the reader so its loads overlap the writer's buffer-drain window
     // (otherwise it finishes before any store becomes visible and the
     // interesting outcome is timing-impossible under every model).
     let mut t1_ops = vec![Op::AddImm { reg: ONE, imm: 0 }; 4];
-    t1_ops.push(Op::Load { reg: OBS_A, loc: flag });
-    t1_ops.push(Op::Load { reg: OBS_B, loc: data });
+    t1_ops.push(Op::Load {
+        reg: OBS_A,
+        loc: flag,
+    });
+    t1_ops.push(Op::Load {
+        reg: OBS_B,
+        loc: data,
+    });
     let t1 = CoreProgram::from_ops(t1_ops);
     LitmusTest {
         name: "MP",
@@ -88,12 +106,18 @@ pub fn mp() -> LitmusTest {
 pub fn lb() -> LitmusTest {
     let t0 = CoreProgram::from_ops(vec![
         Op::AddImm { reg: ONE, imm: 1 },
-        Op::Load { reg: OBS_A, loc: x() },
+        Op::Load {
+            reg: OBS_A,
+            loc: x(),
+        },
         Op::Store { reg: ONE, loc: y() },
     ]);
     let t1 = CoreProgram::from_ops(vec![
         Op::AddImm { reg: ONE, imm: 1 },
-        Op::Load { reg: OBS_A, loc: y() },
+        Op::Load {
+            reg: OBS_A,
+            loc: y(),
+        },
         Op::Store { reg: ONE, loc: x() },
     ]);
     LitmusTest {
@@ -116,8 +140,14 @@ pub fn corr() -> LitmusTest {
     // Pad the reader so the loads straddle the writer's store becoming
     // visible — otherwise the interesting interleaving never arises.
     let mut t1_ops = vec![Op::AddImm { reg: ONE, imm: 0 }; 2];
-    t1_ops.push(Op::Load { reg: OBS_A, loc: x() });
-    t1_ops.push(Op::Load { reg: OBS_B, loc: x() });
+    t1_ops.push(Op::Load {
+        reg: OBS_A,
+        loc: x(),
+    });
+    t1_ops.push(Op::Load {
+        reg: OBS_B,
+        loc: x(),
+    });
     let t1 = CoreProgram::from_ops(t1_ops);
     LitmusTest {
         name: "CoRR",
@@ -148,14 +178,26 @@ pub fn iriw() -> LitmusTest {
     let t2 = CoreProgram::from_ops(vec![
         pad(),
         pad(),
-        Op::Load { reg: OBS_A, loc: x() },
-        Op::Load { reg: OBS_B, loc: y() },
+        Op::Load {
+            reg: OBS_A,
+            loc: x(),
+        },
+        Op::Load {
+            reg: OBS_B,
+            loc: y(),
+        },
     ]);
     let t3 = CoreProgram::from_ops(vec![
         pad(),
         pad(),
-        Op::Load { reg: OBS_A, loc: y() },
-        Op::Load { reg: OBS_B, loc: x() },
+        Op::Load {
+            reg: OBS_A,
+            loc: y(),
+        },
+        Op::Load {
+            reg: OBS_B,
+            loc: x(),
+        },
     ]);
     LitmusTest {
         name: "IRIW",
@@ -228,7 +270,9 @@ mod tests {
         // restarted machine give each run's register files and RNG end
         // state of building a fresh machine from the same state.
         use memmodel::ReorderMatrix;
-        let models = MemoryModel::NAMED.into_iter().chain([MemoryModel::Custom(ReorderMatrix::all())]);
+        let models = MemoryModel::NAMED
+            .into_iter()
+            .chain([MemoryModel::Custom(ReorderMatrix::all())]);
         for model in models {
             for test in [sb(), mp(), lb(), corr(), iriw()] {
                 for stagger in [false, true] {
@@ -241,8 +285,14 @@ mod tests {
                         let mut fresh = Machine::new(test.programs.clone(), params, &mut fresh_rng);
                         let fresh_out = fresh.run(&mut fresh_rng);
                         machine.restart(params, &mut reused_rng);
-                        assert_eq!(machine.run(&mut reused_rng), fresh_out, "{} under {model}", test.name);
-                        let regs = |m: &Machine| m.cpus().iter().map(|c| *c.regs()).collect::<Vec<_>>();
+                        assert_eq!(
+                            machine.run(&mut reused_rng),
+                            fresh_out,
+                            "{} under {model}",
+                            test.name
+                        );
+                        let regs =
+                            |m: &Machine| m.cpus().iter().map(|c| *c.regs()).collect::<Vec<_>>();
                         assert_eq!(regs(&machine), regs(&fresh), "{} under {model}", test.name);
                         assert_eq!(reused_rng, fresh_rng, "{} under {model}", test.name);
                     }
@@ -285,7 +335,11 @@ mod tests {
             (lb(), MemoryModel::Wo),
         ] {
             let c = count(&test, model, 13);
-            assert!(c > 0 && c < TRIALS, "{} under {model}: {c}/{TRIALS}", test.name);
+            assert!(
+                c > 0 && c < TRIALS,
+                "{} under {model}: {c}/{TRIALS}",
+                test.name
+            );
         }
     }
 

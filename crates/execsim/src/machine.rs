@@ -51,7 +51,11 @@ pub struct RunError {
 
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "machine did not quiesce within {} cycles", self.max_cycles)
+        write!(
+            f,
+            "machine did not quiesce within {} cycles",
+            self.max_cycles
+        )
     }
 }
 
@@ -220,11 +224,9 @@ impl Machine {
                 let j = rng.gen_range(0..=i);
                 service.swap(i, j);
             }
-            let mut record = trace
-                .as_ref()
-                .map(|_| CycleRecord {
-                    events: vec![crate::cpu::StepEvent::default(); n],
-                });
+            let mut record = trace.as_ref().map(|_| CycleRecord {
+                events: vec![crate::cpu::StepEvent::default(); n],
+            });
             for &i in service.iter() {
                 let event = self.cpus[i].step(&mut self.memory, rng);
                 if let Some(rec) = record.as_mut() {
@@ -261,8 +263,8 @@ pub fn run_increment_trial<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memmodel::fence::FenceKind;
     use crate::increment_workload;
+    use memmodel::fence::FenceKind;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -358,10 +360,26 @@ mod tests {
         use crate::increment_workload_fenced;
         use memmodel::ReorderMatrix;
         let pinned = [
-            (MemoryModel::Sc, 0x2f91_a384_cd82_e2d7, 0x3003_cdb4_62bd_b751),
-            (MemoryModel::Tso, 0xfefc_0837_8e8a_e4de, 0xd9e1_89e2_5b85_fc82),
-            (MemoryModel::Pso, 0x373c_5f2d_162f_375b, 0x1a28_c7db_3e24_d1c1),
-            (MemoryModel::Wo, 0x6982_2732_de48_b36b, 0xbaa6_c53a_afe1_e2a8),
+            (
+                MemoryModel::Sc,
+                0x2f91_a384_cd82_e2d7,
+                0x3003_cdb4_62bd_b751,
+            ),
+            (
+                MemoryModel::Tso,
+                0xfefc_0837_8e8a_e4de,
+                0xd9e1_89e2_5b85_fc82,
+            ),
+            (
+                MemoryModel::Pso,
+                0x373c_5f2d_162f_375b,
+                0x1a28_c7db_3e24_d1c1,
+            ),
+            (
+                MemoryModel::Wo,
+                0x6982_2732_de48_b36b,
+                0xbaa6_c53a_afe1_e2a8,
+            ),
             (
                 MemoryModel::Custom(ReorderMatrix::new(true, false, false, true)),
                 0x1580_a95c_1d29_50fc,

@@ -82,12 +82,13 @@ impl Timeline {
     /// executed, if any.
     #[must_use]
     pub fn shared_load_cycle(&self, core: usize) -> Option<u64> {
-        self.cycles.iter().enumerate().find_map(|(c, rec)| {
-            match rec.events.get(core)?.executed {
+        self.cycles
+            .iter()
+            .enumerate()
+            .find_map(|(c, rec)| match rec.events.get(core)?.executed {
                 Some(Op::Load { loc, .. }) if loc.is_shared() => Some(c as u64),
                 _ => None,
-            }
-        })
+            })
     }
 
     /// The cycle at which core `core`'s store to the shared location became

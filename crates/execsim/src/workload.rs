@@ -71,7 +71,11 @@ fn filler_op(is_store: bool, loc: Location) -> Op {
     }
 }
 
-pub(crate) fn build_workload(n: usize, store_pattern: &[bool], fence: Option<FenceKind>) -> Vec<CoreProgram> {
+pub(crate) fn build_workload(
+    n: usize,
+    store_pattern: &[bool],
+    fence: Option<FenceKind>,
+) -> Vec<CoreProgram> {
     (0..n)
         .map(|core| {
             let mut ops = Vec::with_capacity(store_pattern.len() + 4);

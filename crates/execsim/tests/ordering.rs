@@ -11,7 +11,11 @@ use memmodel::fence::FenceKind;
 use memmodel::MemoryModel;
 use montecarlo::{Runner, Seed};
 
-const TRIALS: u64 = if cfg!(debug_assertions) { 6_000 } else { 40_000 };
+const TRIALS: u64 = if cfg!(debug_assertions) {
+    6_000
+} else {
+    40_000
+};
 const FILLER: usize = 8;
 
 fn bug_rate(model: MemoryModel, n: usize, seed: u64) -> montecarlo::BernoulliEstimate {
@@ -84,7 +88,10 @@ fn model_gap_shrinks_as_threads_grow() {
     let gap3 = gap(3, 422, 423);
     let gap4 = gap(4, 424, 425);
     assert!(gap3 < gap2, "gap did not shrink: n=2 {gap2}, n=3 {gap3}");
-    assert!(gap4 <= gap3 + 1e-3, "gap did not shrink: n=3 {gap3}, n=4 {gap4}");
+    assert!(
+        gap4 <= gap3 + 1e-3,
+        "gap did not shrink: n=3 {gap3}, n=4 {gap4}"
+    );
     assert!(gap4 < 0.01, "gap at n=4 still large: {gap4}");
 }
 

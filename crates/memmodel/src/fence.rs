@@ -147,9 +147,8 @@ mod tests {
     #[test]
     fn full_is_strictest() {
         // A full fence permits strictly fewer motions than either one-way kind.
-        let blocked = |k: FenceKind| {
-            u32::from(!k.permits_hoist_above()) + u32::from(!k.permits_sink_below())
-        };
+        let blocked =
+            |k: FenceKind| u32::from(!k.permits_hoist_above()) + u32::from(!k.permits_sink_below());
         assert_eq!(blocked(FenceKind::Full), 2);
         assert_eq!(blocked(FenceKind::Acquire), 1);
         assert_eq!(blocked(FenceKind::Release), 1);

@@ -112,7 +112,11 @@ impl fmt::Display for ReorderMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use OpType::{Ld, St};
         for (earlier, later) in [(St, St), (St, Ld), (Ld, St), (Ld, Ld)] {
-            f.write_str(if self.allows(earlier, later) { "X" } else { "." })?;
+            f.write_str(if self.allows(earlier, later) {
+                "X"
+            } else {
+                "."
+            })?;
         }
         Ok(())
     }

@@ -17,7 +17,11 @@ use std::fmt::Write as _;
 #[must_use]
 pub fn render_table1() -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "{:^6}{:^6}{:^6}{:^6} Name", "ST/ST", "ST/LD", "LD/ST", "LD/LD");
+    let _ = writeln!(
+        out,
+        "{:^6}{:^6}{:^6}{:^6} Name",
+        "ST/ST", "ST/LD", "LD/ST", "LD/LD"
+    );
     for model in MemoryModel::NAMED {
         let m = model.matrix();
         let mark = |e, l| if m.allows(e, l) { "X" } else { " " };

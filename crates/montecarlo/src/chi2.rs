@@ -130,7 +130,9 @@ mod tests {
     #[test]
     fn accepts_matching_law() {
         let mut rng = SmallRng::seed_from_u64(11);
-        let h: Histogram = (0..200_000).map(|_| geometric_half_sample(&mut rng)).collect();
+        let h: Histogram = (0..200_000)
+            .map(|_| geometric_half_sample(&mut rng))
+            .collect();
         let gof = chi_square_gof(&h, |k| 2f64.powi(-(k as i32) - 1), 5.0);
         assert!(
             gof.consistent_at(0.001),
@@ -143,10 +145,16 @@ mod tests {
     #[test]
     fn rejects_wrong_law() {
         let mut rng = SmallRng::seed_from_u64(13);
-        let h: Histogram = (0..200_000).map(|_| geometric_half_sample(&mut rng)).collect();
+        let h: Histogram = (0..200_000)
+            .map(|_| geometric_half_sample(&mut rng))
+            .collect();
         // Claim the law is geometric with q = 0.4 instead of 0.5.
         let gof = chi_square_gof(&h, |k| 0.4 * 0.6f64.powi(k as i32), 5.0);
-        assert!(!gof.consistent_at(0.001), "wrong law accepted: p = {}", gof.p_value);
+        assert!(
+            !gof.consistent_at(0.001),
+            "wrong law accepted: p = {}",
+            gof.p_value
+        );
     }
 
     #[test]

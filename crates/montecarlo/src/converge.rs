@@ -23,8 +23,8 @@
 //! compares false against any threshold, so sequential stopping treats
 //! "degenerate so far" as "not converged" automatically.
 
-use crate::{BernoulliEstimate, RunReport, Welford};
 use crate::stats::normal_quantile;
+use crate::{BernoulliEstimate, RunReport, Welford};
 
 /// Mean / standard-error / count view over a streaming estimator.
 ///

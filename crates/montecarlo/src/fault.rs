@@ -328,14 +328,18 @@ static PLAN: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
 /// previous one. Every injection seam in the workspace starts consulting it
 /// immediately.
 pub fn install(plan: FaultPlan) {
-    let mut slot = PLAN.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut slot = PLAN
+        .write()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     *slot = Some(Arc::new(plan));
     ENGAGED.store(true, Ordering::Release);
 }
 
 /// Removes the active fault plan; every seam reverts to a no-op.
 pub fn clear() {
-    let mut slot = PLAN.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut slot = PLAN
+        .write()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     ENGAGED.store(false, Ordering::Release);
     *slot = None;
 }
@@ -600,7 +604,10 @@ mod tests {
         }
         assert!(FaultPlan::parse("x").is_err());
         assert!(FaultPlan::parse("7:frobnicate").is_err());
-        assert!(FaultPlan::parse("7:stalls").is_err(), "the stall profile is gone");
+        assert!(
+            FaultPlan::parse("7:stalls").is_err(),
+            "the stall profile is gone"
+        );
         assert!(FaultPlan::parse("").is_err());
     }
 
@@ -609,7 +616,11 @@ mod tests {
         let a = FaultPlan::new(1, Profile::Panics);
         let b = FaultPlan::new(1, Profile::Panics);
         let c = FaultPlan::new(2, Profile::Panics);
-        let hits = |p: &FaultPlan| (0..256).filter(|&i| p.chunk_panics(i, 1)).collect::<Vec<_>>();
+        let hits = |p: &FaultPlan| {
+            (0..256)
+                .filter(|&i| p.chunk_panics(i, 1))
+                .collect::<Vec<_>>()
+        };
         assert_eq!(hits(&a), hits(&b), "same seed, same victims");
         assert_ne!(hits(&a), hits(&c), "different seed, different victims");
         assert!(!hits(&a).is_empty(), "~1/6 of 256 chunks must fire");
@@ -646,9 +657,15 @@ mod tests {
         let base = Duration::from_millis(1);
         let d1 = retry_backoff(Seed(5), 3, 1, base);
         assert_eq!(d1, retry_backoff(Seed(5), 3, 1, base), "pure in its inputs");
-        assert!(d1 >= base / 2 && d1 < base, "jitter keeps [50%, 100%): {d1:?}");
+        assert!(
+            d1 >= base / 2 && d1 < base,
+            "jitter keeps [50%, 100%): {d1:?}"
+        );
         let d4 = retry_backoff(Seed(5), 3, 4, base);
-        assert!(d4 >= base * 4 && d4 < base * 8, "doubling per attempt: {d4:?}");
+        assert!(
+            d4 >= base * 4 && d4 < base * 8,
+            "doubling per attempt: {d4:?}"
+        );
         // The cap bounds runaway attempts.
         assert!(retry_backoff(Seed(5), 3, 40, base) <= BACKOFF_CAP);
         // Zero base disables backoff.

@@ -82,10 +82,7 @@ impl Histogram {
     /// The largest observed value (`None` when empty).
     #[must_use]
     pub fn max(&self) -> Option<u64> {
-        self.counts
-            .iter()
-            .rposition(|&c| c > 0)
-            .map(|i| i as u64)
+        self.counts.iter().rposition(|&c| c > 0).map(|i| i as u64)
     }
 
     /// Empirical mean (`NaN` when empty).

@@ -100,7 +100,8 @@ fn worker_loop(p: &'static Pool) {
             drop(q);
             let tele = crate::telemetry::pool();
             if let Some(enqueued) = ticket.enqueued {
-                tele.queue_wait_us.record(enqueued.elapsed().as_micros() as u64);
+                tele.queue_wait_us
+                    .record(enqueued.elapsed().as_micros() as u64);
             }
             tele.workers_busy.inc();
             let started = obs::recording().then(Instant::now);
@@ -108,17 +109,15 @@ fn worker_loop(p: &'static Pool) {
             // record the panic payload and re-raise it at the join point.
             let _ = catch_unwind(AssertUnwindSafe(ticket.run));
             if let Some(started) = started {
-                tele.ticket_busy_us.record(started.elapsed().as_micros() as u64);
+                tele.ticket_busy_us
+                    .record(started.elapsed().as_micros() as u64);
             }
             tele.workers_busy.dec();
             tele.tickets_run.inc();
             q = lock(&p.queue);
         } else {
             q.idle += 1;
-            q = p
-                .wake
-                .wait(q)
-                .unwrap_or_else(PoisonError::into_inner);
+            q = p.wake.wait(q).unwrap_or_else(PoisonError::into_inner);
             q.idle -= 1;
         }
     }
@@ -213,12 +212,12 @@ where
     drop(board);
     slots
         .into_iter()
-        .map(|slot| {
-            match slot.expect("every index reports before the board completes") {
+        .map(
+            |slot| match slot.expect("every index reports before the board completes") {
                 Ok(value) => value,
                 Err(payload) => resume_unwind(payload),
-            }
-        })
+            },
+        )
         .collect()
 }
 

@@ -66,7 +66,9 @@ mod tests {
     fn task_streams_differ_by_index() {
         let mut a = task_rng(Seed(7), 0);
         let mut b = task_rng(Seed(7), 1);
-        let same = (0..100).filter(|_| a.gen::<u64>() == b.gen::<u64>()).count();
+        let same = (0..100)
+            .filter(|_| a.gen::<u64>() == b.gen::<u64>())
+            .count();
         assert_eq!(same, 0);
     }
 
@@ -74,7 +76,9 @@ mod tests {
     fn task_streams_differ_by_seed() {
         let mut a = task_rng(Seed(7), 0);
         let mut b = task_rng(Seed(8), 0);
-        let same = (0..100).filter(|_| a.gen::<u64>() == b.gen::<u64>()).count();
+        let same = (0..100)
+            .filter(|_| a.gen::<u64>() == b.gen::<u64>())
+            .count();
         assert_eq!(same, 0);
     }
 

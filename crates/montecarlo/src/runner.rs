@@ -191,8 +191,14 @@ fn trial_batch<S, T, A>(
 
 /// What one worker chunk reports back to the coordinator.
 enum ChunkOutcome<A> {
-    Done { acc: A, ran: u64 },
-    Failed { attempts: u32, payload: String },
+    Done {
+        acc: A,
+        ran: u64,
+    },
+    Failed {
+        attempts: u32,
+        payload: String,
+    },
     /// Retries exhausted under a degrade-on-exhaustion policy: the chunk
     /// contributes nothing, the run continues and reports `degraded`.
     Abandoned,
@@ -587,8 +593,7 @@ impl Runner {
         let mut trials_completed = resume_trials;
         let mut converged_early = false;
         let mut abandoned_chunks = 0u64;
-        let mut done_chunks =
-            usize::try_from(resume_chunks).expect("chunk count fits in usize");
+        let mut done_chunks = usize::try_from(resume_chunks).expect("chunk count fits in usize");
         // Whole chunks merged with no short/cancelled/abandoned chunk
         // before them — the longest still-extendable prefix of the fold.
         let mut clean_full_chunks = resume_chunks;
@@ -618,10 +623,10 @@ impl Runner {
                 tele.chunks_claimed.inc();
                 obs::flight::event("chunk_claimed").chunk(idx).emit();
                 let chunk_started = obs::recording().then(Instant::now);
-                let outcome =
-                    runner.run_chunk(idx, count, &*scr, &*ini, &*bat, &job_ctl, degrade);
+                let outcome = runner.run_chunk(idx, count, &*scr, &*ini, &*bat, &job_ctl, degrade);
                 if let Some(started) = chunk_started {
-                    tele.chunk_wall_us.record(started.elapsed().as_micros() as u64);
+                    tele.chunk_wall_us
+                        .record(started.elapsed().as_micros() as u64);
                 }
                 outcome
             });
@@ -706,7 +711,10 @@ impl Runner {
             (false, true) => "truncated",
             (true, true) => "degraded+truncated",
         };
-        obs::flight::event("run_end").n(trials_completed).detail(fate).emit();
+        obs::flight::event("run_end")
+            .n(trials_completed)
+            .detail(fate)
+            .emit();
         if degraded || truncated {
             emit_dossier(fate, &ledger_start);
         }
@@ -971,7 +979,13 @@ impl Runner {
         scratch_init: impl Fn() -> S + Send + Sync + 'static,
         trial: impl Fn(&mut S, &mut SmallRng) -> bool + Send + Sync + 'static,
         resume: Option<ChunkPrefix<BernoulliEstimate>>,
-    ) -> Result<(RunReport<BernoulliEstimate>, Vec<ChunkPrefix<BernoulliEstimate>>), Error>
+    ) -> Result<
+        (
+            RunReport<BernoulliEstimate>,
+            Vec<ChunkPrefix<BernoulliEstimate>>,
+        ),
+        Error,
+    >
     where
         S: 'static,
     {
@@ -1313,7 +1327,9 @@ mod tests {
             3 * CHUNK_WIDTH + 17,
         ] {
             let n = trials.div_ceil(CHUNK_WIDTH);
-            let covered: u64 = (0..n).map(|i| CHUNK_WIDTH.min(trials - i * CHUNK_WIDTH)).sum();
+            let covered: u64 = (0..n)
+                .map(|i| CHUNK_WIDTH.min(trials - i * CHUNK_WIDTH))
+                .sum();
             assert_eq!(covered, trials);
         }
     }
@@ -1413,7 +1429,9 @@ mod tests {
     #[test]
     fn injected_panic_recovers_bit_for_bit() {
         let runner = Runner::new(Seed(12)).with_threads(3);
-        let clean = runner.try_bernoulli(9_000, |rng| rng.gen_bool(0.3)).unwrap();
+        let clean = runner
+            .try_bernoulli(9_000, |rng| rng.gen_bool(0.3))
+            .unwrap();
 
         let inj = Arc::new(FaultInjector::new(FaultMode::PanicOnce { trial: 4_321 }));
         let seen = Arc::clone(&inj);
@@ -1435,7 +1453,9 @@ mod tests {
 
     #[test]
     fn persistent_panic_exhausts_retries() {
-        let runner = Runner::new(Seed(13)).with_threads(2).with_max_chunk_retries(1);
+        let runner = Runner::new(Seed(13))
+            .with_threads(2)
+            .with_max_chunk_retries(1);
         let inj = Arc::new(FaultInjector::new(FaultMode::PanicAlways));
         let seen = Arc::clone(&inj);
         let err = runner
@@ -1522,7 +1542,11 @@ mod tests {
             .with_min_trials(3_000)
             .try_bernoulli(100_000, |rng| rng.gen_bool(0.5))
             .unwrap();
-        assert!(report.trials_completed >= 3_000, "{}", report.trials_completed);
+        assert!(
+            report.trials_completed >= 3_000,
+            "{}",
+            report.trials_completed
+        );
         assert!(report.trials_completed <= 100_000);
     }
 
@@ -1685,7 +1709,11 @@ mod tests {
                         Some(*prefix),
                     )
                     .unwrap();
-                assert_eq!(warm, cold_report, "threads {threads} chunks {}", prefix.chunks);
+                assert_eq!(
+                    warm, cold_report,
+                    "threads {threads} chunks {}",
+                    prefix.chunks
+                );
             }
         }
     }

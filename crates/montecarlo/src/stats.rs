@@ -195,8 +195,8 @@ impl Welford {
         }
         let total = self.count + other.count;
         let delta = other.mean - self.mean;
-        self.m2 += other.m2 + delta * delta * (self.count as f64) * (other.count as f64)
-            / total as f64;
+        self.m2 +=
+            other.m2 + delta * delta * (self.count as f64) * (other.count as f64) / total as f64;
         self.mean += delta * other.count as f64 / total as f64;
         self.count = total;
     }
@@ -268,7 +268,13 @@ impl Welford {
 
 impl fmt::Display for Welford {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6} ± {:.6} (n={})", self.mean(), self.sem(), self.count)
+        write!(
+            f,
+            "{:.6} ± {:.6} (n={})",
+            self.mean(),
+            self.sem(),
+            self.count
+        )
     }
 }
 

@@ -11,7 +11,7 @@
 //! range instead of hoping a hard-coded seed does.
 
 use montecarlo::fault::{self, FaultPlan, Profile};
-use montecarlo::{Runner, RunReport, Seed, CHUNK_WIDTH};
+use montecarlo::{RunReport, Runner, Seed, CHUNK_WIDTH};
 use rand::Rng;
 use std::time::Duration;
 
@@ -26,7 +26,8 @@ const THREADS: [usize; 4] = [1, 2, 3, 8];
 /// the guard also clears the plan even when an assertion panics.
 fn chaos_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 struct PlanGuard;
@@ -101,7 +102,10 @@ fn recoverable_profiles_are_bit_identical_to_fault_free() {
                 "{profile}: plan seed {seed} must actually fire at threads={threads}"
             );
             assert_same_result(&report, &clean, &format!("{profile} threads={threads}"));
-            assert!(report.retried_chunks > 0, "{profile}: recovery implies retries");
+            assert!(
+                report.retried_chunks > 0,
+                "{profile}: recovery implies retries"
+            );
             reports.push(report);
         }
         // Retry schedules are pure in (seed, chunk, attempt), so even the
@@ -130,8 +134,7 @@ fn hard_profile_degrades_identically_at_every_thread_count() {
         .filter(|&c| plan.chunk_panics(c, 1))
         .map(|c| CHUNK_WIDTH.min(TRIALS - c * CHUNK_WIDTH))
         .sum();
-    let expected_abandoned =
-        (0..CHUNKS).filter(|&c| plan.chunk_panics(c, 1)).count() as u64;
+    let expected_abandoned = (0..CHUNKS).filter(|&c| plan.chunk_panics(c, 1)).count() as u64;
 
     let run = |threads| {
         let _guard = PlanGuard;
@@ -152,13 +155,20 @@ fn hard_profile_degrades_identically_at_every_thread_count() {
     let before = fault::ledger().snapshot();
     let base = run(1);
     let delta = fault::ledger().snapshot().since(&before);
-    assert!(base.degraded, "victims must be flagged, not silently dropped");
+    assert!(
+        base.degraded,
+        "victims must be flagged, not silently dropped"
+    );
     assert!(!base.truncated, "degradation is not deadline truncation");
     assert_eq!(base.abandoned_chunks, expected_abandoned);
     assert_eq!(base.trials_completed, TRIALS - expected_lost);
     assert!(delta.chunks_abandoned >= expected_abandoned);
     assert!(delta.degraded_runs >= 1);
     for threads in THREADS {
-        assert_eq!(run(threads), base, "degraded report drifted at threads={threads}");
+        assert_eq!(
+            run(threads),
+            base,
+            "degraded report drifted at threads={threads}"
+        );
     }
 }

@@ -21,7 +21,8 @@ const THREADS: [usize; 4] = [1, 2, 3, 8];
 /// that asserts metrics advanced.
 fn recording_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[test]
@@ -52,7 +53,10 @@ fn mean_identical_across_thread_counts() {
         let w = run(threads);
         assert_eq!(w, base, "welford state drifted at threads={threads}");
         assert_eq!(w.mean().to_bits(), base.mean().to_bits());
-        assert_eq!(w.sample_variance().to_bits(), base.sample_variance().to_bits());
+        assert_eq!(
+            w.sample_variance().to_bits(),
+            base.sample_variance().to_bits()
+        );
     }
 }
 
@@ -103,26 +107,36 @@ fn rng_stream_checksum_identical_across_thread_counts() {
     };
     let base = run(1);
     for threads in THREADS {
-        assert_eq!(run(threads), base, "rng checksum drifted at threads={threads}");
+        assert_eq!(
+            run(threads),
+            base,
+            "rng checksum drifted at threads={threads}"
+        );
     }
 }
 
 #[test]
 fn scratch_kernels_identical_across_thread_counts() {
     let run = |threads| {
-        Runner::new(Seed(2016)).with_threads(threads).histogram_scratch(
-            TRIALS,
-            || Vec::with_capacity(4),
-            |buf: &mut Vec<u64>, rng| {
-                buf.clear();
-                buf.extend((0..4).map(|_| u64::from(rng.gen_range(0..8u32))));
-                buf.iter().sum()
-            },
-        )
+        Runner::new(Seed(2016))
+            .with_threads(threads)
+            .histogram_scratch(
+                TRIALS,
+                || Vec::with_capacity(4),
+                |buf: &mut Vec<u64>, rng| {
+                    buf.clear();
+                    buf.extend((0..4).map(|_| u64::from(rng.gen_range(0..8u32))));
+                    buf.iter().sum()
+                },
+            )
     };
     let base = run(1);
     for threads in THREADS {
-        assert_eq!(run(threads), base, "scratch path drifted at threads={threads}");
+        assert_eq!(
+            run(threads),
+            base,
+            "scratch path drifted at threads={threads}"
+        );
     }
 }
 
@@ -168,7 +182,10 @@ fn sequential_stopping_point_identical_across_thread_counts() {
             .expect("panic-free run")
     };
     let base = run(1);
-    assert!(base.converged_early, "target must be reachable for this test");
+    assert!(
+        base.converged_early,
+        "target must be reachable for this test"
+    );
     assert_eq!(base.trials_completed % CHUNK_WIDTH, 0);
     for threads in THREADS {
         let report = run(threads);

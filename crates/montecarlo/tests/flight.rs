@@ -11,7 +11,7 @@
 //!   recovers exactly its valid prefix.
 
 use montecarlo::fault::{self, FaultPlan, Profile};
-use montecarlo::{Runner, RunReport, Seed, CHUNK_WIDTH};
+use montecarlo::{RunReport, Runner, Seed, CHUNK_WIDTH};
 use rand::Rng;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -27,7 +27,8 @@ const THREADS: [usize; 4] = [1, 2, 3, 8];
 /// these tests serialize on one lock.
 fn flight_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Clears the fault plan even when an assertion panics.
@@ -95,7 +96,10 @@ fn results_are_bit_identical_with_recorder_on_off_and_mirrored() {
         obs::flight::mirror_to(&mirror).unwrap();
         let mirrored = checksum_run(threads);
         obs::flight::unmirror();
-        assert_eq!(mirrored, baseline, "mirrored recorder drifted at threads={threads}");
+        assert_eq!(
+            mirrored, baseline,
+            "mirrored recorder drifted at threads={threads}"
+        );
     }
 
     // The mirror really captured framed events: one run_start per
@@ -104,9 +108,17 @@ fn results_are_bit_identical_with_recorder_on_off_and_mirrored() {
     let parsed = obs::flight::parse_log(&text);
     assert!(!parsed.torn, "a clean mirror has no torn tail");
     assert_eq!(parsed.skipped, 0);
-    let starts = parsed.events.iter().filter(|e| e.kind == "run_start").count();
+    let starts = parsed
+        .events
+        .iter()
+        .filter(|e| e.kind == "run_start")
+        .count();
     assert_eq!(starts, THREADS.len(), "one run_start per mirrored run");
-    let claims = parsed.events.iter().filter(|e| e.kind == "chunk_claimed").count();
+    let claims = parsed
+        .events
+        .iter()
+        .filter(|e| e.kind == "chunk_claimed")
+        .count();
     assert_eq!(claims as u64, CHUNKS * THREADS.len() as u64);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -142,7 +154,11 @@ fn exhausted_retries_write_a_dossier_ending_at_the_fault_site() {
         )
         .expect_err("zero retries plus a firing panic plan must fail the run");
     drop(_plan);
-    let montecarlo::Error::WorkerPanicked { chunk: failed_chunk, .. } = err else {
+    let montecarlo::Error::WorkerPanicked {
+        chunk: failed_chunk,
+        ..
+    } = err
+    else {
         panic!("expected WorkerPanicked, got {err}");
     };
 
@@ -153,7 +169,11 @@ fn exhausted_retries_write_a_dossier_ending_at_the_fault_site() {
         .filter(|n| n.starts_with("dossier-") && n.ends_with(".json"))
         .collect();
     names.sort();
-    assert_eq!(names.len(), 1, "exactly one dossier for the failed run: {names:?}");
+    assert_eq!(
+        names.len(),
+        1,
+        "exactly one dossier for the failed run: {names:?}"
+    );
     let text = std::fs::read_to_string(dir.join(&names[0])).unwrap();
     let dossier: obs::flight::Dossier =
         serde_json::from_str(&text).expect("the dossier round-trips through JSON");
@@ -166,12 +186,18 @@ fn exhausted_retries_write_a_dossier_ending_at_the_fault_site() {
         assert!(pair[0].seq < pair[1].seq, "event order corrupted");
     }
     let last = dossier.events.last().unwrap();
-    assert_eq!(last.kind, "chunk_failed", "the fault site is the final event");
+    assert_eq!(
+        last.kind, "chunk_failed",
+        "the fault site is the final event"
+    );
     assert_eq!(last.chunk, Some(failed_chunk));
     // The fault ledger delta attributes the crash to injected panics.
     let rendered = obs::flight::render_dossier(&dossier);
     assert!(rendered.contains("injected_panics="), "{rendered}");
-    assert!(rendered.contains("crash dossier: worker_panicked"), "{rendered}");
+    assert!(
+        rendered.contains("crash dossier: worker_panicked"),
+        "{rendered}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -198,7 +224,10 @@ fn mirrored_log_recovers_its_valid_prefix_after_a_torn_tail() {
     torn.push_str(&intact[..first_line / 2]);
     let parsed = obs::flight::parse_log(&torn);
     assert!(parsed.torn, "the partial frame is detected");
-    assert_eq!(parsed.events, full.events, "the valid prefix survives intact");
+    assert_eq!(
+        parsed.events, full.events,
+        "the valid prefix survives intact"
+    );
 
     // A flipped bit inside an earlier frame truncates from that frame on.
     let mut corrupt = intact.clone().into_bytes();

@@ -16,7 +16,8 @@ const TRIALS: u64 = 3 * CHUNK_WIDTH + 500;
 
 fn global_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[test]
@@ -96,7 +97,10 @@ fn run_telemetry_reflects_the_work_done() {
     let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
     assert_eq!(delta("mc.runner.runs"), 1);
     assert_eq!(delta("mc.runner.trials_completed"), TRIALS);
-    assert_eq!(delta("mc.runner.chunks_claimed"), TRIALS.div_ceil(CHUNK_WIDTH));
+    assert_eq!(
+        delta("mc.runner.chunks_claimed"),
+        TRIALS.div_ceil(CHUNK_WIDTH)
+    );
     assert_eq!(delta("mc.runner.deadline_truncations"), 0);
     let chunk_hist = after.histogram("mc.runner.chunk_wall_us").unwrap();
     assert!(chunk_hist.count >= TRIALS.div_ceil(CHUNK_WIDTH));

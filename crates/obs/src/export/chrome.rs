@@ -88,7 +88,7 @@ pub fn chrome_trace(snapshot: &Snapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SpanEventSnapshot, Snapshot};
+    use crate::{Snapshot, SpanEventSnapshot};
 
     fn empty() -> Snapshot {
         Snapshot {

@@ -59,8 +59,7 @@ fn help_table() -> &'static [(String, String)] {
 fn covers(pattern: &str, name: &str) -> bool {
     let pat: Vec<&str> = pattern.split('.').collect();
     let segs: Vec<&str> = name.split('.').collect();
-    pat.len() == segs.len()
-        && pat.iter().zip(&segs) .all(|(p, s)| *p == "*" || p == s)
+    pat.len() == segs.len() && pat.iter().zip(&segs).all(|(p, s)| *p == "*" || p == s)
 }
 
 /// The METRICS.md meaning of a raw (pre-sanitization) name, or an
@@ -94,7 +93,9 @@ fn sanitize(name: &str) -> String {
 
 /// Escapes a Prometheus label value (backslash, quote, newline).
 fn label_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// Renders the snapshot in the Prometheus text exposition format.
@@ -279,9 +280,7 @@ pub fn lint(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        CounterSnapshot, GaugeSnapshot, HistogramBucket, HistogramSnapshot, SpanSnapshot,
-    };
+    use crate::{CounterSnapshot, GaugeSnapshot, HistogramBucket, HistogramSnapshot, SpanSnapshot};
 
     fn sample() -> Snapshot {
         Snapshot {
@@ -327,7 +326,10 @@ mod tests {
 
     #[test]
     fn help_table_covers_documented_names() {
-        assert_eq!(help_text("mc.runner.runs"), "Monte-Carlo runner invocations.");
+        assert_eq!(
+            help_text("mc.runner.runs"),
+            "Monte-Carlo runner invocations."
+        );
         // Wildcard segments resolve per the METRICS.md convention.
         assert!(help_text("mmr.model.SC.trials").contains("Survival trials per model"));
         assert!(help_text("exp.t1.runs").contains("Completions per experiment"));
@@ -447,7 +449,9 @@ mod tests {
     #[test]
     fn live_snapshot_passes_lint() {
         crate::global().counter("export.test.prom").add(2);
-        crate::global().histogram("export.test.prom_hist").record(100);
+        crate::global()
+            .histogram("export.test.prom_hist")
+            .record(100);
         drop(crate::span("export.test.prom_span"));
         lint(&prometheus(&crate::snapshot())).unwrap();
     }

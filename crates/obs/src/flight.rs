@@ -214,7 +214,8 @@ static SINK: Mutex<FlightSink> = Mutex::new(FlightSink {
 });
 
 fn lock() -> std::sync::MutexGuard<'static, FlightSink> {
-    SINK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    SINK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Cached handle onto the ring-eviction counter.
@@ -244,7 +245,10 @@ pub fn clear() {
 ///
 /// Any error opening `path` for append.
 pub fn mirror_to(path: &Path) -> std::io::Result<()> {
-    let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+    let file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
     lock().mirror = Some(file);
     Ok(())
 }
@@ -400,14 +404,17 @@ pub fn set_dossier_dir(dir: &Path) -> std::io::Result<()> {
     let probe = dir.join(".mmre-probe");
     std::fs::write(&probe, b"probe")?;
     let _ = std::fs::remove_file(&probe);
-    *DOSSIER_DIR.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-        Some(dir.to_path_buf());
+    *DOSSIER_DIR
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(dir.to_path_buf());
     Ok(())
 }
 
 /// Uninstalls the dossier directory.
 pub fn clear_dossier_dir() {
-    *DOSSIER_DIR.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+    *DOSSIER_DIR
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
 }
 
 fn dossier_dir() -> Option<PathBuf> {
@@ -489,7 +496,10 @@ pub fn write_dossier(
 /// [`diff_logs`].
 #[must_use]
 pub fn is_payload(ev: &FlightEvent) -> bool {
-    matches!(ev.kind.as_str(), "request" | "run_start" | "run_end" | "wave_decided")
+    matches!(
+        ev.kind.as_str(),
+        "request" | "run_start" | "run_end" | "wave_decided"
+    )
 }
 
 fn fmt_t(t_us: u64) -> String {
@@ -609,8 +619,7 @@ pub fn render_histogram(events: &[FlightEvent]) -> String {
 #[must_use]
 pub fn render_convergence(events: &[FlightEvent]) -> String {
     let mut out = String::new();
-    let waves: Vec<&FlightEvent> =
-        events.iter().filter(|e| e.kind == "wave_decided").collect();
+    let waves: Vec<&FlightEvent> = events.iter().filter(|e| e.kind == "wave_decided").collect();
     if waves.is_empty() {
         let _ = writeln!(out, "convergence trajectory: no wave decisions recorded");
         return out;
@@ -622,7 +631,8 @@ pub fn render_convergence(events: &[FlightEvent]) -> String {
             "  wave {:>3}: n={:<10} rse={:<12} {}",
             i + 1,
             w.n.unwrap_or(0),
-            w.value.map_or_else(|| "?".to_owned(), |v| format!("{v:.4e}")),
+            w.value
+                .map_or_else(|| "?".to_owned(), |v| format!("{v:.4e}")),
             w.detail.as_deref().unwrap_or("")
         );
     }
@@ -795,9 +805,7 @@ pub fn render_dossier(d: &Dossier) -> String {
         let nonzero: Vec<String> = fields
             .iter()
             .filter_map(|(k, v)| match v {
-                Value::Number(n) if n.as_f64() != 0.0 => {
-                    Some(format!("{k}={}", n.as_f64() as u64))
-                }
+                Value::Number(n) if n.as_f64() != 0.0 => Some(format!("{k}={}", n.as_f64() as u64)),
                 _ => None,
             })
             .collect();
@@ -887,7 +895,10 @@ mod tests {
     #[test]
     fn unknown_version_is_skipped_not_fatal() {
         let json = serde_json::to_string(&ev(1, "run_start")).unwrap();
-        let future = format!("MMRE 9 {:08x} {json}\n", crc32(format!("9 {json}").as_bytes()));
+        let future = format!(
+            "MMRE 9 {:08x} {json}\n",
+            crc32(format!("9 {json}").as_bytes())
+        );
         let log = format!("{future}{}", frame(&json));
         let parsed = parse_log(&log);
         assert!(!parsed.torn);
@@ -966,25 +977,40 @@ mod tests {
         let rendered = render_dossier(&d);
         assert!(rendered.contains("injected_panics=3"), "{rendered}");
         // No tmp file left behind.
-        assert!(std::fs::read_dir(&dir).unwrap().all(|f| {
-            !f.unwrap().file_name().to_string_lossy().ends_with(".tmp")
-        }));
+        assert!(std::fs::read_dir(&dir)
+            .unwrap()
+            .all(|f| { !f.unwrap().file_name().to_string_lossy().ends_with(".tmp") }));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn timeline_renders_causality_chains() {
         let events = vec![
-            FlightEvent { chunk: Some(3), ..ev(1, "chunk_claimed") },
-            FlightEvent { chunk: Some(4), ..ev(2, "chunk_claimed") },
+            FlightEvent {
+                chunk: Some(3),
+                ..ev(1, "chunk_claimed")
+            },
+            FlightEvent {
+                chunk: Some(4),
+                ..ev(2, "chunk_claimed")
+            },
             FlightEvent {
                 chunk: Some(4),
                 attempt: Some(1),
                 detail: Some("panic".to_owned()),
                 ..ev(3, "fault_fired")
             },
-            FlightEvent { chunk: Some(4), attempt: Some(1), n: Some(800), ..ev(4, "backoff_slept") },
-            FlightEvent { chunk: Some(4), attempt: Some(2), ..ev(5, "chunk_retried") },
+            FlightEvent {
+                chunk: Some(4),
+                attempt: Some(1),
+                n: Some(800),
+                ..ev(4, "backoff_slept")
+            },
+            FlightEvent {
+                chunk: Some(4),
+                attempt: Some(2),
+                ..ev(5, "chunk_retried")
+            },
         ];
         let text = render_timeline(&events);
         assert!(text.contains("chunk 4: claimed"), "{text}");
@@ -1021,20 +1047,40 @@ mod tests {
     #[test]
     fn diff_ignores_timing_but_catches_payload_changes() {
         let a = vec![
-            FlightEvent { n: Some(100), ..ev(1, "run_start") },
-            FlightEvent { chunk: Some(0), ..ev(2, "chunk_claimed") },
+            FlightEvent {
+                n: Some(100),
+                ..ev(1, "run_start")
+            },
+            FlightEvent {
+                chunk: Some(0),
+                ..ev(2, "chunk_claimed")
+            },
             FlightEvent {
                 chunk: Some(0),
                 attempt: Some(1),
                 detail: Some("panic".to_owned()),
                 ..ev(3, "fault_fired")
             },
-            FlightEvent { n: Some(100), detail: Some("ok".to_owned()), ..ev(4, "run_end") },
+            FlightEvent {
+                n: Some(100),
+                detail: Some("ok".to_owned()),
+                ..ev(4, "run_end")
+            },
         ];
         // Twin: same payload, different timestamps/seq, no incidents.
         let b = vec![
-            FlightEvent { n: Some(100), t_us: 999, tid: 7, ..ev(9, "run_start") },
-            FlightEvent { n: Some(100), detail: Some("ok".to_owned()), t_us: 1_500, ..ev(10, "run_end") },
+            FlightEvent {
+                n: Some(100),
+                t_us: 999,
+                tid: 7,
+                ..ev(9, "run_start")
+            },
+            FlightEvent {
+                n: Some(100),
+                detail: Some("ok".to_owned()),
+                t_us: 1_500,
+                ..ev(10, "run_end")
+            },
         ];
         let d = diff_logs(&a, &b);
         assert_eq!(d.payload_divergences, 0, "{:?}", d.first_divergences);

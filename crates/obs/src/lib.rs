@@ -45,8 +45,8 @@ mod span;
 
 pub use flight::FlightEvent;
 pub use metrics::{
-    Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramBucket,
-    HistogramSnapshot, Registry,
+    Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramBucket, HistogramSnapshot,
+    Registry,
 };
 pub use span::{span, SpanEventSnapshot, SpanGuard, SpanSnapshot};
 
@@ -224,7 +224,10 @@ impl Snapshot {
     /// The value of a counter, if present.
     #[must_use]
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|c| c.name == name).map(|c| c.value)
+        self.counters
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| c.value)
     }
 
     /// The value of a gauge, if present.
@@ -251,7 +254,6 @@ impl Snapshot {
     pub fn flight_events(&self) -> &[FlightEvent] {
         self.flight_events.as_deref().unwrap_or(&[])
     }
-
 }
 
 /// Snapshots the [`global`] registry plus the span sink and the flight
@@ -272,7 +274,8 @@ pub fn snapshot() -> Snapshot {
 #[cfg(test)]
 pub(crate) fn test_ring_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -319,7 +319,7 @@ impl Registry {
                 spans: Vec::new(),
                 span_events: Vec::new(),
                 flight_events: None,
-            build_info: None,
+                build_info: None,
             }
         }
         #[cfg(not(feature = "enabled"))]
@@ -331,7 +331,7 @@ impl Registry {
                 spans: Vec::new(),
                 span_events: Vec::new(),
                 flight_events: None,
-            build_info: None,
+                build_info: None,
             }
         }
     }

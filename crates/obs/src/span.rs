@@ -305,7 +305,11 @@ mod tests {
         }
         let (_, events) = snapshot();
         crate::set_ring_capacity(0);
-        assert!(events.len() <= 8, "ring held {} events at cap 8", events.len());
+        assert!(
+            events.len() <= 8,
+            "ring held {} events at cap 8",
+            events.len()
+        );
         assert!(spans_dropped().get() >= before + 12);
     }
 

@@ -224,7 +224,10 @@ mod tests {
             .unwrap();
         let p = gen.generate(&mut rng);
         let frac = p.filler_store_count() as f64 / 10_000.0;
-        assert!((frac - 0.3).abs() < 0.02, "store fraction {frac} far from 0.3");
+        assert!(
+            (frac - 0.3).abs() < 0.02,
+            "store fraction {frac} far from 0.3"
+        );
     }
 
     #[test]
@@ -238,7 +241,9 @@ mod tests {
     #[test]
     fn deterministic_patterns() {
         assert_eq!(
-            ProgramGenerator::all_stores(3).unwrap().filler_store_count(),
+            ProgramGenerator::all_stores(3)
+                .unwrap()
+                .filler_store_count(),
             3
         );
         assert_eq!(
@@ -251,7 +256,9 @@ mod tests {
     fn regenerate_matches_generate_bit_for_bit() {
         // Same seed through either route must yield the same program AND
         // leave the RNG in the same state (identical draw sequence).
-        let gen = ProgramGenerator::new(48).with_store_probability(0.35).unwrap();
+        let gen = ProgramGenerator::new(48)
+            .with_store_probability(0.35)
+            .unwrap();
         let mut scratch = gen.generate(&mut SmallRng::seed_from_u64(999));
         for seed in 0..30 {
             let mut fresh_rng = SmallRng::seed_from_u64(seed);

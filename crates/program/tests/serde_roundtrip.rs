@@ -46,8 +46,7 @@ fn memory_model_round_trips() {
         assert_eq!(model, back);
     }
     let custom = MemoryModel::Custom(ReorderMatrix::new(true, false, true, false));
-    let back: MemoryModel =
-        serde_json::from_str(&serde_json::to_string(&custom).unwrap()).unwrap();
+    let back: MemoryModel = serde_json::from_str(&serde_json::to_string(&custom).unwrap()).unwrap();
     assert_eq!(custom, back);
 }
 

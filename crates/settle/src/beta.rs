@@ -155,8 +155,7 @@ mod tests {
         // 1/2, 1/4, 1/8, 1/8.
         let program = Program::from_filler_types(&[St, St, St]).unwrap();
         let settler = Settler::for_model(MemoryModel::Tso);
-        let beta =
-            BetaDistribution::for_round(&settler, &program, &identity(program.len()), 3);
+        let beta = BetaDistribution::for_round(&settler, &program, &identity(program.len()), 3);
         assert!((beta.pmf(3) - 0.5).abs() < 1e-12);
         assert!((beta.pmf(2) - 0.25).abs() < 1e-12);
         assert!((beta.pmf(1) - 0.125).abs() < 1e-12);

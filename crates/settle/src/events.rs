@@ -50,7 +50,10 @@ impl fmt::Display for PrefixError {
         match self {
             PrefixError::Empty => write!(f, "the bottom of an empty prefix is undefined"),
             PrefixError::TooLong { rounds, len } => {
-                write!(f, "cannot settle {rounds} rounds of a {len}-instruction program")
+                write!(
+                    f,
+                    "cannot settle {rounds} rounds of a {len}-instruction program"
+                )
             }
         }
     }
@@ -124,11 +127,7 @@ pub fn l_mu_keyed<R: Rng + ?Sized>(
 /// Panics if `program`'s critical load is not preceded only by fillers
 /// (e.g. a fence between the fillers and the critical pair is fine — it
 /// just terminates the ST run).
-pub fn observe_l_mu<R: Rng + ?Sized>(
-    settler: &Settler,
-    program: &Program,
-    rng: &mut R,
-) -> u64 {
+pub fn observe_l_mu<R: Rng + ?Sized>(settler: &Settler, program: &Program, rng: &mut R) -> u64 {
     let m = program.critical_load_index();
     let settled = settler.settle_rounds(program, m, rng);
     let mut count = 0;
@@ -224,7 +223,15 @@ mod tests {
         let gen = ProgramGenerator::new(4);
         let shape = ProgramShape::new(&gen.generate(&mut rng(0)));
         let mut r = rng(1);
-        let result = bottom_store_keyed(&settler, &shape, 7, gen.store_threshold(), 0, &mut SettleScratch::new(), &mut r);
+        let result = bottom_store_keyed(
+            &settler,
+            &shape,
+            7,
+            gen.store_threshold(),
+            0,
+            &mut SettleScratch::new(),
+            &mut r,
+        );
         assert_eq!(result, Err(PrefixError::Empty));
         assert_eq!(r, rng(1), "an error draws nothing");
         assert!(PrefixError::Empty.to_string().contains("empty prefix"));
@@ -241,9 +248,14 @@ mod tests {
         let result = bottom_store_keyed(&settler, &shape, 7, threshold, 7, &mut scratch, &mut r);
         assert_eq!(result, Err(PrefixError::TooLong { rounds: 7, len: 6 }));
         assert_eq!(r, rng(1), "an error draws nothing");
-        assert!(result.unwrap_err().to_string().contains("7 rounds of a 6-instruction"));
+        assert!(result
+            .unwrap_err()
+            .to_string()
+            .contains("7 rounds of a 6-instruction"));
         // The whole program is a valid prefix.
-        assert!(bottom_store_keyed(&settler, &shape, 7, threshold, 6, &mut scratch, &mut r).is_ok());
+        assert!(
+            bottom_store_keyed(&settler, &shape, 7, threshold, 6, &mut scratch, &mut r).is_ok()
+        );
     }
 
     #[test]
@@ -255,15 +267,33 @@ mod tests {
         let (all_st, all_ld) = (memmodel::bool_threshold(1.0), memmodel::bool_threshold(0.0));
         let mut scratch = SettleScratch::new();
         let mut r = rng(0);
-        assert_eq!(l_mu_keyed(&settler, &shape, 3, all_st, &mut scratch, &mut r), 5);
-        assert_eq!(l_mu_keyed(&settler, &shape, 3, all_ld, &mut scratch, &mut r), 0);
+        assert_eq!(
+            l_mu_keyed(&settler, &shape, 3, all_st, &mut scratch, &mut r),
+            5
+        );
+        assert_eq!(
+            l_mu_keyed(&settler, &shape, 3, all_ld, &mut scratch, &mut r),
+            0
+        );
         for i in 1..=5 {
-            assert_eq!(bottom_store_keyed(&settler, &shape, 3, all_st, i, &mut scratch, &mut r), Ok(true));
-            assert_eq!(bottom_store_keyed(&settler, &shape, 3, all_ld, i, &mut scratch, &mut r), Ok(false));
+            assert_eq!(
+                bottom_store_keyed(&settler, &shape, 3, all_st, i, &mut scratch, &mut r),
+                Ok(true)
+            );
+            assert_eq!(
+                bottom_store_keyed(&settler, &shape, 3, all_ld, i, &mut scratch, &mut r),
+                Ok(false)
+            );
         }
         // The 6th instruction is the critical load, the 7th the critical store.
-        assert_eq!(bottom_store_keyed(&settler, &shape, 3, all_st, 6, &mut scratch, &mut r), Ok(false));
-        assert_eq!(bottom_store_keyed(&settler, &shape, 3, all_ld, 7, &mut scratch, &mut r), Ok(true));
+        assert_eq!(
+            bottom_store_keyed(&settler, &shape, 3, all_st, 6, &mut scratch, &mut r),
+            Ok(false)
+        );
+        assert_eq!(
+            bottom_store_keyed(&settler, &shape, 3, all_ld, 7, &mut scratch, &mut r),
+            Ok(true)
+        );
         assert_eq!(r, rng(0), "SC is inert: no settle key is drawn");
     }
 

@@ -128,7 +128,10 @@ pub fn window_pmf_finite_m(settler: &Settler, m: usize) -> Vec<f64> {
             })
             .collect();
         let program = Program::from_filler_types(&types).expect("valid program");
-        for (cell, p) in pmf.iter_mut().zip(window_pmf_for_program(settler, &program)) {
+        for (cell, p) in pmf
+            .iter_mut()
+            .zip(window_pmf_for_program(settler, &program))
+        {
             *cell += weight * p;
         }
     }
@@ -195,15 +198,17 @@ mod tests {
 
     #[test]
     fn exact_matches_monte_carlo_per_program() {
-        let trials: u64 = if cfg!(debug_assertions) { 40_000 } else { 200_000 };
+        let trials: u64 = if cfg!(debug_assertions) {
+            40_000
+        } else {
+            200_000
+        };
         let program = Program::from_filler_types(&[St, Ld, St, St, Ld]).unwrap();
         for model in [MemoryModel::Tso, MemoryModel::Wo, MemoryModel::Pso] {
             let s = settler(model);
             let exact = window_pmf_for_program(&s, &program);
             let prog = program.clone();
-            let h = Runner::new(Seed(31)).histogram(trials, move |rng| {
-                s.sample_gamma(&prog, rng)
-            });
+            let h = Runner::new(Seed(31)).histogram(trials, move |rng| s.sample_gamma(&prog, rng));
             for (gamma, &p) in exact.iter().enumerate() {
                 let observed = h.pmf(gamma as u64);
                 assert!(

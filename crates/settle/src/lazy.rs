@@ -88,7 +88,8 @@
 //! at fixed `r`. Past the walk budget only the prefix is settled forward.
 
 use crate::process::{
-    attempt_draw, climb, image_gamma, is_store, ProgramShape, Tables, BLOCKED, ST_FLAG_SHIFT, UNTYPED,
+    attempt_draw, climb, image_gamma, is_store, ProgramShape, Tables, BLOCKED, ST_FLAG_SHIFT,
+    UNTYPED,
 };
 use progmodel::filler_is_store;
 
@@ -238,11 +239,15 @@ impl LazyScratch {
     ) -> (u64, u64) {
         debug_assert!(cap <= rounds && rounds <= shape.len());
         let mut walk = self.start(shape, program, tables, key, rounds);
-        let run = walk.store_run_within_budget(rounds, cap).unwrap_or_else(|| {
-            walk.settle_forward(rounds);
-            let bottom = walk.work.iter().rev().take(cap);
-            bottom.take_while(|&&entry| is_store((entry >> 32) as u32)).count() as u64
-        });
+        let run = walk
+            .store_run_within_budget(rounds, cap)
+            .unwrap_or_else(|| {
+                walk.settle_forward(rounds);
+                let bottom = walk.work.iter().rev().take(cap);
+                bottom
+                    .take_while(|&&entry| is_store((entry >> 32) as u32))
+                    .count() as u64
+            });
         (run, walk.finish(rounds))
     }
 
@@ -340,7 +345,11 @@ impl Walk<'_> {
             // matters only as far as the critical LD's depth (revealing it
             // in one climb decides the same attempts as first revealing it
             // to the critical ST's depth).
-            let limit = if r == ld || r == st { u32::MAX } else { ld_depth };
+            let limit = if r == ld || r == st {
+                u32::MAX
+            } else {
+                ld_depth
+            };
             let climbed = self.climb(r, limit)?;
             if r == ld {
                 ld_depth = climbed;
@@ -438,8 +447,14 @@ impl Walk<'_> {
                     if draw < reach {
                         // Suspend, and look up what the mover meets: the
                         // instruction at depth k after round r - 1.
-                        #[allow(clippy::cast_possible_truncation)] // rounds fit u32 (see `encode_with`)
-                        let frame = Frame { draw, round: r as u32, depth: d, mover };
+                        #[allow(clippy::cast_possible_truncation)]
+                        // rounds fit u32 (see `encode_with`)
+                        let frame = Frame {
+                            draw,
+                            round: r as u32,
+                            depth: d,
+                            mover,
+                        };
                         self.stack[suspended] = frame;
                         suspended += 1;
                         r -= 1;
@@ -475,7 +490,11 @@ impl Walk<'_> {
             self.attempts += 1;
             let threshold = self.tables.threshold(self.word(r), frame.mover);
             let k = self.know[mover];
-            know = if frame.draw < threshold { k + 1 } else { k | DONE };
+            know = if frame.draw < threshold {
+                k + 1
+            } else {
+                k | DONE
+            };
             self.know[mover] = know;
             r = mover;
             d = frame.depth;
@@ -514,8 +533,13 @@ mod tests {
         let probs = if rng.gen_bool(0.3) {
             SettleProbs::canonical()
         } else {
-            SettleProbs::per_pair(probability(rng), probability(rng), probability(rng), probability(rng))
-                .expect("valid probabilities")
+            SettleProbs::per_pair(
+                probability(rng),
+                probability(rng),
+                probability(rng),
+                probability(rng),
+            )
+            .expect("valid probabilities")
         };
         Settler::new(matrix, probs)
             .with_fence_pass_probability([0.0, 0.5, 1.0][rng.gen_range(0..3)])
@@ -555,7 +579,11 @@ mod tests {
         let mut scratch = SettleScratch::new();
         let (mut cases, mut saved, mut finished_forward) = (0u64, 0u64, 0u64);
         for _ in 0..10_000 {
-            let m = if rng.gen_bool(0.2) { rng.gen_range(0..=200) } else { rng.gen_range(0..=24) };
+            let m = if rng.gen_bool(0.2) {
+                rng.gen_range(0..=200)
+            } else {
+                rng.gen_range(0..=24)
+            };
             let program = program(&mut rng, m);
             for _ in 0..10 {
                 let settler = settler(&mut rng);
@@ -577,7 +605,10 @@ mod tests {
         assert!(saved > 0, "the lazy kernel never skipped an attempt");
         // Both halves of the kernel are exercised: most settles stay lazy,
         // and some long-climb settles run out of walk budget.
-        assert!(finished_forward > 0 && finished_forward < cases / 2, "{finished_forward}");
+        assert!(
+            finished_forward > 0 && finished_forward < cases / 2,
+            "{finished_forward}"
+        );
     }
 
     #[test]
@@ -610,16 +641,32 @@ mod tests {
             let settler = settler(&mut rng);
             let store_threshold = memmodel::bool_threshold(probability(&mut rng));
             let program_key = rng.gen();
-            let (_, (gamma, attempts), finished) = scratch.forward_and_lazy(&settler, &program, rng.gen());
+            let (_, (gamma, attempts), finished) =
+                scratch.forward_and_lazy(&settler, &program, rng.gen());
             let mut settled = vec![(gamma, attempts, finished)];
             for fresh in [true, false] {
-                settled.push(scratch.traced_keyed_gamma(&settler, &shape, store_threshold, program_key, rng.gen(), fresh));
+                settled.push(scratch.traced_keyed_gamma(
+                    &settler,
+                    &shape,
+                    store_threshold,
+                    program_key,
+                    rng.gen(),
+                    fresh,
+                ));
             }
             for _ in 0..2 {
                 let rounds = rng.gen_range(1..=program.len());
                 let cap = rng.gen_range(0..=rounds);
                 let key = rng.gen();
-                settled.push(scratch.traced_store_run(&settler, &shape, store_threshold, program_key, key, rounds, cap));
+                settled.push(scratch.traced_store_run(
+                    &settler,
+                    &shape,
+                    store_threshold,
+                    program_key,
+                    key,
+                    rounds,
+                    cap,
+                ));
             }
             for settle in settled {
                 forward += u64::from(settle.2);
@@ -629,7 +676,10 @@ mod tests {
         }
         assert_eq!(settles, 100_000);
         assert!(forward > 0, "no settle ran out of walk budget");
-        assert_eq!(hash, 0x7fd3_4b59_1c6d_44ff, "the settle stream moved: {hash:#018x} ({forward} finished forward)");
+        assert_eq!(
+            hash, 0x7fd3_4b59_1c6d_44ff,
+            "the settle stream moved: {hash:#018x} ({forward} finished forward)"
+        );
     }
 
     #[test]
@@ -652,7 +702,8 @@ mod tests {
                             .expect("valid fence probability");
                         let program = program(&mut rng, m);
                         let key = rng.gen();
-                        let ((gamma, _), (lazy, _), finished) = scratch.forward_and_lazy(&settler, &program, key);
+                        let ((gamma, _), (lazy, _), finished) =
+                            scratch.forward_and_lazy(&settler, &program, key);
                         assert_eq!(lazy, gamma, "{model} m {m}, s {s}, key {key:#x}");
                         forward += u64::from(finished);
                         settles += 1;
@@ -661,8 +712,13 @@ mod tests {
             }
             (settles, forward)
         });
-        let (settles, forward) = worker.join().expect("the deep walks ran on a default stack");
-        assert!(forward > 0 && forward < settles, "{forward} of {settles} settles finished forward");
+        let (settles, forward) = worker
+            .join()
+            .expect("the deep walks ran on a default stack");
+        assert!(
+            forward > 0 && forward < settles,
+            "{forward} of {settles} settles finished forward"
+        );
     }
 
     #[test]
@@ -676,7 +732,11 @@ mod tests {
         let (mut out_m, mut out_k) = ([0u64; 16], [0u64; 16]);
         let mut cases = 0u64;
         for _ in 0..10_000 {
-            let m = if rng.gen_bool(0.2) { rng.gen_range(0..=200) } else { rng.gen_range(0..=24) };
+            let m = if rng.gen_bool(0.2) {
+                rng.gen_range(0..=200)
+            } else {
+                rng.gen_range(0..=24)
+            };
             let mut program = program(&mut rng, m);
             if rng.gen_bool(0.2) {
                 program = program.with_acquire_before_critical();
@@ -694,10 +754,24 @@ mod tests {
                 gen.regenerate(&mut program, &mut a);
                 settler.sample_gammas_scratch(&program, &mut out_m[..n], &mut materialised, &mut a);
                 let key = gen.draw_key(&mut b);
-                settler.sample_gammas_keyed(&shape, gen.store_threshold(), key, &mut out_k[..n], &mut keyed, &mut b);
+                settler.sample_gammas_keyed(
+                    &shape,
+                    gen.store_threshold(),
+                    key,
+                    &mut out_k[..n],
+                    &mut keyed,
+                    &mut b,
+                );
 
-                assert_eq!(out_k[..n], out_m[..n], "{settler:?} {gen} key {key:#x} on {program:?}");
-                assert_eq!(a, b, "RNG end states differ: {settler:?} {gen} on {program:?}");
+                assert_eq!(
+                    out_k[..n],
+                    out_m[..n],
+                    "{settler:?} {gen} key {key:#x} on {program:?}"
+                );
+                assert_eq!(
+                    a, b,
+                    "RNG end states differ: {settler:?} {gen} on {program:?}"
+                );
                 cases += 1;
             }
         }
@@ -722,7 +796,11 @@ mod tests {
             }
         };
         for _ in 0..10_000 {
-            let m = if rng.gen_bool(0.2) { rng.gen_range(0..=200) } else { rng.gen_range(0..=24) };
+            let m = if rng.gen_bool(0.2) {
+                rng.gen_range(0..=200)
+            } else {
+                rng.gen_range(0..=24)
+            };
             let mut program = program(&mut rng, m);
             if rng.gen_bool(0.2) {
                 program = program.with_acquire_before_critical();
@@ -744,21 +822,40 @@ mod tests {
                 let l_mu = events::observe_l_mu(&settler, &program, &mut a);
 
                 let key = gen.draw_key(&mut b);
-                let keyed_bottom = events::bottom_store_keyed(&settler, &shape, key, threshold, i, &mut scratch, &mut b);
+                let keyed_bottom = events::bottom_store_keyed(
+                    &settler,
+                    &shape,
+                    key,
+                    threshold,
+                    i,
+                    &mut scratch,
+                    &mut b,
+                );
                 tally(&scratch);
                 let key = gen.draw_key(&mut b);
-                let keyed_l_mu = events::l_mu_keyed(&settler, &shape, key, threshold, &mut scratch, &mut b);
+                let keyed_l_mu =
+                    events::l_mu_keyed(&settler, &shape, key, threshold, &mut scratch, &mut b);
                 tally(&scratch);
 
-                assert_eq!(keyed_bottom, Ok(bottom), "{settler:?} {gen} i {i} on {program:?}");
+                assert_eq!(
+                    keyed_bottom,
+                    Ok(bottom),
+                    "{settler:?} {gen} i {i} on {program:?}"
+                );
                 assert_eq!(keyed_l_mu, l_mu, "{settler:?} {gen} on {program:?}");
-                assert_eq!(a, b, "RNG end states differ: {settler:?} {gen} i {i} on {program:?}");
+                assert_eq!(
+                    a, b,
+                    "RNG end states differ: {settler:?} {gen} i {i} on {program:?}"
+                );
                 cases += 1;
             }
         }
         assert_eq!(cases, 100_000);
         // Both halves of the kernel are exercised: most prefixes are read by
         // lookups, and some long-climb prefixes run out of walk budget.
-        assert!(forward > 0 && forward < lazy, "lazy {lazy}, forward {forward}");
+        assert!(
+            forward > 0 && forward < lazy,
+            "lazy {lazy}, forward {forward}"
+        );
     }
 }

@@ -90,7 +90,7 @@ mod perm;
 mod process;
 mod trace;
 
-pub use perm::{NotAPermutation, Permutation};
 pub use memmodel::bool_threshold;
+pub use perm::{NotAPermutation, Permutation};
 pub use process::{attempt_draw, KeyedWindows, ProgramShape, SettleScratch, Settled, Settler};
 pub use trace::{SettleTrace, TraceRound};

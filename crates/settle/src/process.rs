@@ -68,11 +68,21 @@ impl Settler {
 
     /// The settler of the given parameters, with its draw thresholds
     /// resolved.
-    fn with_tables(matrix: ReorderMatrix, probs: SettleProbs, fence_pass_probability: f64) -> Settler {
+    fn with_tables(
+        matrix: ReorderMatrix,
+        probs: SettleProbs,
+        fence_pass_probability: f64,
+    ) -> Settler {
         let threshold = |earlier, later| bool_threshold(probs.effective(&matrix, earlier, later));
         let eff = [
-            [threshold(OpType::Ld, OpType::Ld), threshold(OpType::Ld, OpType::St)],
-            [threshold(OpType::St, OpType::Ld), threshold(OpType::St, OpType::St)],
+            [
+                threshold(OpType::Ld, OpType::Ld),
+                threshold(OpType::Ld, OpType::St),
+            ],
+            [
+                threshold(OpType::St, OpType::Ld),
+                threshold(OpType::St, OpType::St),
+            ],
         ];
         let fence = bool_threshold(fence_pass_probability);
         Settler {
@@ -166,7 +176,11 @@ impl Settler {
     /// the settler is inert on `program` — no memory pair may reorder and
     /// no fence may be hoisted past — in which case the settle draws
     /// nothing and the settled order is the identity.
-    pub(crate) fn settle_key<R: Rng + ?Sized>(&self, program: &Program, rng: &mut R) -> Option<u64> {
+    pub(crate) fn settle_key<R: Rng + ?Sized>(
+        &self,
+        program: &Program,
+        rng: &mut R,
+    ) -> Option<u64> {
         let tables = self.tables(program.iter().any(|ins| is_release(encode(ins))));
         (!tables.inert()).then(|| rng.next_u64())
     }
@@ -205,7 +219,13 @@ impl Settler {
     /// addresses as the packed kernel, and zero and one probabilities read
     /// nothing on both, so the two agree bit for bit for a given key
     /// (asserted by the equivalence regression tests).
-    pub(crate) fn settle_one(&self, program: &Program, order: &mut [usize], start: usize, key: u64) {
+    pub(crate) fn settle_one(
+        &self,
+        program: &Program,
+        order: &mut [usize],
+        start: usize,
+        key: u64,
+    ) {
         let mover = &program[order[start]];
         let (mover_op, mover_loc) = match mover.kind() {
             // Fences never settle: every swap probability is zero.
@@ -291,7 +311,10 @@ impl Settler {
         }
         scratch.words.reset(0, 0);
         for slot in out {
-            *slot = scratch.lazy.gamma(shape, &mut scratch.words, tables, rng.next_u64()).0;
+            *slot = scratch
+                .lazy
+                .gamma(shape, &mut scratch.words, tables, rng.next_u64())
+                .0;
         }
     }
 
@@ -315,7 +338,8 @@ impl Settler {
         scratch: &mut SettleScratch,
         rng: &mut R,
     ) {
-        let mut windows = self.keyed_windows(shape, store_threshold, program_key, out.len(), scratch, rng);
+        let mut windows =
+            self.keyed_windows(shape, store_threshold, program_key, out.len(), scratch, rng);
         for (i, slot) in out.iter_mut().enumerate() {
             *slot = windows.gamma(i);
         }
@@ -352,7 +376,11 @@ impl Settler {
             scratch.windows.resize(n, UNSETTLED);
             scratch.words.reset(program_key, store_threshold);
         }
-        KeyedWindows { shape, tables, scratch }
+        KeyedWindows {
+            shape,
+            tables,
+            scratch,
+        }
     }
 
     /// The number of stores at the bottom of the settled prefix of
@@ -377,7 +405,10 @@ impl Settler {
         // An inert settle reads no attempt, so its key is never used.
         let key = if tables.inert() { 0 } else { rng.next_u64() };
         scratch.words.reset(program_key, store_threshold);
-        scratch.lazy.store_run(shape, &mut scratch.words, tables, key, rounds, cap).0
+        scratch
+            .lazy
+            .store_run(shape, &mut scratch.words, tables, key, rounds, cap)
+            .0
     }
 
     /// The integer draw thresholds of this settler for a program with
@@ -421,7 +452,15 @@ impl KeyedWindows<'_> {
             return memo;
         }
         let scratch = &mut *self.scratch;
-        let gamma = scratch.lazy.gamma(self.shape, &mut scratch.words, self.tables, scratch.keys[slot]).0;
+        let gamma = scratch
+            .lazy
+            .gamma(
+                self.shape,
+                &mut scratch.words,
+                self.tables,
+                scratch.keys[slot],
+            )
+            .0;
         scratch.windows[slot] = gamma;
         gamma
     }
@@ -504,13 +543,21 @@ pub(crate) fn settle_packed(packed: &mut [u64], tables: &Tables, rounds: usize, 
     if tables.inert() {
         return 0;
     }
-    (0..rounds).map(|round| climb(packed, tables, key, round, round)).sum()
+    (0..rounds)
+        .map(|round| climb(packed, tables, key, round, round))
+        .sum()
 }
 
 /// Continues round `round` of a forward settle: the mover sits at `pos`,
 /// having won attempts `0..round - pos`, and climbs on until an attempt
 /// fails or it reaches the top. Returns the attempts evaluated.
-pub(crate) fn climb(image: &mut [u64], tables: &Tables, key: u64, round: usize, mut pos: usize) -> u64 {
+pub(crate) fn climb(
+    image: &mut [u64],
+    tables: &Tables,
+    key: u64,
+    round: usize,
+    mut pos: usize,
+) -> u64 {
     let mover = (image[pos] >> 32) as u32;
     // Fences never settle, and a mover that can pass nothing never
     // climbs: no attempt, no swap.
@@ -591,7 +638,10 @@ pub(crate) fn encode(ins: &Instruction) -> u32 {
         }
         InstrKind::Mem(op) => {
             let loc = ins.loc().expect("memory access has a location").raw();
-            assert!(loc < LOC_MASK, "location id {loc} exceeds the packed encoding");
+            assert!(
+                loc < LOC_MASK,
+                "location id {loc} exceeds the packed encoding"
+            );
             (u32::from(op == OpType::St) << ST_FLAG_SHIFT) | loc
         }
     }
@@ -624,7 +674,9 @@ impl Image {
 /// 32) | initial index` per instruction — reusing the buffer's allocation.
 fn encode_image(program: &Program, packed: &mut Vec<u64>) -> Image {
     packed.clear();
-    encode_with(program, |i, word| packed.push((u64::from(word) << 32) | i as u64))
+    encode_with(program, |i, word| {
+        packed.push((u64::from(word) << 32) | i as u64)
+    })
 }
 
 /// Encodes each instruction of `program` in initial order, handing
@@ -632,7 +684,10 @@ fn encode_image(program: &Program, packed: &mut Vec<u64>) -> Image {
 fn encode_with(program: &Program, mut push: impl FnMut(usize, u32)) -> Image {
     // Rounds, depths and climbs fit 31 bits (the lazy kernel's knowledge
     // words keep a flag in the 32nd).
-    assert!(program.len() < 1 << 31, "program too large for the packed settling image");
+    assert!(
+        program.len() < 1 << 31,
+        "program too large for the packed settling image"
+    );
     let mut image = Image {
         has_release: false,
         ld: usize::MAX,
@@ -783,7 +838,10 @@ impl SettleScratch {
         if self.keys.is_empty() {
             return 0;
         }
-        self.windows.iter().filter(|&&gamma| gamma != UNSETTLED).count()
+        self.windows
+            .iter()
+            .filter(|&&gamma| gamma != UNSETTLED)
+            .count()
     }
 
     /// The settled order of the last [`Settler::settle_into`] call:
@@ -823,7 +881,6 @@ impl SettleScratch {
     }
 }
 
-
 #[cfg(test)]
 impl SettleScratch {
     /// Both γ kernels on one settle key:
@@ -838,7 +895,9 @@ impl SettleScratch {
         self.materialised.encode(program, false);
         let tables = settler.tables(self.materialised.image.has_release);
         self.words.reset(0, 0);
-        let lazy = self.lazy.gamma(&self.materialised, &mut self.words, tables, key);
+        let lazy = self
+            .lazy
+            .gamma(&self.materialised, &mut self.words, tables, key);
         let finished_forward = self.lazy.finished_forward();
         encode_image(program, &mut self.packed);
         let attempts = settle_packed(&mut self.packed, tables, program.len(), key);
@@ -890,7 +949,9 @@ impl SettleScratch {
     ) -> (u64, u64, bool) {
         let tables = settler.tables(shape.image.has_release);
         self.words.reset(program_key, store_threshold);
-        let (run, attempts) = self.lazy.store_run(shape, &mut self.words, tables, key, rounds, cap);
+        let (run, attempts) = self
+            .lazy
+            .store_run(shape, &mut self.words, tables, key, rounds, cap);
         (run, attempts, self.lazy.finished_forward())
     }
 }
@@ -1067,10 +1128,7 @@ mod tests {
     fn certain_swaps_climb_all_the_way() {
         // With s = 1 under WO, each instruction climbs to the top (blocked
         // only by same-location conflicts), reversing the filler order.
-        let settler = Settler::new(
-            ReorderMatrix::all(),
-            SettleProbs::uniform(1.0).unwrap(),
-        );
+        let settler = Settler::new(ReorderMatrix::all(), SettleProbs::uniform(1.0).unwrap());
         let p = Program::from_filler_types(&[St, Ld, St]).unwrap();
         let s = settler.settle(&p, &mut rng(0));
         // Every round sends the new instruction straight to the top, so the
@@ -1238,7 +1296,10 @@ mod tests {
                 let old = settler.settle(&p, &mut old_rng).gamma();
                 let new = settler.sample_gamma_scratch(&p, &mut scratch, &mut new_rng);
                 assert_eq!(old, new, "{model} seed {seed}: γ diverged");
-                assert_eq!(old_rng, new_rng, "{model} seed {seed}: RNG streams diverged");
+                assert_eq!(
+                    old_rng, new_rng,
+                    "{model} seed {seed}: RNG streams diverged"
+                );
             }
         }
     }
@@ -1297,10 +1358,15 @@ mod tests {
                 let p = program(24, seed);
                 let mut seq_rng = rng(seed * 41 + 3);
                 let mut batch_rng = seq_rng.clone();
-                let seq: Vec<u64> = (0..4).map(|_| settler.settle(&p, &mut seq_rng).gamma()).collect();
+                let seq: Vec<u64> = (0..4)
+                    .map(|_| settler.settle(&p, &mut seq_rng).gamma())
+                    .collect();
                 settler.sample_gammas_scratch(&p, &mut batch, &mut scratch, &mut batch_rng);
                 assert_eq!(seq, batch, "{model} seed {seed}: γ batch diverged");
-                assert_eq!(seq_rng, batch_rng, "{model} seed {seed}: RNG streams diverged");
+                assert_eq!(
+                    seq_rng, batch_rng,
+                    "{model} seed {seed}: RNG streams diverged"
+                );
             }
         }
     }
@@ -1310,13 +1376,23 @@ mod tests {
         // Attempt k of round r is output r·2³² + k of the SplitMix64
         // stream seeded with the key: the reference outputs of seed 0,
         // then random access into the stream.
-        let reference = [0xe220_a839_7b1d_cdaf_u64, 0x6e78_9e6a_a1b9_65f4, 0x06c4_5d18_8009_454f];
+        let reference = [
+            0xe220_a839_7b1d_cdaf_u64,
+            0x6e78_9e6a_a1b9_65f4,
+            0x06c4_5d18_8009_454f,
+        ];
         for (attempt, want) in reference.into_iter().enumerate() {
             assert_eq!(attempt_draw(0, 0, attempt), want >> 11);
         }
         let step = 0x9E37_79B9_7F4A_7C15_u64;
-        assert_eq!(attempt_draw(step.wrapping_mul(1 << 32), 0, 1), attempt_draw(0, 1, 1));
-        assert_eq!(attempt_draw(7, 3, 2), attempt_draw(7u64.wrapping_add(step.wrapping_mul(2)), 3, 0));
+        assert_eq!(
+            attempt_draw(step.wrapping_mul(1 << 32), 0, 1),
+            attempt_draw(0, 1, 1)
+        );
+        assert_eq!(
+            attempt_draw(7, 3, 2),
+            attempt_draw(7u64.wrapping_add(step.wrapping_mul(2)), 3, 0)
+        );
     }
 
     #[test]

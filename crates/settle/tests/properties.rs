@@ -15,10 +15,7 @@ fn arb_matrix() -> impl Strategy<Value = ReorderMatrix> {
 }
 
 fn arb_types(max: usize) -> impl Strategy<Value = Vec<OpType>> {
-    proptest::collection::vec(
-        prop_oneof![Just(OpType::Ld), Just(OpType::St)],
-        0..max,
-    )
+    proptest::collection::vec(prop_oneof![Just(OpType::Ld), Just(OpType::St)], 0..max)
 }
 
 fn arb_prob() -> impl Strategy<Value = f64> {

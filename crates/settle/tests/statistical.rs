@@ -19,7 +19,11 @@ const M: usize = 64; // filler length; truncation error ~2^-M
 /// Debug builds run ~20x slower; use a smaller (still ample) sample size so
 /// `cargo test --workspace` stays quick. Release/bench runs use the full
 /// count.
-const N_SAMPLES: u64 = if cfg!(debug_assertions) { 30_000 } else { 200_000 };
+const N_SAMPLES: u64 = if cfg!(debug_assertions) {
+    30_000
+} else {
+    200_000
+};
 
 fn window_histogram(model: MemoryModel, seed: u64) -> montecarlo::Histogram {
     let settler = Settler::for_model(model);
@@ -212,7 +216,10 @@ fn gamma_route_matches_exact_enumeration_at_small_m() {
     )
     .with_fence_pass_probability(0.6)
     .expect("valid");
-    let high = Settler::new(MemoryModel::Wo.matrix(), SettleProbs::uniform(0.9).expect("valid"));
+    let high = Settler::new(
+        MemoryModel::Wo.matrix(),
+        SettleProbs::uniform(0.9).expect("valid"),
+    );
     let short = Program::from_filler_types(&[St, Ld, St]).expect("valid");
     let mixed = Program::from_filler_types(&[St, Ld, St, St, Ld]).expect("valid");
     let stores = Program::from_filler_types(&[St, St, Ld, St, St]).expect("valid");
@@ -235,9 +242,8 @@ fn gamma_route_matches_exact_enumeration_at_small_m() {
     for (i, (settler, program)) in cases.into_iter().enumerate() {
         let pmf = exact::window_pmf_for_program(&settler, &program);
         let prog = program.clone();
-        let h = Runner::new(Seed(200 + i as u64)).histogram(N_SAMPLES, move |rng| {
-            settler.sample_gamma(&prog, rng)
-        });
+        let h = Runner::new(Seed(200 + i as u64))
+            .histogram(N_SAMPLES, move |rng| settler.sample_gamma(&prog, rng));
         let gof = chi_square_gof(&h, |g| pmf.get(g as usize).copied().unwrap_or(0.0), 5.0);
         assert!(
             gof.consistent_at(alpha),

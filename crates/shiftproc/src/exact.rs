@@ -29,7 +29,10 @@ pub const MAX_PERM_N: usize = 10;
 #[must_use]
 pub fn pr_disjoint_perm_sum(lengths: &[u64]) -> f64 {
     let n = lengths.len();
-    assert!(n <= MAX_PERM_N, "permutation sum limited to n <= {MAX_PERM_N}");
+    assert!(
+        n <= MAX_PERM_N,
+        "permutation sum limited to n <= {MAX_PERM_N}"
+    );
     if n <= 1 {
         return 1.0;
     }
@@ -114,7 +117,10 @@ fn scaled_permanent(lengths: &[u64], base: u64) -> f64 {
 #[must_use]
 pub fn log2_pr_disjoint(lengths: &[u64]) -> f64 {
     let n = lengths.len();
-    assert!(n <= MAX_SUBSET_N, "subset DP limited to n <= {MAX_SUBSET_N}");
+    assert!(
+        n <= MAX_SUBSET_N,
+        "subset DP limited to n <= {MAX_SUBSET_N}"
+    );
     if n <= 1 {
         return 0.0;
     }
@@ -182,7 +188,10 @@ pub fn pr_disjoint_exact(lengths: &[u64]) -> BigRational {
 pub fn pr_disjoint_with_q(lengths: &[u64], q: f64) -> f64 {
     assert!(q > 0.0 && q <= 1.0, "q must be in (0, 1]");
     let n = lengths.len();
-    assert!(n <= MAX_SUBSET_N, "subset DP limited to n <= {MAX_SUBSET_N}");
+    assert!(
+        n <= MAX_SUBSET_N,
+        "subset DP limited to n <= {MAX_SUBSET_N}"
+    );
     if n <= 1 {
         return 1.0;
     }
@@ -305,7 +314,11 @@ mod tests {
     fn exact_powers_of_two_are_powf_bit_for_bit() {
         // Normal, subnormal and underflowing powers alike.
         for k in 0..=1100u64 {
-            assert_eq!(exp2_neg(k).to_bits(), 2f64.powf(-(k as f64)).to_bits(), "k = {k}");
+            assert_eq!(
+                exp2_neg(k).to_bits(),
+                2f64.powf(-(k as f64)).to_bits(),
+                "k = {k}"
+            );
         }
         assert_eq!(exp2_neg(u64::MAX), 0.0);
     }
@@ -339,12 +352,19 @@ mod tests {
             // Mostly small n, with a larger one now and then, so the
             // reused table is read both at and below its full size; lengths
             // reach far past underflow.
-            let n = if case % 100 == 99 { rng.gen_range(9..=12) } else { rng.gen_range(1..=6) };
+            let n = if case % 100 == 99 {
+                rng.gen_range(9..=12)
+            } else {
+                rng.gen_range(1..=6)
+            };
             let top = [4u64, 64, 2_000][rng.gen_range(0..3)];
             let lengths: Vec<u64> = (0..n).map(|_| rng.gen_range(0..=top)).collect();
             let base = *lengths.iter().min().expect("nonempty");
             for b in [0, base] {
-                let (new, old) = (scaled_permanent(&lengths, b), scaled_permanent_powf(&lengths, b));
+                let (new, old) = (
+                    scaled_permanent(&lengths, b),
+                    scaled_permanent_powf(&lengths, b),
+                );
                 assert_eq!(new.to_bits(), old.to_bits(), "{lengths:?} base {b}");
             }
         }

@@ -69,8 +69,7 @@ pub fn log2_survival(n: u32, base: u64, mean_factor: f64) -> f64 {
     assert!(mean_factor > 0.0, "mean factor must be positive");
     let ln2 = std::f64::consts::LN_2;
     let pairs = (triangle(u64::from(n)) - u64::from(n)) as f64; // C(n, 2)
-    log2_prefactor(n) + ln_factorial(u64::from(n)) / ln2 - base as f64 * pairs
-        + mean_factor.log2()
+    log2_prefactor(n) + ln_factorial(u64::from(n)) / ln2 - base as f64 * pairs + mean_factor.log2()
 }
 
 /// The fully deterministic special case: every window has length `base`
@@ -98,7 +97,7 @@ mod tests {
         // n = 3: weights 2, 1, 0.
         let f = sample_factor(&[3, 4, 9], 2);
         assert!((f - 2f64.powi(-4)).abs() < 1e-15); // weights 2*1 + 1*2
-        // The last position never contributes.
+                                                    // The last position never contributes.
         assert_eq!(sample_factor(&[2, 2, 100], 2), 1.0);
     }
 
@@ -131,8 +130,14 @@ mod tests {
             }
             assert_eq!(f.to_bits(), 2f64.powf(log2_sum).to_bits(), "n={n}");
             assert_eq!(f.to_bits(), sample_factor(&lengths, 2).to_bits());
-            assert!(read.iter().rev().skip(1).all(|&r| r), "n={n}: a weighted position unread");
-            assert!(!read.last().copied().unwrap_or(false), "n={n}: the last position was read");
+            assert!(
+                read.iter().rev().skip(1).all(|&r| r),
+                "n={n}: a weighted position unread"
+            );
+            assert!(
+                !read.last().copied().unwrap_or(false),
+                "n={n}: the last position was read"
+            );
         }
     }
 

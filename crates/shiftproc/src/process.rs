@@ -247,10 +247,7 @@ mod tests {
         for (k, &c) in counts.iter().enumerate() {
             let expect = 2f64.powi(-(k as i32) - 1);
             let got = c as f64 / n as f64;
-            assert!(
-                (got - expect).abs() < 0.01,
-                "k={k}: {got} vs {expect}"
-            );
+            assert!((got - expect).abs() < 0.01, "k={k}: {got} vs {expect}");
         }
     }
 
@@ -333,7 +330,10 @@ mod tests {
                 &mut lazy_rng,
             );
             assert_eq!(lazy, eager, "{p} on {lengths:?}");
-            assert_eq!(lazy_rng, eager_rng, "RNG streams diverged: {p} on {lengths:?}");
+            assert_eq!(
+                lazy_rng, eager_rng,
+                "RNG streams diverged: {p} on {lengths:?}"
+            );
             assert_eq!(
                 p.simulate_disjoint_into(&lengths, &mut scratch, &mut rng(1)),
                 eager_disjoint(&p, &lengths, &mut rng(1))
@@ -341,7 +341,10 @@ mod tests {
             reads += read;
             decided_by_gaps += u64::from(read == 0 && n >= 2);
         }
-        assert!(reads > 0 && decided_by_gaps > 0, "reads {reads}, decided by gaps {decided_by_gaps}");
+        assert!(
+            reads > 0 && decided_by_gaps > 0,
+            "reads {reads}, decided by gaps {decided_by_gaps}"
+        );
     }
 
     #[test]
@@ -353,7 +356,9 @@ mod tests {
         let mut r = rng(8);
         for _ in 0..2_000 {
             let mut probe = r.clone();
-            let gap = p.sample_shift(&mut probe).abs_diff(p.sample_shift(&mut probe));
+            let gap = p
+                .sample_shift(&mut probe)
+                .abs_diff(p.sample_shift(&mut probe));
             let mut read = Vec::new();
             p.simulate_disjoint_lazy(
                 2,
@@ -389,7 +394,9 @@ mod tests {
         let trials = 100_000;
         let count = |lens: &[u64], seed: u64| {
             let mut r = rng(seed);
-            (0..trials).filter(|_| p.simulate_disjoint(lens, &mut r)).count()
+            (0..trials)
+                .filter(|_| p.simulate_disjoint(lens, &mut r))
+                .count()
         };
         let short = count(&[2, 2], 4);
         let long = count(&[6, 6], 5);

@@ -8,13 +8,17 @@ use shiftproc::{exact, ShiftProcess};
 // power on the rarest events tested here (Pr ~ 1e-6): at 40k trials a
 // single lucky hit puts the Wilson interval entirely above the exact
 // value, and typical-seed noise sits within one interval width of it.
-const TRIALS: u64 = if cfg!(debug_assertions) { 200_000 } else { 300_000 };
+const TRIALS: u64 = if cfg!(debug_assertions) {
+    200_000
+} else {
+    300_000
+};
 
 fn check(lengths: &'static [u64], seed: u64) {
     let expect = exact::pr_disjoint(lengths);
     let proc = ShiftProcess::canonical();
-    let est = Runner::new(Seed(seed))
-        .bernoulli(TRIALS, move |rng| proc.simulate_disjoint(lengths, rng));
+    let est =
+        Runner::new(Seed(seed)).bernoulli(TRIALS, move |rng| proc.simulate_disjoint(lengths, rng));
     assert!(
         est.covers(expect, 0.999),
         "γ̄={lengths:?}: exact {expect}, observed {est}"
@@ -50,12 +54,10 @@ fn heterogeneous_vs_homogeneous_at_equal_total_length() {
     let homo = exact::pr_disjoint(&[2, 2]);
     assert!(hetero > homo);
     let proc = ShiftProcess::canonical();
-    let h = Runner::new(Seed(309)).bernoulli(TRIALS, move |rng| {
-        proc.simulate_disjoint(&[0, 4], rng)
-    });
-    let m = Runner::new(Seed(310)).bernoulli(TRIALS, move |rng| {
-        proc.simulate_disjoint(&[2, 2], rng)
-    });
+    let h =
+        Runner::new(Seed(309)).bernoulli(TRIALS, move |rng| proc.simulate_disjoint(&[0, 4], rng));
+    let m =
+        Runner::new(Seed(310)).bernoulli(TRIALS, move |rng| proc.simulate_disjoint(&[2, 2], rng));
     assert!(h.point() > m.point());
 }
 

@@ -33,8 +33,7 @@ mod store;
 mod telemetry;
 
 pub use acc::{
-    AccState, BernoulliState, CacheableAcc, CachedPrefix, CachedReport, Entry, HistState,
-    MeanState,
+    AccState, BernoulliState, CacheableAcc, CachedPrefix, CachedReport, Entry, HistState, MeanState,
 };
 pub use key::{fnv1a64, splitmix64, KeyHash, KeySpec, RequestKey, CANON_VERSION, KERNEL_VERSION};
 pub use segment::crc32;

@@ -450,7 +450,9 @@ impl DiskTier {
     /// recovery [`open`](DiskTier::open) performs, run in-process after an
     /// injected torn write. Returns how many tails were truncated (0/1).
     fn recover_torn_tail(&mut self) -> std::io::Result<u64> {
-        let path = self.dir.join(self.segments.last().expect("a current segment exists"));
+        let path = self
+            .dir
+            .join(self.segments.last().expect("a current segment exists"));
         let bytes = std::fs::read(&path)?;
         let scan = scan(&bytes);
         if scan.torn {
@@ -655,7 +657,11 @@ mod tests {
             version: VERSION,
             segments: vec!["seg-00000000.mmrs".into(), "seg-00000007.mmrs".into()],
         };
-        write_atomic(&dir.join("index.mmri"), &serde_json::to_string(&idx).unwrap()).unwrap();
+        write_atomic(
+            &dir.join("index.mmri"),
+            &serde_json::to_string(&idx).unwrap(),
+        )
+        .unwrap();
 
         let (t, live, faults) = DiskTier::open(&dir, DEFAULT_ROLL_BYTES).unwrap();
         assert_eq!(faults.errors, 1, "the garbage file is counted");

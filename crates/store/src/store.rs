@@ -199,7 +199,10 @@ impl Store {
         }
         if faults.errors > 0 {
             telemetry::cache().errors.add(faults.errors);
-            store.stats.errors.fetch_add(faults.errors, Ordering::Relaxed);
+            store
+                .stats
+                .errors
+                .fetch_add(faults.errors, Ordering::Relaxed);
         }
         store
             .stats
@@ -270,7 +273,10 @@ impl Store {
                     self.stats.extends.fetch_add(1, Ordering::Relaxed);
                     telemetry::cache().extends.inc();
                     let best = usable.iter().map(|p| p.chunks).max().unwrap_or(0);
-                    obs::flight::event("cache_extend").detail(&canon).n(best).emit();
+                    obs::flight::event("cache_extend")
+                        .detail(&canon)
+                        .n(best)
+                        .emit();
                     return Lookup::Extend(usable);
                 }
             }
@@ -324,7 +330,9 @@ impl Store {
                 telemetry::cache().errors.inc();
                 obs::info!("cache: compaction failed ({e}); keeping the old segments");
             } else {
-                obs::flight::event("cache_compacted").n(live.len() as u64).emit();
+                obs::flight::event("cache_compacted")
+                    .n(live.len() as u64)
+                    .emit();
             }
         }
     }
@@ -420,7 +428,10 @@ impl Store {
                 },
             );
         }
-        let fam = inner.families.get_mut(&fam_hex).expect("present by construction");
+        let fam = inner
+            .families
+            .get_mut(&fam_hex)
+            .expect("present by construction");
         if fam.canon != entry.family {
             return; // hash collision; keep the incumbent
         }
@@ -447,12 +458,16 @@ fn slot() -> &'static Mutex<Option<Arc<Store>>> {
 
 /// Installs a store for cache-aware entry points process-wide.
 pub fn install(store: Arc<Store>) {
-    *slot().lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(store);
+    *slot()
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(store);
 }
 
 /// Removes the installed store (subsequent runs compute cold).
 pub fn clear() {
-    *slot().lock().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+    *slot()
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
 }
 
 /// The installed store, if any.
@@ -603,10 +618,17 @@ mod tests {
             };
             {
                 let store = Store::open(&dir).unwrap();
-                store.insert(&old_key, report(3, old_key.trials), vec![prefix(4), prefix(8)]);
+                store.insert(
+                    &old_key,
+                    report(3, old_key.trials),
+                    vec![prefix(4), prefix(8)],
+                );
             }
             let store = Store::open(&dir).unwrap();
-            assert!(matches!(store.lookup(&old_key), Lookup::Hit(_)), "the {label} entry persisted");
+            assert!(
+                matches!(store.lookup(&old_key), Lookup::Hit(_)),
+                "the {label} entry persisted"
+            );
             for trials in [8, 16].map(|chunks| chunks * montecarlo::CHUNK_WIDTH) {
                 let key = spec(5).request(trials, None);
                 assert_eq!(store.lookup(&key), Lookup::Miss, "{label}: {trials} trials");

@@ -154,12 +154,7 @@ impl Chart {
             };
             let _ = writeln!(out, "{label:>label_w$} |{}", row.iter().collect::<String>());
         }
-        let _ = writeln!(
-            out,
-            "{:>label_w$} +{}",
-            "",
-            "-".repeat(self.width)
-        );
+        let _ = writeln!(out, "{:>label_w$} +{}", "", "-".repeat(self.width));
         let _ = writeln!(
             out,
             "{:>label_w$}  {:<w2$}{:>w2$}",
@@ -213,7 +208,8 @@ mod tests {
     #[test]
     fn log_scale_drops_nonpositive() {
         let mut c = Chart::new(10, 4);
-        c.log_y().series("s", vec![(0.0, 0.0), (1.0, 10.0), (2.0, 100.0)]);
+        c.log_y()
+            .series("s", vec![(0.0, 0.0), (1.0, 10.0), (2.0, 100.0)]);
         let out = c.render();
         // Only the two positive points plot; axis labels show exponents.
         assert!(out.contains("1e2.0"));

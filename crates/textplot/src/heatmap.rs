@@ -63,9 +63,11 @@ impl Heatmap {
             .copied()
             .filter(|v| v.is_finite())
             .collect();
-        let (min, max) = finite.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-            (lo.min(v), hi.max(v))
-        });
+        let (min, max) = finite
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                (lo.min(v), hi.max(v))
+            });
         let range = if max > min { max - min } else { 1.0 };
         let shade = |v: f64| -> char {
             if !v.is_finite() {
@@ -92,7 +94,8 @@ impl Heatmap {
             let _ = writeln!(
                 out,
                 "scale: '{}' = {min:.4}  ..  '{}' = {max:.4}",
-                RAMP[0], RAMP[RAMP.len() - 1]
+                RAMP[0],
+                RAMP[RAMP.len() - 1]
             );
         }
         out
@@ -106,7 +109,10 @@ mod tests {
     #[test]
     fn extremes_use_ramp_ends() {
         let mut h = Heatmap::new(vec![0.0, 1.0], vec![0.0, 1.0]);
-        h.set(0, 0, 0.0).set(0, 1, 1.0).set(1, 0, 0.5).set(1, 1, 0.25);
+        h.set(0, 0, 0.0)
+            .set(0, 1, 1.0)
+            .set(1, 0, 0.5)
+            .set(1, 1, 0.25);
         let out = h.render();
         assert!(out.contains("@@@"));
         assert!(out.contains("scale:"));

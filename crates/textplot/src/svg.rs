@@ -3,7 +3,9 @@
 use std::fmt::Write as _;
 
 /// Series colours cycled in order.
-const COLORS: [&str; 6] = ["#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377"];
+const COLORS: [&str; 6] = [
+    "#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377",
+];
 
 /// Renders named series as a standalone SVG line chart.
 ///
@@ -119,7 +121,9 @@ pub fn line_chart(
 }
 
 fn escape(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+    s.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
 }
 
 #[cfg(test)]

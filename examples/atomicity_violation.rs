@@ -23,7 +23,10 @@ fn main() {
     println!("canonical atomicity violation on {n} simulated cores\n");
     println!("each core runs:  <{filler} private filler ops>; LD x; ADD 1; ST x\n");
 
-    println!("{:<6} {:>12} {:>14} {:>12}", "model", "bug rate", "mean final x", "mean cycles");
+    println!(
+        "{:<6} {:>12} {:>14} {:>12}",
+        "model", "bug rate", "mean final x", "mean cycles"
+    );
     for model in MemoryModel::NAMED {
         let params = SimParams::for_model(model);
         let stats = Runner::new(Seed(42)).fold_scratch(

@@ -36,11 +36,11 @@
 //! logs), a crash dossier, or a cache or dossier directory.
 
 use memmodel::MemoryModel;
-use mmreliab::analytic::general::{GeneralWindowLaws, Params};
-use mmreliab::settle;
-use mmreliab::analytic::window_law::WindowLaws;
 use mmr_bench::cli::SharedFlags;
+use mmreliab::analytic::general::{GeneralWindowLaws, Params};
+use mmreliab::analytic::window_law::WindowLaws;
 use mmreliab::montecarlo::{task_rng, Runner, Seed};
+use mmreliab::settle;
 use mmreliab::{ModelComparison, ProgramGenerator, ReliabilityModel};
 use textplot::{sparkline, BarChart, Chart, Heatmap, Table};
 
@@ -88,7 +88,10 @@ fn parse_args() -> Result<Args, mmreliab::Error> {
             "--threads" => {
                 args.threads = value()?.parse().map_err(|e| invalid(format!("{e}")))?;
                 if args.threads == 0 {
-                    return Err(invalid(format!("--threads must be at least 1\n{}", usage())));
+                    return Err(invalid(format!(
+                        "--threads must be at least 1\n{}",
+                        usage()
+                    )));
                 }
             }
             "--trials" => {
@@ -108,13 +111,17 @@ fn parse_args() -> Result<Args, mmreliab::Error> {
             "--workers" => {
                 args.workers = value()?.parse().map_err(|e| invalid(format!("{e}")))?;
                 if args.workers == 0 {
-                    return Err(invalid(format!("--workers must be at least 1\n{}", usage())));
+                    return Err(invalid(format!(
+                        "--workers must be at least 1\n{}",
+                        usage()
+                    )));
                 }
             }
             "--diff" => args.diff = Some(value()?.into()),
-            other if !other.starts_with("--")
-                && args.command == "inspect"
-                && args.artifact.is_none() =>
+            other
+                if !other.starts_with("--")
+                    && args.command == "inspect"
+                    && args.artifact.is_none() =>
             {
                 args.artifact = Some(other.into());
             }
@@ -325,7 +332,12 @@ fn cmd_opsim(args: &Args) -> Result<(), mmreliab::Error> {
             .try_bernoulli_scratch(
                 args.trials,
                 move || IncrementMachine::new(n, 8, params),
-                |machine, rng| machine.run(rng).expect("the increment workload quiesces").bug_manifested(),
+                |machine, rng| {
+                    machine
+                        .run(rng)
+                        .expect("the increment workload quiesces")
+                        .bug_manifested()
+                },
             )?;
         bars.bar(model.short_name(), report.value.point());
     }
@@ -342,7 +354,10 @@ fn cmd_litmus(args: &Args) {
         let mut row = vec![test.name.to_string()];
         for model in MemoryModel::NAMED {
             let params = SimParams::for_model(model).without_stagger();
-            let mut rng = task_rng(Seed(args.seed), u64::from(model.matrix().relaxation_count() as u32));
+            let mut rng = task_rng(
+                Seed(args.seed),
+                u64::from(model.matrix().relaxation_count() as u32),
+            );
             let count = test.relaxed_outcome_count(params, args.trials, &mut rng);
             row.push(format!("{:.4}", count as f64 / args.trials as f64));
         }
@@ -397,7 +412,11 @@ fn cmd_sweep_grid(args: &Args) {
     for (i, &p) in axis.iter().enumerate() {
         for (j, &s) in axis.iter().enumerate() {
             let laws = GeneralWindowLaws::new(Params::new(p, s, 0.5).expect("grid values valid"));
-            h.set(i, j, laws.two_thread_survival(args.model).expect("named model"));
+            h.set(
+                i,
+                j,
+                laws.two_thread_survival(args.model).expect("named model"),
+            );
         }
     }
     print!("{}", h.render());

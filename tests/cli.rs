@@ -30,7 +30,9 @@ fn table1_prints_all_models() {
 
 #[test]
 fn survival_reports_bounds_and_estimates() {
-    let (ok, stdout, _) = run(&["survival", "--model", "tso", "--trials", "4000", "--seed", "1"]);
+    let (ok, stdout, _) = run(&[
+        "survival", "--model", "tso", "--trials", "4000", "--seed", "1",
+    ]);
     assert!(ok, "{stdout}");
     assert!(stdout.contains("paper bounds"));
     assert!(stdout.contains("Rao-Blackwellised"));
@@ -110,8 +112,12 @@ fn zero_m_rejected() {
 fn survival_output_is_identical_across_worker_counts() {
     // --workers only changes wall-clock time: the chunk-tiled executor
     // produces the same bits at any worker count.
-    let survival = ["survival", "--model", "tso", "--trials", "4000", "--seed", "5"];
-    let windows = ["windows", "--model", "wo", "--trials", "20000", "--seed", "11"];
+    let survival = [
+        "survival", "--model", "tso", "--trials", "4000", "--seed", "5",
+    ];
+    let windows = [
+        "windows", "--model", "wo", "--trials", "20000", "--seed", "11",
+    ];
     for base in [&survival[..], &windows[..]] {
         let (ok1, one, _) = run(&[base, &["--workers", "1"]].concat());
         let (ok4, four, _) = run(&[base, &["--workers", "4"]].concat());
@@ -144,14 +150,14 @@ fn metrics_flag_writes_parseable_snapshot_and_quiet_is_quiet() {
     assert!(stdout.contains("paper bounds"));
     assert!(stderr.is_empty(), "{stderr}");
 
-    let snap: obs::Snapshot =
-        serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap())
-            .expect("metrics snapshot parses");
+    let snap: obs::Snapshot = serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap())
+        .expect("metrics snapshot parses");
     assert!(snap.counter("mc.runner.trials_completed").unwrap_or(0) >= 4000);
 
     // Telemetry flags do not perturb the seeded result.
-    let (ok_plain, plain, _) =
-        run(&["survival", "--model", "tso", "--trials", "4000", "--seed", "5"]);
+    let (ok_plain, plain, _) = run(&[
+        "survival", "--model", "tso", "--trials", "4000", "--seed", "5",
+    ]);
     assert!(ok_plain);
     assert_eq!(stdout, plain);
 

@@ -4,7 +4,11 @@
 
 use mmreliab::{MemoryModel, ModelComparison, ReliabilityModel};
 
-const TRIALS: u64 = if cfg!(debug_assertions) { 40_000 } else { 250_000 };
+const TRIALS: u64 = if cfg!(debug_assertions) {
+    40_000
+} else {
+    250_000
+};
 
 #[test]
 fn theorem_62_headline_constants_reproduce() {

@@ -611,22 +611,12 @@ mod tests {
         );
     }
 
-    #[test]
-    fn settle_stream_is_pinned() {
-        // FNV-1a over (γ or store run, attempts decided, finished forward)
-        // of 10^5 lazy settles: per program, one materialised settle, two
-        // keyed settles of one program key and two keyed store runs.
-        // Recorded before the walk was rewritten: a kernel change may not
-        // move a γ, an attempt count or the walk budget's verdict.
+    /// The pinned lazy settles: 10^5 `(γ or store run, attempts decided,
+    /// finished forward)`, per program one materialised settle, two keyed
+    /// settles of one program key and two keyed store runs.
+    fn pinned_settles(mut visit: impl FnMut((u64, u64, bool))) {
         let mut rng = SmallRng::seed_from_u64(0x9e11);
         let mut scratch = SettleScratch::new();
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |(value, attempts, forward): (u64, u64, bool)| {
-            for x in [value, attempts, u64::from(forward)] {
-                hash = (hash ^ x).wrapping_mul(0x0100_0000_01b3);
-            }
-        };
-        let (mut settles, mut forward) = (0u64, 0u64);
         for _ in 0..20_000 {
             let m = match rng.gen_range(0..10) {
                 0..=1 => rng.gen_range(0..=200),
@@ -643,9 +633,9 @@ mod tests {
             let program_key = rng.gen();
             let (_, (gamma, attempts), finished) =
                 scratch.forward_and_lazy(&settler, &program, rng.gen());
-            let mut settled = vec![(gamma, attempts, finished)];
+            visit((gamma, attempts, finished));
             for fresh in [true, false] {
-                settled.push(scratch.traced_keyed_gamma(
+                visit(scratch.traced_keyed_gamma(
                     &settler,
                     &shape,
                     store_threshold,
@@ -658,7 +648,7 @@ mod tests {
                 let rounds = rng.gen_range(1..=program.len());
                 let cap = rng.gen_range(0..=rounds);
                 let key = rng.gen();
-                settled.push(scratch.traced_store_run(
+                visit(scratch.traced_store_run(
                     &settler,
                     &shape,
                     store_threshold,
@@ -668,17 +658,45 @@ mod tests {
                     cap,
                 ));
             }
-            for settle in settled {
-                forward += u64::from(settle.2);
-                settles += 1;
-                fold(settle);
-            }
         }
+    }
+
+    /// One FNV-1a step.
+    fn fnv(hash: u64, x: u64) -> u64 {
+        (hash ^ x).wrapping_mul(0x0100_0000_01b3)
+    }
+
+    #[test]
+    fn settle_stream_is_pinned() {
+        // FNV-1a over every field of the pinned settles. Recorded before the
+        // walk was rewritten: a kernel change may not move a γ, an attempt
+        // count or the walk budget's verdict.
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let (mut settles, mut forward) = (0u64, 0u64);
+        pinned_settles(|(value, attempts, finished)| {
+            for x in [value, attempts, u64::from(finished)] {
+                hash = fnv(hash, x);
+            }
+            forward += u64::from(finished);
+            settles += 1;
+        });
         assert_eq!(settles, 100_000);
         assert!(forward > 0, "no settle ran out of walk budget");
         assert_eq!(
             hash, 0x7fd3_4b59_1c6d_44ff,
             "the settle stream moved: {hash:#018x} ({forward} finished forward)"
+        );
+    }
+
+    #[test]
+    fn settle_values_are_pinned() {
+        // FNV-1a over the γ and store-run values alone of the pinned
+        // settles: what a kernel returns, whatever attempts it decides.
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        pinned_settles(|(value, _, _)| hash = fnv(hash, value));
+        assert_eq!(
+            hash, 0x7400_823e_ac35_2242,
+            "the settle values moved: {hash:#018x}"
         );
     }
 

@@ -11,6 +11,9 @@ cargo test -q --offline
 # run by name.
 cargo test -q --offline -p rand -p serde -p serde_json -p proptest -p criterion
 cargo clippy --all-targets --offline --workspace -- -D warnings
+# Formatting: the workspace crates, src/, tests/ and examples/ stay
+# rustfmt-clean (the vendored shims and benchmark/ are not members).
+cargo fmt --all --check
 
 # The workload ledger's unit and smoke tests: every workload end to end at
 # --scale 0.01, with all of its correctness checks.

@@ -35,9 +35,9 @@ pub struct Settler {
     matrix: ReorderMatrix,
     probs: SettleProbs,
     fence_pass_probability: f64,
-    /// The draw thresholds of the three fields above, for a program
-    /// without and with a hoistable fence (see [`Settler::tables`]).
-    tables: [Tables; 2],
+    /// The draw thresholds of the three fields above, by the fences a
+    /// program contains (see [`Settler::tables`]).
+    tables: [Tables; 4],
 }
 
 impl Settler {
@@ -89,7 +89,12 @@ impl Settler {
             matrix,
             probs,
             fence_pass_probability,
-            tables: [Tables::new(eff, BLOCKED), Tables::new(eff, fence)],
+            tables: [
+                Tables::new(eff, None, false),
+                Tables::new(eff, Some(fence), false),
+                Tables::new(eff, None, true),
+                Tables::new(eff, Some(fence), true),
+            ],
         }
     }
 
@@ -163,7 +168,7 @@ impl Settler {
         scratch: &'s mut SettleScratch,
         rng: &mut R,
     ) -> &'s [usize] {
-        let tables = self.tables(encode_image(program, &mut scratch.packed).has_release);
+        let tables = self.tables(encode_image(program, &mut scratch.packed));
         // An inert settle reads no attempt, so its key is never used.
         let key = if tables.inert() { 0 } else { rng.next_u64() };
         settle_packed(&mut scratch.packed, tables, rounds, key);
@@ -181,7 +186,7 @@ impl Settler {
         program: &Program,
         rng: &mut R,
     ) -> Option<u64> {
-        let tables = self.tables(program.iter().any(|ins| is_release(encode(ins))));
+        let tables = self.tables(encode_with(program, |_, _| {}));
         (!tables.inert()).then(|| rng.next_u64())
     }
 
@@ -304,7 +309,7 @@ impl Settler {
     ) {
         let shape = &mut scratch.materialised;
         shape.encode(program, false);
-        let tables = self.tables(shape.image.has_release);
+        let tables = self.tables(shape.image);
         if tables.inert() {
             out.fill(shape.image.inert_gamma());
             return;
@@ -366,7 +371,7 @@ impl Settler {
         scratch: &'s mut SettleScratch,
         rng: &mut R,
     ) -> KeyedWindows<'s> {
-        let tables = self.tables(shape.image.has_release);
+        let tables = self.tables(shape.image);
         scratch.keys.clear();
         scratch.windows.clear();
         if tables.inert() {
@@ -401,7 +406,7 @@ impl Settler {
         scratch: &mut SettleScratch,
         rng: &mut R,
     ) -> u64 {
-        let tables = self.tables(shape.image.has_release);
+        let tables = self.tables(shape.image);
         // An inert settle reads no attempt, so its key is never used.
         let key = if tables.inert() { 0 } else { rng.next_u64() };
         scratch.words.reset(program_key, store_threshold);
@@ -411,11 +416,12 @@ impl Settler {
             .0
     }
 
-    /// The integer draw thresholds of this settler for a program with
-    /// (`has_release`) or without a hoistable fence, all via
-    /// [`bool_threshold`]; resolved once, when the settler is made.
-    pub(crate) fn tables(&self, has_release: bool) -> &Tables {
-        &self.tables[usize::from(has_release)]
+    /// The integer draw thresholds of this settler for a program of
+    /// image `image`, by whether it has a hoistable (release) fence and a
+    /// fence nothing passes, all via [`bool_threshold`]; resolved once,
+    /// when the settler is made.
+    pub(crate) fn tables(&self, image: Image) -> &Tables {
+        &self.tables[usize::from(image.has_release) | usize::from(image.has_barrier) << 1]
     }
 }
 
@@ -481,22 +487,37 @@ pub(crate) struct Tables {
     /// a uniform at or above it fails whatever sits above; BLOCKED for a
     /// fence, which never settles.
     reach: [u64; 8],
+    /// `floor[mover class]`: the smallest threshold the mover can meet
+    /// from an instruction of another location, over the classes the
+    /// program contains, so a uniform below it passes whatever of another
+    /// location sits above; BLOCKED for a fence, and for every class in a
+    /// program with a fence nothing passes.
+    floor: [u64; 8],
 }
 
 impl Tables {
     /// The thresholds of the memory-memory pairs `eff[earlier_st][later_st]`
-    /// and of passing a release fence, `fence` (BLOCKED when the program
-    /// has no release fence).
-    fn new(eff: [[u64; 2]; 2], fence: u64) -> Tables {
+    /// and of passing a release fence, `release` (`None` when the program
+    /// has no release fence), for a program with or without a `barrier`: a
+    /// fence nothing passes.
+    fn new(eff: [[u64; 2]; 2], release: Option<u64>, barrier: bool) -> Tables {
         let mut pass = [[BLOCKED; 2]; 8];
-        pass[0] = [eff[0][0], eff[0][1]];
-        pass[1] = [eff[1][0], eff[1][1]];
-        pass[((FENCE_FLAG | RELEASE_FLAG) >> ST_FLAG_SHIFT) as usize] = [fence; 2];
-        let mut reach = [BLOCKED; 8];
+        pass[0] = eff[0];
+        pass[1] = eff[1];
+        pass[((FENCE_FLAG | RELEASE_FLAG) >> ST_FLAG_SHIFT) as usize] =
+            [release.unwrap_or(BLOCKED); 2];
+        let (mut reach, mut floor) = ([BLOCKED; 8], [BLOCKED; 8]);
         for st in 0..2 {
             reach[st] = pass.iter().map(|row| row[st]).max().unwrap_or(BLOCKED);
+            // Every program holds a load and a store (the critical pair).
+            let met = [eff[0][st], eff[1][st]].into_iter().chain(release);
+            floor[st] = if barrier {
+                BLOCKED
+            } else {
+                met.min().unwrap_or(BLOCKED)
+            };
         }
-        Tables { pass, reach }
+        Tables { pass, reach, floor }
     }
 
     /// Whether no attempt can ever succeed: the settle draws no key and
@@ -510,6 +531,13 @@ impl Tables {
     #[inline]
     pub(crate) fn reach(&self, mover: u32) -> u64 {
         self.reach[(mover >> ST_FLAG_SHIFT) as usize]
+    }
+
+    /// The smallest threshold the instruction of packed word `mover` can
+    /// meet from an instruction of another location.
+    #[inline]
+    pub(crate) fn floor(&self, mover: u32) -> u64 {
+        self.floor[(mover >> ST_FLAG_SHIFT) as usize]
     }
 
     /// The threshold of memory mover `mover` passing `above` (packed
@@ -622,9 +650,12 @@ pub(crate) const ST_FLAG_SHIFT: u32 = 29;
 /// Packed-image flag of a keyed program's filler whose type is not read
 /// yet (its store bit is clear).
 pub(crate) const UNTYPED: u32 = 1 << 28;
+/// Packed-image flag of a memory access an earlier access shares its
+/// location with: the only movers that may meet a blocking pair.
+pub(crate) const ALIASED: u32 = 1 << 27;
 /// Packed-image mask of the location id. A fence's location bits are all
 /// set, a location no memory access has, so it shares none.
-pub(crate) const LOC_MASK: u32 = UNTYPED - 1;
+pub(crate) const LOC_MASK: u32 = ALIASED - 1;
 
 /// Encodes one instruction's settling-relevant facts into a u32 word.
 pub(crate) fn encode(ins: &Instruction) -> u32 {
@@ -657,6 +688,8 @@ pub(crate) fn is_store(word: u32) -> bool {
 pub(crate) struct Image {
     /// Whether the program contains a hoistable (release) fence.
     pub(crate) has_release: bool,
+    /// Whether the program contains a fence nothing passes.
+    pub(crate) has_barrier: bool,
     /// Initial index of the critical load.
     pub(crate) ld: usize,
     /// Initial index of the critical store.
@@ -690,16 +723,22 @@ fn encode_with(program: &Program, mut push: impl FnMut(usize, u32)) -> Image {
     );
     let mut image = Image {
         has_release: false,
+        has_barrier: false,
         ld: usize::MAX,
         st: usize::MAX,
     };
     for (i, ins) in program.instructions().iter().enumerate() {
-        let word = encode(ins);
+        let mut word = encode(ins);
         image.has_release |= is_release(word);
-        // The critical pair are the only accesses to location 0.
+        image.has_barrier |= word & (FENCE_FLAG | RELEASE_FLAG) == FENCE_FLAG;
+        // The critical pair are the only accesses to location 0: a program
+        // has distinct filler locations and its critical LD first, so the
+        // critical ST is the one access an earlier access shares a
+        // location with.
         if word & (FENCE_FLAG | LOC_MASK) == 0 {
             if is_store(word) {
                 image.st = i;
+                word |= ALIASED;
             } else {
                 image.ld = i;
             }
@@ -893,7 +932,7 @@ impl SettleScratch {
         key: u64,
     ) -> ((u64, u64), (u64, u64), bool) {
         self.materialised.encode(program, false);
-        let tables = settler.tables(self.materialised.image.has_release);
+        let tables = settler.tables(self.materialised.image);
         self.words.reset(0, 0);
         let lazy = self
             .lazy
@@ -923,7 +962,7 @@ impl SettleScratch {
         key: u64,
         fresh_program: bool,
     ) -> (u64, u64, bool) {
-        let tables = settler.tables(shape.image.has_release);
+        let tables = settler.tables(shape.image);
         if tables.inert() {
             return (shape.image.inert_gamma(), 0, false);
         }
@@ -947,7 +986,7 @@ impl SettleScratch {
         rounds: usize,
         cap: usize,
     ) -> (u64, u64, bool) {
-        let tables = settler.tables(shape.image.has_release);
+        let tables = settler.tables(shape.image);
         self.words.reset(program_key, store_threshold);
         let (run, attempts) = self
             .lazy

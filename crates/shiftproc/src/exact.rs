@@ -71,7 +71,7 @@ thread_local! {
 
 /// `2^-k`, exactly: what `2f64.powf(-(k as f64))` rounds to, normal,
 /// subnormal or 0 — assembled from the exponent bits, with no `powf`.
-fn exp2_neg(k: u64) -> f64 {
+pub(crate) fn exp2_neg(k: u64) -> f64 {
     if k <= 1022 {
         f64::from_bits((1023 - k) << 52)
     } else if k <= 1074 {

@@ -15,6 +15,7 @@
 //! a single success; this estimator needs only enough samples to pin down
 //! `E[Π 2^{-iΓ′_i}]`, a bounded quantity.
 
+use crate::exact::exp2_neg;
 use analytic::binom::ln_factorial;
 use analytic::shift_law::{log2_prefactor, triangle};
 
@@ -39,22 +40,25 @@ pub fn sample_factor(lengths: &[u64], base: u64) -> f64 {
 
 /// [`sample_factor`] over `n` lengths read on demand: `length(i)` is
 /// called once for each weighted position `i < n − 1`, and never for the
-/// last position, whose weight is 0 — its term would subtract `0.0`, so
-/// the factor is bit for bit the same.
+/// last position, whose weight is 0.
+///
+/// The factor is `2^-K` for the integer `K = Σ (n−1−i)(Γ_i − base)`,
+/// summed exactly (saturating: past `2^1074` it is 0 either way) and
+/// assembled from exponent bits — what `2f64.powf(-K)` rounds to.
 ///
 /// # Panics
 ///
 /// Panics if a length read is below `base`.
 #[must_use]
 pub fn sample_factor_with(n: usize, base: u64, mut length: impl FnMut(usize) -> u64) -> f64 {
-    let mut log2_sum = 0.0;
+    let mut exponent = 0u64;
     for i in 0..n.saturating_sub(1) {
         let g = length(i);
         assert!(g >= base, "length {g} below baseline {base}");
-        let weight = (n - 1 - i) as f64;
-        log2_sum -= weight * (g - base) as f64;
+        let weight = (n - 1 - i) as u64;
+        exponent = exponent.saturating_add(weight.saturating_mul(g - base));
     }
-    2f64.powf(log2_sum)
+    exp2_neg(exponent)
 }
 
 /// Assembles `log2 Pr[A]` from the empirical mean of [`sample_factor`]
@@ -111,6 +115,26 @@ mod tests {
     #[should_panic(expected = "below baseline")]
     fn factor_rejects_sub_baseline_in_the_unweighted_position() {
         let _ = sample_factor(&[2, 1], 2);
+    }
+
+    #[test]
+    fn factor_is_the_powf_factor_bit_for_bit() {
+        // Exponents from 0 through the subnormal range to underflow: the
+        // f64 sum the factor was once computed from is exact there, so
+        // `powf` of it is the reference.
+        let mut rng = SmallRng::seed_from_u64(0x2f);
+        for _ in 0..100_000 {
+            let n = rng.gen_range(0..=24usize);
+            let top = [3, 12, 40, 200][rng.gen_range(0..4)];
+            let lengths: Vec<u64> = (0..n).map(|_| rng.gen_range(2..top)).collect();
+            let mut log2_sum = 0.0;
+            for (i, &g) in lengths.iter().enumerate() {
+                log2_sum -= (n - 1 - i) as f64 * (g - 2) as f64;
+            }
+            let f = sample_factor(&lengths, 2);
+            assert_eq!(f.to_bits(), 2f64.powf(log2_sum).to_bits(), "{lengths:?}");
+        }
+        assert_eq!(sample_factor_with(3, 0, |_| u64::MAX), 0.0);
     }
 
     #[test]

@@ -78,6 +78,14 @@ fn parse_args() -> Result<Args, mmreliab::Error> {
     let invalid = mmreliab::Error::InvalidArgs;
     let mut it = std::env::args().skip(1);
     args.command = it.next().ok_or_else(|| invalid(usage()))?;
+    // Checked before any flag, so an unknown command installs nothing.
+    if !COMMANDS.contains(&args.command.as_str()) {
+        return Err(invalid(format!(
+            "unknown command {}\n{}",
+            args.command,
+            usage()
+        )));
+    }
     while let Some(flag) = it.next() {
         if args.shared.parse_flag(&flag, &mut it).map_err(invalid)? {
             continue;
@@ -131,6 +139,11 @@ fn parse_args() -> Result<Args, mmreliab::Error> {
     Ok(args)
 }
 
+/// Every command `main` runs.
+const COMMANDS: [&str; 8] = [
+    "table1", "survival", "windows", "trace", "opsim", "litmus", "sweep", "inspect",
+];
+
 fn usage() -> String {
     format!(
         "usage: mmreliab <table1|survival|windows|trace|opsim|litmus|sweep> \
@@ -181,10 +194,7 @@ fn main() {
             cmd_sweep(&args);
             Ok(())
         }
-        other => {
-            eprintln!("unknown command {other}\n{}", usage());
-            std::process::exit(2);
-        }
+        other => unreachable!("parse_args admits no command {other}"),
     };
     if let Err(e) = result {
         eprintln!("error: {e}");

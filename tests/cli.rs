@@ -70,6 +70,29 @@ fn unknown_command_fails_with_usage() {
 }
 
 #[test]
+fn unknown_command_creates_no_artifact() {
+    // The shared flags are installed only for a command that runs: an
+    // unknown one leaves neither the flight log nor the cache behind.
+    let dir = std::env::temp_dir().join(format!("mmreliab-cli-unknown-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (flight, cache) = (dir.join("run.flight"), dir.join("cache"));
+    let out = Command::new(env!("CARGO_BIN_EXE_mmreliab"))
+        .args(["frobnicate", "--flight", flight.to_str().unwrap()])
+        .args(["--cache", cache.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown command frobnicate"), "{stderr}");
+    assert!(
+        !flight.exists() && !cache.exists(),
+        "an unknown command created an artifact"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn missing_flag_value_fails() {
     let (ok, _, stderr) = run(&["survival", "--model"]);
     assert!(!ok);

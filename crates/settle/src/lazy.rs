@@ -224,9 +224,27 @@ impl LazyScratch {
         tables: &Tables,
         key: u64,
     ) -> (u64, u64) {
+        // A settler that blocks some pair (SC, TSO, PSO), or a program with
+        // a fence nothing passes, has no floor: its walk leaves the floor
+        // test out of the loop.
+        if tables.has_floor() {
+            self.gamma_walk::<true>(shape, program, tables, key)
+        } else {
+            self.gamma_walk::<false>(shape, program, tables, key)
+        }
+    }
+
+    /// [`LazyScratch::gamma`] by a walk with or without floor decisions.
+    fn gamma_walk<const FLOOR: bool>(
+        &mut self,
+        shape: &ProgramShape,
+        program: &mut ProgramWords,
+        tables: &Tables,
+        key: u64,
+    ) -> (u64, u64) {
         let len = shape.len();
         let (ld, st) = (shape.image.ld, shape.image.st);
-        let mut walk = self.start(shape, program, tables, key, len);
+        let mut walk = self.start::<FLOOR>(shape, program, tables, key, len);
         let gamma = walk.gamma_within_budget(ld, st).unwrap_or_else(|| {
             walk.settle_forward(len);
             image_gamma(walk.work, ld, st)
@@ -254,8 +272,26 @@ impl LazyScratch {
         rounds: usize,
         cap: usize,
     ) -> (u64, u64) {
+        if tables.has_floor() {
+            self.store_run_walk::<true>(shape, program, tables, key, rounds, cap)
+        } else {
+            self.store_run_walk::<false>(shape, program, tables, key, rounds, cap)
+        }
+    }
+
+    /// [`LazyScratch::store_run`] by a walk with or without floor
+    /// decisions.
+    fn store_run_walk<const FLOOR: bool>(
+        &mut self,
+        shape: &ProgramShape,
+        program: &mut ProgramWords,
+        tables: &Tables,
+        key: u64,
+        rounds: usize,
+        cap: usize,
+    ) -> (u64, u64) {
         debug_assert!(cap <= rounds && rounds <= shape.len());
-        let mut walk = self.start(shape, program, tables, key, rounds);
+        let mut walk = self.start::<FLOOR>(shape, program, tables, key, rounds);
         let run = walk
             .store_run_within_budget(rounds, cap)
             .unwrap_or_else(|| {
@@ -270,14 +306,14 @@ impl LazyScratch {
 
     /// A lazy settle of the first `rounds` rounds with nothing revealed.
     #[inline(always)]
-    fn start<'s>(
+    fn start<'s, const FLOOR: bool>(
         &'s mut self,
         shape: &'s ProgramShape,
         program: &'s mut ProgramWords,
         tables: &'s Tables,
         key: u64,
         rounds: usize,
-    ) -> Walk<'s> {
+    ) -> Walk<'s, FLOOR> {
         program.load(shape);
         if self.know.len() < rounds {
             self.grow(rounds);
@@ -313,8 +349,9 @@ impl LazyScratch {
     }
 }
 
-/// One lazy settle of a program in initial order.
-struct Walk<'s> {
+/// One lazy settle of a program in initial order, deciding attempts below
+/// the mover's floor on the spot when `FLOOR`.
+struct Walk<'s, const FLOOR: bool> {
     shape: &'s ProgramShape,
     program: &'s mut ProgramWords,
     tables: &'s Tables,
@@ -336,7 +373,7 @@ struct Walk<'s> {
     low: usize,
 }
 
-impl Walk<'_> {
+impl<const FLOOR: bool> Walk<'_, FLOOR> {
     /// The packed word of instruction `i`.
     #[inline(always)]
     fn word(&mut self, i: usize) -> u32 {
@@ -470,7 +507,8 @@ impl Walk<'_> {
                 if k as usize != r && reach != BLOCKED {
                     let draw = attempt_draw(self.key, r, k as usize);
                     if draw < reach {
-                        if draw < self.tables.floor(mover)
+                        if FLOOR
+                            && draw < self.tables.floor(mover)
                             && (mover & ALIASED == 0 || (suspended == 0 && k < clear))
                         {
                             self.budget = self.budget.checked_sub(1)?;

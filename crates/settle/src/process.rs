@@ -509,7 +509,8 @@ impl Tables {
         let (mut reach, mut floor) = ([BLOCKED; 8], [BLOCKED; 8]);
         for st in 0..2 {
             reach[st] = pass.iter().map(|row| row[st]).max().unwrap_or(BLOCKED);
-            // Every program holds a load and a store (the critical pair).
+            // Both memory rows: every program holds a load and a store (its
+            // critical pair), and a minimum over more classes is still a floor.
             let met = [eff[0][st], eff[1][st]].into_iter().chain(release);
             floor[st] = if barrier {
                 BLOCKED
@@ -531,6 +532,12 @@ impl Tables {
     #[inline]
     pub(crate) fn reach(&self, mover: u32) -> u64 {
         self.reach[(mover >> ST_FLAG_SHIFT) as usize]
+    }
+
+    /// Whether some memory mover has a floor above BLOCKED.
+    #[inline]
+    pub(crate) fn has_floor(&self) -> bool {
+        self.floor != [BLOCKED; 8]
     }
 
     /// The smallest threshold the instruction of packed word `mover` can

@@ -47,8 +47,9 @@
 //! the uniform is below its floor: the smallest threshold it could meet
 //! from another location, over the instruction classes of the program (0
 //! when the program holds a fence nothing passes, and always 0 under TSO
-//! and PSO, which block some pair). Under WO every pair of locations swaps
-//! alike, so most of its attempts are decided here, from the draw alone.
+//! and PSO, which block some pair; their walk is compiled without the
+//! floor test). Under WO every pair of locations swaps alike, so most of
+//! its attempts are decided here, from the draw alone.
 //! Otherwise the attempt is suspended, with its uniform, on a stack
 //! pre-sized to the program, and the walk looks up the instruction above
 //! the mover; when the lookup lands, one threshold lookup by (above class,
@@ -119,8 +120,8 @@ const DONE: u32 = 1 << 31;
 const UNLIMITED: u32 = DONE - 1;
 
 /// Walk steps (lookup steps and floor decisions) per instruction before
-/// the kernel settles forward instead. At the canonical `s = 1/2` no settle of the named models comes
-/// near it; at `s ≥ 0.95` most do.
+/// the kernel settles forward instead. At the canonical `s = 1/2` no
+/// settle of the named models comes near it; at `s ≥ 0.95` most do.
 const STEPS_PER_INSTRUCTION: usize = 4;
 
 /// A suspended attempt: the next attempt of round `round`, whose mover has

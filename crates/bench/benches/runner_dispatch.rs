@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use memmodel::MemoryModel;
 use mmr_core::ReliabilityModel;
-use montecarlo::{task_rng, Runner, Seed};
+use montecarlo::{task_rng, BernoulliEstimate, Runner, Seed};
 use std::hint::black_box;
 
 /// The pre-pool dispatch strategy, reconstructed: split the trial range
@@ -50,11 +50,15 @@ fn pool_successes(trials: u64, seed: u64, threads: usize) -> u64 {
     let rm = ReliabilityModel::new(MemoryModel::Tso, 2);
     Runner::new(Seed(seed))
         .with_threads(threads)
-        .bernoulli_scratch(
+        .run::<BernoulliEstimate, _>(
             trials,
             move || rm.scratch(),
             move |scratch, rng| rm.simulate_survival_once_scratch(scratch, rng),
+            None,
         )
+        .expect("panic-free simulation")
+        .0
+        .value
         .successes()
 }
 

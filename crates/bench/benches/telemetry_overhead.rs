@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use memmodel::MemoryModel;
 use mmr_core::ReliabilityModel;
-use montecarlo::{Runner, Seed};
+use montecarlo::{BernoulliEstimate, Runner, Seed};
 use std::hint::black_box;
 
 /// The end-to-end survival kernel dispatched through the persistent pool.
@@ -19,11 +19,15 @@ fn survival_successes(trials: u64, seed: u64, threads: usize) -> u64 {
     let rm = ReliabilityModel::new(MemoryModel::Tso, 2);
     Runner::new(Seed(seed))
         .with_threads(threads)
-        .bernoulli_scratch(
+        .run::<BernoulliEstimate, _>(
             trials,
             move || rm.scratch(),
             move |scratch, rng| rm.simulate_survival_once_scratch(scratch, rng),
+            None,
         )
+        .expect("panic-free simulation")
+        .0
+        .value
         .successes()
 }
 

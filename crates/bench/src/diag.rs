@@ -124,7 +124,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use montecarlo::{Runner, Seed};
+    use montecarlo::{BernoulliEstimate, Runner, Seed};
     use rand::Rng;
 
     #[test]
@@ -140,8 +140,9 @@ mod tests {
         let s = session();
         let report = Runner::new(Seed(71))
             .with_threads(1)
-            .try_bernoulli(2_000, |rng| rng.gen_bool(0.5))
-            .unwrap();
+            .run::<BernoulliEstimate, _>(2_000, || (), |_, rng| rng.gen_bool(0.5), None)
+            .unwrap()
+            .0;
         record_report("test.live", &report);
         let drained = s.drain();
         assert_eq!(drained.len(), 1, "stale record must be gone: {drained:?}");

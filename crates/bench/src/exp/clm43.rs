@@ -3,7 +3,7 @@
 use crate::{verdict, Ctx};
 use analytic::recurrence;
 use memmodel::MemoryModel;
-use montecarlo::{Runner, Seed};
+use montecarlo::{BernoulliEstimate, Runner, Seed};
 use progmodel::ProgramGenerator;
 use settle::{events, Settler};
 use std::fmt::Write as _;
@@ -22,7 +22,7 @@ pub fn run(ctx: &Ctx) -> String {
         let gen = ProgramGenerator::new(48);
         let report = Runner::new(Seed(ctx.seed.wrapping_add(k as u64)))
             .with_threads(ctx.threads)
-            .try_bernoulli_scratch(
+            .run::<BernoulliEstimate, _>(
                 ctx.trials,
                 || super::keyed_scratch(48),
                 move |(shape, scratch), rng| {
@@ -38,8 +38,10 @@ pub fn run(ctx: &Ctx) -> String {
                     )
                     .expect("i is within the program")
                 },
+                None,
             )
-            .expect("panic-free simulation");
+            .expect("panic-free simulation")
+            .0;
         crate::diag::record_report(format!("clm43.i{i}"), &report);
         let est = report.value;
         let paper = recurrence::bottom_store_fraction(0.5, 0.5, i as u64);
@@ -73,7 +75,7 @@ pub fn run(ctx: &Ctx) -> String {
         );
         let est = Runner::new(Seed(ctx.seed ^ ((p * 100.0) as u64) ^ ((s * 10.0) as u64)))
             .with_threads(ctx.threads)
-            .bernoulli_scratch(
+            .run::<BernoulliEstimate, _>(
                 ctx.trials / 2,
                 || super::keyed_scratch(48),
                 move |(shape, scratch), rng| {
@@ -89,7 +91,11 @@ pub fn run(ctx: &Ctx) -> String {
                     )
                     .expect("i is within the program")
                 },
-            );
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value;
         let covered = est.covers(limit, 0.999);
         ok &= covered;
         let _ = writeln!(

@@ -4,7 +4,7 @@ use crate::{verdict, Ctx};
 use memmodel::fence::FenceKind;
 use memmodel::{MemoryModel, OpType};
 use mmr_core::{direct_trial, TrialScratch};
-use montecarlo::{Runner, Seed};
+use montecarlo::{BernoulliEstimate, Histogram, Runner, Seed};
 use progmodel::{Program, ProgramGenerator};
 use settle::{ProgramShape, SettleScratch, Settler};
 use shiftproc::ShiftProcess;
@@ -49,7 +49,7 @@ pub fn run(ctx: &Ctx) -> String {
             // Window distribution.
             let h = Runner::new(Seed(seed))
                 .with_threads(ctx.threads)
-                .histogram_scratch(
+                .run::<Histogram, _>(
                     ctx.trials / 2,
                     move || (ProgramShape::new(&template(fence)), SettleScratch::new()),
                     move |(shape, scratch), rng| {
@@ -65,18 +65,24 @@ pub fn run(ctx: &Ctx) -> String {
                         );
                         gamma[0]
                     },
-                );
+                    None,
+                )
+                .expect("panic-free simulation")
+                .0
+                .value;
             // End-to-end survival.
             let report = Runner::new(Seed(seed ^ 1))
                 .with_threads(ctx.threads)
-                .try_bernoulli_scratch(
+                .run::<BernoulliEstimate, _>(
                     ctx.trials / 2,
                     move || TrialScratch::new(&template(fence), 2),
                     move |scratch, rng| {
                         direct_trial(&settler, &gen, &ShiftProcess::canonical(), 2, scratch, rng)
                     },
+                    None,
                 )
-                .expect("panic-free simulation");
+                .expect("panic-free simulation")
+                .0;
             crate::diag::record_report(format!("fence.{}.v{vi}", model.short_name()), &report);
             let est = report.value;
             if fence.is_some() {
@@ -112,7 +118,7 @@ pub fn run(ctx: &Ctx) -> String {
     let gen = ProgramGenerator::new(M);
     let h = Runner::new(Seed(ctx.seed ^ 0xFEE))
         .with_threads(ctx.threads)
-        .histogram_scratch(
+        .run::<Histogram, _>(
             ctx.trials / 2,
             move || {
                 (
@@ -133,7 +139,11 @@ pub fn run(ctx: &Ctx) -> String {
                 );
                 gamma[0]
             },
-        );
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value;
     let leaky = h.tail(1) > 0.0;
     ok &= leaky;
     let _ = writeln!(

@@ -6,7 +6,7 @@ use crate::{sweep, verdict, Ctx};
 use analytic::general::{GeneralWindowLaws, Params};
 use memmodel::{MemoryModel, OpType, SettleProbs};
 use mmr_core::{direct_trial, TrialScratch};
-use montecarlo::{chi_square_gof, Runner, Seed};
+use montecarlo::{chi_square_gof, BernoulliEstimate, Histogram, Runner, Seed};
 use progmodel::{Program, ProgramGenerator};
 use settle::{ProgramShape, SettleScratch, Settler};
 use shiftproc::ShiftProcess;
@@ -78,7 +78,7 @@ pub fn run(ctx: &Ctx) -> String {
                 .expect("valid p");
             let h = Runner::new(Seed(seed.wrapping_add((pi * 10 + mi) as u64) ^ 0x6E))
                 .with_threads(inner)
-                .histogram_scratch(
+                .run::<Histogram, _>(
                     trials / 2,
                     move || (ProgramShape::new(&blank()), SettleScratch::new()),
                     move |(shape, scratch), rng| {
@@ -94,7 +94,11 @@ pub fn run(ctx: &Ctx) -> String {
                         );
                         gamma[0]
                     },
-                );
+                    None,
+                )
+                .expect("panic-free simulation")
+                .0
+                .value;
             let gof = chi_square_gof(&h, |g| laws.pmf(model, g).expect("named"), 5.0);
             (p, s, model, gof)
         },
@@ -159,11 +163,15 @@ pub fn run(ctx: &Ctx) -> String {
             let proc = ShiftProcess::with_q(q).expect("valid q");
             let est = Runner::new(Seed(seed.wrapping_add((ci * 10 + mi) as u64) ^ 0x6F))
                 .with_threads(inner)
-                .bernoulli_scratch(
+                .run::<BernoulliEstimate, _>(
                     trials / 2,
                     move || TrialScratch::new(&blank(), 2),
                     move |scratch, rng| direct_trial(&st, &gen, &proc, 2, scratch, rng),
-                );
+                    None,
+                )
+                .expect("panic-free simulation")
+                .0
+                .value;
             (p, s, q, model, analytic_v, est)
         },
     );
@@ -205,14 +213,16 @@ pub fn run(ctx: &Ctx) -> String {
         let gen = ProgramGenerator::new(M);
         let report = Runner::new(Seed(ctx.seed ^ salt))
             .with_threads(ctx.threads)
-            .try_bernoulli_scratch(
+            .run::<BernoulliEstimate, _>(
                 ctx.trials,
                 move || TrialScratch::new(&blank(), 2),
                 move |scratch, rng| {
                     direct_trial(&st, &gen, &ShiftProcess::canonical(), 2, scratch, rng)
                 },
+                None,
             )
-            .expect("panic-free simulation");
+            .expect("panic-free simulation")
+            .0;
         crate::diag::record_report(format!("general.high_s.{}", model.short_name()), &report);
         report.value
     };

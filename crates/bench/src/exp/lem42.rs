@@ -3,7 +3,7 @@
 use crate::{verdict, Ctx};
 use analytic::lemma42;
 use memmodel::MemoryModel;
-use montecarlo::{chi_square_gof, Runner, Seed};
+use montecarlo::{chi_square_gof, Histogram, Runner, Seed};
 use progmodel::ProgramGenerator;
 use settle::{events, Settler};
 use std::fmt::Write as _;
@@ -18,14 +18,18 @@ pub fn run(ctx: &Ctx) -> String {
     let gen = ProgramGenerator::new(64);
     let h = Runner::new(Seed(ctx.seed ^ 0x42))
         .with_threads(ctx.threads)
-        .histogram_scratch(
+        .run::<Histogram, _>(
             ctx.trials,
             || super::keyed_scratch(64),
             move |(shape, scratch), rng| {
                 let key = gen.draw_key(rng);
                 events::l_mu_keyed(&settler, shape, key, gen.store_threshold(), scratch, rng)
             },
-        );
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value;
 
     let series = lemma42::pr_l_mu_series_all(96, lemma42::DEFAULT_Q_MAX);
     let mut table = Table::new(vec!["mu", "paper lower bound", "series", "measured"]);

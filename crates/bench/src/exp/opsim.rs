@@ -13,7 +13,7 @@ fn bug_rate(ctx: &Ctx, model: MemoryModel, n: usize, salt: u64) -> BernoulliEsti
     let params = SimParams::for_model(model);
     let report = Runner::new(Seed(ctx.seed.wrapping_add(salt)))
         .with_threads(ctx.threads)
-        .try_bernoulli_scratch(
+        .run::<BernoulliEstimate, _>(
             ctx.trials / 4,
             move || IncrementMachine::new(n, FILLER, params),
             |machine, rng| {
@@ -22,8 +22,10 @@ fn bug_rate(ctx: &Ctx, model: MemoryModel, n: usize, salt: u64) -> BernoulliEsti
                     .expect("the increment workload quiesces")
                     .bug_manifested()
             },
+            None,
         )
-        .expect("panic-free simulation");
+        .expect("panic-free simulation")
+        .0;
     crate::diag::record_report(format!("opsim.n{n}.{}", model.short_name()), &report);
     report.value
 }

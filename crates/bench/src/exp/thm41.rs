@@ -24,7 +24,7 @@ fn gamma_histogram(
     let gen = ProgramGenerator::new(m);
     Runner::new(Seed(seed))
         .with_threads(threads)
-        .histogram_scratch(
+        .run::<Histogram, _>(
             trials,
             move || {
                 let program =
@@ -47,7 +47,11 @@ fn gamma_histogram(
                 );
                 gamma[0]
             },
+            None,
         )
+        .expect("panic-free simulation")
+        .0
+        .value
 }
 
 /// Per model: Monte-Carlo window histogram vs the closed-form / series law,

@@ -1,7 +1,7 @@
 //! EXP-THM51: Theorem 5.1 — exact shift-process disjointness.
 
 use crate::{verdict, Ctx};
-use montecarlo::{Runner, Seed};
+use montecarlo::{BernoulliEstimate, Runner, Seed};
 use shiftproc::{exact, ShiftProcess, ShiftScratch};
 use std::fmt::Write as _;
 use textplot::Table;
@@ -37,12 +37,14 @@ pub fn run(ctx: &Ctx) -> String {
         let proc = ShiftProcess::canonical();
         let report = Runner::new(Seed(ctx.seed.wrapping_add(i as u64)))
             .with_threads(ctx.threads)
-            .try_bernoulli_scratch(
+            .run::<BernoulliEstimate, _>(
                 ctx.trials,
                 move || ShiftScratch::with_capacity(lengths.len()),
                 move |scratch, rng| proc.simulate_disjoint_into(lengths, scratch, rng),
+                None,
             )
-            .expect("panic-free simulation");
+            .expect("panic-free simulation")
+            .0;
         crate::diag::record_report(format!("thm51.case{i}"), &report);
         let est = report.value;
         let covered = est.covers(dp, 0.999);

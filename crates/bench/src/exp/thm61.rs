@@ -3,7 +3,7 @@
 use crate::{verdict, Ctx};
 use memmodel::MemoryModel;
 use mmr_core::ReliabilityModel;
-use montecarlo::{Runner, Seed};
+use montecarlo::{Runner, Seed, Welford};
 use shiftproc::{exact, exchangeable};
 use std::fmt::Write as _;
 
@@ -24,14 +24,18 @@ pub fn run(ctx: &Ctx) -> String {
             // Mean of exact conditional probabilities.
             let exact_mean = Runner::new(Seed(ctx.seed ^ (n as u64) << 3))
                 .with_threads(ctx.threads)
-                .mean_scratch(
+                .run::<Welford, _>(
                     ctx.trials / 2,
                     move || rm.scratch(),
                     move |scratch, rng| {
                         let w = rm.sample_windows_scratch(scratch, rng);
                         exact::pr_disjoint(w)
                     },
-                );
+                    None,
+                )
+                .expect("panic-free simulation")
+                .0
+                .value;
             // Exchangeable estimator from the same distribution.
             let est = rm.estimate_survival_rb_with(ctx.trials / 2, ctx.seed ^ 0x61, ctx.threads);
             let rel = (est.survival() - exact_mean.mean()).abs() / exact_mean.mean();
@@ -53,20 +57,22 @@ pub fn run(ctx: &Ctx) -> String {
     let rm = ReliabilityModel::new(MemoryModel::Tso, 3);
     let forward_report = Runner::new(Seed(ctx.seed ^ 0x611))
         .with_threads(ctx.threads)
-        .try_mean_scratch(
+        .run::<Welford, _>(
             ctx.trials / 2,
             move || rm.scratch(),
             move |scratch, rng| {
                 let w = rm.sample_windows_scratch(scratch, rng);
                 exchangeable::sample_factor(w, 2)
             },
+            None,
         )
-        .expect("panic-free simulation");
+        .expect("panic-free simulation")
+        .0;
     crate::diag::record_report("thm61.factor_forward", &forward_report);
     let forward = forward_report.value;
     let reversed_report = Runner::new(Seed(ctx.seed ^ 0x612))
         .with_threads(ctx.threads)
-        .try_mean_scratch(
+        .run::<Welford, _>(
             ctx.trials / 2,
             move || (rm.scratch(), Vec::new()),
             move |(scratch, buf), rng| {
@@ -76,8 +82,10 @@ pub fn run(ctx: &Ctx) -> String {
                 buf.reverse();
                 exchangeable::sample_factor(buf, 2)
             },
+            None,
         )
-        .expect("panic-free simulation");
+        .expect("panic-free simulation")
+        .0;
     crate::diag::record_report("thm61.factor_reversed", &reversed_report);
     let reversed = reversed_report.value;
     let rel = (forward.mean() - reversed.mean()).abs() / forward.mean();

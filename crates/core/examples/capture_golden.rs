@@ -13,7 +13,7 @@
 
 use memmodel::{MemoryModel, OpType};
 use mmr_core::ReliabilityModel;
-use montecarlo::{Runner, Seed};
+use montecarlo::{BernoulliEstimate, Histogram, Runner, Seed, Welford};
 use progmodel::{Program, ProgramGenerator};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -24,11 +24,17 @@ fn main() {
     println!("survival hits (Seed(42), 50_000 trials):");
     for model in MemoryModel::NAMED {
         let rm = ReliabilityModel::new(model, 2);
-        let est = Runner::new(Seed(42)).with_threads(4).bernoulli_scratch(
-            50_000,
-            move || rm.scratch(),
-            move |scratch, rng| rm.simulate_survival_once_scratch(scratch, rng),
-        );
+        let est = Runner::new(Seed(42))
+            .with_threads(4)
+            .run::<BernoulliEstimate, _>(
+                50_000,
+                move || rm.scratch(),
+                move |scratch, rng| rm.simulate_survival_once_scratch(scratch, rng),
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value;
         println!("    (MemoryModel::{model:?}, {}),", est.successes());
     }
 
@@ -37,18 +43,24 @@ fn main() {
         let rm = ReliabilityModel::new(model, 2);
         let settler = *rm.settler();
         let m = rm.filler_len();
-        let h = Runner::new(Seed(7)).with_threads(4).histogram_scratch(
-            20_000,
-            move || {
-                let program =
-                    Program::from_filler_types(&vec![OpType::Ld; m]).expect("canonical shape");
-                (program, SettleScratch::with_capacity(m + 2))
-            },
-            move |(program, scratch), rng| {
-                ProgramGenerator::new(m).regenerate(program, rng);
-                settler.sample_gamma_scratch(program, scratch, rng)
-            },
-        );
+        let h = Runner::new(Seed(7))
+            .with_threads(4)
+            .run::<Histogram, _>(
+                20_000,
+                move || {
+                    let program =
+                        Program::from_filler_types(&vec![OpType::Ld; m]).expect("canonical shape");
+                    (program, SettleScratch::with_capacity(m + 2))
+                },
+                move |(program, scratch), rng| {
+                    ProgramGenerator::new(m).regenerate(program, rng);
+                    settler.sample_gamma_scratch(program, scratch, rng)
+                },
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value;
         let counts: Vec<u64> = (0..6).map(|g| h.count(g)).collect();
         println!("    (MemoryModel::{model:?}, {counts:?}),");
     }
@@ -56,14 +68,20 @@ fn main() {
     println!("RB factor means (Seed(11), 20_000 trials, n = 6):");
     for model in MemoryModel::NAMED {
         let rm = ReliabilityModel::new(model, 6);
-        let stats = Runner::new(Seed(11)).with_threads(4).mean_scratch(
-            20_000,
-            move || rm.scratch(),
-            move |scratch, rng| {
-                let windows = rm.sample_windows_scratch(scratch, rng);
-                exchangeable::sample_factor(windows, 2)
-            },
-        );
+        let stats = Runner::new(Seed(11))
+            .with_threads(4)
+            .run::<Welford, _>(
+                20_000,
+                move || rm.scratch(),
+                move |scratch, rng| {
+                    let windows = rm.sample_windows_scratch(scratch, rng);
+                    exchangeable::sample_factor(windows, 2)
+                },
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value;
         println!("    (MemoryModel::{model:?}, {:e}),", stats.mean());
     }
 

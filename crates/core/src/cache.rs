@@ -2,7 +2,7 @@
 //! lookup/extend/compute orchestration around the runner.
 //!
 //! Every Monte-Carlo entry point in this crate funnels its runner call
-//! through [`cached_run`]. With no store installed ([`store::active`] is
+//! through [`ReliabilityModel::run_cached`]. With no store installed ([`store::active`] is
 //! `None`) the seam is a passthrough. With a store installed:
 //!
 //! * an exact request-key **hit** reconstructs the finished
@@ -24,8 +24,9 @@
 //! prefix, which re-enters the engine's wave schedule at the same
 //! boundary a cold run would reach with the same merged value.
 
-use crate::ReliabilityModel;
-use montecarlo::{ChunkPrefix, Error, RunReport, Runner, CHUNK_WIDTH};
+use crate::{ReliabilityModel, TrialScratch};
+use montecarlo::{Accumulator, ChunkPrefix, Error, RunReport, Runner, CHUNK_WIDTH};
+use rand::rngs::SmallRng;
 use std::time::Duration;
 use store::{CacheableAcc, CachedPrefix, CachedReport, Lookup, RequestKey};
 
@@ -57,6 +58,34 @@ impl ReliabilityModel {
         }
         .request(trials, runner.target_rse())
     }
+
+    /// Runs `trial` on this model's [`TrialScratch`] under `runner`,
+    /// through the cache seam ([`cached_run`]) under the request kind
+    /// `kind`, and credits the model's telemetry.
+    pub(crate) fn run_cached<A: Accumulator + CacheableAcc>(
+        &self,
+        kind: &str,
+        runner: &Runner,
+        trials: u64,
+        trial: impl Fn(&ReliabilityModel, &mut TrialScratch, &mut SmallRng) -> A::Item
+            + Send
+            + Sync
+            + 'static,
+    ) -> RunReport<A> {
+        let this = *self;
+        let r = *runner;
+        let key = self.request_key(kind, runner, trials);
+        cached_run(&key, runner, trials, move |resume| {
+            crate::telemetry::timed_run(this.memory_model(), trials, move || {
+                r.run(
+                    trials,
+                    move || this.scratch(),
+                    move |scratch, rng| trial(&this, scratch, rng),
+                    resume,
+                )
+            })
+        })
+    }
 }
 
 /// How an extension lookup resolves.
@@ -71,11 +100,10 @@ enum Extension<A> {
 }
 
 /// Replays the cold run's decision schedule over cached prefixes.
-fn plan_extension<A: CacheableAcc + Clone>(
+fn plan_extension<A: Accumulator + CacheableAcc>(
     runner: &Runner,
     trials: u64,
     prefixes: &[CachedPrefix],
-    rse_of: &impl Fn(&A) -> f64,
 ) -> Extension<A> {
     let n_chunks = trials.div_ceil(CHUNK_WIDTH);
     let max_full = trials / CHUNK_WIDTH;
@@ -83,7 +111,6 @@ fn plan_extension<A: CacheableAcc + Clone>(
         value,
         trials_requested: trials,
         trials_completed: completed,
-        truncated: false,
         retried_chunks: 0,
         converged_early: converged,
         degraded: false,
@@ -115,7 +142,11 @@ fn plan_extension<A: CacheableAcc + Clone>(
         let Some(decoded) = p.to_prefix::<A>() else {
             return Extension::Cold;
         };
-        let rse = rse_of(&decoded.value);
+        // An accumulator without a stop statistic never stops early: the
+        // replay has nothing to decide.
+        let Some(rse) = decoded.value.stop_rse() else {
+            break;
+        };
         // Mirror the cold engine's `wave_decided` events so a warm replay
         // leaves the same payload trace in the flight log as the run it
         // stands in for.
@@ -159,19 +190,15 @@ fn plan_extension<A: CacheableAcc + Clone>(
 /// pure lookups, family prefixes extend the fold, and clean results are
 /// inserted with their prefix snapshots on the way out.
 ///
-/// `rse_of` must compute the same statistic the runner's stop predicate
-/// uses (ignored unless the runner carries a target); `run` executes the
-/// actual runner entry point, optionally resuming from a prefix.
-pub(crate) fn cached_run<A>(
+/// `run` executes the request's [`Runner::run`], optionally resuming from
+/// a prefix; a warm `with_target_rse` replay decides on the same
+/// [`Accumulator::stop_rse`] the runner stops on.
+fn cached_run<A: Accumulator + CacheableAcc>(
     key: &RequestKey,
     runner: &Runner,
     trials: u64,
-    rse_of: impl Fn(&A) -> f64,
     run: impl FnOnce(Option<ChunkPrefix<A>>) -> Result<(RunReport<A>, Vec<ChunkPrefix<A>>), Error>,
-) -> RunReport<A>
-where
-    A: CacheableAcc + Clone,
-{
+) -> RunReport<A> {
     let canon = key.canon();
     obs::flight::event("request").detail(&canon).emit();
     obs::flight::set_current_request(Some(canon.as_str()));
@@ -189,7 +216,7 @@ where
             // recompute; the insert below repairs the entry.
             None => None,
         },
-        Lookup::Extend(prefixes) => match plan_extension(runner, trials, &prefixes, &rse_of) {
+        Lookup::Extend(prefixes) => match plan_extension(runner, trials, &prefixes) {
             Extension::Finished(report, keep) => {
                 if let Some(cached) = CachedReport::from_report(&report) {
                     cache.insert(key, cached, keep);

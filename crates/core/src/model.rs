@@ -1,7 +1,7 @@
 //! The joined model configuration and its samplers.
 
 use memmodel::{MemoryModel, OpType, CANONICAL_P};
-use montecarlo::{BernoulliEstimate, EstimatorStats, Histogram, RunReport, Runner, Seed};
+use montecarlo::{BernoulliEstimate, Histogram, RunReport, Runner, Seed};
 use progmodel::{Program, ProgramGenerator};
 use rand::Rng;
 use settle::{ProgramShape, SettleScratch, Settler};
@@ -264,7 +264,8 @@ impl ReliabilityModel {
     /// [`simulate_survival_with`](ReliabilityModel::simulate_survival_with)).
     #[must_use]
     pub fn simulate_survival(&self, trials: u64, seed: u64) -> BernoulliEstimate {
-        self.survival_runner(Runner::new(Seed(seed)), trials)
+        self.simulate_survival_runner(&Runner::new(Seed(seed)), trials)
+            .value
     }
 
     /// [`simulate_survival`](ReliabilityModel::simulate_survival) with an
@@ -278,16 +279,13 @@ impl ReliabilityModel {
         seed: u64,
         workers: usize,
     ) -> BernoulliEstimate {
-        self.survival_runner(Runner::new(Seed(seed)).with_threads(workers), trials)
-    }
-
-    fn survival_runner(&self, runner: Runner, trials: u64) -> BernoulliEstimate {
-        self.simulate_survival_runner(&runner, trials).value
+        self.simulate_survival_runner(&Runner::new(Seed(seed)).with_threads(workers), trials)
+            .value
     }
 
     /// Runs the survival estimate under an arbitrary pre-configured
-    /// [`Runner`] (worker count, deadline, stopping target), returning the
-    /// full [`RunReport`]. This is the cache-aware entry point: with a
+    /// [`Runner`] (worker count, stopping target, retry policy), returning
+    /// the full [`RunReport`]. This is the cache-aware entry point: with a
     /// [`store`] installed, repeated requests are pure lookups and
     /// larger-trial or [`with_target_rse`](Runner::with_target_rse)
     /// requests over the same `(seed, params)` resume from the cached
@@ -299,18 +297,8 @@ impl ReliabilityModel {
         runner: &Runner,
         trials: u64,
     ) -> RunReport<BernoulliEstimate> {
-        let this = *self;
-        let r = *runner;
-        let key = self.request_key("survival", runner, trials);
-        crate::cache::cached_run(&key, runner, trials, EstimatorStats::rse, move |resume| {
-            crate::telemetry::timed_run(this.model, trials, move || {
-                r.try_bernoulli_scratch_resume(
-                    trials,
-                    move || this.scratch(),
-                    move |scratch, rng| this.simulate_survival_once_scratch(scratch, rng),
-                    resume,
-                )
-            })
+        self.run_cached("survival", runner, trials, |m, scratch, rng| {
+            m.simulate_survival_once_scratch(scratch, rng)
         })
     }
 
@@ -318,7 +306,7 @@ impl ReliabilityModel {
     /// using the machine's available parallelism.
     #[must_use]
     pub fn window_histogram(&self, trials: u64, seed: u64) -> Histogram {
-        self.histogram_runner(Runner::new(Seed(seed)), trials)
+        self.window_histogram_runner(&Runner::new(Seed(seed)), trials)
     }
 
     /// [`window_histogram`](ReliabilityModel::window_histogram) with an
@@ -326,33 +314,16 @@ impl ReliabilityModel {
     /// for any `workers`).
     #[must_use]
     pub fn window_histogram_with(&self, trials: u64, seed: u64, workers: usize) -> Histogram {
-        self.histogram_runner(Runner::new(Seed(seed)).with_threads(workers), trials)
+        self.window_histogram_runner(&Runner::new(Seed(seed)).with_threads(workers), trials)
     }
 
-    fn histogram_runner(&self, runner: Runner, trials: u64) -> Histogram {
-        let this = *self;
-        let key = self.request_key("windows", &runner, trials);
-        crate::cache::cached_run(
-            &key,
-            &runner,
-            trials,
-            |_: &Histogram| f64::INFINITY,
-            move |resume| {
-                crate::telemetry::timed_run(this.model, trials, move || {
-                    runner.try_histogram_scratch_resume(
-                        trials,
-                        move || this.scratch(),
-                        move |scratch, rng| {
-                            scratch.windows.clear();
-                            scratch.windows.push(0);
-                            this.sample_keyed(scratch, rng);
-                            scratch.windows[0]
-                        },
-                        resume,
-                    )
-                })
-            },
-        )
+    fn window_histogram_runner(&self, runner: &Runner, trials: u64) -> Histogram {
+        self.run_cached("windows", runner, trials, |m, scratch, rng| {
+            scratch.windows.clear();
+            scratch.windows.push(0);
+            m.sample_keyed(scratch, rng);
+            scratch.windows[0]
+        })
         .value
     }
 }

@@ -54,28 +54,33 @@ impl ReliabilityModel {
     #[must_use]
     pub fn overlap_count_histogram(&self, trials: u64, seed: u64) -> Histogram {
         let this = *self;
-        Runner::new(Seed(seed)).histogram_scratch(
-            trials,
-            move || (this.scratch(), Vec::<Segment>::new()),
-            move |state, rng| {
-                let (scratch, segments) = state;
-                let windows = this.sample_windows_scratch(scratch, rng);
-                let proc = ShiftProcess::canonical();
-                segments.clear();
-                segments.extend(
-                    windows
-                        .iter()
-                        .map(|&w| Segment::new(proc.sample_shift(rng), w)),
-                );
-                let mut overlaps = 0u64;
-                for (i, a) in segments.iter().enumerate() {
-                    for b in &segments[i + 1..] {
-                        overlaps += u64::from(a.overlaps(b));
+        Runner::new(Seed(seed))
+            .run::<Histogram, _>(
+                trials,
+                move || (this.scratch(), Vec::<Segment>::new()),
+                move |state, rng| {
+                    let (scratch, segments) = state;
+                    let windows = this.sample_windows_scratch(scratch, rng);
+                    let proc = ShiftProcess::canonical();
+                    segments.clear();
+                    segments.extend(
+                        windows
+                            .iter()
+                            .map(|&w| Segment::new(proc.sample_shift(rng), w)),
+                    );
+                    let mut overlaps = 0u64;
+                    for (i, a) in segments.iter().enumerate() {
+                        for b in &segments[i + 1..] {
+                            overlaps += u64::from(a.overlaps(b));
+                        }
                     }
-                }
-                overlaps
-            },
-        )
+                    overlaps
+                },
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::ReliabilityModel;
 use analytic::{thm62, thm63};
 use memmodel::MemoryModel;
-use montecarlo::{EstimatorStats, Runner, Seed, Welford};
+use montecarlo::{Runner, Seed, Welford};
 use shiftproc::exchangeable;
 
 /// A Rao-Blackwellised survival estimate (Theorem 6.1).
@@ -47,7 +47,7 @@ impl ReliabilityModel {
     /// strictly positive).
     #[must_use]
     pub fn estimate_survival_rb(&self, trials: u64, seed: u64) -> RbSurvival {
-        self.rb_runner(Runner::new(Seed(seed)), trials)
+        self.rb_runner(&Runner::new(Seed(seed)), trials)
     }
 
     /// [`estimate_survival_rb`](ReliabilityModel::estimate_survival_rb)
@@ -59,22 +59,13 @@ impl ReliabilityModel {
     /// As [`estimate_survival_rb`](ReliabilityModel::estimate_survival_rb).
     #[must_use]
     pub fn estimate_survival_rb_with(&self, trials: u64, seed: u64, workers: usize) -> RbSurvival {
-        self.rb_runner(Runner::new(Seed(seed)).with_threads(workers), trials)
+        self.rb_runner(&Runner::new(Seed(seed)).with_threads(workers), trials)
     }
 
-    fn rb_runner(&self, runner: Runner, trials: u64) -> RbSurvival {
-        let this = *self;
-        let key = self.request_key("rb", &runner, trials);
-        let stats: Welford =
-            crate::cache::cached_run(&key, &runner, trials, EstimatorStats::rse, move |resume| {
-                crate::telemetry::timed_run(this.memory_model(), trials, move || {
-                    runner.try_mean_scratch_resume(
-                        trials,
-                        move || this.scratch(),
-                        move |scratch, rng| this.rb_factor(scratch, rng),
-                        resume,
-                    )
-                })
+    fn rb_runner(&self, runner: &Runner, trials: u64) -> RbSurvival {
+        let stats: Welford = self
+            .run_cached("rb", runner, trials, |m, scratch, rng| {
+                m.rb_factor(scratch, rng)
             })
             .value;
         let mean = stats.mean();

@@ -54,39 +54,71 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-#[test]
-fn trials_grown_warm_run_is_bit_identical_to_cold_at_every_thread_count() {
-    let _session = Session::start();
-    let m = model();
+/// Grows one request kind through a fresh in-memory store at every thread
+/// count: a miss, an extension of the cached prefix, then a pure hit, each
+/// equal to the uncached (`cold`) result.
+fn assert_grown_runs_match_cold<T: PartialEq + std::fmt::Debug>(
+    kind: &str,
+    cold: impl Fn(u64) -> T,
+    warm: impl Fn(u64, usize) -> T,
+) {
     let small = 6 * CHUNK_WIDTH;
     // A partial tail chunk on the grown request: the resumed fold must
     // append full chunks 6..10 and then the short chunk, like a cold run.
     let large = 10 * CHUNK_WIDTH + 1000;
 
-    let cold_small = m.simulate_survival(small, SEED);
-    let cold_large = m.simulate_survival(large, SEED);
+    let cold_small = cold(small);
+    let cold_large = cold(large);
 
     for threads in [1usize, 2, 3, 8] {
         let cache = Arc::new(store::Store::in_memory());
         store::install(Arc::clone(&cache));
 
-        assert_eq!(m.simulate_survival_with(small, SEED, threads), cold_small);
+        assert_eq!(warm(small, threads), cold_small, "{kind}");
         let stats = cache.stats();
-        assert_eq!(stats.misses, 1, "first run at {threads} threads is a miss");
+        assert_eq!(
+            stats.misses, 1,
+            "{kind}: first run at {threads} threads is a miss"
+        );
 
-        assert_eq!(m.simulate_survival_with(large, SEED, threads), cold_large);
+        assert_eq!(warm(large, threads), cold_large, "{kind}");
         let stats = cache.stats();
         assert_eq!(
             stats.extends, 1,
-            "grown run at {threads} threads must extend the cached prefix"
+            "{kind}: grown run at {threads} threads must extend the cached prefix"
         );
 
         // Replay of the grown request: a pure lookup now.
-        assert_eq!(m.simulate_survival_with(large, SEED, threads), cold_large);
+        assert_eq!(warm(large, threads), cold_large, "{kind}");
         let stats = cache.stats();
-        assert_eq!(stats.hits, 1, "replay at {threads} threads is a pure hit");
+        assert_eq!(
+            stats.hits, 1,
+            "{kind}: replay at {threads} threads is a pure hit"
+        );
         store::clear();
     }
+}
+
+#[test]
+fn trials_grown_warm_run_is_bit_identical_to_cold_at_every_thread_count() {
+    let _session = Session::start();
+    let m = model();
+    // One request kind per accumulator: Bernoulli, Welford, histogram.
+    assert_grown_runs_match_cold(
+        "survival",
+        |trials| m.simulate_survival(trials, SEED),
+        |trials, threads| m.simulate_survival_with(trials, SEED, threads),
+    );
+    assert_grown_runs_match_cold(
+        "rb",
+        |trials| m.estimate_survival_rb(trials, SEED),
+        |trials, threads| m.estimate_survival_rb_with(trials, SEED, threads),
+    );
+    assert_grown_runs_match_cold(
+        "windows",
+        |trials| m.window_histogram(trials, SEED),
+        |trials, threads| m.window_histogram_with(trials, SEED, threads),
+    );
 }
 
 #[test]

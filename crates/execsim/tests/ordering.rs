@@ -9,7 +9,7 @@
 use execsim::{increment_workload_fenced, run_increment_trial, Machine, SimParams};
 use memmodel::fence::FenceKind;
 use memmodel::MemoryModel;
-use montecarlo::{Runner, Seed};
+use montecarlo::{BernoulliEstimate, Runner, Seed};
 
 const TRIALS: u64 = if cfg!(debug_assertions) {
     6_000
@@ -20,9 +20,16 @@ const FILLER: usize = 8;
 
 fn bug_rate(model: MemoryModel, n: usize, seed: u64) -> montecarlo::BernoulliEstimate {
     let params = SimParams::for_model(model);
-    Runner::new(Seed(seed)).bernoulli(TRIALS, move |rng| {
-        run_increment_trial(n, FILLER, params, rng)
-    })
+    Runner::new(Seed(seed))
+        .run::<BernoulliEstimate, _>(
+            TRIALS,
+            || (),
+            move |_, rng| run_increment_trial(n, FILLER, params, rng),
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value
 }
 
 #[test]
@@ -101,11 +108,20 @@ fn full_fence_restores_reliability_under_weak_models() {
     // load under WO should cut the bug rate at least near the SC level.
     let unfenced = bug_rate(MemoryModel::Wo, 2, 430);
     let params = SimParams::for_model(MemoryModel::Wo);
-    let fenced = Runner::new(Seed(431)).bernoulli(TRIALS, move |rng| {
-        let programs = increment_workload_fenced(2, FILLER, FenceKind::Full, rng);
-        let mut machine = Machine::new(programs, params, rng);
-        machine.run(rng).expect("quiesces").bug_manifested()
-    });
+    let fenced = Runner::new(Seed(431))
+        .run::<BernoulliEstimate, _>(
+            TRIALS,
+            || (),
+            move |_, rng| {
+                let programs = increment_workload_fenced(2, FILLER, FenceKind::Full, rng);
+                let mut machine = Machine::new(programs, params, rng);
+                machine.run(rng).expect("quiesces").bug_manifested()
+            },
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value;
     assert!(
         fenced.point() < unfenced.point(),
         "fence did not reduce bug rate: {} vs {}",

@@ -4,8 +4,9 @@
 //! answers *whether that was enough*. [`EstimatorStats`] abstracts the two
 //! streaming estimators ([`BernoulliEstimate`], [`Welford`]) behind a
 //! mean / standard-error / count view so that report-level diagnostics —
-//! confidence half-widths, relative standard error, effective trial
-//! throughput — are written once.
+//! confidence half-widths, relative standard error — and the sequential
+//! stop statistic ([`Accumulator::stop_rse`](crate::Accumulator::stop_rse))
+//! are written once.
 //!
 //! # Relative standard error
 //!
@@ -28,8 +29,7 @@ use crate::{BernoulliEstimate, RunReport, Welford};
 
 /// Mean / standard-error / count view over a streaming estimator.
 ///
-/// Implemented by the accumulators the runner's estimator entry points
-/// produce, so [`RunReport`] diagnostics and sequential stopping work
+/// Implemented by the runner's scalar estimators, so [`RunReport`] diagnostics and sequential stopping work
 /// uniformly over probabilities and means.
 pub trait EstimatorStats {
     /// The point estimate (`NaN` when empty).
@@ -138,8 +138,9 @@ mod tests {
     fn report_half_width_brackets_the_truth() {
         let report = Runner::new(Seed(41))
             .with_threads(2)
-            .try_bernoulli(50_000, |rng| rng.gen_bool(0.3))
-            .unwrap();
+            .run::<BernoulliEstimate, _>(50_000, || (), |_, rng| rng.gen_bool(0.3), None)
+            .unwrap()
+            .0;
         let hw = report.ci_half_width(0.999);
         assert!(hw > 0.0 && hw < 0.05, "{hw}");
         assert!((report.mean() - 0.3).abs() < hw, "{} ± {hw}", report.mean());
@@ -153,10 +154,10 @@ mod tests {
         let report = Runner::new(Seed(42))
             .with_threads(2)
             .with_target_rse(0.05)
-            .try_bernoulli(64 * CHUNK_WIDTH, |rng| rng.gen_bool(0.5))
-            .unwrap();
+            .run::<BernoulliEstimate, _>(64 * CHUNK_WIDTH, || (), |_, rng| rng.gen_bool(0.5), None)
+            .unwrap()
+            .0;
         assert!(report.converged_early);
-        assert!(!report.truncated, "early convergence is not truncation");
         assert!(report.trials_completed < 64 * CHUNK_WIDTH);
         // Stopping rounds to whole chunks.
         assert_eq!(report.trials_completed % CHUNK_WIDTH, 0);
@@ -170,10 +171,10 @@ mod tests {
         let report = Runner::new(Seed(43))
             .with_threads(3)
             .with_target_rse(1e-9)
-            .try_bernoulli(trials, |rng| rng.gen_bool(0.5))
-            .unwrap();
+            .run::<BernoulliEstimate, _>(trials, || (), |_, rng| rng.gen_bool(0.5), None)
+            .unwrap()
+            .0;
         assert!(!report.converged_early);
-        assert!(!report.truncated);
         assert_eq!(report.trials_completed, trials);
     }
 
@@ -184,13 +185,15 @@ mod tests {
         let trials = 5 * CHUNK_WIDTH + 321;
         let plain = Runner::new(Seed(44))
             .with_threads(2)
-            .try_bernoulli(trials, |rng| rng.gen_bool(0.25))
-            .unwrap();
+            .run::<BernoulliEstimate, _>(trials, || (), |_, rng| rng.gen_bool(0.25), None)
+            .unwrap()
+            .0;
         let gated = Runner::new(Seed(44))
             .with_threads(2)
             .with_target_rse(1e-12)
-            .try_bernoulli(trials, |rng| rng.gen_bool(0.25))
-            .unwrap();
+            .run::<BernoulliEstimate, _>(trials, || (), |_, rng| rng.gen_bool(0.25), None)
+            .unwrap()
+            .0;
         assert_eq!(plain.value, gated.value);
         assert_eq!(plain.trials_completed, gated.trials_completed);
     }
@@ -201,8 +204,14 @@ mod tests {
             Runner::new(Seed(45))
                 .with_threads(threads)
                 .with_target_rse(0.02)
-                .try_mean(40 * CHUNK_WIDTH, |rng| rng.gen_range(0.0..10.0))
+                .run::<Welford, _>(
+                    40 * CHUNK_WIDTH,
+                    || (),
+                    |_, rng| rng.gen_range(0.0..10.0),
+                    None,
+                )
                 .unwrap()
+                .0
         };
         let base = run(1);
         assert!(base.converged_early);
@@ -217,8 +226,14 @@ mod tests {
         let report = Runner::new(Seed(46))
             .with_threads(2)
             .with_target_rse(0.05)
-            .try_mean(64 * CHUNK_WIDTH, |rng| 5.0 + rng.gen_range(-1.0..1.0))
-            .unwrap();
+            .run::<Welford, _>(
+                64 * CHUNK_WIDTH,
+                || (),
+                |_, rng| 5.0 + rng.gen_range(-1.0..1.0),
+                None,
+            )
+            .unwrap()
+            .0;
         assert!(report.converged_early);
         assert!(report.rse() <= 0.05);
         assert_eq!(report.value.count(), report.trials_completed);
@@ -228,10 +243,13 @@ mod tests {
     fn trials_per_sec_is_positive_for_real_runs() {
         let report = Runner::new(Seed(47))
             .with_threads(1)
-            .try_bernoulli(10_000, |rng| rng.gen_bool(0.5))
-            .unwrap();
+            .run::<BernoulliEstimate, _>(10_000, || (), |_, rng| rng.gen_bool(0.5), None)
+            .unwrap()
+            .0;
         assert!(report.trials_per_sec() > 0.0);
-        let zero = Runner::new(Seed(48)).try_bernoulli(0, |_| true).unwrap();
+        let (zero, _) = Runner::new(Seed(48))
+            .run::<BernoulliEstimate, _>(0, || (), |_, _| true, None)
+            .unwrap();
         assert_eq!(zero.trials_per_sec(), 0.0);
     }
 }

@@ -6,7 +6,7 @@ use std::fmt;
 /// Failure modes of a [`Runner`](crate::Runner) invocation.
 ///
 /// Everything a worker can do wrong is reported through this enum rather
-/// than by tearing down the process; see the `try_*` entry points.
+/// than by tearing down the process; see [`Runner::run`](crate::Runner::run).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {
@@ -23,14 +23,6 @@ pub enum Error {
         /// Stringified panic payload of the last attempt.
         payload: String,
     },
-    /// `with_min_trials` demanded a floor larger than the requested
-    /// trial count, which could never be satisfied.
-    MinTrialsExceedRequested {
-        /// The configured floor.
-        min_trials: u64,
-        /// The trial count passed to the run.
-        requested: u64,
-    },
 }
 
 impl fmt::Display for Error {
@@ -45,13 +37,6 @@ impl fmt::Display for Error {
                 f,
                 "monte-carlo chunk {chunk} (seed {}) panicked on all {attempts} attempts: {payload}",
                 seed.0
-            ),
-            Error::MinTrialsExceedRequested {
-                min_trials,
-                requested,
-            } => write!(
-                f,
-                "minimum trial floor {min_trials} exceeds the {requested} trials requested"
             ),
         }
     }
@@ -76,20 +61,15 @@ mod tests {
         assert!(msg.contains("seed 17"), "{msg}");
         assert!(msg.contains("2 attempts"), "{msg}");
         assert!(msg.contains("index out of bounds"), "{msg}");
-
-        let e = Error::MinTrialsExceedRequested {
-            min_trials: 500,
-            requested: 100,
-        };
-        assert!(e.to_string().contains("500"));
-        assert!(e.to_string().contains("100"));
     }
 
     #[test]
     fn error_trait_is_implemented() {
-        let e: Box<dyn std::error::Error> = Box::new(Error::MinTrialsExceedRequested {
-            min_trials: 2,
-            requested: 1,
+        let e: Box<dyn std::error::Error> = Box::new(Error::WorkerPanicked {
+            chunk: 0,
+            seed: Seed(1),
+            attempts: 1,
+            payload: "boom".into(),
         });
         assert!(e.source().is_none());
     }

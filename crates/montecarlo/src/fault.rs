@@ -1,14 +1,7 @@
-//! Deterministic fault injection: the per-trial [`FaultInjector`] used by
-//! unit tests, and the process-wide [`FaultPlan`] chaos engine behind the
-//! `--chaos` flag.
+//! Deterministic fault injection: the process-wide [`FaultPlan`] chaos
+//! engine behind the `--chaos` flag.
 //!
-//! # Two layers
-//!
-//! [`FaultInjector`] is the original, test-local tool: shared by reference
-//! into a trial closure, it panics or stalls a deterministic subset of
-//! trials. It perturbs only the closure it is threaded through.
-//!
-//! [`FaultPlan`] is a *seeded schedule of fault events* for the whole
+//! A [`FaultPlan`] is a *seeded schedule of fault events* for the whole
 //! process. Production code carries permanent injection seams — the runner
 //! asks the plan whether a chunk panics or corrupts its scratch checksum;
 //! the result store asks whether a segment record write tears; the
@@ -31,99 +24,6 @@ use crate::Seed;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
-
-/// Which trials misbehave, and how.
-#[derive(Debug, Clone, Copy)]
-pub enum FaultMode {
-    /// Panic the first time the global trial counter reaches `trial`,
-    /// then never again — models a transient fault that a retry clears.
-    PanicOnce {
-        /// Global (cross-thread) trial index that fails.
-        trial: u64,
-    },
-    /// Panic on every trial — models a hard fault no retry can clear.
-    PanicAlways,
-    /// Panic any trial whose counter hashes below `numerator/denominator`
-    /// under `salt`. Because the counter keeps advancing across retries,
-    /// re-running a chunk sees fresh draws: a probabilistic transient
-    /// fault.
-    PanicFraction {
-        /// Failure probability numerator.
-        numerator: u64,
-        /// Failure probability denominator (must be non-zero).
-        denominator: u64,
-        /// Seed decorrelating this injector from others.
-        salt: u64,
-    },
-    /// Sleep `stall` the first time the counter reaches `trial` — models
-    /// a stuck worker for deadline tests without killing anything.
-    StallOnce {
-        /// Global trial index that stalls.
-        trial: u64,
-        /// How long the stalled trial sleeps.
-        stall: Duration,
-    },
-}
-
-/// Shared, thread-safe fault source. See the module docs.
-#[derive(Debug)]
-pub struct FaultInjector {
-    mode: FaultMode,
-    counter: AtomicU64,
-    fired: AtomicBool,
-}
-
-impl FaultInjector {
-    /// An injector in the given mode with its counters at zero.
-    pub fn new(mode: FaultMode) -> FaultInjector {
-        if let FaultMode::PanicFraction { denominator, .. } = mode {
-            assert!(denominator > 0, "fault fraction denominator must be > 0");
-        }
-        FaultInjector {
-            mode,
-            counter: AtomicU64::new(0),
-            fired: AtomicBool::new(false),
-        }
-    }
-
-    /// How many trials have called [`perturb`](Self::perturb) so far.
-    pub fn trials_seen(&self) -> u64 {
-        self.counter.load(Ordering::SeqCst)
-    }
-
-    /// Whether a one-shot fault has already fired.
-    pub fn has_fired(&self) -> bool {
-        self.fired.load(Ordering::SeqCst)
-    }
-
-    /// Call once at the top of a trial closure; panics or stalls when
-    /// this trial is one of the configured victims.
-    pub fn perturb(&self) {
-        let n = self.counter.fetch_add(1, Ordering::SeqCst);
-        match self.mode {
-            FaultMode::PanicOnce { trial } => {
-                if n >= trial && !self.fired.swap(true, Ordering::SeqCst) {
-                    panic!("injected fault: panic at trial {n}");
-                }
-            }
-            FaultMode::PanicAlways => panic!("injected fault: unconditional panic at trial {n}"),
-            FaultMode::PanicFraction {
-                numerator,
-                denominator,
-                salt,
-            } => {
-                if splitmix64(n ^ salt.rotate_left(17)) % denominator < numerator {
-                    panic!("injected fault: probabilistic panic at trial {n}");
-                }
-            }
-            FaultMode::StallOnce { trial, stall } => {
-                if n >= trial && !self.fired.swap(true, Ordering::SeqCst) {
-                    std::thread::sleep(stall);
-                }
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // FaultPlan: the seeded chaos schedule
@@ -544,48 +444,6 @@ pub fn ledger() -> &'static Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    #[test]
-    fn panic_once_fires_exactly_once() {
-        let inj = FaultInjector::new(FaultMode::PanicOnce { trial: 2 });
-        inj.perturb();
-        inj.perturb();
-        let third = catch_unwind(AssertUnwindSafe(|| inj.perturb()));
-        assert!(third.is_err());
-        assert!(inj.has_fired());
-        // Subsequent trials are clean.
-        for _ in 0..10 {
-            inj.perturb();
-        }
-        assert_eq!(inj.trials_seen(), 13);
-    }
-
-    #[test]
-    fn panic_always_always_panics() {
-        let inj = FaultInjector::new(FaultMode::PanicAlways);
-        for _ in 0..3 {
-            assert!(catch_unwind(AssertUnwindSafe(|| inj.perturb())).is_err());
-        }
-    }
-
-    #[test]
-    fn fraction_mode_is_deterministic_in_counter() {
-        let run = || {
-            let inj = FaultInjector::new(FaultMode::PanicFraction {
-                numerator: 1,
-                denominator: 4,
-                salt: 99,
-            });
-            (0..64)
-                .map(|_| catch_unwind(AssertUnwindSafe(|| inj.perturb())).is_err())
-                .collect::<Vec<_>>()
-        };
-        let a = run();
-        assert_eq!(a, run(), "same counter stream, same faults");
-        assert!(a.iter().any(|&p| p), "1/4 over 64 trials should fire");
-        assert!(!a.iter().all(|&p| p));
-    }
 
     #[test]
     fn plan_parse_accepts_seed_and_profiles() {

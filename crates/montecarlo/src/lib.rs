@@ -14,13 +14,16 @@
 //! # Example
 //!
 //! ```
-//! use montecarlo::{Runner, Seed};
+//! use montecarlo::{BernoulliEstimate, Runner, Seed};
 //! use rand::Rng;
 //!
-//! // Estimate Pr[coin == heads] with a deterministic seed.
+//! // Estimate Pr[coin == heads] with a deterministic seed: no scratch, no
+//! // resumed prefix.
 //! let runner = Runner::new(Seed(42)).with_threads(2);
-//! let est = runner.bernoulli(10_000, |rng| rng.gen_bool(0.5));
-//! let (lo, hi) = est.wilson_ci(0.999);
+//! let (report, _prefixes) = runner
+//!     .run::<BernoulliEstimate, _>(10_000, || (), |_, rng| rng.gen_bool(0.5), None)
+//!     .expect("the trial never panics");
+//! let (lo, hi) = report.value.wilson_ci(0.999);
 //! assert!(lo < 0.5 && 0.5 < hi);
 //! ```
 
@@ -43,5 +46,5 @@ pub use converge::EstimatorStats;
 pub use error::Error;
 pub use hist::Histogram;
 pub use rng::{splitmix64, task_rng, Seed};
-pub use runner::{ChunkPrefix, RunReport, Runner, CHUNK_WIDTH};
+pub use runner::{Accumulator, ChunkPrefix, RunReport, Runner, CHUNK_WIDTH};
 pub use stats::{normal_quantile, BernoulliEstimate, Welford};

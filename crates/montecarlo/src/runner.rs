@@ -1,16 +1,14 @@
-//! Parallel trial runners.
+//! The parallel trial runner and the accumulators it folds into.
 
-use crate::{pool, BernoulliEstimate, Error, Histogram, Seed, Welford};
+use crate::{pool, BernoulliEstimate, Error, EstimatorStats, Histogram, Seed, Welford};
 use rand::rngs::SmallRng;
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Trials run between cancellation/deadline checks. Large enough that the
-/// per-batch atomics and `Instant::now` are noise even for sub-microsecond
-/// trials, small enough that deadline overshoot stays bounded.
+/// Trials per dynamic call of a run's batch body: large enough that the
+/// indirection is noise even for sub-microsecond trials.
 const BATCH: u64 = 256;
 
 /// Width of one deterministic chunk, in trials.
@@ -25,6 +23,76 @@ const BATCH: u64 = 256;
 /// against per-chunk dispatch overhead.
 pub const CHUNK_WIDTH: u64 = 4096;
 
+/// What [`Runner::run`] folds trials into: a mergeable per-chunk
+/// accumulator.
+///
+/// Each chunk records its trials, in order, into a fresh
+/// `Self::default()`; chunk accumulators are then merged into the run's
+/// value in ascending chunk order, so a non-associative merge (Welford's)
+/// is still a pure function of the seed.
+pub trait Accumulator: Default + Clone + Send + 'static {
+    /// What one trial returns.
+    type Item;
+
+    /// Folds one trial's outcome in.
+    fn record(&mut self, item: Self::Item);
+
+    /// Merges the accumulator of the chunks that follow this one.
+    fn merge(&mut self, later: &Self);
+
+    /// The relative standard error a
+    /// [`with_target_rse`](Runner::with_target_rse) run stops on, or
+    /// `None` when the accumulator has no scalar estimate (such a run
+    /// never stops early).
+    fn stop_rse(&self) -> Option<f64> {
+        None
+    }
+}
+
+impl Accumulator for BernoulliEstimate {
+    type Item = bool;
+
+    fn record(&mut self, success: bool) {
+        BernoulliEstimate::record(self, success);
+    }
+
+    fn merge(&mut self, later: &BernoulliEstimate) {
+        BernoulliEstimate::merge(self, later);
+    }
+
+    fn stop_rse(&self) -> Option<f64> {
+        Some(EstimatorStats::rse(self))
+    }
+}
+
+impl Accumulator for Welford {
+    type Item = f64;
+
+    fn record(&mut self, x: f64) {
+        Welford::record(self, x);
+    }
+
+    fn merge(&mut self, later: &Welford) {
+        Welford::merge(self, later);
+    }
+
+    fn stop_rse(&self) -> Option<f64> {
+        Some(EstimatorStats::rse(self))
+    }
+}
+
+impl Accumulator for Histogram {
+    type Item = u64;
+
+    fn record(&mut self, value: u64) {
+        Histogram::record(self, value);
+    }
+
+    fn merge(&mut self, later: &Histogram) {
+        Histogram::merge(self, later);
+    }
+}
+
 /// A deterministic, parallel Monte-Carlo runner.
 ///
 /// Trials are tiled into fixed-width chunks of [`CHUNK_WIDTH`] trials; each
@@ -38,42 +106,35 @@ pub const CHUNK_WIDTH: u64 = 4096;
 ///
 /// The runner is fault-tolerant: a panicking chunk is caught and retried
 /// from its chunk seed (bounded by [`with_max_chunk_retries`]
-/// (Runner::with_max_chunk_retries)), and a wall-clock deadline
-/// ([`with_deadline`](Runner::with_deadline)) degrades a run to an honest
-/// partial estimate instead of aborting it. The `try_*` entry points
-/// surface irrecoverable failures as [`Error`]; the plain entry points
-/// keep the original panicking contract.
+/// (Runner::with_max_chunk_retries)); a chunk that fails every attempt
+/// fails the run with [`Error::WorkerPanicked`], or, under
+/// [`with_degrade_on_exhaustion`](Runner::with_degrade_on_exhaustion), is
+/// dropped from a run reported as degraded.
 ///
 /// # Example
 ///
 /// ```
-/// use montecarlo::{Runner, Seed};
+/// use montecarlo::{Runner, Seed, Welford};
 /// use rand::Rng;
 ///
-/// let mean = Runner::new(Seed(1)).with_threads(4).mean(4_000, |rng| {
-///     rng.gen_range(0.0..1.0)
-/// });
-/// assert!((mean.mean() - 0.5).abs() < 0.05);
+/// let (report, _) = Runner::new(Seed(1))
+///     .with_threads(4)
+///     .run::<Welford, _>(4_000, || (), |_, rng| rng.gen_range(0.0..1.0), None)
+///     .unwrap();
+/// assert!((report.value.mean() - 0.5).abs() < 0.05);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Runner {
     seed: Seed,
     threads: usize,
-    deadline: Option<Duration>,
-    min_trials: u64,
     max_chunk_retries: u32,
     target_rse: Option<f64>,
     backoff_base: Duration,
     degrade_on_exhaustion: bool,
 }
 
-/// The outcome of a `try_*` run: the folded value plus the metadata needed
-/// to interpret it honestly.
-///
-/// When a deadline truncates a run, `value` aggregates only the
-/// `trials_completed` trials that actually ran, so downstream statistics
-/// (Wilson intervals, standard errors) are automatically computed at the
-/// reduced — honest, wider — sample size.
+/// The outcome of a run: the folded value plus the metadata needed to
+/// interpret it honestly.
 #[derive(Debug, Clone, Copy)]
 pub struct RunReport<A> {
     /// The merged accumulator over all completed trials.
@@ -82,14 +143,11 @@ pub struct RunReport<A> {
     pub trials_requested: u64,
     /// Trials that actually contributed to `value`.
     pub trials_completed: u64,
-    /// True when a deadline stopped the run before `trials_requested`.
-    pub truncated: bool,
     /// Number of chunk attempts that panicked and were retried.
     pub retried_chunks: u64,
     /// True when a [`with_target_rse`](Runner::with_target_rse) target was
-    /// met before all requested trials ran. Early convergence is success,
-    /// not truncation: the run stopped because the estimate was already
-    /// precise enough.
+    /// met before all requested trials ran. Early convergence is success:
+    /// the run stopped because the estimate was already precise enough.
     pub converged_early: bool,
     /// True when at least one chunk exhausted its retries under a
     /// degrade-on-exhaustion policy and was dropped from the merge.
@@ -113,7 +171,6 @@ impl<A: PartialEq> PartialEq for RunReport<A> {
         self.value == other.value
             && self.trials_requested == other.trials_requested
             && self.trials_completed == other.trials_completed
-            && self.truncated == other.truncated
             && self.retried_chunks == other.retried_chunks
             && self.converged_early == other.converged_early
             && self.degraded == other.degraded
@@ -124,11 +181,6 @@ impl<A: PartialEq> PartialEq for RunReport<A> {
 impl<A: Eq> Eq for RunReport<A> {}
 
 impl<A> RunReport<A> {
-    /// Unwraps the accumulator, discarding the run metadata.
-    pub fn into_value(self) -> A {
-        self.value
-    }
-
     /// Effective throughput: completed trials per wall-clock second
     /// (0 when nothing ran or the clock read zero).
     #[must_use]
@@ -151,8 +203,8 @@ impl<A> RunReport<A> {
 /// shares the seed and kernel, regardless of the total trial count — as
 /// long as every prefix chunk was a *full* [`CHUNK_WIDTH`]-trial chunk
 /// (a shorter tail chunk belongs to one specific trial count and cannot be
-/// reused). The `resume` entry points therefore only accept, and the
-/// capture side only emits, prefixes with `trials == chunks * CHUNK_WIDTH`.
+/// reused). [`Runner::run`] therefore only accepts, and only returns,
+/// prefixes with `trials == chunks * CHUNK_WIDTH`.
 ///
 /// Resuming re-enters the runner's ascending-chunk-order merge exactly
 /// where a cold run would have been after `chunks` chunks, so even
@@ -172,29 +224,13 @@ pub struct ChunkPrefix<A> {
 type ScratchInit<S> = dyn Fn() -> S + Send + Sync;
 
 /// Runs one bounded batch of `count` consecutive trials:
-/// `(scratch, chunk rng, acc, count)`.
+/// `(scratch, chunk rng, acc, count)`. One dynamic call covers `BATCH`
+/// trials of a monomorphised per-trial loop.
 type BatchFn<S, A> = dyn Fn(&mut S, &mut SmallRng, &mut A, u64) + Send + Sync;
-
-/// Wraps a per-trial kernel and its fold into one batch body, so a
-/// dyn-dispatched call covers `BATCH` trials and the indirection is
-/// invisible in the hot loop.
-fn trial_batch<S, T, A>(
-    trial: impl Fn(&mut S, &mut SmallRng) -> T + Send + Sync + 'static,
-    fold: impl Fn(&mut A, T) + Send + Sync + 'static,
-) -> Arc<BatchFn<S, A>> {
-    Arc::new(move |scratch, rng, acc, count| {
-        for _ in 0..count {
-            fold(acc, trial(scratch, rng));
-        }
-    })
-}
 
 /// What one worker chunk reports back to the coordinator.
 enum ChunkOutcome<A> {
-    Done {
-        acc: A,
-        ran: u64,
-    },
+    Done(A),
     Failed {
         attempts: u32,
         payload: String,
@@ -202,21 +238,20 @@ enum ChunkOutcome<A> {
     /// Retries exhausted under a degrade-on-exhaustion policy: the chunk
     /// contributes nothing, the run continues and reports `degraded`.
     Abandoned,
+    /// Not run because another chunk of the wave already failed the run.
+    Skipped,
 }
 
 /// Per-run shared control state, read by every chunk.
 struct Ctl {
-    start: Instant,
-    completed: AtomicU64,
+    /// Set when a chunk fails the run: later claims skip their work.
     cancel: AtomicBool,
     retried: AtomicU64,
-    /// Set when an expired deadline had to keep running for `min_trials`.
-    floor_bound: AtomicBool,
 }
 
 impl Runner {
     /// A runner with the given master seed, defaulting to the machine's
-    /// available parallelism, no deadline, and 2 chunk retries.
+    /// available parallelism and 2 chunk retries.
     #[must_use]
     pub fn new(seed: Seed) -> Runner {
         let threads = std::thread::available_parallelism()
@@ -225,8 +260,6 @@ impl Runner {
         Runner {
             seed,
             threads,
-            deadline: None,
-            min_trials: 0,
             max_chunk_retries: 2,
             target_rse: None,
             backoff_base: Duration::from_micros(500),
@@ -245,31 +278,6 @@ impl Runner {
         self
     }
 
-    /// Sets a wall-clock budget for each run.
-    ///
-    /// Once the budget is spent, workers stop at the next batch boundary
-    /// and the run returns a [`RunReport`] marked `truncated` with the
-    /// trials completed so far — it does not abort. Combine with
-    /// [`with_min_trials`](Runner::with_min_trials) to guarantee a
-    /// statistical floor. Truncated runs are *not* deterministic across
-    /// invocations (where they stop depends on timing); full runs are.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Runner {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets a floor on completed trials that a deadline may not cut below.
-    ///
-    /// Workers keep running past an expired deadline until at least this
-    /// many trials have completed in aggregate, so a too-tight budget
-    /// degrades to "slow but valid" rather than "fast but meaningless".
-    #[must_use]
-    pub fn with_min_trials(mut self, min_trials: u64) -> Runner {
-        self.min_trials = min_trials;
-        self
-    }
-
     /// Sets how many times a panicked chunk is re-run before the run
     /// fails with [`Error::WorkerPanicked`].
     ///
@@ -282,21 +290,18 @@ impl Runner {
         self
     }
 
-    /// Stops an estimator run as soon as its relative standard error
-    /// (see [`EstimatorStats::rse`](crate::EstimatorStats::rse)) reaches
-    /// `rse`, instead of always burning the full trial budget.
+    /// Stops a run as soon as its accumulator's relative standard error
+    /// ([`Accumulator::stop_rse`]) reaches `rse`, instead of always
+    /// burning the full trial budget.
     ///
     /// Sequential stopping is evaluated only at geometric chunk-count
     /// checkpoints (4, 8, 16, … chunks), so the stopping point is a pure
     /// function of `(seed, rse)` and rounds to whole chunks — bit-for-bit
     /// identical for any thread count, exactly like a fixed-budget run.
     /// `trials` becomes a cap: a run that converges early reports
-    /// [`converged_early`](RunReport::converged_early) (not `truncated`)
-    /// with the trials it actually needed.
-    ///
-    /// Only the estimator entry points (`try_bernoulli*`, `try_mean*` and
-    /// their infallible wrappers) evaluate the target; generic folds and
-    /// histograms have no scalar standard error and ignore it.
+    /// [`converged_early`](RunReport::converged_early) with the trials it
+    /// actually needed. An accumulator without a stop statistic
+    /// ([`Histogram`]) runs every trial.
     ///
     /// # Panics
     ///
@@ -339,53 +344,16 @@ impl Runner {
         self.seed
     }
 
-    /// The worker-thread count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The wall-clock budget, if any.
-    #[must_use]
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// The completed-trials floor a deadline cannot cut below.
-    #[must_use]
-    pub fn min_trials(&self) -> u64 {
-        self.min_trials
-    }
-
-    /// How many times a panicked chunk is retried.
-    #[must_use]
-    pub fn max_chunk_retries(&self) -> u32 {
-        self.max_chunk_retries
-    }
-
     /// The sequential-stopping RSE target, if any.
     #[must_use]
     pub fn target_rse(&self) -> Option<f64> {
         self.target_rse
     }
 
-    /// The base delay of the seeded retry backoff.
-    #[must_use]
-    pub fn retry_backoff_base(&self) -> Duration {
-        self.backoff_base
-    }
-
-    /// Whether retry exhaustion degrades the run instead of failing it.
-    #[must_use]
-    pub fn degrade_on_exhaustion(&self) -> bool {
-        self.degrade_on_exhaustion
-    }
-
-    /// Runs `trials` independent trials with per-chunk scratch state,
-    /// folding each chunk with `fold` from `init` and merging chunk
-    /// results with `merge`.
+    /// Runs `trials` independent trials, recording each `trial` outcome
+    /// into an accumulator `A`, and returns the report with the whole-chunk
+    /// prefixes the run passed through.
     ///
-    /// This is the primitive every runner in this crate is built on.
     /// Trials are tiled into fixed-width chunks of [`CHUNK_WIDTH`]; the
     /// RNG stream consumed by trial `i` depends only on
     /// `(seed, i / CHUNK_WIDTH)`, workers claim chunks dynamically from an
@@ -393,158 +361,75 @@ impl Runner {
     /// index on the calling thread. Determinism therefore holds across
     /// *any* thread count, not just across runs at the same count.
     ///
-    /// `scratch_init` builds one scratch value per chunk attempt; `trial`
+    /// `scratch` builds one scratch value per chunk attempt; `trial`
     /// receives it mutably alongside the chunk RNG. Scratch lets a hot
     /// trial kernel reuse buffers across trials (zero steady-state
     /// allocations) without giving up determinism: scratch must never leak
     /// randomness between trials in a way that changes results, and a
-    /// retried chunk is re-run with a *fresh* scratch from `scratch_init`,
-    /// so a panic-free replay is bit-for-bit identical.
+    /// retried chunk is re-run with a *fresh* scratch, so a panic-free
+    /// replay is bit-for-bit identical. Pass `|| ()` when a kernel needs
+    /// none.
     ///
     /// Each chunk executes under `catch_unwind`; a panicking chunk is
-    /// rebuilt from `init()` + `scratch_init()` and replayed from its
-    /// chunk seed up to [`max_chunk_retries`](Runner::max_chunk_retries)
-    /// times before the whole run fails.
+    /// replayed from its chunk seed up to the configured number of
+    /// retries before the chunk fails.
+    ///
+    /// `resume` re-enters the fold after a [`ChunkPrefix`] of an earlier
+    /// run with the same seed and kernel instead of at chunk 0; the result
+    /// is bit-identical to the cold run it continues — same merge order,
+    /// same stop checkpoints. The returned prefixes (ascending) are the
+    /// ones a result cache can store: the geometric stop checkpoints (4,
+    /// 8, 16, … chunks) and the last full chunk, while no abandoned chunk
+    /// has entered the merge.
+    ///
+    /// Without an RSE target every chunk is dispatched in one wave. With
+    /// one, chunks are dispatched in waves up to each checkpoint, and the
+    /// merged value's [`stop_rse`](Accumulator::stop_rse) is compared with
+    /// the target at each wave boundary.
     ///
     /// Closures cross into the persistent worker pool, so they must be
     /// `Send + Sync + 'static` (capture owned or `Arc`-shared data, not
-    /// borrows); `merge` runs only on the calling thread and is exempt.
+    /// borrows).
     ///
     /// # Errors
     ///
-    /// [`Error::WorkerPanicked`] when a chunk panics on every attempt;
-    /// [`Error::MinTrialsExceedRequested`] when the configured floor can
-    /// never be met.
-    pub fn try_fold_scratch<S, T, A>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        init: impl Fn() -> A + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> T + Send + Sync + 'static,
-        fold: impl Fn(&mut A, T) + Send + Sync + 'static,
-        merge: impl Fn(&mut A, A),
-    ) -> Result<RunReport<A>, Error>
-    where
-        S: 'static,
-        A: Send + 'static,
-    {
-        self.try_fold_scratch_stop(trials, scratch_init, init, trial, fold, merge, |_| false)
-    }
-
-    /// [`try_fold_scratch`](Runner::try_fold_scratch) with a sequential
-    /// stopping predicate, the primitive behind
-    /// [`with_target_rse`](Runner::with_target_rse).
+    /// [`Error::WorkerPanicked`] when a chunk panics on every attempt and
+    /// the run does not degrade.
     ///
-    /// Without an RSE target every chunk is dispatched in one wave and
-    /// `stop` is never consulted — the behaviour (and the merged result)
-    /// is identical to the plain fold. With a target, chunks are
-    /// dispatched in geometrically growing waves (up to 4, 8, 16, …
-    /// chunks done) and `stop` is evaluated on the merged prefix at each
-    /// wave boundary; a `true` verdict ends the run with
-    /// [`converged_early`](RunReport::converged_early) set. Because waves
-    /// are a pure function of the chunk count and merging stays in chunk
-    /// order, the stopping point cannot depend on thread scheduling.
-    #[allow(clippy::too_many_arguments)]
-    fn try_fold_scratch_stop<S, T, A>(
+    /// # Panics
+    ///
+    /// Panics if `resume` is not a whole-chunk prefix of at most `trials`
+    /// trials.
+    pub fn run<A, S>(
         &self,
         trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        init: impl Fn() -> A + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> T + Send + Sync + 'static,
-        fold: impl Fn(&mut A, T) + Send + Sync + 'static,
-        merge: impl Fn(&mut A, A),
-        stop: impl Fn(&A) -> bool,
-    ) -> Result<RunReport<A>, Error>
-    where
-        S: 'static,
-        A: Send + 'static,
-    {
-        self.try_run_stop(
-            trials,
-            Arc::new(scratch_init),
-            Arc::new(init),
-            trial_batch(trial, fold),
-            merge,
-            stop,
-            None,
-            |_, _| {},
-        )
-    }
-
-    /// [`try_fold_scratch_stop`](Runner::try_fold_scratch_stop) extended
-    /// with the cache seam: the run may `resume` from a stored
-    /// [`ChunkPrefix`] instead of chunk 0, and every cache-worthy prefix it
-    /// passes through is cloned into the returned snapshot list (ascending
-    /// chunk counts; empty when nothing clean completed).
-    #[allow(clippy::too_many_arguments)]
-    fn try_fold_scratch_resume_stop<S, T, A>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        init: impl Fn() -> A + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> T + Send + Sync + 'static,
-        fold: impl Fn(&mut A, T) + Send + Sync + 'static,
-        merge: impl Fn(&mut A, A),
-        stop: impl Fn(&A) -> bool,
+        scratch: impl Fn() -> S + Send + Sync + 'static,
+        trial: impl Fn(&mut S, &mut SmallRng) -> A::Item + Send + Sync + 'static,
         resume: Option<ChunkPrefix<A>>,
     ) -> Result<(RunReport<A>, Vec<ChunkPrefix<A>>), Error>
     where
+        A: Accumulator,
         S: 'static,
-        A: Send + Clone + 'static,
     {
-        let mut snapshots = Vec::new();
-        let report = self.try_run_stop(
-            trials,
-            Arc::new(scratch_init),
-            Arc::new(init),
-            trial_batch(trial, fold),
-            merge,
-            stop,
-            resume,
-            |chunks, value: &A| {
-                snapshots.push(ChunkPrefix {
-                    chunks,
-                    trials: chunks * CHUNK_WIDTH,
-                    value: value.clone(),
-                });
-            },
-        )?;
-        Ok((report, snapshots))
+        let batch: Arc<BatchFn<S, A>> = Arc::new(move |scratch, rng, acc, count| {
+            for _ in 0..count {
+                acc.record(trial(scratch, rng));
+            }
+        });
+        self.run_waves(trials, Arc::new(scratch), batch, resume)
     }
 
-    /// The wave/merge/stop loop every entry point funnels into, so the
-    /// chunk contract — tiling, retry, canary, deadline, telemetry — is
-    /// written once.
-    ///
-    /// `resume` re-enters the fold after its prefix instead of at chunk 0;
-    /// `observe` is called (on the calling thread, in chunk order) with the
-    /// merged value each time a cache-worthy whole-chunk prefix completes —
-    /// at the geometric stop checkpoints (4, 8, 16, … chunks, the exact
-    /// states a `with_target_rse` run evaluates its predicate on) and at
-    /// the last full chunk — but only while the fold is clean: no short,
-    /// cancelled, or abandoned chunk has entered the merge yet.
-    #[allow(clippy::too_many_arguments)]
-    fn try_run_stop<S, A>(
+    /// The wave/merge/stop loop behind [`run`](Runner::run), generic only
+    /// in the scratch and accumulator types, so the chunk contract —
+    /// tiling, retry, canary, telemetry — is compiled once per pair.
+    fn run_waves<A: Accumulator, S: 'static>(
         &self,
         trials: u64,
         scratch_init: Arc<ScratchInit<S>>,
-        init: Arc<dyn Fn() -> A + Send + Sync>,
         batch: Arc<BatchFn<S, A>>,
-        merge: impl Fn(&mut A, A),
-        stop: impl Fn(&A) -> bool,
         resume: Option<ChunkPrefix<A>>,
-        mut observe: impl FnMut(u64, &A),
-    ) -> Result<RunReport<A>, Error>
-    where
-        S: 'static,
-        A: Send + 'static,
-    {
-        if self.min_trials > trials {
-            return Err(Error::MinTrialsExceedRequested {
-                min_trials: self.min_trials,
-                requested: trials,
-            });
-        }
+    ) -> Result<(RunReport<A>, Vec<ChunkPrefix<A>>), Error> {
+        let started = Instant::now();
         if let Some(prefix) = &resume {
             assert_eq!(
                 prefix.trials,
@@ -556,11 +441,6 @@ impl Runner {
                 "resume prefix exceeds the requested trials"
             );
         }
-        let resume_trials = resume.as_ref().map_or(0, |p| p.trials);
-        let resume_chunks = resume.as_ref().map_or(0, |p| p.chunks);
-        let n_chunks =
-            usize::try_from(trials.div_ceil(CHUNK_WIDTH)).expect("chunk count fits in usize");
-        let max_full_chunks = trials / CHUNK_WIDTH;
         let tele = crate::telemetry::runner();
         tele.runs.inc();
         {
@@ -571,6 +451,14 @@ impl Runner {
                 ev.emit();
             }
         }
+        let (mut value, resume_chunks) = match resume {
+            Some(prefix) => (prefix.value, prefix.chunks),
+            None => (A::default(), 0),
+        };
+        let resume_trials = resume_chunks * CHUNK_WIDTH;
+        let n_chunks =
+            usize::try_from(trials.div_ceil(CHUNK_WIDTH)).expect("chunk count fits in usize");
+        let max_full_chunks = trials / CHUNK_WIDTH;
         // Scope for this run's crash-dossier fault delta.
         let ledger_start = crate::fault::ledger().snapshot();
         // An installed chaos plan can supply a degradation policy; explicit
@@ -578,26 +466,14 @@ impl Runner {
         let degrade = self.degrade_on_exhaustion
             || crate::fault::active().is_some_and(|p| p.degrade_on_exhaustion());
         let ctl = Arc::new(Ctl {
-            start: Instant::now(),
-            // Resumed trials count toward the min-trials floor: they are
-            // real, merged samples.
-            completed: AtomicU64::new(resume_trials),
             cancel: AtomicBool::new(false),
             retried: AtomicU64::new(0),
-            floor_bound: AtomicBool::new(false),
         });
-        let mut value = match resume {
-            Some(prefix) => prefix.value,
-            None => init(),
-        };
+        let mut prefixes = Vec::new();
         let mut trials_completed = resume_trials;
         let mut converged_early = false;
         let mut abandoned_chunks = 0u64;
         let mut done_chunks = usize::try_from(resume_chunks).expect("chunk count fits in usize");
-        // Whole chunks merged with no short/cancelled/abandoned chunk
-        // before them — the longest still-extendable prefix of the fold.
-        let mut clean_full_chunks = resume_chunks;
-        let mut fold_clean = true;
         while done_chunks < n_chunks {
             let until = match self.target_rse {
                 None => n_chunks,
@@ -606,24 +482,18 @@ impl Runner {
             let base = done_chunks;
             let runner = *self;
             let job_ctl = Arc::clone(&ctl);
-            let (scr, ini, bat) = (
-                Arc::clone(&scratch_init),
-                Arc::clone(&init),
-                Arc::clone(&batch),
-            );
+            let (scr, bat) = (Arc::clone(&scratch_init), Arc::clone(&batch));
             let outcomes = pool::scatter(until - base, self.threads, move |i| {
                 let idx = (base + i) as u64;
-                let count = CHUNK_WIDTH.min(trials - idx * CHUNK_WIDTH);
                 if job_ctl.cancel.load(Ordering::Relaxed) {
-                    // Deadline already hit (or the run already failed):
-                    // contribute an empty chunk instead of wasted work.
-                    return ChunkOutcome::Done { acc: ini(), ran: 0 };
+                    return ChunkOutcome::Skipped;
                 }
+                let count = CHUNK_WIDTH.min(trials - idx * CHUNK_WIDTH);
                 let tele = crate::telemetry::runner();
                 tele.chunks_claimed.inc();
                 obs::flight::event("chunk_claimed").chunk(idx).emit();
                 let chunk_started = obs::recording().then(Instant::now);
-                let outcome = runner.run_chunk(idx, count, &*scr, &*ini, &*bat, &job_ctl, degrade);
+                let outcome = runner.run_chunk(idx, count, &*scr, &*bat, &job_ctl, degrade);
                 if let Some(started) = chunk_started {
                     tele.chunk_wall_us
                         .record(started.elapsed().as_micros() as u64);
@@ -632,71 +502,60 @@ impl Runner {
             });
 
             for (i, outcome) in outcomes.into_iter().enumerate() {
+                let idx = (base + i) as u64;
                 match outcome {
-                    ChunkOutcome::Done { acc, ran } => {
-                        trials_completed += ran;
-                        merge(&mut value, acc);
-                        let idx = (base + i) as u64;
-                        let full = CHUNK_WIDTH.min(trials - idx * CHUNK_WIDTH);
-                        if ran != full {
-                            // Cancelled/deadline-cut chunk: everything past
-                            // it is no longer a pure whole-chunk prefix.
-                            fold_clean = false;
-                        } else if fold_clean && full == CHUNK_WIDTH {
-                            clean_full_chunks += 1;
-                            if is_prefix_snapshot(clean_full_chunks, max_full_chunks) {
-                                observe(clean_full_chunks, &value);
-                            }
+                    ChunkOutcome::Done(acc) => {
+                        let count = CHUNK_WIDTH.min(trials - idx * CHUNK_WIDTH);
+                        trials_completed += count;
+                        value.merge(&acc);
+                        // Snapshot only while the fold is a pure
+                        // whole-chunk prefix: no chunk abandoned before.
+                        let chunks = idx + 1;
+                        if abandoned_chunks == 0
+                            && count == CHUNK_WIDTH
+                            && is_prefix_snapshot(chunks, max_full_chunks)
+                        {
+                            prefixes.push(ChunkPrefix {
+                                chunks,
+                                trials: chunks * CHUNK_WIDTH,
+                                value: value.clone(),
+                            });
                         }
                     }
                     ChunkOutcome::Failed { attempts, payload } => {
-                        let chunk = (base + i) as u64;
                         // The failing chunk is the fault site: record it
                         // last, then freeze the timeline into a dossier.
                         obs::flight::event("chunk_failed")
-                            .chunk(chunk)
+                            .chunk(idx)
                             .attempt(attempts)
                             .emit();
                         emit_dossier("worker_panicked", &ledger_start);
                         return Err(Error::WorkerPanicked {
-                            chunk,
+                            chunk: idx,
                             seed: self.seed,
                             attempts,
                             payload,
                         });
                     }
-                    ChunkOutcome::Abandoned => {
-                        abandoned_chunks += 1;
-                        fold_clean = false;
-                    }
+                    ChunkOutcome::Abandoned => abandoned_chunks += 1,
+                    // Only a failed run skips chunks, and its `Failed`
+                    // outcome returns from this wave.
+                    ChunkOutcome::Skipped => {}
                 }
             }
             done_chunks = until;
-            if self.target_rse.is_some() && done_chunks < n_chunks && stop(&value) {
-                converged_early = true;
-                break;
+            if let Some(target) = self.target_rse {
+                if done_chunks < n_chunks && wave_converged(&value, trials_completed, target) {
+                    converged_early = true;
+                    break;
+                }
             }
         }
 
-        // A shortfall caused purely by abandoned chunks is degradation,
-        // not deadline truncation; a run can be both when a deadline also
-        // fired.
         let degraded = abandoned_chunks > 0;
-        let truncated = trials_completed + abandoned_chunks * CHUNK_WIDTH < trials
-            && !converged_early
-            && ctl.cancel.load(Ordering::Relaxed);
         // Telemetry counts only trials this run actually executed; resumed
         // prefix trials were counted by the run that produced them.
         tele.trials_completed.add(trials_completed - resume_trials);
-        if truncated {
-            tele.deadline_truncations.inc();
-        }
-        if degraded {
-            crate::fault::ledger().note_degraded_run();
-        }
-        if ctl.floor_bound.load(Ordering::Relaxed) {
-            tele.min_trials_floor_hits.inc();
-        }
         if self.target_rse.is_some() {
             let conv = crate::telemetry::converge();
             if converged_early {
@@ -705,30 +564,26 @@ impl Runner {
             conv.extra_chunks
                 .add(done_chunks.saturating_sub(checkpoint_after(0).min(n_chunks)) as u64);
         }
-        let fate = match (degraded, truncated) {
-            (false, false) => "ok",
-            (true, false) => "degraded",
-            (false, true) => "truncated",
-            (true, true) => "degraded+truncated",
-        };
+        let fate = if degraded { "degraded" } else { "ok" };
         obs::flight::event("run_end")
             .n(trials_completed)
             .detail(fate)
             .emit();
-        if degraded || truncated {
+        if degraded {
+            crate::fault::ledger().note_degraded_run();
             emit_dossier(fate, &ledger_start);
         }
-        Ok(RunReport {
+        let report = RunReport {
             value,
             trials_requested: trials,
             trials_completed,
-            truncated,
             retried_chunks: ctl.retried.load(Ordering::Relaxed),
             converged_early,
             degraded,
             abandoned_chunks,
-            elapsed: ctl.start.elapsed(),
-        })
+            elapsed: started.elapsed(),
+        };
+        Ok((report, prefixes))
     }
 
     /// One chunk's retry loop; runs on whichever thread claimed the chunk.
@@ -736,13 +591,11 @@ impl Runner {
     /// Scratch lifetime: one scratch value per *attempt*, built before the
     /// first trial of the attempt and dropped with it — a retry never sees
     /// a prior attempt's (possibly mid-trial, possibly poisoned) scratch.
-    #[allow(clippy::too_many_arguments)]
-    fn run_chunk<S, A>(
+    fn run_chunk<S, A: Accumulator>(
         &self,
         idx: u64,
         count: u64,
         scratch_init: &ScratchInit<S>,
-        init: &(dyn Fn() -> A + Send + Sync),
         batch: &BatchFn<S, A>,
         ctl: &Ctl,
         degrade: bool,
@@ -753,9 +606,6 @@ impl Runner {
             // Re-fetched per attempt so a plan installed or cleared
             // mid-run is picked up at the next unwind boundary.
             let plan = crate::fault::active();
-            // Trials this attempt has added to the global counter, kept
-            // outside the unwind boundary so a panic can roll them back.
-            let counted = Cell::new(0u64);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if let Some(plan) = plan.as_deref() {
                     // Chaos seam: may panic the attempt, which recovers
@@ -764,35 +614,18 @@ impl Runner {
                 }
                 let mut scratch = scratch_init();
                 let mut rng = crate::task_rng(self.seed, idx);
-                let mut acc = init();
+                let mut acc = A::default();
                 let mut ran = 0u64;
                 while ran < count {
-                    if ctl.cancel.load(Ordering::Relaxed) {
-                        break;
-                    }
                     let step = BATCH.min(count - ran);
                     batch(&mut scratch, &mut rng, &mut acc, step);
                     ran += step;
-                    counted.set(counted.get() + step);
-                    let total = ctl.completed.fetch_add(step, Ordering::Relaxed) + step;
-                    if let Some(limit) = self.deadline {
-                        if ctl.start.elapsed() >= limit {
-                            if total >= self.min_trials {
-                                ctl.cancel.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            // Deadline expired but the statistical floor
-                            // has not been met yet: keep going, remember
-                            // the floor was what kept this run alive.
-                            ctl.floor_bound.store(true, Ordering::Relaxed);
-                        }
-                    }
                 }
                 // Scratch-integrity canary: a pure hash of (seed, chunk),
                 // recomputed here and compared against its expected value.
                 // Corruption (injected below, or any future real scratch
-                // checksum) panics the attempt into the ordinary
-                // rollback-and-retry path — never into the merge.
+                // checksum) panics the attempt into the ordinary retry
+                // path — never into the merge.
                 let expected = crate::fault::chunk_canary(self.seed, idx);
                 let mut guard = expected;
                 if let Some(plan) = plan.as_deref() {
@@ -810,425 +643,53 @@ impl Runner {
                     guard == expected,
                     "chunk {idx}: scratch integrity checksum mismatch (corruption detected)"
                 );
-                (acc, ran)
+                acc
             }));
-            match outcome {
-                Ok((acc, ran)) => return ChunkOutcome::Done { acc, ran },
-                Err(payload) => {
-                    // Roll back this attempt's contribution so neither a
-                    // retry nor the final report double-counts trials.
-                    ctl.completed.fetch_sub(counted.get(), Ordering::Relaxed);
-                    if attempt > self.max_chunk_retries {
-                        if degrade {
-                            // Graceful degradation: drop this chunk and
-                            // let the rest of the run produce an honest
-                            // partial estimate.
-                            crate::telemetry::runner().chunks_abandoned.inc();
-                            crate::fault::ledger().note_chunk_abandoned();
-                            obs::flight::event("chunk_abandoned")
-                                .chunk(idx)
-                                .attempt(attempt)
-                                .emit();
-                            return ChunkOutcome::Abandoned;
-                        }
-                        // Stop claiming fresh work for a run that is about
-                        // to fail; chunks already running finish normally.
-                        ctl.cancel.store(true, Ordering::Relaxed);
-                        return ChunkOutcome::Failed {
-                            attempts: attempt,
-                            payload: payload_to_string(&*payload),
-                        };
-                    }
-                    ctl.retried.fetch_add(1, Ordering::Relaxed);
-                    crate::telemetry::runner().chunks_retried.inc();
-                    crate::fault::ledger().note_chunk_retry();
-                    obs::flight::event("chunk_retried")
+            let payload = match outcome {
+                Ok(acc) => return ChunkOutcome::Done(acc),
+                Err(payload) => payload,
+            };
+            if attempt > self.max_chunk_retries {
+                if degrade {
+                    // Graceful degradation: drop this chunk and let the
+                    // rest of the run produce an honest partial estimate.
+                    crate::telemetry::runner().chunks_abandoned.inc();
+                    crate::fault::ledger().note_chunk_abandoned();
+                    obs::flight::event("chunk_abandoned")
                         .chunk(idx)
-                        .attempt(attempt + 1)
+                        .attempt(attempt)
                         .emit();
-                    // Seeded exponential backoff with deterministic jitter
-                    // before replaying the chunk.
-                    let delay =
-                        crate::fault::retry_backoff(self.seed, idx, attempt, self.backoff_base);
-                    if !delay.is_zero() {
-                        crate::telemetry::runner()
-                            .backoff_us
-                            .record(delay.as_micros() as u64);
-                        obs::flight::event("backoff_slept")
-                            .chunk(idx)
-                            .attempt(attempt + 1)
-                            .n(delay.as_micros() as u64)
-                            .emit();
-                        std::thread::sleep(delay);
-                    }
+                    return ChunkOutcome::Abandoned;
                 }
+                // Stop claiming fresh work for a run that is about to
+                // fail; chunks already running finish normally.
+                ctl.cancel.store(true, Ordering::Relaxed);
+                return ChunkOutcome::Failed {
+                    attempts: attempt,
+                    payload: payload_to_string(&*payload),
+                };
             }
-        }
-    }
-
-    /// Scratch-free [`try_fold_scratch`](Runner::try_fold_scratch): each
-    /// trial sees only the chunk RNG.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
-    pub fn try_fold<T, A>(
-        &self,
-        trials: u64,
-        init: impl Fn() -> A + Send + Sync + 'static,
-        trial: impl Fn(&mut SmallRng) -> T + Send + Sync + 'static,
-        fold: impl Fn(&mut A, T) + Send + Sync + 'static,
-        merge: impl Fn(&mut A, A),
-    ) -> Result<RunReport<A>, Error>
-    where
-        A: Send + 'static,
-    {
-        self.try_fold_scratch(trials, || (), init, move |_, rng| trial(rng), fold, merge)
-    }
-
-    /// Estimates a probability from a scratch-carrying trial kernel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
-    pub fn try_bernoulli_scratch<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> bool + Send + Sync + 'static,
-    ) -> Result<RunReport<BernoulliEstimate>, Error>
-    where
-        S: 'static,
-    {
-        // NaN RSE (empty or all-failure prefix) compares false: a
-        // degenerate estimate is never "converged".
-        let target = self.target_rse.unwrap_or(0.0);
-        self.try_fold_scratch_stop(
-            trials,
-            scratch_init,
-            BernoulliEstimate::new,
-            trial,
-            |acc, hit| acc.record(hit),
-            |a, b| a.merge(&b),
-            wave_stop(target),
-        )
-    }
-
-    /// Estimates a mean from a scratch-carrying trial kernel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
-    pub fn try_mean_scratch<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> f64 + Send + Sync + 'static,
-    ) -> Result<RunReport<Welford>, Error>
-    where
-        S: 'static,
-    {
-        let target = self.target_rse.unwrap_or(0.0);
-        self.try_fold_scratch_stop(
-            trials,
-            scratch_init,
-            Welford::new,
-            trial,
-            |acc, x| acc.record(x),
-            |a, b| a.merge(&b),
-            wave_stop(target),
-        )
-    }
-
-    /// Builds an empirical histogram from a scratch-carrying trial kernel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
-    pub fn try_histogram_scratch<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> u64 + Send + Sync + 'static,
-    ) -> Result<RunReport<Histogram>, Error>
-    where
-        S: 'static,
-    {
-        self.try_fold_scratch(
-            trials,
-            scratch_init,
-            Histogram::new,
-            trial,
-            |acc, v| acc.record(v),
-            |a, b| a.merge(&b),
-        )
-    }
-
-    /// [`try_bernoulli_scratch`](Runner::try_bernoulli_scratch) with the
-    /// cache seam: optionally `resume` from a stored [`ChunkPrefix`] and
-    /// return the cache-worthy prefixes this run passed through alongside
-    /// the report. A resumed run is bit-identical to the cold run it
-    /// continues — same merge order, same stop checkpoints.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
-    pub fn try_bernoulli_scratch_resume<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> bool + Send + Sync + 'static,
-        resume: Option<ChunkPrefix<BernoulliEstimate>>,
-    ) -> Result<
-        (
-            RunReport<BernoulliEstimate>,
-            Vec<ChunkPrefix<BernoulliEstimate>>,
-        ),
-        Error,
-    >
-    where
-        S: 'static,
-    {
-        let target = self.target_rse.unwrap_or(0.0);
-        self.try_fold_scratch_resume_stop(
-            trials,
-            scratch_init,
-            BernoulliEstimate::new,
-            trial,
-            |acc, hit| acc.record(hit),
-            |a, b| a.merge(&b),
-            wave_stop(target),
-            resume,
-        )
-    }
-
-    /// [`try_mean_scratch`](Runner::try_mean_scratch) with the cache seam;
-    /// see [`try_bernoulli_scratch_resume`]
-    /// (Runner::try_bernoulli_scratch_resume).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
-    pub fn try_mean_scratch_resume<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> f64 + Send + Sync + 'static,
-        resume: Option<ChunkPrefix<Welford>>,
-    ) -> Result<(RunReport<Welford>, Vec<ChunkPrefix<Welford>>), Error>
-    where
-        S: 'static,
-    {
-        let target = self.target_rse.unwrap_or(0.0);
-        self.try_fold_scratch_resume_stop(
-            trials,
-            scratch_init,
-            Welford::new,
-            trial,
-            |acc, x| acc.record(x),
-            |a, b| a.merge(&b),
-            wave_stop(target),
-            resume,
-        )
-    }
-
-    /// [`try_histogram_scratch`](Runner::try_histogram_scratch) with the
-    /// cache seam; see [`try_bernoulli_scratch_resume`]
-    /// (Runner::try_bernoulli_scratch_resume).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
-    pub fn try_histogram_scratch_resume<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> u64 + Send + Sync + 'static,
-        resume: Option<ChunkPrefix<Histogram>>,
-    ) -> Result<(RunReport<Histogram>, Vec<ChunkPrefix<Histogram>>), Error>
-    where
-        S: 'static,
-    {
-        self.try_fold_scratch_resume_stop(
-            trials,
-            scratch_init,
-            Histogram::new,
-            trial,
-            |acc, v| acc.record(v),
-            |a, b| a.merge(&b),
-            |_| false,
-            resume,
-        )
-    }
-
-    /// Estimates a probability: `trial` returns whether the event
-    /// occurred. See [`try_fold`](Runner::try_fold) for the error and
-    /// truncation contract.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold`](Runner::try_fold)'s errors.
-    pub fn try_bernoulli(
-        &self,
-        trials: u64,
-        trial: impl Fn(&mut SmallRng) -> bool + Send + Sync + 'static,
-    ) -> Result<RunReport<BernoulliEstimate>, Error> {
-        self.try_bernoulli_scratch(trials, || (), move |_, rng| trial(rng))
-    }
-
-    /// Estimates a mean: `trial` returns one observation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold`](Runner::try_fold)'s errors.
-    pub fn try_mean(
-        &self,
-        trials: u64,
-        trial: impl Fn(&mut SmallRng) -> f64 + Send + Sync + 'static,
-    ) -> Result<RunReport<Welford>, Error> {
-        self.try_mean_scratch(trials, || (), move |_, rng| trial(rng))
-    }
-
-    /// Builds an empirical histogram: `trial` returns one integer sample.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold`](Runner::try_fold)'s errors.
-    pub fn try_histogram(
-        &self,
-        trials: u64,
-        trial: impl Fn(&mut SmallRng) -> u64 + Send + Sync + 'static,
-    ) -> Result<RunReport<Histogram>, Error> {
-        self.try_fold(
-            trials,
-            Histogram::new,
-            trial,
-            |acc, v| acc.record(v),
-            |a, b| a.merge(&b),
-        )
-    }
-
-    /// Infallible [`try_fold`](Runner::try_fold): panics if a chunk fails
-    /// every retry, matching the crate's original contract.
-    pub fn fold<T, A>(
-        &self,
-        trials: u64,
-        init: impl Fn() -> A + Send + Sync + 'static,
-        trial: impl Fn(&mut SmallRng) -> T + Send + Sync + 'static,
-        fold: impl Fn(&mut A, T) + Send + Sync + 'static,
-        merge: impl Fn(&mut A, A),
-    ) -> A
-    where
-        A: Send + 'static,
-    {
-        match self.try_fold(trials, init, trial, fold, merge) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
-        }
-    }
-
-    /// Infallible [`try_fold_scratch`](Runner::try_fold_scratch): panics if
-    /// a chunk fails every retry.
-    pub fn fold_scratch<S, T, A>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        init: impl Fn() -> A + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> T + Send + Sync + 'static,
-        fold: impl Fn(&mut A, T) + Send + Sync + 'static,
-        merge: impl Fn(&mut A, A),
-    ) -> A
-    where
-        S: 'static,
-        A: Send + 'static,
-    {
-        match self.try_fold_scratch(trials, scratch_init, init, trial, fold, merge) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
-        }
-    }
-
-    /// Estimates a probability from a scratch-carrying trial kernel.
-    pub fn bernoulli_scratch<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> bool + Send + Sync + 'static,
-    ) -> BernoulliEstimate
-    where
-        S: 'static,
-    {
-        match self.try_bernoulli_scratch(trials, scratch_init, trial) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
-        }
-    }
-
-    /// Estimates a mean from a scratch-carrying trial kernel.
-    pub fn mean_scratch<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> f64 + Send + Sync + 'static,
-    ) -> Welford
-    where
-        S: 'static,
-    {
-        match self.try_mean_scratch(trials, scratch_init, trial) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
-        }
-    }
-
-    /// Builds an empirical histogram from a scratch-carrying trial kernel.
-    pub fn histogram_scratch<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> u64 + Send + Sync + 'static,
-    ) -> Histogram
-    where
-        S: 'static,
-    {
-        match self.try_histogram_scratch(trials, scratch_init, trial) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
-        }
-    }
-
-    /// Estimates a probability: `trial` returns whether the event occurred.
-    pub fn bernoulli(
-        &self,
-        trials: u64,
-        trial: impl Fn(&mut SmallRng) -> bool + Send + Sync + 'static,
-    ) -> BernoulliEstimate {
-        match self.try_bernoulli(trials, trial) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
-        }
-    }
-
-    /// Estimates a mean: `trial` returns one observation.
-    pub fn mean(
-        &self,
-        trials: u64,
-        trial: impl Fn(&mut SmallRng) -> f64 + Send + Sync + 'static,
-    ) -> Welford {
-        match self.try_mean(trials, trial) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
-        }
-    }
-
-    /// Builds an empirical histogram: `trial` returns one integer sample.
-    pub fn histogram(
-        &self,
-        trials: u64,
-        trial: impl Fn(&mut SmallRng) -> u64 + Send + Sync + 'static,
-    ) -> Histogram {
-        match self.try_histogram(trials, trial) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
+            ctl.retried.fetch_add(1, Ordering::Relaxed);
+            crate::telemetry::runner().chunks_retried.inc();
+            crate::fault::ledger().note_chunk_retry();
+            obs::flight::event("chunk_retried")
+                .chunk(idx)
+                .attempt(attempt + 1)
+                .emit();
+            // Seeded exponential backoff with deterministic jitter before
+            // replaying the chunk.
+            let delay = crate::fault::retry_backoff(self.seed, idx, attempt, self.backoff_base);
+            if !delay.is_zero() {
+                crate::telemetry::runner()
+                    .backoff_us
+                    .record(delay.as_micros() as u64);
+                obs::flight::event("backoff_slept")
+                    .chunk(idx)
+                    .attempt(attempt + 1)
+                    .n(delay.as_micros() as u64)
+                    .emit();
+                std::thread::sleep(delay);
+            }
         }
     }
 }
@@ -1267,23 +728,23 @@ fn is_prefix_snapshot(clean_full_chunks: u64, max_full_chunks: u64) -> bool {
         || (clean_full_chunks >= 4 && clean_full_chunks.is_power_of_two())
 }
 
-/// Wraps a sequential-stopping RSE target as the runner's stop
-/// predicate: computes the statistic once, records the wave decision in
-/// the flight recorder, and returns whether the target was met. NaN RSE
-/// (degenerate estimate) compares false — never "converged". The telemetry
-/// side effect is strictly out-of-band: the returned decision is a pure
-/// function of the merged accumulator.
-fn wave_stop<A: crate::EstimatorStats>(target: f64) -> impl Fn(&A) -> bool {
-    move |acc| {
-        let rse = crate::EstimatorStats::rse(acc);
-        let converged = rse <= target;
-        obs::flight::event("wave_decided")
-            .n(crate::EstimatorStats::count(acc))
-            .value(rse)
-            .detail(if converged { "converged" } else { "continue" })
-            .emit();
-        converged
-    }
+/// The sequential-stop decision at a wave boundary: whether `value`'s
+/// stop statistic meets `target`, recorded as a `wave_decided` flight
+/// event. NaN RSE (degenerate estimate) compares false — never
+/// "converged"; an accumulator without a statistic never converges and
+/// records nothing. The event is strictly out-of-band: the decision is a
+/// pure function of the merged accumulator.
+fn wave_converged<A: Accumulator>(value: &A, trials: u64, target: f64) -> bool {
+    let Some(rse) = value.stop_rse() else {
+        return false;
+    };
+    let converged = rse <= target;
+    obs::flight::event("wave_decided")
+        .n(trials)
+        .value(rse)
+        .detail(if converged { "converged" } else { "continue" })
+        .emit();
+    converged
 }
 
 /// Writes a crash dossier scoped to this run's fault-ledger delta. Any
@@ -1313,8 +774,42 @@ fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultInjector, FaultMode};
     use rand::Rng;
+
+    /// `run` from chunk 0, keeping only the report.
+    fn cold<A: Accumulator>(
+        runner: Runner,
+        trials: u64,
+        trial: impl Fn(&mut SmallRng) -> A::Item + Send + Sync + 'static,
+    ) -> Result<RunReport<A>, Error> {
+        Ok(runner.run(trials, || (), move |_, rng| trial(rng), None)?.0)
+    }
+
+    /// A fault that panics the `at`-th call (counted across threads) and
+    /// no other, so the retry of the chunk it lands in runs clean.
+    fn panic_once(at: u64) -> impl Fn() + Send + Sync + 'static {
+        let calls = AtomicU64::new(0);
+        move || {
+            let n = calls.fetch_add(1, Ordering::SeqCst);
+            assert!(n != at, "injected fault: panic at trial {n}");
+        }
+    }
+
+    /// The largest value seen (merge keeps the maximum).
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    struct Max(u64);
+
+    impl Accumulator for Max {
+        type Item = u64;
+
+        fn record(&mut self, x: u64) {
+            self.0 = self.0.max(x);
+        }
+
+        fn merge(&mut self, later: &Max) {
+            self.0 = self.0.max(later.0);
+        }
+    }
 
     #[test]
     fn chunk_tiling_covers_all_trials() {
@@ -1338,9 +833,13 @@ mod tests {
     fn deterministic_across_thread_counts() {
         // Multi-chunk workload: identical results for every thread count.
         let run = |threads| {
-            Runner::new(Seed(5))
-                .with_threads(threads)
-                .bernoulli(3 * CHUNK_WIDTH + 999, |rng| rng.gen_bool(0.3))
+            cold::<BernoulliEstimate>(
+                Runner::new(Seed(5)).with_threads(threads),
+                3 * CHUNK_WIDTH + 999,
+                |rng| rng.gen_bool(0.3),
+            )
+            .unwrap()
+            .value
         };
         let base = run(1);
         for threads in [2, 3, 8] {
@@ -1350,26 +849,32 @@ mod tests {
 
     #[test]
     fn bernoulli_estimates_probability() {
-        let est = Runner::new(Seed(6))
-            .with_threads(4)
-            .bernoulli(100_000, |rng| rng.gen_bool(0.25));
+        let est = cold::<BernoulliEstimate>(Runner::new(Seed(6)).with_threads(4), 100_000, |rng| {
+            rng.gen_bool(0.25)
+        })
+        .unwrap()
+        .value;
         assert!(est.covers(0.25, 0.999), "{est}");
     }
 
     #[test]
     fn mean_estimates_expectation() {
-        let w = Runner::new(Seed(7))
-            .with_threads(2)
-            .mean(50_000, |rng| f64::from(rng.gen_range(1..=6)));
+        let w = cold::<Welford>(Runner::new(Seed(7)).with_threads(2), 50_000, |rng| {
+            f64::from(rng.gen_range(1..=6))
+        })
+        .unwrap()
+        .value;
         assert!((w.mean() - 3.5).abs() < 0.05, "{w}");
         assert_eq!(w.count(), 50_000);
     }
 
     #[test]
     fn histogram_collects_all_samples() {
-        let h = Runner::new(Seed(8))
-            .with_threads(4)
-            .histogram(10_000, |rng| u64::from(rng.gen_range(0..4u32)));
+        let h = cold::<Histogram>(Runner::new(Seed(8)).with_threads(4), 10_000, |rng| {
+            u64::from(rng.gen_range(0..4u32))
+        })
+        .unwrap()
+        .value;
         assert_eq!(h.total(), 10_000);
         for v in 0..4 {
             assert!((h.pmf(v) - 0.25).abs() < 0.05);
@@ -1378,7 +883,9 @@ mod tests {
 
     #[test]
     fn zero_trials_yield_empty_accumulators() {
-        let est = Runner::new(Seed(9)).bernoulli(0, |_| true);
+        let est = cold::<BernoulliEstimate>(Runner::new(Seed(9)), 0, |_| true)
+            .unwrap()
+            .value;
         assert_eq!(est.trials(), 0);
     }
 
@@ -1386,7 +893,9 @@ mod tests {
     fn single_thread_matches_fold_by_hand() {
         // 1000 trials fit in chunk 0, so the manual stream is task_rng(seed, 0).
         let runner = Runner::new(Seed(10)).with_threads(1);
-        let est = runner.bernoulli(1000, |rng| rng.gen_bool(0.5));
+        let est = cold::<BernoulliEstimate>(runner, 1000, |rng| rng.gen_bool(0.5))
+            .unwrap()
+            .value;
         let mut rng = crate::task_rng(Seed(10), 0);
         let mut manual = BernoulliEstimate::new();
         for _ in 0..1000 {
@@ -1400,9 +909,11 @@ mod tests {
         // The tiling contract made explicit: trial i draws from the stream
         // task_rng(seed, i / CHUNK_WIDTH), regardless of thread count.
         let trials = 2 * CHUNK_WIDTH + 100;
-        let est = Runner::new(Seed(33))
-            .with_threads(8)
-            .bernoulli(trials, |rng| rng.gen_bool(0.5));
+        let est = cold::<BernoulliEstimate>(Runner::new(Seed(33)).with_threads(8), trials, |rng| {
+            rng.gen_bool(0.5)
+        })
+        .unwrap()
+        .value;
         let mut manual = BernoulliEstimate::new();
         for chunk in 0..trials.div_ceil(CHUNK_WIDTH) {
             let mut rng = crate::task_rng(Seed(33), chunk);
@@ -1415,13 +926,13 @@ mod tests {
 
     #[test]
     fn full_run_report_is_not_truncated() {
-        let report = Runner::new(Seed(11))
-            .with_threads(2)
-            .try_bernoulli(5_000, |rng| rng.gen_bool(0.4))
+        let report =
+            cold::<BernoulliEstimate>(Runner::new(Seed(11)).with_threads(2), 5_000, |rng| {
+                rng.gen_bool(0.4)
+            })
             .unwrap();
         assert_eq!(report.trials_requested, 5_000);
         assert_eq!(report.trials_completed, 5_000);
-        assert!(!report.truncated);
         assert_eq!(report.retried_chunks, 0);
         assert_eq!(report.value.trials(), 5_000);
     }
@@ -1429,23 +940,17 @@ mod tests {
     #[test]
     fn injected_panic_recovers_bit_for_bit() {
         let runner = Runner::new(Seed(12)).with_threads(3);
-        let clean = runner
-            .try_bernoulli(9_000, |rng| rng.gen_bool(0.3))
-            .unwrap();
+        let clean = cold::<BernoulliEstimate>(runner, 9_000, |rng| rng.gen_bool(0.3)).unwrap();
 
-        let inj = Arc::new(FaultInjector::new(FaultMode::PanicOnce { trial: 4_321 }));
-        let seen = Arc::clone(&inj);
-        let faulty = runner
-            .try_bernoulli(9_000, move |rng| {
-                seen.perturb();
-                rng.gen_bool(0.3)
-            })
-            .unwrap();
+        let fault = panic_once(4_321);
+        let faulty = cold::<BernoulliEstimate>(runner, 9_000, move |rng| {
+            fault();
+            rng.gen_bool(0.3)
+        })
+        .unwrap();
 
-        assert!(inj.has_fired());
         assert_eq!(faulty.retried_chunks, 1);
         assert_eq!(faulty.trials_completed, 9_000);
-        assert!(!faulty.truncated);
         // The retried chunk replays its exact trial stream, so the merged
         // estimate is identical to the panic-free run.
         assert_eq!(faulty.value, clean.value);
@@ -1456,14 +961,7 @@ mod tests {
         let runner = Runner::new(Seed(13))
             .with_threads(2)
             .with_max_chunk_retries(1);
-        let inj = Arc::new(FaultInjector::new(FaultMode::PanicAlways));
-        let seen = Arc::clone(&inj);
-        let err = runner
-            .try_bernoulli(100, move |rng| {
-                seen.perturb();
-                rng.gen_bool(0.5)
-            })
-            .unwrap_err();
+        let err = cold::<BernoulliEstimate>(runner, 100, |_| panic!("injected fault")).unwrap_err();
         match err {
             Error::WorkerPanicked {
                 seed,
@@ -1475,7 +973,6 @@ mod tests {
                 assert_eq!(attempts, 2, "1 initial + 1 retry");
                 assert!(payload.contains("injected fault"), "{payload}");
             }
-            other => panic!("unexpected error: {other}"),
         }
     }
 
@@ -1484,17 +981,17 @@ mod tests {
         // Every chunk hard-faults; under the degradation policy the run
         // still completes, honestly reporting zero surviving trials.
         let before = crate::fault::ledger().snapshot();
-        let report = Runner::new(Seed(40))
+        let runner = Runner::new(Seed(40))
             .with_threads(2)
             .with_max_chunk_retries(1)
             .with_retry_backoff(Duration::ZERO)
-            .with_degrade_on_exhaustion(true)
-            .try_bernoulli(2 * CHUNK_WIDTH + 7, |_| panic!("hard fault"))
-            .unwrap();
+            .with_degrade_on_exhaustion(true);
+        let report =
+            cold::<BernoulliEstimate>(runner, 2 * CHUNK_WIDTH + 7, |_| panic!("hard fault"))
+                .unwrap();
         assert!(report.degraded);
         assert_eq!(report.abandoned_chunks, 3);
         assert_eq!(report.trials_completed, 0);
-        assert!(!report.truncated, "degradation is not deadline truncation");
         assert_eq!(report.value.trials(), 0);
         let delta = crate::fault::ledger().snapshot().since(&before);
         assert!(delta.chunks_abandoned >= 3);
@@ -1502,100 +999,49 @@ mod tests {
     }
 
     #[test]
-    fn infallible_entry_point_still_panics_on_exhaustion() {
-        let result = std::panic::catch_unwind(|| {
-            Runner::new(Seed(14))
-                .with_threads(1)
-                .with_max_chunk_retries(0)
-                .bernoulli(10, |_| panic!("hard fault"))
-        });
-        let msg = payload_to_string(&*result.unwrap_err());
-        assert!(msg.contains("monte-carlo worker panicked"), "{msg}");
-        assert!(msg.contains("hard fault"), "{msg}");
-    }
-
-    #[test]
-    fn deadline_truncates_instead_of_aborting() {
-        // Trials sleep, so the requested count can never finish inside
-        // the budget; the run must degrade, not hang or crash.
-        let report = Runner::new(Seed(15))
-            .with_threads(2)
-            .with_deadline(Duration::from_millis(30))
-            .try_bernoulli(1_000_000, |rng| {
-                std::thread::sleep(Duration::from_micros(50));
-                rng.gen_bool(0.5)
-            })
-            .unwrap();
-        assert!(report.truncated);
-        assert!(report.trials_completed < 1_000_000);
-        assert_eq!(report.value.trials(), report.trials_completed);
-        // The truncated estimate still carries a valid (wider) CI.
-        let (lo, hi) = report.value.wilson_ci(0.99);
-        assert!((0.0..=1.0).contains(&lo) && lo <= hi && hi <= 1.0);
-    }
-
-    #[test]
-    fn min_trials_floor_survives_expired_deadline() {
-        let report = Runner::new(Seed(16))
-            .with_threads(2)
-            .with_deadline(Duration::ZERO)
-            .with_min_trials(3_000)
-            .try_bernoulli(100_000, |rng| rng.gen_bool(0.5))
-            .unwrap();
-        assert!(
-            report.trials_completed >= 3_000,
-            "{}",
-            report.trials_completed
-        );
-        assert!(report.trials_completed <= 100_000);
-    }
-
-    #[test]
-    fn min_trials_above_requested_is_rejected() {
-        let err = Runner::new(Seed(17))
-            .with_min_trials(200)
-            .try_bernoulli(100, |_| true)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            Error::MinTrialsExceedRequested {
-                min_trials: 200,
-                requested: 100
-            }
-        );
-    }
-
-    #[test]
     fn scratch_runner_matches_scratch_free_runner() {
         // A kernel that uses scratch purely as a reusable buffer must give
         // bit-for-bit the same estimate as the plain path.
         let runner = Runner::new(Seed(21)).with_threads(3);
-        let plain = runner.bernoulli(9_999, |rng| {
+        let plain = cold::<BernoulliEstimate>(runner, 9_999, |rng| {
             let v: Vec<u64> = (0..8).map(|_| rng.gen_range(0..100u64)).collect();
             v.iter().sum::<u64>() > 400
-        });
-        let scratch = runner.bernoulli_scratch(
-            9_999,
-            || Vec::with_capacity(8),
-            |buf: &mut Vec<u64>, rng| {
-                buf.clear();
-                buf.extend((0..8).map(|_| rng.gen_range(0..100u64)));
-                buf.iter().sum::<u64>() > 400
-            },
-        );
-        assert_eq!(plain, scratch);
+        })
+        .unwrap()
+        .value;
+        let (scratch, _) = runner
+            .run::<BernoulliEstimate, _>(
+                9_999,
+                || Vec::with_capacity(8),
+                |buf: &mut Vec<u64>, rng| {
+                    buf.clear();
+                    buf.extend((0..8).map(|_| rng.gen_range(0..100u64)));
+                    buf.iter().sum::<u64>() > 400
+                },
+                None,
+            )
+            .unwrap();
+        assert_eq!(plain, scratch.value);
     }
 
     #[test]
     fn scratch_mean_and_histogram_match_plain() {
         let runner = Runner::new(Seed(22)).with_threads(2);
-        let m1 = runner.mean(5_000, |rng| f64::from(rng.gen_range(1..=6)));
-        let m2 = runner.mean_scratch(5_000, || (), |_, rng| f64::from(rng.gen_range(1..=6)));
-        assert_eq!(m1, m2);
-        let h1 = runner.histogram(5_000, |rng| u64::from(rng.gen_range(0..4u32)));
-        let h2 =
-            runner.histogram_scratch(5_000, || 0u64, |_, rng| u64::from(rng.gen_range(0..4u32)));
-        assert_eq!(h1, h2);
+        let m1 = cold::<Welford>(runner, 5_000, |rng| f64::from(rng.gen_range(1..=6))).unwrap();
+        let (m2, _) = runner
+            .run::<Welford, _>(5_000, || (), |_, rng| f64::from(rng.gen_range(1..=6)), None)
+            .unwrap();
+        assert_eq!(m1.value, m2.value);
+        let h1 = cold::<Histogram>(runner, 5_000, |rng| u64::from(rng.gen_range(0..4u32))).unwrap();
+        let (h2, _) = runner
+            .run::<Histogram, _>(
+                5_000,
+                || 0u64,
+                |_, rng| u64::from(rng.gen_range(0..4u32)),
+                None,
+            )
+            .unwrap();
+        assert_eq!(h1.value, h2.value);
     }
 
     #[test]
@@ -1603,8 +1049,8 @@ mod tests {
         // The kernel poisons its scratch right before panicking; recovery is
         // only bit-for-bit if the retry starts from a fresh scratch.
         let runner = Runner::new(Seed(23)).with_threads(3);
-        let clean = runner
-            .try_bernoulli_scratch(
+        let (clean, _) = runner
+            .run::<BernoulliEstimate, _>(
                 9_000,
                 || 0u64,
                 |carry: &mut u64, rng| {
@@ -1612,13 +1058,13 @@ mod tests {
                     *carry = carry.wrapping_add(u64::from(hit));
                     hit
                 },
+                None,
             )
             .unwrap();
 
-        let inj = Arc::new(FaultInjector::new(FaultMode::PanicOnce { trial: 4_321 }));
-        let seen = Arc::clone(&inj);
-        let faulty = runner
-            .try_bernoulli_scratch(
+        let fault = panic_once(4_321);
+        let (faulty, _) = runner
+            .run::<BernoulliEstimate, _>(
                 9_000,
                 || 0u64,
                 move |carry: &mut u64, rng| {
@@ -1627,13 +1073,13 @@ mod tests {
                     // Poison scratch, then maybe panic: a retry that reused
                     // this scratch would diverge from the clean run.
                     *carry = carry.wrapping_add(1_000_000);
-                    seen.perturb();
+                    fault();
                     *carry = carry.wrapping_sub(1_000_000);
                     hit
                 },
+                None,
             )
             .unwrap();
-        assert!(inj.has_fired());
         assert_eq!(faulty.retried_chunks, 1);
         assert_eq!(faulty.value, clean.value);
     }
@@ -1642,18 +1088,19 @@ mod tests {
     fn try_fold_scratch_threads_state_through_a_chunk() {
         // Scratch is per-chunk: 100 trials fit in one chunk, so a counter
         // scratch sees every trial in order.
-        let total = Runner::new(Seed(24)).with_threads(1).fold_scratch(
-            100,
-            || 0u64,
-            || 0u64,
-            |counter: &mut u64, _rng| {
-                *counter += 1;
-                *counter
-            },
-            |acc, seen| *acc = (*acc).max(seen),
-            |a, b| *a = (*a).max(b),
-        );
-        assert_eq!(total, 100);
+        let (total, _) = Runner::new(Seed(24))
+            .with_threads(1)
+            .run::<Max, _>(
+                100,
+                || 0u64,
+                |counter: &mut u64, _rng| {
+                    *counter += 1;
+                    *counter
+                },
+                None,
+            )
+            .unwrap();
+        assert_eq!(total.value, Max(100));
     }
 
     #[test]
@@ -1672,7 +1119,7 @@ mod tests {
         let trials = 6 * CHUNK_WIDTH + 123; // 6 full chunks, short tail
         let (report, prefixes) = Runner::new(Seed(50))
             .with_threads(3)
-            .try_bernoulli_scratch_resume(trials, || (), |_, rng| rng.gen_bool(0.4), None)
+            .run::<BernoulliEstimate, _>(trials, || (), |_, rng| rng.gen_bool(0.4), None)
             .unwrap();
         assert_eq!(report.trials_completed, trials);
         // Snapshots at 4 (geometric) and 6 (last full chunk).
@@ -1692,7 +1139,7 @@ mod tests {
         let cold = |threads| {
             Runner::new(Seed(51))
                 .with_threads(threads)
-                .try_bernoulli_scratch_resume(trials, || (), |_, rng| rng.gen_bool(0.3), None)
+                .run::<BernoulliEstimate, _>(trials, || (), |_, rng| rng.gen_bool(0.3), None)
                 .unwrap()
         };
         let (cold_report, cold_prefixes) = cold(1);
@@ -1702,12 +1149,7 @@ mod tests {
             for prefix in &cold_prefixes {
                 let (warm, _) = Runner::new(Seed(51))
                     .with_threads(threads)
-                    .try_bernoulli_scratch_resume(
-                        trials,
-                        || (),
-                        |_, rng| rng.gen_bool(0.3),
-                        Some(*prefix),
-                    )
+                    .run(trials, || (), |_, rng| rng.gen_bool(0.3), Some(*prefix))
                     .unwrap();
                 assert_eq!(
                     warm, cold_report,
@@ -1725,13 +1167,25 @@ mod tests {
         let trials = 5 * CHUNK_WIDTH;
         let runner = Runner::new(Seed(52)).with_threads(2);
         let (cold, prefixes) = runner
-            .try_mean_scratch_resume(trials, || (), |_, rng| rng.gen_range(0.0..10.0), None)
+            .run::<Welford, _>(trials, || (), |_, rng| rng.gen_range(0.0..10.0), None)
             .unwrap();
         let from = prefixes.iter().find(|p| p.chunks == 4).copied().unwrap();
         let (warm, _) = runner
-            .try_mean_scratch_resume(trials, || (), |_, rng| rng.gen_range(0.0..10.0), Some(from))
+            .run(trials, || (), |_, rng| rng.gen_range(0.0..10.0), Some(from))
             .unwrap();
         assert_eq!(warm.value.raw_parts(), cold.value.raw_parts());
+        assert_eq!(warm, cold);
+
+        // The same continuation for a histogram, whose merge widens the
+        // dense counts of the prefix it resumes.
+        let (cold, prefixes) = runner
+            .run::<Histogram, _>(trials, || (), |_, rng| rng.gen_range(0..40u64), None)
+            .unwrap();
+        let from = prefixes.iter().find(|p| p.chunks == 4).cloned().unwrap();
+        let (warm, _) = runner
+            .run(trials, || (), |_, rng| rng.gen_range(0..40u64), Some(from))
+            .unwrap();
+        assert_eq!(warm.value.dense_counts(), cold.value.dense_counts());
         assert_eq!(warm, cold);
     }
 
@@ -1744,17 +1198,17 @@ mod tests {
         let kernel = |_: &mut (), rng: &mut SmallRng| rng.gen_bool(0.25);
         let (_, prefixes) = Runner::new(Seed(53))
             .with_threads(2)
-            .try_bernoulli_scratch_resume(short_trials, || (), kernel, None)
+            .run::<BernoulliEstimate, _>(short_trials, || (), kernel, None)
             .unwrap();
         let from = prefixes.last().copied().unwrap();
         assert_eq!(from.chunks, 4);
         let (cold, _) = Runner::new(Seed(53))
             .with_threads(2)
-            .try_bernoulli_scratch_resume(long_trials, || (), kernel, None)
+            .run::<BernoulliEstimate, _>(long_trials, || (), kernel, None)
             .unwrap();
         let (warm, warm_prefixes) = Runner::new(Seed(53))
             .with_threads(2)
-            .try_bernoulli_scratch_resume(long_trials, || (), kernel, Some(from))
+            .run(long_trials, || (), kernel, Some(from))
             .unwrap();
         assert_eq!(warm, cold);
         // The extension also re-emits the longer run's own snapshots past
@@ -1773,7 +1227,7 @@ mod tests {
         let kernel = |_: &mut (), rng: &mut SmallRng| rng.gen_bool(0.5);
         let runner = Runner::new(Seed(54)).with_threads(2).with_target_rse(0.05);
         let (cold, cold_prefixes) = runner
-            .try_bernoulli_scratch_resume(trials, || (), kernel, None)
+            .run::<BernoulliEstimate, _>(trials, || (), kernel, None)
             .unwrap();
         assert!(cold.converged_early);
         let converged_at = cold.trials_completed / CHUNK_WIDTH;
@@ -1785,52 +1239,44 @@ mod tests {
             trials: 0,
             value: BernoulliEstimate::new(),
         };
-        let (warm, _) = runner
-            .try_bernoulli_scratch_resume(trials, || (), kernel, Some(short))
-            .unwrap();
+        let (warm, _) = runner.run(trials, || (), kernel, Some(short)).unwrap();
         assert_eq!(warm, cold);
     }
 
     #[test]
-    fn truncated_runs_emit_no_dirty_prefixes() {
-        // Deadline-cut chunks end the clean prefix: anything snapshotted
-        // must still be a pure whole-chunk fold.
+    fn degraded_runs_emit_no_dirty_prefixes() {
+        // An abandoned chunk ends the clean prefix: with chunk 4 of 6
+        // failing every attempt, the 4-chunk checkpoint is snapshotted and
+        // the last full chunk (6) is not. The kernel recognises chunk 4 by
+        // the first draw of its stream.
+        let victim: u64 = crate::task_rng(Seed(55), 4).gen();
         let (report, prefixes) = Runner::new(Seed(55))
             .with_threads(2)
-            .with_deadline(Duration::from_millis(5))
-            .try_bernoulli_scratch_resume(
-                1_000_000_000,
-                || (),
-                |_, rng| {
-                    std::thread::sleep(Duration::from_micros(2));
-                    rng.gen_bool(0.5)
+            .with_max_chunk_retries(1)
+            .with_retry_backoff(Duration::ZERO)
+            .with_degrade_on_exhaustion(true)
+            .run::<BernoulliEstimate, _>(
+                6 * CHUNK_WIDTH,
+                || true,
+                move |first: &mut bool, rng| {
+                    let draw: u64 = rng.gen();
+                    let fails = std::mem::take(first) && draw == victim;
+                    assert!(!fails, "hard fault in chunk 4");
+                    draw.is_multiple_of(2)
                 },
                 None,
             )
             .unwrap();
-        assert!(report.truncated);
+        assert!(report.degraded);
+        assert_eq!(report.abandoned_chunks, 1);
+        assert_eq!(report.trials_completed, 5 * CHUNK_WIDTH);
+        assert_eq!(
+            prefixes.iter().map(|p| p.chunks).collect::<Vec<_>>(),
+            vec![4]
+        );
         for p in &prefixes {
             assert_eq!(p.trials, p.chunks * CHUNK_WIDTH);
             assert_eq!(p.value.trials(), p.trials);
         }
-    }
-
-    #[test]
-    fn stalled_trial_delays_but_does_not_kill_the_run() {
-        let inj = Arc::new(FaultInjector::new(FaultMode::StallOnce {
-            trial: 10,
-            stall: Duration::from_millis(20),
-        }));
-        let seen = Arc::clone(&inj);
-        let report = Runner::new(Seed(18))
-            .with_threads(2)
-            .with_deadline(Duration::from_millis(5))
-            .try_bernoulli(10_000_000, move |rng| {
-                seen.perturb();
-                rng.gen_bool(0.5)
-            })
-            .unwrap();
-        assert!(report.truncated);
-        assert!(report.trials_completed > 0);
     }
 }

@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 
 /// Runner-level metrics (`mc.runner.*`).
 pub(crate) struct RunnerMetrics {
-    /// Completed `try_fold_scratch` runs (every entry point funnels here).
+    /// Runs started through `Runner::run`.
     pub runs: obs::Counter,
     /// Trials that contributed to merged results.
     pub trials_completed: obs::Counter,
@@ -19,10 +19,6 @@ pub(crate) struct RunnerMetrics {
     pub chunks_claimed: obs::Counter,
     /// Chunk attempts that panicked and were replayed.
     pub chunks_retried: obs::Counter,
-    /// Runs a deadline stopped before `trials_requested`.
-    pub deadline_truncations: obs::Counter,
-    /// Runs where an expired deadline had to keep going for `min_trials`.
-    pub min_trials_floor_hits: obs::Counter,
     /// Chunks that exhausted their retries and were dropped from the
     /// merge under a degrade-on-exhaustion policy.
     pub chunks_abandoned: obs::Counter,
@@ -41,8 +37,6 @@ pub(crate) fn runner() -> &'static RunnerMetrics {
             trials_completed: g.counter("mc.runner.trials_completed"),
             chunks_claimed: g.counter("mc.runner.chunks_claimed"),
             chunks_retried: g.counter("mc.runner.chunks_retried"),
-            deadline_truncations: g.counter("mc.runner.deadline_truncations"),
-            min_trials_floor_hits: g.counter("mc.runner.min_trials_floor_hits"),
             chunks_abandoned: g.counter("mc.runner.chunks_abandoned"),
             chunk_wall_us: g.histogram("mc.runner.chunk_wall_us"),
             backoff_us: g.histogram("mc.retry.backoff_us"),

@@ -10,6 +10,9 @@
 //! test *seed-searches* for a plan that provably fires inside the chunk
 //! range instead of hoping a hard-coded seed does.
 
+mod common;
+
+use common::Checksum;
 use montecarlo::fault::{self, FaultPlan, Profile};
 use montecarlo::{RunReport, Runner, Seed, CHUNK_WIDTH};
 use rand::Rng;
@@ -38,28 +41,21 @@ impl Drop for PlanGuard {
     }
 }
 
-/// An order-sensitive polynomial hash over every raw u64 the trial kernel
-/// draws: any lost, duplicated, or reordered trial changes the value.
-fn checksum_run(threads: usize) -> RunReport<u64> {
+/// A [`Checksum`] run over `TRIALS` at `threads` workers.
+fn checksum_run(threads: usize) -> RunReport<Checksum> {
     Runner::new(Seed(2011))
         .with_threads(threads)
         .with_retry_backoff(Duration::ZERO)
-        .try_fold(
-            TRIALS,
-            || 0u64,
-            |rng| rng.gen::<u64>(),
-            |acc, x| *acc = acc.wrapping_mul(0x100_0003).wrapping_add(x),
-            |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
-        )
+        .run::<Checksum, _>(TRIALS, || (), |_, rng| rng.gen::<u64>(), None)
         .expect("recoverable chaos must never fail the run")
+        .0
 }
 
 /// Asserts the *results* match: everything except `retried_chunks`, which
 /// legitimately differs between a fault-free run and one that recovered.
-fn assert_same_result(chaos: &RunReport<u64>, clean: &RunReport<u64>, label: &str) {
+fn assert_same_result(chaos: &RunReport<Checksum>, clean: &RunReport<Checksum>, label: &str) {
     assert_eq!(chaos.value, clean.value, "{label}: checksum drifted");
     assert_eq!(chaos.trials_completed, clean.trials_completed, "{label}");
-    assert_eq!(chaos.truncated, clean.truncated, "{label}");
     assert_eq!(chaos.degraded, clean.degraded, "{label}");
     assert_eq!(chaos.abandoned_chunks, clean.abandoned_chunks, "{label}");
 }
@@ -69,7 +65,7 @@ fn recoverable_profiles_are_bit_identical_to_fault_free() {
     let _lock = chaos_lock();
     fault::clear();
     let clean = checksum_run(1);
-    assert!(!clean.degraded && !clean.truncated);
+    assert!(!clean.degraded);
     assert_eq!(clean.trials_completed, TRIALS);
 
     // (profile, does-a-plan-with-this-seed-fire-inside-our-chunk-range)
@@ -143,14 +139,9 @@ fn hard_profile_degrades_identically_at_every_thread_count() {
             .with_threads(threads)
             .with_max_chunk_retries(2)
             .with_retry_backoff(Duration::ZERO)
-            .try_fold(
-                TRIALS,
-                || 0u64,
-                |rng| rng.gen::<u64>(),
-                |acc, x| *acc = acc.wrapping_mul(0x100_0003).wrapping_add(x),
-                |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
-            )
+            .run::<Checksum, _>(TRIALS, || (), |_, rng| rng.gen::<u64>(), None)
             .expect("hard chaos degrades instead of failing")
+            .0
     };
     let before = fault::ledger().snapshot();
     let base = run(1);
@@ -159,7 +150,6 @@ fn hard_profile_degrades_identically_at_every_thread_count() {
         base.degraded,
         "victims must be flagged, not silently dropped"
     );
-    assert!(!base.truncated, "degradation is not deadline truncation");
     assert_eq!(base.abandoned_chunks, expected_abandoned);
     assert_eq!(base.trials_completed, TRIALS - expected_lost);
     assert!(delta.chunks_abandoned >= expected_abandoned);

@@ -8,7 +8,10 @@
 //! pit `threads ∈ {1, 2, 3, 8}` against each other on every aggregate kind
 //! and on an order-sensitive checksum of the raw RNG streams.
 
-use montecarlo::{Runner, Seed, CHUNK_WIDTH};
+mod common;
+
+use common::Checksum;
+use montecarlo::{BernoulliEstimate, Histogram, Runner, Seed, Welford, CHUNK_WIDTH};
 use rand::Rng;
 
 /// Enough trials to span several chunks, with a ragged final chunk.
@@ -30,7 +33,10 @@ fn bernoulli_identical_across_thread_counts() {
     let run = |threads| {
         Runner::new(Seed(2011))
             .with_threads(threads)
-            .bernoulli(TRIALS, |rng| rng.gen_bool(0.37))
+            .run::<BernoulliEstimate, _>(TRIALS, || (), |_, rng| rng.gen_bool(0.37), None)
+            .unwrap()
+            .0
+            .value
     };
     let base = run(1);
     assert_eq!(base.trials(), TRIALS);
@@ -46,7 +52,10 @@ fn mean_identical_across_thread_counts() {
     let run = |threads| {
         Runner::new(Seed(2012))
             .with_threads(threads)
-            .mean(TRIALS, |rng| rng.gen_range(0.0..1.0))
+            .run::<Welford, _>(TRIALS, || (), |_, rng| rng.gen_range(0.0..1.0), None)
+            .unwrap()
+            .0
+            .value
     };
     let base = run(1);
     for threads in THREADS {
@@ -65,7 +74,15 @@ fn histogram_identical_across_thread_counts() {
     let run = |threads| {
         Runner::new(Seed(2013))
             .with_threads(threads)
-            .histogram(TRIALS, |rng| u64::from(rng.gen_range(0..16u32)))
+            .run::<Histogram, _>(
+                TRIALS,
+                || (),
+                |_, rng| u64::from(rng.gen_range(0..16u32)),
+                None,
+            )
+            .unwrap()
+            .0
+            .value
     };
     let base = run(1);
     assert_eq!(base.total(), TRIALS);
@@ -79,11 +96,11 @@ fn run_reports_identical_across_thread_counts() {
     let run = |threads| {
         Runner::new(Seed(2014))
             .with_threads(threads)
-            .try_bernoulli(TRIALS, |rng| rng.gen_bool(0.5))
+            .run::<BernoulliEstimate, _>(TRIALS, || (), |_, rng| rng.gen_bool(0.5), None)
             .expect("panic-free run")
+            .0
     };
     let base = run(1);
-    assert!(!base.truncated);
     assert_eq!(base.trials_completed, TRIALS);
     for threads in THREADS {
         assert_eq!(run(threads), base, "RunReport drifted at threads={threads}");
@@ -97,13 +114,12 @@ fn rng_stream_checksum_identical_across_thread_counts() {
     // merges, changes the checksum. Deterministic merge order makes the
     // (non-commutative) merge step well-defined.
     let run = |threads| {
-        Runner::new(Seed(2015)).with_threads(threads).fold(
-            TRIALS,
-            || 0u64,
-            |rng| rng.gen::<u64>(),
-            |acc, x| *acc = acc.wrapping_mul(0x100_0003).wrapping_add(x),
-            |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
-        )
+        Runner::new(Seed(2015))
+            .with_threads(threads)
+            .run::<Checksum, _>(TRIALS, || (), |_, rng| rng.gen::<u64>(), None)
+            .unwrap()
+            .0
+            .value
     };
     let base = run(1);
     for threads in THREADS {
@@ -120,7 +136,7 @@ fn scratch_kernels_identical_across_thread_counts() {
     let run = |threads| {
         Runner::new(Seed(2016))
             .with_threads(threads)
-            .histogram_scratch(
+            .run::<Histogram, _>(
                 TRIALS,
                 || Vec::with_capacity(4),
                 |buf: &mut Vec<u64>, rng| {
@@ -128,7 +144,11 @@ fn scratch_kernels_identical_across_thread_counts() {
                     buf.extend((0..4).map(|_| u64::from(rng.gen_range(0..8u32))));
                     buf.iter().sum()
                 },
+                None,
             )
+            .unwrap()
+            .0
+            .value
     };
     let base = run(1);
     for threads in THREADS {
@@ -150,13 +170,12 @@ fn rng_stream_checksum_unchanged_by_telemetry() {
     let _guard = recording_lock();
     obs::set_recording(true);
     let run = |threads| {
-        Runner::new(Seed(2015)).with_threads(threads).fold(
-            TRIALS,
-            || 0u64,
-            |rng| rng.gen::<u64>(),
-            |acc, x| *acc = acc.wrapping_mul(0x100_0003).wrapping_add(x),
-            |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
-        )
+        Runner::new(Seed(2015))
+            .with_threads(threads)
+            .run::<Checksum, _>(TRIALS, || (), |_, rng| rng.gen::<u64>(), None)
+            .unwrap()
+            .0
+            .value
     };
     let base = run(1);
     for threads in THREADS {
@@ -178,8 +197,9 @@ fn sequential_stopping_point_identical_across_thread_counts() {
         Runner::new(Seed(2018))
             .with_threads(threads)
             .with_target_rse(0.02)
-            .try_bernoulli(64 * CHUNK_WIDTH, |rng| rng.gen_bool(0.42))
+            .run::<BernoulliEstimate, _>(64 * CHUNK_WIDTH, || (), |_, rng| rng.gen_bool(0.42), None)
             .expect("panic-free run")
+            .0
     };
     let base = run(1);
     assert!(
@@ -202,8 +222,14 @@ fn sequential_stopping_unchanged_by_recording_state() {
         Runner::new(Seed(2019))
             .with_threads(3)
             .with_target_rse(0.03)
-            .try_mean(64 * CHUNK_WIDTH, |rng| rng.gen_range(1.0..9.0))
+            .run::<Welford, _>(
+                64 * CHUNK_WIDTH,
+                || (),
+                |_, rng| rng.gen_range(1.0..9.0),
+                None,
+            )
             .expect("panic-free run")
+            .0
     };
     let _guard = recording_lock();
     obs::set_recording(true);
@@ -222,7 +248,10 @@ fn repeated_runs_are_stable() {
     let run = || {
         Runner::new(Seed(2017))
             .with_threads(3)
-            .mean(TRIALS, |rng| rng.gen_range(-1.0..1.0))
+            .run::<Welford, _>(TRIALS, || (), |_, rng| rng.gen_range(-1.0..1.0), None)
+            .unwrap()
+            .0
+            .value
     };
     assert_eq!(run(), run());
 }

@@ -10,6 +10,9 @@
 //! * A mirrored event log with a **torn tail** (kill -9 mid-append)
 //!   recovers exactly its valid prefix.
 
+mod common;
+
+use common::Checksum;
 use montecarlo::fault::{self, FaultPlan, Profile};
 use montecarlo::{RunReport, Runner, Seed, CHUNK_WIDTH};
 use rand::Rng;
@@ -59,20 +62,14 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// An order-sensitive polynomial hash over every raw u64 the trial kernel
-/// draws: any lost, duplicated, or reordered trial changes the value.
-fn checksum_run(threads: usize) -> RunReport<u64> {
+/// A [`Checksum`] run over `TRIALS` at `threads` workers.
+fn checksum_run(threads: usize) -> RunReport<Checksum> {
     Runner::new(Seed(2011))
         .with_threads(threads)
         .with_retry_backoff(Duration::ZERO)
-        .try_fold(
-            TRIALS,
-            || 0u64,
-            |rng| rng.gen::<u64>(),
-            |acc, x| *acc = acc.wrapping_mul(0x100_0003).wrapping_add(x),
-            |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
-        )
+        .run::<Checksum, _>(TRIALS, || (), |_, rng| rng.gen::<u64>(), None)
         .expect("fault-free runs never fail")
+        .0
 }
 
 #[test]
@@ -145,13 +142,7 @@ fn exhausted_retries_write_a_dossier_ending_at_the_fault_site() {
         .with_threads(2)
         .with_max_chunk_retries(0)
         .with_retry_backoff(Duration::ZERO)
-        .try_fold(
-            TRIALS,
-            || 0u64,
-            |rng| rng.gen::<u64>(),
-            |acc, x| *acc = acc.wrapping_mul(0x100_0003).wrapping_add(x),
-            |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
-        )
+        .run::<Checksum, _>(TRIALS, || (), |_, rng| rng.gen::<u64>(), None)
         .expect_err("zero retries plus a firing panic plan must fail the run");
     drop(_plan);
     let montecarlo::Error::WorkerPanicked {

@@ -6,10 +6,13 @@
 //! Counter assertions and recording toggles act on process-global state,
 //! so every test here serializes through one lock.
 
-use montecarlo::fault::{FaultInjector, FaultMode};
-use montecarlo::{Runner, Seed, CHUNK_WIDTH};
+mod common;
+
+use common::Checksum;
+use montecarlo::{BernoulliEstimate, Runner, Seed, CHUNK_WIDTH};
 use rand::Rng;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Enough trials to span several chunks, with a ragged final chunk.
 const TRIALS: u64 = 3 * CHUNK_WIDTH + 500;
@@ -26,8 +29,8 @@ fn injected_panics_count_exactly_and_recover_bit_for_bit() {
     let _guard = global_lock();
     obs::set_recording(true);
     let runner = Runner::new(Seed(77)).with_threads(3);
-    let clean = runner
-        .try_bernoulli(TRIALS, |rng| rng.gen_bool(0.3))
+    let (clean, _) = runner
+        .run::<BernoulliEstimate, _>(TRIALS, || (), |_, rng| rng.gen_bool(0.3), None)
         .expect("clean run");
 
     let before = obs::snapshot()
@@ -36,20 +39,22 @@ fn injected_panics_count_exactly_and_recover_bit_for_bit() {
     for i in 0..N {
         // One deterministic panic per run, each at a different trial so the
         // faults land in different chunks across the N runs.
-        let inj = Arc::new(FaultInjector::new(FaultMode::PanicOnce {
-            trial: 1_000 + i * CHUNK_WIDTH,
-        }));
-        let seen = Arc::clone(&inj);
-        let faulty = runner
-            .try_bernoulli(TRIALS, move |rng| {
-                seen.perturb();
-                rng.gen_bool(0.3)
-            })
+        let at = 1_000 + i * CHUNK_WIDTH;
+        let calls = AtomicU64::new(0);
+        let (faulty, _) = runner
+            .run::<BernoulliEstimate, _>(
+                TRIALS,
+                || (),
+                move |_, rng| {
+                    let n = calls.fetch_add(1, Ordering::SeqCst);
+                    assert!(n != at, "injected fault: panic at trial {n}");
+                    rng.gen_bool(0.3)
+                },
+                None,
+            )
             .expect("recovered run");
-        assert!(inj.has_fired(), "injected fault {i} never fired");
         assert_eq!(faulty.retried_chunks, 1, "run {i}");
         assert_eq!(faulty.trials_completed, TRIALS, "run {i}");
-        assert!(!faulty.truncated, "run {i}");
         // The retried chunk replays its exact trial stream from the chunk
         // seed, so recovery is bit-for-bit, not merely statistical.
         assert_eq!(faulty.value, clean.value, "run {i} diverged from clean");
@@ -64,13 +69,12 @@ fn injected_panics_count_exactly_and_recover_bit_for_bit() {
 fn results_identical_with_recording_on_and_off() {
     let _guard = global_lock();
     let run = |threads: usize| {
-        Runner::new(Seed(2018)).with_threads(threads).fold(
-            TRIALS,
-            || 0u64,
-            |rng| rng.gen::<u64>(),
-            |acc, x| *acc = acc.wrapping_mul(0x100_0003).wrapping_add(x),
-            |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
-        )
+        Runner::new(Seed(2018))
+            .with_threads(threads)
+            .run::<Checksum, _>(TRIALS, || (), |_, rng| rng.gen::<u64>(), None)
+            .unwrap()
+            .0
+            .value
     };
     obs::set_recording(true);
     let base = run(1);
@@ -88,9 +92,9 @@ fn run_telemetry_reflects_the_work_done() {
     let _guard = global_lock();
     obs::set_recording(true);
     let before = obs::snapshot();
-    let report = Runner::new(Seed(99))
+    let (report, _) = Runner::new(Seed(99))
         .with_threads(2)
-        .try_bernoulli(TRIALS, |rng| rng.gen_bool(0.5))
+        .run::<BernoulliEstimate, _>(TRIALS, || (), |_, rng| rng.gen_bool(0.5), None)
         .unwrap();
     assert_eq!(report.trials_completed, TRIALS);
     let after = obs::snapshot();
@@ -101,7 +105,6 @@ fn run_telemetry_reflects_the_work_done() {
         delta("mc.runner.chunks_claimed"),
         TRIALS.div_ceil(CHUNK_WIDTH)
     );
-    assert_eq!(delta("mc.runner.deadline_truncations"), 0);
     let chunk_hist = after.histogram("mc.runner.chunk_wall_us").unwrap();
     assert!(chunk_hist.count >= TRIALS.div_ceil(CHUNK_WIDTH));
     // The pool saw the scatter even if every chunk ran on the caller.

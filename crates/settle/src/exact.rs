@@ -144,7 +144,7 @@ mod tests {
     use analytic::window_law::{self, TsoLaw, WindowLaws};
     use memmodel::MemoryModel;
     use memmodel::OpType::{Ld, St};
-    use montecarlo::{Runner, Seed};
+    use montecarlo::{Histogram, Runner, Seed};
 
     fn settler(model: MemoryModel) -> Settler {
         Settler::for_model(model)
@@ -208,7 +208,16 @@ mod tests {
             let s = settler(model);
             let exact = window_pmf_for_program(&s, &program);
             let prog = program.clone();
-            let h = Runner::new(Seed(31)).histogram(trials, move |rng| s.sample_gamma(&prog, rng));
+            let h = Runner::new(Seed(31))
+                .run::<Histogram, _>(
+                    trials,
+                    || (),
+                    move |_, rng| s.sample_gamma(&prog, rng),
+                    None,
+                )
+                .expect("panic-free simulation")
+                .0
+                .value;
             for (gamma, &p) in exact.iter().enumerate() {
                 let observed = h.pmf(gamma as u64);
                 assert!(

@@ -10,7 +10,7 @@ use analytic::lemma42;
 use analytic::recurrence;
 use analytic::window_law::{self, TsoLaw, WindowLaws};
 use memmodel::MemoryModel;
-use montecarlo::{chi_square_gof, Runner, Seed};
+use montecarlo::{chi_square_gof, BernoulliEstimate, Histogram, Runner, Seed};
 use progmodel::ProgramGenerator;
 use settle::{events, Settler};
 
@@ -28,10 +28,19 @@ const N_SAMPLES: u64 = if cfg!(debug_assertions) {
 fn window_histogram(model: MemoryModel, seed: u64) -> montecarlo::Histogram {
     let settler = Settler::for_model(model);
     let gen = ProgramGenerator::new(M);
-    Runner::new(Seed(seed)).histogram(N_SAMPLES, move |rng| {
-        let program = gen.generate(rng);
-        settler.sample_gamma(&program, rng)
-    })
+    Runner::new(Seed(seed))
+        .run::<Histogram, _>(
+            N_SAMPLES,
+            || (),
+            move |_, rng| {
+                let program = gen.generate(rng);
+                settler.sample_gamma(&program, rng)
+            },
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value
 }
 
 #[test]
@@ -100,10 +109,19 @@ fn claim_43_bottom_store_fraction() {
     // Pr[S_{ST,i}(i)] → 2/3 under TSO; check at i = M (steady state).
     let settler = Settler::for_model(MemoryModel::Tso);
     let gen = ProgramGenerator::new(M);
-    let est = Runner::new(Seed(106)).bernoulli(N_SAMPLES, move |rng| {
-        let program = gen.generate(rng);
-        events::observe_bottom_store(&settler, &program, M, rng)
-    });
+    let est = Runner::new(Seed(106))
+        .run::<BernoulliEstimate, _>(
+            N_SAMPLES,
+            || (),
+            move |_, rng| {
+                let program = gen.generate(rng);
+                events::observe_bottom_store(&settler, &program, M, rng)
+            },
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value;
     assert!(
         est.covers(2.0 / 3.0, 0.999),
         "Claim 4.3 limit not covered: {est}"
@@ -116,10 +134,19 @@ fn claim_43_finite_i_recurrence() {
     let settler = Settler::for_model(MemoryModel::Tso);
     for i in [1usize, 2, 3, 5] {
         let gen = ProgramGenerator::new(8);
-        let est = Runner::new(Seed(200 + i as u64)).bernoulli(N_SAMPLES / 2, move |rng| {
-            let program = gen.generate(rng);
-            events::observe_bottom_store(&settler, &program, i, rng)
-        });
+        let est = Runner::new(Seed(200 + i as u64))
+            .run::<BernoulliEstimate, _>(
+                N_SAMPLES / 2,
+                || (),
+                move |_, rng| {
+                    let program = gen.generate(rng);
+                    events::observe_bottom_store(&settler, &program, i, rng)
+                },
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value;
         let expected = recurrence::bottom_store_fraction(0.5, 0.5, i as u64);
         assert!(
             est.covers(expected, 0.999),
@@ -132,10 +159,19 @@ fn claim_43_finite_i_recurrence() {
 fn lemma_42_l_mu_distribution() {
     let settler = Settler::for_model(MemoryModel::Tso);
     let gen = ProgramGenerator::new(M);
-    let h = Runner::new(Seed(107)).histogram(N_SAMPLES, move |rng| {
-        let program = gen.generate(rng);
-        events::observe_l_mu(&settler, &program, rng)
-    });
+    let h = Runner::new(Seed(107))
+        .run::<Histogram, _>(
+            N_SAMPLES,
+            || (),
+            move |_, rng| {
+                let program = gen.generate(rng);
+                events::observe_l_mu(&settler, &program, rng)
+            },
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value;
     // Chi-square against the partition series.
     let l = lemma42::pr_l_mu_series_all(96, lemma42::DEFAULT_Q_MAX);
     let gof = chi_square_gof(&h, |mu| l.get(mu as usize).copied().unwrap_or(0.0), 5.0);
@@ -164,10 +200,19 @@ fn window_law_is_insensitive_to_m_truncation() {
     let mut prev_gap = f64::INFINITY;
     for m in [8usize, 16, 32] {
         let gen = ProgramGenerator::new(m);
-        let h = Runner::new(Seed(108)).histogram(N_SAMPLES, move |rng| {
-            let program = gen.generate(rng);
-            settler.sample_gamma(&program, rng)
-        });
+        let h = Runner::new(Seed(108))
+            .run::<Histogram, _>(
+                N_SAMPLES,
+                || (),
+                move |_, rng| {
+                    let program = gen.generate(rng);
+                    settler.sample_gamma(&program, rng)
+                },
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value;
         // Compare tail mass beyond γ = 4 with the exact law.
         let exact_tail: f64 = (5..200).map(window_law::wo_pmf).sum();
         let gap = (h.tail(5) - exact_tail).abs();
@@ -188,10 +233,19 @@ fn custom_model_ld_st_only_never_grows_the_window() {
         memmodel::SettleProbs::canonical(),
     );
     let gen = ProgramGenerator::new(16);
-    let est = Runner::new(Seed(109)).bernoulli(20_000, move |rng| {
-        let program = gen.generate(rng);
-        settler.sample_gamma(&program, rng) == 0
-    });
+    let est = Runner::new(Seed(109))
+        .run::<BernoulliEstimate, _>(
+            20_000,
+            || (),
+            move |_, rng| {
+                let program = gen.generate(rng);
+                settler.sample_gamma(&program, rng) == 0
+            },
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value;
     assert_eq!(est.point(), 1.0);
 }
 
@@ -243,7 +297,15 @@ fn gamma_route_matches_exact_enumeration_at_small_m() {
         let pmf = exact::window_pmf_for_program(&settler, &program);
         let prog = program.clone();
         let h = Runner::new(Seed(200 + i as u64))
-            .histogram(N_SAMPLES, move |rng| settler.sample_gamma(&prog, rng));
+            .run::<Histogram, _>(
+                N_SAMPLES,
+                || (),
+                move |_, rng| settler.sample_gamma(&prog, rng),
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value;
         let gof = chi_square_gof(&h, |g| pmf.get(g as usize).copied().unwrap_or(0.0), 5.0);
         assert!(
             gof.consistent_at(alpha),

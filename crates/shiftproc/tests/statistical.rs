@@ -1,7 +1,7 @@
 //! Statistical validation of Theorem 5.1: Monte-Carlo disjointness
 //! frequencies must match the exact permutation-sum probabilities.
 
-use montecarlo::{Runner, Seed};
+use montecarlo::{BernoulliEstimate, Runner, Seed};
 use shiftproc::{exact, ShiftProcess};
 
 // Debug builds still need enough trials for the 99.9% CI check to have
@@ -17,8 +17,16 @@ const TRIALS: u64 = if cfg!(debug_assertions) {
 fn check(lengths: &'static [u64], seed: u64) {
     let expect = exact::pr_disjoint(lengths);
     let proc = ShiftProcess::canonical();
-    let est =
-        Runner::new(Seed(seed)).bernoulli(TRIALS, move |rng| proc.simulate_disjoint(lengths, rng));
+    let est = Runner::new(Seed(seed))
+        .run::<BernoulliEstimate, _>(
+            TRIALS,
+            || (),
+            move |_, rng| proc.simulate_disjoint(lengths, rng),
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value;
     assert!(
         est.covers(expect, 0.999),
         "γ̄={lengths:?}: exact {expect}, observed {est}"
@@ -54,10 +62,26 @@ fn heterogeneous_vs_homogeneous_at_equal_total_length() {
     let homo = exact::pr_disjoint(&[2, 2]);
     assert!(hetero > homo);
     let proc = ShiftProcess::canonical();
-    let h =
-        Runner::new(Seed(309)).bernoulli(TRIALS, move |rng| proc.simulate_disjoint(&[0, 4], rng));
-    let m =
-        Runner::new(Seed(310)).bernoulli(TRIALS, move |rng| proc.simulate_disjoint(&[2, 2], rng));
+    let h = Runner::new(Seed(309))
+        .run::<BernoulliEstimate, _>(
+            TRIALS,
+            || (),
+            move |_, rng| proc.simulate_disjoint(&[0, 4], rng),
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value;
+    let m = Runner::new(Seed(310))
+        .run::<BernoulliEstimate, _>(
+            TRIALS,
+            || (),
+            move |_, rng| proc.simulate_disjoint(&[2, 2], rng),
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value;
     assert!(h.point() > m.point());
 }
 
@@ -68,7 +92,15 @@ fn general_q_formula_matches_simulation() {
         let expect = exact::pr_disjoint_with_q(lengths, q);
         let proc = ShiftProcess::with_q(q).expect("valid q");
         let est = Runner::new(Seed(900 + (q * 100.0) as u64))
-            .bernoulli(TRIALS, move |rng| proc.simulate_disjoint(lengths, rng));
+            .run::<BernoulliEstimate, _>(
+                TRIALS,
+                || (),
+                move |_, rng| proc.simulate_disjoint(lengths, rng),
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value;
         assert!(
             est.covers(expect, 0.999),
             "q={q}: exact {expect}, observed {est}"

@@ -149,8 +149,8 @@ impl CachedPrefix {
 /// A finished run's deterministic outcome — everything a warm lookup
 /// needs to reproduce the producing [`RunReport`] bit for bit.
 ///
-/// Only *clean* runs are cached (not truncated, not degraded, nothing
-/// abandoned), so those flags are not stored: reconstruction always
+/// Only *clean* runs are cached (not degraded, nothing abandoned), so
+/// those flags are not stored: reconstruction always
 /// reports the canonical fault-free run. `retried_chunks` is likewise
 /// pinned to zero — a retried chunk replays its exact stream, so the
 /// value is identical to the fault-free run's and the cache serves the
@@ -169,11 +169,12 @@ pub struct CachedReport {
 
 impl CachedReport {
     /// Serializes a clean run report. Returns `None` for reports the
-    /// cache must not store: truncated or degraded runs are partial,
-    /// timing-dependent estimates, not pure functions of the key.
+    /// cache must not store: degraded runs are partial estimates whose
+    /// sample depends on which chunks failed, not pure functions of the
+    /// key.
     #[must_use]
     pub fn from_report<A: CacheableAcc>(report: &RunReport<A>) -> Option<CachedReport> {
-        if report.truncated || report.degraded || report.abandoned_chunks > 0 {
+        if report.degraded || report.abandoned_chunks > 0 {
             return None;
         }
         Some(CachedReport {
@@ -192,7 +193,6 @@ impl CachedReport {
             value: A::from_state(&self.value)?,
             trials_requested: self.trials_requested,
             trials_completed: self.trials_completed,
-            truncated: false,
             retried_chunks: 0,
             converged_early: self.converged_early,
             degraded: false,
@@ -286,11 +286,10 @@ mod tests {
             value: BernoulliEstimate::from_counts(1, 10),
             trials_requested: 100,
             trials_completed: 10,
-            truncated: true,
             retried_chunks: 0,
             converged_early: false,
-            degraded: false,
-            abandoned_chunks: 0,
+            degraded: true,
+            abandoned_chunks: 1,
             elapsed: Duration::ZERO,
         };
         assert!(CachedReport::from_report(&report).is_none());

@@ -10,7 +10,27 @@
 use execsim::{IncrementMachine, SimParams};
 use memmodel::fence::FenceKind;
 use memmodel::MemoryModel;
-use montecarlo::{Runner, Seed};
+use montecarlo::{Accumulator, BernoulliEstimate, Runner, Seed};
+
+/// Per-run sums: bugs manifested, final shared value, cycles.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally(u64, i64, u64);
+
+impl Accumulator for Tally {
+    type Item = (bool, i64, u64);
+
+    fn record(&mut self, (bug, x, cycles): (bool, i64, u64)) {
+        self.0 += u64::from(bug);
+        self.1 += x;
+        self.2 += cycles;
+    }
+
+    fn merge(&mut self, later: &Tally) {
+        self.0 += later.0;
+        self.1 += later.1;
+        self.2 += later.2;
+    }
+}
 
 fn main() {
     let n: usize = std::env::args()
@@ -29,25 +49,19 @@ fn main() {
     );
     for model in MemoryModel::NAMED {
         let params = SimParams::for_model(model);
-        let stats = Runner::new(Seed(42)).fold_scratch(
-            trials,
-            move || IncrementMachine::new(n, filler, params),
-            || (0u64, 0i64, 0u64),
-            |machine, rng| {
-                let out = machine.run(rng).expect("quiesces");
-                (out.bug_manifested(), out.shared_value(), out.cycles())
-            },
-            |acc, (bug, x, cycles)| {
-                acc.0 += u64::from(bug);
-                acc.1 += x;
-                acc.2 += cycles;
-            },
-            |a, b| {
-                a.0 += b.0;
-                a.1 += b.1;
-                a.2 += b.2;
-            },
-        );
+        let stats = Runner::new(Seed(42))
+            .run::<Tally, _>(
+                trials,
+                move || IncrementMachine::new(n, filler, params),
+                |machine, rng| {
+                    let out = machine.run(rng).expect("quiesces");
+                    (out.bug_manifested(), out.shared_value(), out.cycles())
+                },
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value;
         println!(
             "{:<6} {:>12.4} {:>14.3} {:>12.1}",
             model.short_name(),
@@ -61,11 +75,16 @@ fn main() {
     println!("{:<6} {:>12}", "model", "bug rate");
     for model in [MemoryModel::Tso, MemoryModel::Wo] {
         let params = SimParams::for_model(model);
-        let est = Runner::new(Seed(43)).bernoulli_scratch(
-            trials,
-            move || IncrementMachine::fenced(n, filler, FenceKind::Full, params),
-            |machine, rng| machine.run(rng).expect("quiesces").bug_manifested(),
-        );
+        let est = Runner::new(Seed(43))
+            .run::<BernoulliEstimate, _>(
+                trials,
+                move || IncrementMachine::fenced(n, filler, FenceKind::Full, params),
+                |machine, rng| machine.run(rng).expect("quiesces").bug_manifested(),
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value;
         println!("{:<6} {:>12.4}", model.short_name(), est.point());
     }
     println!("\nThe fence narrows the racy window back to its SC size; the");

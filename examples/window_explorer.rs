@@ -7,7 +7,7 @@
 //! ```
 
 use memmodel::{MemoryModel, ReorderMatrix, SettleProbs};
-use montecarlo::{Runner, Seed};
+use montecarlo::{BernoulliEstimate, Histogram, Runner, Seed};
 use progmodel::ProgramGenerator;
 use settle::Settler;
 use shiftproc::ShiftProcess;
@@ -19,17 +19,35 @@ fn survival_and_window(settler: Settler, p: f64, seed: u64) -> (f64, f64, Vec<f6
     let gen = ProgramGenerator::new(48)
         .with_store_probability(p)
         .expect("valid p");
-    let hist = Runner::new(Seed(seed)).histogram(TRIALS, move |rng| {
-        let program = gen.generate(rng);
-        settler.sample_gamma(&program, rng)
-    });
-    let est = Runner::new(Seed(seed ^ 1)).bernoulli(TRIALS, move |rng| {
-        let program = gen.generate(rng);
-        let windows: Vec<u64> = (0..2)
-            .map(|_| settler.settle(&program, rng).window_len())
-            .collect();
-        ShiftProcess::canonical().simulate_disjoint(&windows, rng)
-    });
+    let hist = Runner::new(Seed(seed))
+        .run::<Histogram, _>(
+            TRIALS,
+            || (),
+            move |_, rng| {
+                let program = gen.generate(rng);
+                settler.sample_gamma(&program, rng)
+            },
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value;
+    let est = Runner::new(Seed(seed ^ 1))
+        .run::<BernoulliEstimate, _>(
+            TRIALS,
+            || (),
+            move |_, rng| {
+                let program = gen.generate(rng);
+                let windows: Vec<u64> = (0..2)
+                    .map(|_| settler.settle(&program, rng).window_len())
+                    .collect();
+                ShiftProcess::canonical().simulate_disjoint(&windows, rng)
+            },
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value;
     let pmf: Vec<f64> = (0..8).map(|g| hist.pmf(g)).collect();
     (est.point(), hist.mean(), pmf)
 }

@@ -104,9 +104,11 @@ mod error_tests {
 
     #[test]
     fn simulation_error_chains_source() {
-        let inner = montecarlo::Error::MinTrialsExceedRequested {
-            min_trials: 10,
-            requested: 5,
+        let inner = montecarlo::Error::WorkerPanicked {
+            chunk: 3,
+            seed: montecarlo::Seed(5),
+            attempts: 3,
+            payload: "boom".into(),
         };
         let e = Error::from(inner.clone());
         assert!(e.to_string().starts_with("simulation failed:"));

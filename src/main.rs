@@ -39,7 +39,7 @@ use memmodel::MemoryModel;
 use mmr_bench::cli::SharedFlags;
 use mmreliab::analytic::general::{GeneralWindowLaws, Params};
 use mmreliab::analytic::window_law::WindowLaws;
-use mmreliab::montecarlo::{task_rng, Runner, Seed};
+use mmreliab::montecarlo::{task_rng, BernoulliEstimate, Runner, Seed};
 use mmreliab::settle;
 use mmreliab::{ModelComparison, ProgramGenerator, ReliabilityModel};
 use textplot::{sparkline, BarChart, Chart, Heatmap, Table};
@@ -337,18 +337,19 @@ fn cmd_opsim(args: &Args) -> Result<(), mmreliab::Error> {
     for model in MemoryModel::NAMED {
         let params = SimParams::for_model(model);
         let n = args.threads;
-        let report = Runner::new(Seed(args.seed))
+        let (report, _) = Runner::new(Seed(args.seed))
             .with_threads(args.workers)
-            .try_bernoulli_scratch(
-                args.trials,
-                move || IncrementMachine::new(n, 8, params),
-                |machine, rng| {
-                    machine
-                        .run(rng)
-                        .expect("the increment workload quiesces")
-                        .bug_manifested()
-                },
-            )?;
+            .run::<BernoulliEstimate, _>(
+            args.trials,
+            move || IncrementMachine::new(n, 8, params),
+            |machine, rng| {
+                machine
+                    .run(rng)
+                    .expect("the increment workload quiesces")
+                    .bug_manifested()
+            },
+            None,
+        )?;
         bars.bar(model.short_name(), report.value.point());
     }
     print!("{}", bars.render());

@@ -49,11 +49,18 @@ fn abstract_and_operational_sc_agree() {
     // The operational machine's SC bug rate equals the abstract 5/6 within
     // Monte-Carlo noise — the two substrates model the same process.
     use execsim::{run_increment_trial, SimParams};
-    use montecarlo::{Runner, Seed};
+    use montecarlo::{BernoulliEstimate, Runner, Seed};
     let params = SimParams::for_model(MemoryModel::Sc);
-    let est = Runner::new(Seed(4)).bernoulli(TRIALS / 4, move |rng| {
-        run_increment_trial(2, 8, params, rng)
-    });
+    let est = Runner::new(Seed(4))
+        .run::<BernoulliEstimate, _>(
+            TRIALS / 4,
+            || (),
+            move |_, rng| run_increment_trial(2, 8, params, rng),
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value;
     assert!(
         (est.point() - 5.0 / 6.0).abs() < 0.02,
         "operational SC bug rate {} far from 5/6",
@@ -63,20 +70,29 @@ fn abstract_and_operational_sc_agree() {
 
 #[test]
 fn fenced_settling_restores_sc_survival_under_wo() {
-    use montecarlo::{Runner, Seed};
+    use montecarlo::{BernoulliEstimate, Runner, Seed};
     use progmodel::ProgramGenerator;
     use settle::Settler;
     use shiftproc::ShiftProcess;
 
     let settler = Settler::for_model(MemoryModel::Wo);
     let gen = ProgramGenerator::new(32);
-    let est = Runner::new(Seed(5)).bernoulli(TRIALS / 2, move |rng| {
-        let program = gen.generate(rng).with_acquire_before_critical();
-        let windows: Vec<u64> = (0..2)
-            .map(|_| settler.settle(&program, rng).window_len())
-            .collect();
-        ShiftProcess::canonical().simulate_disjoint(&windows, rng)
-    });
+    let est = Runner::new(Seed(5))
+        .run::<BernoulliEstimate, _>(
+            TRIALS / 2,
+            || (),
+            move |_, rng| {
+                let program = gen.generate(rng).with_acquire_before_critical();
+                let windows: Vec<u64> = (0..2)
+                    .map(|_| settler.settle(&program, rng).window_len())
+                    .collect();
+                ShiftProcess::canonical().simulate_disjoint(&windows, rng)
+            },
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value;
     // With the window pinned to 2, survival is exactly the SC constant 1/6.
     assert!(est.covers(1.0 / 6.0, 0.999), "fenced WO survival {est}");
 }

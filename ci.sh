@@ -74,18 +74,18 @@ print(f"prom lint ok: {len(types)} series, {len(hist)} histograms")
 EOF
 rm -rf "$EXPORT_DIR"
 
-# Cross-thread-count determinism smoke: a seeded experiment run must emit
-# identical structured results at --threads 1 and --threads 4 once the
-# timing/environment metadata (elapsed_secs, threads, host_cores,
+# Cross-thread-count determinism smoke: a seeded run of every experiment
+# must emit identical structured results at --threads 1 and --threads 4
+# once the timing/environment metadata (elapsed_secs, threads, host_cores,
 # trials_per_sec) is filtered out — with telemetry collection live on both
 # runs. The statistical diagnostics (mean, ci95, rse) stay in the diff.
 DET_DIR="$(mktemp -d)"
 cargo run --release --offline -p mmr-bench --bin experiments -- \
   --quick --seed 20110606 --threads 1 --json "$DET_DIR/t1.json" \
-  --metrics "$DET_DIR/m1.json" clm43 lem42 opsim thm61 thm62 thm63 general fence pso litmus
+  --metrics "$DET_DIR/m1.json"
 cargo run --release --offline -p mmr-bench --bin experiments -- \
   --quick --seed 20110606 --threads 4 --json "$DET_DIR/t4.json" \
-  --metrics "$DET_DIR/m4.json" clm43 lem42 opsim thm61 thm62 thm63 general fence pso litmus
+  --metrics "$DET_DIR/m4.json"
 grep -vE '"(elapsed_secs|threads|host_cores|trials_per_sec)":' "$DET_DIR/t1.json" > "$DET_DIR/t1.stripped"
 grep -vE '"(elapsed_secs|threads|host_cores|trials_per_sec)":' "$DET_DIR/t4.json" > "$DET_DIR/t4.stripped"
 diff "$DET_DIR/t1.stripped" "$DET_DIR/t4.stripped"

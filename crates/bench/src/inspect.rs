@@ -163,19 +163,27 @@ fn inspect_cache_dir(dir: &Path, segments: &[&String], indexed: bool) -> Result<
     for name in segments {
         let bytes = std::fs::read(dir.join(name.as_str()))
             .map_err(|e| format!("cannot read {name}: {e}"))?;
-        let scan = scan_segment(&bytes);
-        total += scan.records;
-        for key in scan.keys {
-            if !live.contains(&key) {
-                live.push(key);
+        // The census counts every CRC-valid `put` frame and pulls its
+        // content address out of the JSON textually, so it needs no
+        // knowledge of (and stays robust to changes in) the entry schema.
+        let mut records = 0usize;
+        let (_, torn) = store::walk_frames(&bytes, |frame| {
+            if frame.kind != "put" {
+                return;
             }
-        }
+            records += 1;
+            if let Some(key) = json_string_field(frame.json, "key") {
+                if !live.contains(&key) {
+                    live.push(key);
+                }
+            }
+        });
+        total += records;
         let _ = writeln!(
             out,
-            "  {name}: {} record(s), {} byte(s){}",
-            scan.records,
+            "  {name}: {records} record(s), {} byte(s){}",
             bytes.len(),
-            if scan.torn { ", TORN TAIL" } else { "" }
+            if torn { ", TORN TAIL" } else { "" }
         );
     }
     let _ = writeln!(
@@ -187,59 +195,6 @@ fn inspect_cache_dir(dir: &Path, segments: &[&String], indexed: bool) -> Result<
         let _ = writeln!(out, "  {key}");
     }
     Ok(out)
-}
-
-/// What a read-only segment scan saw.
-struct SegmentScan {
-    records: usize,
-    torn: bool,
-    keys: Vec<String>,
-}
-
-/// Generic `MMRS` frame walk: counts CRC-valid records and pulls each
-/// record's content address out of the JSON textually, so the census
-/// needs no knowledge of (and stays robust to changes in) the cache's
-/// entry schema.
-fn scan_segment(bytes: &[u8]) -> SegmentScan {
-    let mut out = SegmentScan {
-        records: 0,
-        torn: false,
-        keys: Vec::new(),
-    };
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') else {
-            out.torn = true;
-            break;
-        };
-        let Ok(line) = std::str::from_utf8(&bytes[offset..offset + nl]) else {
-            out.torn = true;
-            break;
-        };
-        let mut parts = line.splitn(5, ' ');
-        let (tag, ver, kind, crc_hex, json) = (
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-        );
-        let framed = tag == "MMRS"
-            && u32::from_str_radix(crc_hex, 16)
-                .is_ok_and(|crc| crc == store::crc32(format!("{ver} {kind} {json}").as_bytes()));
-        if !framed {
-            out.torn = true;
-            break;
-        }
-        if kind == "put" {
-            out.records += 1;
-            if let Some(key) = json_string_field(json, "key") {
-                out.keys.push(key);
-            }
-        }
-        offset += nl + 1;
-    }
-    out
 }
 
 /// Extracts the first `"field":"..."` string value from compact JSON

@@ -278,8 +278,8 @@ fn frame_line(ev: &FlightEvent) -> Option<String> {
 }
 
 /// CRC-32 (zlib polynomial, reflected, init/xorout `0xFFFFFFFF`) — the
-/// same checksum the cache segments use, computed here so `obs` stays
-/// dependency-free.
+/// workspace's one CRC: the cache's segment frames (`store`) use it too,
+/// and any standard tool can check either log.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;

@@ -8,7 +8,8 @@
 //! MMRS <version> <kind> <crc32-8hex> <compact-json>\n
 //! ```
 //!
-//! with the CRC-32 (reflected, polynomial `0xEDB88320`) covering
+//! with the flight log's CRC-32 ([`obs::flight::crc32`]: reflected,
+//! polynomial `0xEDB88320`, as zlib and PNG) covering
 //! `"<version> <kind> <compact-json>"`. Each `put` record carries a
 //! [`crate::Entry`] wrapped with its 32-hex content address; later records
 //! for the same key win. The index file (`index.mmri`) lists the live
@@ -23,6 +24,7 @@
 //! costs a recompute, never correctness.
 
 use crate::acc::Entry;
+use obs::flight::crc32;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -37,22 +39,6 @@ pub const VERSION: u32 = 1;
 
 /// Default byte length at which the current segment is rolled.
 pub(crate) const DEFAULT_ROLL_BYTES: u64 = 4 << 20;
-
-/// CRC-32 (reflected, polynomial `0xEDB88320`, init/xorout `0xFFFFFFFF`)
-/// — identical parameters to the flight log, zlib, and PNG, so
-/// frames are checkable with any standard tool.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFF_u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Frames one record as a segment line (with trailing newline).
 fn frame(kind: &str, json: &str) -> String {
@@ -96,29 +82,37 @@ struct SegScan {
     records: Vec<ScannedRecord>,
 }
 
-/// Scans segment bytes, keeping the longest framed prefix. Unframed data
-/// ends the scan (torn tail); CRC-valid records of unknown version or
-/// kind are skipped silently; CRC-valid `put` records with unparseable
-/// JSON are skipped and counted.
-fn scan(bytes: &[u8]) -> SegScan {
-    let mut out = SegScan {
-        good_len: 0,
-        torn: false,
-        bad_records: 0,
-        records: Vec::new(),
-    };
+/// One CRC-valid `MMRS` line of a segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame<'a> {
+    /// Byte offset of the line in the segment.
+    pub offset: usize,
+    /// Byte length of the line, newline included.
+    pub len: usize,
+    /// The version field, as written.
+    pub version: &'a str,
+    /// The record kind (`put`).
+    pub kind: &'a str,
+    /// The compact JSON payload.
+    pub json: &'a str,
+}
+
+/// Walks segment bytes frame by frame, calling `each` on every CRC-valid
+/// `MMRS` line of the longest framed prefix. Returns that prefix's byte
+/// length and whether bytes past it had to be left unread (a torn tail:
+/// an unterminated, non-UTF-8, unframed or CRC-failing line ends the
+/// walk).
+pub fn walk_frames<'a>(bytes: &'a [u8], mut each: impl FnMut(Frame<'a>)) -> (usize, bool) {
     let mut offset = 0usize;
     while offset < bytes.len() {
         let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') else {
-            out.torn = true;
-            break;
+            return (offset, true);
         };
         let Ok(line) = std::str::from_utf8(&bytes[offset..offset + nl]) else {
-            out.torn = true;
-            break;
+            return (offset, true);
         };
         let mut parts = line.splitn(5, ' ');
-        let (tag, ver, kind, crc_hex, json) = (
+        let (tag, version, kind, crc_hex, json) = (
             parts.next().unwrap_or(""),
             parts.next().unwrap_or(""),
             parts.next().unwrap_or(""),
@@ -127,29 +121,51 @@ fn scan(bytes: &[u8]) -> SegScan {
         );
         let framed = tag == TAG
             && u32::from_str_radix(crc_hex, 16)
-                .is_ok_and(|crc| crc == crc32(format!("{ver} {kind} {json}").as_bytes()));
+                .is_ok_and(|crc| crc == crc32(format!("{version} {kind} {json}").as_bytes()));
         if !framed {
-            out.torn = true;
-            break;
+            return (offset, true);
         }
-        if ver.parse::<u32>().is_ok_and(|v| v == VERSION) && kind == "put" {
-            match serde_json::from_str::<PutRecord>(json) {
-                Ok(rec) => out.records.push(ScannedRecord {
+        each(Frame {
+            offset,
+            len: nl + 1,
+            version,
+            kind,
+            json,
+        });
+        offset += nl + 1;
+    }
+    (offset, false)
+}
+
+/// Scans segment bytes, keeping the longest framed prefix
+/// ([`walk_frames`]). CRC-valid records of unknown version or kind are
+/// skipped silently; CRC-valid `put` records with unparseable JSON are
+/// skipped and counted.
+fn scan(bytes: &[u8]) -> SegScan {
+    let mut records = Vec::new();
+    let mut bad_records = 0;
+    let (good_len, torn) = walk_frames(bytes, |frame| {
+        if frame.version.parse::<u32>().is_ok_and(|v| v == VERSION) && frame.kind == "put" {
+            match serde_json::from_str::<PutRecord>(frame.json) {
+                Ok(rec) => records.push(ScannedRecord {
                     key: rec.key,
-                    offset: offset as u64,
-                    len: (nl + 1) as u64,
+                    offset: frame.offset as u64,
+                    len: frame.len as u64,
                     entry: rec.entry,
                 }),
                 // The frame vouched for the bytes but the schema moved on
                 // (or a bug wrote nonsense). Cache records are disposable:
                 // drop this one, keep the rest.
-                Err(_) => out.bad_records += 1,
+                Err(_) => bad_records += 1,
             }
         }
-        offset += nl + 1;
-        out.good_len = offset as u64;
+    });
+    SegScan {
+        good_len: good_len as u64,
+        torn,
+        bad_records,
+        records,
     }
-    out
 }
 
 /// Parses one framed line back into its record. `None` on any mismatch —
@@ -576,11 +592,6 @@ mod tests {
             },
             prefixes: Vec::new(),
         }
-    }
-
-    #[test]
-    fn crc32_matches_the_standard_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

@@ -48,7 +48,7 @@ fn usage() -> String {
         (an unusable DIR degrades to uncached with a warning)
 --flight mirrors the structured flight-event ring to FILE as CRC-framed MMRE lines
 --dossier-dir writes a crash dossier (last events + metrics + fault delta) into DIR
-        on panic, degradation, or deadline truncation
+        on panic or degradation
         (an unusable artifact path degrades with a warning and exit code 2)
 --metrics/--metrics-format/--trace/--flight/--dossier-dir/--quiet are observational only and never change results
 --chaos injects a seeded, reproducible fault schedule; profiles: mixed (default) | panics | corrupt | torn | export | hard

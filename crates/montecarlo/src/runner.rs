@@ -105,9 +105,10 @@ impl Accumulator for Histogram {
 /// spawns after warm-up.
 ///
 /// The runner is fault-tolerant: a panicking chunk is caught and retried
-/// from its chunk seed (bounded by [`with_max_chunk_retries`]
-/// (Runner::with_max_chunk_retries)); a chunk that fails every attempt
-/// fails the run with [`Error::WorkerPanicked`], or, under
+/// from its chunk seed (bounded by
+/// [`with_max_chunk_retries`](Runner::with_max_chunk_retries)); a chunk
+/// that fails every attempt fails the run with [`Error::WorkerPanicked`],
+/// or, under
 /// [`with_degrade_on_exhaustion`](Runner::with_degrade_on_exhaustion), is
 /// dropped from a run reported as degraded.
 ///

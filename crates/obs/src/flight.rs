@@ -19,7 +19,7 @@
 //! | kind | payload | emitted by |
 //! |---|---|---|
 //! | `run_start` | `n` = trials requested (`detail` = `"resume"` for cache-resumed runs) | runner |
-//! | `run_end` | `n` = trials completed, `detail` = `ok`/`degraded`/`truncated`/`degraded+truncated` | runner |
+//! | `run_end` | `n` = trials completed, `detail` = `ok`/`degraded` | runner |
 //! | `chunk_claimed` | `chunk` | runner |
 //! | `chunk_retried` | `chunk`, `attempt` | runner |
 //! | `chunk_abandoned` | `chunk`, `attempt` | runner |
@@ -45,8 +45,8 @@
 //! [`Snapshot`](crate::Snapshot), a fault-ledger delta, and the request
 //! key into one atomically written JSON file under the directory
 //! installed by [`set_dossier_dir`] — the runner and the experiment
-//! harness call it on panic, degradation, and deadline truncation so any
-//! failed run is post-mortem-debuggable from artifacts alone.
+//! harness call it on panic and on degradation, so any failed run is
+//! post-mortem-debuggable from artifacts alone.
 
 use serde::{Deserialize, Serialize, Value};
 use std::fmt::Write as _;
@@ -429,7 +429,7 @@ fn dossier_dir() -> Option<PathBuf> {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dossier {
     /// Why the dossier was written (`worker_panicked`, `degraded`,
-    /// `deadline_truncated`, `experiment_panicked`, …).
+    /// `experiment_panicked`, …).
     pub reason: String,
     /// The canonical request key of the failed run, when known.
     pub request: Option<String>,

@@ -2,8 +2,9 @@
 //! lookup/extend/compute orchestration around the runner.
 //!
 //! Every Monte-Carlo entry point in this crate funnels its runner call
-//! through [`ReliabilityModel::run_cached`]. With no store installed ([`store::active`] is
-//! `None`) the seam is a passthrough. With a store installed:
+//! through [`ReliabilityModel::run_cached`]. With no store installed
+//! ([`store::active`] is `None`) the seam is a passthrough. With a store
+//! installed:
 //!
 //! * an exact request-key **hit** reconstructs the finished
 //!   [`RunReport`] without running a single trial — bit-identical to the

@@ -29,8 +29,9 @@ use crate::{BernoulliEstimate, RunReport, Welford};
 
 /// Mean / standard-error / count view over a streaming estimator.
 ///
-/// Implemented by the runner's scalar estimators, so [`RunReport`] diagnostics and sequential stopping work
-/// uniformly over probabilities and means.
+/// Implemented by the runner's scalar estimators, so [`RunReport`]
+/// diagnostics and sequential stopping work uniformly over probabilities
+/// and means.
 pub trait EstimatorStats {
     /// The point estimate (`NaN` when empty).
     fn mean(&self) -> f64;

@@ -14,6 +14,8 @@ cargo clippy --all-targets --offline --workspace -- -D warnings
 # Formatting: the workspace crates, src/, tests/ and examples/ stay
 # rustfmt-clean (the vendored shims and benchmark/ are not members).
 cargo fmt --all --check
+# Rustdoc: every intra-doc link in the workspace resolves.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # The workload ledger's unit and smoke tests: every workload end to end at
 # --scale 0.01, with all of its correctness checks.
@@ -30,13 +32,17 @@ EXPORT_DIR="$(mktemp -d)"
 cargo run --release --offline -p mmr-bench --bin experiments -- \
   --quick --quiet --trace "$EXPORT_DIR/trace.json" \
   --metrics "$EXPORT_DIR/metrics.prom" --metrics-format prom t1 thm62
-# The trace must be JSON with a non-empty traceEvents array.
+# The trace must be JSON with a non-empty traceEvents array holding exactly
+# one complete ("ph": "X") event per requested experiment.
 python3 - "$EXPORT_DIR/trace.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     trace = json.load(f)
 events = trace["traceEvents"]
 assert isinstance(events, list) and events, "traceEvents must be non-empty"
+spans = sorted(e["name"] for e in events if e["ph"] == "X")
+assert spans == ["t1", "thm62"], f"one span per experiment, got {spans}"
+print(f"trace ok: {len(events)} events, spans {spans}")
 EOF
 # The exposition must lint clean: TYPE before samples, monotone cumulative
 # buckets, +Inf == _count.

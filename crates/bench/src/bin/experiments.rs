@@ -15,12 +15,12 @@
 //! The shared flags are the seven `mmreliab` takes too, parsed and set up
 //! by [`mmr_bench::cli`]: `--cache DIR` serves repeated runs from the
 //! content-addressed result store; `--metrics` dumps the process
-//! metric/span snapshot at exit (JSON by default, Prometheus text
-//! exposition with `--metrics-format prom`); `--trace` writes the span
-//! ring as Chrome trace-event JSON; `--flight` mirrors the flight
-//! recorder; `--dossier-dir` collects crash dossiers; `--quiet` suppresses
-//! status lines (errors still print; exit codes are unchanged). None of
-//! them changes a seeded result.
+//! metric snapshot at exit (JSON by default, Prometheus text exposition
+//! with `--metrics-format prom`); `--trace` writes the flight recorder's
+//! ring as Chrome trace-event JSON, one complete event per experiment;
+//! `--flight` mirrors that ring; `--dossier-dir` collects crash
+//! dossiers; `--quiet` suppresses status lines (errors still print; exit
+//! codes are unchanged). None of them changes a seeded result.
 //!
 //! `--chaos SEED[:PROFILE]` installs a deterministic fault plan for the
 //! whole run (see `montecarlo::fault`): seeded chunk panics, scratch

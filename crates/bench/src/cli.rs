@@ -41,7 +41,7 @@ pub struct SharedFlags {
     metrics: Option<PathBuf>,
     /// `--metrics-format`: the snapshot's format.
     metrics_format: MetricsFormat,
-    /// `--trace FILE`: the span ring as Chrome trace-event JSON.
+    /// `--trace FILE`: the flight ring as Chrome trace-event JSON.
     trace: Option<PathBuf>,
     /// `--flight FILE`: the CRC-framed mirror of the flight recorder.
     flight: Option<PathBuf>,
@@ -136,7 +136,7 @@ impl SharedFlags {
     pub fn export(&self, artifacts: &mut Artifacts) {
         if let Some(path) = &self.trace {
             let written = write_export(path, || obs::export::chrome_trace(&obs::snapshot()));
-            if artifacts.install("span trace export", written).is_some() {
+            if artifacts.install("trace export", written).is_some() {
                 obs::info!("chrome trace written to {}", path.display());
             }
         }

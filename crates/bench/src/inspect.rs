@@ -151,14 +151,15 @@ fn inspect_dir(dir: &Path) -> Result<String, String> {
 }
 
 /// Read-only census of a cache directory: per-segment valid records,
-/// torn tails, and the distinct live keys (later records win).
+/// torn tails, and the distinct keys, sorted so two censuses of the same
+/// records diff clean whatever order they were appended in.
 fn inspect_cache_dir(dir: &Path, segments: &[&String], indexed: bool) -> Result<String, String> {
     let mut out = format!(
         "cache directory: {} segment(s), index.mmri {}\n",
         segments.len(),
         if indexed { "present" } else { "missing" }
     );
-    let mut live: Vec<String> = Vec::new();
+    let mut keys: Vec<String> = Vec::new();
     let mut total = 0usize;
     for name in segments {
         let bytes = std::fs::read(dir.join(name.as_str()))
@@ -166,32 +167,34 @@ fn inspect_cache_dir(dir: &Path, segments: &[&String], indexed: bool) -> Result<
         // The census counts every CRC-valid `put` frame and pulls its
         // content address out of the JSON textually, so it needs no
         // knowledge of (and stays robust to changes in) the entry schema.
-        let mut records = 0usize;
-        let (_, torn) = store::walk_frames(&bytes, |frame| {
-            if frame.kind != "put" {
-                return;
-            }
-            records += 1;
-            if let Some(key) = json_string_field(frame.json, "key") {
-                if !live.contains(&key) {
-                    live.push(key);
-                }
-            }
-        });
-        total += records;
+        let scan = obs::frame::SEGMENT.scan(&bytes);
+        let puts: Vec<&str> = scan
+            .frames
+            .iter()
+            .filter(|f| f.head.ends_with(" put"))
+            .map(|f| f.json)
+            .collect();
+        keys.extend(
+            puts.iter()
+                .filter_map(|json| json_string_field(json, "key")),
+        );
+        total += puts.len();
         let _ = writeln!(
             out,
-            "  {name}: {records} record(s), {} byte(s){}",
+            "  {name}: {} record(s), {} byte(s){}",
+            puts.len(),
             bytes.len(),
-            if torn { ", TORN TAIL" } else { "" }
+            if scan.torn { ", TORN TAIL" } else { "" }
         );
     }
+    keys.sort();
+    keys.dedup();
     let _ = writeln!(
         out,
         "records: {total} total, {} distinct key(s)",
-        live.len()
+        keys.len()
     );
-    for key in &live {
+    for key in &keys {
         let _ = writeln!(out, "  {key}");
     }
     Ok(out)
@@ -226,8 +229,7 @@ mod tests {
             "{{\"seq\":{seq},\"t_us\":{},\"tid\":1,\"kind\":\"{kind}\"{detail_json}}}",
             seq * 50
         );
-        let crc = obs::flight::crc32(format!("1 {json}").as_bytes());
-        format!("MMRE 1 {crc:08x} {json}\n")
+        obs::frame::FLIGHT.encode("1", &json)
     }
 
     #[test]
@@ -333,6 +335,56 @@ mod tests {
     }
 
     #[test]
+    fn censuses_of_the_same_records_match_whatever_the_append_order() {
+        let a = tmp_dir("census-a");
+        let b = tmp_dir("census-b");
+        fill_cache(&a, &[1, 2, 3, 4]);
+        fill_cache(&b, &[4, 3, 2, 1]);
+        let census_a = inspect(&a, None).unwrap();
+        assert!(census_a.contains("4 distinct key(s)"), "{census_a}");
+        assert_eq!(census_a, inspect(&b, None).unwrap());
+        std::fs::remove_dir_all(&a).unwrap();
+        std::fs::remove_dir_all(&b).unwrap();
+    }
+
+    #[test]
+    fn dossier_in_the_span_ring_schema_still_renders() {
+        // A dossier as written before experiment spans moved into the
+        // flight ring: its snapshot carries `spans` and `span_events`.
+        let dir = tmp_dir("old-dossier");
+        let path = dir.join("dossier-1-000-experiment_panicked.json");
+        let snapshot = r#"{"counters": [{"name": "exp.t1.runs", "value": 1}],
+            "gauges": [], "histograms": [],
+            "spans": [{"name": "t1", "count": 1, "total_us": 420, "max_us": 420}],
+            "span_events": [{"name": "t1", "start_us": 10, "dur_us": 420, "tid": 1}],
+            "flight_events": [], "build_info": null}"#;
+        let dossier = format!(
+            r#"{{"reason": "experiment_panicked", "request": "mmrk2|demo",
+            "fault_delta": {{"injected_panics": 2}}, "snapshot": {snapshot},
+            "events": [{{"seq": 1, "t_us": 5, "tid": 1, "kind": "chunk_failed",
+            "chunk": 3, "attempt": 2, "n": null, "value": null, "detail": null}}],
+            "build": null}}"#
+        );
+        std::fs::write(&path, dossier).unwrap();
+        let report = inspect(&path, None).unwrap();
+        assert!(
+            report.contains("crash dossier: experiment_panicked"),
+            "{report}"
+        );
+        assert!(report.contains("injected_panics=2"), "{report}");
+        assert!(
+            report.contains("snapshot: 1 counters, 0 histograms"),
+            "{report}"
+        );
+        assert!(report.contains("chunk 3: failed (attempt 2)"), "{report}");
+        // The same file through the dossier-directory census.
+        let listing = inspect(&dir, None).unwrap();
+        assert!(listing.contains("1 dossier(s)"), "{listing}");
+        assert!(!listing.contains("unreadable"), "{listing}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn unknown_artifacts_are_rejected_with_a_clear_message() {
         let dir = tmp_dir("unknown");
         let path = dir.join("mystery.bin");
@@ -344,35 +396,42 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Inserts one small Bernoulli record per seed into the cache at `dir`,
+    /// in the order given.
+    fn fill_cache(dir: &Path, seeds: &[u64]) {
+        let cache = store::Store::open(dir).unwrap();
+        for &seed in seeds {
+            let key = store::KeySpec {
+                kernel: "test/kernel".into(),
+                matrix: "SC".into(),
+                threads_n: 2,
+                filler_m: 1,
+                p_bits: 0,
+                settle_bits: [0; 4],
+                fence_pass_bits: 0,
+                acquire_fence: false,
+                seed,
+                chunk_width: 4096,
+            }
+            .request(4096, None);
+            let report = store::CachedReport {
+                value: store::AccState::Bernoulli(store::BernoulliState {
+                    successes: 1,
+                    trials: 4096,
+                }),
+                trials_requested: 4096,
+                trials_completed: 4096,
+                converged_early: false,
+            };
+            cache.insert(&key, report, Vec::new());
+        }
+    }
+
     #[test]
     fn cache_directory_census_is_read_only() {
         let dir = tmp_dir("cache");
         // Build a real cache dir through the store, then census it.
-        let cache = store::Store::open(&dir).unwrap();
-        let key = store::KeySpec {
-            kernel: "test/kernel".into(),
-            matrix: "SC".into(),
-            threads_n: 2,
-            filler_m: 1,
-            p_bits: 0,
-            settle_bits: [0; 4],
-            fence_pass_bits: 0,
-            acquire_fence: false,
-            seed: 7,
-            chunk_width: 4096,
-        }
-        .request(4096, None);
-        let report = store::CachedReport {
-            value: store::AccState::Bernoulli(store::BernoulliState {
-                successes: 1,
-                trials: 4096,
-            }),
-            trials_requested: 4096,
-            trials_completed: 4096,
-            converged_early: false,
-        };
-        cache.insert(&key, report, Vec::new());
-        drop(cache);
+        fill_cache(&dir, &[7]);
 
         let before: Vec<_> = {
             let mut v: Vec<_> = std::fs::read_dir(&dir)

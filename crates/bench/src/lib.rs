@@ -416,18 +416,17 @@ pub fn run_one_isolated(e: &Experiment, ctx: &Ctx) -> ExperimentResult {
     let session = diag::session();
     let ledger_before = montecarlo::fault::ledger().snapshot();
     let started = std::time::Instant::now();
-    let outcome = {
-        let _span = obs::span(e.id);
-        std::panic::catch_unwind(move || run(ctx))
-    };
-    let elapsed_secs = started.elapsed().as_secs_f64();
+    let outcome = std::panic::catch_unwind(move || run(ctx));
+    let elapsed = started.elapsed();
+    let elapsed_us = elapsed.as_micros() as u64;
+    obs::flight::event("span").detail(e.id).n(elapsed_us).emit();
     let ledger_delta = montecarlo::fault::ledger().snapshot().since(&ledger_before);
     let diagnostics = session.drain();
     drop(session);
     let tele = obs::global();
     tele.counter(&format!("exp.{}.runs", e.id)).inc();
     tele.counter(&format!("exp.{}.elapsed_us", e.id))
-        .add(started.elapsed().as_micros() as u64);
+        .add(elapsed_us);
     let mut report = match outcome {
         Ok(report) => report,
         Err(payload) => {
@@ -458,7 +457,7 @@ pub fn run_one_isolated(e: &Experiment, ctx: &Ctx) -> ExperimentResult {
         artifact: e.artifact.to_owned(),
         reproduced: report.matches("REPRODUCED").count(),
         mismatched: report.matches("MISMATCH").count(),
-        elapsed_secs,
+        elapsed_secs: elapsed.as_secs_f64(),
         report,
         diagnostics,
         degraded,

@@ -169,7 +169,7 @@ fn trace_and_prom_exports_are_structurally_valid() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // The Chrome trace parses and carries at least the experiment span.
+    // The Chrome trace parses and carries the experiment's one span.
     let parsed: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).expect("valid trace json");
     let serde_json::Value::Object(fields) = &parsed else {
@@ -178,7 +178,19 @@ fn trace_and_prom_exports_are_structurally_valid() {
     let serde_json::Value::Array(events) = serde_json::Value::field(fields, "traceEvents") else {
         panic!("traceEvents should be an array");
     };
-    assert!(!events.is_empty(), "trace should carry at least one span");
+    let text = |ev: &serde_json::Value, key: &str| match ev {
+        serde_json::Value::Object(f) => match serde_json::Value::field(f, key) {
+            serde_json::Value::String(s) => s.clone(),
+            _ => String::new(),
+        },
+        _ => String::new(),
+    };
+    let spans: Vec<String> = events
+        .iter()
+        .filter(|ev| text(ev, "ph") == "X")
+        .map(|ev| text(ev, "name"))
+        .collect();
+    assert_eq!(spans, ["t1"], "one complete event for the one experiment");
 
     // The Prometheus exposition passes the exporter's own lint.
     let text = std::fs::read_to_string(&prom).unwrap();

@@ -1,7 +1,8 @@
 //! Schema validation of the `--metrics` snapshot emitted by a full
 //! (quick-context) 16-experiment run. Run by ci.sh as the machine check
 //! that the telemetry surface stays complete: runner counters, pool
-//! counters, per-memory-model attribution, histograms, and spans.
+//! counters, per-memory-model attribution, histograms, per-experiment
+//! counters, and the experiment spans in the flight ring.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -82,7 +83,7 @@ fn full_run_metrics_snapshot_has_complete_schema() {
         assert!(h.max >= h.min);
     }
 
-    // Per-experiment counters and spans for the whole registry.
+    // Per-experiment counters for the whole registry.
     let registry = mmr_bench::registry();
     assert_eq!(registry.len(), 16);
     for e in &registry {
@@ -92,12 +93,24 @@ fn full_run_metrics_snapshot_has_complete_schema() {
             "exp.{}.runs missing or wrong",
             e.id
         );
-        let span = snap
-            .span(e.id)
-            .unwrap_or_else(|| panic!("span {} missing", e.id));
-        assert_eq!(span.count, 1);
-        assert!(span.total_us >= span.max_us);
+        assert!(
+            snap.counter(&format!("exp.{}.elapsed_us", e.id)).is_some(),
+            "exp.{}.elapsed_us missing",
+            e.id
+        );
     }
+    // One `span` flight event per experiment, in registry order: the
+    // bounded ring keeps the newest events, so the spans it still holds
+    // are the registry's tail, ending with its last experiment.
+    let spans: Vec<&str> = snap
+        .flight_events()
+        .iter()
+        .filter(|ev| ev.kind == "span")
+        .map(|ev| ev.detail.as_deref().unwrap_or(""))
+        .collect();
+    let ids: Vec<&str> = registry.iter().map(|e| e.id).collect();
+    assert!(!spans.is_empty(), "no span events in the flight ring");
+    assert_eq!(spans, ids[ids.len() - spans.len()..]);
 
     // The structured results written alongside are unaffected by telemetry:
     // they parse and carry the full registry.

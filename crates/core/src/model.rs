@@ -149,9 +149,9 @@ impl ReliabilityModel {
     /// [`sample_windows`](ReliabilityModel::sample_windows) into a
     /// caller-provided buffer (cleared and refilled). Draw-for-draw
     /// identical to `sample_windows`; the program itself is still drawn
-    /// fresh — use [`sample_windows_scratch`]
-    /// (ReliabilityModel::sample_windows_scratch) for the fully
-    /// allocation-free kernel.
+    /// fresh — use
+    /// [`sample_windows_scratch`](ReliabilityModel::sample_windows_scratch)
+    /// for the fully allocation-free kernel.
     pub fn sample_windows_into<R: Rng + ?Sized>(&self, out: &mut Vec<u64>, rng: &mut R) {
         let mut program = self.generator().generate(rng);
         if self.acquire_fence {

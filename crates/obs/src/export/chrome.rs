@@ -1,49 +1,47 @@
-//! Chrome trace-event JSON from the span ring buffer and the flight
-//! recorder.
+//! Chrome trace-event JSON from the flight recorder's ring.
 //!
 //! The output follows the Trace Event Format's JSON-object form: a
-//! top-level `"traceEvents"` array of complete (`"ph": "X"`) events, one
-//! per ring-buffer span, with microsecond `ts`/`dur` — exactly what
-//! Perfetto and `chrome://tracing` open directly. Flight-recorder events
-//! interleave on the same clock as thread-scoped instant events
-//! (`"ph": "i"`, `"cat": "flight"`). Aggregate-only data (counters,
-//! per-name span totals) has no timeline and is summarized in
+//! top-level `"traceEvents"` array with microsecond timestamps — exactly
+//! what Perfetto and `chrome://tracing` open directly. A `span` flight
+//! event (one per finished experiment) becomes a complete (`"ph": "X"`)
+//! event named after the experiment; every other flight event becomes a
+//! thread-scoped instant event (`"ph": "i"`, `"cat": "flight"`).
+//! Aggregate-only data (counters) has no timeline and is summarized in
 //! `"otherData"` instead.
 
 use super::json_escape;
 use crate::Snapshot;
 use std::fmt::Write as _;
 
-/// Renders the snapshot's span and flight timelines as Chrome
-/// trace-event JSON.
+/// Renders the snapshot's flight timeline as Chrome trace-event JSON.
 ///
-/// Every ring-buffer span becomes one complete event: `ts` is the span's
-/// start in microseconds since the process observability epoch, `dur`
-/// its duration, `pid` is always 1 (one process), and `tid` is the
-/// recorder's stable small thread id. Every flight event becomes one
-/// thread-scoped instant event at its `ts`, with its payload fields as
-/// `args`. Both rings are drop-oldest bounded;
-/// `otherData.spans_dropped` / `otherData.flight_dropped` report how
-/// many earlier events were evicted before this export.
+/// A `span` event is emitted when its experiment ends, with `n` = its
+/// wall time in µs, so it becomes one complete event with `dur = n` and
+/// `ts = t_us − n`, named by its `detail`. Every other event becomes one
+/// thread-scoped instant event at its `t_us`, with its payload fields as
+/// `args`. Timestamps are microseconds since the process observability
+/// epoch, `pid` is always 1 (one process), and `tid` is the recorder's
+/// stable small thread id. The ring is drop-oldest bounded;
+/// `otherData.flight_dropped` reports how many earlier events were
+/// evicted before this export.
 #[must_use]
 pub fn chrome_trace(snapshot: &Snapshot) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"traceEvents\": [");
-    let mut emitted = 0usize;
-    for e in &snapshot.span_events {
-        let _ = write!(
-            out,
-            "{}\n    {{\"name\": \"{}\", \"cat\": \"span\", \"ph\": \"X\", \
-             \"ts\": {}, \"dur\": {}, \"pid\": 1, \"tid\": {}}}",
-            if emitted == 0 { "" } else { "," },
-            json_escape(&e.name),
-            e.start_us,
-            e.dur_us,
-            e.tid
-        );
-        emitted += 1;
-    }
-    for e in snapshot.flight_events() {
+    for (i, e) in snapshot.flight_events().iter().enumerate() {
+        out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        if e.kind == "span" {
+            let dur = e.n.unwrap_or(0);
+            let _ = write!(
+                out,
+                "{{\"name\": \"{}\", \"cat\": \"span\", \"ph\": \"X\", \
+                 \"ts\": {}, \"dur\": {dur}, \"pid\": 1, \"tid\": {}}}",
+                json_escape(e.detail.as_deref().unwrap_or("span")),
+                e.t_us.saturating_sub(dur),
+                e.tid
+            );
+            continue;
+        }
         let mut args = vec![format!("\"seq\": {}", e.seq)];
         if let Some(c) = e.chunk {
             args.push(format!("\"chunk\": {c}"));
@@ -62,24 +60,20 @@ pub fn chrome_trace(snapshot: &Snapshot) -> String {
         }
         let _ = write!(
             out,
-            "{}\n    {{\"name\": \"{}\", \"cat\": \"flight\", \"ph\": \"i\", \"s\": \"t\", \
+            "{{\"name\": \"{}\", \"cat\": \"flight\", \"ph\": \"i\", \"s\": \"t\", \
              \"ts\": {}, \"pid\": 1, \"tid\": {}, \"args\": {{{}}}}}",
-            if emitted == 0 { "" } else { "," },
             json_escape(&e.kind),
             e.t_us,
             e.tid,
             args.join(", ")
         );
-        emitted += 1;
     }
-    if emitted > 0 {
+    if !snapshot.flight_events().is_empty() {
         out.push_str("\n  ");
     }
     let _ = write!(
         out,
-        "],\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {{\"spans_dropped\": \"{}\", \
-         \"flight_dropped\": \"{}\"}}\n}}\n",
-        snapshot.counter("obs.spans_dropped").unwrap_or(0),
+        "],\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {{\"flight_dropped\": \"{}\"}}\n}}\n",
         snapshot.counter("obs.flight_dropped").unwrap_or(0)
     );
     out
@@ -88,17 +82,29 @@ pub fn chrome_trace(snapshot: &Snapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Snapshot, SpanEventSnapshot};
+    use crate::FlightEvent;
 
     fn empty() -> Snapshot {
         Snapshot {
             counters: Vec::new(),
             gauges: Vec::new(),
             histograms: Vec::new(),
-            spans: Vec::new(),
-            span_events: Vec::new(),
             flight_events: None,
             build_info: None,
+        }
+    }
+
+    fn event(seq: u64, t_us: u64, kind: &str) -> FlightEvent {
+        FlightEvent {
+            seq,
+            t_us,
+            tid: 3,
+            kind: kind.into(),
+            chunk: None,
+            attempt: None,
+            n: None,
+            value: None,
+            detail: None,
         }
     }
 
@@ -113,59 +119,50 @@ mod tests {
     #[test]
     fn events_become_complete_trace_events() {
         let mut snap = empty();
-        snap.span_events = vec![
-            SpanEventSnapshot {
-                name: "alpha".into(),
-                start_us: 10,
-                dur_us: 5,
+        snap.flight_events = Some(vec![
+            FlightEvent {
+                n: Some(5),
+                detail: Some("alpha".into()),
                 tid: 1,
+                ..event(1, 15, "span")
             },
-            SpanEventSnapshot {
-                name: "beta \"quoted\"".into(),
-                start_us: 20,
-                dur_us: 7,
+            FlightEvent {
+                n: Some(7),
+                detail: Some("beta \"quoted\"".into()),
                 tid: 2,
+                ..event(2, 27, "span")
             },
-        ];
+        ]);
         let text = chrome_trace(&snap);
-        // Parses as JSON and carries both events with the X phase.
+        // Parses as JSON and carries both spans with the X phase, started
+        // `n` µs before they were recorded.
         let value: serde_json::Value = serde_json::from_str(&text).unwrap();
         drop(value);
         assert_eq!(text.matches("\"ph\": \"X\"").count(), 2);
         assert!(text.contains("\"name\": \"alpha\""));
         assert!(text.contains("beta \\\"quoted\\\""));
         assert!(text.contains("\"ts\": 10"));
-        assert!(text.contains("\"dur\": 7"));
+        assert!(text.contains("\"ts\": 20, \"dur\": 7"));
         assert!(text.contains("\"tid\": 2"));
     }
 
     #[test]
     fn flight_events_become_instant_events() {
         let mut snap = empty();
-        snap.flight_events = Some(vec![
-            crate::FlightEvent {
-                seq: 1,
-                t_us: 40,
-                tid: 3,
-                kind: "chunk_retried".into(),
+        let mut events = vec![
+            FlightEvent {
                 chunk: Some(9),
                 attempt: Some(2),
-                n: None,
-                value: None,
-                detail: None,
+                ..event(1, 40, "chunk_retried")
             },
-            crate::FlightEvent {
-                seq: 2,
-                t_us: 55,
-                tid: 3,
-                kind: "wave_decided".into(),
-                chunk: None,
-                attempt: None,
+            FlightEvent {
                 n: Some(16384),
                 value: Some(0.25),
                 detail: Some("continue".to_owned()),
+                ..event(2, 55, "wave_decided")
             },
-        ]);
+        ];
+        snap.flight_events = Some(events.clone());
         let text = chrome_trace(&snap);
         let value: serde_json::Value = serde_json::from_str(&text).unwrap();
         drop(value);
@@ -175,13 +172,13 @@ mod tests {
         assert!(text.contains("\"value\": 0.25"));
         assert!(text.contains("\"detail\": \"continue\""));
         assert!(text.contains("\"flight_dropped\""));
-        // Spans and flight events share one array without comma faults.
-        snap.span_events = vec![SpanEventSnapshot {
-            name: "alpha".into(),
-            start_us: 10,
-            dur_us: 5,
-            tid: 1,
-        }];
+        // Spans and instants share one array without comma faults.
+        events.push(FlightEvent {
+            n: Some(5),
+            detail: Some("alpha".into()),
+            ..event(3, 60, "span")
+        });
+        snap.flight_events = Some(events);
         let text = chrome_trace(&snap);
         let value: serde_json::Value = serde_json::from_str(&text).unwrap();
         drop(value);
@@ -192,7 +189,13 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn live_snapshot_round_trips() {
-        drop(crate::span("export.test.chrome"));
+        let _guard = crate::test_ring_lock();
+        crate::set_recording(true);
+        crate::flight::set_flight_recording(true);
+        crate::flight::event("span")
+            .detail("export.test.chrome")
+            .n(3)
+            .emit();
         let text = chrome_trace(&crate::snapshot());
         let value: serde_json::Value = serde_json::from_str(&text).unwrap();
         drop(value);

@@ -8,10 +8,7 @@
 //! * histograms → `# TYPE name histogram` with cumulative `name_bucket`
 //!   samples over the log₂ buckets (`le` is the inclusive upper bound of
 //!   each integer bucket: `0` for the zero bucket, `2·lo − 1` for
-//!   `[lo, 2·lo)`), a `+Inf` bucket, `name_sum`, and `name_count`;
-//! * spans → `span_<name>_count` / `span_<name>_total_us` counters and a
-//!   `span_<name>_max_us` gauge (the `span_` prefix keeps aggregate span
-//!   names from colliding with metric names after sanitization).
+//!   `[lo, 2·lo)`), a `+Inf` bucket, `name_sum`, and `name_count`.
 //!
 //! Metric names are sanitized to `[a-zA-Z0-9_:]` (dots become
 //! underscores), matching the exposition-format grammar.
@@ -141,19 +138,6 @@ pub fn prometheus(snapshot: &Snapshot) -> String {
         let _ = writeln!(out, "{name}_sum {}", h.sum);
         let _ = writeln!(out, "{name}_count {}", h.count);
     }
-    for s in &snapshot.spans {
-        let name = format!("span_{}", sanitize(&s.name));
-        let base = help_text(&s.name);
-        let _ = writeln!(out, "# HELP {name}_count {base} (completed spans)");
-        let _ = writeln!(out, "# TYPE {name}_count counter");
-        let _ = writeln!(out, "{name}_count {}", s.count);
-        let _ = writeln!(out, "# HELP {name}_total_us {base} (total duration, us)");
-        let _ = writeln!(out, "# TYPE {name}_total_us counter");
-        let _ = writeln!(out, "{name}_total_us {}", s.total_us);
-        let _ = writeln!(out, "# HELP {name}_max_us {base} (longest single span, us)");
-        let _ = writeln!(out, "# TYPE {name}_max_us gauge");
-        let _ = writeln!(out, "{name}_max_us {}", s.max_us);
-    }
     out
 }
 
@@ -280,7 +264,7 @@ pub fn lint(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CounterSnapshot, GaugeSnapshot, HistogramBucket, HistogramSnapshot, SpanSnapshot};
+    use crate::{CounterSnapshot, GaugeSnapshot, HistogramBucket, HistogramSnapshot};
 
     fn sample() -> Snapshot {
         Snapshot {
@@ -304,13 +288,6 @@ mod tests {
                     HistogramBucket { lo: 512, count: 2 },
                 ],
             }],
-            spans: vec![SpanSnapshot {
-                name: "thm62".into(),
-                count: 1,
-                total_us: 1500,
-                max_us: 1500,
-            }],
-            span_events: Vec::new(),
             flight_events: None,
             build_info: None,
         }
@@ -333,8 +310,6 @@ mod tests {
         // Wildcard segments resolve per the METRICS.md convention.
         assert!(help_text("mmr.model.SC.trials").contains("Survival trials per model"));
         assert!(help_text("exp.t1.runs").contains("Completions per experiment"));
-        // Span rows are looked up by raw span name.
-        assert!(help_text("t1").contains("one span per completed run"));
         // Undocumented names get the explicit fallback.
         assert!(help_text("export.test.undocumented").contains("Undocumented metric"));
         assert!(!covers("mmr.model.*.trials", "mmr.model.trials"));
@@ -345,7 +320,6 @@ mod tests {
         let text = prometheus(&sample());
         assert!(text.contains("# HELP mc_runner_runs Monte-Carlo runner invocations."));
         assert!(text.contains("# TYPE mc_runner_runs counter"));
-        assert!(text.contains("# HELP span_thm62_count Experiment runtime. (completed spans)"));
         assert!(text.contains("mc_runner_runs 3"));
         assert!(text.contains("# TYPE mc_pool_workers_busy gauge"));
         assert!(text.contains("# TYPE mc_runner_chunk_wall_us histogram"));
@@ -357,8 +331,6 @@ mod tests {
         assert!(text.contains("mc_runner_chunk_wall_us_bucket{le=\"+Inf\"} 7"));
         assert!(text.contains("mc_runner_chunk_wall_us_sum 900"));
         assert!(text.contains("mc_runner_chunk_wall_us_count 7"));
-        assert!(text.contains("span_thm62_count 1"));
-        assert!(text.contains("span_thm62_total_us 1500"));
         lint(&text).unwrap();
     }
 
@@ -368,8 +340,6 @@ mod tests {
             counters: Vec::new(),
             gauges: Vec::new(),
             histograms: Vec::new(),
-            spans: Vec::new(),
-            span_events: Vec::new(),
             flight_events: None,
             build_info: None,
         };
@@ -452,7 +422,6 @@ mod tests {
         crate::global()
             .histogram("export.test.prom_hist")
             .record(100);
-        drop(crate::span("export.test.prom_span"));
         lint(&prometheus(&crate::snapshot())).unwrap();
     }
 }

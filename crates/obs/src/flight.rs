@@ -4,12 +4,11 @@
 //! Where the metrics registry *counts* what happened, the flight recorder
 //! *orders* it: every notable step of a run — a chunk claimed, a fault
 //! fired, a retry backed off, a convergence wave decided, a cache tier
-//! answering — is appended as one [`FlightEvent`] to a process-global
-//! drop-oldest ring (capacity shared with the span ring via
-//! [`crate::set_ring_capacity`] / `MMR_OBS_RING`; evictions count into
-//! `obs.flight_dropped`). Recording follows the same contract as
-//! [`crate::set_recording`]: compiled out without the `enabled` feature,
-//! pausable at runtime, and additionally gated by
+//! answering, an experiment finished — is appended as one [`FlightEvent`]
+//! to a process-global drop-oldest ring of [`crate::DEFAULT_RING_CAP`]
+//! events (evictions count into `obs.flight_dropped`). Recording follows
+//! the same contract as [`crate::set_recording`]: compiled out without
+//! the `enabled` feature, pausable at runtime, and additionally gated by
 //! [`set_flight_recording`] so the recorder's own overhead can be
 //! measured in isolation. Emission never touches an RNG stream; seeded
 //! results are bit-identical with the recorder on, off, or mirrored.
@@ -30,14 +29,16 @@
 //! | `request` | `detail` = full canonical request key | cache seam |
 //! | `cache_hit` / `cache_extend` / `cache_miss` | `detail` = key, `n` = prefix chunks (extend) | store |
 //! | `cache_compacted` | `n` = records kept | store |
+//! | `span` | `detail` = experiment id, `n` = its wall time in µs (emitted at its end) | experiment harness |
 //!
 //! # On-disk framing
 //!
 //! [`mirror_to`] appends each event as one `MMRE 1 <crc:08x> <json>` line
-//! — the PR 6/PR 8 framing discipline: the CRC32 (zlib polynomial) covers
-//! `"<version> <json>"`, a torn tail truncates to the longest valid
-//! prefix on read ([`parse_log`]), and well-framed lines of an unknown
-//! version are skipped, not fatal.
+//! of the workspace's one framed-log codec ([`crate::frame`], shared with
+//! the cache segments): a torn tail truncates to the longest valid prefix
+//! on read ([`parse_log`]), well-framed lines of an unknown version are
+//! skipped, not fatal, and a valid frame whose JSON is not an event ends
+//! the log there.
 //!
 //! # Crash dossiers
 //!
@@ -64,10 +65,9 @@ pub struct FlightEvent {
     /// Emission order within the process, 1-based, gap-free at the
     /// recorder (gaps in a snapshot mean the ring evicted events).
     pub seq: u64,
-    /// Microseconds since the process observability epoch (shared with
-    /// span timestamps, so traces interleave).
+    /// Microseconds since the process observability epoch.
     pub t_us: u64,
-    /// Small stable id of the emitting thread (same lane ids as spans).
+    /// Small stable id of the emitting thread (a trace lane).
     pub tid: u64,
     /// Event kind (see the module-level taxonomy).
     pub kind: String,
@@ -169,16 +169,16 @@ impl EventBuilder {
             // Written under the sink lock, so the mirror is lossless and
             // in sequence order.
             if let Some(file) = sink.mirror.as_mut() {
-                if let Some(line) = frame_line(&ev) {
-                    // Best-effort: a mirror that starts failing mid-run
-                    // must not take the run down with it.
-                    let _ = file.write_all(line.as_bytes());
+                // Serializing a recorder-built event never fails; a mirror
+                // that starts failing mid-run must not take the run down.
+                if let Ok(json) = serde_json::to_string(&ev) {
+                    let _ = file.write_all(crate::frame::FLIGHT.encode("1", &json).as_bytes());
                 }
             }
-            sink.ring.push(crate::ring_capacity(), ev)
+            sink.ring.push(ev)
         };
-        if dropped > 0 {
-            flight_dropped().add(dropped);
+        if dropped {
+            flight_dropped().inc();
         }
     }
 }
@@ -188,7 +188,7 @@ impl EventBuilder {
 static FLIGHT_RECORDING: AtomicBool = AtomicBool::new(true);
 
 /// Pauses (`false`) or resumes (`true`) flight-event recording without
-/// touching metric/span collection — the seam the recorder-overhead
+/// touching metric collection — the seam the recorder-overhead
 /// benchmark toggles. Purely observational.
 pub fn set_flight_recording(on: bool) {
     FLIGHT_RECORDING.store(on, Ordering::Relaxed);
@@ -258,41 +258,6 @@ pub fn unmirror() {
     lock().mirror = None;
 }
 
-/// Frame tag opening every flight-log line.
-const TAG: &str = "MMRE";
-/// Flight-log frame version.
-const VERSION: u32 = 1;
-
-/// Frames one serialized event as an `MMRE` line (with trailing newline).
-fn frame(json: &str) -> String {
-    let crc = crc32(format!("{VERSION} {json}").as_bytes());
-    format!("{TAG} {VERSION} {crc:08x} {json}\n")
-}
-
-/// Frames one event as its on-disk `MMRE` line — what the disk mirror
-/// appends. `None` if serialization fails (it never does for
-/// recorder-built events).
-#[must_use]
-fn frame_line(ev: &FlightEvent) -> Option<String> {
-    serde_json::to_string(ev).ok().map(|json| frame(&json))
-}
-
-/// CRC-32 (zlib polynomial, reflected, init/xorout `0xFFFFFFFF`) — the
-/// workspace's one CRC: the cache's segment frames (`store`) use it too,
-/// and any standard tool can check either log.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 /// What [`parse_log`] recovered from a flight log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedLog {
@@ -306,63 +271,27 @@ pub struct ParsedLog {
 
 /// Parses a flight log: keeps the longest prefix of CRC-valid `MMRE`
 /// lines, skips well-framed lines of an unknown version, and truncates
-/// at the first torn or corrupt line (`torn` reports that).
+/// at the first torn or corrupt line, or valid frame whose JSON is not an
+/// event (`torn` reports that).
 #[must_use]
 pub fn parse_log(text: &str) -> ParsedLog {
+    let scan = crate::frame::FLIGHT.scan(text.as_bytes());
     let mut parsed = ParsedLog {
         events: Vec::new(),
-        torn: false,
+        torn: scan.torn,
         skipped: 0,
     };
-    let mut rest = text;
-    while !rest.is_empty() {
-        let Some((line, tail)) = rest.split_once('\n') else {
-            // Data without a terminating newline is a torn write.
+    for frame in scan.frames {
+        if frame.head != "1" {
+            parsed.skipped += 1;
+        } else if let Ok(ev) = serde_json::from_str::<FlightEvent>(frame.json) {
+            parsed.events.push(ev);
+        } else {
             parsed.torn = true;
-            return parsed;
-        };
-        match parse_line(line) {
-            Line::Event(ev) => parsed.events.push(ev),
-            Line::UnknownVersion => parsed.skipped += 1,
-            Line::Torn => {
-                parsed.torn = true;
-                return parsed;
-            }
+            break;
         }
-        rest = tail;
     }
     parsed
-}
-
-enum Line {
-    Event(FlightEvent),
-    UnknownVersion,
-    Torn,
-}
-
-fn parse_line(line: &str) -> Line {
-    let Some(rest) = line.strip_prefix("MMRE ") else {
-        return Line::Torn;
-    };
-    let Some((version, rest)) = rest.split_once(' ') else {
-        return Line::Torn;
-    };
-    let Some((crc_hex, json)) = rest.split_once(' ') else {
-        return Line::Torn;
-    };
-    let Ok(expected) = u32::from_str_radix(crc_hex, 16) else {
-        return Line::Torn;
-    };
-    if crc32(format!("{version} {json}").as_bytes()) != expected {
-        return Line::Torn;
-    }
-    if version != "1" {
-        return Line::UnknownVersion;
-    }
-    match serde_json::from_str::<FlightEvent>(json) {
-        Ok(ev) => Line::Event(ev),
-        Err(_) => Line::Torn,
-    }
 }
 
 /// The canonical key of the request currently being served, published by
@@ -711,8 +640,7 @@ pub fn diff_logs(a: &[FlightEvent], b: &[FlightEvent]) -> LogDiff {
 }
 
 /// What [`diff_trajectories`] found comparing two convergence
-/// trajectories (the `wave_decided` sequences two logs or `/status`
-/// captures recorded).
+/// trajectories (the `wave_decided` sequences two logs recorded).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrajectoryDiff {
     /// Waves in the first trajectory.
@@ -727,9 +655,7 @@ pub struct TrajectoryDiff {
 
 /// Compares the convergence trajectories of two event streams: the
 /// ordered `wave_decided` sequences, keyed by trial count, RSE bits, and
-/// stop decision. This is how a live `/status` capture is checked
-/// against a post-hoc flight log: two bit-identical runs diverge at no
-/// wave.
+/// stop decision: two bit-identical runs diverge at no wave.
 #[must_use]
 pub fn diff_trajectories(a: &[FlightEvent], b: &[FlightEvent]) -> TrajectoryDiff {
     let waves = |evs: &[FlightEvent]| -> Vec<(Option<u64>, Option<u64>, Option<String>)> {
@@ -821,10 +747,9 @@ pub fn render_dossier(d: &Dossier) -> String {
     }
     let _ = writeln!(
         out,
-        "snapshot: {} counters, {} histograms, {} spans",
+        "snapshot: {} counters, {} histograms",
         d.snapshot.counters.len(),
-        d.snapshot.histograms.len(),
-        d.snapshot.spans.len()
+        d.snapshot.histograms.len()
     );
     out.push_str(&render_timeline(&d.events));
     out
@@ -848,10 +773,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn crc32_matches_the_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn frame(json: &str) -> String {
+        crate::frame::FLIGHT.encode("1", json)
     }
 
     #[test]
@@ -895,10 +818,7 @@ mod tests {
     #[test]
     fn unknown_version_is_skipped_not_fatal() {
         let json = serde_json::to_string(&ev(1, "run_start")).unwrap();
-        let future = format!(
-            "MMRE 9 {:08x} {json}\n",
-            crc32(format!("9 {json}").as_bytes())
-        );
+        let future = crate::frame::FLIGHT.encode("9", &json);
         let log = format!("{future}{}", frame(&json));
         let parsed = parse_log(&log);
         assert!(!parsed.torn);
@@ -951,6 +871,72 @@ mod tests {
         event("run_start").n(1).emit();
         assert_eq!(events().len(), before);
         set_flight_recording(true);
+    }
+
+    #[test]
+    fn bad_json_in_a_valid_frame_truncates_the_log() {
+        let json = serde_json::to_string(&ev(1, "run_start")).unwrap();
+        let log = format!("{}{}{}", frame(&json), frame("{\"not\":1}"), frame(&json));
+        let parsed = parse_log(&log);
+        assert!(parsed.torn);
+        assert_eq!(parsed.events.len(), 1);
+    }
+
+    #[cfg(feature = "enabled")]
+    #[test]
+    fn ring_overflow_counts_dropped_events() {
+        // Flooding capacity + 50 events can keep at most capacity of them,
+        // so at least 50 evictions must be accounted to obs.flight_dropped
+        // (other tests in this process may evict more; never fewer).
+        let _guard = crate::test_ring_lock();
+        crate::set_recording(true);
+        set_flight_recording(true);
+        let before = flight_dropped().get();
+        for i in 0..(crate::DEFAULT_RING_CAP + 50) {
+            event("flood").n(i as u64).emit();
+        }
+        let after = flight_dropped().get();
+        assert!(
+            after >= before + 50,
+            "expected >= 50 drops, got {}",
+            after - before
+        );
+        // The snapshot surfaces the same counter.
+        assert_eq!(crate::snapshot().counter("obs.flight_dropped"), Some(after));
+    }
+
+    #[cfg(feature = "enabled")]
+    #[test]
+    fn ring_is_bounded() {
+        let _guard = crate::test_ring_lock();
+        crate::set_recording(true);
+        set_flight_recording(true);
+        for i in 0..(crate::DEFAULT_RING_CAP + 50) {
+            event("bounded").n(i as u64).emit();
+        }
+        let kept = events();
+        assert_eq!(kept.len(), crate::DEFAULT_RING_CAP);
+        // Oldest first, and the newest survive.
+        assert!(kept.windows(2).all(|w| w[0].seq < w[1].seq));
+        let last = kept.last().unwrap();
+        let newest = (crate::DEFAULT_RING_CAP + 49) as u64;
+        assert_eq!((last.kind.as_str(), last.n), ("bounded", Some(newest)));
+    }
+
+    #[cfg(feature = "enabled")]
+    #[test]
+    fn events_carry_a_stable_thread_id() {
+        let _guard = crate::test_ring_lock();
+        crate::set_recording(true);
+        set_flight_recording(true);
+        event("tid_probe").emit();
+        let mine = crate::current_tid();
+        assert!(events()
+            .iter()
+            .any(|e| e.kind == "tid_probe" && e.tid == mine));
+        // A different thread gets a different id.
+        let other = std::thread::spawn(crate::current_tid).join().unwrap();
+        assert_ne!(mine, other);
     }
 
     #[cfg(not(feature = "enabled"))]

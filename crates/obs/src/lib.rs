@@ -1,6 +1,7 @@
 //! In-process telemetry for the reproduction: a metrics registry of atomic
-//! counters/gauges/histograms, RAII span timers with a ring-buffer event
-//! sink, the flight recorder, and a small leveled stderr logger.
+//! counters/gauges/histograms, the flight recorder (one bounded ring of
+//! typed events, experiment spans among them), the one CRC-framed log
+//! codec, and a small leveled stderr logger.
 //!
 //! The crate exists so that the Monte-Carlo stack (pool → runner → model →
 //! experiments) can report what it is doing without perturbing what it
@@ -38,20 +39,19 @@
 pub mod degrade;
 pub mod export;
 pub mod flight;
+pub mod frame;
 pub mod log;
 mod metrics;
 mod ring;
-mod span;
 
 pub use flight::FlightEvent;
 pub use metrics::{
     Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramBucket, HistogramSnapshot,
     Registry,
 };
-pub use span::{span, SpanEventSnapshot, SpanGuard, SpanSnapshot};
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The process-wide registry every instrumented crate records into.
 #[must_use]
@@ -63,7 +63,7 @@ pub fn global() -> &'static Registry {
 /// Runtime master switch; collection starts enabled.
 static RECORDING: AtomicBool = AtomicBool::new(true);
 
-/// Pauses (`false`) or resumes (`true`) all metric and span collection at
+/// Pauses (`false`) or resumes (`true`) all metric and event collection at
 /// runtime. Purely observational: results of instrumented code are
 /// identical either way.
 pub fn set_recording(on: bool) {
@@ -77,45 +77,8 @@ pub fn recording() -> bool {
     cfg!(feature = "enabled") && RECORDING.load(Ordering::Relaxed)
 }
 
-/// Default capacity of the bounded event rings (span timeline and flight
-/// recorder) when neither [`set_ring_capacity`] nor `MMR_OBS_RING`
-/// overrides it.
+/// Capacity of the flight recorder's drop-oldest event ring.
 pub const DEFAULT_RING_CAP: usize = 1024;
-
-/// Programmatic ring-capacity override; 0 means "not set".
-static RING_CAP_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the shared ring capacity at runtime (clamped to ≥ 1).
-/// Passing `0` clears the override, falling back to the `MMR_OBS_RING`
-/// environment variable and then [`DEFAULT_RING_CAP`]. Shrinking takes
-/// effect on the next push to each ring: the oldest surplus events are
-/// evicted and accounted to the ring's drop counter.
-pub fn set_ring_capacity(cap: usize) {
-    RING_CAP_OVERRIDE.store(cap, Ordering::Relaxed);
-}
-
-/// Parses a ring capacity from an `MMR_OBS_RING`-style value (clamped to
-/// ≥ 1; unparsable values are ignored).
-fn ring_cap_from_env(value: Option<&str>) -> Option<usize> {
-    value
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .map(|n| n.max(1))
-}
-
-/// The current shared ring capacity: [`set_ring_capacity`] override if
-/// set, else `MMR_OBS_RING` (read once per process), else
-/// [`DEFAULT_RING_CAP`].
-#[must_use]
-pub fn ring_capacity() -> usize {
-    let o = RING_CAP_OVERRIDE.load(Ordering::Relaxed);
-    if o != 0 {
-        return o;
-    }
-    static FROM_ENV: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    FROM_ENV
-        .get_or_init(|| ring_cap_from_env(std::env::var("MMR_OBS_RING").ok().as_deref()))
-        .unwrap_or(DEFAULT_RING_CAP)
-}
 
 /// Build metadata stamped once by the binary and carried on every
 /// [`Snapshot`], Prometheus exposition (`mmr_build_info`) and crash
@@ -174,8 +137,7 @@ pub fn build_info() -> Option<BuildInfo> {
         .clone()
 }
 
-/// Monotonic epoch shared by span and flight timestamps: pinned on first
-/// use, so both timelines interleave on one clock.
+/// Monotonic epoch of flight timestamps, pinned on first use.
 pub(crate) fn epoch() -> std::time::Instant {
     static EPOCH: std::sync::OnceLock<std::time::Instant> = std::sync::OnceLock::new();
     *EPOCH.get_or_init(std::time::Instant::now)
@@ -194,9 +156,11 @@ pub(crate) fn current_tid() -> u64 {
 }
 
 /// One coherent JSON-serializable view of everything collected so far:
-/// counters, gauges, histograms, per-name span aggregates, and the recent
-/// span events still in the ring buffer. Collection is out-of-band, so a
-/// snapshot may be taken at any time from any thread.
+/// counters, gauges, histograms, and the recent flight events still in
+/// the ring. Collection is out-of-band, so a snapshot may be taken at any
+/// time from any thread. Snapshots written before experiment spans moved
+/// into the flight ring carry `spans`/`span_events` fields; reading one
+/// ignores them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
     /// All counters, sorted by name.
@@ -205,10 +169,6 @@ pub struct Snapshot {
     pub gauges: Vec<GaugeSnapshot>,
     /// All histograms, sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
-    /// Per-name span aggregates, sorted by name.
-    pub spans: Vec<SpanSnapshot>,
-    /// The most recent span events, oldest first (bounded ring buffer).
-    pub span_events: Vec<SpanEventSnapshot>,
     /// The most recent flight-recorder events, oldest first (bounded ring
     /// buffer). `Option` so snapshots serialized before the flight
     /// recorder existed still deserialize; use
@@ -242,12 +202,6 @@ impl Snapshot {
         self.histograms.iter().find(|h| h.name == name)
     }
 
-    /// A span aggregate by name, if present.
-    #[must_use]
-    pub fn span(&self, name: &str) -> Option<&SpanSnapshot> {
-        self.spans.iter().find(|s| s.name == name)
-    }
-
     /// The retained flight events (empty for snapshots that predate the
     /// flight recorder).
     #[must_use]
@@ -256,21 +210,17 @@ impl Snapshot {
     }
 }
 
-/// Snapshots the [`global`] registry plus the span sink and the flight
-/// recorder ring.
+/// Snapshots the [`global`] registry plus the flight recorder ring.
 #[must_use]
 pub fn snapshot() -> Snapshot {
     let mut snap = global().snapshot();
-    let (spans, span_events) = span::snapshot();
-    snap.spans = spans;
-    snap.span_events = span_events;
     snap.flight_events = Some(flight::events());
     snap.build_info = build_info();
     snap
 }
 
 /// Serializes tests across modules that toggle process-global recording
-/// state (the master switch, the flight switch, the ring capacity).
+/// state (the master switch, the flight switch) or read the shared ring.
 #[cfg(test)]
 pub(crate) fn test_ring_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -289,25 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_cap_env_parses_and_clamps() {
-        assert_eq!(ring_cap_from_env(None), None);
-        assert_eq!(ring_cap_from_env(Some("")), None);
-        assert_eq!(ring_cap_from_env(Some("not a number")), None);
-        assert_eq!(ring_cap_from_env(Some(" 256 ")), Some(256));
-        assert_eq!(ring_cap_from_env(Some("0")), Some(1));
-    }
-
-    #[test]
-    fn set_ring_capacity_overrides_and_clears() {
-        let _guard = recording_lock();
-        let baseline = ring_capacity();
-        set_ring_capacity(64);
-        assert_eq!(ring_capacity(), 64);
-        set_ring_capacity(0);
-        assert_eq!(ring_capacity(), baseline);
-    }
-
-    #[test]
     fn recording_switch_roundtrips() {
         let _guard = recording_lock();
         set_recording(true);
@@ -323,17 +254,14 @@ mod tests {
         assert_eq!(std::mem::size_of::<Counter>(), 0);
         assert_eq!(std::mem::size_of::<Gauge>(), 0);
         assert_eq!(std::mem::size_of::<Histogram>(), 0);
-        assert_eq!(std::mem::size_of::<SpanGuard>(), 0);
         let c = global().counter("disabled.counter");
         c.add(7);
         let h = global().histogram("disabled.hist");
         h.record(7);
-        drop(span("disabled.span"));
         let snap = snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.histograms.is_empty());
-        assert!(snap.spans.is_empty());
-        assert!(snap.span_events.is_empty());
+        assert!(snap.flight_events().is_empty());
     }
 
     #[cfg(feature = "enabled")]
@@ -347,12 +275,10 @@ mod tests {
         g.set(17);
         let h = global().histogram("lib.test.hist");
         h.record(100);
-        drop(span("lib.test.span"));
         let snap = snapshot();
         assert!(snap.counter("lib.test.counter").unwrap() >= 42);
         assert_eq!(snap.gauge("lib.test.gauge"), Some(17));
         assert!(snap.histogram("lib.test.hist").unwrap().count >= 1);
-        assert!(snap.span("lib.test.span").unwrap().count >= 1);
         assert!(snap.counter("lib.test.missing").is_none());
     }
 

@@ -286,7 +286,7 @@ impl Registry {
     }
 
     /// A point-in-time view of every registered metric, sorted by name
-    /// (span sections are filled in by [`crate::snapshot`]).
+    /// (the flight events are filled in by [`crate::snapshot`]).
     #[must_use]
     pub fn snapshot(&self) -> crate::Snapshot {
         #[cfg(feature = "enabled")]
@@ -316,8 +316,6 @@ impl Registry {
                 counters,
                 gauges,
                 histograms,
-                spans: Vec::new(),
-                span_events: Vec::new(),
                 flight_events: None,
                 build_info: None,
             }
@@ -328,8 +326,6 @@ impl Registry {
                 counters: Vec::new(),
                 gauges: Vec::new(),
                 histograms: Vec::new(),
-                spans: Vec::new(),
-                span_events: Vec::new(),
                 flight_events: None,
                 build_info: None,
             }

@@ -1,93 +1,43 @@
-//! A drop-oldest bounded ring shared by the span sink and the flight
-//! recorder.
-//!
-//! The capacity is passed to every [`Ring::push`] rather than stored, so
-//! one process-wide knob ([`crate::set_ring_capacity`] / `MMR_OBS_RING`)
-//! governs all rings and can change at runtime: a push under a smaller
-//! capacity first evicts the oldest surviving items (each eviction is
-//! reported to the caller so drop counters stay honest), and a push under
-//! a larger capacity simply lets the ring grow again.
+//! The drop-oldest bounded ring behind the flight recorder.
 
-/// A bounded buffer that keeps the most recent items, oldest evicted
-/// first. `pushed` counts every item ever offered so a snapshot can
-/// linearize a wrapped ring.
+use crate::DEFAULT_RING_CAP;
+use std::collections::VecDeque;
+
+/// A buffer that keeps the most recent [`DEFAULT_RING_CAP`] items,
+/// oldest evicted first.
 #[derive(Debug)]
 pub(crate) struct Ring<T> {
-    buf: Vec<T>,
-    /// Index the next push overwrites once the ring is full.
-    next: usize,
-    /// Total items ever pushed.
-    pushed: u64,
+    buf: VecDeque<T>,
 }
 
 impl<T: Clone> Ring<T> {
     /// An empty ring (const, so it can back a `static Mutex`).
-    pub(crate) const fn new() -> Ring<T> {
+    pub(crate) const fn new() -> Self {
         Ring {
-            buf: Vec::new(),
-            next: 0,
-            pushed: 0,
+            buf: VecDeque::new(),
         }
     }
 
-    /// Whether the ring has wrapped (physical order differs from
-    /// chronological order).
-    fn wrapped(&self) -> bool {
-        !self.buf.is_empty() && self.pushed > self.buf.len() as u64
-    }
-
-    /// Pushes one item under the drop-oldest contract at capacity `cap`
-    /// (≥ 1). Returns how many items were evicted by this push: 0 while
-    /// filling, 1 per overwrite at steady state, more when the capacity
-    /// shrank since the previous push.
-    pub(crate) fn push(&mut self, cap: usize, item: T) -> u64 {
-        let cap = cap.max(1);
-        let mut dropped = 0u64;
-        if self.buf.len() > cap || (self.buf.len() < cap && self.wrapped()) {
-            // The capacity changed since the last push: linearize to
-            // chronological order, evicting the oldest surplus if the
-            // ring shrank. `pushed` keeps counting, and a linearized
-            // ring reads in order from index 0 (`next` = 0).
-            let mut ordered = self.in_order();
-            if ordered.len() > cap {
-                dropped = (ordered.len() - cap) as u64;
-                ordered.drain(..ordered.len() - cap);
-            }
-            self.buf = ordered;
-            self.next = 0;
+    /// Pushes one item; returns whether the oldest item was evicted to
+    /// make room.
+    pub(crate) fn push(&mut self, item: T) -> bool {
+        let full = self.buf.len() >= DEFAULT_RING_CAP;
+        if full {
+            self.buf.pop_front();
         }
-        if self.buf.len() < cap {
-            self.buf.push(item);
-        } else {
-            dropped += 1;
-            let slot = self.next;
-            self.buf[slot] = item;
-            self.next = (self.next + 1) % cap;
-        }
-        self.pushed += 1;
-        dropped
+        self.buf.push_back(item);
+        full
     }
 
     /// The ring's contents in chronological order, oldest first.
     pub(crate) fn in_order(&self) -> Vec<T> {
-        let start = if self.wrapped() { self.next } else { 0 };
-        (0..self.buf.len())
-            .map(|i| self.buf[(start + i) % self.buf.len()].clone())
-            .collect()
-    }
-
-    /// Number of items currently retained.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.iter().cloned().collect()
     }
 
     /// Drops every retained item (drop counters are the caller's concern;
     /// a clear is a reset, not an eviction).
     pub(crate) fn clear(&mut self) {
         self.buf.clear();
-        self.next = 0;
-        self.pushed = 0;
     }
 }
 
@@ -97,49 +47,22 @@ mod tests {
 
     #[test]
     fn fills_then_overwrites_oldest() {
-        let mut r: Ring<u32> = Ring::new();
-        for i in 0..5 {
-            assert_eq!(r.push(4, i), u64::from(i >= 4));
+        let mut r: Ring<usize> = Ring::new();
+        for i in 0..=DEFAULT_RING_CAP {
+            assert_eq!(r.push(i), i == DEFAULT_RING_CAP);
         }
-        assert_eq!(r.in_order(), vec![1, 2, 3, 4]);
-        assert_eq!(r.len(), 4);
-    }
-
-    #[test]
-    fn shrink_evicts_oldest_and_stays_ordered() {
-        let mut r: Ring<u32> = Ring::new();
-        for i in 0..6 {
-            r.push(4, i); // wrapped ring holds [2,3,4,5]
-        }
-        // Shrinking to 2 must evict 2,3 and then overwrite 4.
-        assert_eq!(r.push(2, 6), 3);
-        assert_eq!(r.in_order(), vec![5, 6]);
-    }
-
-    #[test]
-    fn grow_after_wrap_keeps_chronological_order() {
-        let mut r: Ring<u32> = Ring::new();
-        for i in 0..6 {
-            r.push(4, i);
-        }
-        assert_eq!(r.push(8, 6), 0);
-        assert_eq!(r.in_order(), vec![2, 3, 4, 5, 6]);
-        for i in 7..11 {
-            r.push(8, i);
-        }
-        assert_eq!(r.in_order(), vec![3, 4, 5, 6, 7, 8, 9, 10]);
+        assert_eq!(r.in_order(), (1..=DEFAULT_RING_CAP).collect::<Vec<_>>());
     }
 
     #[test]
     fn clear_resets() {
-        let mut r: Ring<u32> = Ring::new();
-        for i in 0..6 {
-            r.push(4, i);
+        let mut r: Ring<usize> = Ring::new();
+        for i in 0..DEFAULT_RING_CAP + 2 {
+            r.push(i);
         }
         r.clear();
-        assert_eq!(r.len(), 0);
         assert!(r.in_order().is_empty());
-        r.push(4, 9);
+        r.push(9);
         assert_eq!(r.in_order(), vec![9]);
     }
 }

@@ -36,5 +36,4 @@ pub use acc::{
     AccState, BernoulliState, CacheableAcc, CachedPrefix, CachedReport, Entry, HistState, MeanState,
 };
 pub use key::{fnv1a64, splitmix64, KeyHash, KeySpec, RequestKey, CANON_VERSION, KERNEL_VERSION};
-pub use segment::{walk_frames, Frame};
 pub use store::{active, clear, install, Lookup, StatsSnapshot, Store, StoreError};

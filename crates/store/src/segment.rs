@@ -1,21 +1,20 @@
 //! The on-disk cache tier: append-only CRC-framed segments plus an
 //! atomically-rewritten index.
 //!
-//! Segments are CRC-framed, one record per line, the same framing
-//! discipline as the flight log's `MMRE` lines:
+//! Segments are CRC-framed, one record per line, in the workspace's one
+//! framed-log codec ([`obs::frame::SEGMENT`], which the flight log's
+//! `MMRE` lines share):
 //!
 //! ```text
 //! MMRS <version> <kind> <crc32-8hex> <compact-json>\n
 //! ```
 //!
-//! with the flight log's CRC-32 ([`obs::flight::crc32`]: reflected,
-//! polynomial `0xEDB88320`, as zlib and PNG) covering
-//! `"<version> <kind> <compact-json>"`. Each `put` record carries a
-//! [`crate::Entry`] wrapped with its 32-hex content address; later records
-//! for the same key win. The index file (`index.mmri`) lists the live
-//! segments in order and is only ever replaced atomically (tmp + rename),
-//! so a crash mid-compaction leaves either the old or the new view, never
-//! a mix.
+//! with the CRC-32 covering `"<version> <kind> <compact-json>"`. Each
+//! `put` record carries a [`crate::Entry`] wrapped with its 32-hex
+//! content address; later records for the same key win. The index file
+//! (`index.mmri`) lists the live segments in order and is only ever
+//! replaced atomically (tmp + rename), so a crash mid-compaction leaves
+//! either the old or the new view, never a mix.
 //!
 //! Cache data is *disposable*. A torn tail is truncated (normal crash recovery,
 //! not an error); a file that is not a segment at all is skipped whole
@@ -24,27 +23,21 @@
 //! costs a recompute, never correctness.
 
 use crate::acc::Entry;
-use obs::flight::crc32;
+use obs::frame::SEGMENT;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Frame tag opening every segment line.
-const TAG: &str = "MMRS";
-
 /// Segment format version written by this build.
 pub const VERSION: u32 = 1;
 
+/// The frame head of a `put` record of this [`VERSION`].
+const PUT_HEAD: &str = "1 put";
+
 /// Default byte length at which the current segment is rolled.
 pub(crate) const DEFAULT_ROLL_BYTES: u64 = 4 << 20;
-
-/// Frames one record as a segment line (with trailing newline).
-fn frame(kind: &str, json: &str) -> String {
-    let crc = crc32(format!("{VERSION} {kind} {json}").as_bytes());
-    format!("{TAG} {VERSION} {kind} {crc:08x} {json}\n")
-}
 
 /// One framed cache record: the content address plus the entry it names.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -82,87 +75,38 @@ struct SegScan {
     records: Vec<ScannedRecord>,
 }
 
-/// One CRC-valid `MMRS` line of a segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Frame<'a> {
-    /// Byte offset of the line in the segment.
-    pub offset: usize,
-    /// Byte length of the line, newline included.
-    pub len: usize,
-    /// The version field, as written.
-    pub version: &'a str,
-    /// The record kind (`put`).
-    pub kind: &'a str,
-    /// The compact JSON payload.
-    pub json: &'a str,
-}
-
-/// Walks segment bytes frame by frame, calling `each` on every CRC-valid
-/// `MMRS` line of the longest framed prefix. Returns that prefix's byte
-/// length and whether bytes past it had to be left unread (a torn tail:
-/// an unterminated, non-UTF-8, unframed or CRC-failing line ends the
-/// walk).
-pub fn walk_frames<'a>(bytes: &'a [u8], mut each: impl FnMut(Frame<'a>)) -> (usize, bool) {
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') else {
-            return (offset, true);
-        };
-        let Ok(line) = std::str::from_utf8(&bytes[offset..offset + nl]) else {
-            return (offset, true);
-        };
-        let mut parts = line.splitn(5, ' ');
-        let (tag, version, kind, crc_hex, json) = (
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-        );
-        let framed = tag == TAG
-            && u32::from_str_radix(crc_hex, 16)
-                .is_ok_and(|crc| crc == crc32(format!("{version} {kind} {json}").as_bytes()));
-        if !framed {
-            return (offset, true);
-        }
-        each(Frame {
-            offset,
-            len: nl + 1,
-            version,
-            kind,
-            json,
-        });
-        offset += nl + 1;
-    }
-    (offset, false)
-}
-
 /// Scans segment bytes, keeping the longest framed prefix
-/// ([`walk_frames`]). CRC-valid records of unknown version or kind are
-/// skipped silently; CRC-valid `put` records with unparseable JSON are
-/// skipped and counted.
+/// ([`obs::frame::Format::scan`]). CRC-valid records of unknown version
+/// or kind are skipped silently; CRC-valid `put` records with unparseable
+/// JSON are skipped and counted.
 fn scan(bytes: &[u8]) -> SegScan {
+    let scan = SEGMENT.scan(bytes);
     let mut records = Vec::new();
     let mut bad_records = 0;
-    let (good_len, torn) = walk_frames(bytes, |frame| {
-        if frame.version.parse::<u32>().is_ok_and(|v| v == VERSION) && frame.kind == "put" {
-            match serde_json::from_str::<PutRecord>(frame.json) {
-                Ok(rec) => records.push(ScannedRecord {
-                    key: rec.key,
-                    offset: frame.offset as u64,
-                    len: frame.len as u64,
-                    entry: rec.entry,
-                }),
-                // The frame vouched for the bytes but the schema moved on
-                // (or a bug wrote nonsense). Cache records are disposable:
-                // drop this one, keep the rest.
-                Err(_) => bad_records += 1,
-            }
+    for frame in scan.frames {
+        let current_put = frame
+            .head
+            .split_once(' ')
+            .is_some_and(|(version, kind)| version.parse::<u32>() == Ok(VERSION) && kind == "put");
+        if !current_put {
+            continue;
         }
-    });
+        match serde_json::from_str::<PutRecord>(frame.json) {
+            Ok(rec) => records.push(ScannedRecord {
+                key: rec.key,
+                offset: frame.offset as u64,
+                len: frame.len as u64,
+                entry: rec.entry,
+            }),
+            // The frame vouched for the bytes but the schema moved on
+            // (or a bug wrote nonsense). Cache records are disposable:
+            // drop this one, keep the rest.
+            Err(_) => bad_records += 1,
+        }
+    }
     SegScan {
-        good_len: good_len as u64,
-        torn,
+        good_len: scan.valid_len as u64,
+        torn: scan.torn,
         bad_records,
         records,
     }
@@ -297,13 +241,14 @@ impl DiskTier {
                     continue;
                 }
             };
-            if !bytes.is_empty() && !bytes.starts_with(TAG.as_bytes()) {
+            if !bytes.is_empty() && !bytes.starts_with(SEGMENT.tag.as_bytes()) {
                 // Not a segment at all — someone else's file. Skip it
                 // whole; never delete what we did not write.
                 faults.errors += 1;
                 obs::info!(
-                    "cache {}: not an {TAG} segment, skipping the file",
-                    path.display()
+                    "cache {}: not an {} segment, skipping the file",
+                    path.display(),
+                    SEGMENT.tag
                 );
                 continue;
             }
@@ -430,7 +375,7 @@ impl DiskTier {
             entry: entry.clone(),
         })
         .expect("Entry serialization is infallible");
-        let line = frame("put", &json);
+        let line = SEGMENT.encode(PUT_HEAD, &json);
         let record_no = self.records_written;
         let mut torn_tails = 0u64;
         if let Some(plan) = montecarlo::fault::active() {
@@ -514,7 +459,7 @@ impl DiskTier {
                 entry: entry.clone(),
             })
             .expect("Entry serialization is infallible");
-            let line = frame("put", &json);
+            let line = SEGMENT.encode(PUT_HEAD, &json);
             index.insert(
                 key.clone(),
                 RecordLoc {
@@ -694,7 +639,11 @@ mod tests {
         }
         let path = dir.join("seg-00000000.mmrs");
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(frame("put", "{\"not\":\"a put record\"}").as_bytes());
+        bytes.extend_from_slice(
+            SEGMENT
+                .encode(PUT_HEAD, "{\"not\":\"a put record\"}")
+                .as_bytes(),
+        );
         std::fs::write(&path, &bytes).unwrap();
 
         let (t, live, faults) = DiskTier::open(&dir, DEFAULT_ROLL_BYTES).unwrap();
@@ -714,13 +663,8 @@ mod tests {
         }
         let path = dir.join("seg-00000000.mmrs");
         let mut bytes = std::fs::read(&path).unwrap();
-        let future = format!(
-            "{TAG} 99 put {:08x} {}\n",
-            crc32(b"99 put {\"whatever\":true}"),
-            "{\"whatever\":true}"
-        );
-        bytes.extend_from_slice(future.as_bytes());
-        bytes.extend_from_slice(frame("note", "{\"free\":\"form\"}").as_bytes());
+        bytes.extend_from_slice(SEGMENT.encode("99 put", "{\"whatever\":true}").as_bytes());
+        bytes.extend_from_slice(SEGMENT.encode("1 note", "{\"free\":\"form\"}").as_bytes());
         std::fs::write(&path, &bytes).unwrap();
 
         let (_, live, faults) = DiskTier::open(&dir, DEFAULT_ROLL_BYTES).unwrap();

@@ -24,8 +24,8 @@
 //! grown one resumes from its cached chunk prefixes. `--metrics FILE`
 //! writes the process telemetry snapshot at exit (JSON by default;
 //! `--metrics-format prom` switches to Prometheus text exposition),
-//! `--trace FILE` writes the span ring as Chrome trace-event JSON,
-//! `--flight FILE` mirrors the flight-event ring as CRC-framed `MMRE`
+//! `--trace FILE` writes the flight-event ring as Chrome trace-event JSON,
+//! `--flight FILE` mirrors that ring as CRC-framed `MMRE`
 //! lines, `--dossier-dir DIR` collects crash dossiers, and `--quiet`
 //! suppresses status lines (errors still print). None of them changes a
 //! result. An unusable path warns, the results still print, and the

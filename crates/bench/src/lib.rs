@@ -419,7 +419,6 @@ pub fn run_one_isolated(e: &Experiment, ctx: &Ctx) -> ExperimentResult {
     let outcome = std::panic::catch_unwind(move || run(ctx));
     let elapsed = started.elapsed();
     let elapsed_us = elapsed.as_micros() as u64;
-    obs::flight::event("span").detail(e.id).n(elapsed_us).emit();
     let ledger_delta = montecarlo::fault::ledger().snapshot().since(&ledger_before);
     let diagnostics = session.drain();
     drop(session);
@@ -452,6 +451,8 @@ pub fn run_one_isolated(e: &Experiment, ctx: &Ctx) -> ExperimentResult {
             ledger_delta.chunks_abandoned
         );
     }
+    // After any dossier, so a dossier's timeline still ends at its fault.
+    obs::flight::event("span").detail(e.id).n(elapsed_us).emit();
     ExperimentResult {
         id: e.id.to_owned(),
         artifact: e.artifact.to_owned(),

@@ -21,9 +21,9 @@ use std::fmt::Write as _;
 /// thread-scoped instant event at its `t_us`, with its payload fields as
 /// `args`. Timestamps are microseconds since the process observability
 /// epoch, `pid` is always 1 (one process), and `tid` is the recorder's
-/// stable small thread id. The ring is drop-oldest bounded;
-/// `otherData.flight_dropped` reports how many earlier events were
-/// evicted before this export.
+/// stable small thread id. The ring is bounded and keeps `span` events
+/// over the others; `otherData.flight_dropped` reports how many earlier
+/// events were evicted before this export.
 #[must_use]
 pub fn chrome_trace(snapshot: &Snapshot) -> String {
     let mut out = String::new();

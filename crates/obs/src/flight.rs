@@ -5,8 +5,10 @@
 //! *orders* it: every notable step of a run — a chunk claimed, a fault
 //! fired, a retry backed off, a convergence wave decided, a cache tier
 //! answering, an experiment finished — is appended as one [`FlightEvent`]
-//! to a process-global drop-oldest ring of [`crate::DEFAULT_RING_CAP`]
-//! events (evictions count into `obs.flight_dropped`). Recording follows
+//! to a process-global ring of [`crate::DEFAULT_RING_CAP`] events. The
+//! ring drops its oldest event when full, but evicts a `span` event only
+//! when nothing else is left, so every experiment's span survives a long
+//! run (evictions count into `obs.flight_dropped`). Recording follows
 //! the same contract as [`crate::set_recording`]: compiled out without
 //! the `enabled` feature, pausable at runtime, and additionally gated by
 //! [`set_flight_recording`] so the recorder's own overhead can be
@@ -208,10 +210,16 @@ struct FlightSink {
 }
 
 static SINK: Mutex<FlightSink> = Mutex::new(FlightSink {
-    ring: crate::ring::Ring::new(),
+    ring: crate::ring::Ring::new(is_span),
     seq: 0,
     mirror: None,
 });
+
+/// `span` events are pinned in the ring: there is one per experiment, and
+/// a flood of per-chunk events must not evict the run's timing.
+fn is_span(ev: &FlightEvent) -> bool {
+    ev.kind == "span"
+}
 
 fn lock() -> std::sync::MutexGuard<'static, FlightSink> {
     SINK.lock()
@@ -921,6 +929,29 @@ mod tests {
         let last = kept.last().unwrap();
         let newest = (crate::DEFAULT_RING_CAP + 49) as u64;
         assert_eq!((last.kind.as_str(), last.n), ("bounded", Some(newest)));
+    }
+
+    #[cfg(feature = "enabled")]
+    #[test]
+    fn span_events_outlive_a_flood_of_other_events() {
+        let _guard = crate::test_ring_lock();
+        crate::set_recording(true);
+        set_flight_recording(true);
+        clear();
+        event("span").detail("first").n(5).emit();
+        for i in 0..(2 * crate::DEFAULT_RING_CAP) {
+            event("chunk_claimed").chunk(i as u64).emit();
+        }
+        event("span").detail("second").n(7).emit();
+        let kept = events();
+        assert_eq!(kept.len(), crate::DEFAULT_RING_CAP);
+        let spans: Vec<_> = kept
+            .iter()
+            .filter(|e| e.kind == "span")
+            .map(|e| e.detail.as_deref().unwrap())
+            .collect();
+        assert_eq!(spans, ["first", "second"]);
+        assert!(kept.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 
     #[cfg(feature = "enabled")]

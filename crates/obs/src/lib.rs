@@ -77,7 +77,8 @@ pub fn recording() -> bool {
     cfg!(feature = "enabled") && RECORDING.load(Ordering::Relaxed)
 }
 
-/// Capacity of the flight recorder's drop-oldest event ring.
+/// Capacity of the flight recorder's event ring (drop-oldest, with
+/// `span` events evicted last).
 pub const DEFAULT_RING_CAP: usize = 1024;
 
 /// Build metadata stamped once by the binary and carried on every

@@ -104,15 +104,17 @@ rm -rf "$DET_DIR"
 cargo test -q --offline -p mmr-bench --test metrics_schema
 cargo test -q --offline -p mmr-bench --test metrics_doc
 
-# Chaos smoke: a seeded fault-injection run (panics, corruption) must
-# recover to results bit-identical with the fault-free run above, modulo
-# timing metadata and the fault ledger.
+# Chaos smoke: a seeded fault-injection run (torn cache writes, the one
+# recoverable fault) must recover to results bit-identical with a
+# fault-free run, modulo timing metadata and the fault ledger. Each side
+# writes a fresh cache directory, and the chaos run must really tear one.
 CHAOS_DIR="$(mktemp -d)"
 cargo run --release --offline -p mmr-bench --bin experiments -- \
-  --quick --seed 20110606 --json "$CHAOS_DIR/clean.json" lem42 thm62
+  --quick --seed 20110606 --cache "$CHAOS_DIR/clean-cache" \
+  --json "$CHAOS_DIR/clean.json" lem42 thm62
 cargo run --release --offline -p mmr-bench --bin experiments -- \
-  --quick --seed 20110606 --json "$CHAOS_DIR/chaos.json" \
-  --chaos 20110606:mixed lem42 thm62
+  --quick --seed 20110606 --cache "$CHAOS_DIR/chaos-cache" \
+  --json "$CHAOS_DIR/chaos.json" --chaos 20110606:torn lem42 thm62
 python3 - "$CHAOS_DIR/clean.json" "$CHAOS_DIR/chaos.json" <<'EOF2'
 import json, sys
 def strip(node):
@@ -125,9 +127,11 @@ def strip(node):
         for value in node:
             strip(value)
 clean, chaos = (json.load(open(p)) for p in sys.argv[1:3])
+torn = sum(e["fault_ledger"]["injected_torn_writes"] for e in chaos["experiments"])
+assert torn > 0, "the chaos plan tore no cache write"
 strip(clean); strip(chaos)
 assert clean == chaos, "chaos run diverged from the fault-free run"
-print("chaos smoke ok: recovered run is bit-identical")
+print(f"chaos smoke ok: {torn} torn write(s) recovered, results bit-identical")
 EOF2
 rm -rf "$CHAOS_DIR"
 
@@ -165,20 +169,28 @@ grep -vE '"(elapsed_secs|threads|host_cores|trials_per_sec)":' "$CACHE_DIR/degra
 diff "$CACHE_DIR/cold.stripped" "$CACHE_DIR/degraded.stripped"
 rm -rf "$CACHE_DIR"
 
-# Flight-recorder smoke: a seeded chaos run mirrored with --flight must be
-# reconstructible offline — `inspect` parses the log into a non-empty
-# timeline — and diffing it against its fault-free twin must report zero
-# payload divergence (faults perturb the schedule, never the result). An
-# unwritable --flight path degrades to a warning plus exit code 2 with
-# results intact.
+# Flight-recorder smoke: a seeded chaos run (torn cache writes) mirrored
+# with --flight must be reconstructible offline — `inspect` parses the log
+# into a non-empty timeline — and diffing it against its fault-free twin
+# must report zero payload divergence (faults perturb the schedule, never
+# the result). Each side writes a fresh cache directory. An unwritable
+# --flight path degrades to a warning plus exit code 2 with results
+# intact.
 FLIGHT_DIR="$(mktemp -d)"
 cargo run --release --offline -p mmr-bench --bin experiments -- \
   --quick --seed 20110606 --threads 1 --json "$FLIGHT_DIR/clean.json" \
-  --flight "$FLIGHT_DIR/clean.flight" lem42 thm62
+  --cache "$FLIGHT_DIR/clean-cache" --flight "$FLIGHT_DIR/clean.flight" lem42 thm62
 cargo run --release --offline -p mmr-bench --bin experiments -- \
   --quick --seed 20110606 --threads 1 --json "$FLIGHT_DIR/chaos.json" \
-  --flight "$FLIGHT_DIR/chaos.flight" --chaos 20110606:mixed \
-  --dossier-dir "$FLIGHT_DIR/dossiers" lem42 thm62
+  --cache "$FLIGHT_DIR/chaos-cache" --flight "$FLIGHT_DIR/chaos.flight" \
+  --chaos 20110606:torn --dossier-dir "$FLIGHT_DIR/dossiers" lem42 thm62
+python3 - "$FLIGHT_DIR/chaos.json" <<'EOF2'
+import json, sys
+chaos = json.load(open(sys.argv[1]))
+torn = sum(e["fault_ledger"]["injected_torn_writes"] for e in chaos["experiments"])
+assert torn > 0, "the chaos plan tore no cache write"
+print(f"flight chaos run: {torn} torn write(s)")
+EOF2
 cargo run --release --offline -p mmr-bench --bin experiments -- \
   inspect "$FLIGHT_DIR/chaos.flight" > "$FLIGHT_DIR/inspect.txt"
 grep -q "flight timeline: " "$FLIGHT_DIR/inspect.txt"

@@ -57,7 +57,6 @@ fn bench_lookup(c: &mut Criterion) {
                 trials_requested: TRIALS,
                 trials_completed: TRIALS,
                 converged_early: false,
-                retried_chunks: 0,
                 degraded: false,
                 abandoned_chunks: 0,
                 elapsed: std::time::Duration::ZERO,

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments [--quick] [--trials N] [--seed S] [--threads T] [--out FILE]
-//!             [--json FILE] [--chaos SEED[:PROFILE]] [--list] [shared flags] [ids…]
+//!             [--json FILE] [--chaos SEED:PROFILE] [--list] [shared flags] [ids…]
 //! experiments inspect ARTIFACT [--diff OTHER]
 //! ```
 //!
@@ -22,12 +22,13 @@
 //! dossiers; `--quiet` suppresses status lines (errors still print; exit
 //! codes are unchanged). None of them changes a seeded result.
 //!
-//! `--chaos SEED[:PROFILE]` installs a deterministic fault plan for the
-//! whole run (see `montecarlo::fault`): seeded chunk panics, scratch
-//! corruption, torn store-segment writes, and exporter I/O errors,
-//! reproducible from the spec alone. Recoverable profiles leave results
-//! bit-identical to the fault-free run; the `hard` profile degrades
-//! gracefully instead of failing (exit code 3).
+//! `--chaos SEED:PROFILE` installs a deterministic fault plan for the
+//! whole run (see `montecarlo::fault`), reproducible from the spec alone:
+//! `torn` tears store-segment writes, which the store recovers, so
+//! results stay bit-identical to the fault-free run; `export` fails the
+//! `--metrics`/`--trace` writes (exit code 2); `hard` panics seeded
+//! chunks, which are abandoned, so the run degrades instead of failing
+//! (exit code 3).
 
 use mmr_bench::cli::SharedFlags;
 use mmr_bench::{registry, run_one_isolated, write_atomic, Ctx, RunResult};
@@ -39,7 +40,7 @@ use std::process::ExitCode;
 fn usage() -> String {
     format!(
         "usage: experiments [--quick] [--trials N] [--seed S] [--threads T] [--out FILE] \
-         [--json FILE] [--chaos SEED[:PROFILE]] [--list] {} [ids...]
+         [--json FILE] [--chaos SEED:PROFILE] [--list] {} [ids...]
        experiments inspect ARTIFACT [--diff OTHER]
 
 --threads bounds worker parallelism only; results are identical for any value
@@ -51,7 +52,8 @@ fn usage() -> String {
         on panic or degradation
         (an unusable artifact path degrades with a warning and exit code 2)
 --metrics/--metrics-format/--trace/--flight/--dossier-dir/--quiet are observational only and never change results
---chaos injects a seeded, reproducible fault schedule; profiles: mixed (default) | panics | corrupt | torn | export | hard
+--chaos injects a seeded, reproducible fault schedule; PROFILE is torn (torn cache
+        writes, recovered) | export (failed exports) | hard (abandoned chunks)
 inspect auto-detects ARTIFACT: flight log (MMRE), crash dossier (JSON), cache or
         dossier directory; --diff compares two flight logs
 exit codes: 0 success, 1 mismatch, 2 usage/IO error, 3 degraded run (partial results)",
@@ -120,7 +122,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
                 parsed.diff_path = Some(args.next().ok_or("--diff needs a path")?.into());
             }
             "--chaos" => {
-                let v = args.next().ok_or("--chaos needs SEED[:PROFILE]")?;
+                let v = args.next().ok_or("--chaos needs SEED:PROFILE")?;
                 parsed.chaos = Some(montecarlo::fault::FaultPlan::parse(&v)?);
             }
             "--list" => parsed.list = true,

@@ -87,11 +87,14 @@ impl SharedFlags {
         Ok(true)
     }
 
-    /// Sets the flags up for a run: the log level, the build stamp, the
-    /// flight mirror, the dossier directory and the result cache. A
-    /// `plan`, if given, is engaged before the cache opens. Returns the
-    /// degradation ledger the run's exit code is read from.
+    /// Sets the flags up for a run: the trace epoch, the log level, the
+    /// build stamp, the flight mirror, the dossier directory and the
+    /// result cache. A `plan`, if given, is engaged before the cache
+    /// opens. Returns the degradation ledger the run's exit code is read
+    /// from.
     pub fn install(&self, plan: Option<FaultPlan>) -> Artifacts {
+        // Pinned before any work, so every span starts inside the trace.
+        let _ = obs::epoch();
         if self.quiet {
             obs::log::set_level(obs::log::Level::Quiet);
         }

@@ -4,7 +4,7 @@
 //! renders the matching report:
 //!
 //! * a **flight event log** (`MMRE` frames, written by `--flight`) —
-//!   chronological timeline with per-chunk retry causality,
+//!   chronological timeline with per-chunk causality chains,
 //!   event-type histogram, and the convergence trajectory; with
 //!   `--diff OTHER`, the payload comparison against a second log
 //!   (typically a chaos run against its fault-free twin);
@@ -267,7 +267,7 @@ mod tests {
         std::fs::write(&a, &payload).unwrap();
         // Same payload plus an incident: still zero payload divergence.
         let mut noisy = flight_line(0, "run_start", None);
-        noisy.push_str(&flight_line(1, "chunk_retried", None));
+        noisy.push_str(&flight_line(1, "cache_miss", None));
         noisy.push_str(&flight_line(2, "run_end", Some("ok")));
         std::fs::write(&b, &noisy).unwrap();
 
@@ -376,12 +376,66 @@ mod tests {
             report.contains("snapshot: 1 counters, 0 histograms"),
             "{report}"
         );
-        assert!(report.contains("chunk 3: failed (attempt 2)"), "{report}");
+        assert!(report.contains("chunk 3: failed -> failed"), "{report}");
         // The same file through the dossier-directory census.
         let listing = inspect(&dir, None).unwrap();
         assert!(listing.contains("1 dossier(s)"), "{listing}");
         assert!(!listing.contains("unreadable"), "{listing}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checked-in artifact written while the runner still retried
+    /// chunks (see `tests/fixtures/`).
+    fn fixture(name: &str) -> PathBuf {
+        Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures")).join(name)
+    }
+
+    #[test]
+    fn retry_era_flight_log_and_dossier_still_render() {
+        // The log holds `fault_fired`/`corruption`, `chunk_retried` and
+        // `backoff_slept` events, each with an `attempt` field.
+        let log = fixture("retry-era.flight");
+        let report = inspect(&log, None).unwrap();
+        assert!(report.contains("flight timeline: 9 events"), "{report}");
+        assert!(!report.contains("note: torn tail"), "{report}");
+        assert!(
+            report.contains(
+                "chunk 1: claimed @694us -> fault corruption -> chunk_retried @2.2ms \
+                 -> backoff_slept @2.2ms -> recovered"
+            ),
+            "{report}"
+        );
+        assert!(report.contains("1  backoff_slept"), "{report}");
+        let diff = inspect(&log, Some(&log)).unwrap();
+        assert!(diff.contains("payload divergence: 0"), "{diff}");
+
+        // The dossier's fault delta carries the seven keys of that
+        // ledger, `injected_corruptions` and `chunks_retried` among them.
+        let dossier = fixture("dossier-0-000-degraded.json");
+        let text = std::fs::read_to_string(&dossier).unwrap();
+        for key in [
+            "injected_panics",
+            "injected_corruptions",
+            "injected_torn_writes",
+            "injected_export_faults",
+            "chunks_retried",
+            "chunks_abandoned",
+            "degraded_runs",
+        ] {
+            assert!(text.contains(&format!("\"{key}\":")), "{key}");
+        }
+        let report = inspect(&dossier, None).unwrap();
+        assert!(report.contains("crash dossier: degraded"), "{report}");
+        assert!(
+            report.contains(
+                "fault delta: injected_panics=3 chunks_retried=2 chunks_abandoned=1 degraded_runs=1"
+            ),
+            "{report}"
+        );
+        assert!(report.contains("-> abandoned -> abandoned"), "{report}");
+        let listing = inspect(&fixture(""), None).unwrap();
+        assert!(listing.contains("1 dossier(s)"), "{listing}");
+        assert!(!listing.contains("unreadable"), "{listing}");
     }
 
     #[test]

@@ -294,36 +294,34 @@ pub struct ExperimentResult {
     /// recorded (see [`diag`]); empty for purely analytic experiments.
     pub diagnostics: Vec<diag::EstimatorDiag>,
     /// True when the experiment survived on partial estimates: at least
-    /// one Monte-Carlo chunk exhausted its retries under a degradation
-    /// policy (chaos `hard` profile or an explicit runner setting). A
+    /// one Monte-Carlo chunk panicked under a degradation policy (chaos
+    /// `hard` profile or an explicit runner setting). A
     /// degraded result is honest about its reduced sample sizes but its
     /// REPRODUCED/MISMATCH verdicts are unreliable — the suite exit-code
     /// policy reports it separately.
     #[serde(default)]
     pub degraded: bool,
-    /// Faults injected and recovery actions taken while this experiment
-    /// ran (deltas of the process-wide `montecarlo::fault` ledger). All
-    /// zeros on fault-free runs.
+    /// Faults injected and chunks abandoned while this experiment ran
+    /// (deltas of the process-wide `montecarlo::fault` ledger). All zeros
+    /// on fault-free runs.
     #[serde(default)]
     pub fault_ledger: FaultLedger,
 }
 
-/// Per-experiment fault and recovery tallies, copied from the
+/// Per-experiment fault tallies, copied from the
 /// [`montecarlo::fault::Ledger`] deltas around the experiment's run.
 ///
 /// Serialized with every [`ExperimentResult`] so JSON output and degraded
-/// reports carry their fault history. Recovery tallies can legitimately
-/// differ between bit-identical runs — a chaos run retries chunks its
+/// reports carry their fault history. Fault tallies legitimately differ
+/// between bit-identical runs — a chaos run tears cache writes its
 /// fault-free twin never did — so [`RunResult::strip_diagnostics`] zeroes
 /// the ledger for equality comparisons, exactly like throughput numbers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[allow(missing_docs)] // field names mirror the ledger; see montecarlo::fault
 pub struct FaultLedger {
     pub injected_panics: u64,
-    pub injected_corruptions: u64,
     pub injected_torn_writes: u64,
     pub injected_export_faults: u64,
-    pub chunks_retried: u64,
     pub chunks_abandoned: u64,
 }
 
@@ -331,10 +329,8 @@ impl From<montecarlo::fault::LedgerSnapshot> for FaultLedger {
     fn from(s: montecarlo::fault::LedgerSnapshot) -> FaultLedger {
         FaultLedger {
             injected_panics: s.injected_panics,
-            injected_corruptions: s.injected_corruptions,
             injected_torn_writes: s.injected_torn_writes,
             injected_export_faults: s.injected_export_faults,
-            chunks_retried: s.chunks_retried,
             chunks_abandoned: s.chunks_abandoned,
         }
     }
@@ -446,7 +442,7 @@ pub fn run_one_isolated(e: &Experiment, ctx: &Ctx) -> ExperimentResult {
         // substrings the verdict counters scan for.
         let _ = writeln!(
             report,
-            "\nstatus: DEGRADED — {} chunk(s) abandoned after exhausted retries; \
+            "\nstatus: DEGRADED — {} chunk(s) abandoned after a panic; \
              estimates are partial and verdicts above are unreliable",
             ledger_delta.chunks_abandoned
         );

@@ -161,6 +161,7 @@ fn trace_and_prom_exports_are_structurally_valid() {
         "--metrics-format",
         "prom",
         "t1",
+        "thm62",
     ]);
     assert_eq!(
         out.status.code(),
@@ -169,7 +170,7 @@ fn trace_and_prom_exports_are_structurally_valid() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // The Chrome trace parses and carries the experiment's one span.
+    // The Chrome trace parses and carries one span per experiment.
     let parsed: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).expect("valid trace json");
     let serde_json::Value::Object(fields) = &parsed else {
@@ -185,12 +186,24 @@ fn trace_and_prom_exports_are_structurally_valid() {
         },
         _ => String::new(),
     };
-    let spans: Vec<String> = events
+    let number = |ev: &serde_json::Value, key: &str| match ev {
+        serde_json::Value::Object(f) => match serde_json::Value::field(f, key) {
+            serde_json::Value::Number(n) => n.as_f64(),
+            other => panic!("{key} should be a number, got {other:?}"),
+        },
+        _ => panic!("a trace event should be an object"),
+    };
+    let spans: Vec<(String, f64, f64)> = events
         .iter()
         .filter(|ev| text(ev, "ph") == "X")
-        .map(|ev| text(ev, "name"))
+        .map(|ev| (text(ev, "name"), number(ev, "ts"), number(ev, "dur")))
         .collect();
-    assert_eq!(spans, ["t1"], "one complete event for the one experiment");
+    let names: Vec<&str> = spans.iter().map(|(name, _, _)| name.as_str()).collect();
+    assert_eq!(names, ["t1", "thm62"], "one complete event per experiment");
+    // The experiments ran one after the other, so their spans must not
+    // overlap: t1 ends before thm62 starts.
+    let ((_, t1_ts, t1_dur), (_, thm62_ts, _)) = (&spans[0], &spans[1]);
+    assert!(t1_ts + t1_dur <= *thm62_ts, "spans overlap: {spans:?}");
 
     // The Prometheus exposition passes the exporter's own lint.
     let text = std::fs::read_to_string(&prom).unwrap();
@@ -264,19 +277,26 @@ fn chaos_spec_is_validated_at_parse_time() {
     let out = experiments(&["--chaos", "7:nope", "t1"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("mixed|panics|corrupt|torn|export|hard"),
-        "{stderr}"
-    );
+    assert!(stderr.contains("torn|export|hard"), "{stderr}");
 
-    // The stall profile went with the pool watchdog.
-    let out = experiments(&["--chaos", "7:stalls", "t1"]);
+    // The stall profile went with the pool watchdog; the chunk-retry
+    // profiles went with the retry.
+    for spec in ["7:stalls", "7:mixed", "7:panics", "7:corrupt"] {
+        let out = experiments(&["--chaos", spec, "t1"]);
+        assert_eq!(out.status.code(), Some(2), "{spec}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--chaos profile must be one of"),
+            "{spec}: {stderr}"
+        );
+    }
+
+    // A bare seed meant `mixed`, which is gone: the profile is required.
+    let out = experiments(&["--chaos", "7", "t1"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--chaos profile must be one of"),
-        "{stderr}"
-    );
+    assert!(stderr.contains("--chaos takes SEED:PROFILE"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
 
     let out = experiments(&["--chaos"]);
     assert_eq!(out.status.code(), Some(2));
@@ -286,9 +306,10 @@ fn chaos_spec_is_validated_at_parse_time() {
 #[test]
 fn chaos_recoverable_run_is_bit_identical_to_fault_free() {
     // The master invariant, observed end to end through the binary: a
-    // recoverable chaos run (panics + corruption) produces exactly the
-    // same structured results as the clean run, modulo timing diagnostics
-    // and the fault ledger itself.
+    // chaos run whose faults are recoverable (torn cache writes) produces
+    // exactly the same structured results as the clean run, modulo timing
+    // diagnostics and the fault ledger itself. Each side writes a fresh
+    // cache directory.
     use montecarlo::fault::{FaultPlan, Profile};
     let dir = temp_dir("chaos-e2e");
     let clean_json = dir.join("clean.json");
@@ -297,7 +318,13 @@ fn chaos_recoverable_run_is_bit_identical_to_fault_free() {
 
     let out = experiments(
         &[
-            &["--quick", "--json", clean_json.to_str().unwrap()],
+            &[
+                "--quick",
+                "--cache",
+                dir.join("clean-cache").to_str().unwrap(),
+                "--json",
+                clean_json.to_str().unwrap(),
+            ],
             &ids[..],
         ]
         .concat(),
@@ -309,23 +336,21 @@ fn chaos_recoverable_run_is_bit_identical_to_fault_free() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // Seed-search a plan that provably injects into chunk 0 — the one
-    // chunk every Monte-Carlo experiment has — so the run cannot pass
-    // vacuously.
+    // Seed-search a plan that provably tears record 0 — the first record
+    // the fresh cache writes — so the run cannot pass vacuously.
     let chaos_seed = (0..100_000u64)
-        .find(|&s| {
-            let p = FaultPlan::new(s, Profile::Mixed);
-            p.chunk_panics(0, 1) || p.corrupts_scratch(0, 1)
-        })
-        .expect("a firing seed exists");
+        .find(|&s| FaultPlan::new(s, Profile::TornWrites).torn_write(0))
+        .expect("a tearing seed exists");
     let out = experiments(
         &[
             &[
                 "--quick",
+                "--cache",
+                dir.join("chaos-cache").to_str().unwrap(),
                 "--json",
                 chaos_json.to_str().unwrap(),
                 "--chaos",
-                &format!("{chaos_seed}:mixed"),
+                &format!("{chaos_seed}:torn"),
             ],
             &ids[..],
         ]
@@ -346,8 +371,8 @@ fn chaos_recoverable_run_is_bit_identical_to_fault_free() {
         chaos
             .experiments
             .iter()
-            .any(|e| e.fault_ledger != mmr_bench::FaultLedger::default()),
-        "the plan must have actually injected faults"
+            .any(|e| e.fault_ledger.injected_torn_writes > 0),
+        "the plan must have actually torn a cache write"
     );
     assert!(chaos.experiments.iter().all(|e| !e.degraded));
     assert_eq!(clean.strip_diagnostics(), chaos.strip_diagnostics());
@@ -360,10 +385,10 @@ fn hard_chaos_degrades_with_exit_3_and_honest_summary() {
     let dir = temp_dir("chaos-hard");
     let json = dir.join("results.json");
 
-    // A hard fault on chunk 0 fires on every attempt of every experiment's
-    // first chunk: retries exhaust, the run degrades instead of erroring.
+    // A hard fault on chunk 0 panics every experiment's first chunk: the
+    // chunk is abandoned, the run degrades instead of erroring.
     let chaos_seed = (0..100_000u64)
-        .find(|&s| FaultPlan::new(s, Profile::Hard).chunk_panics(0, 1))
+        .find(|&s| FaultPlan::new(s, Profile::Hard).chunk_panics(0))
         .expect("a hard-failing seed exists");
     let out = experiments(&[
         "--quick",

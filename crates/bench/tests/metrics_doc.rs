@@ -1,8 +1,17 @@
 //! Schema test: METRICS.md documents every metric name a full
-//! experiment run emits. Lives in its own test binary so the process-global
-//! telemetry registry only sees the suite run below.
+//! experiment run emits, and documents no name the source has dropped.
+//! Lives in its own test binary so the process-global telemetry registry
+//! only sees the suite run below.
 
 use mmr_bench::{registry, run_one_isolated, Ctx};
+use std::path::{Path, PathBuf};
+
+/// The workspace root.
+const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
+fn metrics_doc() -> String {
+    std::fs::read_to_string(Path::new(ROOT).join("METRICS.md")).expect("METRICS.md readable")
+}
 
 /// First backticked token of every `|` table row in METRICS.md.
 fn documented_names(doc: &str) -> Vec<String> {
@@ -37,9 +46,7 @@ fn covered(name: &str, patterns: &[String]) -> bool {
 
 #[test]
 fn metrics_doc_covers_every_emitted_name() {
-    let doc_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../METRICS.md");
-    let doc = std::fs::read_to_string(doc_path).expect("METRICS.md readable");
-    let patterns = documented_names(&doc);
+    let patterns = documented_names(&metrics_doc());
     assert!(
         patterns.len() > 20,
         "METRICS.md should document the full name table, parsed {}",
@@ -73,6 +80,47 @@ fn metrics_doc_covers_every_emitted_name() {
     assert!(
         missing.is_empty(),
         "telemetry names missing from METRICS.md: {missing:?}"
+    );
+}
+
+/// The non-test Rust source of `src/` and every `crates/*/src/`: each
+/// file up to its first `#[cfg(test)]`, so a test that still names a
+/// dropped metric cannot keep its row alive.
+fn product_source() -> String {
+    let root = Path::new(ROOT);
+    let mut dirs: Vec<PathBuf> = vec![root.join("src")];
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        dirs.push(krate.unwrap().path().join("src"));
+    }
+    let mut source = String::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let end = text.find("#[cfg(test)]").unwrap_or(text.len());
+                source.push_str(&text[..end]);
+            }
+        }
+    }
+    source
+}
+
+#[test]
+fn metrics_doc_names_no_metric_the_source_dropped() {
+    // The reverse of the coverage check: every literal name in the table
+    // is a string literal somewhere in the product source. (Wildcard rows
+    // are built with `format!` and covered by the run above.)
+    let source = product_source();
+    let stale: Vec<String> = documented_names(&metrics_doc())
+        .into_iter()
+        .filter(|name| !name.contains('*') && !source.contains(&format!("\"{name}\"")))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "METRICS.md documents names no source emits: {stale:?}"
     );
 }
 

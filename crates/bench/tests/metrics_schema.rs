@@ -61,8 +61,8 @@ fn full_run_metrics_snapshot_has_complete_schema() {
     assert!(snap.counter("mc.runner.runs").unwrap_or(0) > 0);
     assert!(snap.counter("mc.runner.chunks_claimed").unwrap_or(0) > 0);
     assert!(snap.counter("mc.runner.trials_completed").unwrap_or(0) > 0);
-    // The retry counter exists (registered) even when no chunk panicked.
-    assert_eq!(snap.counter("mc.runner.chunks_retried"), Some(0));
+    // The abandon counter exists (registered) even when no chunk panicked.
+    assert_eq!(snap.counter("mc.runner.chunks_abandoned"), Some(0));
 
     // Pool layer.
     assert!(snap.counter("mc.pool.scatter_calls").unwrap_or(0) > 0);

@@ -112,7 +112,6 @@ fn plan_extension<A: Accumulator + CacheableAcc>(
         value,
         trials_requested: trials,
         trials_completed: completed,
-        retried_chunks: 0,
         converged_early: converged,
         degraded: false,
         abandoned_chunks: 0,

@@ -10,17 +10,15 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {
-    /// A worker chunk panicked on every attempt (initial run plus
-    /// retries). The chunk's RNG stream is a pure function of
-    /// `(seed, chunk)`, so the failure is reproducible from this record.
+    /// A worker chunk panicked. The chunk's RNG stream is a pure function
+    /// of `(seed, chunk)`, so the failure recurs on any rerun and is
+    /// reproducible from this record.
     WorkerPanicked {
         /// Index of the failing chunk.
         chunk: u64,
         /// Master seed of the run.
         seed: Seed,
-        /// Number of attempts made (1 initial + retries).
-        attempts: u32,
-        /// Stringified panic payload of the last attempt.
+        /// Stringified panic payload.
         payload: String,
     },
 }
@@ -31,11 +29,10 @@ impl fmt::Display for Error {
             Error::WorkerPanicked {
                 chunk,
                 seed,
-                attempts,
                 payload,
             } => write!(
                 f,
-                "monte-carlo chunk {chunk} (seed {}) panicked on all {attempts} attempts: {payload}",
+                "monte-carlo chunk {chunk} (seed {}) panicked: {payload}",
                 seed.0
             ),
         }
@@ -53,13 +50,12 @@ mod tests {
         let e = Error::WorkerPanicked {
             chunk: 3,
             seed: Seed(17),
-            attempts: 2,
             payload: "index out of bounds".into(),
         };
         let msg = e.to_string();
         assert!(msg.contains("chunk 3"), "{msg}");
         assert!(msg.contains("seed 17"), "{msg}");
-        assert!(msg.contains("2 attempts"), "{msg}");
+        assert!(msg.contains("panicked: "), "{msg}");
         assert!(msg.contains("index out of bounds"), "{msg}");
     }
 
@@ -68,7 +64,6 @@ mod tests {
         let e: Box<dyn std::error::Error> = Box::new(Error::WorkerPanicked {
             chunk: 0,
             seed: Seed(1),
-            attempts: 1,
             payload: "boom".into(),
         });
         assert!(e.source().is_none());

@@ -6,7 +6,11 @@
 //! identical for any worker-thread count, because trials are tiled into
 //! fixed-width chunks whose RNG streams depend only on `(seed, chunk)` —
 //! and (b) cheap to parallelise: work is dispatched through a persistent
-//! process-wide [`pool`] instead of spawning threads per run. The
+//! process-wide [`pool`] instead of spawning threads per run. Each chunk
+//! runs once behind an unwind boundary: a panic becomes a typed
+//! [`Error::WorkerPanicked`] plus a crash dossier, and is never retried —
+//! a chunk that is a pure function of `(seed, chunk)` panics again on any
+//! rerun. The [`fault`] engine injects the faults a run can meet. The
 //! statistical layer provides Wilson confidence intervals
 //! for proportions, Welford accumulators for means, and a chi-square
 //! goodness-of-fit test (against the exact laws from the `analytic` crate).

@@ -3,7 +3,7 @@
 use crate::{pool, BernoulliEstimate, Error, EstimatorStats, Histogram, Seed, Welford};
 use rand::rngs::SmallRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -104,11 +104,10 @@ impl Accumulator for Histogram {
 /// persistent process-wide worker pool ([`pool`]), so a run costs no thread
 /// spawns after warm-up.
 ///
-/// The runner is fault-tolerant: a panicking chunk is caught and retried
-/// from its chunk seed (bounded by
-/// [`with_max_chunk_retries`](Runner::with_max_chunk_retries)); a chunk
-/// that fails every attempt fails the run with [`Error::WorkerPanicked`],
-/// or, under
+/// Each chunk runs once, under `catch_unwind`. A chunk is a pure function
+/// of `(seed, chunk)`, so a chunk that panics would panic again on any
+/// rerun: it fails the run with [`Error::WorkerPanicked`] and a crash
+/// dossier, or, under
 /// [`with_degrade_on_exhaustion`](Runner::with_degrade_on_exhaustion), is
 /// dropped from a run reported as degraded.
 ///
@@ -128,9 +127,7 @@ impl Accumulator for Histogram {
 pub struct Runner {
     seed: Seed,
     threads: usize,
-    max_chunk_retries: u32,
     target_rse: Option<f64>,
-    backoff_base: Duration,
     degrade_on_exhaustion: bool,
 }
 
@@ -144,19 +141,17 @@ pub struct RunReport<A> {
     pub trials_requested: u64,
     /// Trials that actually contributed to `value`.
     pub trials_completed: u64,
-    /// Number of chunk attempts that panicked and were retried.
-    pub retried_chunks: u64,
     /// True when a [`with_target_rse`](Runner::with_target_rse) target was
     /// met before all requested trials ran. Early convergence is success:
     /// the run stopped because the estimate was already precise enough.
     pub converged_early: bool,
-    /// True when at least one chunk exhausted its retries under a
-    /// degrade-on-exhaustion policy and was dropped from the merge.
+    /// True when at least one chunk panicked under a degrade-on-exhaustion
+    /// policy and was dropped from the merge.
     /// `value` then aggregates only the surviving chunks — an honest
     /// partial estimate at the reduced sample size, never a silently
     /// wrong full one.
     pub degraded: bool,
-    /// Chunks dropped from the merge after exhausting retries (0 unless
+    /// Chunks dropped from the merge after panicking (0 unless
     /// `degraded`).
     pub abandoned_chunks: u64,
     /// Wall-clock time of the whole run.
@@ -172,7 +167,6 @@ impl<A: PartialEq> PartialEq for RunReport<A> {
         self.value == other.value
             && self.trials_requested == other.trials_requested
             && self.trials_completed == other.trials_completed
-            && self.retried_chunks == other.retried_chunks
             && self.converged_early == other.converged_early
             && self.degraded == other.degraded
             && self.abandoned_chunks == other.abandoned_chunks
@@ -221,7 +215,7 @@ pub struct ChunkPrefix<A> {
     pub value: A,
 }
 
-/// Builds one per-attempt trial scratch.
+/// Builds one per-chunk trial scratch.
 type ScratchInit<S> = dyn Fn() -> S + Send + Sync;
 
 /// Runs one bounded batch of `count` consecutive trials:
@@ -232,27 +226,18 @@ type BatchFn<S, A> = dyn Fn(&mut S, &mut SmallRng, &mut A, u64) + Send + Sync;
 /// What one worker chunk reports back to the coordinator.
 enum ChunkOutcome<A> {
     Done(A),
-    Failed {
-        attempts: u32,
-        payload: String,
-    },
-    /// Retries exhausted under a degrade-on-exhaustion policy: the chunk
+    /// The chunk panicked; the payload, rendered.
+    Failed(String),
+    /// The chunk panicked under a degrade-on-exhaustion policy: it
     /// contributes nothing, the run continues and reports `degraded`.
     Abandoned,
     /// Not run because another chunk of the wave already failed the run.
     Skipped,
 }
 
-/// Per-run shared control state, read by every chunk.
-struct Ctl {
-    /// Set when a chunk fails the run: later claims skip their work.
-    cancel: AtomicBool,
-    retried: AtomicU64,
-}
-
 impl Runner {
     /// A runner with the given master seed, defaulting to the machine's
-    /// available parallelism and 2 chunk retries.
+    /// available parallelism.
     #[must_use]
     pub fn new(seed: Seed) -> Runner {
         let threads = std::thread::available_parallelism()
@@ -261,9 +246,7 @@ impl Runner {
         Runner {
             seed,
             threads,
-            max_chunk_retries: 2,
             target_rse: None,
-            backoff_base: Duration::from_micros(500),
             degrade_on_exhaustion: false,
         }
     }
@@ -276,18 +259,6 @@ impl Runner {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Runner {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets how many times a panicked chunk is re-run before the run
-    /// fails with [`Error::WorkerPanicked`].
-    ///
-    /// A chunk's trial stream is a pure function of `(seed, chunk)`, so a
-    /// retry replays exactly the trials the failed attempt would have run
-    /// and the aggregate stays bit-for-bit identical to a panic-free run.
-    #[must_use]
-    pub fn with_max_chunk_retries(mut self, retries: u32) -> Runner {
-        self.max_chunk_retries = retries;
         self
     }
 
@@ -314,22 +285,8 @@ impl Runner {
         self
     }
 
-    /// Sets the base delay of the seeded exponential backoff slept before
-    /// each chunk retry (default 500µs; `Duration::ZERO` disables
-    /// backoff).
-    ///
-    /// The actual delay for attempt `a` of chunk `c` is
-    /// [`fault::retry_backoff`](crate::fault::retry_backoff)`(seed, c, a,
-    /// base)` — a pure function, so recovery timing is as reproducible as
-    /// the results themselves.
-    #[must_use]
-    pub fn with_retry_backoff(mut self, base: Duration) -> Runner {
-        self.backoff_base = base;
-        self
-    }
-
-    /// Makes retry exhaustion degrade the run instead of failing it: the
-    /// exhausted chunk is dropped from the merge, the run completes, and
+    /// Makes a panicked chunk degrade the run instead of failing it: the
+    /// chunk is dropped from the merge, the run completes, and
     /// the report carries [`degraded`](RunReport::degraded) +
     /// [`abandoned_chunks`](RunReport::abandoned_chunks) so the partial
     /// estimate is never mistaken for a full one.
@@ -362,18 +319,15 @@ impl Runner {
     /// index on the calling thread. Determinism therefore holds across
     /// *any* thread count, not just across runs at the same count.
     ///
-    /// `scratch` builds one scratch value per chunk attempt; `trial`
-    /// receives it mutably alongside the chunk RNG. Scratch lets a hot
-    /// trial kernel reuse buffers across trials (zero steady-state
-    /// allocations) without giving up determinism: scratch must never leak
-    /// randomness between trials in a way that changes results, and a
-    /// retried chunk is re-run with a *fresh* scratch, so a panic-free
-    /// replay is bit-for-bit identical. Pass `|| ()` when a kernel needs
-    /// none.
+    /// `scratch` builds one scratch value per chunk; `trial` receives it
+    /// mutably alongside the chunk RNG. Scratch lets a hot trial kernel
+    /// reuse buffers across trials (zero steady-state allocations) without
+    /// giving up determinism: scratch must never leak randomness between
+    /// trials in a way that changes results. Pass `|| ()` when a kernel
+    /// needs none.
     ///
-    /// Each chunk executes under `catch_unwind`; a panicking chunk is
-    /// replayed from its chunk seed up to the configured number of
-    /// retries before the chunk fails.
+    /// Each chunk executes once, under `catch_unwind`; a panicking chunk
+    /// fails the run (or, degrading, is abandoned).
     ///
     /// `resume` re-enters the fold after a [`ChunkPrefix`] of an earlier
     /// run with the same seed and kernel instead of at chunk 0; the result
@@ -394,8 +348,8 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// [`Error::WorkerPanicked`] when a chunk panics on every attempt and
-    /// the run does not degrade.
+    /// [`Error::WorkerPanicked`] when a chunk panics and the run does not
+    /// degrade.
     ///
     /// # Panics
     ///
@@ -422,7 +376,7 @@ impl Runner {
 
     /// The wave/merge/stop loop behind [`run`](Runner::run), generic only
     /// in the scratch and accumulator types, so the chunk contract —
-    /// tiling, retry, canary, telemetry — is compiled once per pair.
+    /// tiling, unwind boundary, telemetry — is compiled once per pair.
     fn run_waves<A: Accumulator, S: 'static>(
         &self,
         trials: u64,
@@ -466,10 +420,8 @@ impl Runner {
         // runner configuration always wins.
         let degrade = self.degrade_on_exhaustion
             || crate::fault::active().is_some_and(|p| p.degrade_on_exhaustion());
-        let ctl = Arc::new(Ctl {
-            cancel: AtomicBool::new(false),
-            retried: AtomicU64::new(0),
-        });
+        // Set when a chunk fails the run: later claims skip their work.
+        let cancel = Arc::new(AtomicBool::new(false));
         let mut prefixes = Vec::new();
         let mut trials_completed = resume_trials;
         let mut converged_early = false;
@@ -482,11 +434,11 @@ impl Runner {
             };
             let base = done_chunks;
             let runner = *self;
-            let job_ctl = Arc::clone(&ctl);
+            let job_cancel = Arc::clone(&cancel);
             let (scr, bat) = (Arc::clone(&scratch_init), Arc::clone(&batch));
             let outcomes = pool::scatter(until - base, self.threads, move |i| {
                 let idx = (base + i) as u64;
-                if job_ctl.cancel.load(Ordering::Relaxed) {
+                if job_cancel.load(Ordering::Relaxed) {
                     return ChunkOutcome::Skipped;
                 }
                 let count = CHUNK_WIDTH.min(trials - idx * CHUNK_WIDTH);
@@ -494,7 +446,7 @@ impl Runner {
                 tele.chunks_claimed.inc();
                 obs::flight::event("chunk_claimed").chunk(idx).emit();
                 let chunk_started = obs::recording().then(Instant::now);
-                let outcome = runner.run_chunk(idx, count, &*scr, &*bat, &job_ctl, degrade);
+                let outcome = runner.run_chunk(idx, count, &*scr, &*bat, &job_cancel, degrade);
                 if let Some(started) = chunk_started {
                     tele.chunk_wall_us
                         .record(started.elapsed().as_micros() as u64);
@@ -523,18 +475,14 @@ impl Runner {
                             });
                         }
                     }
-                    ChunkOutcome::Failed { attempts, payload } => {
+                    ChunkOutcome::Failed(payload) => {
                         // The failing chunk is the fault site: record it
                         // last, then freeze the timeline into a dossier.
-                        obs::flight::event("chunk_failed")
-                            .chunk(idx)
-                            .attempt(attempts)
-                            .emit();
+                        obs::flight::event("chunk_failed").chunk(idx).emit();
                         emit_dossier("worker_panicked", &ledger_start);
                         return Err(Error::WorkerPanicked {
                             chunk: idx,
                             seed: self.seed,
-                            attempts,
                             payload,
                         });
                     }
@@ -578,7 +526,6 @@ impl Runner {
             value,
             trials_requested: trials,
             trials_completed,
-            retried_chunks: ctl.retried.load(Ordering::Relaxed),
             converged_early,
             degraded,
             abandoned_chunks,
@@ -587,109 +534,50 @@ impl Runner {
         Ok((report, prefixes))
     }
 
-    /// One chunk's retry loop; runs on whichever thread claimed the chunk.
-    ///
-    /// Scratch lifetime: one scratch value per *attempt*, built before the
-    /// first trial of the attempt and dropped with it — a retry never sees
-    /// a prior attempt's (possibly mid-trial, possibly poisoned) scratch.
+    /// Runs one chunk once, under `catch_unwind`, on whichever thread
+    /// claimed it. The chunk's scratch is built before its first trial and
+    /// dropped with it.
     fn run_chunk<S, A: Accumulator>(
         &self,
         idx: u64,
         count: u64,
         scratch_init: &ScratchInit<S>,
         batch: &BatchFn<S, A>,
-        ctl: &Ctl,
+        cancel: &AtomicBool,
         degrade: bool,
     ) -> ChunkOutcome<A> {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            // Re-fetched per attempt so a plan installed or cleared
-            // mid-run is picked up at the next unwind boundary.
-            let plan = crate::fault::active();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(plan) = plan.as_deref() {
-                    // Chaos seam: may panic the attempt, which recovers
-                    // through the retry path below.
-                    plan.perturb_chunk(idx, attempt);
-                }
-                let mut scratch = scratch_init();
-                let mut rng = crate::task_rng(self.seed, idx);
-                let mut acc = A::default();
-                let mut ran = 0u64;
-                while ran < count {
-                    let step = BATCH.min(count - ran);
-                    batch(&mut scratch, &mut rng, &mut acc, step);
-                    ran += step;
-                }
-                // Scratch-integrity canary: a pure hash of (seed, chunk),
-                // recomputed here and compared against its expected value.
-                // Corruption (injected below, or any future real scratch
-                // checksum) panics the attempt into the ordinary retry
-                // path — never into the merge.
-                let expected = crate::fault::chunk_canary(self.seed, idx);
-                let mut guard = expected;
-                if let Some(plan) = plan.as_deref() {
-                    if plan.corrupts_scratch(idx, attempt) {
-                        crate::fault::ledger().note_injected_corruption();
-                        obs::flight::event("fault_fired")
-                            .chunk(idx)
-                            .attempt(attempt)
-                            .detail("corruption")
-                            .emit();
-                        guard ^= 0xDEAD_BEEF_DEAD_BEEF;
-                    }
-                }
-                assert!(
-                    guard == expected,
-                    "chunk {idx}: scratch integrity checksum mismatch (corruption detected)"
-                );
-                acc
-            }));
-            let payload = match outcome {
-                Ok(acc) => return ChunkOutcome::Done(acc),
-                Err(payload) => payload,
-            };
-            if attempt > self.max_chunk_retries {
-                if degrade {
-                    // Graceful degradation: drop this chunk and let the
-                    // rest of the run produce an honest partial estimate.
-                    crate::telemetry::runner().chunks_abandoned.inc();
-                    crate::fault::ledger().note_chunk_abandoned();
-                    obs::flight::event("chunk_abandoned")
-                        .chunk(idx)
-                        .attempt(attempt)
-                        .emit();
-                    return ChunkOutcome::Abandoned;
-                }
+        let plan = crate::fault::active();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(plan) = plan.as_deref() {
+                // Chaos seam: the `hard` profile panics its victims here.
+                plan.perturb_chunk(idx);
+            }
+            let mut scratch = scratch_init();
+            let mut rng = crate::task_rng(self.seed, idx);
+            let mut acc = A::default();
+            let mut ran = 0u64;
+            while ran < count {
+                let step = BATCH.min(count - ran);
+                batch(&mut scratch, &mut rng, &mut acc, step);
+                ran += step;
+            }
+            acc
+        }));
+        match outcome {
+            Ok(acc) => ChunkOutcome::Done(acc),
+            Err(_) if degrade => {
+                // Graceful degradation: drop this chunk and let the rest
+                // of the run produce an honest partial estimate.
+                crate::telemetry::runner().chunks_abandoned.inc();
+                crate::fault::ledger().note_chunk_abandoned();
+                obs::flight::event("chunk_abandoned").chunk(idx).emit();
+                ChunkOutcome::Abandoned
+            }
+            Err(payload) => {
                 // Stop claiming fresh work for a run that is about to
                 // fail; chunks already running finish normally.
-                ctl.cancel.store(true, Ordering::Relaxed);
-                return ChunkOutcome::Failed {
-                    attempts: attempt,
-                    payload: payload_to_string(&*payload),
-                };
-            }
-            ctl.retried.fetch_add(1, Ordering::Relaxed);
-            crate::telemetry::runner().chunks_retried.inc();
-            crate::fault::ledger().note_chunk_retry();
-            obs::flight::event("chunk_retried")
-                .chunk(idx)
-                .attempt(attempt + 1)
-                .emit();
-            // Seeded exponential backoff with deterministic jitter before
-            // replaying the chunk.
-            let delay = crate::fault::retry_backoff(self.seed, idx, attempt, self.backoff_base);
-            if !delay.is_zero() {
-                crate::telemetry::runner()
-                    .backoff_us
-                    .record(delay.as_micros() as u64);
-                obs::flight::event("backoff_slept")
-                    .chunk(idx)
-                    .attempt(attempt + 1)
-                    .n(delay.as_micros() as u64)
-                    .emit();
-                std::thread::sleep(delay);
+                cancel.store(true, Ordering::Relaxed);
+                ChunkOutcome::Failed(payload_to_string(&*payload))
             }
         }
     }
@@ -776,6 +664,7 @@ fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use rand::Rng;
+    use std::sync::atomic::AtomicU64;
 
     /// `run` from chunk 0, keeping only the report.
     fn cold<A: Accumulator>(
@@ -784,16 +673,6 @@ mod tests {
         trial: impl Fn(&mut SmallRng) -> A::Item + Send + Sync + 'static,
     ) -> Result<RunReport<A>, Error> {
         Ok(runner.run(trials, || (), move |_, rng| trial(rng), None)?.0)
-    }
-
-    /// A fault that panics the `at`-th call (counted across threads) and
-    /// no other, so the retry of the chunk it lands in runs clean.
-    fn panic_once(at: u64) -> impl Fn() + Send + Sync + 'static {
-        let calls = AtomicU64::new(0);
-        move || {
-            let n = calls.fetch_add(1, Ordering::SeqCst);
-            assert!(n != at, "injected fault: panic at trial {n}");
-        }
     }
 
     /// The largest value seen (merge keeps the maximum).
@@ -934,44 +813,31 @@ mod tests {
             .unwrap();
         assert_eq!(report.trials_requested, 5_000);
         assert_eq!(report.trials_completed, 5_000);
-        assert_eq!(report.retried_chunks, 0);
         assert_eq!(report.value.trials(), 5_000);
     }
 
     #[test]
-    fn injected_panic_recovers_bit_for_bit() {
-        let runner = Runner::new(Seed(12)).with_threads(3);
-        let clean = cold::<BernoulliEstimate>(runner, 9_000, |rng| rng.gen_bool(0.3)).unwrap();
-
-        let fault = panic_once(4_321);
-        let faulty = cold::<BernoulliEstimate>(runner, 9_000, move |rng| {
-            fault();
-            rng.gen_bool(0.3)
+    fn panicking_chunk_runs_once_and_fails_the_run() {
+        // A chunk is a pure function of (seed, chunk): rerunning it would
+        // panic again, so the runner makes one attempt. The kernel panics
+        // on its 10th call; no trial runs after that.
+        let calls = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&calls);
+        let runner = Runner::new(Seed(13)).with_threads(2);
+        let err = cold::<BernoulliEstimate>(runner, 100, move |_| {
+            let n = seen.fetch_add(1, Ordering::SeqCst);
+            assert!(n != 9, "injected fault at trial {n}");
+            true
         })
-        .unwrap();
-
-        assert_eq!(faulty.retried_chunks, 1);
-        assert_eq!(faulty.trials_completed, 9_000);
-        // The retried chunk replays its exact trial stream, so the merged
-        // estimate is identical to the panic-free run.
-        assert_eq!(faulty.value, clean.value);
-    }
-
-    #[test]
-    fn persistent_panic_exhausts_retries() {
-        let runner = Runner::new(Seed(13))
-            .with_threads(2)
-            .with_max_chunk_retries(1);
-        let err = cold::<BernoulliEstimate>(runner, 100, |_| panic!("injected fault")).unwrap_err();
+        .unwrap_err();
+        assert_eq!(calls.load(Ordering::SeqCst), 10, "one attempt, no rerun");
         match err {
             Error::WorkerPanicked {
+                chunk,
                 seed,
-                attempts,
                 payload,
-                ..
             } => {
-                assert_eq!(seed, Seed(13));
-                assert_eq!(attempts, 2, "1 initial + 1 retry");
+                assert_eq!((chunk, seed), (0, Seed(13)));
                 assert!(payload.contains("injected fault"), "{payload}");
             }
         }
@@ -984,8 +850,6 @@ mod tests {
         let before = crate::fault::ledger().snapshot();
         let runner = Runner::new(Seed(40))
             .with_threads(2)
-            .with_max_chunk_retries(1)
-            .with_retry_backoff(Duration::ZERO)
             .with_degrade_on_exhaustion(true);
         let report =
             cold::<BernoulliEstimate>(runner, 2 * CHUNK_WIDTH + 7, |_| panic!("hard fault"))
@@ -1043,46 +907,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(h1.value, h2.value);
-    }
-
-    #[test]
-    fn retried_chunk_reinitializes_scratch() {
-        // The kernel poisons its scratch right before panicking; recovery is
-        // only bit-for-bit if the retry starts from a fresh scratch.
-        let runner = Runner::new(Seed(23)).with_threads(3);
-        let (clean, _) = runner
-            .run::<BernoulliEstimate, _>(
-                9_000,
-                || 0u64,
-                |carry: &mut u64, rng| {
-                    let hit = rng.gen_bool(0.3) ^ (*carry & 1 == 1);
-                    *carry = carry.wrapping_add(u64::from(hit));
-                    hit
-                },
-                None,
-            )
-            .unwrap();
-
-        let fault = panic_once(4_321);
-        let (faulty, _) = runner
-            .run::<BernoulliEstimate, _>(
-                9_000,
-                || 0u64,
-                move |carry: &mut u64, rng| {
-                    let hit = rng.gen_bool(0.3) ^ (*carry & 1 == 1);
-                    *carry = carry.wrapping_add(u64::from(hit));
-                    // Poison scratch, then maybe panic: a retry that reused
-                    // this scratch would diverge from the clean run.
-                    *carry = carry.wrapping_add(1_000_000);
-                    fault();
-                    *carry = carry.wrapping_sub(1_000_000);
-                    hit
-                },
-                None,
-            )
-            .unwrap();
-        assert_eq!(faulty.retried_chunks, 1);
-        assert_eq!(faulty.value, clean.value);
     }
 
     #[test]
@@ -1247,14 +1071,12 @@ mod tests {
     #[test]
     fn degraded_runs_emit_no_dirty_prefixes() {
         // An abandoned chunk ends the clean prefix: with chunk 4 of 6
-        // failing every attempt, the 4-chunk checkpoint is snapshotted and
+        // panicking, the 4-chunk checkpoint is snapshotted and
         // the last full chunk (6) is not. The kernel recognises chunk 4 by
         // the first draw of its stream.
         let victim: u64 = crate::task_rng(Seed(55), 4).gen();
         let (report, prefixes) = Runner::new(Seed(55))
             .with_threads(2)
-            .with_max_chunk_retries(1)
-            .with_retry_backoff(Duration::ZERO)
             .with_degrade_on_exhaustion(true)
             .run::<BernoulliEstimate, _>(
                 6 * CHUNK_WIDTH,

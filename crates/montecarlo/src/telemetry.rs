@@ -17,15 +17,11 @@ pub(crate) struct RunnerMetrics {
     pub trials_completed: obs::Counter,
     /// Chunks claimed and executed (excludes cancelled empty chunks).
     pub chunks_claimed: obs::Counter,
-    /// Chunk attempts that panicked and were replayed.
-    pub chunks_retried: obs::Counter,
-    /// Chunks that exhausted their retries and were dropped from the
-    /// merge under a degrade-on-exhaustion policy.
+    /// Chunks that panicked and were dropped from the merge under a
+    /// degrade-on-exhaustion policy.
     pub chunks_abandoned: obs::Counter,
-    /// Wall time of one chunk (all attempts), microseconds.
+    /// Wall time of one chunk, microseconds.
     pub chunk_wall_us: obs::Histogram,
-    /// Seeded backoff slept before a chunk retry, microseconds.
-    pub backoff_us: obs::Histogram,
 }
 
 pub(crate) fn runner() -> &'static RunnerMetrics {
@@ -36,10 +32,8 @@ pub(crate) fn runner() -> &'static RunnerMetrics {
             runs: g.counter("mc.runner.runs"),
             trials_completed: g.counter("mc.runner.trials_completed"),
             chunks_claimed: g.counter("mc.runner.chunks_claimed"),
-            chunks_retried: g.counter("mc.runner.chunks_retried"),
             chunks_abandoned: g.counter("mc.runner.chunks_abandoned"),
             chunk_wall_us: g.histogram("mc.runner.chunk_wall_us"),
-            backoff_us: g.histogram("mc.retry.backoff_us"),
         }
     })
 }

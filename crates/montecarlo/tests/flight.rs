@@ -4,20 +4,19 @@
 //! * Results are **bit-identical** with the recorder on (the default),
 //!   off, or mirrored to disk, at every thread count — event emission
 //!   never touches RNG streams, chunk tiling, or merge order.
-//! * A chaos run that exhausts its retries writes a **crash dossier**
-//!   whose event ring ends at the fault site (`chunk_failed`), so the
-//!   failure is reconstructible from artifacts alone.
+//! * A run whose chunk panics writes a **crash dossier** whose event
+//!   ring ends at the fault site (`chunk_failed`), so the failure is
+//!   reconstructible from artifacts alone.
 //! * A mirrored event log with a **torn tail** (kill -9 mid-append)
 //!   recovers exactly its valid prefix.
 
 mod common;
 
 use common::Checksum;
-use montecarlo::fault::{self, FaultPlan, Profile};
+use montecarlo::fault;
 use montecarlo::{RunReport, Runner, Seed, CHUNK_WIDTH};
 use rand::Rng;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Enough trials to span several chunks, with a ragged final chunk.
 const TRIALS: u64 = 3 * CHUNK_WIDTH + 1234;
@@ -32,15 +31,6 @@ fn flight_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Clears the fault plan even when an assertion panics.
-struct PlanGuard;
-
-impl Drop for PlanGuard {
-    fn drop(&mut self) {
-        fault::clear();
-    }
 }
 
 /// Restores every piece of global recorder state a test may have touched.
@@ -66,7 +56,6 @@ fn tmp_dir(tag: &str) -> PathBuf {
 fn checksum_run(threads: usize) -> RunReport<Checksum> {
     Runner::new(Seed(2011))
         .with_threads(threads)
-        .with_retry_backoff(Duration::ZERO)
         .run::<Checksum, _>(TRIALS, || (), |_, rng| rng.gen::<u64>(), None)
         .expect("fault-free runs never fail")
         .0
@@ -121,30 +110,30 @@ fn results_are_bit_identical_with_recorder_on_off_and_mirrored() {
 }
 
 #[test]
-fn exhausted_retries_write_a_dossier_ending_at_the_fault_site() {
+fn chunk_panic_writes_a_dossier_ending_at_the_fault_site() {
     let _lock = flight_lock();
     let _flight = FlightGuard;
+    fault::clear();
     let dir = tmp_dir("dossier");
     obs::flight::set_dossier_dir(&dir).unwrap();
     obs::flight::clear();
 
-    // A seed whose panic plan provably fires on some chunk's first
-    // attempt; with zero retries allowed that firing is fatal.
-    let seed = (0..100_000u64)
-        .find(|&s| {
-            let p = FaultPlan::new(s, Profile::Panics);
-            (0..CHUNKS).any(|c| p.chunk_panics(c, 1))
-        })
-        .expect("a firing seed exists in the search range");
-    let _plan = PlanGuard;
-    fault::install(FaultPlan::new(seed, Profile::Panics));
+    // The kernel panics on the first trial of chunk 2, which it
+    // recognises by the first draw of that chunk's stream.
+    let victim: u64 = montecarlo::task_rng(Seed(2011), 2).gen();
     let err = Runner::new(Seed(2011))
         .with_threads(2)
-        .with_max_chunk_retries(0)
-        .with_retry_backoff(Duration::ZERO)
-        .run::<Checksum, _>(TRIALS, || (), |_, rng| rng.gen::<u64>(), None)
-        .expect_err("zero retries plus a firing panic plan must fail the run");
-    drop(_plan);
+        .run::<Checksum, _>(
+            TRIALS,
+            || true,
+            move |first: &mut bool, rng| {
+                let draw: u64 = rng.gen();
+                assert!(!(std::mem::take(first) && draw == victim), "kernel bug");
+                draw
+            },
+            None,
+        )
+        .expect_err("a panicking chunk fails the run");
     let montecarlo::Error::WorkerPanicked {
         chunk: failed_chunk,
         ..
@@ -152,6 +141,7 @@ fn exhausted_retries_write_a_dossier_ending_at_the_fault_site() {
     else {
         panic!("expected WorkerPanicked, got {err}");
     };
+    assert_eq!(failed_chunk, 2);
 
     let mut names: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
@@ -182,9 +172,9 @@ fn exhausted_retries_write_a_dossier_ending_at_the_fault_site() {
         "the fault site is the final event"
     );
     assert_eq!(last.chunk, Some(failed_chunk));
-    // The fault ledger delta attributes the crash to injected panics.
+    // Nothing was injected: the fault ledger delta says so.
     let rendered = obs::flight::render_dossier(&dossier);
-    assert!(rendered.contains("injected_panics="), "{rendered}");
+    assert!(rendered.contains("fault delta: none"), "{rendered}");
     assert!(
         rendered.contains("crash dossier: worker_panicked"),
         "{rendered}"

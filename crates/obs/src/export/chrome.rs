@@ -46,9 +46,6 @@ pub fn chrome_trace(snapshot: &Snapshot) -> String {
         if let Some(c) = e.chunk {
             args.push(format!("\"chunk\": {c}"));
         }
-        if let Some(a) = e.attempt {
-            args.push(format!("\"attempt\": {a}"));
-        }
         if let Some(n) = e.n {
             args.push(format!("\"n\": {n}"));
         }
@@ -101,7 +98,6 @@ mod tests {
             tid: 3,
             kind: kind.into(),
             chunk: None,
-            attempt: None,
             n: None,
             value: None,
             detail: None,
@@ -152,8 +148,7 @@ mod tests {
         let mut events = vec![
             FlightEvent {
                 chunk: Some(9),
-                attempt: Some(2),
-                ..event(1, 40, "chunk_retried")
+                ..event(1, 40, "chunk_claimed")
             },
             FlightEvent {
                 n: Some(16384),

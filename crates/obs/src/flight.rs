@@ -3,7 +3,7 @@
 //!
 //! Where the metrics registry *counts* what happened, the flight recorder
 //! *orders* it: every notable step of a run — a chunk claimed, a fault
-//! fired, a retry backed off, a convergence wave decided, a cache tier
+//! fired, a chunk abandoned, a convergence wave decided, a cache tier
 //! answering, an experiment finished — is appended as one [`FlightEvent`]
 //! to a process-global ring of [`crate::DEFAULT_RING_CAP`] events. The
 //! ring drops its oldest event when full, but evicts a `span` event only
@@ -22,16 +22,19 @@
 //! | `run_start` | `n` = trials requested (`detail` = `"resume"` for cache-resumed runs) | runner |
 //! | `run_end` | `n` = trials completed, `detail` = `ok`/`degraded` | runner |
 //! | `chunk_claimed` | `chunk` | runner |
-//! | `chunk_retried` | `chunk`, `attempt` | runner |
-//! | `chunk_abandoned` | `chunk`, `attempt` | runner |
-//! | `chunk_failed` | `chunk`, `attempt` (retries exhausted, run fails) | runner |
-//! | `fault_fired` | `chunk`, `attempt`, `detail` = `panic`/`corruption` | fault plan |
-//! | `backoff_slept` | `chunk`, `attempt`, `n` = µs | runner |
+//! | `chunk_abandoned` | `chunk` (panicked, run degrades) | runner |
+//! | `chunk_failed` | `chunk` (panicked, run fails) | runner |
+//! | `fault_fired` | `chunk`, `detail` = `panic` | fault plan |
 //! | `wave_decided` | `n` = trials merged, `value` = RSE, `detail` = `converged`/`continue` | stop predicate |
 //! | `request` | `detail` = full canonical request key | cache seam |
 //! | `cache_hit` / `cache_extend` / `cache_miss` | `detail` = key, `n` = prefix chunks (extend) | store |
 //! | `cache_compacted` | `n` = records kept | store |
 //! | `span` | `detail` = experiment id, `n` = its wall time in µs (emitted at its end) | experiment harness |
+//!
+//! Logs written before the runner stopped retrying chunks also hold
+//! `chunk_retried` and `backoff_slept` events and an `attempt` field on
+//! chunk events; a reader skips the field and renders those kinds like
+//! any other it does not know.
 //!
 //! # On-disk framing
 //!
@@ -75,10 +78,8 @@ pub struct FlightEvent {
     pub kind: String,
     /// Chunk index, for per-chunk events.
     pub chunk: Option<u64>,
-    /// Attempt number, for retry-path events.
-    pub attempt: Option<u64>,
-    /// A count: trials for run/wave events, microseconds for backoffs,
-    /// prefix chunks for cache extensions, bytes for torn tails.
+    /// A count: trials for run/wave events, prefix chunks for cache
+    /// extensions, wall µs for spans.
     pub n: Option<u64>,
     /// A measurement (the RSE for `wave_decided`).
     pub value: Option<f64>,
@@ -93,7 +94,6 @@ pub struct FlightEvent {
 pub struct EventBuilder {
     kind: &'static str,
     chunk: Option<u64>,
-    attempt: Option<u64>,
     n: Option<u64>,
     value: Option<f64>,
     detail: Option<String>,
@@ -104,7 +104,6 @@ pub fn event(kind: &'static str) -> EventBuilder {
     EventBuilder {
         kind,
         chunk: None,
-        attempt: None,
         n: None,
         value: None,
         detail: None,
@@ -115,12 +114,6 @@ impl EventBuilder {
     /// Sets the chunk index.
     pub fn chunk(mut self, chunk: u64) -> Self {
         self.chunk = Some(chunk);
-        self
-    }
-
-    /// Sets the attempt number.
-    pub fn attempt(mut self, attempt: u32) -> Self {
-        self.attempt = Some(u64::from(attempt));
         self
     }
 
@@ -163,7 +156,6 @@ impl EventBuilder {
                 tid,
                 kind: self.kind.to_owned(),
                 chunk: self.chunk,
-                attempt: self.attempt,
                 n: self.n,
                 value: self.value,
                 detail: self.detail,
@@ -428,9 +420,8 @@ pub fn write_dossier(
 
 /// Event kinds that are deterministic run payload: equal between a
 /// chaos run and its fault-free twin whenever recovery succeeded.
-/// Everything else (faults, retries, cache traffic)
-/// is incident reporting, compared only informationally by
-/// [`diff_logs`].
+/// Everything else (faults, abandoned chunks, cache traffic) is incident
+/// reporting, compared only informationally by [`diff_logs`].
 #[must_use]
 pub fn is_payload(ev: &FlightEvent) -> bool {
     matches!(
@@ -452,9 +443,6 @@ fn fmt_payload(ev: &FlightEvent) -> String {
     if let Some(c) = ev.chunk {
         let _ = write!(out, " chunk={c}");
     }
-    if let Some(a) = ev.attempt {
-        let _ = write!(out, " attempt={a}");
-    }
     if let Some(n) = ev.n {
         let _ = write!(out, " n={n}");
     }
@@ -467,8 +455,8 @@ fn fmt_payload(ev: &FlightEvent) -> String {
     out
 }
 
-/// Renders the chronological timeline plus per-chunk retry causality
-/// chains — the `inspect` view of a flight log.
+/// Renders the chronological timeline plus per-chunk causality chains —
+/// the `inspect` view of a flight log.
 #[must_use]
 pub fn render_timeline(events: &[FlightEvent]) -> String {
     let mut out = String::new();
@@ -508,15 +496,9 @@ pub fn render_timeline(events: &[FlightEvent]) -> String {
             .iter()
             .map(|e| match e.kind.as_str() {
                 "chunk_claimed" => format!("claimed @{}", fmt_t(e.t_us)),
-                "fault_fired" => format!(
-                    "fault {} (attempt {})",
-                    e.detail.as_deref().unwrap_or("?"),
-                    e.attempt.unwrap_or(0)
-                ),
-                "backoff_slept" => format!("backoff {}us", e.n.unwrap_or(0)),
-                "chunk_retried" => format!("retry #{}", e.attempt.unwrap_or(0)),
-                "chunk_abandoned" => format!("abandoned (attempt {})", e.attempt.unwrap_or(0)),
-                "chunk_failed" => format!("failed (attempt {})", e.attempt.unwrap_or(0)),
+                "fault_fired" => format!("fault {}", e.detail.as_deref().unwrap_or("?")),
+                "chunk_abandoned" => "abandoned".to_owned(),
+                "chunk_failed" => "failed".to_owned(),
                 k => format!("{k} @{}", fmt_t(e.t_us)),
             })
             .collect();
@@ -606,7 +588,6 @@ pub fn diff_logs(a: &[FlightEvent], b: &[FlightEvent]) -> LogDiff {
         (
             e.kind.clone(),
             e.chunk,
-            e.attempt,
             e.n,
             e.value.map(f64::to_bits),
             e.detail.clone(),
@@ -774,7 +755,6 @@ mod tests {
             tid: 1,
             kind: kind.to_owned(),
             chunk: None,
-            attempt: None,
             n: None,
             value: None,
             detail: None,
@@ -789,7 +769,6 @@ mod tests {
     fn frame_and_parse_round_trip() {
         let event = FlightEvent {
             chunk: Some(7),
-            attempt: Some(2),
             n: Some(4096),
             value: Some(0.031_25),
             detail: Some("panic".to_owned()),
@@ -853,7 +832,7 @@ mod tests {
         set_flight_recording(true);
         mirror_to(&path).unwrap();
         event("chunk_claimed").chunk(11).emit();
-        event("chunk_retried").chunk(11).attempt(2).emit();
+        event("chunk_abandoned").chunk(11).emit();
         unmirror();
         let mine: Vec<FlightEvent> = events()
             .into_iter()
@@ -864,7 +843,7 @@ mod tests {
         assert!(!parsed.torn);
         assert_eq!(parsed.events.len(), 2);
         assert_eq!(parsed.events[0].kind, "chunk_claimed");
-        assert_eq!(parsed.events[1].attempt, Some(2));
+        assert_eq!(parsed.events[1].kind, "chunk_abandoned");
         assert!(parsed.events[0].seq < parsed.events[1].seq);
         let _ = std::fs::remove_file(&path);
     }
@@ -1013,26 +992,20 @@ mod tests {
             },
             FlightEvent {
                 chunk: Some(4),
-                attempt: Some(1),
                 detail: Some("panic".to_owned()),
                 ..ev(3, "fault_fired")
             },
             FlightEvent {
                 chunk: Some(4),
-                attempt: Some(1),
-                n: Some(800),
-                ..ev(4, "backoff_slept")
-            },
-            FlightEvent {
-                chunk: Some(4),
-                attempt: Some(2),
-                ..ev(5, "chunk_retried")
+                ..ev(4, "chunk_abandoned")
             },
         ];
         let text = render_timeline(&events);
         assert!(text.contains("chunk 4: claimed"), "{text}");
-        assert!(text.contains("fault panic (attempt 1)"), "{text}");
-        assert!(text.contains("retry #2 -> recovered"), "{text}");
+        assert!(
+            text.contains("fault panic -> abandoned -> abandoned"),
+            "{text}"
+        );
         assert!(text.contains("clean chunks: 1"), "{text}");
         let hist = render_histogram(&events);
         assert!(hist.contains("2  chunk_claimed"), "{hist}");
@@ -1074,7 +1047,6 @@ mod tests {
             },
             FlightEvent {
                 chunk: Some(0),
-                attempt: Some(1),
                 detail: Some("panic".to_owned()),
                 ..ev(3, "fault_fired")
             },

@@ -138,8 +138,11 @@ pub fn build_info() -> Option<BuildInfo> {
         .clone()
 }
 
-/// Monotonic epoch of flight timestamps, pinned on first use.
-pub(crate) fn epoch() -> std::time::Instant {
+/// Monotonic epoch of flight timestamps, pinned on first use. A binary
+/// calls it once at startup, so timestamps count from there rather than
+/// from the first event: an experiment that emits nothing until its end
+/// then still starts at or after 0 on the trace timeline.
+pub fn epoch() -> std::time::Instant {
     static EPOCH: std::sync::OnceLock<std::time::Instant> = std::sync::OnceLock::new();
     *EPOCH.get_or_init(std::time::Instant::now)
 }

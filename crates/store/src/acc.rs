@@ -150,11 +150,8 @@ impl CachedPrefix {
 /// needs to reproduce the producing [`RunReport`] bit for bit.
 ///
 /// Only *clean* runs are cached (not degraded, nothing abandoned), so
-/// those flags are not stored: reconstruction always
-/// reports the canonical fault-free run. `retried_chunks` is likewise
-/// pinned to zero — a retried chunk replays its exact stream, so the
-/// value is identical to the fault-free run's and the cache serves the
-/// canonical form.
+/// those flags are not stored: reconstruction always reports the
+/// canonical fault-free run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CachedReport {
     /// The merged accumulator over all completed trials.
@@ -193,7 +190,6 @@ impl CachedReport {
             value: A::from_state(&self.value)?,
             trials_requested: self.trials_requested,
             trials_completed: self.trials_completed,
-            retried_chunks: 0,
             converged_early: self.converged_early,
             degraded: false,
             abandoned_chunks: 0,
@@ -286,7 +282,6 @@ mod tests {
             value: BernoulliEstimate::from_counts(1, 10),
             trials_requested: 100,
             trials_completed: 10,
-            retried_chunks: 0,
             converged_early: false,
             degraded: true,
             abandoned_chunks: 1,

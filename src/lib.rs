@@ -63,7 +63,7 @@ pub enum Error {
     /// work started. The message is ready to print to stderr.
     InvalidArgs(String),
     /// The monte-carlo layer failed at runtime (for example, a worker
-    /// panicked on every retry).
+    /// chunk panicked).
     Simulation(montecarlo::Error),
 }
 
@@ -107,7 +107,6 @@ mod error_tests {
         let inner = montecarlo::Error::WorkerPanicked {
             chunk: 3,
             seed: montecarlo::Seed(5),
-            attempts: 3,
             payload: "boom".into(),
         };
         let e = Error::from(inner.clone());

@@ -92,9 +92,9 @@ fn parse_args() -> Result<Args, mmreliab::Error> {
         }
         let mut value = || it.next().ok_or(invalid(format!("{flag} needs a value")));
         match flag.as_str() {
-            "--model" => args.model = value()?.parse().map_err(|e| invalid(format!("{e}")))?,
+            "--model" => args.model = parse_value(&flag, &value()?, "sc|tso|pso|wo")?,
             "--threads" => {
-                args.threads = value()?.parse().map_err(|e| invalid(format!("{e}")))?;
+                args.threads = parse_value(&flag, &value()?, "a positive integer")?;
                 if args.threads == 0 {
                     return Err(invalid(format!(
                         "--threads must be at least 1\n{}",
@@ -103,21 +103,21 @@ fn parse_args() -> Result<Args, mmreliab::Error> {
                 }
             }
             "--trials" => {
-                args.trials = value()?.parse().map_err(|e| invalid(format!("{e}")))?;
+                args.trials = parse_value(&flag, &value()?, "a positive integer")?;
                 if args.trials == 0 {
                     return Err(invalid(format!("--trials must be at least 1\n{}", usage())));
                 }
             }
-            "--seed" => args.seed = value()?.parse().map_err(|e| invalid(format!("{e}")))?,
+            "--seed" => args.seed = parse_value(&flag, &value()?, "an unsigned integer")?,
             "--m" => {
-                args.m = value()?.parse().map_err(|e| invalid(format!("{e}")))?;
+                args.m = parse_value(&flag, &value()?, "a positive integer")?;
                 if args.m == 0 {
                     return Err(invalid(format!("--m must be at least 1\n{}", usage())));
                 }
             }
             "--param" => args.param = value()?,
             "--workers" => {
-                args.workers = value()?.parse().map_err(|e| invalid(format!("{e}")))?;
+                args.workers = parse_value(&flag, &value()?, "a positive integer")?;
                 if args.workers == 0 {
                     return Err(invalid(format!(
                         "--workers must be at least 1\n{}",
@@ -137,6 +137,17 @@ fn parse_args() -> Result<Args, mmreliab::Error> {
         }
     }
     Ok(args)
+}
+
+/// Parses `flag`'s `value`, naming both when it is not `takes`.
+fn parse_value<T: std::str::FromStr>(
+    flag: &str,
+    value: &str,
+    takes: &str,
+) -> Result<T, mmreliab::Error> {
+    value.parse().map_err(|_| {
+        mmreliab::Error::InvalidArgs(format!("{flag} takes {takes}, got {value:?}\n{}", usage()))
+    })
 }
 
 /// Every command `main` runs.

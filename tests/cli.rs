@@ -131,6 +131,61 @@ fn zero_m_rejected() {
     assert!(stderr.contains("usage:"), "{stderr}");
 }
 
+/// Asserts `args` fails naming `flag` and the value it got.
+fn rejects_value(args: &[&str], flag: &str, takes: &str, got: &str) {
+    let (ok, _, stderr) = run(args);
+    assert!(!ok, "{args:?}");
+    let expected = format!("{flag} takes {takes}, got \"{got}\"");
+    assert!(stderr.contains(&expected), "{args:?}: {stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+}
+
+#[test]
+fn malformed_seed_names_the_flag() {
+    rejects_value(
+        &["survival", "--seed", "abc"],
+        "--seed",
+        "an unsigned integer",
+        "abc",
+    );
+}
+
+#[test]
+fn malformed_threads_names_the_flag() {
+    let huge = "99999999999999999999";
+    rejects_value(
+        &["survival", "--threads", huge],
+        "--threads",
+        "a positive integer",
+        huge,
+    );
+}
+
+#[test]
+fn malformed_trials_names_the_flag() {
+    rejects_value(
+        &["opsim", "--trials", "1e6"],
+        "--trials",
+        "a positive integer",
+        "1e6",
+    );
+}
+
+#[test]
+fn malformed_m_names_the_flag() {
+    rejects_value(&["trace", "--m", "-3"], "--m", "a positive integer", "-3");
+}
+
+#[test]
+fn malformed_workers_names_the_flag() {
+    rejects_value(
+        &["windows", "--workers", "four"],
+        "--workers",
+        "a positive integer",
+        "four",
+    );
+}
+
 #[test]
 fn survival_output_is_identical_across_worker_counts() {
     // --workers only changes wall-clock time: the chunk-tiled executor

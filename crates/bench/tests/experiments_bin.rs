@@ -446,6 +446,11 @@ fn export_chaos_fails_metrics_with_typed_error() {
     assert!(stderr.contains("injected export fault"), "{stderr}");
     assert!(!metrics.exists(), "the export must have been blocked");
     assert!(json.exists(), "results land before exports run");
+    // The fault fired after every experiment: no per-experiment record
+    // carries an export-fault tally (it could only ever read 0 there).
+    let results = std::fs::read_to_string(&json).unwrap();
+    assert!(results.contains("\"fault_ledger\""), "{results}");
+    assert!(!results.contains("injected_export_faults"), "{results}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -1,10 +1,10 @@
 //! The joined model configuration and its samplers.
 
 use memmodel::{MemoryModel, OpType, CANONICAL_P};
-use montecarlo::{BernoulliEstimate, Histogram, RunReport, Runner, Seed};
+use montecarlo::{BernoulliEstimate, GridSample, Histogram, RunReport, Runner, Seed};
 use progmodel::{Program, ProgramGenerator};
 use rand::Rng;
-use settle::{ProgramShape, SettleScratch, Settler};
+use settle::{KeyedWindows, ProgramShape, SettleScratch, Settler};
 use shiftproc::{exchangeable, ShiftProcess, ShiftScratch};
 use std::fmt;
 
@@ -235,6 +235,26 @@ impl ReliabilityModel {
         )
     }
 
+    /// Draws a program key and opens this model's `n` windows of the keyed
+    /// program, each settled on its first read
+    /// ([`Settler::keyed_windows`]).
+    fn keyed_windows<'s, R: Rng + ?Sized>(
+        &'s self,
+        scratch: &'s mut TrialScratch,
+        rng: &mut R,
+    ) -> KeyedWindows<'s> {
+        let generator = self.generator();
+        let key = generator.draw_key(rng);
+        self.settler.keyed_windows(
+            &scratch.shape,
+            generator.store_threshold(),
+            key,
+            self.n,
+            &mut scratch.settle,
+            rng,
+        )
+    }
+
     /// One sample of the Rao-Blackwellised factor
     /// ([`exchangeable::sample_factor`]) of a fresh window vector: the
     /// draws, windows and factor of `sample_windows_scratch` +
@@ -245,17 +265,40 @@ impl ReliabilityModel {
         scratch: &mut TrialScratch,
         rng: &mut R,
     ) -> f64 {
-        let generator = self.generator();
-        let key = generator.draw_key(rng);
-        let mut windows = self.settler.keyed_windows(
-            &scratch.shape,
-            generator.store_threshold(),
-            key,
-            self.n,
-            &mut scratch.settle,
-            rng,
-        );
+        let mut windows = self.keyed_windows(scratch, rng);
         exchangeable::sample_factor_with(self.n, 2, |i| windows.gamma(i) + 2)
+    }
+
+    /// One trial of the shared-draw Rao-Blackwellised grid: one program
+    /// key and one [`Settler::keyed_windows`] over this model's `n`
+    /// windows, then, for each `ns[k]`, the factor
+    /// ([`exchangeable::sample_factor`]) of the first `ns[k]` windows.
+    ///
+    /// Given the program the windows are i.i.d., so the first `n'` of them
+    /// are a valid window vector for every `n' ≤ n`. Reads are memoised:
+    /// each window is settled at most once, and only the first
+    /// `max(ns) − 1` are. At `ns[k] = n` the factor, the draws and the RNG
+    /// end state are those of one trial of
+    /// [`estimate_survival_rb`](ReliabilityModel::estimate_survival_rb)
+    /// bit for bit. The factors land in a fixed array, so a trial on warm
+    /// scratch allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some `ns[k]` exceeds this model's thread count, or if
+    /// `ns` has more than [`GridSample::CAPACITY`] points.
+    pub fn rb_grid_factors<R: Rng + ?Sized>(
+        &self,
+        ns: &[usize],
+        scratch: &mut TrialScratch,
+        rng: &mut R,
+    ) -> GridSample {
+        let mut windows = self.keyed_windows(scratch, rng);
+        GridSample::from_fn(ns.len(), |k| {
+            let n = ns[k];
+            assert!(n <= self.n, "grid point n={n} above the model's {}", self.n);
+            exchangeable::sample_factor_with(n, 2, |i| windows.gamma(i) + 2)
+        })
     }
 
     /// Direct Monte-Carlo estimate of `Pr[A]` over `trials` runs, using
@@ -594,6 +637,41 @@ mod tests {
                 );
             }
             assert_eq!(lazy_rng, eager_rng, "{m}: RNG streams diverged");
+        }
+    }
+
+    #[test]
+    fn rb_grid_factors_are_the_eager_factors_of_window_prefixes() {
+        // Random (model, n, grid): column k must be sample_factor of the
+        // first ns[k] windows of sample_windows_scratch bit for bit, with
+        // the same RNG end state, and only the first max(ns) − 1 windows
+        // settled.
+        let mut cases = SmallRng::seed_from_u64(64);
+        for _ in 0..300 {
+            let model = MemoryModel::NAMED[cases.gen_range(0..4)];
+            let n = cases.gen_range(1..=16);
+            let ns: Vec<usize> = (0..cases.gen_range(1..=GridSample::CAPACITY))
+                .map(|_| cases.gen_range(1..=n))
+                .collect();
+            let m = ReliabilityModel::new(model, n).with_filler_len(cases.gen_range(0..=64));
+            let (mut eager_scratch, mut grid_scratch) = (m.scratch(), m.scratch());
+            let mut eager_rng = SmallRng::seed_from_u64(cases.gen());
+            let mut grid_rng = eager_rng.clone();
+            for _ in 0..20 {
+                let windows = m.sample_windows_scratch(&mut eager_scratch, &mut eager_rng);
+                let sample = m.rb_grid_factors(&ns, &mut grid_scratch, &mut grid_rng);
+                for (&k, &f) in ns.iter().zip(sample.values()) {
+                    let eager = exchangeable::sample_factor(&windows[..k], 2);
+                    assert_eq!(f.to_bits(), eager.to_bits(), "{m} ns={ns:?} k={k}");
+                }
+                let top = ns.iter().copied().max().unwrap_or(0);
+                let settled = grid_scratch.settle.windows_settled();
+                assert!(
+                    settled == top.saturating_sub(1) || (settled == 0 && model == MemoryModel::Sc),
+                    "{m} ns={ns:?}: {settled}"
+                );
+            }
+            assert_eq!(grid_rng, eager_rng, "{m}: RNG streams diverged");
         }
     }
 

@@ -23,6 +23,10 @@ pub struct ScalingPoint {
 ///
 /// Uses the Rao-Blackwellised estimator throughout (direct simulation is
 /// hopeless beyond `n ≈ 3`), with the machine's available parallelism.
+///
+/// # Panics
+///
+/// As [`scaling_curve_with`].
 #[must_use]
 pub fn scaling_curve(
     models: &[MemoryModel],
@@ -36,11 +40,22 @@ pub fn scaling_curve(
     scaling_curve_with(models, ns, trials, seed, workers)
 }
 
-/// [`scaling_curve`] with an explicit worker budget: the `models × ns`
-/// grid points run concurrently through the shared montecarlo pool, each
-/// with its serial sub-seed (`seed + mi·1009 + ni`), and the curve is
-/// assembled in row-major grid order — so the result is bit-for-bit
-/// identical for any `workers`, including the old fully serial route.
+/// [`scaling_curve`] with an explicit worker budget.
+///
+/// Each model's whole row is one shared-draw grid
+/// ([`ReliabilityModel::estimate_survival_rb_grid_with`]) on a model of
+/// `max(ns)` threads: one settle pass per program serves every `n`. Model
+/// `mi`'s grid takes the serial sub-seed of its largest point,
+/// `seed + mi·1009 + ni` with `ni` the index of `max(ns)` in `ns`, so that
+/// point is the lone Rao-Blackwellised estimate at that seed bit for bit.
+/// The grids run concurrently through the shared montecarlo pool and the
+/// curve is assembled in row-major `models × ns` order, so the result is
+/// bit-for-bit identical for any `workers`.
+///
+/// # Panics
+///
+/// Panics if some `n` in `ns` is 0, or if `ns` has more than
+/// [`montecarlo::GridSample::CAPACITY`] points.
 #[must_use]
 pub fn scaling_curve_with(
     models: &[MemoryModel],
@@ -49,28 +64,32 @@ pub fn scaling_curve_with(
     seed: u64,
     workers: usize,
 ) -> Vec<ScalingPoint> {
-    let grid: Vec<(usize, MemoryModel, usize, usize)> = models
+    let Some(n_max) = ns.iter().copied().max() else {
+        return Vec::new();
+    };
+    let top = ns.iter().position(|&n| n == n_max).expect("max is in ns");
+    let (grid_models, grid_ns) = (models.to_vec(), ns.to_vec());
+    let inner = workers.div_ceil(models.len().max(1)).max(1);
+    let rows = montecarlo::pool::scatter(models.len(), workers.max(1), move |mi| {
+        ReliabilityModel::new(grid_models[mi], n_max).estimate_survival_rb_grid_with(
+            &grid_ns,
+            trials,
+            seed.wrapping_add((mi * 1009 + top) as u64),
+            inner,
+        )
+    });
+    models
         .iter()
-        .enumerate()
-        .flat_map(|(mi, &model)| {
-            ns.iter()
-                .enumerate()
-                .map(move |(ni, &n)| (mi, model, ni, n))
+        .zip(rows)
+        .flat_map(|(&model, row)| {
+            ns.iter().zip(row).map(move |(&n, est)| ScalingPoint {
+                model,
+                n,
+                log2_survival: est.log2_survival,
+                normalized_exponent: est.normalized_exponent(n),
+            })
         })
-        .collect();
-    let inner = workers.div_ceil(grid.len().max(1)).max(1);
-    montecarlo::pool::scatter(grid.len(), workers.max(1), move |i| {
-        let (mi, model, ni, n) = grid[i];
-        let rm = ReliabilityModel::new(model, n);
-        let est =
-            rm.estimate_survival_rb_with(trials, seed.wrapping_add((mi * 1009 + ni) as u64), inner);
-        ScalingPoint {
-            model,
-            n,
-            log2_survival: est.log2_survival,
-            normalized_exponent: est.normalized_exponent(n),
-        }
-    })
+        .collect()
 }
 
 #[cfg(test)]
@@ -91,13 +110,37 @@ mod tests {
 
     #[test]
     fn curve_is_worker_count_invariant() {
-        // Grid points keep their serial sub-seeds and row-major order, so
-        // the curve is bit-for-bit identical for any worker budget.
+        // Each model's grid keeps its serial sub-seed and the curve its
+        // row-major order, so it is bit-for-bit identical for any worker
+        // budget.
         let base = scaling_curve_with(&MemoryModel::NAMED, &[2, 4, 6], 2_000, 9, 1);
         for workers in [2usize, 4, 8] {
             assert_eq!(
                 scaling_curve_with(&MemoryModel::NAMED, &[2, 4, 6], 2_000, 9, workers),
                 base
+            );
+        }
+    }
+
+    #[test]
+    fn largest_n_points_are_the_lone_rb_estimates_at_their_sub_seeds() {
+        // The grid of model `mi` takes the sub-seed the per-point curve gave
+        // its largest point, so those points are unchanged bit for bit:
+        // here the largest n sits mid-grid, at index 1.
+        let ns = [4usize, 8, 2];
+        let pts = scaling_curve_with(&MemoryModel::NAMED, &ns, 5_000, 11, 2);
+        for (mi, &model) in MemoryModel::NAMED.iter().enumerate() {
+            let lone = ReliabilityModel::new(model, 8).estimate_survival_rb_with(
+                5_000,
+                11 + (mi * 1009 + 1) as u64,
+                1,
+            );
+            let p = pts[mi * ns.len() + 1];
+            assert_eq!((p.model, p.n), (model, 8));
+            assert_eq!(p.log2_survival.to_bits(), lone.log2_survival.to_bits());
+            assert_eq!(
+                p.normalized_exponent.to_bits(),
+                lone.normalized_exponent(8).to_bits()
             );
         }
     }

@@ -3,7 +3,7 @@
 use crate::ReliabilityModel;
 use analytic::{thm62, thm63};
 use memmodel::MemoryModel;
-use montecarlo::{Runner, Seed, Welford};
+use montecarlo::{GridSample, Runner, Seed, Welford, WelfordGrid};
 use shiftproc::exchangeable;
 
 /// A Rao-Blackwellised survival estimate (Theorem 6.1).
@@ -25,6 +25,21 @@ pub struct RbSurvival {
 }
 
 impl RbSurvival {
+    /// The estimate at `n` threads from the Welford fold of its factors.
+    fn from_factors(n: usize, stats: &Welford) -> RbSurvival {
+        let mean = stats.mean();
+        RbSurvival {
+            log2_survival: exchangeable::log2_survival(
+                u32::try_from(n).expect("thread count fits u32"),
+                2,
+                mean,
+            ),
+            mean_factor: mean,
+            factor_sem: stats.sem(),
+            samples: stats.count(),
+        }
+    }
+
     /// `Pr[A]` in linear space (0 when below `f64` range).
     #[must_use]
     pub fn survival(&self) -> f64 {
@@ -68,17 +83,69 @@ impl ReliabilityModel {
                 m.rb_factor(scratch, rng)
             })
             .value;
-        let mean = stats.mean();
-        RbSurvival {
-            log2_survival: exchangeable::log2_survival(
-                u32::try_from(self.threads()).expect("thread count fits u32"),
-                2,
-                mean,
-            ),
-            mean_factor: mean,
-            factor_sem: stats.sem(),
-            samples: stats.count(),
-        }
+        RbSurvival::from_factors(self.threads(), &stats)
+    }
+
+    /// Rao-Blackwellised estimates of `Pr[A]` at every thread count of
+    /// `ns` from one shared draw: each of the `trials` trials draws one
+    /// program and this model's `n` windows, and every `ns[k]` reads the
+    /// factor of the first `ns[k]` of them
+    /// ([`rb_grid_factors`](ReliabilityModel::rb_grid_factors)).
+    ///
+    /// Given the program the windows are i.i.d., so a prefix of one draw is
+    /// a valid window vector for every smaller `n`, and each estimate is
+    /// unbiased. The estimates share their programs and windows: they are
+    /// common-random-number estimates, and a window is settled once for
+    /// the whole grid instead of once per point. The column at
+    /// `ns[k] = n` is [`estimate_survival_rb_with`]'s estimate at `seed`
+    /// bit for bit. Cached under the result kind `rb-grid/<ns>`, e.g.
+    /// `rb-grid/2,3,4,6,8,12,16`. Speed only: the estimates are bit-for-bit
+    /// identical for any `workers`.
+    ///
+    /// [`estimate_survival_rb_with`]: ReliabilityModel::estimate_survival_rb_with
+    ///
+    /// # Panics
+    ///
+    /// Panics if some `ns[k]` is 0 or exceeds this model's thread count, if
+    /// `ns` has more than [`montecarlo::GridSample::CAPACITY`] points, or if
+    /// `trials` is 0 (no factor sampled, as in
+    /// [`estimate_survival_rb`](ReliabilityModel::estimate_survival_rb)).
+    #[must_use]
+    pub fn estimate_survival_rb_grid_with(
+        &self,
+        ns: &[usize],
+        trials: u64,
+        seed: u64,
+        workers: usize,
+    ) -> Vec<RbSurvival> {
+        assert!(
+            ns.iter().all(|&n| (1..=self.threads()).contains(&n)),
+            "grid {ns:?} outside 1..={} threads",
+            self.threads()
+        );
+        assert!(
+            ns.len() <= GridSample::CAPACITY,
+            "{} grid points exceed the capacity of {}",
+            ns.len(),
+            GridSample::CAPACITY
+        );
+        let runner = Runner::new(Seed(seed)).with_threads(workers);
+        let grid_ns = ns.to_vec();
+        let grid: WelfordGrid = self
+            .run_cached(
+                &rb_grid_kind(ns),
+                &runner,
+                trials,
+                move |m, scratch, rng| m.rb_grid_factors(&grid_ns, scratch, rng),
+            )
+            .value;
+        // A run of no trials leaves the grid empty: every column then
+        // fails as an empty `rb` estimate does.
+        let empty = Welford::new();
+        ns.iter()
+            .enumerate()
+            .map(|(k, &n)| RbSurvival::from_factors(n, grid.points().get(k).unwrap_or(&empty)))
+            .collect()
     }
 
     /// The paper's analytic bounds `(lo, hi)` on `Pr[A]`, where available:
@@ -107,6 +174,13 @@ impl ReliabilityModel {
             _ => Some((thm63::universal_log2_survival_lower_bound(n), sc)),
         }
     }
+}
+
+/// The cache result kind of the shared-draw grid over `ns`, e.g.
+/// `rb-grid/2,3,4,6,8,12,16`: the grid's points in the caller's order.
+fn rb_grid_kind(ns: &[usize]) -> String {
+    let points: Vec<String> = ns.iter().map(usize::to_string).collect();
+    format!("rb-grid/{}", points.join(","))
 }
 
 #[cfg(test)]
@@ -179,6 +253,92 @@ mod tests {
                 est.log2_survival
             );
         }
+    }
+
+    const GRID: [usize; 7] = [2, 3, 4, 6, 8, 12, 16];
+
+    #[test]
+    fn grid_top_column_is_the_lone_rb_estimate_bit_for_bit() {
+        // The column at the model's own n reads every window of each draw,
+        // in the same draw order as the `rb` kernel: same factors, same
+        // Welford fold, same chunk merges.
+        let trials = 3 * montecarlo::CHUNK_WIDTH + 100;
+        for model in MemoryModel::NAMED {
+            let m = ReliabilityModel::new(model, 16);
+            let seed = 0x6300 + model.short_name().len() as u64;
+            let grid = m.estimate_survival_rb_grid_with(&GRID, trials, seed, 2);
+            let lone = m.estimate_survival_rb_with(trials, seed, 1);
+            let top = grid[GRID.len() - 1];
+            assert_eq!(top.log2_survival.to_bits(), lone.log2_survival.to_bits());
+            assert_eq!(top.mean_factor.to_bits(), lone.mean_factor.to_bits());
+            assert_eq!(top.factor_sem.to_bits(), lone.factor_sem.to_bits());
+            assert_eq!(top.samples, trials);
+        }
+    }
+
+    #[test]
+    fn grid_columns_match_the_exact_iid_law_and_sc_is_exact() {
+        // WO windows do not depend on the program, so the iid-window route
+        // is exact for WO: every column's 99.9% CI on the mean factor must
+        // cover the exact factor. SC windows are all 2: every factor is 1.
+        let laws = analytic::window_law::WindowLaws::new();
+        let wo = ReliabilityModel::new(MemoryModel::Wo, 16);
+        let trials = TRIALS / 2;
+        let grid = wo.estimate_survival_rb_grid_with(&GRID, trials, 61, 2);
+        for (&n, est) in GRID.iter().zip(&grid) {
+            let n32 = n as u32;
+            let pmf = |g: u64| laws.pmf(MemoryModel::Wo, g).expect("named model");
+            let exact_log2 = thm63::log2_survival_iid_windows(n32, pmf, 90);
+            let exact_factor =
+                (exact_log2 - exchangeable::log2_survival_deterministic(n32, 2)).exp2();
+            let half = montecarlo::normal_quantile(0.9995) * est.factor_sem;
+            assert!(
+                (est.mean_factor - exact_factor).abs() <= half,
+                "WO n={n}: factor {} ± {half} misses exact {exact_factor}",
+                est.mean_factor
+            );
+            assert_eq!(est.samples, trials);
+        }
+        let sc = ReliabilityModel::new(MemoryModel::Sc, 16);
+        for (&n, est) in GRID
+            .iter()
+            .zip(sc.estimate_survival_rb_grid_with(&GRID, 5_000, 62, 1))
+        {
+            assert_eq!(est.mean_factor, 1.0, "SC n={n}");
+            assert_eq!(est.factor_sem, 0.0, "SC n={n}");
+        }
+    }
+
+    #[test]
+    fn grid_request_canon_is_pinned() {
+        // The grid's points enter its cache key through the result kind; a
+        // change to their encoding must fail here rather than re-key every
+        // cached grid silently. WO at thm63's standard seed and trials.
+        let m = ReliabilityModel::new(MemoryModel::Wo, 16);
+        let runner = Runner::new(Seed((20_110_606 ^ 0x63) + 3 * 1009 + 6));
+        let key = m.request_key(&rb_grid_kind(&GRID), &runner, 100_000);
+        assert_eq!(
+            key.canon(),
+            "mmrk2|kernel=mmr-kernels-v3/rb-grid/2,3,4,6,8,12,16|matrix=XXXX|n=16|m=64|\
+             p=3fe0000000000000|s=3fe0000000000000,3fe0000000000000,3fe0000000000000,3fe0000000000000|\
+             fence=3fe0000000000000|acq=0|seed=000000000132e946|cw=4096|trials=100000|rse=-"
+        );
+        assert_eq!(key.hash().hex(), "c87c4b094472ffe7fe1ea0e8c1ea1b10");
+    }
+
+    #[test]
+    fn grid_is_worker_count_invariant_and_rejects_points_above_the_model() {
+        let m = ReliabilityModel::new(MemoryModel::Pso, 8);
+        let base = m.estimate_survival_rb_grid_with(&[8, 2, 5], 9_000, 3, 1);
+        for workers in [2usize, 4, 8] {
+            assert_eq!(
+                m.estimate_survival_rb_grid_with(&[8, 2, 5], 9_000, 3, workers),
+                base
+            );
+        }
+        let above =
+            std::panic::catch_unwind(|| m.estimate_survival_rb_grid_with(&[2, 9], 10, 3, 1));
+        assert!(above.is_err(), "n = 9 on an 8-thread model must panic");
     }
 
     #[test]

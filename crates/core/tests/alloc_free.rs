@@ -57,7 +57,7 @@ fn measured_allocs(mut block: impl FnMut()) -> u64 {
         .expect("non-empty repeats")
 }
 
-// One test, three kernels: the counter is process-global, so concurrently
+// One test, four kernels: the counter is process-global, so concurrently
 // running sibling tests would perturb each other's measurements.
 #[test]
 fn trial_kernels_are_allocation_free_in_steady_state() {
@@ -89,6 +89,22 @@ fn trial_kernels_are_allocation_free_in_steady_state() {
         }
     });
     assert_eq!(allocs, 0, "fenced kernel allocated");
+
+    // The shared-draw RB grid trial: its per-n factors land in a fixed
+    // array, never a fresh Vec.
+    let rm = ReliabilityModel::new(MemoryModel::Wo, 16);
+    let ns = [2usize, 3, 4, 6, 8, 12, 16];
+    let mut scratch = rm.scratch();
+    let mut rng = SmallRng::seed_from_u64(4);
+    for _ in 0..100 {
+        rm.rb_grid_factors(&ns, &mut scratch, &mut rng);
+    }
+    let allocs = measured_allocs(|| {
+        for _ in 0..5_000 {
+            rm.rb_grid_factors(&ns, &mut scratch, &mut rng);
+        }
+    });
+    assert_eq!(allocs, 0, "RB grid trial allocated");
 
     // The bare shift kernel.
     let proc = ShiftProcess::canonical();

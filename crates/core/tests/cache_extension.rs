@@ -103,7 +103,8 @@ fn assert_grown_runs_match_cold<T: PartialEq + std::fmt::Debug>(
 fn trials_grown_warm_run_is_bit_identical_to_cold_at_every_thread_count() {
     let _session = Session::start();
     let m = model();
-    // One request kind per accumulator: Bernoulli, Welford, histogram.
+    // One request kind per accumulator: Bernoulli, Welford, histogram (the
+    // Welford grid has a test of its own below).
     assert_grown_runs_match_cold(
         "survival",
         |trials| m.simulate_survival(trials, SEED),
@@ -118,6 +119,20 @@ fn trials_grown_warm_run_is_bit_identical_to_cold_at_every_thread_count() {
         "windows",
         |trials| m.window_histogram(trials, SEED),
         |trials, threads| m.window_histogram_with(trials, SEED, threads),
+    );
+}
+
+#[test]
+fn shared_draw_grid_warm_runs_are_bit_identical_to_cold_at_every_thread_count() {
+    let _session = Session::start();
+    // The per-point Welford vector: cold, extended and hit runs of the
+    // `rb-grid` kind must agree at every point, not just the top one.
+    let m = ReliabilityModel::new(MemoryModel::Wo, 6).with_filler_len(16);
+    let ns = [2usize, 3, 4, 6];
+    assert_grown_runs_match_cold(
+        "rb-grid",
+        |trials| m.estimate_survival_rb_grid_with(&ns, trials, SEED, 1),
+        |trials, threads| m.estimate_survival_rb_grid_with(&ns, trials, SEED, threads),
     );
 }
 

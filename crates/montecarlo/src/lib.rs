@@ -51,4 +51,4 @@ pub use error::Error;
 pub use hist::Histogram;
 pub use rng::{splitmix64, task_rng, Seed};
 pub use runner::{Accumulator, ChunkPrefix, RunReport, Runner, CHUNK_WIDTH};
-pub use stats::{normal_quantile, BernoulliEstimate, Welford};
+pub use stats::{normal_quantile, BernoulliEstimate, GridSample, Welford, WelfordGrid};

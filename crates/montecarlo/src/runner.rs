@@ -1,6 +1,9 @@
 //! The parallel trial runner and the accumulators it folds into.
 
-use crate::{pool, BernoulliEstimate, Error, EstimatorStats, Histogram, Seed, Welford};
+use crate::{
+    pool, BernoulliEstimate, Error, EstimatorStats, GridSample, Histogram, Seed, Welford,
+    WelfordGrid,
+};
 use rand::rngs::SmallRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -78,6 +81,18 @@ impl Accumulator for Welford {
 
     fn stop_rse(&self) -> Option<f64> {
         Some(EstimatorStats::rse(self))
+    }
+}
+
+impl Accumulator for WelfordGrid {
+    type Item = GridSample;
+
+    fn record(&mut self, sample: GridSample) {
+        WelfordGrid::record(self, &sample);
+    }
+
+    fn merge(&mut self, later: &WelfordGrid) {
+        WelfordGrid::merge(self, later);
     }
 }
 

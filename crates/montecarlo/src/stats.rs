@@ -278,6 +278,100 @@ impl fmt::Display for Welford {
     }
 }
 
+/// One trial's observations at every point of a grid, in a fixed array:
+/// a trial that returns one allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GridSample {
+    len: usize,
+    values: [f64; GridSample::CAPACITY],
+}
+
+impl GridSample {
+    /// Most points one sample holds.
+    pub const CAPACITY: usize = 16;
+
+    /// The sample whose point `i` is `value(i)`, for `i < len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds [`GridSample::CAPACITY`].
+    #[must_use]
+    pub fn from_fn(len: usize, mut value: impl FnMut(usize) -> f64) -> GridSample {
+        assert!(
+            len <= GridSample::CAPACITY,
+            "{len} grid points exceed the capacity of {}",
+            GridSample::CAPACITY
+        );
+        let mut values = [0.0; GridSample::CAPACITY];
+        for (i, v) in values[..len].iter_mut().enumerate() {
+            *v = value(i);
+        }
+        GridSample { len, values }
+    }
+
+    /// The observations, one per grid point.
+    #[must_use]
+    pub fn values(&self) -> &[f64] {
+        &self.values[..self.len]
+    }
+}
+
+/// One [`Welford`] per grid point: the accumulator of trials that observe
+/// every point of a grid at once. Each point folds and merges exactly as a
+/// lone `Welford` fed that point's observations would, bit for bit.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct WelfordGrid {
+    points: Vec<Welford>,
+}
+
+impl WelfordGrid {
+    /// A grid of the given per-point accumulators.
+    #[must_use]
+    pub fn from_points(points: Vec<Welford>) -> WelfordGrid {
+        WelfordGrid { points }
+    }
+
+    /// The per-point accumulators (empty before the first record).
+    #[must_use]
+    pub fn points(&self) -> &[Welford] {
+        &self.points
+    }
+
+    /// Folds one trial's observations in, one per point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample's length differs from earlier samples'.
+    pub fn record(&mut self, sample: &GridSample) {
+        let values = sample.values();
+        if self.points.is_empty() {
+            self.points.resize(values.len(), Welford::new());
+        }
+        assert_eq!(self.points.len(), values.len(), "grid length changed");
+        for (w, &x) in self.points.iter_mut().zip(values) {
+            w.record(x);
+        }
+    }
+
+    /// Merges a later grid point by point ([`Welford::merge`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if both grids are non-empty and of different lengths.
+    pub fn merge(&mut self, later: &WelfordGrid) {
+        if self.points.is_empty() {
+            self.points.resize(later.points.len(), Welford::new());
+        }
+        if later.points.is_empty() {
+            return;
+        }
+        assert_eq!(self.points.len(), later.points.len(), "grid length changed");
+        for (w, l) in self.points.iter_mut().zip(&later.points) {
+            w.merge(l);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,6 +441,43 @@ mod tests {
         w.record(3.0);
         assert_eq!(w.mean(), 3.0);
         assert!(w.sample_variance().is_nan());
+    }
+
+    #[test]
+    fn welford_grid_points_are_lone_welfords_bit_for_bit() {
+        // Two "chunks" of three-point samples, merged into an empty run
+        // value as the runner does, against one lone Welford per point.
+        let chunks: [&[[f64; 3]]; 2] = [
+            &[[0.5, 0.25, 1.0], [0.125, 0.75, 1.0]],
+            &[[1.0, 1e-9, 1.0], [0.3, 0.1, 1.0], [0.7, 0.6, 1.0]],
+        ];
+        let mut run = WelfordGrid::default();
+        let mut lone = [Welford::new(); 3];
+        for chunk in chunks {
+            let mut acc = WelfordGrid::default();
+            let mut lone_chunk = [Welford::new(); 3];
+            for row in chunk {
+                acc.record(&GridSample::from_fn(3, |i| row[i]));
+                for (w, &x) in lone_chunk.iter_mut().zip(row) {
+                    w.record(x);
+                }
+            }
+            run.merge(&acc);
+            for (w, l) in lone.iter_mut().zip(&lone_chunk) {
+                w.merge(l);
+            }
+        }
+        let raw = |ws: &[Welford]| ws.iter().map(Welford::raw_parts).collect::<Vec<_>>();
+        assert_eq!(raw(run.points()), raw(&lone));
+        assert_eq!(run.points()[2].mean(), 1.0);
+        run.merge(&WelfordGrid::default());
+        assert_eq!(raw(run.points()), raw(&lone));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the capacity")]
+    fn grid_sample_rejects_more_points_than_it_holds() {
+        let _ = GridSample::from_fn(GridSample::CAPACITY + 1, |_| 1.0);
     }
 
     proptest! {

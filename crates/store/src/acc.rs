@@ -7,7 +7,7 @@
 //! not associative and a reconstructed accumulator has to re-enter the
 //! fold exactly where the producing run left it.
 
-use montecarlo::{BernoulliEstimate, ChunkPrefix, Histogram, RunReport, Welford};
+use montecarlo::{BernoulliEstimate, ChunkPrefix, Histogram, RunReport, Welford, WelfordGrid};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -47,6 +47,8 @@ pub enum AccState {
     Mean(MeanState),
     /// A dense integer histogram.
     Hist(HistState),
+    /// One Welford accumulator per grid point, in grid order.
+    MeanGrid(Vec<MeanState>),
 }
 
 /// Bit-exact round-tripping between a runner accumulator and [`AccState`].
@@ -76,19 +78,44 @@ impl CacheableAcc for BernoulliEstimate {
     }
 }
 
-impl CacheableAcc for Welford {
-    fn to_state(&self) -> AccState {
-        let (count, mean_bits, m2_bits) = self.raw_parts();
-        AccState::Mean(MeanState {
+impl MeanState {
+    fn of(w: &Welford) -> MeanState {
+        let (count, mean_bits, m2_bits) = w.raw_parts();
+        MeanState {
             count,
             mean_bits,
             m2_bits,
-        })
+        }
+    }
+
+    fn welford(&self) -> Welford {
+        Welford::from_raw_parts(self.count, self.mean_bits, self.m2_bits)
+    }
+}
+
+impl CacheableAcc for Welford {
+    fn to_state(&self) -> AccState {
+        AccState::Mean(MeanState::of(self))
     }
 
     fn from_state(state: &AccState) -> Option<Welford> {
         match state {
-            AccState::Mean(s) => Some(Welford::from_raw_parts(s.count, s.mean_bits, s.m2_bits)),
+            AccState::Mean(s) => Some(s.welford()),
+            _ => None,
+        }
+    }
+}
+
+impl CacheableAcc for WelfordGrid {
+    fn to_state(&self) -> AccState {
+        AccState::MeanGrid(self.points().iter().map(MeanState::of).collect())
+    }
+
+    fn from_state(state: &AccState) -> Option<WelfordGrid> {
+        match state {
+            AccState::MeanGrid(points) => Some(WelfordGrid::from_points(
+                points.iter().map(MeanState::welford).collect(),
+            )),
             _ => None,
         }
     }
@@ -235,6 +262,31 @@ mod tests {
     }
 
     #[test]
+    fn welford_grid_roundtrips_bit_exactly() {
+        let mut grid = WelfordGrid::default();
+        for row in [[0.1, 1.0, 1e-300], [0.7, 1.0, 5e-324], [-3.25, 1.0, 0.0]] {
+            grid.record(&montecarlo::GridSample::from_fn(3, |i| row[i]));
+        }
+        let state = grid.to_state();
+        let back = WelfordGrid::from_state(&state).unwrap();
+        let raw = |g: &WelfordGrid| {
+            g.points()
+                .iter()
+                .map(Welford::raw_parts)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(raw(&back), raw(&grid));
+        // Through the JSON shim too: the floats travel as bit patterns.
+        let json = serde_json::to_string(&state).unwrap();
+        let back: AccState = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, state);
+        assert_eq!(raw(&WelfordGrid::from_state(&back).unwrap()), raw(&grid));
+        // The empty grid (a run of zero trials) round-trips as well.
+        let empty = WelfordGrid::default();
+        assert_eq!(WelfordGrid::from_state(&empty.to_state()), Some(empty));
+    }
+
+    #[test]
     fn histogram_roundtrips() {
         let h: Histogram = [0u64, 2, 2, 7, 2].into_iter().collect();
         let back = Histogram::from_state(&h.to_state()).unwrap();
@@ -246,6 +298,17 @@ mod tests {
         let est = BernoulliEstimate::from_counts(1, 2);
         assert!(Welford::from_state(&est.to_state()).is_none());
         assert!(Histogram::from_state(&est.to_state()).is_none());
+        let grid = WelfordGrid::from_points(vec![Welford::new(); 2]);
+        for other in [
+            est.to_state(),
+            Welford::new().to_state(),
+            Histogram::default().to_state(),
+        ] {
+            assert!(WelfordGrid::from_state(&other).is_none(), "{other:?}");
+        }
+        assert!(Welford::from_state(&grid.to_state()).is_none());
+        assert!(BernoulliEstimate::from_state(&grid.to_state()).is_none());
+        assert!(Histogram::from_state(&grid.to_state()).is_none());
     }
 
     #[test]

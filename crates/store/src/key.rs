@@ -47,7 +47,8 @@ pub const CANON_VERSION: &str = "mmrk2";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeySpec {
     /// Kernel version tag plus result kind, e.g.
-    /// `"mmr-kernels-v3/survival"` (kinds: `survival`, `windows`, `rb`).
+    /// `"mmr-kernels-v3/survival"` (kinds: `survival`, `windows`, `rb`,
+    /// `rb-grid/<ns>`).
     pub kernel: String,
     /// The reorder matrix in its canonical 4-character Table-1 form
     /// (`....` = SC, `.X..` = TSO, `XX..` = PSO, `XXXX` = WO).

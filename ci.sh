@@ -108,14 +108,14 @@ cargo test -q --offline -p mmr-bench --test metrics_doc
 # recoverable fault) must recover to results bit-identical with a
 # fault-free run, modulo timing metadata and the fault ledger. Each side
 # writes a fresh cache directory, and the chaos run must really tear one,
-# a write of thm63's shared-draw grids among them.
+# a write of thm61's and of thm63's shared-draw grids among them.
 CHAOS_DIR="$(mktemp -d)"
 cargo run --release --offline -p mmr-bench --bin experiments -- \
   --quick --seed 20110606 --cache "$CHAOS_DIR/clean-cache" \
-  --json "$CHAOS_DIR/clean.json" lem42 thm62 thm63
+  --json "$CHAOS_DIR/clean.json" lem42 thm61 thm62 thm63
 cargo run --release --offline -p mmr-bench --bin experiments -- \
   --quick --seed 20110606 --cache "$CHAOS_DIR/chaos-cache" \
-  --json "$CHAOS_DIR/chaos.json" --chaos 20110606:torn lem42 thm62 thm63
+  --json "$CHAOS_DIR/chaos.json" --chaos 20110606:torn lem42 thm61 thm62 thm63
 python3 - "$CHAOS_DIR/clean.json" "$CHAOS_DIR/chaos.json" <<'EOF2'
 import json, sys
 def strip(node):
@@ -130,8 +130,9 @@ def strip(node):
 clean, chaos = (json.load(open(p)) for p in sys.argv[1:3])
 torn = sum(e["fault_ledger"]["injected_torn_writes"] for e in chaos["experiments"])
 assert torn > 0, "the chaos plan tore no cache write"
-grid = next(e for e in chaos["experiments"] if e["id"] == "thm63")
-assert grid["fault_ledger"]["injected_torn_writes"] > 0, "no thm63 grid write was torn"
+for grid_id in ("thm61", "thm63"):
+    grid = next(e for e in chaos["experiments"] if e["id"] == grid_id)
+    assert grid["fault_ledger"]["injected_torn_writes"] > 0, f"no {grid_id} grid write was torn"
 strip(clean); strip(chaos)
 assert clean == chaos, "chaos run diverged from the fault-free run"
 print(f"chaos smoke ok: {torn} torn write(s) recovered, results bit-identical")
@@ -141,17 +142,17 @@ rm -rf "$CHAOS_DIR"
 # Result-cache smoke: the same seeded experiment run against a --cache
 # directory must be bit-identical cold (populating) and warm (served from
 # the store), the warm run must actually hit (mc.cache.hits > 0 in its
-# metrics snapshot) and miss nothing (thm63's shared-draw grids
-# included), and an unusable cache directory must degrade to an
+# metrics snapshot) and miss nothing (thm61's and thm63's shared-draw
+# grids included), and an unusable cache directory must degrade to an
 # uncached run — results intact, typed warning, exit code 2 (the
 # --metrics/--flight error contract).
 CACHE_DIR="$(mktemp -d)"
 cargo run --release --offline -p mmr-bench --bin experiments -- \
   --quick --seed 20110606 --cache "$CACHE_DIR/store" \
-  --json "$CACHE_DIR/cold.json" lem42 thm62 thm63
+  --json "$CACHE_DIR/cold.json" lem42 thm61 thm62 thm63
 cargo run --release --offline -p mmr-bench --bin experiments -- \
   --quick --seed 20110606 --cache "$CACHE_DIR/store" \
-  --json "$CACHE_DIR/warm.json" --metrics "$CACHE_DIR/warm_metrics.json" lem42 thm62 thm63
+  --json "$CACHE_DIR/warm.json" --metrics "$CACHE_DIR/warm_metrics.json" lem42 thm61 thm62 thm63
 grep -vE '"(elapsed_secs|threads|host_cores|trials_per_sec)":' "$CACHE_DIR/cold.json" > "$CACHE_DIR/cold.stripped"
 grep -vE '"(elapsed_secs|threads|host_cores|trials_per_sec)":' "$CACHE_DIR/warm.json" > "$CACHE_DIR/warm.stripped"
 diff "$CACHE_DIR/cold.stripped" "$CACHE_DIR/warm.stripped"
@@ -160,13 +161,13 @@ import json, sys
 counters = {c["name"]: c["value"] for c in json.load(open(sys.argv[1]))["counters"]}
 assert counters.get("mc.cache.hits", 0) > 0, f"warm run produced no cache hits: {counters}"
 assert counters.get("mc.cache.errors", 0) == 0, f"cache errors on a healthy store: {counters}"
-assert counters.get("mc.cache.misses", 0) == 0, f"a warm request missed (thm63's grid?): {counters}"
+assert counters.get("mc.cache.misses", 0) == 0, f"a warm request missed (a shared-draw grid?): {counters}"
 print(f"cache smoke ok: {counters['mc.cache.hits']} hits, {counters.get('mc.cache.misses', 0)} misses")
 EOF2
 CACHE_RC=0
 cargo run --release --offline -p mmr-bench --bin experiments -- \
   --quick --seed 20110606 --cache "$CACHE_DIR/cold.json/not-a-dir" \
-  --json "$CACHE_DIR/degraded.json" lem42 thm62 thm63 \
+  --json "$CACHE_DIR/degraded.json" lem42 thm61 thm62 thm63 \
   2> "$CACHE_DIR/degraded.log" || CACHE_RC=$?
 test "$CACHE_RC" -eq 2
 grep -q "result cache disabled" "$CACHE_DIR/degraded.log"

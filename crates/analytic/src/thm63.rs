@@ -85,10 +85,14 @@ pub fn sandwich_width(n: u32) -> f64 {
 pub fn log2_survival_iid_windows(n: u32, pmf: impl Fn(u64) -> f64, gamma_max: u64) -> f64 {
     assert!(n >= 1, "need at least one thread");
     let ln2 = std::f64::consts::LN_2;
+    // One pmf evaluation per γ, shared by every i: the law is the costly
+    // part (a series per point), the powers are exact.
+    let law: Vec<f64> = (0..=gamma_max).map(pmf).collect();
     let mut log2_product = 0.0;
     for i in 1..n {
         let e: f64 = (0..=gamma_max)
-            .map(|gamma| pmf(gamma) * 2f64.powi(-((i as i32) * (gamma as i32 + 2))))
+            .zip(&law)
+            .map(|(gamma, &p)| p * 2f64.powi(-((i as i32) * (gamma as i32 + 2))))
             .sum();
         log2_product += e.log2();
     }

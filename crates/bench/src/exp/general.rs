@@ -5,10 +5,10 @@
 use crate::{sweep, verdict, Ctx};
 use analytic::general::{GeneralWindowLaws, Params};
 use memmodel::{MemoryModel, OpType, SettleProbs};
-use mmr_core::{direct_trial, TrialScratch};
-use montecarlo::{chi_square_gof, BernoulliEstimate, Histogram, Runner, Seed};
+use mmr_core::{direct_trial, ReliabilityModel, TrialScratch};
+use montecarlo::{chi_square_gof, BernoulliEstimate, Runner, Seed};
 use progmodel::{Program, ProgramGenerator};
-use settle::{ProgramShape, SettleScratch, Settler};
+use settle::Settler;
 use shiftproc::ShiftProcess;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -72,33 +72,15 @@ pub fn run(ctx: &Ctx) -> String {
         law_grid,
         ctx.threads,
         move |_, &(pi, p, s, mi, model, ref laws)| {
-            let st = settler(model, s);
-            let gen = ProgramGenerator::new(M)
+            let h = ReliabilityModel::new(model, 1)
+                .with_settler(settler(model, s))
                 .with_store_probability(p)
-                .expect("valid p");
-            let h = Runner::new(Seed(seed.wrapping_add((pi * 10 + mi) as u64) ^ 0x6E))
-                .with_threads(inner)
-                .run::<Histogram, _>(
+                .expect("valid p")
+                .window_histogram_with(
                     trials / 2,
-                    move || (ProgramShape::new(&blank()), SettleScratch::new()),
-                    move |(shape, scratch), rng| {
-                        let mut gamma = [0];
-                        let key = gen.draw_key(rng);
-                        st.sample_gammas_keyed(
-                            shape,
-                            gen.store_threshold(),
-                            key,
-                            &mut gamma,
-                            scratch,
-                            rng,
-                        );
-                        gamma[0]
-                    },
-                    None,
-                )
-                .expect("panic-free simulation")
-                .0
-                .value;
+                    seed.wrapping_add((pi * 10 + mi) as u64) ^ 0x6E,
+                    inner,
+                );
             let gof = chi_square_gof(&h, |g| laws.pmf(model, g).expect("named"), 5.0);
             (p, s, model, gof)
         },
@@ -209,20 +191,12 @@ pub fn run(ctx: &Ctx) -> String {
     );
     // Confirm the inversion by simulation, not just the series.
     let sim = |model: MemoryModel, salt: u64| {
-        let st = settler(model, 0.8);
-        let gen = ProgramGenerator::new(M);
-        let report = Runner::new(Seed(ctx.seed ^ salt))
-            .with_threads(ctx.threads)
-            .run::<BernoulliEstimate, _>(
+        let report = ReliabilityModel::new(model, 2)
+            .with_settler(settler(model, 0.8))
+            .simulate_survival_runner(
+                &Runner::new(Seed(ctx.seed ^ salt)).with_threads(ctx.threads),
                 ctx.trials,
-                move || TrialScratch::new(&blank(), 2),
-                move |scratch, rng| {
-                    direct_trial(&st, &gen, &ShiftProcess::canonical(), 2, scratch, rng)
-                },
-                None,
-            )
-            .expect("panic-free simulation")
-            .0;
+            );
         crate::diag::record_report(format!("general.high_s.{}", model.short_name()), &report);
         report.value
     };

@@ -1,102 +1,75 @@
 //! EXP-THM61: Theorem 6.1 — the exchangeability reduction.
 
+use crate::diag::{self, EstimatorDiag};
 use crate::{verdict, Ctx};
 use memmodel::MemoryModel;
 use mmr_core::ReliabilityModel;
-use montecarlo::{Runner, Seed, Welford};
-use shiftproc::{exact, exchangeable};
 use std::fmt::Write as _;
+use std::time::{Duration, Instant};
+
+/// The thread counts of each model's grid.
+const NS: [usize; 3] = [2, 3, 4];
 
 /// Validates that for exchangeable window vectors, averaging the full exact
-/// `Pr[A(Γ̄)]` equals the `n!·E[Π 2^{-iΓᵢ}]` single-term estimator — on both
-/// synthetic iid lengths and real TSO window vectors (which are dependent
-/// through the shared program, exactly the case the theorem covers).
+/// `Pr[A(Γ̄)]` equals the `n!·E[Π 2^{-iΓᵢ}]` single-term estimator on real
+/// TSO and WO window vectors (TSO's are dependent through the shared
+/// program, exactly the case the theorem covers), and that the factor's
+/// expectation does not depend on the order of the windows.
+///
+/// One shared-draw grid per model serves every estimator at every `n`
+/// ([`ReliabilityModel::estimate_exchangeability_grid_with`]): the exact
+/// mean and the estimator, and the forward and reversed factors, are
+/// paired over the same window vectors.
 pub fn run(ctx: &Ctx) -> String {
     let mut out = String::new();
     let mut ok = true;
+    let mut tso = Vec::new();
+    let mut tso_elapsed = Duration::ZERO;
 
     for (label, model) in [
         ("TSO windows", MemoryModel::Tso),
         ("WO windows", MemoryModel::Wo),
     ] {
-        for n in [2usize, 3, 4] {
-            let rm = ReliabilityModel::new(model, n);
-            // Mean of exact conditional probabilities.
-            let exact_mean = Runner::new(Seed(ctx.seed ^ (n as u64) << 3))
-                .with_threads(ctx.threads)
-                .run::<Welford, _>(
-                    ctx.trials / 2,
-                    move || rm.scratch(),
-                    move |scratch, rng| {
-                        let w = rm.sample_windows_scratch(scratch, rng);
-                        exact::pr_disjoint(w)
-                    },
-                    None,
-                )
-                .expect("panic-free simulation")
-                .0
-                .value;
-            // Exchangeable estimator from the same distribution.
-            let est = rm.estimate_survival_rb_with(ctx.trials / 2, ctx.seed ^ 0x61, ctx.threads);
-            let rel = (est.survival() - exact_mean.mean()).abs() / exact_mean.mean();
+        let start = Instant::now();
+        let grid = ReliabilityModel::new(model, 4).estimate_exchangeability_grid_with(
+            &NS,
+            ctx.trials / 2,
+            ctx.seed ^ 0x61,
+            ctx.threads,
+        );
+        for point in &grid {
+            let (exact_mean, est) = (point.exact.mean(), point.rb().survival());
+            let rel = (est - exact_mean).abs() / exact_mean;
             let pass = rel < 0.08;
             ok &= pass;
             let _ = writeln!(
                 out,
-                "{label} n={n}: E[exact Pr[A(G)]] = {:.6}, Thm 6.1 estimator = {:.6} (rel err {:.4}) -> {}",
-                exact_mean.mean(),
-                est.survival(),
-                rel,
+                "{label} n={}: E[exact Pr[A(G)]] = {exact_mean:.6}, Thm 6.1 estimator = {est:.6} (rel err {rel:.4}) -> {}",
+                point.n,
                 verdict(pass)
             );
+        }
+        if model == MemoryModel::Tso {
+            (tso, tso_elapsed) = (grid, start.elapsed());
         }
     }
 
     // Position-invariance: the single-term factor must be exchangeable —
     // permuting a window vector changes the factor but not its expectation.
-    let rm = ReliabilityModel::new(MemoryModel::Tso, 3);
-    let forward_report = Runner::new(Seed(ctx.seed ^ 0x611))
-        .with_threads(ctx.threads)
-        .run::<Welford, _>(
-            ctx.trials / 2,
-            move || rm.scratch(),
-            move |scratch, rng| {
-                let w = rm.sample_windows_scratch(scratch, rng);
-                exchangeable::sample_factor(w, 2)
-            },
-            None,
-        )
-        .expect("panic-free simulation")
-        .0;
-    crate::diag::record_report("thm61.factor_forward", &forward_report);
-    let forward = forward_report.value;
-    let reversed_report = Runner::new(Seed(ctx.seed ^ 0x612))
-        .with_threads(ctx.threads)
-        .run::<Welford, _>(
-            ctx.trials / 2,
-            move || (rm.scratch(), Vec::new()),
-            move |(scratch, buf), rng| {
-                let w = rm.sample_windows_scratch(scratch, rng);
-                buf.clear();
-                buf.extend_from_slice(w);
-                buf.reverse();
-                exchangeable::sample_factor(buf, 2)
-            },
-            None,
-        )
-        .expect("panic-free simulation")
-        .0;
-    crate::diag::record_report("thm61.factor_reversed", &reversed_report);
-    let reversed = reversed_report.value;
-    let rel = (forward.mean() - reversed.mean()).abs() / forward.mean();
+    let point = tso.iter().find(|p| p.n == 3).expect("the grid holds n = 3");
+    for (name, stats) in [
+        ("thm61.factor_forward", &point.factor),
+        ("thm61.factor_reversed", &point.reversed),
+    ] {
+        diag::record(EstimatorDiag::from_stats(name, stats, tso_elapsed));
+    }
+    let (forward, reversed) = (point.factor.mean(), point.reversed.mean());
+    let rel = (forward - reversed).abs() / forward;
     let sym_ok = rel < 0.05;
     ok &= sym_ok;
     let _ = writeln!(
         out,
-        "\nexchangeability: E[factor] forward {:.6} vs reversed {:.6} (rel {:.4}) -> {}",
-        forward.mean(),
-        reversed.mean(),
-        rel,
+        "\nexchangeability: E[factor] forward {forward:.6} vs reversed {reversed:.6} (rel {rel:.4}) -> {}",
         verdict(sym_ok)
     );
 

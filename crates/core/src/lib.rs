@@ -46,4 +46,4 @@ mod telemetry;
 pub use compare::{ModelComparison, ModelRow};
 pub use model::{direct_trial, ReliabilityModel, TrialScratch, DEFAULT_M};
 pub use scaling::{scaling_curve, scaling_curve_with, ScalingPoint};
-pub use survival::RbSurvival;
+pub use survival::{ExchangeabilityPoint, RbSurvival};

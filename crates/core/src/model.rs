@@ -5,7 +5,7 @@ use montecarlo::{BernoulliEstimate, GridSample, Histogram, RunReport, Runner, Se
 use progmodel::{Program, ProgramGenerator};
 use rand::Rng;
 use settle::{KeyedWindows, ProgramShape, SettleScratch, Settler};
-use shiftproc::{exchangeable, ShiftProcess, ShiftScratch};
+use shiftproc::{exact, exchangeable, ShiftProcess, ShiftScratch};
 use std::fmt;
 
 /// Default filler length; window-law truncation error decays like `2^-m`.
@@ -298,6 +298,60 @@ impl ReliabilityModel {
             let n = ns[k];
             assert!(n <= self.n, "grid point n={n} above the model's {}", self.n);
             exchangeable::sample_factor_with(n, 2, |i| windows.gamma(i) + 2)
+        })
+    }
+
+    /// One trial of the shared-draw exchangeability grid: one program key,
+    /// one [`Settler::keyed_windows`] over this model's `n` windows, the
+    /// first `max(ns)` of them read once, then three columns per `ns[k]`,
+    /// at `3k`, `3k + 1` and `3k + 2`: the exact conditional
+    /// `Pr[A | Γ̄]` ([`exact::pr_disjoint`]), the Rao-Blackwellised factor
+    /// ([`exchangeable::sample_factor`]) and the factor of the same
+    /// windows in reverse order, all of the first `ns[k]` windows.
+    ///
+    /// The draws are those of one `n`-thread trial of
+    /// [`estimate_survival_rb`](ReliabilityModel::estimate_survival_rb):
+    /// the settle keys are drawn when the windows open, so settling the
+    /// last window, which the factor never reads, draws nothing more. The
+    /// windows and the reversal live in fixed arrays, so a trial on warm
+    /// scratch allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some `ns[k]` exceeds this model's thread count or
+    /// [`exact::MAX_SUBSET_N`], or if `ns` has more than
+    /// [`GridSample::CAPACITY`]` / 3` points.
+    pub fn exchangeability_grid_sample<R: Rng + ?Sized>(
+        &self,
+        ns: &[usize],
+        scratch: &mut TrialScratch,
+        rng: &mut R,
+    ) -> GridSample {
+        let top = ns.iter().copied().max().unwrap_or(0);
+        assert!(
+            top <= self.n.min(exact::MAX_SUBSET_N),
+            "grid point n={top} above the model's {} or the exact route's {}",
+            self.n,
+            exact::MAX_SUBSET_N
+        );
+        let mut lengths = [0u64; exact::MAX_SUBSET_N];
+        let mut windows = self.keyed_windows(scratch, rng);
+        for (i, len) in lengths[..top].iter_mut().enumerate() {
+            *len = windows.gamma(i) + 2;
+        }
+        let mut reversed = [0u64; exact::MAX_SUBSET_N];
+        GridSample::from_fn(3 * ns.len(), |c| {
+            let prefix = &lengths[..ns[c / 3]];
+            match c % 3 {
+                0 => exact::pr_disjoint(prefix),
+                1 => exchangeable::sample_factor(prefix, 2),
+                _ => {
+                    let back = &mut reversed[..prefix.len()];
+                    back.copy_from_slice(prefix);
+                    back.reverse();
+                    exchangeable::sample_factor(back, 2)
+                }
+            }
         })
     }
 
@@ -668,6 +722,51 @@ mod tests {
                 let settled = grid_scratch.settle.windows_settled();
                 assert!(
                     settled == top.saturating_sub(1) || (settled == 0 && model == MemoryModel::Sc),
+                    "{m} ns={ns:?}: {settled}"
+                );
+            }
+            assert_eq!(grid_rng, eager_rng, "{m}: RNG streams diverged");
+        }
+    }
+
+    #[test]
+    fn exchangeability_columns_are_the_eager_columns_of_window_prefixes() {
+        // Random (model, n, grid): columns 3k, 3k + 1 and 3k + 2 must be
+        // pr_disjoint, sample_factor and the reversed sample_factor of the
+        // first ns[k] windows of sample_windows_scratch bit for bit, with
+        // the same RNG end state and the first max(ns) windows settled.
+        let mut cases = SmallRng::seed_from_u64(65);
+        for _ in 0..300 {
+            let model = MemoryModel::NAMED[cases.gen_range(0..4)];
+            let n = cases.gen_range(1..=8);
+            let ns: Vec<usize> = (0..cases.gen_range(1..=GridSample::CAPACITY / 3))
+                .map(|_| cases.gen_range(1..=n))
+                .collect();
+            let m = ReliabilityModel::new(model, n).with_filler_len(cases.gen_range(0..=64));
+            let (mut eager_scratch, mut grid_scratch) = (m.scratch(), m.scratch());
+            let mut eager_rng = SmallRng::seed_from_u64(cases.gen());
+            let mut grid_rng = eager_rng.clone();
+            for _ in 0..20 {
+                let windows = m.sample_windows_scratch(&mut eager_scratch, &mut eager_rng);
+                let sample = m.exchangeability_grid_sample(&ns, &mut grid_scratch, &mut grid_rng);
+                for (k, &len) in ns.iter().enumerate() {
+                    let prefix = &windows[..len];
+                    let mut back = prefix.to_vec();
+                    back.reverse();
+                    let eager = [
+                        exact::pr_disjoint(prefix),
+                        exchangeable::sample_factor(prefix, 2),
+                        exchangeable::sample_factor(&back, 2),
+                    ];
+                    for (c, want) in eager.iter().enumerate() {
+                        let got = sample.values()[3 * k + c];
+                        assert_eq!(got.to_bits(), want.to_bits(), "{m} ns={ns:?} k={k} c={c}");
+                    }
+                }
+                let top = ns.iter().copied().max().unwrap_or(0);
+                let settled = grid_scratch.settle.windows_settled();
+                assert!(
+                    settled == top || (settled == 0 && model == MemoryModel::Sc),
                     "{m} ns={ns:?}: {settled}"
                 );
             }

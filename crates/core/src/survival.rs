@@ -1,9 +1,10 @@
 //! Survival-probability estimation, including the Rao-Blackwellised route.
 
-use crate::ReliabilityModel;
+use crate::{ReliabilityModel, TrialScratch};
 use analytic::{thm62, thm63};
 use memmodel::MemoryModel;
 use montecarlo::{GridSample, Runner, Seed, Welford, WelfordGrid};
+use rand::rngs::SmallRng;
 use shiftproc::exchangeable;
 
 /// A Rao-Blackwellised survival estimate (Theorem 6.1).
@@ -50,6 +51,35 @@ impl RbSurvival {
     #[must_use]
     pub fn normalized_exponent(&self, n: usize) -> f64 {
         -self.log2_survival / (n as f64 * n as f64)
+    }
+}
+
+/// One thread count of the exchangeability grid
+/// ([`ReliabilityModel::estimate_exchangeability_grid_with`]): three
+/// estimators of `Pr[A]` folded over the same window vectors.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExchangeabilityPoint {
+    /// The thread count `n`.
+    pub n: usize,
+    /// The exact conditional `Pr[A | Γ̄]` of each vector: its mean is
+    /// `Pr[A]`.
+    pub exact: Welford,
+    /// The Theorem 6.1 factor of each vector in draw order.
+    pub factor: Welford,
+    /// The factor of each vector in reverse order: by exchangeability its
+    /// mean is `factor`'s.
+    pub reversed: Welford,
+}
+
+impl ExchangeabilityPoint {
+    /// The Rao-Blackwellised estimate from [`factor`](Self::factor).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no factor was sampled.
+    #[must_use]
+    pub fn rb(&self) -> RbSurvival {
+        RbSurvival::from_factors(self.n, &self.factor)
     }
 }
 
@@ -118,34 +148,112 @@ impl ReliabilityModel {
         seed: u64,
         workers: usize,
     ) -> Vec<RbSurvival> {
+        self.check_grid(ns, GridSample::CAPACITY);
+        let grid_ns = ns.to_vec();
+        let columns = self.run_grid(
+            "rb-grid",
+            ns,
+            trials,
+            seed,
+            workers,
+            move |m, scratch, rng| m.rb_grid_factors(&grid_ns, scratch, rng),
+        );
+        ns.iter()
+            .enumerate()
+            .map(|(k, &n)| RbSurvival::from_factors(n, &columns(k)))
+            .collect()
+    }
+
+    /// Three estimators of `Pr[A]` at every thread count of `ns` from one
+    /// shared draw: each of the `trials` trials draws one program and this
+    /// model's windows, and every `ns[k]` reads the first `ns[k]` of them
+    /// for the exact conditional `Pr[A | Γ̄]`, the Theorem 6.1 factor and
+    /// the factor of the reversed vector
+    /// ([`exchangeability_grid_sample`](ReliabilityModel::exchangeability_grid_sample)).
+    ///
+    /// Given the program the windows are i.i.d., so one prefix is a valid
+    /// window vector for all three estimators at every smaller `n`: the
+    /// exact mean and the Rao-Blackwellised estimate of Theorem 6.1 are
+    /// paired over the same vectors, as are the forward and reversed
+    /// factors, so their differences carry no independent sampling noise.
+    /// The factor column at `ns[k] = n` is
+    /// [`estimate_survival_rb_with`]'s estimate at `seed` bit for bit.
+    /// Cached under the result kind `rb-exact-grid/<ns>`, e.g.
+    /// `rb-exact-grid/2,3,4`. Speed only: the estimates are bit-for-bit
+    /// identical for any `workers`.
+    ///
+    /// [`estimate_survival_rb_with`]: ReliabilityModel::estimate_survival_rb_with
+    ///
+    /// # Panics
+    ///
+    /// Panics if some `ns[k]` is 0 or exceeds this model's thread count or
+    /// [`shiftproc::exact::MAX_SUBSET_N`], or if `ns` has more than
+    /// [`GridSample::CAPACITY`]` / 3` points.
+    #[must_use]
+    pub fn estimate_exchangeability_grid_with(
+        &self,
+        ns: &[usize],
+        trials: u64,
+        seed: u64,
+        workers: usize,
+    ) -> Vec<ExchangeabilityPoint> {
+        self.check_grid(ns, GridSample::CAPACITY / 3);
+        let grid_ns = ns.to_vec();
+        let columns = self.run_grid(
+            "rb-exact-grid",
+            ns,
+            trials,
+            seed,
+            workers,
+            move |m, scratch, rng| m.exchangeability_grid_sample(&grid_ns, scratch, rng),
+        );
+        ns.iter()
+            .enumerate()
+            .map(|(k, &n)| ExchangeabilityPoint {
+                n,
+                exact: columns(3 * k),
+                factor: columns(3 * k + 1),
+                reversed: columns(3 * k + 2),
+            })
+            .collect()
+    }
+
+    /// Panics unless every point of `ns` lies in `1..=threads` and there
+    /// are at most `points` of them.
+    fn check_grid(&self, ns: &[usize], points: usize) {
         assert!(
             ns.iter().all(|&n| (1..=self.threads()).contains(&n)),
             "grid {ns:?} outside 1..={} threads",
             self.threads()
         );
         assert!(
-            ns.len() <= GridSample::CAPACITY,
-            "{} grid points exceed the capacity of {}",
-            ns.len(),
-            GridSample::CAPACITY
+            ns.len() <= points,
+            "{} grid points exceed the capacity of {points}",
+            ns.len()
         );
+    }
+
+    /// Runs a shared-draw grid trial through the cache seam under the
+    /// result kind `<kind>/<ns>` and returns its columns by index. A run of
+    /// no trials leaves the grid empty: every column is then an empty
+    /// [`Welford`], which fails as an empty `rb` estimate does.
+    fn run_grid(
+        &self,
+        kind: &str,
+        ns: &[usize],
+        trials: u64,
+        seed: u64,
+        workers: usize,
+        trial: impl Fn(&ReliabilityModel, &mut TrialScratch, &mut SmallRng) -> GridSample
+            + Send
+            + Sync
+            + 'static,
+    ) -> impl Fn(usize) -> Welford {
         let runner = Runner::new(Seed(seed)).with_threads(workers);
-        let grid_ns = ns.to_vec();
         let grid: WelfordGrid = self
-            .run_cached(
-                &rb_grid_kind(ns),
-                &runner,
-                trials,
-                move |m, scratch, rng| m.rb_grid_factors(&grid_ns, scratch, rng),
-            )
+            .run_cached(&grid_kind(kind, ns), &runner, trials, trial)
             .value;
-        // A run of no trials leaves the grid empty: every column then
-        // fails as an empty `rb` estimate does.
-        let empty = Welford::new();
-        ns.iter()
-            .enumerate()
-            .map(|(k, &n)| RbSurvival::from_factors(n, grid.points().get(k).unwrap_or(&empty)))
-            .collect()
+        move |i| grid.points().get(i).copied().unwrap_or_default()
     }
 
     /// The paper's analytic bounds `(lo, hi)` on `Pr[A]`, where available:
@@ -176,16 +284,17 @@ impl ReliabilityModel {
     }
 }
 
-/// The cache result kind of the shared-draw grid over `ns`, e.g.
+/// The cache result kind of a shared-draw grid over `ns`, e.g.
 /// `rb-grid/2,3,4,6,8,12,16`: the grid's points in the caller's order.
-fn rb_grid_kind(ns: &[usize]) -> String {
+fn grid_kind(kind: &str, ns: &[usize]) -> String {
     let points: Vec<String> = ns.iter().map(usize::to_string).collect();
-    format!("rb-grid/{}", points.join(","))
+    format!("{kind}/{}", points.join(","))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shiftproc::exact;
 
     const TRIALS: u64 = if cfg!(debug_assertions) {
         20_000
@@ -316,7 +425,7 @@ mod tests {
         // cached grid silently. WO at thm63's standard seed and trials.
         let m = ReliabilityModel::new(MemoryModel::Wo, 16);
         let runner = Runner::new(Seed((20_110_606 ^ 0x63) + 3 * 1009 + 6));
-        let key = m.request_key(&rb_grid_kind(&GRID), &runner, 100_000);
+        let key = m.request_key(&grid_kind("rb-grid", &GRID), &runner, 100_000);
         assert_eq!(
             key.canon(),
             "mmrk2|kernel=mmr-kernels-v3/rb-grid/2,3,4,6,8,12,16|matrix=XXXX|n=16|m=64|\
@@ -339,6 +448,115 @@ mod tests {
         let above =
             std::panic::catch_unwind(|| m.estimate_survival_rb_grid_with(&[2, 9], 10, 3, 1));
         assert!(above.is_err(), "n = 9 on an 8-thread model must panic");
+    }
+
+    const EXCHANGEABILITY: [usize; 3] = [2, 3, 4];
+
+    #[test]
+    fn exchangeability_factor_column_is_the_lone_rb_estimate_bit_for_bit() {
+        // The n = 4 factor column reads the windows of a 4-thread `rb`
+        // trial in its draw order; settling the last window, which `rb`
+        // skips, draws nothing. Three chunks and a tail.
+        let trials = 3 * montecarlo::CHUNK_WIDTH + 100;
+        for model in MemoryModel::NAMED {
+            let m = ReliabilityModel::new(model, 4);
+            let seed = 0x6100 + model.short_name().len() as u64;
+            let grid = m.estimate_exchangeability_grid_with(&EXCHANGEABILITY, trials, seed, 2);
+            let lone = m.estimate_survival_rb_with(trials, seed, 1);
+            let top = grid[2].rb();
+            assert_eq!(grid[2].n, 4);
+            assert_eq!(top.log2_survival.to_bits(), lone.log2_survival.to_bits());
+            assert_eq!(top.mean_factor.to_bits(), lone.mean_factor.to_bits());
+            assert_eq!(top.factor_sem.to_bits(), lone.factor_sem.to_bits());
+            assert_eq!(top.samples, trials);
+        }
+    }
+
+    #[test]
+    fn exchangeability_columns_are_a_reference_loop_over_window_vectors() {
+        // The reference: every window settled up front, each column from a
+        // fresh slice, the reversal through a Vec — folded by the same
+        // runner at the same seed.
+        let trials = montecarlo::CHUNK_WIDTH + 700;
+        for model in MemoryModel::NAMED {
+            let m = ReliabilityModel::new(model, 4);
+            let seed = 0x6110 + model.short_name().len() as u64;
+            let reference: WelfordGrid = Runner::new(Seed(seed))
+                .run(
+                    trials,
+                    move || (m.scratch(), Vec::new()),
+                    move |(scratch, back): &mut (TrialScratch, Vec<u64>), rng| {
+                        let windows = m.sample_windows_scratch(scratch, rng);
+                        GridSample::from_fn(9, |c| {
+                            let prefix = &windows[..EXCHANGEABILITY[c / 3]];
+                            back.clear();
+                            back.extend_from_slice(prefix);
+                            back.reverse();
+                            [
+                                exact::pr_disjoint(prefix),
+                                exchangeable::sample_factor(prefix, 2),
+                                exchangeable::sample_factor(back, 2),
+                            ][c % 3]
+                        })
+                    },
+                    None,
+                )
+                .expect("panic-free simulation")
+                .0
+                .value;
+            let grid = m.estimate_exchangeability_grid_with(&EXCHANGEABILITY, trials, seed, 1);
+            for (k, point) in grid.iter().enumerate() {
+                for (c, w) in [point.exact, point.factor, point.reversed]
+                    .iter()
+                    .enumerate()
+                {
+                    assert_eq!(
+                        w.raw_parts(),
+                        reference.points()[3 * k + c].raw_parts(),
+                        "{model} n={} column {c}",
+                        point.n
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exchangeability_grid_is_worker_count_invariant_and_rejects_bad_grids() {
+        let m = ReliabilityModel::new(MemoryModel::Tso, 4);
+        let base = m.estimate_exchangeability_grid_with(&[4, 2, 3], 9_000, 5, 1);
+        for workers in [2usize, 3, 8] {
+            assert_eq!(
+                m.estimate_exchangeability_grid_with(&[4, 2, 3], 9_000, 5, workers),
+                base
+            );
+        }
+        for ns in [&[2usize, 5][..], &[0, 2], &[1, 2, 2, 3, 3, 4]] {
+            let bad =
+                std::panic::catch_unwind(|| m.estimate_exchangeability_grid_with(ns, 10, 5, 1));
+            let message = bad.expect_err("a bad grid must panic");
+            let text = message.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(text.contains("grid"), "{ns:?}: {text:?}");
+        }
+    }
+
+    #[test]
+    fn exchangeability_request_canon_is_pinned() {
+        // TSO at thm61's standard seed and trials.
+        let m = ReliabilityModel::new(MemoryModel::Tso, 4);
+        let runner = Runner::new(Seed(20_110_606 ^ 0x61));
+        let key = m.request_key(
+            &grid_kind("rb-exact-grid", &EXCHANGEABILITY),
+            &runner,
+            100_000,
+        );
+        assert_eq!(
+            key.canon(),
+            "mmrk2|kernel=mmr-kernels-v3/rb-exact-grid/2,3,4|matrix=.X..|n=4|m=64|\
+             p=3fe0000000000000|s=3fe0000000000000,3fe0000000000000,3fe0000000000000,3fe0000000000000|\
+             fence=3fe0000000000000|acq=0|seed=000000000132dd6f|cw=4096|trials=100000|rse=-"
+        );
+        assert_eq!(key.hash().hex(), "a24c93ba90226b8ad5729ae5466aa765");
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn measured_allocs(mut block: impl FnMut()) -> u64 {
         .expect("non-empty repeats")
 }
 
-// One test, four kernels: the counter is process-global, so concurrently
+// One test, five kernels: the counter is process-global, so concurrently
 // running sibling tests would perturb each other's measurements.
 #[test]
 fn trial_kernels_are_allocation_free_in_steady_state() {
@@ -105,6 +105,22 @@ fn trial_kernels_are_allocation_free_in_steady_state() {
         }
     });
     assert_eq!(allocs, 0, "RB grid trial allocated");
+
+    // The exchangeability grid trial: its windows, reversal and columns
+    // live in fixed arrays, and the exact route's subset table is reused.
+    let rm = ReliabilityModel::new(MemoryModel::Tso, 4);
+    let ns = [2usize, 3, 4];
+    let mut scratch = rm.scratch();
+    let mut rng = SmallRng::seed_from_u64(5);
+    for _ in 0..100 {
+        rm.exchangeability_grid_sample(&ns, &mut scratch, &mut rng);
+    }
+    let allocs = measured_allocs(|| {
+        for _ in 0..5_000 {
+            rm.exchangeability_grid_sample(&ns, &mut scratch, &mut rng);
+        }
+    });
+    assert_eq!(allocs, 0, "exchangeability grid trial allocated");
 
     // The bare shift kernel.
     let proc = ShiftProcess::canonical();

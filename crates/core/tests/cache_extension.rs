@@ -137,6 +137,19 @@ fn shared_draw_grid_warm_runs_are_bit_identical_to_cold_at_every_thread_count() 
 }
 
 #[test]
+fn exchangeability_grid_warm_runs_are_bit_identical_to_cold_at_every_thread_count() {
+    let _session = Session::start();
+    // Three Welfords per point: exact, factor and reversed factor.
+    let m = ReliabilityModel::new(MemoryModel::Tso, 4).with_filler_len(16);
+    let ns = [2usize, 3, 4];
+    assert_grown_runs_match_cold(
+        "rb-exact-grid",
+        |trials| m.estimate_exchangeability_grid_with(&ns, trials, SEED, 1),
+        |trials, threads| m.estimate_exchangeability_grid_with(&ns, trials, SEED, threads),
+    );
+}
+
+#[test]
 fn warm_target_rse_replay_is_bit_identical_to_cold_at_every_thread_count() {
     let _session = Session::start();
     let m = model();

@@ -245,8 +245,11 @@ impl IncrementMachine {
     /// [`Machine`](crate::Machine)'s default cycle budget.
     pub fn run<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Result<Outcome, RunError> {
         self.pattern.fill(0);
+        // Filler j is a store iff its draw is below the fair coin's
+        // threshold: `rng.gen_bool(0.5)` draw for draw.
+        let half = bool_threshold(0.5);
         for j in 0..self.fillers {
-            self.pattern[j / 64] |= u64::from(rng.gen_bool(0.5)) << (j % 64);
+            self.pattern[j / 64] |= u64::from(rng.next_u64() >> 11 < half) << (j % 64);
         }
         let rows = if self.issue == Issue::OutOfOrder {
             self.plan()

@@ -2,7 +2,7 @@
 
 use crate::timeline::{CycleRecord, Timeline};
 use crate::{CoreProgram, Cpu, CpuState, SharedMemory};
-use memmodel::MemoryModel;
+use memmodel::{bool_threshold, MemoryModel};
 use progmodel::Location;
 use rand::Rng;
 use std::fmt;
@@ -113,11 +113,13 @@ pub struct Machine {
 pub(crate) const MAX_CYCLES: u64 = 1_000_000;
 
 /// A core's start delay: geometric from `rng` when staggering is on (the
-/// shift process's `η`), otherwise 0.
+/// shift process's `η`), otherwise 0. Each flip is `rng.gen_bool(0.5)`
+/// draw for draw.
 pub(crate) fn start_delay<R: Rng + ?Sized>(stagger: bool, rng: &mut R) -> u64 {
     let mut k = 0;
     if stagger {
-        while !rng.gen_bool(0.5) {
+        let half = bool_threshold(0.5);
+        while rng.next_u64() >> 11 >= half {
             k += 1;
         }
     }

@@ -14,6 +14,7 @@
 use analytic::bigq::BigRational;
 use analytic::shift_law::{log2_prefactor, prefactor_exact, triangle};
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
 /// Largest `n` accepted by the subset-DP evaluators (memory `O(2ⁿ)`).
 pub const MAX_SUBSET_N: usize = 22;
@@ -84,27 +85,38 @@ pub(crate) fn exp2_neg(k: u64) -> f64 {
 /// The permanent `T(γ̄)` with lengths reduced by `base` (`γ_j − base`), via
 /// the subset dynamic program. Reducing by the minimum length keeps every
 /// weight in `[0, 1]` and the accumulator within `n!`, far inside `f64`
-/// range. The weights are exact powers of two and the table is reused, so
-/// a call neither allocates (past the largest `n` seen on its thread) nor
-/// calls `powf`.
+/// range. The weights are exact powers of two, tabulated once per call
+/// (`n²` of them, where the program reads `n·2ⁿ⁻¹`), and each subset sums
+/// over its members in ascending order, so the sums are those of the
+/// plain loop over `j` bit for bit. The table is reused, so a call neither
+/// allocates (past the largest `n` seen on its thread) nor calls `powf`.
 fn scaled_permanent(lengths: &[u64], base: u64) -> f64 {
     let n = lengths.len();
-    SUBSETS.with_borrow_mut(|f| {
-        f.resize(f.len().max(1 << n), 0.0);
+    let size = 1usize << n;
+    SUBSETS.with_borrow_mut(|table| {
+        table.resize(table.len().max(size + n * n), 0.0);
+        let (f, weights) = table.split_at_mut(size);
+        // Row k: the weights of a segment placed with k positions left to
+        // fill after it.
+        for (k, row) in weights[..n * n].chunks_exact_mut(n).enumerate() {
+            for (w, &len) in row.iter_mut().zip(lengths) {
+                *w = exp2_neg((k as u64).saturating_mul(len - base));
+            }
+        }
         f[0] = 1.0;
-        for mask in 1usize..(1 << n) {
-            let filled = mask.count_ones() as usize; // position being assigned
-            let weight_exp = (n - filled) as u64;
+        for mask in 1..size {
+            let left = n - mask.count_ones() as usize;
+            let row = &weights[left * n..][..n];
             let mut acc = 0.0;
-            for j in 0..n {
-                if mask & (1 << j) != 0 {
-                    let e = lengths[j] - base;
-                    acc += f[mask ^ (1 << j)] * exp2_neg(weight_exp.saturating_mul(e));
-                }
+            let mut members = mask;
+            while members != 0 {
+                let j = members.trailing_zeros() as usize;
+                acc += f[mask ^ (1 << j)] * row[j];
+                members &= members - 1;
             }
             f[mask] = acc;
         }
-        f[(1 << n) - 1]
+        f[size - 1]
     })
 }
 
@@ -126,7 +138,14 @@ pub fn log2_pr_disjoint(lengths: &[u64]) -> f64 {
     }
     let base = *lengths.iter().min().expect("nonempty");
     let pairs = (triangle(n as u64) - n as u64) as f64; // C(n, 2)
-    log2_prefactor(n as u32) - base as f64 * pairs + scaled_permanent(lengths, base).log2()
+    subset_log2_prefactor(n) - base as f64 * pairs + scaled_permanent(lengths, base).log2()
+}
+
+/// [`log2_prefactor`]`(n)` for `1 ≤ n ≤ MAX_SUBSET_N`, computed once per
+/// process: the same values, without a product and a `log2` per call.
+fn subset_log2_prefactor(n: usize) -> f64 {
+    static TABLE: OnceLock<[f64; MAX_SUBSET_N + 1]> = OnceLock::new();
+    TABLE.get_or_init(|| std::array::from_fn(|k| log2_prefactor(k.max(1) as u32)))[n]
 }
 
 /// `Pr[A(γ̄)]` via the subset DP.

@@ -25,13 +25,38 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShiftProcess {
     q: f64,
+    /// The success coin's 53-bit threshold `ceil(q·2^53)`: a draw succeeds
+    /// iff `next_u64() >> 11` is below it ([`CERTAIN`] at `q = 1`).
+    threshold: u64,
 }
+
+/// The threshold of a certain success: `sample_shift` draws nothing.
+const CERTAIN: u64 = u64::MAX;
 
 impl ShiftProcess {
     /// The paper's canonical process (`q = 1/2`).
     #[must_use]
     pub fn canonical() -> ShiftProcess {
-        ShiftProcess { q: 0.5 }
+        ShiftProcess::from_q(0.5)
+    }
+
+    /// The process of a `q` already checked to lie in `(0, 1]`. The
+    /// threshold is `memmodel::bool_threshold`'s: `rng.gen_bool(q)` holds
+    /// iff `next_u64() >> 11 < ceil(q·2^53)` for `q < 1` (both sides are
+    /// integers below `2^53`, and scaling by `2^53` is exact), and
+    /// `gen_bool(1.0)` holds without a draw.
+    fn from_q(q: f64) -> ShiftProcess {
+        #[allow(
+            clippy::cast_precision_loss,
+            clippy::cast_sign_loss,
+            clippy::cast_possible_truncation
+        )]
+        let threshold = if q >= 1.0 {
+            CERTAIN
+        } else {
+            (q * (1u64 << 53) as f64).ceil() as u64
+        };
+        ShiftProcess { q, threshold }
     }
 
     /// A process with geometric success probability `q ∈ (0, 1]`.
@@ -41,7 +66,7 @@ impl ShiftProcess {
     /// Returns the invalid value if `q` is outside `(0, 1]`.
     pub fn with_q(q: f64) -> Result<ShiftProcess, f64> {
         if q > 0.0 && q <= 1.0 {
-            Ok(ShiftProcess { q })
+            Ok(ShiftProcess::from_q(q))
         } else {
             Err(q)
         }
@@ -54,13 +79,14 @@ impl ShiftProcess {
     }
 
     /// Draws one geometric shift (`Pr[s = k] = q(1−q)^k`), one Bernoulli
-    /// flip (one RNG draw) per trial.
+    /// flip (one RNG draw) per trial, none at `q = 1`.
     ///
     /// This is the *stream-defining* sampler: every seeded result in the
-    /// workspace is expressed in terms of its draw sequence.
+    /// workspace is expressed in terms of its draw sequence. Each flip is
+    /// `rng.gen_bool(q)` draw for draw, compared as integers.
     pub fn sample_shift<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let mut k = 0;
-        while !rng.gen_bool(self.q) {
+        while self.threshold != CERTAIN && rng.next_u64() >> 11 >= self.threshold {
             k += 1;
         }
         k
@@ -230,6 +256,59 @@ mod tests {
         }
         // All segments at origin: always overlapping for n ≥ 2.
         assert!(!p.simulate_disjoint(&[2, 2], &mut r));
+    }
+
+    #[test]
+    fn integer_coin_is_the_gen_bool_loop_draw_for_draw() {
+        // The old sampler, kept here as the reference.
+        fn gen_bool_shift<R: Rng>(q: f64, rng: &mut R) -> u64 {
+            let mut k = 0;
+            while !rng.gen_bool(q) {
+                k += 1;
+            }
+            k
+        }
+        let mut qs = vec![0.5, 0.3, 0.7, 0.999, 1.0, 0.001];
+        let mut cases = rng(11);
+        qs.extend((0..20).map(|_| cases.gen_range(0.01..=1.0)));
+        // Every q in [1/2, 1) scales to an integer q·2^53; 0.3 and 0.001
+        // do not, so their thresholds round up.
+        let frac = |q: f64| (q * (1u64 << 53) as f64).fract();
+        assert_eq!(frac(0.5), 0.0);
+        assert_eq!(frac(0.7), 0.0);
+        assert_ne!(frac(0.3), 0.0);
+        assert_ne!(frac(0.001), 0.0);
+        for (i, &q) in qs.iter().enumerate() {
+            let p = ShiftProcess::with_q(q).unwrap();
+            let mut old = rng(100 + i as u64);
+            let mut new = old.clone();
+            let samples = if q < 0.01 { 200 } else { 5_000 };
+            for _ in 0..samples {
+                assert_eq!(
+                    p.sample_shift(&mut new),
+                    gen_bool_shift(q, &mut old),
+                    "q={q}"
+                );
+            }
+            assert_eq!(new, old, "q={q}: RNG end states differ");
+            if q < 1.0 {
+                // A draw at the threshold fails and one just below it
+                // succeeds, as under gen_bool's float comparison.
+                let t = (q * (1u64 << 53) as f64).ceil() as u64;
+                let draws = [t << 11 | 0x7ff, (t - 1) << 11];
+                assert_eq!(p.sample_shift(&mut Scripted(draws.to_vec())), 1, "q={q}");
+                assert_eq!(gen_bool_shift(q, &mut Scripted(draws.to_vec())), 1, "q={q}");
+            }
+        }
+    }
+
+    /// An RNG that replays a fixed list of draws.
+    struct Scripted(Vec<u64>);
+
+    impl rand::RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            self.0.remove(0)
+        }
     }
 
     #[test]

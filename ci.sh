@@ -216,3 +216,8 @@ grep -vE '"(elapsed_secs|threads|host_cores|trials_per_sec)":' "$FLIGHT_DIR/clea
 grep -vE '"(elapsed_secs|threads|host_cores|trials_per_sec)":' "$FLIGHT_DIR/degraded.json" > "$FLIGHT_DIR/degraded.stripped"
 diff "$FLIGHT_DIR/clean.stripped" "$FLIGHT_DIR/degraded.stripped"
 rm -rf "$FLIGHT_DIR"
+
+# Size, informational only (no gate): non-test Rust lines of the
+# workspace, counting each file up to its first `#[cfg(test)]`.
+find crates/*/src crates/*/benches crates/*/examples src examples -name '*.rs' | sort |
+  xargs awk '/^[[:space:]]*#\[cfg\(test\)\]/{skip[FILENAME]=1} !skip[FILENAME]{n++} END{print "non-test Rust lines:", n}'

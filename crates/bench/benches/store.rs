@@ -36,7 +36,7 @@ fn bench_keys(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed = seed.wrapping_add(1);
-            black_box(spec(seed).request(TRIALS, None).hash())
+            black_box(spec(seed).request(TRIALS).hash())
         });
     });
     group.finish();
@@ -50,13 +50,12 @@ fn bench_lookup(c: &mut Criterion) {
         let s = store::Store::in_memory();
         let mut keys = Vec::new();
         for seed in 0..n {
-            let key = spec(seed).request(TRIALS, None);
+            let key = spec(seed).request(TRIALS);
             let est = ReliabilityModel::new(MemoryModel::Tso, 2).simulate_survival(8, seed);
             let report = montecarlo::RunReport {
                 value: est,
                 trials_requested: TRIALS,
                 trials_completed: TRIALS,
-                converged_early: false,
                 degraded: false,
                 abandoned_chunks: 0,
                 elapsed: std::time::Duration::ZERO,

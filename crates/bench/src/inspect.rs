@@ -4,10 +4,10 @@
 //! renders the matching report:
 //!
 //! * a **flight event log** (`MMRE` frames, written by `--flight`) —
-//!   chronological timeline with per-chunk causality chains,
-//!   event-type histogram, and the convergence trajectory; with
-//!   `--diff OTHER`, the payload comparison against a second log
-//!   (typically a chaos run against its fault-free twin);
+//!   chronological timeline with per-chunk causality chains and the
+//!   event-type histogram; with `--diff OTHER`, the payload comparison
+//!   against a second log (typically a chaos run against its fault-free
+//!   twin);
 //! * a **crash dossier** (JSON, written into `--dossier-dir`) — reason,
 //!   request key, fault-ledger delta, and the final ring of events;
 //! * a **cache directory** (`seg-*.mmrs` segments) or **dossier
@@ -80,7 +80,6 @@ fn inspect_flight(path: &Path, bytes: &[u8], diff: Option<&Path>) -> Result<Stri
     let mut out = notes;
     out.push_str(&obs::flight::render_timeline(&parsed.events));
     out.push_str(&obs::flight::render_histogram(&parsed.events));
-    out.push_str(&obs::flight::render_convergence(&parsed.events));
     if let Some(other) = diff {
         let other_bytes =
             std::fs::read(other).map_err(|e| format!("cannot read {}: {e}", other.display()))?;
@@ -91,9 +90,6 @@ fn inspect_flight(path: &Path, bytes: &[u8], diff: Option<&Path>) -> Result<Stri
         out.push_str(&other_notes);
         let _ = writeln!(out, "diff vs {}:", other.display());
         out.push_str(&obs::flight::diff_logs(&parsed.events, &other_parsed.events).render());
-        out.push_str(
-            &obs::flight::diff_trajectories(&parsed.events, &other_parsed.events).render(),
-        );
     }
     Ok(out)
 }
@@ -233,23 +229,21 @@ mod tests {
     }
 
     #[test]
-    fn flight_log_renders_timeline_histogram_and_convergence() {
+    fn flight_log_renders_timeline_and_histogram() {
         let dir = tmp_dir("flight");
         let path = dir.join("run.flight");
         let mut text = String::new();
         text.push_str(&flight_line(0, "run_start", None));
-        text.push_str(&flight_line(1, "wave_decided", Some("continue")));
-        text.push_str(&flight_line(2, "wave_decided", Some("converged")));
+        text.push_str(&flight_line(1, "cache_miss", None));
+        text.push_str(&flight_line(2, "cache_miss", None));
         text.push_str(&flight_line(3, "run_end", Some("ok")));
         std::fs::write(&path, &text).unwrap();
 
         let report = inspect(&path, None).unwrap();
         assert!(report.contains("flight timeline: 4 events"), "{report}");
         assert!(report.contains("event histogram (4 events):"), "{report}");
-        assert!(
-            report.contains("convergence trajectory (2 waves):"),
-            "{report}"
-        );
+        assert!(report.contains("2  cache_miss"), "{report}");
+        assert!(!report.contains("convergence"), "{report}");
         assert!(!report.contains("note: torn tail"), "{report}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -275,42 +269,6 @@ mod tests {
         assert!(report.contains("payload divergence: 0"), "{report}");
         assert!(
             report.contains("incident events (informational): 0 vs 1"),
-            "{report}"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn flight_diff_reports_first_diverging_wave() {
-        let dir = tmp_dir("traj");
-        let a = dir.join("a.flight");
-        let b = dir.join("b.flight");
-        let short = [
-            flight_line(0, "run_start", None),
-            flight_line(1, "wave_decided", Some("continue")),
-            flight_line(2, "wave_decided", Some("converged")),
-            flight_line(3, "run_end", Some("ok")),
-        ]
-        .concat();
-        std::fs::write(&a, &short).unwrap();
-        let long = [
-            flight_line(0, "run_start", None),
-            flight_line(1, "wave_decided", Some("continue")),
-            flight_line(2, "wave_decided", Some("continue")),
-            flight_line(3, "wave_decided", Some("converged")),
-            flight_line(4, "run_end", Some("ok")),
-        ]
-        .concat();
-        std::fs::write(&b, &long).unwrap();
-
-        let same = inspect(&a, Some(&a)).unwrap();
-        assert!(
-            same.contains("convergence trajectories: identical (2 waves)"),
-            "{same}"
-        );
-        let report = inspect(&a, Some(&b)).unwrap();
-        assert!(
-            report.contains("convergence trajectories: first divergence at wave 2 (2 vs 3 waves)"),
             "{report}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -384,8 +342,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A checked-in artifact written while the runner still retried
-    /// chunks (see `tests/fixtures/`).
+    /// A checked-in artifact written by an earlier build (see
+    /// `tests/fixtures/`).
     fn fixture(name: &str) -> PathBuf {
         Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures")).join(name)
     }
@@ -439,6 +397,27 @@ mod tests {
     }
 
     #[test]
+    fn wave_era_flight_log_still_renders_and_diffs_clean() {
+        // Written while runs could stop on an RSE target: two
+        // `wave_decided` events, each with a `value` field (the RSE).
+        let log = fixture("wave-era.flight");
+        let report = inspect(&log, None).unwrap();
+        assert!(report.contains("flight timeline: 12 events"), "{report}");
+        assert!(!report.contains("note: torn tail"), "{report}");
+        assert!(
+            report.contains("wave_decided       n=16384 continue"),
+            "{report}"
+        );
+        assert!(report.contains("2  wave_decided"), "{report}");
+        assert!(report.contains("clean chunks: 8"), "{report}");
+        let diff = inspect(&log, Some(&log)).unwrap();
+        assert!(
+            diff.contains("payload divergence: 0 (2 vs 2 payload events)"),
+            "{diff}"
+        );
+    }
+
+    #[test]
     fn unknown_artifacts_are_rejected_with_a_clear_message() {
         let dir = tmp_dir("unknown");
         let path = dir.join("mystery.bin");
@@ -467,7 +446,7 @@ mod tests {
                 seed,
                 chunk_width: 4096,
             }
-            .request(4096, None);
+            .request(4096);
             let report = store::CachedReport {
                 value: store::AccState::Bernoulli(store::BernoulliState {
                     successes: 1,
@@ -475,7 +454,6 @@ mod tests {
                 }),
                 trials_requested: 4096,
                 trials_completed: 4096,
-                converged_early: false,
             };
             cache.insert(&key, report, Vec::new());
         }

@@ -9,26 +9,17 @@
 //! * an exact request-key **hit** reconstructs the finished
 //!   [`RunReport`] without running a single trial — bit-identical to the
 //!   cold run by the runner's determinism contract;
-//! * a family **extension** resumes the fold from the largest usable
-//!   cached whole-chunk prefix, and for `with_target_rse` requests
-//!   replays the cold run's geometric stop schedule (checkpoints 4, 8,
-//!   16, … chunks) over cached prefixes first — converging without
-//!   compute when a cached prefix already satisfies the target;
+//! * a family **extension** resumes the fold from the largest cached
+//!   whole-chunk prefix that fits in the request (`chunks <= trials /
+//!   CHUNK_WIDTH`, as [`store::Store::lookup`] filters them),
+//!   bit-identical to the cold run it continues;
 //! * a **miss** computes cold; clean results are inserted with the
 //!   whole-chunk prefix snapshots the run passed through, so the next
-//!   larger request extends instead of restarting.
-//!
-//! Correctness of the RSE replay hinges on evaluating *exactly* the
-//! states the cold run would: geometric checkpoints strictly below the
-//! request's chunk count, in ascending order, with no gaps. A missing
-//! checkpoint ends the replay — the run resumes from the last evaluated
-//! prefix, which re-enters the engine's wave schedule at the same
-//! boundary a cold run would reach with the same merged value.
+//!   request of the same family extends instead of restarting.
 
 use crate::{ReliabilityModel, TrialScratch};
 use montecarlo::{Accumulator, ChunkPrefix, Error, RunReport, Runner, CHUNK_WIDTH};
 use rand::rngs::SmallRng;
-use std::time::Duration;
 use store::{CacheableAcc, CachedPrefix, CachedReport, Lookup, RequestKey};
 
 impl ReliabilityModel {
@@ -57,7 +48,7 @@ impl ReliabilityModel {
             seed: runner.seed().0,
             chunk_width: CHUNK_WIDTH,
         }
-        .request(trials, runner.target_rse())
+        .request(trials)
     }
 
     /// Runs `trial` on this model's [`TrialScratch`] under `runner`,
@@ -76,7 +67,7 @@ impl ReliabilityModel {
         let this = *self;
         let r = *runner;
         let key = self.request_key(kind, runner, trials);
-        cached_run(&key, runner, trials, move |resume| {
+        cached_run(&key, move |resume| {
             crate::telemetry::timed_run(this.memory_model(), trials, move || {
                 r.run(
                     trials,
@@ -89,114 +80,14 @@ impl ReliabilityModel {
     }
 }
 
-/// How an extension lookup resolves.
-enum Extension<A> {
-    /// A cached prefix already finishes the request (converged, or the
-    /// full run); serve it with the prefixes worth re-associating.
-    Finished(RunReport<A>, Vec<CachedPrefix>),
-    /// Resume the fold from this prefix.
-    Resume(ChunkPrefix<A>),
-    /// Nothing safely usable; compute cold.
-    Cold,
-}
-
-/// Replays the cold run's decision schedule over cached prefixes.
-fn plan_extension<A: Accumulator + CacheableAcc>(
-    runner: &Runner,
-    trials: u64,
-    prefixes: &[CachedPrefix],
-) -> Extension<A> {
-    let n_chunks = trials.div_ceil(CHUNK_WIDTH);
-    let max_full = trials / CHUNK_WIDTH;
-    let full_report = |value: A, completed: u64, converged: bool| RunReport {
-        value,
-        trials_requested: trials,
-        trials_completed: completed,
-        converged_early: converged,
-        degraded: false,
-        abandoned_chunks: 0,
-        elapsed: Duration::ZERO,
-    };
-    let Some(target) = runner.target_rse() else {
-        // Fixed-trials request: one wave, no stop evaluations — any
-        // clean prefix is resumable; take the largest.
-        return match prefixes
-            .iter()
-            .rev()
-            .find(|p| p.chunks <= max_full)
-            .and_then(CachedPrefix::to_prefix::<A>)
-        {
-            Some(p) => Extension::Resume(p),
-            None => Extension::Cold,
-        };
-    };
-    // Sequential-stopping request: evaluate the geometric checkpoints
-    // (4, 8, 16, … chunks) strictly below n_chunks, ascending, gap-free
-    // — exactly the states the cold engine evaluates its predicate on.
-    let mut resume: Option<ChunkPrefix<A>> = None;
-    let mut g = 4u64;
-    while g < n_chunks {
-        let Some(p) = prefixes.iter().find(|p| p.chunks == g) else {
-            break;
-        };
-        let Some(decoded) = p.to_prefix::<A>() else {
-            return Extension::Cold;
-        };
-        // An accumulator without a stop statistic never stops early: the
-        // replay has nothing to decide.
-        let Some(rse) = decoded.value.stop_rse() else {
-            break;
-        };
-        // Mirror the cold engine's `wave_decided` events so a warm replay
-        // leaves the same payload trace in the flight log as the run it
-        // stands in for.
-        obs::flight::event("wave_decided")
-            .n(decoded.trials)
-            .value(rse)
-            .detail(if rse <= target {
-                "converged"
-            } else {
-                "continue"
-            })
-            .emit();
-        if rse <= target {
-            let keep: Vec<CachedPrefix> =
-                prefixes.iter().filter(|q| q.chunks <= g).cloned().collect();
-            let completed = decoded.trials;
-            return Extension::Finished(full_report(decoded.value, completed, true), keep);
-        }
-        resume = Some(decoded);
-        g = g.saturating_mul(2);
-    }
-    if g >= n_chunks && trials.is_multiple_of(CHUNK_WIDTH) {
-        // Every checkpoint evaluated and none converged: the cold run
-        // completes all trials. A cached full-run prefix IS that result.
-        if let Some(full) = prefixes
-            .iter()
-            .find(|p| p.chunks == max_full)
-            .and_then(CachedPrefix::to_prefix::<A>)
-        {
-            let keep = prefixes.to_vec();
-            return Extension::Finished(full_report(full.value, full.trials, false), keep);
-        }
-    }
-    match resume {
-        Some(p) => Extension::Resume(p),
-        None => Extension::Cold,
-    }
-}
-
 /// Runs one request through the installed store (if any): exact hits are
 /// pure lookups, family prefixes extend the fold, and clean results are
 /// inserted with their prefix snapshots on the way out.
 ///
 /// `run` executes the request's [`Runner::run`], optionally resuming from
-/// a prefix; a warm `with_target_rse` replay decides on the same
-/// [`Accumulator::stop_rse`] the runner stops on.
+/// a prefix.
 fn cached_run<A: Accumulator + CacheableAcc>(
     key: &RequestKey,
-    runner: &Runner,
-    trials: u64,
     run: impl FnOnce(Option<ChunkPrefix<A>>) -> Result<(RunReport<A>, Vec<ChunkPrefix<A>>), Error>,
 ) -> RunReport<A> {
     let canon = key.canon();
@@ -216,16 +107,9 @@ fn cached_run<A: Accumulator + CacheableAcc>(
             // recompute; the insert below repairs the entry.
             None => None,
         },
-        Lookup::Extend(prefixes) => match plan_extension(runner, trials, &prefixes) {
-            Extension::Finished(report, keep) => {
-                if let Some(cached) = CachedReport::from_report(&report) {
-                    cache.insert(key, cached, keep);
-                }
-                return report;
-            }
-            Extension::Resume(prefix) => Some(prefix),
-            Extension::Cold => None,
-        },
+        // The store lists only the prefixes the request's whole chunks
+        // cover, ascending: resume from the largest.
+        Lookup::Extend(prefixes) => prefixes.last().and_then(CachedPrefix::to_prefix::<A>),
         Lookup::Miss => None,
     };
     let (report, snapshots) = finish(run(resume));
@@ -234,4 +118,70 @@ fn cached_run<A: Accumulator + CacheableAcc>(
         cache.insert(key, cached, prefixes);
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use memmodel::OpType::{Ld, St};
+    use memmodel::{MemoryModel, SettleProbs};
+    use montecarlo::Seed;
+    use settle::Settler;
+
+    /// The canon of a `survival` request of 200k trials at seed 1.
+    fn canon(model: &ReliabilityModel) -> String {
+        model
+            .request_key("survival", &Runner::new(Seed(1)), 200_000)
+            .canon()
+    }
+
+    #[test]
+    fn request_key_covers_every_simulated_field() {
+        let base = ReliabilityModel::new(MemoryModel::Tso, 2);
+        let settler = |matrix, probs| {
+            ReliabilityModel::new(MemoryModel::Tso, 2).with_settler(Settler::new(matrix, probs))
+        };
+        let probs = SettleProbs::canonical();
+        let tso = MemoryModel::Tso.matrix();
+        let mut variants: Vec<(&str, String)> = vec![
+            ("base", canon(&base)),
+            ("matrix", canon(&settler(MemoryModel::Pso.matrix(), probs))),
+        ];
+        for (label, earlier, later) in [
+            ("s st/st", St, St),
+            ("s st/ld", St, Ld),
+            ("s ld/st", Ld, St),
+            ("s ld/ld", Ld, Ld),
+        ] {
+            let moved = probs.with(earlier, later, 0.25).unwrap();
+            variants.push((label, canon(&settler(tso, moved))));
+        }
+        let fenced = Settler::for_model(MemoryModel::Tso)
+            .with_fence_pass_probability(0.25)
+            .unwrap();
+        variants.push(("fence pass", canon(&base.with_settler(fenced))));
+        variants.push(("acquire fence", canon(&base.with_acquire_fence())));
+        variants.push(("n", canon(&ReliabilityModel::new(MemoryModel::Tso, 3))));
+        variants.push(("m", canon(&base.with_filler_len(32))));
+        variants.push(("p", canon(&base.with_store_probability(0.25).unwrap())));
+        let request = |kind, seed, trials| {
+            base.request_key(kind, &Runner::new(Seed(seed)), trials)
+                .canon()
+        };
+        variants.push(("seed", request("survival", 2, 200_000)));
+        variants.push(("kind", request("windows", 1, 200_000)));
+        variants.push(("trials", request("survival", 1, 200_001)));
+        for (i, (a, ca)) in variants.iter().enumerate() {
+            for (b, cb) in &variants[i + 1..] {
+                assert_ne!(ca, cb, "{a} and {b} share a key");
+            }
+        }
+
+        // The memory-model label only names telemetry: with equal settlers
+        // the trials are the same, and so is the key.
+        let relabelled = ReliabilityModel::new(MemoryModel::Sc, 2)
+            .with_settler(Settler::for_model(MemoryModel::Tso));
+        assert_ne!(relabelled.memory_model(), base.memory_model());
+        assert_eq!(canon(&relabelled), canon(&base));
+    }
 }

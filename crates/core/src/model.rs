@@ -381,13 +381,12 @@ impl ReliabilityModel {
     }
 
     /// Runs the survival estimate under an arbitrary pre-configured
-    /// [`Runner`] (worker count, stopping target, retry policy), returning
-    /// the full [`RunReport`]. This is the cache-aware entry point: with a
+    /// [`Runner`] (worker count, degradation policy), returning the full
+    /// [`RunReport`]. This is the cache-aware entry point: with a
     /// [`store`] installed, repeated requests are pure lookups and
-    /// larger-trial or [`with_target_rse`](Runner::with_target_rse)
-    /// requests over the same `(seed, params)` resume from the cached
-    /// chunk prefix instead of restarting — bit-identical to a cold run
-    /// either way.
+    /// requests of another trial count over the same `(seed, params)`
+    /// resume from the cached chunk prefix instead of restarting —
+    /// bit-identical to a cold run either way.
     #[must_use]
     pub fn simulate_survival_runner(
         &self,

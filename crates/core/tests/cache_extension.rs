@@ -1,10 +1,9 @@
 //! Extension-semantics tests for the content-addressed result cache.
 //!
 //! The cache's whole value rests on one promise: a warm-served result —
-//! whether a pure hit, a chunk-prefix extension, or a `with_target_rse`
-//! replay — is **bit-for-bit identical** to the cold run it stands in
-//! for, at every worker count. These tests pin that promise at
-//! threads {1, 2, 3, 8}, prove via
+//! whether a pure hit or a chunk-prefix extension — is **bit-for-bit
+//! identical** to the cold run it stands in for, at every worker count.
+//! These tests pin that promise at threads {1, 2, 3, 8}, prove via
 //! `extends` counters that the warm runs actually reused cached
 //! prefixes (rather than silently recomputing), and chaos-test the
 //! insert path: a torn cache write recovers to a valid segment prefix
@@ -12,7 +11,7 @@
 
 use memmodel::MemoryModel;
 use mmr_core::ReliabilityModel;
-use montecarlo::{fault, Runner, Seed, CHUNK_WIDTH};
+use montecarlo::{fault, CHUNK_WIDTH};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The installed store (and the fault plan) are process-global; every
@@ -55,8 +54,9 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// Grows one request kind through a fresh in-memory store at every thread
-/// count: a miss, an extension of the cached prefix, then a pure hit, each
-/// equal to the uncached (`cold`) result.
+/// count: a miss, an extension of the cached prefix, a pure hit, then a
+/// smaller request that extends from the grown run's power-of-two
+/// snapshot, each equal to the uncached (`cold`) result.
 fn assert_grown_runs_match_cold<T: PartialEq + std::fmt::Debug>(
     kind: &str,
     cold: impl Fn(u64) -> T,
@@ -66,9 +66,13 @@ fn assert_grown_runs_match_cold<T: PartialEq + std::fmt::Debug>(
     // A partial tail chunk on the grown request: the resumed fold must
     // append full chunks 6..10 and then the short chunk, like a cold run.
     let large = 10 * CHUNK_WIDTH + 1000;
+    // Between the two: its largest cached prefix is the grown run's
+    // 8-chunk snapshot.
+    let middle = 9 * CHUNK_WIDTH;
 
     let cold_small = cold(small);
     let cold_large = cold(large);
+    let cold_middle = cold(middle);
 
     for threads in [1usize, 2, 3, 8] {
         let cache = Arc::new(store::Store::in_memory());
@@ -94,6 +98,25 @@ fn assert_grown_runs_match_cold<T: PartialEq + std::fmt::Debug>(
         assert_eq!(
             stats.hits, 1,
             "{kind}: replay at {threads} threads is a pure hit"
+        );
+
+        // A later, smaller request of the family resumes from the largest
+        // snapshot below it: the power of two the grown run stored.
+        assert_eq!(warm(middle, threads), cold_middle, "{kind}");
+        let stats = cache.stats();
+        assert_eq!(
+            stats.extends, 2,
+            "{kind}: the 9-chunk run at {threads} threads must extend"
+        );
+        let resumed_from = obs::flight::events()
+            .iter()
+            .rev()
+            .find(|e| e.kind == "cache_extend")
+            .and_then(|e| e.n);
+        assert_eq!(
+            resumed_from,
+            Some(8),
+            "{kind}: the 9-chunk run at {threads} threads resumes from 8 chunks"
         );
         store::clear();
     }
@@ -147,46 +170,6 @@ fn exchangeability_grid_warm_runs_are_bit_identical_to_cold_at_every_thread_coun
         |trials| m.estimate_exchangeability_grid_with(&ns, trials, SEED, 1),
         |trials, threads| m.estimate_exchangeability_grid_with(&ns, trials, SEED, threads),
     );
-}
-
-#[test]
-fn warm_target_rse_replay_is_bit_identical_to_cold_at_every_thread_count() {
-    let _session = Session::start();
-    let m = model();
-    let trials = 16 * CHUNK_WIDTH;
-    // WO survival at n=2 is ~0.08, so the RSE at the first stop
-    // checkpoint (4 chunks = 16 384 trials) is ~0.027: a 0.05 target
-    // converges there, well short of the full 16 chunks.
-    let target = 0.05;
-
-    let cold = m.simulate_survival_runner(&Runner::new(Seed(SEED)).with_target_rse(target), trials);
-    assert!(cold.converged_early, "target chosen to stop early");
-    assert_eq!(cold.trials_completed, 4 * CHUNK_WIDTH);
-
-    for threads in [1usize, 2, 3, 8] {
-        let cache = Arc::new(store::Store::in_memory());
-        store::install(Arc::clone(&cache));
-        let runner = Runner::new(Seed(SEED))
-            .with_threads(threads)
-            .with_target_rse(target);
-
-        // Populate the family with a plain fixed-trials run (snapshots at
-        // 4 and 8 chunks), then ask for the stopping run warm.
-        let _ = m.simulate_survival_with(8 * CHUNK_WIDTH, SEED, threads);
-        let warm = m.simulate_survival_runner(&runner, trials);
-        assert_eq!(warm, cold, "warm rse replay diverged at {threads} threads");
-        let stats = cache.stats();
-        assert_eq!(
-            stats.extends, 1,
-            "rse replay at {threads} threads must serve from cached prefixes"
-        );
-
-        // The replay inserted the reconstructed result under the exact
-        // request key: asking again is a pure hit.
-        assert_eq!(m.simulate_survival_runner(&runner, trials), cold);
-        assert_eq!(cache.stats().hits, 1);
-        store::clear();
-    }
 }
 
 #[test]

@@ -1,28 +1,23 @@
 //! Convergence diagnostics for run results.
 //!
 //! A [`RunReport`] tells the caller *how many* trials ran; this module
-//! answers *whether that was enough*. [`EstimatorStats`] abstracts the two
-//! streaming estimators ([`BernoulliEstimate`], [`Welford`]) behind a
+//! answers *how precise the estimate is*. [`EstimatorStats`] abstracts the
+//! two streaming estimators ([`BernoulliEstimate`], [`Welford`]) behind a
 //! mean / standard-error / count view so that report-level diagnostics —
-//! confidence half-widths, relative standard error — and the sequential
-//! stop statistic ([`Accumulator::stop_rse`](crate::Accumulator::stop_rse))
-//! are written once.
+//! confidence half-widths, relative standard error — are written once.
 //!
 //! # Relative standard error
 //!
 //! The RSE is `sem / |mean|`: the standard error of the estimator
-//! expressed as a fraction of the quantity being estimated. It is the
-//! natural scale-free stopping criterion for Monte-Carlo estimation — an
-//! RSE of 0.01 means the one-sigma uncertainty is 1 % of the estimate,
-//! regardless of whether the estimate is a probability near 1e-3 or a mean
-//! settling time near 40. For a Bernoulli estimator the standard error is
-//! `sqrt(p(1-p)/n)`, so the trials needed to reach a target RSE scale like
-//! `(1-p)/(p · rse²)` — rare events need proportionally more trials, which
-//! is exactly what a fixed trial budget gets wrong in both directions.
+//! expressed as a fraction of the quantity being estimated. It is a
+//! scale-free precision measure — an RSE of 0.01 means the one-sigma
+//! uncertainty is 1 % of the estimate, regardless of whether the estimate
+//! is a probability near 1e-3 or a mean settling time near 40. For a
+//! Bernoulli estimator the standard error is `sqrt(p(1-p)/n)`, so the
+//! trials a given RSE needs scale like `(1-p)/(p · rse²)`: rare events
+//! need proportionally more trials.
 //!
-//! An RSE is `NaN` when the mean is zero or no trials have run; `NaN`
-//! compares false against any threshold, so sequential stopping treats
-//! "degenerate so far" as "not converged" automatically.
+//! An RSE is `NaN` when the mean is zero or no trials have run.
 
 use crate::stats::normal_quantile;
 use crate::{BernoulliEstimate, RunReport, Welford};
@@ -30,8 +25,7 @@ use crate::{BernoulliEstimate, RunReport, Welford};
 /// Mean / standard-error / count view over a streaming estimator.
 ///
 /// Implemented by the runner's scalar estimators, so [`RunReport`]
-/// diagnostics and sequential stopping work uniformly over probabilities
-/// and means.
+/// diagnostics work uniformly over probabilities and means.
 pub trait EstimatorStats {
     /// The point estimate (`NaN` when empty).
     fn mean(&self) -> f64;
@@ -103,7 +97,7 @@ impl<A: EstimatorStats> RunReport<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Runner, Seed, CHUNK_WIDTH};
+    use crate::{Runner, Seed};
     use rand::Rng;
 
     #[test]
@@ -129,7 +123,7 @@ mod tests {
 
     #[test]
     fn degenerate_estimates_have_nan_rse() {
-        // Empty, and all-failures (mean 0): both must read "not converged".
+        // Empty, and all-failures (mean 0): no finite relative error.
         assert!(BernoulliEstimate::new().rse().is_nan());
         assert!(BernoulliEstimate::from_counts(0, 500).rse().is_nan());
         assert!(Welford::new().rse().is_nan());
@@ -146,98 +140,6 @@ mod tests {
         assert!(hw > 0.0 && hw < 0.05, "{hw}");
         assert!((report.mean() - 0.3).abs() < hw, "{} ± {hw}", report.mean());
         assert!(report.rse() > 0.0 && report.rse() < 0.05);
-    }
-
-    #[test]
-    fn target_rse_stops_early_on_whole_chunks() {
-        // A well-behaved p=0.5 estimate reaches 5% RSE within the first
-        // checkpoint (4 chunks), far short of the 64 requested.
-        let report = Runner::new(Seed(42))
-            .with_threads(2)
-            .with_target_rse(0.05)
-            .run::<BernoulliEstimate, _>(64 * CHUNK_WIDTH, || (), |_, rng| rng.gen_bool(0.5), None)
-            .unwrap()
-            .0;
-        assert!(report.converged_early);
-        assert!(report.trials_completed < 64 * CHUNK_WIDTH);
-        // Stopping rounds to whole chunks.
-        assert_eq!(report.trials_completed % CHUNK_WIDTH, 0);
-        assert!(report.rse() <= 0.05, "{}", report.rse());
-        assert_eq!(report.value.trials(), report.trials_completed);
-    }
-
-    #[test]
-    fn unreachable_target_runs_everything() {
-        let trials = 6 * CHUNK_WIDTH;
-        let report = Runner::new(Seed(43))
-            .with_threads(3)
-            .with_target_rse(1e-9)
-            .run::<BernoulliEstimate, _>(trials, || (), |_, rng| rng.gen_bool(0.5), None)
-            .unwrap()
-            .0;
-        assert!(!report.converged_early);
-        assert_eq!(report.trials_completed, trials);
-    }
-
-    #[test]
-    fn target_rse_leaves_results_identical_when_not_stopping() {
-        // With a target too strict to ever fire, the chunked round loop
-        // must produce bit-for-bit the plain runner's estimate.
-        let trials = 5 * CHUNK_WIDTH + 321;
-        let plain = Runner::new(Seed(44))
-            .with_threads(2)
-            .run::<BernoulliEstimate, _>(trials, || (), |_, rng| rng.gen_bool(0.25), None)
-            .unwrap()
-            .0;
-        let gated = Runner::new(Seed(44))
-            .with_threads(2)
-            .with_target_rse(1e-12)
-            .run::<BernoulliEstimate, _>(trials, || (), |_, rng| rng.gen_bool(0.25), None)
-            .unwrap()
-            .0;
-        assert_eq!(plain.value, gated.value);
-        assert_eq!(plain.trials_completed, gated.trials_completed);
-    }
-
-    #[test]
-    fn stopping_point_is_thread_invariant() {
-        let run = |threads| {
-            Runner::new(Seed(45))
-                .with_threads(threads)
-                .with_target_rse(0.02)
-                .run::<Welford, _>(
-                    40 * CHUNK_WIDTH,
-                    || (),
-                    |_, rng| rng.gen_range(0.0..10.0),
-                    None,
-                )
-                .unwrap()
-                .0
-        };
-        let base = run(1);
-        assert!(base.converged_early);
-        for threads in [2, 3, 8] {
-            let other = run(threads);
-            assert_eq!(other, base, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn mean_entry_point_honours_target() {
-        let report = Runner::new(Seed(46))
-            .with_threads(2)
-            .with_target_rse(0.05)
-            .run::<Welford, _>(
-                64 * CHUNK_WIDTH,
-                || (),
-                |_, rng| 5.0 + rng.gen_range(-1.0..1.0),
-                None,
-            )
-            .unwrap()
-            .0;
-        assert!(report.converged_early);
-        assert!(report.rse() <= 0.05);
-        assert_eq!(report.value.count(), report.trials_completed);
     }
 
     #[test]

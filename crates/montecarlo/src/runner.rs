@@ -1,13 +1,9 @@
 //! The parallel trial runner and the accumulators it folds into.
 
-use crate::{
-    pool, BernoulliEstimate, Error, EstimatorStats, GridSample, Histogram, Seed, Welford,
-    WelfordGrid,
-};
+use crate::{pool, BernoulliEstimate, Error, GridSample, Histogram, Seed, Welford, WelfordGrid};
 use rand::rngs::SmallRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Trials per dynamic call of a run's batch body: large enough that the
@@ -42,14 +38,6 @@ pub trait Accumulator: Default + Clone + Send + 'static {
 
     /// Merges the accumulator of the chunks that follow this one.
     fn merge(&mut self, later: &Self);
-
-    /// The relative standard error a
-    /// [`with_target_rse`](Runner::with_target_rse) run stops on, or
-    /// `None` when the accumulator has no scalar estimate (such a run
-    /// never stops early).
-    fn stop_rse(&self) -> Option<f64> {
-        None
-    }
 }
 
 impl Accumulator for BernoulliEstimate {
@@ -62,10 +50,6 @@ impl Accumulator for BernoulliEstimate {
     fn merge(&mut self, later: &BernoulliEstimate) {
         BernoulliEstimate::merge(self, later);
     }
-
-    fn stop_rse(&self) -> Option<f64> {
-        Some(EstimatorStats::rse(self))
-    }
 }
 
 impl Accumulator for Welford {
@@ -77,10 +61,6 @@ impl Accumulator for Welford {
 
     fn merge(&mut self, later: &Welford) {
         Welford::merge(self, later);
-    }
-
-    fn stop_rse(&self) -> Option<f64> {
-        Some(EstimatorStats::rse(self))
     }
 }
 
@@ -142,7 +122,6 @@ impl Accumulator for Histogram {
 pub struct Runner {
     seed: Seed,
     threads: usize,
-    target_rse: Option<f64>,
     degrade_on_exhaustion: bool,
 }
 
@@ -156,10 +135,6 @@ pub struct RunReport<A> {
     pub trials_requested: u64,
     /// Trials that actually contributed to `value`.
     pub trials_completed: u64,
-    /// True when a [`with_target_rse`](Runner::with_target_rse) target was
-    /// met before all requested trials ran. Early convergence is success:
-    /// the run stopped because the estimate was already precise enough.
-    pub converged_early: bool,
     /// True when at least one chunk panicked under a degrade-on-exhaustion
     /// policy and was dropped from the merge.
     /// `value` then aggregates only the surviving chunks — an honest
@@ -182,7 +157,6 @@ impl<A: PartialEq> PartialEq for RunReport<A> {
         self.value == other.value
             && self.trials_requested == other.trials_requested
             && self.trials_completed == other.trials_completed
-            && self.converged_early == other.converged_early
             && self.degraded == other.degraded
             && self.abandoned_chunks == other.abandoned_chunks
     }
@@ -246,7 +220,7 @@ enum ChunkOutcome<A> {
     /// The chunk panicked under a degrade-on-exhaustion policy: it
     /// contributes nothing, the run continues and reports `degraded`.
     Abandoned,
-    /// Not run because another chunk of the wave already failed the run.
+    /// Not run because another chunk already failed the run.
     Skipped,
 }
 
@@ -261,7 +235,6 @@ impl Runner {
         Runner {
             seed,
             threads,
-            target_rse: None,
             degrade_on_exhaustion: false,
         }
     }
@@ -274,29 +247,6 @@ impl Runner {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Runner {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Stops a run as soon as its accumulator's relative standard error
-    /// ([`Accumulator::stop_rse`]) reaches `rse`, instead of always
-    /// burning the full trial budget.
-    ///
-    /// Sequential stopping is evaluated only at geometric chunk-count
-    /// checkpoints (4, 8, 16, … chunks), so the stopping point is a pure
-    /// function of `(seed, rse)` and rounds to whole chunks — bit-for-bit
-    /// identical for any thread count, exactly like a fixed-budget run.
-    /// `trials` becomes a cap: a run that converges early reports
-    /// [`converged_early`](RunReport::converged_early) with the trials it
-    /// actually needed. An accumulator without a stop statistic
-    /// ([`Histogram`]) runs every trial.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rse` is not finite and positive.
-    #[must_use]
-    pub fn with_target_rse(mut self, rse: f64) -> Runner {
-        assert!(rse.is_finite() && rse > 0.0, "target RSE must be positive");
-        self.target_rse = Some(rse);
         self
     }
 
@@ -315,12 +265,6 @@ impl Runner {
     #[must_use]
     pub fn seed(&self) -> Seed {
         self.seed
-    }
-
-    /// The sequential-stopping RSE target, if any.
-    #[must_use]
-    pub fn target_rse(&self) -> Option<f64> {
-        self.target_rse
     }
 
     /// Runs `trials` independent trials, recording each `trial` outcome
@@ -346,16 +290,12 @@ impl Runner {
     ///
     /// `resume` re-enters the fold after a [`ChunkPrefix`] of an earlier
     /// run with the same seed and kernel instead of at chunk 0; the result
-    /// is bit-identical to the cold run it continues — same merge order,
-    /// same stop checkpoints. The returned prefixes (ascending) are the
-    /// ones a result cache can store: the geometric stop checkpoints (4,
-    /// 8, 16, … chunks) and the last full chunk, while no abandoned chunk
-    /// has entered the merge.
+    /// is bit-identical to the cold run it continues — same merge order.
+    /// The returned prefixes (ascending) are the ones a result cache can
+    /// store: powers of two from 4 chunks and the last full chunk, while
+    /// no abandoned chunk has entered the merge.
     ///
-    /// Without an RSE target every chunk is dispatched in one wave. With
-    /// one, chunks are dispatched in waves up to each checkpoint, and the
-    /// merged value's [`stop_rse`](Accumulator::stop_rse) is compared with
-    /// the target at each wave boundary.
+    /// Every chunk from the resume point on is dispatched at once.
     ///
     /// Closures cross into the persistent worker pool, so they must be
     /// `Send + Sync + 'static` (capture owned or `Arc`-shared data, not
@@ -381,22 +321,22 @@ impl Runner {
         A: Accumulator,
         S: 'static,
     {
-        let batch: Arc<BatchFn<S, A>> = Arc::new(move |scratch, rng, acc, count| {
+        let batch: Box<BatchFn<S, A>> = Box::new(move |scratch, rng, acc, count| {
             for _ in 0..count {
                 acc.record(trial(scratch, rng));
             }
         });
-        self.run_waves(trials, Arc::new(scratch), batch, resume)
+        self.run_chunks(trials, Box::new(scratch), batch, resume)
     }
 
-    /// The wave/merge/stop loop behind [`run`](Runner::run), generic only
+    /// The dispatch/merge loop behind [`run`](Runner::run), generic only
     /// in the scratch and accumulator types, so the chunk contract —
     /// tiling, unwind boundary, telemetry — is compiled once per pair.
-    fn run_waves<A: Accumulator, S: 'static>(
+    fn run_chunks<A: Accumulator, S: 'static>(
         &self,
         trials: u64,
-        scratch_init: Arc<ScratchInit<S>>,
-        batch: Arc<BatchFn<S, A>>,
+        scratch_init: Box<ScratchInit<S>>,
+        batch: Box<BatchFn<S, A>>,
         resume: Option<ChunkPrefix<A>>,
     ) -> Result<(RunReport<A>, Vec<ChunkPrefix<A>>), Error> {
         let started = Instant::now();
@@ -436,83 +376,66 @@ impl Runner {
         let degrade = self.degrade_on_exhaustion
             || crate::fault::active().is_some_and(|p| p.degrade_on_exhaustion());
         // Set when a chunk fails the run: later claims skip their work.
-        let cancel = Arc::new(AtomicBool::new(false));
+        let cancel = AtomicBool::new(false);
         let mut prefixes = Vec::new();
         let mut trials_completed = resume_trials;
-        let mut converged_early = false;
         let mut abandoned_chunks = 0u64;
-        let mut done_chunks = usize::try_from(resume_chunks).expect("chunk count fits in usize");
-        while done_chunks < n_chunks {
-            let until = match self.target_rse {
-                None => n_chunks,
-                Some(_) => checkpoint_after(done_chunks).min(n_chunks),
-            };
-            let base = done_chunks;
-            let runner = *self;
-            let job_cancel = Arc::clone(&cancel);
-            let (scr, bat) = (Arc::clone(&scratch_init), Arc::clone(&batch));
-            let outcomes = pool::scatter(until - base, self.threads, move |i| {
-                let idx = (base + i) as u64;
-                if job_cancel.load(Ordering::Relaxed) {
-                    return ChunkOutcome::Skipped;
-                }
-                let count = CHUNK_WIDTH.min(trials - idx * CHUNK_WIDTH);
-                let tele = crate::telemetry::runner();
-                tele.chunks_claimed.inc();
-                obs::flight::event("chunk_claimed").chunk(idx).emit();
-                let chunk_started = obs::recording().then(Instant::now);
-                let outcome = runner.run_chunk(idx, count, &*scr, &*bat, &job_cancel, degrade);
-                if let Some(started) = chunk_started {
-                    tele.chunk_wall_us
-                        .record(started.elapsed().as_micros() as u64);
-                }
-                outcome
-            });
+        let base = usize::try_from(resume_chunks).expect("chunk count fits in usize");
+        let runner = *self;
+        let outcomes = pool::scatter(n_chunks - base, self.threads, move |i| {
+            let idx = (base + i) as u64;
+            if cancel.load(Ordering::Relaxed) {
+                return ChunkOutcome::Skipped;
+            }
+            let count = CHUNK_WIDTH.min(trials - idx * CHUNK_WIDTH);
+            let tele = crate::telemetry::runner();
+            tele.chunks_claimed.inc();
+            obs::flight::event("chunk_claimed").chunk(idx).emit();
+            let chunk_started = obs::recording().then(Instant::now);
+            let outcome = runner.run_chunk(idx, count, &*scratch_init, &*batch, &cancel, degrade);
+            if let Some(started) = chunk_started {
+                tele.chunk_wall_us
+                    .record(started.elapsed().as_micros() as u64);
+            }
+            outcome
+        });
 
-            for (i, outcome) in outcomes.into_iter().enumerate() {
-                let idx = (base + i) as u64;
-                match outcome {
-                    ChunkOutcome::Done(acc) => {
-                        let count = CHUNK_WIDTH.min(trials - idx * CHUNK_WIDTH);
-                        trials_completed += count;
-                        value.merge(&acc);
-                        // Snapshot only while the fold is a pure
-                        // whole-chunk prefix: no chunk abandoned before.
-                        let chunks = idx + 1;
-                        if abandoned_chunks == 0
-                            && count == CHUNK_WIDTH
-                            && is_prefix_snapshot(chunks, max_full_chunks)
-                        {
-                            prefixes.push(ChunkPrefix {
-                                chunks,
-                                trials: chunks * CHUNK_WIDTH,
-                                value: value.clone(),
-                            });
-                        }
-                    }
-                    ChunkOutcome::Failed(payload) => {
-                        // The failing chunk is the fault site: record it
-                        // last, then freeze the timeline into a dossier.
-                        obs::flight::event("chunk_failed").chunk(idx).emit();
-                        emit_dossier("worker_panicked", &ledger_start);
-                        return Err(Error::WorkerPanicked {
-                            chunk: idx,
-                            seed: self.seed,
-                            payload,
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            let idx = (base + i) as u64;
+            match outcome {
+                ChunkOutcome::Done(acc) => {
+                    let count = CHUNK_WIDTH.min(trials - idx * CHUNK_WIDTH);
+                    trials_completed += count;
+                    value.merge(&acc);
+                    // Snapshot only while the fold is a pure whole-chunk
+                    // prefix: no chunk abandoned before.
+                    let chunks = idx + 1;
+                    if abandoned_chunks == 0
+                        && count == CHUNK_WIDTH
+                        && is_prefix_snapshot(chunks, max_full_chunks)
+                    {
+                        prefixes.push(ChunkPrefix {
+                            chunks,
+                            trials: chunks * CHUNK_WIDTH,
+                            value: value.clone(),
                         });
                     }
-                    ChunkOutcome::Abandoned => abandoned_chunks += 1,
-                    // Only a failed run skips chunks, and its `Failed`
-                    // outcome returns from this wave.
-                    ChunkOutcome::Skipped => {}
                 }
-            }
-            done_chunks = until;
-            if let Some(target) = self.target_rse {
-                if done_chunks < n_chunks && wave_converged(&value, trials_completed, target) {
-                    converged_early = true;
-                    break;
+                ChunkOutcome::Failed(payload) => {
+                    // The failing chunk is the fault site: record it last,
+                    // then freeze the timeline into a dossier.
+                    obs::flight::event("chunk_failed").chunk(idx).emit();
+                    emit_dossier("worker_panicked", &ledger_start);
+                    return Err(Error::WorkerPanicked {
+                        chunk: idx,
+                        seed: self.seed,
+                        payload,
+                    });
                 }
+                ChunkOutcome::Abandoned => abandoned_chunks += 1,
+                // Only a failed run skips chunks, and its `Failed` outcome
+                // returns above.
+                ChunkOutcome::Skipped => {}
             }
         }
 
@@ -520,14 +443,6 @@ impl Runner {
         // Telemetry counts only trials this run actually executed; resumed
         // prefix trials were counted by the run that produced them.
         tele.trials_completed.add(trials_completed - resume_trials);
-        if self.target_rse.is_some() {
-            let conv = crate::telemetry::converge();
-            if converged_early {
-                conv.early_stops.inc();
-            }
-            conv.extra_chunks
-                .add(done_chunks.saturating_sub(checkpoint_after(0).min(n_chunks)) as u64);
-        }
         let fate = if degraded { "degraded" } else { "ok" };
         obs::flight::event("run_end")
             .n(trials_completed)
@@ -541,7 +456,6 @@ impl Runner {
             value,
             trials_requested: trials,
             trials_completed,
-            converged_early,
             degraded,
             abandoned_chunks,
             elapsed: started.elapsed(),
@@ -604,51 +518,14 @@ impl Default for Runner {
     }
 }
 
-/// Geometric sequential-stopping checkpoints: 4 chunks, then doubling
-/// (8, 16, 32, …). Checking convergence only at these chunk counts keeps
-/// the stopping point a pure function of the merged prefix — and amortizes
-/// the wave barrier to O(log chunks) synchronizations.
-///
-/// Returns the smallest checkpoint strictly greater than `done_chunks`.
-/// On a cold run `done_chunks` is always a prior checkpoint, so this is
-/// the plain doubling schedule; on a cache-resumed run `done_chunks` may
-/// land between checkpoints (say 48) and the next evaluation (64) still
-/// falls exactly where the cold run's would, keeping warm and cold
-/// stopping decisions aligned.
-fn checkpoint_after(done_chunks: usize) -> usize {
-    let mut c = 4;
-    while c <= done_chunks {
-        c = c.saturating_mul(2);
-    }
-    c
-}
-
 /// Whether a clean whole-chunk count is worth snapshotting for a result
-/// cache: the geometric stop checkpoints (so a warm `with_target_rse` run
-/// can replay the exact cold stopping decision) plus the last full chunk
-/// (the longest prefix any larger run can extend).
+/// cache: the last full chunk (the longest prefix any larger run can
+/// extend) plus every power of two from 4 chunks, so a later, smaller
+/// request of the same family resumes from the largest snapshot below it
+/// instead of computing cold, at O(log chunks) stored prefixes per run.
 fn is_prefix_snapshot(clean_full_chunks: u64, max_full_chunks: u64) -> bool {
     clean_full_chunks == max_full_chunks
         || (clean_full_chunks >= 4 && clean_full_chunks.is_power_of_two())
-}
-
-/// The sequential-stop decision at a wave boundary: whether `value`'s
-/// stop statistic meets `target`, recorded as a `wave_decided` flight
-/// event. NaN RSE (degenerate estimate) compares false — never
-/// "converged"; an accumulator without a statistic never converges and
-/// records nothing. The event is strictly out-of-band: the decision is a
-/// pure function of the merged accumulator.
-fn wave_converged<A: Accumulator>(value: &A, trials: u64, target: f64) -> bool {
-    let Some(rse) = value.stop_rse() else {
-        return false;
-    };
-    let converged = rse <= target;
-    obs::flight::event("wave_decided")
-        .n(trials)
-        .value(rse)
-        .detail(if converged { "converged" } else { "continue" })
-        .emit();
-    converged
 }
 
 /// Writes a crash dossier scoped to this run's fault-ledger delta. Any
@@ -680,6 +557,7 @@ mod tests {
     use super::*;
     use rand::Rng;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
 
     /// `run` from chunk 0, keeping only the report.
     fn cold<A: Accumulator>(
@@ -944,17 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_schedule_is_doubling_from_any_count() {
-        assert_eq!(checkpoint_after(0), 4);
-        assert_eq!(checkpoint_after(3), 4);
-        assert_eq!(checkpoint_after(4), 8);
-        assert_eq!(checkpoint_after(8), 16);
-        // A resumed count between checkpoints lands on the cold schedule.
-        assert_eq!(checkpoint_after(48), 64);
-        assert_eq!(checkpoint_after(5), 8);
-    }
-
-    #[test]
     fn prefix_snapshots_cover_checkpoints_and_last_full_chunk() {
         let trials = 6 * CHUNK_WIDTH + 123; // 6 full chunks, short tail
         let (report, prefixes) = Runner::new(Seed(50))
@@ -962,7 +829,7 @@ mod tests {
             .run::<BernoulliEstimate, _>(trials, || (), |_, rng| rng.gen_bool(0.4), None)
             .unwrap();
         assert_eq!(report.trials_completed, trials);
-        // Snapshots at 4 (geometric) and 6 (last full chunk).
+        // Snapshots at 4 (a power of two) and 6 (last full chunk).
         assert_eq!(
             prefixes.iter().map(|p| p.chunks).collect::<Vec<_>>(),
             vec![4, 6]
@@ -1052,7 +919,7 @@ mod tests {
             .unwrap();
         assert_eq!(warm, cold);
         // The extension also re-emits the longer run's own snapshots past
-        // the resume point (8 geometric, 9 last-full).
+        // the resume point (8 a power of two, 9 last-full).
         assert_eq!(
             warm_prefixes.iter().map(|p| p.chunks).collect::<Vec<_>>(),
             vec![8, 9]
@@ -1060,33 +927,9 @@ mod tests {
     }
 
     #[test]
-    fn resume_with_target_rse_matches_cold_stop() {
-        // Generous target: the cold run stops at the first checkpoint (4
-        // chunks). Resuming below it must reproduce the same stop.
-        let trials = 40 * CHUNK_WIDTH;
-        let kernel = |_: &mut (), rng: &mut SmallRng| rng.gen_bool(0.5);
-        let runner = Runner::new(Seed(54)).with_threads(2).with_target_rse(0.05);
-        let (cold, cold_prefixes) = runner
-            .run::<BernoulliEstimate, _>(trials, || (), kernel, None)
-            .unwrap();
-        assert!(cold.converged_early);
-        let converged_at = cold.trials_completed / CHUNK_WIDTH;
-        assert!(cold_prefixes.iter().any(|p| p.chunks == converged_at));
-        // A warm run resumed from a pre-convergence prefix must converge at
-        // the same checkpoint with the same value.
-        let short = ChunkPrefix {
-            chunks: 0,
-            trials: 0,
-            value: BernoulliEstimate::new(),
-        };
-        let (warm, _) = runner.run(trials, || (), kernel, Some(short)).unwrap();
-        assert_eq!(warm, cold);
-    }
-
-    #[test]
     fn degraded_runs_emit_no_dirty_prefixes() {
         // An abandoned chunk ends the clean prefix: with chunk 4 of 6
-        // panicking, the 4-chunk checkpoint is snapshotted and
+        // panicking, the 4-chunk snapshot is taken and
         // the last full chunk (6) is not. The kernel recognises chunk 4 by
         // the first draw of its stream.
         let victim: u64 = crate::task_rng(Seed(55), 4).gen();

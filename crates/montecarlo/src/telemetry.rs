@@ -38,27 +38,6 @@ pub(crate) fn runner() -> &'static RunnerMetrics {
     })
 }
 
-/// Sequential-stopping metrics (`mc.converge.*`).
-pub(crate) struct ConvergeMetrics {
-    /// Runs a [`with_target_rse`](crate::Runner::with_target_rse) target
-    /// stopped before all requested chunks ran.
-    pub early_stops: obs::Counter,
-    /// Chunks run beyond the first convergence checkpoint on runs with an
-    /// RSE target — the price paid when the target was not met right away.
-    pub extra_chunks: obs::Counter,
-}
-
-pub(crate) fn converge() -> &'static ConvergeMetrics {
-    static METRICS: OnceLock<ConvergeMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let g = obs::global();
-        ConvergeMetrics {
-            early_stops: g.counter("mc.converge.early_stops"),
-            extra_chunks: g.counter("mc.converge.extra_chunks"),
-        }
-    })
-}
-
 /// Crash dossiers written (`mc.flight.dossiers`).
 pub(crate) fn dossiers() -> &'static obs::Counter {
     static DOSSIERS: OnceLock<obs::Counter> = OnceLock::new();

@@ -188,60 +188,6 @@ fn rng_stream_checksum_unchanged_by_telemetry() {
 }
 
 #[test]
-fn sequential_stopping_point_identical_across_thread_counts() {
-    // The RSE target stops the run at a geometric chunk-count checkpoint
-    // chosen from the merged prefix alone, so both the stopping point and
-    // the stopped estimate are thread-invariant — including the
-    // converged_early flag and the whole-chunk trial count.
-    let run = |threads| {
-        Runner::new(Seed(2018))
-            .with_threads(threads)
-            .with_target_rse(0.02)
-            .run::<BernoulliEstimate, _>(64 * CHUNK_WIDTH, || (), |_, rng| rng.gen_bool(0.42), None)
-            .expect("panic-free run")
-            .0
-    };
-    let base = run(1);
-    assert!(
-        base.converged_early,
-        "target must be reachable for this test"
-    );
-    assert_eq!(base.trials_completed % CHUNK_WIDTH, 0);
-    for threads in THREADS {
-        let report = run(threads);
-        assert_eq!(report, base, "stopping point drifted at threads={threads}");
-        assert_eq!(report.trials_completed, base.trials_completed);
-    }
-}
-
-#[test]
-fn sequential_stopping_unchanged_by_recording_state() {
-    // The convergence decision reads only merged estimator state, never
-    // telemetry, so toggling recording cannot move the stopping point.
-    let run = || {
-        Runner::new(Seed(2019))
-            .with_threads(3)
-            .with_target_rse(0.03)
-            .run::<Welford, _>(
-                64 * CHUNK_WIDTH,
-                || (),
-                |_, rng| rng.gen_range(1.0..9.0),
-                None,
-            )
-            .expect("panic-free run")
-            .0
-    };
-    let _guard = recording_lock();
-    obs::set_recording(true);
-    let on = run();
-    obs::set_recording(false);
-    let off = run();
-    obs::set_recording(true);
-    assert_eq!(on, off, "recording state moved the stopping point");
-    assert!(on.converged_early);
-}
-
-#[test]
 fn repeated_runs_are_stable() {
     // Same seed + same workload twice at an asymmetric thread count: the
     // dynamic chunk-claim order differs run to run, the result must not.

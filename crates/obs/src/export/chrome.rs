@@ -49,9 +49,6 @@ pub fn chrome_trace(snapshot: &Snapshot) -> String {
         if let Some(n) = e.n {
             args.push(format!("\"n\": {n}"));
         }
-        if let Some(v) = e.value.filter(|v| v.is_finite()) {
-            args.push(format!("\"value\": {v}"));
-        }
         if let Some(d) = &e.detail {
             args.push(format!("\"detail\": \"{}\"", json_escape(d)));
         }
@@ -99,7 +96,6 @@ mod tests {
             kind: kind.into(),
             chunk: None,
             n: None,
-            value: None,
             detail: None,
         }
     }
@@ -152,9 +148,8 @@ mod tests {
             },
             FlightEvent {
                 n: Some(16384),
-                value: Some(0.25),
-                detail: Some("continue".to_owned()),
-                ..event(2, 55, "wave_decided")
+                detail: Some("ok".to_owned()),
+                ..event(2, 55, "run_end")
             },
         ];
         snap.flight_events = Some(events.clone());
@@ -164,8 +159,8 @@ mod tests {
         assert_eq!(text.matches("\"ph\": \"i\"").count(), 2);
         assert!(text.contains("\"cat\": \"flight\""));
         assert!(text.contains("\"chunk\": 9"));
-        assert!(text.contains("\"value\": 0.25"));
-        assert!(text.contains("\"detail\": \"continue\""));
+        assert!(text.contains("\"n\": 16384"));
+        assert!(text.contains("\"detail\": \"ok\""));
         assert!(text.contains("\"flight_dropped\""));
         // Spans and instants share one array without comma faults.
         events.push(FlightEvent {

@@ -3,8 +3,8 @@
 //!
 //! Where the metrics registry *counts* what happened, the flight recorder
 //! *orders* it: every notable step of a run — a chunk claimed, a fault
-//! fired, a chunk abandoned, a convergence wave decided, a cache tier
-//! answering, an experiment finished — is appended as one [`FlightEvent`]
+//! fired, a chunk abandoned, a cache tier answering, an experiment
+//! finished — is appended as one [`FlightEvent`]
 //! to a process-global ring of [`crate::DEFAULT_RING_CAP`] events. The
 //! ring drops its oldest event when full, but evicts a `span` event only
 //! when nothing else is left, so every experiment's span survives a long
@@ -25,7 +25,6 @@
 //! | `chunk_abandoned` | `chunk` (panicked, run degrades) | runner |
 //! | `chunk_failed` | `chunk` (panicked, run fails) | runner |
 //! | `fault_fired` | `chunk`, `detail` = `panic` | fault plan |
-//! | `wave_decided` | `n` = trials merged, `value` = RSE, `detail` = `converged`/`continue` | stop predicate |
 //! | `request` | `detail` = full canonical request key | cache seam |
 //! | `cache_hit` / `cache_extend` / `cache_miss` | `detail` = key, `n` = prefix chunks (extend) | store |
 //! | `cache_compacted` | `n` = records kept | store |
@@ -33,8 +32,10 @@
 //!
 //! Logs written before the runner stopped retrying chunks also hold
 //! `chunk_retried` and `backoff_slept` events and an `attempt` field on
-//! chunk events; a reader skips the field and renders those kinds like
-//! any other it does not know.
+//! chunk events, and logs written while a run could stop on an RSE target
+//! hold that stop decision's event kind and a `value` field; a reader
+//! skips the fields and renders those kinds like any other it does not
+//! know.
 //!
 //! # On-disk framing
 //!
@@ -78,11 +79,9 @@ pub struct FlightEvent {
     pub kind: String,
     /// Chunk index, for per-chunk events.
     pub chunk: Option<u64>,
-    /// A count: trials for run/wave events, prefix chunks for cache
+    /// A count: trials for run events, prefix chunks for cache
     /// extensions, wall µs for spans.
     pub n: Option<u64>,
-    /// A measurement (the RSE for `wave_decided`).
-    pub value: Option<f64>,
     /// Free-form qualifier: fault/fate labels, request keys, ids.
     pub detail: Option<String>,
 }
@@ -95,7 +94,6 @@ pub struct EventBuilder {
     kind: &'static str,
     chunk: Option<u64>,
     n: Option<u64>,
-    value: Option<f64>,
     detail: Option<String>,
 }
 
@@ -105,7 +103,6 @@ pub fn event(kind: &'static str) -> EventBuilder {
         kind,
         chunk: None,
         n: None,
-        value: None,
         detail: None,
     }
 }
@@ -120,14 +117,6 @@ impl EventBuilder {
     /// Sets the count payload.
     pub fn n(mut self, n: u64) -> Self {
         self.n = Some(n);
-        self
-    }
-
-    /// Sets the measurement payload. Non-finite values are dropped (the
-    /// field stays `None`) so every serialization of the event is valid
-    /// JSON.
-    pub fn value(mut self, value: f64) -> Self {
-        self.value = value.is_finite().then_some(value);
         self
     }
 
@@ -157,7 +146,6 @@ impl EventBuilder {
                 kind: self.kind.to_owned(),
                 chunk: self.chunk,
                 n: self.n,
-                value: self.value,
                 detail: self.detail,
             };
             // Written under the sink lock, so the mirror is lossless and
@@ -424,10 +412,7 @@ pub fn write_dossier(
 /// reporting, compared only informationally by [`diff_logs`].
 #[must_use]
 pub fn is_payload(ev: &FlightEvent) -> bool {
-    matches!(
-        ev.kind.as_str(),
-        "request" | "run_start" | "run_end" | "wave_decided"
-    )
+    matches!(ev.kind.as_str(), "request" | "run_start" | "run_end")
 }
 
 fn fmt_t(t_us: u64) -> String {
@@ -445,9 +430,6 @@ fn fmt_payload(ev: &FlightEvent) -> String {
     }
     if let Some(n) = ev.n {
         let _ = write!(out, " n={n}");
-    }
-    if let Some(v) = ev.value {
-        let _ = write!(out, " value={v:.4e}");
     }
     if let Some(d) = &ev.detail {
         let _ = write!(out, " {d}");
@@ -533,31 +515,6 @@ pub fn render_histogram(events: &[FlightEvent]) -> String {
     out
 }
 
-/// Renders the convergence trajectory: one row per `wave_decided`
-/// event, trials vs RSE, with the stop decision.
-#[must_use]
-pub fn render_convergence(events: &[FlightEvent]) -> String {
-    let mut out = String::new();
-    let waves: Vec<&FlightEvent> = events.iter().filter(|e| e.kind == "wave_decided").collect();
-    if waves.is_empty() {
-        let _ = writeln!(out, "convergence trajectory: no wave decisions recorded");
-        return out;
-    }
-    let _ = writeln!(out, "convergence trajectory ({} waves):", waves.len());
-    for (i, w) in waves.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  wave {:>3}: n={:<10} rse={:<12} {}",
-            i + 1,
-            w.n.unwrap_or(0),
-            w.value
-                .map_or_else(|| "?".to_owned(), |v| format!("{v:.4e}")),
-            w.detail.as_deref().unwrap_or("")
-        );
-    }
-    out
-}
-
 /// What [`diff_logs`] found comparing two event streams.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogDiff {
@@ -584,15 +541,7 @@ pub struct LogDiff {
 #[must_use]
 pub fn diff_logs(a: &[FlightEvent], b: &[FlightEvent]) -> LogDiff {
     // Everything except emission metadata: the deterministic payload.
-    let key = |e: &FlightEvent| {
-        (
-            e.kind.clone(),
-            e.chunk,
-            e.n,
-            e.value.map(f64::to_bits),
-            e.detail.clone(),
-        )
-    };
+    let key = |e: &FlightEvent| (e.kind.clone(), e.chunk, e.n, e.detail.clone());
     let pa: Vec<&FlightEvent> = a.iter().filter(|e| is_payload(e)).collect();
     let pb: Vec<&FlightEvent> = b.iter().filter(|e| is_payload(e)).collect();
     let mut divergences = pa.len().abs_diff(pb.len());
@@ -625,63 +574,6 @@ pub fn diff_logs(a: &[FlightEvent], b: &[FlightEvent]) -> LogDiff {
         incidents_a: a.len() - pa.len(),
         incidents_b: b.len() - pb.len(),
         first_divergences: first,
-    }
-}
-
-/// What [`diff_trajectories`] found comparing two convergence
-/// trajectories (the `wave_decided` sequences two logs recorded).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrajectoryDiff {
-    /// Waves in the first trajectory.
-    pub waves_a: usize,
-    /// Waves in the second trajectory.
-    pub waves_b: usize,
-    /// 1-based index of the first wave where the trajectories disagree
-    /// (on trial count, RSE bits, or decision), counting a missing wave
-    /// in the shorter trajectory as a divergence. `None` when identical.
-    pub first_divergence: Option<usize>,
-}
-
-/// Compares the convergence trajectories of two event streams: the
-/// ordered `wave_decided` sequences, keyed by trial count, RSE bits, and
-/// stop decision: two bit-identical runs diverge at no wave.
-#[must_use]
-pub fn diff_trajectories(a: &[FlightEvent], b: &[FlightEvent]) -> TrajectoryDiff {
-    let waves = |evs: &[FlightEvent]| -> Vec<(Option<u64>, Option<u64>, Option<String>)> {
-        evs.iter()
-            .filter(|e| e.kind == "wave_decided")
-            .map(|e| (e.n, e.value.map(f64::to_bits), e.detail.clone()))
-            .collect()
-    };
-    let wa = waves(a);
-    let wb = waves(b);
-    let first_divergence = wa
-        .iter()
-        .zip(&wb)
-        .position(|(x, y)| x != y)
-        .or_else(|| (wa.len() != wb.len()).then(|| wa.len().min(wb.len())))
-        .map(|i| i + 1);
-    TrajectoryDiff {
-        waves_a: wa.len(),
-        waves_b: wb.len(),
-        first_divergence,
-    }
-}
-
-impl TrajectoryDiff {
-    /// Renders the one-line trajectory verdict.
-    #[must_use]
-    pub fn render(&self) -> String {
-        match self.first_divergence {
-            None => format!(
-                "convergence trajectories: identical ({} waves)\n",
-                self.waves_a
-            ),
-            Some(i) => format!(
-                "convergence trajectories: first divergence at wave {i} ({} vs {} waves)\n",
-                self.waves_a, self.waves_b
-            ),
-        }
     }
 }
 
@@ -756,7 +648,6 @@ mod tests {
             kind: kind.to_owned(),
             chunk: None,
             n: None,
-            value: None,
             detail: None,
         }
     }
@@ -770,7 +661,6 @@ mod tests {
         let event = FlightEvent {
             chunk: Some(7),
             n: Some(4096),
-            value: Some(0.031_25),
             detail: Some("panic".to_owned()),
             ..ev(3, "fault_fired")
         };
@@ -781,7 +671,6 @@ mod tests {
         assert_eq!(parsed.skipped, 0);
         assert_eq!(parsed.events.len(), 2);
         assert_eq!(parsed.events[0], event);
-        assert_eq!(parsed.events[0].value, Some(0.031_25));
     }
 
     #[test]
@@ -1009,29 +898,6 @@ mod tests {
         assert!(text.contains("clean chunks: 1"), "{text}");
         let hist = render_histogram(&events);
         assert!(hist.contains("2  chunk_claimed"), "{hist}");
-    }
-
-    #[test]
-    fn convergence_lists_waves() {
-        let events = vec![
-            FlightEvent {
-                n: Some(16384),
-                value: Some(0.08),
-                detail: Some("continue".to_owned()),
-                ..ev(1, "wave_decided")
-            },
-            FlightEvent {
-                n: Some(32768),
-                value: Some(0.04),
-                detail: Some("converged".to_owned()),
-                ..ev(2, "wave_decided")
-            },
-        ];
-        let text = render_convergence(&events);
-        assert!(text.contains("2 waves"), "{text}");
-        assert!(text.contains("n=16384"), "{text}");
-        assert!(text.contains("converged"), "{text}");
-        assert!(render_convergence(&[]).contains("no wave decisions"));
     }
 
     #[test]

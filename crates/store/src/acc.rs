@@ -187,8 +187,6 @@ pub struct CachedReport {
     pub trials_requested: u64,
     /// Trials that contributed to `value`.
     pub trials_completed: u64,
-    /// Whether a `with_target_rse` target stopped the run early.
-    pub converged_early: bool,
 }
 
 impl CachedReport {
@@ -205,7 +203,6 @@ impl CachedReport {
             value: report.value.to_state(),
             trials_requested: report.trials_requested,
             trials_completed: report.trials_completed,
-            converged_early: report.converged_early,
         })
     }
 
@@ -217,7 +214,6 @@ impl CachedReport {
             value: A::from_state(&self.value)?,
             trials_requested: self.trials_requested,
             trials_completed: self.trials_completed,
-            converged_early: self.converged_early,
             degraded: false,
             abandoned_chunks: 0,
             elapsed: Duration::ZERO,
@@ -324,7 +320,6 @@ mod tests {
                 }),
                 trials_requested: 100,
                 trials_completed: 100,
-                converged_early: false,
             },
             prefixes: vec![CachedPrefix {
                 chunks: 4,
@@ -345,7 +340,6 @@ mod tests {
             value: BernoulliEstimate::from_counts(1, 10),
             trials_requested: 100,
             trials_completed: 10,
-            converged_early: false,
             degraded: true,
             abandoned_chunks: 1,
             elapsed: Duration::ZERO,

@@ -1,22 +1,22 @@
 //! Canonical request keys.
 //!
 //! Every cacheable result in this workspace is a pure function of a small
-//! request tuple: kernel version, reorder matrix, program/settle
-//! parameters, seed, chunk width, trial count, and (for
-//! sequential-stopping runs) the RSE target. This module serializes that
-//! tuple into one *canonical string* — versioned, field-ordered, floats as
-//! IEEE-754 bit patterns so formatting can never split the cache — and
-//! hashes it into a stable 128-bit content address (FNV-1a 64 for the
-//! first word, a SplitMix64 finalisation for the second).
+//! request tuple: kernel version, result kind, reorder matrix,
+//! program/settle parameters, seed, chunk width and trial count. This
+//! module serializes that tuple into one *canonical string* — versioned,
+//! field-ordered, floats as IEEE-754 bit patterns so formatting can never
+//! split the cache — and hashes it into a stable 128-bit content address
+//! (FNV-1a 64 for the first word, a SplitMix64 finalisation for the
+//! second).
 //!
 //! Two levels of key exist on purpose:
 //!
 //! * the **family** key ([`KeySpec::family_canon`]) omits the trial count
-//!   and RSE target — every run over the same seeded kernel shares it, so
-//!   a cached chunk prefix indexed by family can *extend* a larger or
-//!   `with_target_rse` request;
-//! * the **request** key ([`RequestKey::canon`]) appends both — an exact
-//!   hit on it is a finished, bit-identical result.
+//!   — every run over the same seeded kernel shares it, so a cached chunk
+//!   prefix indexed by family can *extend* a request of any other trial
+//!   count whose whole chunks cover it;
+//! * the **request** key ([`RequestKey::canon`]) appends the trial count
+//!   — an exact hit on it is a finished, bit-identical result.
 //!
 //! `crates/store/tests/golden_keys.rs` pins exact hash values, so any
 //! accidental canonicalization change (field reorder, float formatting,
@@ -43,12 +43,12 @@ pub const CANON_VERSION: &str = "mmrk2";
 
 /// The identity of one seeded kernel run family — everything that
 /// determines the per-chunk trial streams except how many trials are
-/// requested and when to stop.
+/// requested.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeySpec {
     /// Kernel version tag plus result kind, e.g.
     /// `"mmr-kernels-v3/survival"` (kinds: `survival`, `windows`, `rb`,
-    /// `rb-grid/<ns>`).
+    /// `rb-grid/<ns>`, `rb-exact-grid/<ns>`).
     pub kernel: String,
     /// The reorder matrix in its canonical 4-character Table-1 form
     /// (`....` = SC, `.X..` = TSO, `XX..` = PSO, `XXXX` = WO).
@@ -94,35 +94,30 @@ impl KeySpec {
 
     /// Completes the family into a concrete request.
     #[must_use]
-    pub fn request(&self, trials: u64, target_rse: Option<f64>) -> RequestKey {
+    pub fn request(&self, trials: u64) -> RequestKey {
         RequestKey {
             family: self.family_canon(),
             trials,
-            rse_bits: target_rse.map(f64::to_bits),
         }
     }
 }
 
-/// One concrete cacheable request: a family plus the trial budget and the
-/// optional sequential-stopping target.
+/// One concrete cacheable request: a family plus the trial budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestKey {
     /// The canonical family string ([`KeySpec::family_canon`]).
     pub family: String,
     /// Requested trials.
     pub trials: u64,
-    /// `with_target_rse` target as IEEE-754 bits, if any.
-    pub rse_bits: Option<u64>,
 }
 
 impl RequestKey {
     /// The canonical request string.
     #[must_use]
     pub fn canon(&self) -> String {
-        match self.rse_bits {
-            Some(bits) => format!("{}|trials={}|rse={bits:016x}", self.family, self.trials),
-            None => format!("{}|trials={}|rse=-", self.family, self.trials),
-        }
+        // `rse=-` once marked "no stopping target"; it stays so that every
+        // key, hash and record written under `mmrk2` keeps resolving.
+        format!("{}|trials={}|rse=-", self.family, self.trials)
     }
 
     /// The content address of this request.
@@ -221,14 +216,13 @@ mod tests {
     #[test]
     fn request_canon_separates_trials_and_rse() {
         let s = spec();
-        let plain = s.request(200_000, None);
-        let more = s.request(300_000, None);
-        let rse = s.request(200_000, Some(0.01));
+        let plain = s.request(200_000);
+        let more = s.request(300_000);
         assert_ne!(plain.canon(), more.canon());
-        assert_ne!(plain.canon(), rse.canon());
-        // ...but all three share the family (the extension index).
+        // ...but both share the family (the extension index).
         assert_eq!(plain.family, more.family);
-        assert_eq!(plain.family, rse.family);
+        // The retired stopping-target field keeps its fixed-trials form.
+        assert!(plain.canon().ends_with("|trials=200000|rse=-"));
     }
 
     #[test]
@@ -243,8 +237,8 @@ mod tests {
 
     #[test]
     fn hash_words_disagree_on_different_canons() {
-        let a = spec().request(1000, None).hash();
-        let b = spec().request(1001, None).hash();
+        let a = spec().request(1000).hash();
+        let b = spec().request(1001).hash();
         assert_ne!(a, b);
         assert_eq!(a.hex().len(), 32);
     }

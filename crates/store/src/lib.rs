@@ -2,7 +2,7 @@
 //!
 //! Every kernel run in this workspace is a pure function of a small
 //! request tuple (kernel version, reorder matrix, program/settle
-//! parameters, seed, chunk width, trial budget, stopping target)
+//! parameters, seed, chunk width, trial budget)
 //! — the runner guarantees bit-identical results for any worker
 //! count. This crate turns that purity into reuse:
 //!
@@ -12,9 +12,8 @@
 //! * [`Store`] serves exact hits from a bounded in-memory LRU backed by
 //!   an append-only CRC-framed segment tier on disk (torn tails
 //!   truncated, garbage skipped, index swapped atomically), and serves
-//!   *extensions* — cached whole-chunk prefixes a larger or
-//!   `with_target_rse` request can resume from — out of a per-family
-//!   index;
+//!   *extensions* — cached whole-chunk prefixes a request of another
+//!   trial count can resume from — out of a per-family index;
 //! * [`install`]/[`active`] expose one process-global store the core
 //!   crates' cache-aware entry points consult.
 //!

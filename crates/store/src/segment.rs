@@ -533,7 +533,6 @@ mod tests {
                 }),
                 trials_requested: tag * 2,
                 trials_completed: tag * 2,
-                converged_early: false,
             },
             prefixes: Vec::new(),
         }

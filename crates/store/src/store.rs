@@ -8,8 +8,8 @@
 //!    on LRU miss and promoted back into the LRU;
 //! 3. a **family index** mapping the family canon's content address to
 //!    every cached whole-chunk prefix of that seeded kernel — the
-//!    *extension* path, serving a larger-trials or `with_target_rse`
-//!    request a resumable prefix instead of a cold start.
+//!    *extension* path, serving a request of another trial count a
+//!    resumable prefix instead of a cold start.
 //!
 //! Every fallible cache interaction degrades to a (counted) miss: the
 //! cache can make runs faster, never wrong and never failed.
@@ -506,7 +506,6 @@ mod tests {
             value: AccState::Bernoulli(BernoulliState { successes, trials }),
             trials_requested: trials,
             trials_completed: trials,
-            converged_early: false,
         }
     }
 
@@ -530,7 +529,7 @@ mod tests {
     #[test]
     fn memory_store_hits_after_insert() {
         let store = Store::in_memory();
-        let key = spec(1).request(8192, None);
+        let key = spec(1).request(8192);
         assert_eq!(store.lookup(&key), Lookup::Miss);
         store.insert(&key, report(10, 8192), vec![]);
         match store.lookup(&key) {
@@ -544,37 +543,60 @@ mod tests {
     #[test]
     fn family_prefixes_serve_larger_requests() {
         let store = Store::in_memory();
-        let small = spec(2).request(4 * montecarlo::CHUNK_WIDTH, None);
+        let small = spec(2).request(4 * montecarlo::CHUNK_WIDTH);
         store.insert(&small, report(7, small.trials), vec![prefix(4)]);
         // Larger request, same family: no exact hit, but an extension.
-        let big = spec(2).request(16 * montecarlo::CHUNK_WIDTH, None);
+        let big = spec(2).request(16 * montecarlo::CHUNK_WIDTH);
         match store.lookup(&big) {
             Lookup::Extend(ps) => assert_eq!(ps, vec![prefix(4)]),
             other => panic!("expected an extension, got {other:?}"),
         }
         // Smaller than any prefix: miss, never a too-big prefix.
-        let tiny = spec(2).request(2 * montecarlo::CHUNK_WIDTH, None);
+        let tiny = spec(2).request(2 * montecarlo::CHUNK_WIDTH);
         assert_eq!(store.lookup(&tiny), Lookup::Miss);
         assert_eq!(store.stats().extends, 1);
     }
 
     #[test]
-    fn rse_requests_share_the_family_index() {
-        let store = Store::in_memory();
-        let plain = spec(3).request(8 * montecarlo::CHUNK_WIDTH, None);
-        store.insert(&plain, report(9, plain.trials), vec![prefix(4), prefix(8)]);
-        let rse = spec(3).request(8 * montecarlo::CHUNK_WIDTH, Some(0.01));
-        match store.lookup(&rse) {
-            Lookup::Extend(ps) => assert_eq!(ps.len(), 2),
-            other => panic!("expected an extension, got {other:?}"),
+    fn records_carrying_the_retired_converged_early_flag_still_hit() {
+        // A `put` record as written while runs could stop on an RSE
+        // target: its report carries `"converged_early":false`.
+        let dir = tmp_dir("converged-early");
+        std::fs::create_dir_all(&dir).unwrap();
+        let key = spec(6).request(8 * montecarlo::CHUNK_WIDTH);
+        let json = format!(
+            "{{\"key\":\"{}\",\"entry\":{{\"canon\":\"{}\",\"family\":\"{}\",\
+             \"report\":{{\"value\":{{\"Bernoulli\":{{\"successes\":3,\"trials\":{trials}}}}},\
+             \"trials_requested\":{trials},\"trials_completed\":{trials},\"converged_early\":false}},\
+             \"prefixes\":[{{\"chunks\":8,\"trials\":{trials},\
+             \"value\":{{\"Bernoulli\":{{\"successes\":8,\"trials\":{trials}}}}}}}]}}}}",
+            key.hash().hex(),
+            key.canon(),
+            key.family,
+            trials = key.trials,
+        );
+        std::fs::write(
+            dir.join("seg-00000000.mmrs"),
+            obs::frame::SEGMENT.encode("1 put", &json),
+        )
+        .unwrap();
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.stats().errors, 0, "the record parses");
+        match store.lookup(&key) {
+            Lookup::Hit(entry) => {
+                assert_eq!(entry.report, report(3, key.trials));
+                assert_eq!(entry.prefixes, vec![prefix(8)]);
+            }
+            other => panic!("expected an exact hit, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn lru_evicts_to_budget_and_counts() {
         let store = Store::in_memory().with_memory_budget(1); // absurd: 1 byte
-        let a = spec(10).request(4096, None);
-        let b = spec(11).request(4096, None);
+        let a = spec(10).request(4096);
+        let b = spec(11).request(4096);
         store.insert(&a, report(1, 4096), vec![]);
         store.insert(&b, report(2, 4096), vec![]);
         assert!(store.stats().evictions >= 1);
@@ -614,7 +636,6 @@ mod tests {
             let old_key = RequestKey {
                 family,
                 trials: 8 * montecarlo::CHUNK_WIDTH,
-                rse_bits: None,
             };
             {
                 let store = Store::open(&dir).unwrap();
@@ -630,7 +651,7 @@ mod tests {
                 "the {label} entry persisted"
             );
             for trials in [8, 16].map(|chunks| chunks * montecarlo::CHUNK_WIDTH) {
-                let key = spec(5).request(trials, None);
+                let key = spec(5).request(trials);
                 assert_eq!(store.lookup(&key), Lookup::Miss, "{label}: {trials} trials");
             }
             std::fs::remove_dir_all(&dir).unwrap();
@@ -640,7 +661,7 @@ mod tests {
     #[test]
     fn disk_store_round_trips_and_reopens() {
         let dir = tmp_dir("reopen");
-        let key = spec(4).request(8192, None);
+        let key = spec(4).request(8192);
         {
             let store = Store::open(&dir).unwrap();
             store.insert(&key, report(3, 8192), vec![prefix(2)]);
@@ -654,7 +675,7 @@ mod tests {
             other => panic!("expected a reopened hit, got {other:?}"),
         }
         // The family index was rebuilt from disk too.
-        let big = spec(4).request(64 * montecarlo::CHUNK_WIDTH, None);
+        let big = spec(4).request(64 * montecarlo::CHUNK_WIDTH);
         assert!(matches!(store.lookup(&big), Lookup::Extend(_)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -663,8 +684,8 @@ mod tests {
     fn eviction_loses_nothing_when_disk_backed() {
         let dir = tmp_dir("evict-disk");
         let store = Store::open(&dir).unwrap().with_memory_budget(1);
-        let a = spec(20).request(4096, None);
-        let b = spec(21).request(4096, None);
+        let a = spec(20).request(4096);
+        let b = spec(21).request(4096);
         store.insert(&a, report(1, 4096), vec![]);
         store.insert(&b, report(2, 4096), vec![]);
         assert!(store.stats().evictions >= 1);

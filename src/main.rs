@@ -32,8 +32,8 @@
 //! process exits 2.
 //!
 //! `mmreliab inspect` is `experiments inspect`: it renders a flight log
-//! (timeline, histogram, convergence trajectory; `--diff` compares two
-//! logs), a crash dossier, or a cache or dossier directory.
+//! (timeline and histogram; `--diff` compares two logs' payload events),
+//! a crash dossier, or a cache or dossier directory.
 
 use memmodel::MemoryModel;
 use mmr_bench::cli::SharedFlags;

@@ -12,11 +12,10 @@
 //! Every experiment runs behind an unwind boundary, so one panicking
 //! experiment reports `MISMATCH` instead of killing the batch.
 //!
-//! The shared flags are the seven `mmreliab` takes too, parsed and set up
+//! The shared flags are the six `mmreliab` takes too, parsed and set up
 //! by [`mmr_bench::cli`]: `--cache DIR` serves repeated runs from the
 //! content-addressed result store; `--metrics` dumps the process
-//! metric snapshot at exit (JSON by default, Prometheus text exposition
-//! with `--metrics-format prom`); `--trace` writes the flight recorder's
+//! metric snapshot at exit as pretty JSON; `--trace` writes the flight recorder's
 //! ring as Chrome trace-event JSON, one complete event per experiment;
 //! `--flight` mirrors that ring; `--dossier-dir` collects crash
 //! dossiers; `--quiet` suppresses status lines (errors still print; exit
@@ -51,7 +50,7 @@ fn usage() -> String {
 --dossier-dir writes a crash dossier (last events + metrics + fault delta) into DIR
         on panic or degradation
         (an unusable artifact path degrades with a warning and exit code 2)
---metrics/--metrics-format/--trace/--flight/--dossier-dir/--quiet are observational only and never change results
+--metrics/--trace/--flight/--dossier-dir/--quiet are observational only and never change results
 --chaos injects a seeded, reproducible fault schedule; PROFILE is torn (torn cache
         writes, recovered) | export (failed exports) | hard (abandoned chunks)
 inspect auto-detects ARTIFACT: flight log (MMRE), crash dossier (JSON), cache or

@@ -1,9 +1,8 @@
 //! The flag layer both binaries share.
 //!
-//! `mmreliab` and `experiments` take the same seven cache and
-//! observability flags: `--cache DIR`, `--metrics FILE`,
-//! `--metrics-format json|prom`, `--trace FILE`, `--flight FILE`,
-//! `--dossier-dir DIR` and `--quiet`. [`SharedFlags::parse_flag`] parses
+//! `mmreliab` and `experiments` take the same six cache and
+//! observability flags: `--cache DIR`, `--metrics FILE`, `--trace FILE`,
+//! `--flight FILE`, `--dossier-dir DIR` and `--quiet`. [`SharedFlags::parse_flag`] parses
 //! them, [`SharedFlags::install`] sets them up before a run, and
 //! [`SharedFlags::export`] writes the exports after the results print.
 //!
@@ -19,28 +18,17 @@ use obs::degrade::Artifacts;
 use std::path::{Path, PathBuf};
 
 /// The usage fragment naming the shared flags.
-pub const USAGE: &str = "[--cache DIR] [--metrics FILE] [--metrics-format json|prom] \
-                         [--trace FILE] [--flight FILE] [--dossier-dir DIR] [--quiet]";
+pub const USAGE: &str = "[--cache DIR] [--metrics FILE] [--trace FILE] [--flight FILE] \
+                         [--dossier-dir DIR] [--quiet]";
 
-/// Output format of the `--metrics` snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum MetricsFormat {
-    /// The [`obs::Snapshot`] as pretty JSON (the default).
-    #[default]
-    Json,
-    /// Prometheus text exposition.
-    Prom,
-}
-
-/// The seven flags both binaries take.
+/// The six flags both binaries take.
 #[derive(Debug, Default)]
 pub struct SharedFlags {
     /// `--cache DIR`: the content-addressed result store.
     cache: Option<PathBuf>,
-    /// `--metrics FILE`: the telemetry snapshot, written at exit.
+    /// `--metrics FILE`: the telemetry snapshot as pretty JSON, written
+    /// at exit.
     metrics: Option<PathBuf>,
-    /// `--metrics-format`: the snapshot's format.
-    metrics_format: MetricsFormat,
     /// `--trace FILE`: the flight ring as Chrome trace-event JSON.
     trace: Option<PathBuf>,
     /// `--flight FILE`: the CRC-framed mirror of the flight recorder.
@@ -67,17 +55,6 @@ impl SharedFlags {
         match flag {
             "--cache" => self.cache = Some(value("a directory")?.into()),
             "--metrics" => self.metrics = Some(value("a path")?.into()),
-            "--metrics-format" => {
-                self.metrics_format = match value("json or prom")?.as_str() {
-                    "json" => MetricsFormat::Json,
-                    "prom" => MetricsFormat::Prom,
-                    other => {
-                        return Err(format!(
-                            "--metrics-format takes json or prom, got {other:?}"
-                        ))
-                    }
-                };
-            }
             "--trace" => self.trace = Some(value("a path")?.into()),
             "--flight" => self.flight = Some(value("a path")?.into()),
             "--dossier-dir" => self.dossier_dir = Some(value("a directory")?.into()),
@@ -145,13 +122,7 @@ impl SharedFlags {
         }
         if let Some(path) = &self.metrics {
             let written = write_export(path, || {
-                let snapshot = obs::snapshot();
-                match self.metrics_format {
-                    MetricsFormat::Json => {
-                        serde_json::to_string_pretty(&snapshot).expect("serializable snapshot")
-                    }
-                    MetricsFormat::Prom => obs::export::prometheus(&snapshot),
-                }
+                serde_json::to_string_pretty(&obs::snapshot()).expect("serializable snapshot")
             });
             if artifacts.install("metrics export", written).is_some() {
                 obs::info!("metrics snapshot written to {}", path.display());
@@ -204,8 +175,6 @@ mod tests {
             "c",
             "--metrics",
             "m",
-            "--metrics-format",
-            "prom",
             "--trace",
             "t",
             "--flight",
@@ -219,7 +188,6 @@ mod tests {
         .unwrap();
         assert_eq!(flags.cache.as_deref(), Some(Path::new("c")));
         assert_eq!(flags.metrics.as_deref(), Some(Path::new("m")));
-        assert_eq!(flags.metrics_format, MetricsFormat::Prom);
         assert_eq!(flags.trace.as_deref(), Some(Path::new("t")));
         assert_eq!(flags.flight.as_deref(), Some(Path::new("f")));
         assert_eq!(flags.dossier_dir.as_deref(), Some(Path::new("d")));
@@ -234,7 +202,5 @@ mod tests {
             "--cache needs a directory"
         );
         assert_eq!(parse(&["--flight"]).unwrap_err(), "--flight needs a path");
-        let err = parse(&["--metrics-format", "xml"]).unwrap_err();
-        assert!(err.contains("json or prom"), "{err}");
     }
 }

@@ -3,8 +3,10 @@
 //! Each experiment in [`exp`] reproduces one artifact (see DESIGN.md §4's
 //! per-experiment index) and returns a text report section with
 //! paper-vs-measured rows. The `experiments` binary runs any subset and is
-//! the source of `EXPERIMENTS.md`; the Criterion benches in `benches/`
-//! measure the cost of the underlying machinery.
+//! the source of `EXPERIMENTS.md`. [`cli`] holds the flags it shares with
+//! `mmreliab`, and [`inspect`] the artifact analyzer both expose. What the
+//! machinery costs is measured by the workload ledger (`benchmark/`), the
+//! repository's one benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

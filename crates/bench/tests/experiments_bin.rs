@@ -151,15 +151,13 @@ fn unwritable_metrics_is_typed_error_after_results_land() {
 fn trace_and_prom_exports_are_structurally_valid() {
     let dir = temp_dir("exports");
     let trace = dir.join("trace.json");
-    let prom = dir.join("metrics.prom");
+    let metrics = dir.join("metrics.json");
     let out = experiments(&[
         "--quick",
         "--trace",
         trace.to_str().unwrap(),
         "--metrics",
-        prom.to_str().unwrap(),
-        "--metrics-format",
-        "prom",
+        metrics.to_str().unwrap(),
         "t1",
         "thm62",
     ]);
@@ -205,15 +203,10 @@ fn trace_and_prom_exports_are_structurally_valid() {
     let ((_, t1_ts, t1_dur), (_, thm62_ts, _)) = (&spans[0], &spans[1]);
     assert!(t1_ts + t1_dur <= *thm62_ts, "spans overlap: {spans:?}");
 
-    // The Prometheus exposition passes the exporter's own lint.
-    let text = std::fs::read_to_string(&prom).unwrap();
-    obs::export::lint(&text).expect("prom exposition lints clean");
-    assert!(text.contains("exp_t1_runs"), "{text}");
-
-    // An unknown format is rejected up front.
-    let out = experiments(&["--quick", "--metrics-format", "xml", "t1"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("json or prom"));
+    // The metrics file is the JSON snapshot, and t1 ran once.
+    let snap: obs::Snapshot = serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap())
+        .expect("metrics file is a JSON snapshot");
+    assert_eq!(snap.counter("exp.t1.runs"), Some(1));
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -228,6 +221,8 @@ fn rejects_unknown_flag_and_unknown_experiment() {
         &["--serve", "127.0.0.1:0", "t1"],
         &["--progress", "t1"],
         &["--checkpoint", "state.mmrj", "t1"],
+        // The retired metrics format switch: JSON is the one format.
+        &["--quick", "--metrics-format", "prom", "t1"],
     ] {
         let out = experiments(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -137,19 +137,11 @@ impl ReliabilityModel {
         TrialScratch::new(&template, self.n)
     }
 
-    /// Samples one window-length vector `Γ_1 … Γ_n`: one random program,
-    /// `n` independent settles (§6: "we generate a single initial random
-    /// program, then independently reorder n copies of this program").
-    pub fn sample_windows<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.n);
-        self.sample_windows_into(&mut out, rng);
-        out
-    }
-
-    /// [`sample_windows`](ReliabilityModel::sample_windows) into a
-    /// caller-provided buffer (cleared and refilled). Draw-for-draw
-    /// identical to `sample_windows`; the program itself is still drawn
-    /// fresh — use
+    /// Samples one window-length vector `Γ_1 … Γ_n` into a caller-provided
+    /// buffer (cleared and refilled): one random program, `n` independent
+    /// settles (§6: "we generate a single initial random program, then
+    /// independently reorder n copies of this program"). The program is
+    /// materialised — use
     /// [`sample_windows_scratch`](ReliabilityModel::sample_windows_scratch)
     /// for the fully allocation-free kernel.
     pub fn sample_windows_into<R: Rng + ?Sized>(&self, out: &mut Vec<u64>, rng: &mut R) {
@@ -176,7 +168,7 @@ impl ReliabilityModel {
     /// ([`Settler::sample_gammas_keyed`]) types only the fillers the
     /// windows depend on, straight from the key (`progmodel`'s
     /// program-key contract). It is draw-for-draw identical to
-    /// [`sample_windows`](ReliabilityModel::sample_windows) — `generate`
+    /// [`sample_windows_into`](ReliabilityModel::sample_windows_into) — `generate`
     /// draws the same key and types every filler from it, and each settle
     /// consumes the same settle key — so seeded streams agree bit for bit
     /// between the two routes.
@@ -535,8 +527,10 @@ mod tests {
     fn sc_windows_are_all_two() {
         let m = ReliabilityModel::new(MemoryModel::Sc, 4);
         let mut rng = SmallRng::seed_from_u64(0);
+        let mut windows = Vec::new();
         for _ in 0..20 {
-            assert!(m.sample_windows(&mut rng).iter().all(|&w| w == 2));
+            m.sample_windows_into(&mut windows, &mut rng);
+            assert!(windows.iter().all(|&w| w == 2));
         }
     }
 
@@ -545,7 +539,9 @@ mod tests {
         for n in [1usize, 2, 5] {
             let m = ReliabilityModel::new(MemoryModel::Wo, n);
             let mut rng = SmallRng::seed_from_u64(1);
-            assert_eq!(m.sample_windows(&mut rng).len(), n);
+            let mut windows = Vec::new();
+            m.sample_windows_into(&mut windows, &mut rng);
+            assert_eq!(windows.len(), n);
         }
     }
 
@@ -568,8 +564,10 @@ mod tests {
         // Fenced WO: windows pinned to 2, survival equals the SC constant.
         let m = ReliabilityModel::new(MemoryModel::Wo, 2).with_acquire_fence();
         let mut rng = SmallRng::seed_from_u64(9);
+        let mut windows = Vec::new();
         for _ in 0..20 {
-            assert!(m.sample_windows(&mut rng).iter().all(|&w| w == 2));
+            m.sample_windows_into(&mut windows, &mut rng);
+            assert!(windows.iter().all(|&w| w == 2));
         }
         let est = m.simulate_survival(60_000, 10);
         assert!(est.covers(1.0 / 6.0, 0.999), "{est}");
@@ -603,16 +601,12 @@ mod tests {
         let mut buf = Vec::new();
         let mut r1 = SmallRng::seed_from_u64(55);
         let mut r2 = r1.clone();
-        let mut r3 = r1.clone();
         for _ in 0..20 {
-            let owned = m.sample_windows(&mut r1);
-            m.sample_windows_into(&mut buf, &mut r2);
-            let scratched = m.sample_windows_scratch(&mut scratch, &mut r3);
-            assert_eq!(owned, buf);
-            assert_eq!(owned, scratched);
+            m.sample_windows_into(&mut buf, &mut r1);
+            let scratched = m.sample_windows_scratch(&mut scratch, &mut r2);
+            assert_eq!(buf, scratched);
         }
         assert_eq!(r1, r2);
-        assert_eq!(r1, r3);
     }
 
     #[test]

@@ -13,9 +13,14 @@ use shiftproc::exchangeable;
 /// instead we sample window vectors `Γ̄`, evaluate the *conditional*
 /// disjointness term exactly, and average. The estimate is reported in
 /// `log2` to survive the astronomically small probabilities at large `n`.
+///
+/// At large enough `n` (e.g. n = 1000 under TSO) every sampled factor
+/// `2^-K` has `K > 1074` and rounds to 0, so the estimate is below `f64`
+/// range and is reported as a bound ([`below_range`](Self::below_range)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RbSurvival {
-    /// `log2 Pr[A]`.
+    /// `log2 Pr[A]`, or an upper bound on it when
+    /// [`below_range`](Self::below_range) is set.
     pub log2_survival: f64,
     /// The sampled mean of the scaled per-vector factor.
     pub mean_factor: f64,
@@ -23,21 +28,34 @@ pub struct RbSurvival {
     pub factor_sem: f64,
     /// Number of window vectors sampled.
     pub samples: u64,
+    /// Every sampled factor underflowed to 0, so `log2_survival` is the
+    /// upper bound `exchangeable::log2_survival(n, 2, 2^-1074)`: the value
+    /// at the smallest positive factor.
+    pub below_range: bool,
 }
 
 impl RbSurvival {
     /// The estimate at `n` threads from the Welford fold of its factors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no factor was sampled.
     fn from_factors(n: usize, stats: &Welford) -> RbSurvival {
         let mean = stats.mean();
+        let below_range = mean == 0.0;
+        // The smallest positive f64, 2^-1074, bounds every factor that
+        // rounded to 0.
+        let smallest = f64::from_bits(1);
         RbSurvival {
             log2_survival: exchangeable::log2_survival(
                 u32::try_from(n).expect("thread count fits u32"),
                 2,
-                mean,
+                if below_range { smallest } else { mean },
             ),
             mean_factor: mean,
             factor_sem: stats.sem(),
             samples: stats.count(),
+            below_range,
         }
     }
 
@@ -85,11 +103,12 @@ impl ExchangeabilityPoint {
 
 impl ReliabilityModel {
     /// Rao-Blackwellised estimate of `Pr[A]` from `trials` window vectors.
+    /// When every factor underflows, the estimate is a bound (see
+    /// [`RbSurvival`]).
     ///
     /// # Panics
     ///
-    /// Panics if every sampled factor is zero (cannot happen: factors are
-    /// strictly positive).
+    /// Panics if `trials` is 0.
     #[must_use]
     pub fn estimate_survival_rb(&self, trials: u64, seed: u64) -> RbSurvival {
         self.rb_runner(&Runner::new(Seed(seed)), trials)
@@ -301,6 +320,34 @@ mod tests {
     } else {
         200_000
     };
+
+    #[test]
+    fn underflowed_factors_report_a_finite_bound() {
+        let smallest = f64::from_bits(1);
+        let mut zeros = Welford::new();
+        for _ in 0..10 {
+            zeros.record(0.0);
+        }
+        for n in [2usize, 16, 1000] {
+            let rb = RbSurvival::from_factors(n, &zeros);
+            let bound = exchangeable::log2_survival(n as u32, 2, smallest);
+            assert!(rb.below_range, "n = {n}");
+            assert!(rb.log2_survival.is_finite(), "n = {n}");
+            assert_eq!(rb.log2_survival.to_bits(), bound.to_bits(), "n = {n}");
+            assert!(rb.normalized_exponent(n).is_finite(), "n = {n}");
+            assert!(!rb.survival().is_nan(), "n = {n}");
+            assert_eq!((rb.mean_factor, rb.samples), (0.0, 10));
+        }
+        // A positive mean, however small, is the estimate itself.
+        let mut tiny = Welford::new();
+        tiny.record(smallest);
+        let rb = RbSurvival::from_factors(1000, &tiny);
+        assert!(!rb.below_range);
+        assert_eq!(
+            rb.log2_survival.to_bits(),
+            exchangeable::log2_survival(1000, 2, smallest).to_bits()
+        );
+    }
 
     #[test]
     fn rb_matches_exact_for_sc() {

@@ -21,9 +21,9 @@
 //! # The ledger
 //!
 //! Every injected fault and every degradation is tallied in a global
-//! [`Ledger`] of plain atomics, independent of the `telemetry` feature, so
-//! reports can carry an honest fault history even in `--no-default-features`
-//! builds. [`Ledger::snapshot`] + [`LedgerSnapshot::since`] give per-scope
+//! [`Ledger`] of plain atomics, independent of [`obs::set_recording`], so
+//! reports carry an honest fault history even while telemetry is paused.
+//! [`Ledger::snapshot`] + [`LedgerSnapshot::since`] give per-scope
 //! deltas.
 
 use crate::rng::splitmix64;
@@ -213,12 +213,12 @@ pub fn active() -> Option<Arc<FaultPlan>> {
 }
 
 // ---------------------------------------------------------------------------
-// Ledger: always-compiled fault and degradation tallies
+// Ledger: fault and degradation tallies in plain atomics
 // ---------------------------------------------------------------------------
 
 /// Global tallies of injected faults and degradations, kept in plain
-/// atomics so they exist (and stay exact) even in builds without the
-/// `telemetry` feature. See the module docs.
+/// atomics so they stay exact even while [`obs::set_recording`] is off.
+/// See the module docs.
 #[derive(Debug)]
 pub struct Ledger {
     injected_panics: AtomicU64,

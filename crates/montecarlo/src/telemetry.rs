@@ -4,8 +4,8 @@
 //! (a `OnceLock` each) so instrumented code never touches the registry
 //! lock. Everything recorded here is strictly out-of-band — chunk- or
 //! ticket-granularity counters and timings that cannot influence RNG
-//! streams, chunk tiling, or merge order. With `montecarlo` built without
-//! its `telemetry` feature, every handle is a zero-sized no-op.
+//! streams, chunk tiling, or merge order. While [`obs::set_recording`]
+//! is off, every update is dropped.
 
 use std::sync::OnceLock;
 

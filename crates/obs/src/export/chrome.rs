@@ -176,7 +176,6 @@ mod tests {
         assert_eq!(text.matches("\"ph\": \"i\"").count(), 2);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn live_snapshot_round_trips() {
         let _guard = crate::test_ring_lock();

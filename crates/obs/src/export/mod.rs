@@ -1,20 +1,14 @@
-//! Interoperable exports of a [`Snapshot`](crate::Snapshot): Chrome
-//! trace-event JSON ([`chrome_trace`]) for Perfetto / `chrome://tracing`,
-//! and Prometheus text exposition ([`prometheus`]) for scrape-style
-//! tooling.
+//! The interoperable export of a [`Snapshot`](crate::Snapshot): Chrome
+//! trace-event JSON ([`chrome_trace`]) for Perfetto / `chrome://tracing`
+//! (`--trace FILE`). The metrics themselves are exported as the
+//! snapshot's own JSON (`--metrics FILE`).
 //!
-//! Both exporters are pure functions of snapshot data — no sockets, no
-//! background threads, no new dependencies. A binary collects out-of-band
-//! telemetry exactly as before and only the final serialization changes
-//! (`--trace FILE`, `--metrics-format prom`). In builds without the
-//! `enabled` feature the snapshot is empty and the exporters emit the
-//! corresponding empty-but-valid documents.
+//! The exporter is a pure function of snapshot data — no sockets, no
+//! background threads, no new dependencies.
 
 mod chrome;
-mod prom;
 
 pub use chrome::chrome_trace;
-pub use prom::{lint, prometheus};
 
 /// Escapes a string for embedding inside a JSON string literal.
 pub(crate) fn json_escape(s: &str) -> String {

@@ -9,9 +9,8 @@
 //! ring drops its oldest event when full, but evicts a `span` event only
 //! when nothing else is left, so every experiment's span survives a long
 //! run (evictions count into `obs.flight_dropped`). Recording follows
-//! the same contract as [`crate::set_recording`]: compiled out without
-//! the `enabled` feature, pausable at runtime, and additionally gated by
-//! [`set_flight_recording`] so the recorder's own overhead can be
+//! the same contract as [`crate::set_recording`]: pausable at runtime,
+//! and additionally gated by [`set_flight_recording`] so the recorder's own overhead can be
 //! measured in isolation. Emission never touches an RNG stream; seeded
 //! results are bit-identical with the recorder on, off, or mirrored.
 //!
@@ -128,8 +127,7 @@ impl EventBuilder {
 
     /// Records the event into the ring and appends it to the disk mirror,
     /// if one is installed. A no-op unless both the master recording
-    /// switch and the flight switch are on; always a no-op in builds
-    /// without the `enabled` feature.
+    /// switch and the flight switch are on.
     pub fn emit(self) {
         if !recording() {
             return;
@@ -709,7 +707,6 @@ mod tests {
         assert!(parsed.events.is_empty());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn emit_records_into_ring_and_mirror() {
         let _guard = crate::test_ring_lock();
@@ -737,7 +734,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn flight_switch_gates_emission() {
         let _guard = crate::test_ring_lock();
@@ -758,7 +754,6 @@ mod tests {
         assert_eq!(parsed.events.len(), 1);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn ring_overflow_counts_dropped_events() {
         // Flooding capacity + 50 events can keep at most capacity of them,
@@ -781,7 +776,6 @@ mod tests {
         assert_eq!(crate::snapshot().counter("obs.flight_dropped"), Some(after));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn ring_is_bounded() {
         let _guard = crate::test_ring_lock();
@@ -799,7 +793,6 @@ mod tests {
         assert_eq!((last.kind.as_str(), last.n), ("bounded", Some(newest)));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn span_events_outlive_a_flood_of_other_events() {
         let _guard = crate::test_ring_lock();
@@ -822,7 +815,6 @@ mod tests {
         assert!(kept.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn events_carry_a_stable_thread_id() {
         let _guard = crate::test_ring_lock();
@@ -836,13 +828,6 @@ mod tests {
         // A different thread gets a different id.
         let other = std::thread::spawn(crate::current_tid).join().unwrap();
         assert_ne!(mine, other);
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_build_records_nothing() {
-        event("run_start").n(1).emit();
-        assert!(events().is_empty());
     }
 
     #[test]

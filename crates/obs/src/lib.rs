@@ -11,13 +11,11 @@
 //!   never reorders work, and never feeds back into any seeded
 //!   computation. Handles are updated with relaxed atomics off the hot
 //!   path (per chunk / per run, never per trial), so every seeded result
-//!   is bit-for-bit identical whether collection is on, off, or absent.
-//! * **The disabled path is a compile-time no-op.** Built without the
-//!   `enabled` feature (`--no-default-features`), every handle is a
-//!   zero-sized struct with empty inlined methods and [`snapshot`] returns
-//!   an empty [`Snapshot`]. A runtime master switch ([`set_recording`])
-//!   additionally pauses collection in `enabled` builds, which is what the
-//!   overhead benchmarks toggle.
+//!   is bit-for-bit identical whether collection is on or off.
+//! * **One off switch, at runtime.** [`set_recording`] pauses every
+//!   counter, gauge, histogram and flight event; a paused update is one
+//!   relaxed load and a branch. The workload ledger toggles it (and
+//!   [`flight::set_flight_recording`]) to price telemetry.
 //!
 //! Collection is process-global: every crate in the workspace feeds the
 //! same [`global`] registry, and a binary emits one JSON [`Snapshot`] at
@@ -29,7 +27,6 @@
 //! let hits = obs::global().counter("example.hits");
 //! hits.add(3);
 //! let snap = obs::snapshot();
-//! # #[cfg(feature = "enabled")]
 //! assert!(snap.counter("example.hits").unwrap() >= 3);
 //! ```
 
@@ -70,11 +67,10 @@ pub fn set_recording(on: bool) {
     RECORDING.store(on, Ordering::Relaxed);
 }
 
-/// Whether collection is currently recording (always `false` in builds
-/// without the `enabled` feature).
+/// Whether collection is currently recording.
 #[must_use]
 pub fn recording() -> bool {
-    cfg!(feature = "enabled") && RECORDING.load(Ordering::Relaxed)
+    RECORDING.load(Ordering::Relaxed)
 }
 
 /// Capacity of the flight recorder's event ring (drop-oldest, with
@@ -82,9 +78,8 @@ pub fn recording() -> bool {
 pub const DEFAULT_RING_CAP: usize = 1024;
 
 /// Build metadata stamped once by the binary and carried on every
-/// [`Snapshot`], Prometheus exposition (`mmr_build_info`) and crash
-/// dossier — so any artifact can be traced back to the exact build and
-/// host shape that produced it.
+/// [`Snapshot`] and crash dossier — so any artifact can be traced back to
+/// the exact build and host shape that produced it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BuildInfo {
     /// The binary's crate version (`CARGO_PKG_VERSION`).
@@ -246,29 +241,12 @@ mod tests {
     fn recording_switch_roundtrips() {
         let _guard = recording_lock();
         set_recording(true);
-        assert_eq!(recording(), cfg!(feature = "enabled"));
+        assert!(recording());
         set_recording(false);
         assert!(!recording());
         set_recording(true);
     }
 
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_build_is_a_zero_sized_no_op() {
-        assert_eq!(std::mem::size_of::<Counter>(), 0);
-        assert_eq!(std::mem::size_of::<Gauge>(), 0);
-        assert_eq!(std::mem::size_of::<Histogram>(), 0);
-        let c = global().counter("disabled.counter");
-        c.add(7);
-        let h = global().histogram("disabled.hist");
-        h.record(7);
-        let snap = snapshot();
-        assert!(snap.counters.is_empty());
-        assert!(snap.histograms.is_empty());
-        assert!(snap.flight_events().is_empty());
-    }
-
-    #[cfg(feature = "enabled")]
     #[test]
     fn snapshot_sees_global_updates() {
         let _guard = recording_lock();
@@ -286,14 +264,61 @@ mod tests {
         assert!(snap.counter("lib.test.missing").is_none());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn paused_recording_drops_updates() {
         let _guard = recording_lock();
-        let c = global().counter("lib.test.paused");
-        set_recording(false);
-        c.add(1000);
+        let g = global();
+        let c = g.counter("lib.test.paused");
+        let set = g.gauge("lib.test.paused.set");
+        let max = g.gauge("lib.test.paused.set_max");
+        let inc = g.gauge("lib.test.paused.inc");
+        let dec = g.gauge("lib.test.paused.dec");
+        let h = g.histogram("lib.test.paused.hist");
         set_recording(true);
-        assert_eq!(snapshot().counter("lib.test.paused"), Some(0));
+        flight::set_flight_recording(true);
+        dec.set(3);
+        let probes = |snap: &Snapshot| {
+            snap.flight_events()
+                .iter()
+                .filter(|e| e.kind == "paused_probe")
+                .count()
+        };
+        let before = probes(&snapshot());
+
+        set_recording(false);
+        assert!(!recording());
+        c.add(1000);
+        set.set(5);
+        max.set_max(9);
+        inc.inc();
+        dec.dec();
+        h.record(7);
+        flight::event("paused_probe").n(1).emit();
+        set_recording(true);
+        let snap = snapshot();
+        assert_eq!(snap.counter("lib.test.paused"), Some(0));
+        assert_eq!(snap.gauge("lib.test.paused.set"), Some(0));
+        assert_eq!(snap.gauge("lib.test.paused.set_max"), Some(0));
+        assert_eq!(snap.gauge("lib.test.paused.inc"), Some(0));
+        assert_eq!(snap.gauge("lib.test.paused.dec"), Some(3));
+        assert_eq!(snap.histogram("lib.test.paused.hist").unwrap().count, 0);
+        assert_eq!(probes(&snap), before);
+
+        // Resumed, each of them records again.
+        c.add(1);
+        set.set(5);
+        max.set_max(9);
+        inc.inc();
+        dec.dec();
+        h.record(7);
+        flight::event("paused_probe").n(2).emit();
+        let snap = snapshot();
+        assert_eq!(snap.counter("lib.test.paused"), Some(1));
+        assert_eq!(snap.gauge("lib.test.paused.set"), Some(5));
+        assert_eq!(snap.gauge("lib.test.paused.set_max"), Some(9));
+        assert_eq!(snap.gauge("lib.test.paused.inc"), Some(1));
+        assert_eq!(snap.gauge("lib.test.paused.dec"), Some(2));
+        assert_eq!(snap.histogram("lib.test.paused.hist").unwrap().count, 1);
+        assert_eq!(probes(&snap), before + 1);
     }
 }

@@ -4,10 +4,9 @@
 //! — what the binaries printed before this crate existed), and `Debug`.
 //! Error/usage output in the binaries intentionally bypasses the logger
 //! (plain `eprintln!`), so `--quiet` can never swallow a failure message
-//! and exit-code behavior is unchanged.
-//!
-//! Always compiled (not gated on the `enabled` feature): logging is part
-//! of the binaries' user interface, not of metric collection.
+//! and exit-code behavior is unchanged. [`crate::set_recording`] does not
+//! pause it: logging is part of the binaries' user interface, not of
+//! metric collection.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

@@ -4,25 +4,19 @@
 //! Handles are `Arc`s onto plain atomics; updating one is a relaxed RMW
 //! with no lock, so instrumented code can record from any worker thread.
 //! The registry itself is only locked to create a handle or to take a
-//! [`Snapshot`](crate::Snapshot) — both off every hot path. In builds
-//! without the `enabled` feature all of this compiles away: handles are
-//! zero-sized, methods are empty, and snapshots are empty.
+//! [`Snapshot`](crate::Snapshot) — both off every hot path.
 
 use serde::{Deserialize, Serialize};
 
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::{Arc, Mutex};
 
 /// Number of histogram buckets: one for zero plus one per power of two.
-#[cfg(feature = "enabled")]
 const BUCKETS: usize = 65;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Clone)]
 pub struct Counter {
-    #[cfg(feature = "enabled")]
     cell: Arc<AtomicU64>,
 }
 
@@ -30,12 +24,9 @@ impl Counter {
     /// Adds `n` to the counter (dropped while recording is paused).
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
         if crate::recording() {
             self.cell.fetch_add(n, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
     /// Adds one.
@@ -44,24 +35,16 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current value (0 in disabled builds).
+    /// The current value.
     #[must_use]
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.cell.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
 /// A gauge: a value that can move both ways (e.g. busy-worker count).
 #[derive(Debug, Clone)]
 pub struct Gauge {
-    #[cfg(feature = "enabled")]
     cell: Arc<AtomicU64>,
 }
 
@@ -69,29 +52,22 @@ impl Gauge {
     /// Sets the gauge (dropped while recording is paused).
     #[inline]
     pub fn set(&self, value: u64) {
-        #[cfg(feature = "enabled")]
         if crate::recording() {
             self.cell.store(value, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = value;
     }
 
     /// Raises the gauge to `value` if it is currently lower.
     #[inline]
     pub fn set_max(&self, value: u64) {
-        #[cfg(feature = "enabled")]
         if crate::recording() {
             self.cell.fetch_max(value, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = value;
     }
 
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
-        #[cfg(feature = "enabled")]
         if crate::recording() {
             self.cell.fetch_add(1, Ordering::Relaxed);
         }
@@ -101,27 +77,18 @@ impl Gauge {
     /// of `inc`/`dec` keep it balanced).
     #[inline]
     pub fn dec(&self) {
-        #[cfg(feature = "enabled")]
         if crate::recording() {
             self.cell.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
-    /// The current value (0 in disabled builds).
+    /// The current value.
     #[must_use]
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.cell.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
-#[cfg(feature = "enabled")]
 #[derive(Debug)]
 struct HistogramCells {
     count: AtomicU64,
@@ -136,7 +103,6 @@ struct HistogramCells {
 /// to record per chunk, coarse enough that 65 atomics cover all of `u64`.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    #[cfg(feature = "enabled")]
     cells: Arc<HistogramCells>,
 }
 
@@ -144,7 +110,6 @@ impl Histogram {
     /// Records one sample (dropped while recording is paused).
     #[inline]
     pub fn record(&self, value: u64) {
-        #[cfg(feature = "enabled")]
         if crate::recording() {
             let idx = if value == 0 {
                 0
@@ -157,21 +122,12 @@ impl Histogram {
             self.cells.min.fetch_min(value, Ordering::Relaxed);
             self.cells.max.fetch_max(value, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = value;
     }
 
-    /// Number of recorded samples (0 in disabled builds).
+    /// Number of recorded samples.
     #[must_use]
     pub fn count(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.cells.count.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.cells.count.load(Ordering::Relaxed)
     }
 }
 
@@ -183,15 +139,11 @@ impl Histogram {
 /// registry lock afterwards.
 #[derive(Debug)]
 pub struct Registry {
-    #[cfg(feature = "enabled")]
     counters: Mutex<Vec<(String, Counter)>>,
-    #[cfg(feature = "enabled")]
     gauges: Mutex<Vec<(String, Gauge)>>,
-    #[cfg(feature = "enabled")]
     histograms: Mutex<Vec<(String, Histogram)>>,
 }
 
-#[cfg(feature = "enabled")]
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -201,11 +153,8 @@ impl Registry {
     #[must_use]
     pub const fn new() -> Registry {
         Registry {
-            #[cfg(feature = "enabled")]
             counters: Mutex::new(Vec::new()),
-            #[cfg(feature = "enabled")]
             gauges: Mutex::new(Vec::new()),
-            #[cfg(feature = "enabled")]
             histograms: Mutex::new(Vec::new()),
         }
     }
@@ -214,121 +163,84 @@ impl Registry {
     /// name share one cell.
     #[must_use]
     pub fn counter(&self, name: &str) -> Counter {
-        #[cfg(feature = "enabled")]
-        {
-            let mut entries = lock(&self.counters);
-            if let Some((_, c)) = entries.iter().find(|(n, _)| n == name) {
-                return c.clone();
-            }
-            let c = Counter {
-                cell: Arc::new(AtomicU64::new(0)),
-            };
-            entries.push((name.to_owned(), c.clone()));
-            c
+        let mut entries = lock(&self.counters);
+        if let Some((_, c)) = entries.iter().find(|(n, _)| n == name) {
+            return c.clone();
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            Counter {}
-        }
+        let c = Counter {
+            cell: Arc::new(AtomicU64::new(0)),
+        };
+        entries.push((name.to_owned(), c.clone()));
+        c
     }
 
     /// The gauge named `name`, created on first use.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Gauge {
-        #[cfg(feature = "enabled")]
-        {
-            let mut entries = lock(&self.gauges);
-            if let Some((_, g)) = entries.iter().find(|(n, _)| n == name) {
-                return g.clone();
-            }
-            let g = Gauge {
-                cell: Arc::new(AtomicU64::new(0)),
-            };
-            entries.push((name.to_owned(), g.clone()));
-            g
+        let mut entries = lock(&self.gauges);
+        if let Some((_, g)) = entries.iter().find(|(n, _)| n == name) {
+            return g.clone();
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            Gauge {}
-        }
+        let g = Gauge {
+            cell: Arc::new(AtomicU64::new(0)),
+        };
+        entries.push((name.to_owned(), g.clone()));
+        g
     }
 
     /// The histogram named `name`, created on first use.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Histogram {
-        #[cfg(feature = "enabled")]
-        {
-            let mut entries = lock(&self.histograms);
-            if let Some((_, h)) = entries.iter().find(|(n, _)| n == name) {
-                return h.clone();
-            }
-            #[allow(clippy::declare_interior_mutable_const)]
-            const ZERO: AtomicU64 = AtomicU64::new(0);
-            let h = Histogram {
-                cells: Arc::new(HistogramCells {
-                    count: AtomicU64::new(0),
-                    sum: AtomicU64::new(0),
-                    min: AtomicU64::new(u64::MAX),
-                    max: AtomicU64::new(0),
-                    buckets: [ZERO; BUCKETS],
-                }),
-            };
-            entries.push((name.to_owned(), h.clone()));
-            h
+        let mut entries = lock(&self.histograms);
+        if let Some((_, h)) = entries.iter().find(|(n, _)| n == name) {
+            return h.clone();
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            Histogram {}
-        }
+        #[allow(clippy::declare_interior_mutable_const)]
+        const ZERO: AtomicU64 = AtomicU64::new(0);
+        let h = Histogram {
+            cells: Arc::new(HistogramCells {
+                count: AtomicU64::new(0),
+                sum: AtomicU64::new(0),
+                min: AtomicU64::new(u64::MAX),
+                max: AtomicU64::new(0),
+                buckets: [ZERO; BUCKETS],
+            }),
+        };
+        entries.push((name.to_owned(), h.clone()));
+        h
     }
 
     /// A point-in-time view of every registered metric, sorted by name
     /// (the flight events are filled in by [`crate::snapshot`]).
     #[must_use]
     pub fn snapshot(&self) -> crate::Snapshot {
-        #[cfg(feature = "enabled")]
-        {
-            let mut counters: Vec<CounterSnapshot> = lock(&self.counters)
-                .iter()
-                .map(|(name, c)| CounterSnapshot {
-                    name: name.clone(),
-                    value: c.get(),
-                })
-                .collect();
-            counters.sort_by(|a, b| a.name.cmp(&b.name));
-            let mut gauges: Vec<GaugeSnapshot> = lock(&self.gauges)
-                .iter()
-                .map(|(name, g)| GaugeSnapshot {
-                    name: name.clone(),
-                    value: g.get(),
-                })
-                .collect();
-            gauges.sort_by(|a, b| a.name.cmp(&b.name));
-            let mut histograms: Vec<HistogramSnapshot> = lock(&self.histograms)
-                .iter()
-                .map(|(name, h)| snapshot_histogram(name, h))
-                .collect();
-            histograms.sort_by(|a, b| a.name.cmp(&b.name));
-            crate::Snapshot {
-                counters,
-                gauges,
-                histograms,
-                flight_events: None,
-                build_info: None,
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            crate::Snapshot {
-                counters: Vec::new(),
-                gauges: Vec::new(),
-                histograms: Vec::new(),
-                flight_events: None,
-                build_info: None,
-            }
+        let mut counters: Vec<CounterSnapshot> = lock(&self.counters)
+            .iter()
+            .map(|(name, c)| CounterSnapshot {
+                name: name.clone(),
+                value: c.get(),
+            })
+            .collect();
+        counters.sort_by(|a, b| a.name.cmp(&b.name));
+        let mut gauges: Vec<GaugeSnapshot> = lock(&self.gauges)
+            .iter()
+            .map(|(name, g)| GaugeSnapshot {
+                name: name.clone(),
+                value: g.get(),
+            })
+            .collect();
+        gauges.sort_by(|a, b| a.name.cmp(&b.name));
+        let mut histograms: Vec<HistogramSnapshot> = lock(&self.histograms)
+            .iter()
+            .map(|(name, h)| snapshot_histogram(name, h))
+            .collect();
+        histograms.sort_by(|a, b| a.name.cmp(&b.name));
+        crate::Snapshot {
+            counters,
+            gauges,
+            histograms,
+            flight_events: None,
+            build_info: None,
         }
     }
 }
@@ -339,7 +251,6 @@ impl Default for Registry {
     }
 }
 
-#[cfg(feature = "enabled")]
 fn snapshot_histogram(name: &str, h: &Histogram) -> HistogramSnapshot {
     let count = h.cells.count.load(Ordering::Relaxed);
     let min = h.cells.min.load(Ordering::Relaxed);
@@ -421,7 +332,7 @@ impl HistogramSnapshot {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -17,13 +17,12 @@
 //! is how many OS threads run the Monte-Carlo trials. Workers only change
 //! wall-clock time — every result is identical for any worker count.
 //!
-//! The cache and observability flags are the seven `experiments` takes
+//! The cache and observability flags are the six `experiments` takes
 //! too, parsed, set up and exported by the shared `mmr_bench::cli`
 //! layer. `--cache DIR` enables the content-addressed result store: a
 //! repeated Monte-Carlo request is served bit-identically from DIR and a
 //! grown one resumes from its cached chunk prefixes. `--metrics FILE`
-//! writes the process telemetry snapshot at exit (JSON by default;
-//! `--metrics-format prom` switches to Prometheus text exposition),
+//! writes the process telemetry snapshot at exit as pretty JSON,
 //! `--trace FILE` writes the flight-event ring as Chrome trace-event JSON,
 //! `--flight FILE` mirrors that ring as CRC-framed `MMRE`
 //! lines, `--dossier-dir DIR` collects crash dossiers, and `--quiet`
@@ -257,12 +256,19 @@ fn cmd_survival(args: &Args) {
         }
     }
     let rb = rm.estimate_survival_rb_with(args.trials, args.seed, args.workers);
-    println!(
-        "  Rao-Blackwellised:   {:.6e}   (log2 = {:.2}, {} samples)",
-        rb.survival(),
-        rb.log2_survival,
-        rb.samples
-    );
+    if rb.below_range {
+        println!(
+            "  Rao-Blackwellised:   below f64 range   (log2 < {:.2}, {} samples)",
+            rb.log2_survival, rb.samples
+        );
+    } else {
+        println!(
+            "  Rao-Blackwellised:   {:.6e}   (log2 = {:.2}, {} samples)",
+            rb.survival(),
+            rb.log2_survival,
+            rb.samples
+        );
+    }
     if args.threads <= 3 {
         let direct = rm.simulate_survival_with(args.trials, args.seed ^ 1, args.workers);
         println!("  direct simulation:   {direct}");

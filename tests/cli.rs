@@ -40,6 +40,32 @@ fn survival_reports_bounds_and_estimates() {
 }
 
 #[test]
+fn survival_below_f64_range_prints_a_bound() {
+    // At n = 1000 every sampled factor 2^-K has K > 1074 and rounds to 0.
+    for model in ["tso", "pso", "wo"] {
+        let (ok, stdout, stderr) = run(&[
+            "survival",
+            "--model",
+            model,
+            "--threads",
+            "1000",
+            "--trials",
+            "10",
+            "--workers",
+            "1",
+        ]);
+        assert!(ok, "{model}: {stdout}{stderr}");
+        assert!(
+            stdout.contains("Rao-Blackwellised:   below f64 range   (log2 < -"),
+            "{model}: {stdout}"
+        );
+        for bad in ["NaN", "inf"] {
+            assert!(!stdout.contains(bad), "{model}: {stdout}");
+        }
+    }
+}
+
+#[test]
 fn windows_shows_law_comparison() {
     let (ok, stdout, _) = run(&["windows", "--model", "wo", "--trials", "4000"]);
     assert!(ok, "{stdout}");
@@ -250,6 +276,8 @@ fn unknown_flag_fails_with_usage() {
         // Removed surfaces: the heartbeat and live telemetry.
         &["opsim", "--trials", "2000", "--progress"],
         &["table1", "--serve", "127.0.0.1:0"],
+        // The retired metrics format switch: JSON is the one format.
+        &["table1", "--metrics-format", "prom"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_mmreliab"))
             .args(args)

@@ -3,9 +3,10 @@
 set -eux
 
 # The tier-1 pair: the workspace's default members are every crate, so
-# these build and test the whole workspace.
-cargo build --release --offline
-cargo test -q --offline
+# these build and test the whole workspace. `--locked` fails on a
+# dependency edit instead of silently rewriting a lock file.
+cargo build --release --offline --locked
+cargo test -q --offline --locked
 # The vendored shims are patched in, not workspace members: their own
 # tests (rand's uniform sampler against its reference form among them)
 # run by name.
@@ -19,7 +20,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # The workload ledger's unit and smoke tests: every workload end to end at
 # --scale 0.01, with all of its correctness checks.
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 # Exporter smoke: a quick experiment run must write a structurally valid
 # Chrome trace and a JSON metrics snapshot.

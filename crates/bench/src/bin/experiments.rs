@@ -24,13 +24,12 @@
 //! `--chaos SEED:PROFILE` installs a deterministic fault plan for the
 //! whole run (see `montecarlo::fault`), reproducible from the spec alone:
 //! `torn` tears store-segment writes, which the store recovers, so
-//! results stay bit-identical to the fault-free run; `export` fails the
-//! `--metrics`/`--trace` writes (exit code 2); `hard` panics seeded
+//! results stay bit-identical to the fault-free run; `hard` panics seeded
 //! chunks, which are abandoned, so the run degrades instead of failing
 //! (exit code 3).
 
 use mmr_bench::cli::SharedFlags;
-use mmr_bench::{registry, run_one_isolated, write_atomic, Ctx, RunResult};
+use mmr_bench::{registry, write_atomic, Ctx};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -52,7 +51,7 @@ fn usage() -> String {
         (an unusable artifact path degrades with a warning and exit code 2)
 --metrics/--trace/--flight/--dossier-dir/--quiet are observational only and never change results
 --chaos injects a seeded, reproducible fault schedule; PROFILE is torn (torn cache
-        writes, recovered) | export (failed exports) | hard (abandoned chunks)
+        writes, recovered) | hard (abandoned chunks)
 inspect auto-detects ARTIFACT: flight log (MMRE), crash dossier (JSON), cache or
         dossier directory; --diff compares two flight logs
 exit codes: 0 success, 1 mismatch, 2 usage/IO error, 3 degraded run (partial results)",
@@ -192,17 +191,9 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &Args, artifacts: &mut obs::degrade::Artifacts) -> Result<ExitCode, mmr_bench::Error> {
-    let registry = registry();
-    let selected = mmr_bench::select(&registry, &args.ids)?;
-
     let started = std::time::Instant::now();
-    let ordered: Vec<_> = selected
-        .into_iter()
-        .map(|e| {
-            obs::debug!("running {}", e.id);
-            run_one_isolated(e, &args.ctx)
-        })
-        .collect();
+    let result = mmr_bench::try_run_experiments_structured(&args.ids, &args.ctx)?;
+    let ordered = &result.experiments;
 
     let mut report = String::new();
     report.push_str("# Experiment report — PODC 2011 memory-model reliability reproduction\n\n");
@@ -211,7 +202,7 @@ fn run(args: &Args, artifacts: &mut obs::degrade::Artifacts) -> Result<ExitCode,
         "context: trials = {}, seed = {}\n\n",
         args.ctx.trials, args.ctx.seed
     );
-    for r in &ordered {
+    for r in ordered {
         let _ = write!(
             report,
             "## {} — {}\n\n{}\n",
@@ -238,13 +229,6 @@ fn run(args: &Args, artifacts: &mut obs::degrade::Artifacts) -> Result<ExitCode,
     );
 
     if let Some(path) = &args.json_path {
-        let result = RunResult {
-            trials: args.ctx.trials,
-            seed: args.ctx.seed,
-            threads: args.ctx.threads,
-            host_cores: mmr_bench::default_threads(),
-            experiments: ordered.clone(),
-        };
         let json = serde_json::to_string_pretty(&result).expect("serializable results");
         write_atomic(path, &json)?;
         obs::info!("structured results written to {}", path.display());

@@ -115,15 +115,16 @@ impl SharedFlags {
     /// is written atomically; a failed one joins `artifacts`.
     pub fn export(&self, artifacts: &mut Artifacts) {
         if let Some(path) = &self.trace {
-            let written = write_export(path, || obs::export::chrome_trace(&obs::snapshot()));
+            let written = write_atomic(path, &obs::export::chrome_trace(&obs::snapshot()));
             if artifacts.install("trace export", written).is_some() {
                 obs::info!("chrome trace written to {}", path.display());
             }
         }
         if let Some(path) = &self.metrics {
-            let written = write_export(path, || {
-                serde_json::to_string_pretty(&obs::snapshot()).expect("serializable snapshot")
-            });
+            let written = write_atomic(
+                path,
+                &serde_json::to_string_pretty(&obs::snapshot()).expect("serializable snapshot"),
+            );
             if artifacts.install("metrics export", written).is_some() {
                 obs::info!("metrics snapshot written to {}", path.display());
             }
@@ -136,20 +137,6 @@ fn io(path: &Path, source: std::io::Error) -> Error {
         path: path.to_path_buf(),
         source,
     }
-}
-
-/// Writes one export atomically. Under the chaos `export` profile every
-/// attempt fails with a typed I/O error, the path a full disk or a
-/// revoked permission would take.
-fn write_export(path: &Path, render: impl FnOnce() -> String) -> Result<(), Error> {
-    if montecarlo::fault::active().is_some_and(|p| p.export_fault()) {
-        montecarlo::fault::ledger().note_injected_export_fault();
-        return Err(io(
-            path,
-            std::io::Error::other("injected export fault (chaos)"),
-        ));
-    }
-    write_atomic(path, &render())
 }
 
 #[cfg(test)]

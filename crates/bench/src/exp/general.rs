@@ -191,14 +191,16 @@ pub fn run(ctx: &Ctx) -> String {
     );
     // Confirm the inversion by simulation, not just the series.
     let sim = |model: MemoryModel, salt: u64| {
-        let report = ReliabilityModel::new(model, 2)
+        let started = std::time::Instant::now();
+        let est = ReliabilityModel::new(model, 2)
             .with_settler(settler(model, 0.8))
-            .simulate_survival_runner(
-                &Runner::new(Seed(ctx.seed ^ salt)).with_threads(ctx.threads),
-                ctx.trials,
-            );
-        crate::diag::record_report(format!("general.high_s.{}", model.short_name()), &report);
-        report.value
+            .simulate_survival_with(ctx.trials, ctx.seed ^ salt, ctx.threads);
+        crate::diag::record(crate::diag::EstimatorDiag::from_stats(
+            format!("general.high_s.{}", model.short_name()),
+            &est,
+            started.elapsed(),
+        ));
+        est
     };
     let wo_sim = sim(MemoryModel::Wo, 0x701);
     let tso_sim = sim(MemoryModel::Tso, 0x702);

@@ -17,6 +17,7 @@ pub mod exp;
 pub mod inspect;
 pub mod sweep;
 
+pub use montecarlo::default_threads;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -73,14 +74,6 @@ pub struct Ctx {
     /// montecarlo chunk tiling and the [`sweep`] layer key all streams on
     /// logical indices, never on workers).
     pub threads: usize,
-}
-
-/// The machine's available parallelism (1 when it cannot be queried).
-#[must_use]
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 impl Ctx {
@@ -239,32 +232,6 @@ pub fn select<'r>(
         .collect()
 }
 
-/// Runs a set of experiment ids (all when empty), concatenating sections.
-///
-/// # Errors
-///
-/// [`Error::UnknownExperiment`] for any unknown id.
-pub fn try_run_experiments(ids: &[String], ctx: &Ctx) -> Result<String, Error> {
-    let registry = registry();
-    let mut out = String::new();
-    for e in select(&registry, ids)? {
-        let _ = writeln!(out, "## {} — {}\n", e.id.to_uppercase(), e.artifact);
-        out.push_str(&(e.run)(ctx));
-        out.push('\n');
-    }
-    Ok(out)
-}
-
-/// Runs a set of experiment ids (all when empty), concatenating sections.
-///
-/// # Panics
-///
-/// Panics on an unknown id.
-#[must_use]
-pub fn run_experiments(ids: &[String], ctx: &Ctx) -> String {
-    try_run_experiments(ids, ctx).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Formats a paper-vs-measured verdict line.
 #[must_use]
 pub fn verdict(ok: bool) -> &'static str {
@@ -312,11 +279,6 @@ pub struct ExperimentResult {
 
 /// Per-experiment fault tallies, copied from the
 /// [`montecarlo::fault::Ledger`] deltas around the experiment's run.
-///
-/// Export faults are not among them: `--metrics`/`--trace` exports run
-/// after every experiment and after `--json` is written, so no
-/// experiment's delta could ever count one. The run reports an export
-/// fault once, as its typed warning and exit 2.
 ///
 /// Serialized with every [`ExperimentResult`] so JSON output and degraded
 /// reports carry their fault history. Fault tallies legitimately differ
@@ -467,17 +429,23 @@ pub fn run_one_isolated(e: &Experiment, ctx: &Ctx) -> ExperimentResult {
     }
 }
 
-/// Runs experiments and collects structured results (the `--json` path),
-/// isolating each experiment behind an unwind boundary.
+/// Runs a set of experiment ids (all when empty) in request order and
+/// collects their structured results, isolating each experiment behind
+/// an unwind boundary ([`run_one_isolated`]). The one batch entry point:
+/// the `experiments` binary renders its report and `--json` from it.
 ///
 /// # Errors
 ///
-/// [`Error::UnknownExperiment`] for any unknown id.
+/// [`Error::UnknownExperiment`] for any unknown id, before any
+/// experiment runs.
 pub fn try_run_experiments_structured(ids: &[String], ctx: &Ctx) -> Result<RunResult, Error> {
     let registry = registry();
     let experiments = select(&registry, ids)?
         .into_iter()
-        .map(|e| run_one_isolated(e, ctx))
+        .map(|e| {
+            obs::debug!("running {}", e.id);
+            run_one_isolated(e, ctx)
+        })
         .collect();
     Ok(RunResult {
         trials: ctx.trials,
@@ -486,16 +454,6 @@ pub fn try_run_experiments_structured(ids: &[String], ctx: &Ctx) -> Result<RunRe
         host_cores: default_threads(),
         experiments,
     })
-}
-
-/// Runs experiments and collects structured results (the `--json` path).
-///
-/// # Panics
-///
-/// Panics on an unknown id.
-#[must_use]
-pub fn run_experiments_structured(ids: &[String], ctx: &Ctx) -> RunResult {
-    try_run_experiments_structured(ids, ctx).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Writes `contents` to `path` atomically: the bytes land in a sibling
@@ -539,19 +497,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown experiment")]
     fn unknown_id_panics() {
-        let _ = run_experiments(&["nope".into()], &Ctx::quick());
+        let _ = try_run_experiments_structured(&["nope".into()], &Ctx::quick())
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
     fn t1_runs_in_quick_mode() {
-        let out = run_experiments(&["t1".into()], &Ctx::quick());
-        assert!(out.contains("Table 1"));
-        assert!(out.contains("REPRODUCED"));
+        let res = try_run_experiments_structured(&["t1".into()], &Ctx::quick()).unwrap();
+        let t1 = &res.experiments[0];
+        assert!(t1.artifact.contains("Table 1"));
+        assert!(t1.report.contains("REPRODUCED"));
     }
 
     #[test]
     fn structured_results_serialize() {
-        let res = run_experiments_structured(&["t1".into(), "f2".into()], &Ctx::quick());
+        let res =
+            try_run_experiments_structured(&["t1".into(), "f2".into()], &Ctx::quick()).unwrap();
         assert_eq!(res.experiments.len(), 2);
         assert!(res.experiments.iter().all(|e| e.mismatched == 0));
         assert!(res.experiments.iter().all(|e| e.reproduced >= 1));
@@ -590,7 +551,7 @@ mod tests {
 
     #[test]
     fn structured_results_roundtrip_through_json() {
-        let res = run_experiments_structured(&["t1".into()], &Ctx::quick());
+        let res = try_run_experiments_structured(&["t1".into()], &Ctx::quick()).unwrap();
         let json = serde_json::to_string(&res).unwrap();
         let back: RunResult = serde_json::from_str(&json).unwrap();
         assert_eq!(back, res);
@@ -600,7 +561,7 @@ mod tests {
     fn json_with_the_dropped_export_fault_tally_still_loads() {
         // Results written before `injected_export_faults` left the
         // per-experiment ledger carry the key; the reader ignores it.
-        let res = run_experiments_structured(&["t1".into()], &Ctx::quick());
+        let res = try_run_experiments_structured(&["t1".into()], &Ctx::quick()).unwrap();
         let json = serde_json::to_string(&res).unwrap();
         assert!(!json.contains("injected_export_faults"), "{json}");
         let old = json.replace(

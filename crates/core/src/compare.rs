@@ -39,7 +39,7 @@ impl ModelRow {
 /// ```
 /// use mmr_core::ModelComparison;
 ///
-/// let cmp = ModelComparison::run(2, 5_000, 11);
+/// let cmp = ModelComparison::run_with(2, 5_000, 11, 2);
 /// assert_eq!(cmp.rows().len(), 4);
 /// // Survival orders SC > PSO > TSO > WO.
 /// let points: Vec<f64> = cmp.rows().iter().map(|r| r.estimate.point()).collect();
@@ -53,19 +53,10 @@ pub struct ModelComparison {
 
 impl ModelComparison {
     /// Runs the comparison: every named model, `trials` end-to-end
-    /// simulations each (deterministic in `seed`), using the machine's
-    /// available parallelism.
-    #[must_use]
-    pub fn run(n: usize, trials: u64, seed: u64) -> ModelComparison {
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        Self::run_with(n, trials, seed, workers)
-    }
-
-    /// [`run`](ModelComparison::run) with an explicit worker budget: the
-    /// four model rows are scattered concurrently through the shared
-    /// montecarlo pool, and each row's runner gets a slice of the budget.
+    /// simulations each (deterministic in `seed`), on a budget of
+    /// `workers` threads. The four model rows are scattered concurrently
+    /// through the shared montecarlo pool, and each row's runner gets a
+    /// slice of the budget.
     ///
     /// Every row keeps its serial sub-seed (`seed + row_index`) and rows
     /// are assembled in [`MemoryModel::NAMED`] order, so the comparison is
@@ -148,7 +139,7 @@ mod tests {
 
     #[test]
     fn two_thread_comparison_reproduces_theorem_62() {
-        let cmp = ModelComparison::run(2, TRIALS, 42);
+        let cmp = ModelComparison::run_with(2, TRIALS, 42, 2);
         for row in cmp.rows() {
             assert!(
                 row.consistent(0.999),
@@ -168,7 +159,7 @@ mod tests {
     #[test]
     fn tso_is_closer_to_wo_than_to_sc() {
         // The paper's qualitative takeaway from Theorem 6.2.
-        let cmp = ModelComparison::run(2, TRIALS, 43);
+        let cmp = ModelComparison::run_with(2, TRIALS, 43, 2);
         let p = |m| cmp.row(m).unwrap().estimate.point();
         let (sc, tso, wo) = (p(MemoryModel::Sc), p(MemoryModel::Tso), p(MemoryModel::Wo));
         assert!((tso - wo).abs() < (tso - sc).abs());
@@ -176,7 +167,7 @@ mod tests {
 
     #[test]
     fn display_contains_every_model() {
-        let cmp = ModelComparison::run(2, 2_000, 44);
+        let cmp = ModelComparison::run_with(2, 2_000, 44, 2);
         let s = cmp.to_string();
         for m in MemoryModel::NAMED {
             assert!(s.contains(m.short_name()));
@@ -185,8 +176,8 @@ mod tests {
 
     #[test]
     fn rows_are_deterministic_in_seed() {
-        let a = ModelComparison::run(2, 5_000, 45);
-        let b = ModelComparison::run(2, 5_000, 45);
+        let a = ModelComparison::run_with(2, 5_000, 45, 2);
+        let b = ModelComparison::run_with(2, 5_000, 45, 2);
         assert_eq!(a, b);
     }
 

@@ -27,7 +27,7 @@
 //! use memmodel::MemoryModel;
 //!
 //! let model = ReliabilityModel::new(MemoryModel::Tso, 2);
-//! let est = model.simulate_survival(20_000, 7);
+//! let est = model.simulate_survival_with(20_000, 7, 2);
 //! // Theorem 6.2: TSO survival lies in (0.1315, 0.1369).
 //! assert!(est.point() > 0.12 && est.point() < 0.15);
 //! ```
@@ -38,12 +38,11 @@
 mod cache;
 mod compare;
 mod model;
-pub mod pairs;
 mod scaling;
 mod survival;
 mod telemetry;
 
 pub use compare::{ModelComparison, ModelRow};
 pub use model::{direct_trial, ReliabilityModel, TrialScratch, DEFAULT_M};
-pub use scaling::{scaling_curve, scaling_curve_with, ScalingPoint};
+pub use scaling::{scaling_curve_with, ScalingPoint};
 pub use survival::{ExchangeabilityPoint, RbSurvival};

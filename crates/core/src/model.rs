@@ -1,7 +1,7 @@
 //! The joined model configuration and its samplers.
 
 use memmodel::{MemoryModel, OpType, CANONICAL_P};
-use montecarlo::{BernoulliEstimate, GridSample, Histogram, RunReport, Runner, Seed};
+use montecarlo::{BernoulliEstimate, GridSample, Histogram, Runner, Seed};
 use progmodel::{Program, ProgramGenerator};
 use rand::Rng;
 use settle::{KeyedWindows, ProgramShape, SettleScratch, Settler};
@@ -137,29 +137,6 @@ impl ReliabilityModel {
         TrialScratch::new(&template, self.n)
     }
 
-    /// Samples one window-length vector `Γ_1 … Γ_n` into a caller-provided
-    /// buffer (cleared and refilled): one random program, `n` independent
-    /// settles (§6: "we generate a single initial random program, then
-    /// independently reorder n copies of this program"). The program is
-    /// materialised — use
-    /// [`sample_windows_scratch`](ReliabilityModel::sample_windows_scratch)
-    /// for the fully allocation-free kernel.
-    pub fn sample_windows_into<R: Rng + ?Sized>(&self, out: &mut Vec<u64>, rng: &mut R) {
-        let mut program = self.generator().generate(rng);
-        if self.acquire_fence {
-            program = program.with_acquire_before_critical();
-        }
-        let mut settle = SettleScratch::with_capacity(program.len());
-        out.clear();
-        for _ in 0..self.n {
-            out.push(
-                self.settler
-                    .sample_gamma_scratch(&program, &mut settle, rng)
-                    + 2,
-            );
-        }
-    }
-
     /// The allocation-free window kernel: draws one program key and
     /// settles `n` copies of the keyed program, returning the window
     /// lengths.
@@ -167,11 +144,11 @@ impl ReliabilityModel {
     /// The program is never materialised: the keyed γ kernel
     /// ([`Settler::sample_gammas_keyed`]) types only the fillers the
     /// windows depend on, straight from the key (`progmodel`'s
-    /// program-key contract). It is draw-for-draw identical to
-    /// [`sample_windows_into`](ReliabilityModel::sample_windows_into) — `generate`
-    /// draws the same key and types every filler from it, and each settle
-    /// consumes the same settle key — so seeded streams agree bit for bit
-    /// between the two routes.
+    /// program-key contract). It is draw-for-draw identical to generating
+    /// the program and settling `n` copies of it — `generate` draws the
+    /// same key and types every filler from it, and each settle consumes
+    /// the same settle key — so seeded streams agree bit for bit between
+    /// the two routes.
     pub fn sample_windows_scratch<'s, R: Rng + ?Sized>(
         &self,
         scratch: &'s mut TrialScratch,
@@ -201,17 +178,10 @@ impl ReliabilityModel {
         );
     }
 
-    /// Simulates one end-to-end trial: `true` when the bug does **not**
-    /// manifest (all shifted windows disjoint — the event `A`).
-    pub fn simulate_survival_once<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        let mut scratch = self.scratch();
-        self.simulate_survival_once_scratch(&mut scratch, rng)
-    }
-
-    /// [`simulate_survival_once`](ReliabilityModel::simulate_survival_once)
-    /// with caller-provided scratch: the steady-state allocation-free
-    /// [`direct_trial`] of this configuration, draw-for-draw identical to
-    /// the allocating route.
+    /// One end-to-end trial with caller-provided scratch: `true` when the
+    /// bug does **not** manifest (all shifted windows disjoint — the event
+    /// `A`). The steady-state allocation-free [`direct_trial`] of this
+    /// configuration.
     pub fn simulate_survival_once_scratch<R: Rng + ?Sized>(
         &self,
         scratch: &mut TrialScratch,
@@ -271,7 +241,7 @@ impl ReliabilityModel {
     /// each window is settled at most once, and only the first
     /// `max(ns) − 1` are. At `ns[k] = n` the factor, the draws and the RNG
     /// end state are those of one trial of
-    /// [`estimate_survival_rb`](ReliabilityModel::estimate_survival_rb)
+    /// [`estimate_survival_rb_with`](ReliabilityModel::estimate_survival_rb_with)
     /// bit for bit. The factors land in a fixed array, so a trial on warm
     /// scratch allocates nothing.
     ///
@@ -302,7 +272,7 @@ impl ReliabilityModel {
     /// windows in reverse order, all of the first `ns[k]` windows.
     ///
     /// The draws are those of one `n`-thread trial of
-    /// [`estimate_survival_rb`](ReliabilityModel::estimate_survival_rb):
+    /// [`estimate_survival_rb_with`](ReliabilityModel::estimate_survival_rb_with):
     /// the settle keys are drawn when the windows open, so settling the
     /// last window, which the factor never reads, draws nothing more. The
     /// windows and the reversal live in fixed arrays, so a trial on warm
@@ -347,20 +317,13 @@ impl ReliabilityModel {
         })
     }
 
-    /// Direct Monte-Carlo estimate of `Pr[A]` over `trials` runs, using
-    /// the machine's available parallelism. The estimate is bit-for-bit
-    /// identical for any worker count (see
-    /// [`simulate_survival_with`](ReliabilityModel::simulate_survival_with)).
-    #[must_use]
-    pub fn simulate_survival(&self, trials: u64, seed: u64) -> BernoulliEstimate {
-        self.simulate_survival_runner(&Runner::new(Seed(seed)), trials)
-            .value
-    }
-
-    /// [`simulate_survival`](ReliabilityModel::simulate_survival) with an
-    /// explicit runner worker count. `workers` trades wall-clock for cores
+    /// Direct Monte-Carlo estimate of `Pr[A]` over `trials` runs on
+    /// `workers` runner threads. `workers` trades wall-clock for cores
     /// only — the runner's fixed-width chunk tiling makes the estimate
-    /// independent of it.
+    /// independent of it. With a [`store`] installed, repeated requests are
+    /// pure lookups and requests of another trial count over the same
+    /// `(seed, params)` resume from the cached chunk prefix instead of
+    /// restarting — bit-identical to a cold run either way.
     #[must_use]
     pub fn simulate_survival_with(
         &self,
@@ -368,45 +331,20 @@ impl ReliabilityModel {
         seed: u64,
         workers: usize,
     ) -> BernoulliEstimate {
-        self.simulate_survival_runner(&Runner::new(Seed(seed)).with_threads(workers), trials)
-            .value
-    }
-
-    /// Runs the survival estimate under an arbitrary pre-configured
-    /// [`Runner`] (worker count, degradation policy), returning the full
-    /// [`RunReport`]. This is the cache-aware entry point: with a
-    /// [`store`] installed, repeated requests are pure lookups and
-    /// requests of another trial count over the same `(seed, params)`
-    /// resume from the cached chunk prefix instead of restarting —
-    /// bit-identical to a cold run either way.
-    #[must_use]
-    pub fn simulate_survival_runner(
-        &self,
-        runner: &Runner,
-        trials: u64,
-    ) -> RunReport<BernoulliEstimate> {
-        self.run_cached("survival", runner, trials, |m, scratch, rng| {
+        let runner = Runner::new(Seed(seed)).with_threads(workers);
+        self.run_cached("survival", &runner, trials, |m, scratch, rng| {
             m.simulate_survival_once_scratch(scratch, rng)
         })
+        .value
     }
 
-    /// Empirical distribution of the per-thread window growth `γ = Γ − 2`,
-    /// using the machine's available parallelism.
-    #[must_use]
-    pub fn window_histogram(&self, trials: u64, seed: u64) -> Histogram {
-        self.window_histogram_runner(&Runner::new(Seed(seed)), trials)
-    }
-
-    /// [`window_histogram`](ReliabilityModel::window_histogram) with an
-    /// explicit runner worker count (speed only; the histogram is identical
+    /// Empirical distribution of the per-thread window growth `γ = Γ − 2`
+    /// on `workers` runner threads (speed only; the histogram is identical
     /// for any `workers`).
     #[must_use]
     pub fn window_histogram_with(&self, trials: u64, seed: u64, workers: usize) -> Histogram {
-        self.window_histogram_runner(&Runner::new(Seed(seed)).with_threads(workers), trials)
-    }
-
-    fn window_histogram_runner(&self, runner: &Runner, trials: u64) -> Histogram {
-        self.run_cached("windows", runner, trials, |m, scratch, rng| {
+        let runner = Runner::new(Seed(seed)).with_threads(workers);
+        self.run_cached("windows", &runner, trials, |m, scratch, rng| {
             scratch.windows.clear();
             scratch.windows.push(0);
             m.sample_keyed(scratch, rng);
@@ -455,10 +393,9 @@ pub fn direct_trial<R: Rng + ?Sized>(
 /// ([`direct_trial`], [`ReliabilityModel::sample_windows_scratch`],
 /// [`ReliabilityModel::simulate_survival_once_scratch`]).
 ///
-/// One scratch serves any number of trials of one program shape. The
-/// scratch-accepting kernels draw exactly the same RNG sequence as their
-/// allocating counterparts, so the two routes are interchangeable
-/// trial-for-trial under a fixed seed.
+/// One scratch serves any number of trials of one program shape. A
+/// reused scratch draws exactly the same RNG sequence as a fresh one, so
+/// the two are interchangeable trial-for-trial under a fixed seed.
 #[derive(Debug, Clone)]
 pub struct TrialScratch {
     /// The fixed part of every trial's program.
@@ -523,13 +460,25 @@ mod tests {
         let _ = ReliabilityModel::new(MemoryModel::Sc, 0);
     }
 
+    /// The forward reference of one window vector: a materialised program
+    /// and `n` settles of it.
+    fn reference_windows(m: &ReliabilityModel, rng: &mut SmallRng) -> Vec<u64> {
+        let mut program = m.generator().generate(rng);
+        if m.acquire_fence {
+            program = program.with_acquire_before_critical();
+        }
+        (0..m.threads())
+            .map(|_| m.settler().settle(&program, rng).gamma() + 2)
+            .collect()
+    }
+
     #[test]
     fn sc_windows_are_all_two() {
         let m = ReliabilityModel::new(MemoryModel::Sc, 4);
+        let mut scratch = m.scratch();
         let mut rng = SmallRng::seed_from_u64(0);
-        let mut windows = Vec::new();
         for _ in 0..20 {
-            m.sample_windows_into(&mut windows, &mut rng);
+            let windows = m.sample_windows_scratch(&mut scratch, &mut rng);
             assert!(windows.iter().all(|&w| w == 2));
         }
     }
@@ -539,23 +488,24 @@ mod tests {
         for n in [1usize, 2, 5] {
             let m = ReliabilityModel::new(MemoryModel::Wo, n);
             let mut rng = SmallRng::seed_from_u64(1);
-            let mut windows = Vec::new();
-            m.sample_windows_into(&mut windows, &mut rng);
-            assert_eq!(windows.len(), n);
+            assert_eq!(
+                m.sample_windows_scratch(&mut m.scratch(), &mut rng).len(),
+                n
+            );
         }
     }
 
     #[test]
     fn one_thread_always_survives() {
         let m = ReliabilityModel::new(MemoryModel::Wo, 1);
-        let est = m.simulate_survival(2_000, 3);
+        let est = m.simulate_survival_with(2_000, 3, 2);
         assert_eq!(est.point(), 1.0);
     }
 
     #[test]
     fn histogram_matches_gamma_support() {
         let m = ReliabilityModel::new(MemoryModel::Sc, 2);
-        let h = m.window_histogram(1_000, 4);
+        let h = m.window_histogram_with(1_000, 4, 2);
         assert_eq!(h.count(0), h.total());
     }
 
@@ -563,13 +513,13 @@ mod tests {
     fn acquire_fence_restores_sc_behaviour() {
         // Fenced WO: windows pinned to 2, survival equals the SC constant.
         let m = ReliabilityModel::new(MemoryModel::Wo, 2).with_acquire_fence();
+        let mut scratch = m.scratch();
         let mut rng = SmallRng::seed_from_u64(9);
-        let mut windows = Vec::new();
         for _ in 0..20 {
-            m.sample_windows_into(&mut windows, &mut rng);
+            let windows = m.sample_windows_scratch(&mut scratch, &mut rng);
             assert!(windows.iter().all(|&w| w == 2));
         }
-        let est = m.simulate_survival(60_000, 10);
+        let est = m.simulate_survival_with(60_000, 10, 2);
         assert!(est.covers(1.0 / 6.0, 0.999), "{est}");
     }
 
@@ -586,7 +536,7 @@ mod tests {
             let mut old_rng = SmallRng::seed_from_u64(100);
             let mut new_rng = old_rng.clone();
             for _ in 0..30 {
-                let old = m.simulate_survival_once(&mut old_rng);
+                let old = m.simulate_survival_once_scratch(&mut m.scratch(), &mut old_rng);
                 let new = m.simulate_survival_once_scratch(&mut scratch, &mut new_rng);
                 assert_eq!(old, new, "{model}: outcome diverged");
             }
@@ -596,15 +546,16 @@ mod tests {
 
     #[test]
     fn sample_windows_variants_agree() {
+        // The keyed kernel against the forward reference: a materialised
+        // program settled n times, draw for draw.
         let m = ReliabilityModel::new(MemoryModel::Pso, 4).with_filler_len(16);
         let mut scratch = m.scratch();
-        let mut buf = Vec::new();
         let mut r1 = SmallRng::seed_from_u64(55);
         let mut r2 = r1.clone();
         for _ in 0..20 {
-            m.sample_windows_into(&mut buf, &mut r1);
+            let reference = reference_windows(&m, &mut r1);
             let scratched = m.sample_windows_scratch(&mut scratch, &mut r2);
-            assert_eq!(buf, scratched);
+            assert_eq!(reference, scratched);
         }
         assert_eq!(r1, r2);
     }
@@ -613,13 +564,20 @@ mod tests {
     fn fenced_scratch_kernel_matches_allocating_route() {
         // The fence is baked into the scratch's program shape once; the
         // keyed kernel must keep it in place and keep draw parity with the
-        // allocating route (which re-inserts it) every trial.
+        // forward reference (which re-inserts it) every trial, and a reused
+        // scratch must match a fresh one.
         let m = ReliabilityModel::new(MemoryModel::Wo, 2).with_acquire_fence();
         let mut scratch = m.scratch();
         let mut old_rng = SmallRng::seed_from_u64(200);
         let mut new_rng = old_rng.clone();
         for _ in 0..30 {
-            let old = m.simulate_survival_once(&mut old_rng);
+            let reference = reference_windows(&m, &mut old_rng);
+            let windows = m.sample_windows_scratch(&mut scratch, &mut new_rng);
+            assert_eq!(reference, windows);
+        }
+        assert_eq!(old_rng, new_rng);
+        for _ in 0..30 {
+            let old = m.simulate_survival_once_scratch(&mut m.scratch(), &mut old_rng);
             let new = m.simulate_survival_once_scratch(&mut scratch, &mut new_rng);
             assert_eq!(old, new);
         }

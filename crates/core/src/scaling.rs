@@ -16,31 +16,13 @@ pub struct ScalingPoint {
     pub normalized_exponent: f64,
 }
 
-/// Sweeps thread counts for a set of models, producing the data behind the
-/// paper's Theorem 6.3: as `n` grows, every model's normalised exponent
-/// converges, so the relative reliability advantage of strict models
-/// vanishes.
+/// Sweeps thread counts for a set of models on a budget of `workers`
+/// threads, producing the data behind the paper's Theorem 6.3: as `n`
+/// grows, every model's normalised exponent converges, so the relative
+/// reliability advantage of strict models vanishes.
 ///
 /// Uses the Rao-Blackwellised estimator throughout (direct simulation is
-/// hopeless beyond `n ≈ 3`), with the machine's available parallelism.
-///
-/// # Panics
-///
-/// As [`scaling_curve_with`].
-#[must_use]
-pub fn scaling_curve(
-    models: &[MemoryModel],
-    ns: &[usize],
-    trials: u64,
-    seed: u64,
-) -> Vec<ScalingPoint> {
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    scaling_curve_with(models, ns, trials, seed, workers)
-}
-
-/// [`scaling_curve`] with an explicit worker budget.
+/// hopeless beyond `n ≈ 3`).
 ///
 /// Each model's whole row is one shared-draw grid
 /// ([`ReliabilityModel::estimate_survival_rb_grid_with`]) on a model of
@@ -104,7 +86,7 @@ mod tests {
 
     #[test]
     fn curve_has_a_point_per_model_per_n() {
-        let pts = scaling_curve(&MemoryModel::NAMED, &[2, 4], 500, 1);
+        let pts = scaling_curve_with(&MemoryModel::NAMED, &[2, 4], 500, 1, 2);
         assert_eq!(pts.len(), 8);
     }
 
@@ -152,7 +134,7 @@ mod tests {
         // dominated by all-small-window vectors of probability (2/3)^n and
         // this trial budget would under-cover them.
         let ns = [2usize, 6, 12, 16];
-        let pts = scaling_curve(&[MemoryModel::Sc, MemoryModel::Wo], &ns, TRIALS, 2);
+        let pts = scaling_curve_with(&[MemoryModel::Sc, MemoryModel::Wo], &ns, TRIALS, 2, 2);
         let spread = |n: usize| {
             let at: Vec<f64> = pts
                 .iter()
@@ -168,7 +150,7 @@ mod tests {
 
     #[test]
     fn exponents_approach_three_halves_from_below() {
-        let pts = scaling_curve(&[MemoryModel::Sc], &[8, 16, 32], 100, 3);
+        let pts = scaling_curve_with(&[MemoryModel::Sc], &[8, 16, 32], 100, 3, 2);
         for p in &pts {
             assert!(p.normalized_exponent > 0.9 && p.normalized_exponent < 1.6);
         }
@@ -178,7 +160,7 @@ mod tests {
 
     #[test]
     fn weaker_models_never_beat_sc() {
-        let pts = scaling_curve(&MemoryModel::NAMED, &[4, 8], TRIALS / 2, 4);
+        let pts = scaling_curve_with(&MemoryModel::NAMED, &[4, 8], TRIALS / 2, 4, 2);
         for n in [4usize, 8] {
             let sc = pts
                 .iter()

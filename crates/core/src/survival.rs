@@ -102,33 +102,19 @@ impl ExchangeabilityPoint {
 }
 
 impl ReliabilityModel {
-    /// Rao-Blackwellised estimate of `Pr[A]` from `trials` window vectors.
-    /// When every factor underflows, the estimate is a bound (see
-    /// [`RbSurvival`]).
+    /// Rao-Blackwellised estimate of `Pr[A]` from `trials` window vectors
+    /// on `workers` runner threads. When every factor underflows, the
+    /// estimate is a bound (see [`RbSurvival`]). Speed only: the estimate
+    /// is bit-for-bit identical for any `workers`.
     ///
     /// # Panics
     ///
     /// Panics if `trials` is 0.
     #[must_use]
-    pub fn estimate_survival_rb(&self, trials: u64, seed: u64) -> RbSurvival {
-        self.rb_runner(&Runner::new(Seed(seed)), trials)
-    }
-
-    /// [`estimate_survival_rb`](ReliabilityModel::estimate_survival_rb)
-    /// with an explicit runner worker count. Speed only: the estimate is
-    /// bit-for-bit identical for any `workers`.
-    ///
-    /// # Panics
-    ///
-    /// As [`estimate_survival_rb`](ReliabilityModel::estimate_survival_rb).
-    #[must_use]
     pub fn estimate_survival_rb_with(&self, trials: u64, seed: u64, workers: usize) -> RbSurvival {
-        self.rb_runner(&Runner::new(Seed(seed)).with_threads(workers), trials)
-    }
-
-    fn rb_runner(&self, runner: &Runner, trials: u64) -> RbSurvival {
+        let runner = Runner::new(Seed(seed)).with_threads(workers);
         let stats: Welford = self
-            .run_cached("rb", runner, trials, |m, scratch, rng| {
+            .run_cached("rb", &runner, trials, |m, scratch, rng| {
                 m.rb_factor(scratch, rng)
             })
             .value;
@@ -158,7 +144,7 @@ impl ReliabilityModel {
     /// Panics if some `ns[k]` is 0 or exceeds this model's thread count, if
     /// `ns` has more than [`montecarlo::GridSample::CAPACITY`] points, or if
     /// `trials` is 0 (no factor sampled, as in
-    /// [`estimate_survival_rb`](ReliabilityModel::estimate_survival_rb)).
+    /// [`estimate_survival_rb_with`]).
     #[must_use]
     pub fn estimate_survival_rb_grid_with(
         &self,
@@ -354,7 +340,7 @@ mod tests {
         // SC windows are deterministic, so the RB estimate is exact.
         for n in [2usize, 4, 8, 16] {
             let m = ReliabilityModel::new(MemoryModel::Sc, n);
-            let est = m.estimate_survival_rb(100, 1);
+            let est = m.estimate_survival_rb_with(100, 1, 2);
             let exact = thm63::sc_log2_survival(n as u32);
             assert!(
                 (est.log2_survival - exact).abs() < 1e-9,
@@ -369,7 +355,7 @@ mod tests {
     fn rb_two_threads_reproduces_theorem_62() {
         for model in MemoryModel::NAMED {
             let m = ReliabilityModel::new(model, 2);
-            let est = m.estimate_survival_rb(TRIALS, 2);
+            let est = m.estimate_survival_rb_with(TRIALS, 2, 2);
             let (lo, hi) = m.log2_survival_bounds().unwrap();
             // Allow four standard errors of slack on the factor (the PSO
             // "bounds" are a point, so the whole tolerance is sampling noise).
@@ -386,8 +372,8 @@ mod tests {
     fn rb_agrees_with_direct_simulation_at_n2() {
         for model in [MemoryModel::Tso, MemoryModel::Wo] {
             let m = ReliabilityModel::new(model, 2);
-            let rb = m.estimate_survival_rb(TRIALS, 3);
-            let direct = m.simulate_survival(TRIALS, 4);
+            let rb = m.estimate_survival_rb_with(TRIALS, 3, 2);
+            let direct = m.simulate_survival_with(TRIALS, 4, 2);
             let (lo, hi) = direct.wilson_ci(0.999);
             assert!(
                 rb.survival() > lo - 0.005 && rb.survival() < hi + 0.005,
@@ -401,7 +387,7 @@ mod tests {
     fn bounds_sandwich_holds_at_larger_n() {
         for model in MemoryModel::NAMED {
             let m = ReliabilityModel::new(model, 6);
-            let est = m.estimate_survival_rb(TRIALS / 4, 5);
+            let est = m.estimate_survival_rb_with(TRIALS / 4, 5, 2);
             let (lo, hi) = m.log2_survival_bounds().unwrap();
             assert!(
                 est.log2_survival >= lo - 0.5 && est.log2_survival <= hi + 0.5,
@@ -609,7 +595,7 @@ mod tests {
     #[test]
     fn normalized_exponent_is_order_three_halves() {
         let m = ReliabilityModel::new(MemoryModel::Sc, 12);
-        let est = m.estimate_survival_rb(100, 6);
+        let est = m.estimate_survival_rb_with(100, 6, 2);
         let e = est.normalized_exponent(12);
         assert!(e > 1.0 && e < 2.0, "exponent {e}");
     }

@@ -130,17 +130,17 @@ fn trials_grown_warm_run_is_bit_identical_to_cold_at_every_thread_count() {
     // Welford grid has a test of its own below).
     assert_grown_runs_match_cold(
         "survival",
-        |trials| m.simulate_survival(trials, SEED),
+        |trials| m.simulate_survival_with(trials, SEED, 1),
         |trials, threads| m.simulate_survival_with(trials, SEED, threads),
     );
     assert_grown_runs_match_cold(
         "rb",
-        |trials| m.estimate_survival_rb(trials, SEED),
+        |trials| m.estimate_survival_rb_with(trials, SEED, 1),
         |trials, threads| m.estimate_survival_rb_with(trials, SEED, threads),
     );
     assert_grown_runs_match_cold(
         "windows",
-        |trials| m.window_histogram(trials, SEED),
+        |trials| m.window_histogram_with(trials, SEED, 1),
         |trials, threads| m.window_histogram_with(trials, SEED, threads),
     );
 }
@@ -177,7 +177,7 @@ fn torn_cache_writes_recover_and_the_entry_survives_reopen() {
     let _session = Session::start();
     let m = model();
     let trials = 5 * CHUNK_WIDTH;
-    let cold = m.simulate_survival(trials, SEED);
+    let cold = m.simulate_survival_with(trials, SEED, 2);
     let dir = tmp_dir("torn");
 
     // A seed whose plan tears the very first record written (TornWrites
@@ -191,7 +191,7 @@ fn torn_cache_writes_recover_and_the_entry_survives_reopen() {
         store::install(Arc::clone(&cache));
         fault::install(fault::FaultPlan::new(torn_seed, fault::Profile::TornWrites));
         let before = fault::ledger().snapshot().injected_torn_writes;
-        assert_eq!(m.simulate_survival(trials, SEED), cold);
+        assert_eq!(m.simulate_survival_with(trials, SEED, 2), cold);
         fault::clear();
         assert!(
             fault::ledger().snapshot().injected_torn_writes > before,
@@ -208,7 +208,7 @@ fn torn_cache_writes_recover_and_the_entry_survives_reopen() {
     let cache = Arc::new(store::Store::open(&dir).unwrap());
     assert_eq!(cache.stats().errors, 0);
     store::install(Arc::clone(&cache));
-    assert_eq!(m.simulate_survival(trials, SEED), cold);
+    assert_eq!(m.simulate_survival_with(trials, SEED, 2), cold);
     assert_eq!(cache.stats().hits, 1);
     store::clear();
     std::fs::remove_dir_all(&dir).unwrap();

@@ -50,6 +50,6 @@ pub use buffer::StoreBuffer;
 pub use cpu::{Cpu, CpuState, StepEvent};
 pub use increment::IncrementMachine;
 pub use isa::{CoreProgram, Op, Reg};
-pub use machine::{run_increment_trial, Machine, Outcome, RunError, SimParams};
+pub use machine::{Machine, Outcome, RunError, SimParams};
 pub use memory::SharedMemory;
 pub use workload::{increment_workload, increment_workload_fenced, CANONICAL_FILLER};

@@ -246,22 +246,6 @@ impl Machine {
     }
 }
 
-/// Convenience: runs the canonical increment workload once and reports
-/// whether the bug manifested. Repeated trials should reuse an
-/// [`IncrementMachine`](crate::IncrementMachine) instead; this builds one
-/// per call.
-pub fn run_increment_trial<R: Rng + ?Sized>(
-    n_threads: usize,
-    filler: usize,
-    params: SimParams,
-    rng: &mut R,
-) -> bool {
-    crate::IncrementMachine::new(n_threads, filler, params)
-        .run(rng)
-        .expect("increment workload quiesces well within budget")
-        .bug_manifested()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

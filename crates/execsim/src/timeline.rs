@@ -2,8 +2,7 @@
 //! paper's Figure 2 interleaving picture.
 
 use crate::cpu::StepEvent;
-use crate::{CoreProgram, Machine, Op, Outcome, RunError, SimParams};
-use rand::Rng;
+use crate::{Op, Outcome};
 use std::fmt::Write as _;
 
 /// One cycle's events across all cores.
@@ -120,24 +119,9 @@ impl Timeline {
     }
 }
 
-/// Runs a machine to quiescence while recording every cycle.
-///
-/// # Errors
-///
-/// Returns [`RunError`] on cycle-budget exhaustion, like [`Machine::run`].
-pub fn run_traced<R: Rng + ?Sized>(
-    programs: Vec<CoreProgram>,
-    params: SimParams,
-    rng: &mut R,
-) -> Result<Timeline, RunError> {
-    let mut machine = Machine::new(programs, params, rng);
-    machine.run_traced(rng)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::increment_workload;
+    use crate::{increment_workload, Machine, SimParams};
     use memmodel::MemoryModel;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -157,7 +141,9 @@ mod tests {
 
             let mut r2 = rng(50);
             let programs2 = increment_workload(2, 4, &mut r2);
-            let traced = run_traced(programs2, params, &mut r2).unwrap();
+            let traced = Machine::new(programs2, params, &mut r2)
+                .run_traced(&mut r2)
+                .unwrap();
             assert_eq!(traced.outcome, plain, "{model}");
             assert_eq!(traced.cycles.len() as u64, plain.cycles());
         }
@@ -167,7 +153,9 @@ mod tests {
     fn every_core_loads_and_publishes_the_shared_location() {
         let mut r = rng(51);
         let programs = increment_workload(3, 4, &mut r);
-        let t = run_traced(programs, SimParams::for_model(MemoryModel::Tso), &mut r).unwrap();
+        let t = Machine::new(programs, SimParams::for_model(MemoryModel::Tso), &mut r)
+            .run_traced(&mut r)
+            .unwrap();
         for core in 0..3 {
             let load = t.shared_load_cycle(core).expect("critical load traced");
             let visible = t
@@ -181,7 +169,9 @@ mod tests {
     fn render_shows_lanes_and_outcome() {
         let mut r = rng(52);
         let programs = increment_workload(2, 2, &mut r);
-        let t = run_traced(programs, SimParams::for_model(MemoryModel::Sc), &mut r).unwrap();
+        let t = Machine::new(programs, SimParams::for_model(MemoryModel::Sc), &mut r)
+            .run_traced(&mut r)
+            .unwrap();
         let s = t.render();
         assert!(s.contains("core 0:"));
         assert!(s.contains("core 1:"));
@@ -195,7 +185,9 @@ mod tests {
         let mut r = rng(53);
         let programs = increment_workload(2, 0, &mut r);
         let params = SimParams::for_model(MemoryModel::Sc).without_stagger();
-        let t = run_traced(programs, params, &mut r).unwrap();
+        let t = Machine::new(programs, params, &mut r)
+            .run_traced(&mut r)
+            .unwrap();
         assert!(t.outcome.bug_manifested());
         let l0 = t.shared_load_cycle(0).unwrap();
         let v0 = t.shared_store_visible_cycle(0).unwrap();

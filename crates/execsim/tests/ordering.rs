@@ -6,7 +6,7 @@
 //! is tighter: the critical store can jump the store-buffer queue and become
 //! visible sooner, shrinking the racy window.)
 
-use execsim::{increment_workload_fenced, run_increment_trial, Machine, SimParams};
+use execsim::{increment_workload_fenced, IncrementMachine, Machine, SimParams};
 use memmodel::fence::FenceKind;
 use memmodel::MemoryModel;
 use montecarlo::{BernoulliEstimate, Runner, Seed};
@@ -23,8 +23,13 @@ fn bug_rate(model: MemoryModel, n: usize, seed: u64) -> montecarlo::BernoulliEst
     Runner::new(Seed(seed))
         .run::<BernoulliEstimate, _>(
             TRIALS,
-            || (),
-            move |_, rng| run_increment_trial(n, FILLER, params, rng),
+            move || IncrementMachine::new(n, FILLER, params),
+            |machine, rng| {
+                machine
+                    .run(rng)
+                    .expect("the increment workload quiesces")
+                    .bug_manifested()
+            },
             None,
         )
         .expect("panic-free simulation")

@@ -4,8 +4,8 @@
 //! A [`FaultPlan`] is a *seeded schedule of fault events* for the whole
 //! process. Production code carries permanent injection seams — the runner
 //! asks the plan whether a chunk panics (the `hard` profile); the result
-//! store asks whether a segment record write tears; the exporters ask
-//! whether their I/O fails — and every decision is a pure hash of
+//! store asks whether a segment record write tears (the `torn` profile) —
+//! and every decision is a pure hash of
 //! `(plan seed, site salt, index)`, so a chaos run is exactly reproducible
 //! from its `--chaos SEED:PROFILE` spec. When no plan is [`install`]ed
 //! (the default), every seam is a single relaxed atomic load that answers
@@ -15,8 +15,8 @@
 //! function of `(seed, chunk)`, so a chunk that panics panics again on any
 //! rerun: the runner runs each chunk once, and an injected chunk panic is
 //! unrecoverable by design (it fails the run, or under `hard` degrades
-//! it). The recoverable faults are I/O faults — a torn cache write, a
-//! failed export — and those leave results bit-identical.
+//! it). The recoverable fault is an I/O fault — a torn cache write — and
+//! it leaves results bit-identical.
 //!
 //! # The ledger
 //!
@@ -47,8 +47,6 @@ pub enum Profile {
     /// Torn writes only (~1 in 2 store-segment records); the store
     /// recovers each one, so results stay bit-identical.
     TornWrites,
-    /// Exporter I/O errors only: every `--metrics`/`--trace` write fails.
-    ExportErrors,
     /// Hard faults: ~1 in 16 chunks panics. Plans with this profile
     /// degrade runs instead of failing them (see
     /// [`FaultPlan::degrade_on_exhaustion`]).
@@ -56,13 +54,12 @@ pub enum Profile {
 }
 
 /// The `--chaos` profile names, in [`Profile`] order.
-const PROFILES: &str = "torn|export|hard";
+const PROFILES: &str = "torn|hard";
 
 impl std::fmt::Display for Profile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Profile::TornWrites => write!(f, "torn"),
-            Profile::ExportErrors => write!(f, "export"),
             Profile::Hard => write!(f, "hard"),
         }
     }
@@ -71,8 +68,7 @@ impl std::fmt::Display for Profile {
 /// A deterministic, seeded schedule of fault events for the whole process.
 ///
 /// Decisions are pure functions of `(seed, site, index)` — install the same
-/// plan twice and exactly the same chunks panic, the same records tear, the
-/// same exports fail.
+/// plan twice and exactly the same chunks panic and the same records tear.
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
@@ -87,7 +83,7 @@ impl FaultPlan {
     }
 
     /// Parses a `--chaos` spec: `SEED:PROFILE` with profile one of
-    /// `torn`, `export`, `hard`.
+    /// `torn`, `hard`.
     ///
     /// # Errors
     ///
@@ -104,7 +100,6 @@ impl FaultPlan {
             .map_err(|_| format!("--chaos takes SEED:PROFILE, got seed {seed_part:?}"))?;
         let profile = match profile_part.to_ascii_lowercase().as_str() {
             "torn" => Profile::TornWrites,
-            "export" => Profile::ExportErrors,
             "hard" => Profile::Hard,
             other => {
                 return Err(format!(
@@ -156,12 +151,6 @@ impl FaultPlan {
     #[must_use]
     pub fn torn_write(&self, record: u64) -> bool {
         self.profile == Profile::TornWrites && self.roll(SALT_TORN, record, 2)
-    }
-
-    /// Whether exporter I/O (`--metrics`, `--trace`) fails under this plan.
-    #[must_use]
-    pub fn export_fault(&self) -> bool {
-        self.profile == Profile::ExportErrors
     }
 
     /// Whether runs under this plan turn a panicked chunk into a degraded
@@ -223,7 +212,6 @@ pub fn active() -> Option<Arc<FaultPlan>> {
 pub struct Ledger {
     injected_panics: AtomicU64,
     injected_torn_writes: AtomicU64,
-    injected_export_faults: AtomicU64,
     chunks_abandoned: AtomicU64,
     degraded_runs: AtomicU64,
 }
@@ -235,7 +223,6 @@ pub struct Ledger {
 pub struct LedgerSnapshot {
     pub injected_panics: u64,
     pub injected_torn_writes: u64,
-    pub injected_export_faults: u64,
     pub chunks_abandoned: u64,
     pub degraded_runs: u64,
 }
@@ -249,9 +236,6 @@ impl LedgerSnapshot {
             injected_torn_writes: self
                 .injected_torn_writes
                 .saturating_sub(earlier.injected_torn_writes),
-            injected_export_faults: self
-                .injected_export_faults
-                .saturating_sub(earlier.injected_export_faults),
             chunks_abandoned: self
                 .chunks_abandoned
                 .saturating_sub(earlier.chunks_abandoned),
@@ -262,7 +246,7 @@ impl LedgerSnapshot {
     /// Total faults injected (not degradations).
     #[must_use]
     pub fn total_injected(&self) -> u64 {
-        self.injected_panics + self.injected_torn_writes + self.injected_export_faults
+        self.injected_panics + self.injected_torn_writes
     }
 
     /// True when every tally is zero.
@@ -274,11 +258,10 @@ impl LedgerSnapshot {
     /// Every tally as a `(name, count)` pair, in declaration order — the
     /// shape crash dossiers embed.
     #[must_use]
-    pub fn named_fields(&self) -> [(&'static str, u64); 5] {
+    pub fn named_fields(&self) -> [(&'static str, u64); 4] {
         [
             ("injected_panics", self.injected_panics),
             ("injected_torn_writes", self.injected_torn_writes),
-            ("injected_export_faults", self.injected_export_faults),
             ("chunks_abandoned", self.chunks_abandoned),
             ("degraded_runs", self.degraded_runs),
         ]
@@ -290,7 +273,6 @@ impl Ledger {
         Ledger {
             injected_panics: AtomicU64::new(0),
             injected_torn_writes: AtomicU64::new(0),
-            injected_export_faults: AtomicU64::new(0),
             chunks_abandoned: AtomicU64::new(0),
             degraded_runs: AtomicU64::new(0),
         }
@@ -302,7 +284,6 @@ impl Ledger {
         LedgerSnapshot {
             injected_panics: self.injected_panics.load(Ordering::Relaxed),
             injected_torn_writes: self.injected_torn_writes.load(Ordering::Relaxed),
-            injected_export_faults: self.injected_export_faults.load(Ordering::Relaxed),
             chunks_abandoned: self.chunks_abandoned.load(Ordering::Relaxed),
             degraded_runs: self.degraded_runs.load(Ordering::Relaxed),
         }
@@ -316,11 +297,6 @@ impl Ledger {
     /// An injected torn store-segment write fired.
     pub fn note_injected_torn_write(&self) {
         self.injected_torn_writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An injected exporter I/O fault fired.
-    pub fn note_injected_export_fault(&self) {
-        self.injected_export_faults.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A panicked chunk was abandoned (degraded mode).
@@ -349,7 +325,6 @@ mod tests {
     fn plan_parse_accepts_seed_and_profiles() {
         for (spec, profile) in [
             ("7:torn", Profile::TornWrites),
-            ("7:export", Profile::ExportErrors),
             ("7:hard", Profile::Hard),
             ("7:HARD", Profile::Hard),
         ] {
@@ -358,9 +333,16 @@ mod tests {
         }
         assert!(FaultPlan::parse("x:torn").is_err());
         assert!(FaultPlan::parse("7:frobnicate").is_err());
-        // A bare seed has no default profile, and the chunk-retry and
-        // stall profiles are gone.
-        for gone in ["7", "7:mixed", "7:panics", "7:corrupt", "7:stalls"] {
+        // A bare seed has no default profile, and the chunk-retry, stall
+        // and export profiles are gone.
+        for gone in [
+            "7",
+            "7:mixed",
+            "7:panics",
+            "7:corrupt",
+            "7:stalls",
+            "7:export",
+        ] {
             assert!(FaultPlan::parse(gone).is_err(), "{gone}");
         }
         assert!(FaultPlan::parse("").is_err());
@@ -378,11 +360,9 @@ mod tests {
         assert!(hits(&a).len() < 256);
         assert!(a.degrade_on_exhaustion());
         // Only the hard profile panics chunks, and only it degrades.
-        for profile in [Profile::TornWrites, Profile::ExportErrors] {
-            let p = FaultPlan::new(1, profile);
-            assert!(hits(&p).is_empty(), "{profile}");
-            assert!(!p.degrade_on_exhaustion(), "{profile}");
-        }
+        let torn = FaultPlan::new(1, Profile::TornWrites);
+        assert!(hits(&torn).is_empty());
+        assert!(!torn.degrade_on_exhaustion());
     }
 
     #[test]

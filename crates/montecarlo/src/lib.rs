@@ -50,5 +50,5 @@ pub use converge::EstimatorStats;
 pub use error::Error;
 pub use hist::Histogram;
 pub use rng::{splitmix64, task_rng, Seed};
-pub use runner::{Accumulator, ChunkPrefix, RunReport, Runner, CHUNK_WIDTH};
+pub use runner::{default_threads, Accumulator, ChunkPrefix, RunReport, Runner, CHUNK_WIDTH};
 pub use stats::{normal_quantile, BernoulliEstimate, GridSample, Welford, WelfordGrid};

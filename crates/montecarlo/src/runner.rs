@@ -224,17 +224,23 @@ enum ChunkOutcome<A> {
     Skipped,
 }
 
+/// The default worker count: the machine's available parallelism (1 when
+/// it cannot be queried).
+#[must_use]
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
 impl Runner {
-    /// A runner with the given master seed, defaulting to the machine's
-    /// available parallelism.
+    /// A runner with the given master seed, defaulting to
+    /// [`default_threads`] workers.
     #[must_use]
     pub fn new(seed: Seed) -> Runner {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
         Runner {
             seed,
-            threads,
+            threads: default_threads(),
             degrade_on_exhaustion: false,
         }
     }

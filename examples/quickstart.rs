@@ -4,6 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use mmreliab::montecarlo::default_threads;
 use mmreliab::{MemoryModel, ModelComparison, ReliabilityModel};
 
 fn main() {
@@ -31,7 +32,7 @@ fn main() {
     // Measure it end-to-end: settle two copies of a random program, shift,
     // and test window disjointness.
     println!("\nMeasured by end-to-end simulation (100k trials):\n");
-    let cmp = ModelComparison::run(2, 100_000, 7);
+    let cmp = ModelComparison::run_with(2, 100_000, 7, default_threads());
     print!("{cmp}");
 
     // The punchline (Theorem 6.3): as threads multiply, the reliability
@@ -39,10 +40,10 @@ fn main() {
     println!("\nSurvival collapses like e^(-n^2) for EVERY model (log2 Pr[A]):\n");
     for n in [2usize, 4, 8, 16] {
         let sc = ReliabilityModel::new(MemoryModel::Sc, n)
-            .estimate_survival_rb(20_000, 11)
+            .estimate_survival_rb_with(20_000, 11, default_threads())
             .log2_survival;
         let wo = ReliabilityModel::new(MemoryModel::Wo, n)
-            .estimate_survival_rb(20_000, 13)
+            .estimate_survival_rb_with(20_000, 13, default_threads())
             .log2_survival;
         println!(
             "  n={n:<3} SC {sc:>9.2}   WO {wo:>9.2}   (gap {:.1} of {:.0} total)",

@@ -6,8 +6,7 @@
 //! cargo run --release --example race_timeline [model] [seed]
 //! ```
 
-use execsim::timeline::run_traced;
-use execsim::{increment_workload, SimParams};
+use execsim::{increment_workload, Machine, SimParams};
 use memmodel::MemoryModel;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -26,7 +25,8 @@ fn main() {
 
     let mut rng = SmallRng::seed_from_u64(seed);
     let programs = increment_workload(2, 6, &mut rng);
-    let timeline = run_traced(programs, SimParams::for_model(model), &mut rng)
+    let timeline = Machine::new(programs, SimParams::for_model(model), &mut rng)
+        .run_traced(&mut rng)
         .expect("small machines quiesce");
     print!("{}", timeline.render());
 

@@ -5,7 +5,8 @@
 //! ```
 
 use memmodel::MemoryModel;
-use mmreliab::mmr_core::scaling_curve;
+use mmreliab::mmr_core::scaling_curve_with;
+use mmreliab::montecarlo::default_threads;
 use textplot::{Chart, Table};
 
 fn main() {
@@ -13,7 +14,7 @@ fn main() {
     let trials = 60_000;
 
     println!("Rao-Blackwellised survival estimates (shared-program model):\n");
-    let points = scaling_curve(&MemoryModel::NAMED, &ns, trials, 2024);
+    let points = scaling_curve_with(&MemoryModel::NAMED, &ns, trials, 2024, default_threads());
 
     let mut table = Table::new(vec!["n", "model", "log2 Pr[A]", "-log2 Pr[A]/n^2"]);
     for p in &points {

@@ -27,7 +27,7 @@
 //! let (lo, hi) = model.log2_survival_bounds().expect("named model");
 //! assert!(2f64.powf(lo) > 0.13 && 2f64.powf(hi) < 0.14);
 //!
-//! let measured = model.simulate_survival(10_000, 1).point();
+//! let measured = model.simulate_survival_with(10_000, 1, 2).point();
 //! assert!(measured > 0.11 && measured < 0.16);
 //! ```
 

@@ -67,9 +67,7 @@ fn parse_args() -> Result<Args, mmreliab::Error> {
         seed: 7,
         m: 8,
         param: "s".into(),
-        workers: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
+        workers: mmreliab::montecarlo::default_threads(),
         shared: SharedFlags::default(),
         diff: None,
         artifact: None,
@@ -245,11 +243,16 @@ fn cmd_survival(args: &Args) {
         args.threads, args.model
     );
     if let Some((lo, hi)) = rm.log2_survival_bounds() {
+        // log2 beside linear, as on the RB line: at large n the linear
+        // values underflow to 0 while the log2 bounds stay finite.
         if (hi - lo).abs() < 1e-12 {
-            println!("  paper (exact):       {:.6e}", 2f64.powf(lo));
+            println!(
+                "  paper (exact):       {:.6e}   (log2 = {lo:.2})",
+                2f64.powf(lo)
+            );
         } else {
             println!(
-                "  paper bounds:        ({:.6e}, {:.6e})",
+                "  paper bounds:        ({:.6e}, {:.6e})   (log2 in ({lo:.2}, {hi:.2}))",
                 2f64.powf(lo),
                 2f64.powf(hi)
             );

@@ -59,10 +59,50 @@ fn survival_below_f64_range_prints_a_bound() {
             stdout.contains("Rao-Blackwellised:   below f64 range   (log2 < -"),
             "{model}: {stdout}"
         );
+        // The linear bounds underflow to 0; their log2 values do not.
+        let paper = paper_log2(&stdout, "paper bounds:");
+        assert!(
+            paper.len() == 2 && paper.iter().all(|b| b.is_finite() && *b < -1000.0),
+            "{model}: {stdout}"
+        );
         for bad in ["NaN", "inf"] {
             assert!(!stdout.contains(bad), "{model}: {stdout}");
         }
     }
+    // SC's exact value underflows the same way.
+    let (ok, stdout, stderr) = run(&[
+        "survival",
+        "--model",
+        "sc",
+        "--threads",
+        "1000",
+        "--trials",
+        "10",
+        "--workers",
+        "1",
+    ]);
+    assert!(ok, "sc: {stdout}{stderr}");
+    let paper = paper_log2(&stdout, "paper (exact):");
+    assert!(
+        paper.len() == 1 && paper[0].is_finite() && paper[0] < -1000.0,
+        "sc: {stdout}"
+    );
+}
+
+/// The log2 values printed on `survival`'s paper line that starts with
+/// `label`: the numbers after its `log2`.
+fn paper_log2(stdout: &str, label: &str) -> Vec<f64> {
+    let line = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with(label))
+        .unwrap_or_else(|| panic!("no {label:?} line in {stdout}"));
+    let (_, log2) = line
+        .split_once("log2")
+        .unwrap_or_else(|| panic!("no log2 on {line:?}"));
+    log2.split(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
+        .filter(|w| !w.is_empty())
+        .map(|w| w.parse().unwrap_or_else(|_| panic!("{w:?} on {line:?}")))
+        .collect()
 }
 
 #[test]
@@ -222,7 +262,8 @@ fn survival_output_is_identical_across_worker_counts() {
     let windows = [
         "windows", "--model", "wo", "--trials", "20000", "--seed", "11",
     ];
-    for base in [&survival[..], &windows[..]] {
+    let opsim = ["opsim", "--threads", "2", "--trials", "4000", "--seed", "3"];
+    for base in [&survival[..], &windows[..], &opsim[..]] {
         let (ok1, one, _) = run(&[base, &["--workers", "1"]].concat());
         let (ok4, four, _) = run(&[base, &["--workers", "4"]].concat());
         assert!(ok1 && ok4, "{base:?}");

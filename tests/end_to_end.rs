@@ -2,6 +2,7 @@
 //! survival) reproduces the paper's Theorem 6.2 constants, and the abstract
 //! and operational routes agree where they should.
 
+use mmreliab::montecarlo::default_threads;
 use mmreliab::{MemoryModel, ModelComparison, ReliabilityModel};
 
 const TRIALS: u64 = if cfg!(debug_assertions) {
@@ -12,7 +13,7 @@ const TRIALS: u64 = if cfg!(debug_assertions) {
 
 #[test]
 fn theorem_62_headline_constants_reproduce() {
-    let cmp = ModelComparison::run(2, TRIALS, 2);
+    let cmp = ModelComparison::run_with(2, TRIALS, 2, default_threads());
     for row in cmp.rows() {
         assert!(
             row.consistent(0.999),
@@ -33,8 +34,8 @@ fn theorem_62_headline_constants_reproduce() {
 fn direct_and_rao_blackwell_estimators_agree() {
     for model in MemoryModel::NAMED {
         let rm = ReliabilityModel::new(model, 3);
-        let direct = rm.simulate_survival(TRIALS, 2);
-        let rb = rm.estimate_survival_rb(TRIALS, 3);
+        let direct = rm.simulate_survival_with(TRIALS, 2, default_threads());
+        let rb = rm.estimate_survival_rb_with(TRIALS, 3, default_threads());
         let (lo, hi) = direct.wilson_ci(0.999);
         assert!(
             rb.survival() >= lo - 5e-4 && rb.survival() <= hi + 5e-4,
@@ -48,14 +49,19 @@ fn direct_and_rao_blackwell_estimators_agree() {
 fn abstract_and_operational_sc_agree() {
     // The operational machine's SC bug rate equals the abstract 5/6 within
     // Monte-Carlo noise — the two substrates model the same process.
-    use execsim::{run_increment_trial, SimParams};
+    use execsim::{IncrementMachine, SimParams};
     use montecarlo::{BernoulliEstimate, Runner, Seed};
     let params = SimParams::for_model(MemoryModel::Sc);
     let est = Runner::new(Seed(4))
         .run::<BernoulliEstimate, _>(
             TRIALS / 4,
-            || (),
-            move |_, rng| run_increment_trial(2, 8, params, rng),
+            move || IncrementMachine::new(2, 8, params),
+            |machine, rng| {
+                machine
+                    .run(rng)
+                    .expect("the increment workload quiesces")
+                    .bug_manifested()
+            },
             None,
         )
         .expect("panic-free simulation")

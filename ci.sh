@@ -112,9 +112,10 @@ rm -rf "$CHAOS_DIR"
 # directory must be bit-identical cold (populating) and warm (served from
 # the store), the warm run must actually hit (mc.cache.hits > 0 in its
 # metrics snapshot) and miss nothing (thm61's and thm63's shared-draw
-# grids included), and an unusable cache directory must degrade to an
-# uncached run — results intact, typed warning, exit code 2 (the
-# --metrics/--flight error contract).
+# grids included), a grown run must extend from the stored prefixes, and
+# an unusable cache directory must degrade to an uncached run — results
+# intact, typed warning, exit code 2 (the --metrics/--flight error
+# contract).
 CACHE_DIR="$(mktemp -d)"
 cargo run --release --offline -p mmr-bench --bin experiments -- \
   --quick --seed 20110606 --cache "$CACHE_DIR/store" \
@@ -132,6 +133,26 @@ assert counters.get("mc.cache.hits", 0) > 0, f"warm run produced no cache hits: 
 assert counters.get("mc.cache.errors", 0) == 0, f"cache errors on a healthy store: {counters}"
 assert counters.get("mc.cache.misses", 0) == 0, f"a warm request missed (a shared-draw grid?): {counters}"
 print(f"cache smoke ok: {counters['mc.cache.hits']} hits, {counters.get('mc.cache.misses', 0)} misses")
+EOF2
+# A grown pass: a third process at twice --quick's 10,000 trials must
+# resume every request from the prefixes the cold process stored
+# (extends only: no miss, no error), and match an uncached run.
+cargo run --release --offline -p mmr-bench --bin experiments -- \
+  --trials 20000 --seed 20110606 --cache "$CACHE_DIR/store" \
+  --json "$CACHE_DIR/grown.json" --metrics "$CACHE_DIR/grown_metrics.json" lem42 thm61 thm62 thm63
+cargo run --release --offline -p mmr-bench --bin experiments -- \
+  --trials 20000 --seed 20110606 \
+  --json "$CACHE_DIR/uncached_grown.json" lem42 thm61 thm62 thm63
+grep -vE '"(elapsed_secs|threads|host_cores|trials_per_sec)":' "$CACHE_DIR/grown.json" > "$CACHE_DIR/grown.stripped"
+grep -vE '"(elapsed_secs|threads|host_cores|trials_per_sec)":' "$CACHE_DIR/uncached_grown.json" > "$CACHE_DIR/uncached_grown.stripped"
+diff "$CACHE_DIR/grown.stripped" "$CACHE_DIR/uncached_grown.stripped"
+python3 - "$CACHE_DIR/grown_metrics.json" <<'EOF2'
+import json, sys
+counters = {c["name"]: c["value"] for c in json.load(open(sys.argv[1]))["counters"]}
+assert counters.get("mc.cache.extends", 0) > 0, f"grown run extended nothing: {counters}"
+assert counters.get("mc.cache.misses", 0) == 0, f"a grown request missed: {counters}"
+assert counters.get("mc.cache.errors", 0) == 0, f"cache errors on a healthy store: {counters}"
+print(f"grown cache smoke ok: {counters['mc.cache.extends']} extends")
 EOF2
 CACHE_RC=0
 cargo run --release --offline -p mmr-bench --bin experiments -- \

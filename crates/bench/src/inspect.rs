@@ -14,8 +14,8 @@
 //!   directory** — a per-file record census without modifying anything.
 //!
 //! Everything here is strictly read-only: unlike `Store::open`, which
-//! truncates torn tails and rewrites the index as part of recovery, a
-//! forensic pass must leave the evidence exactly as the crash left it.
+//! truncates torn tails as part of recovery, a forensic pass must leave
+//! the evidence exactly as the crash left it.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -115,7 +115,7 @@ fn inspect_dir(dir: &Path) -> Result<String, String> {
         .filter(|n| n.starts_with("seg-") && n.ends_with(".mmrs"))
         .collect();
     if !segments.is_empty() {
-        return inspect_cache_dir(dir, &segments, names.iter().any(|n| n == "index.mmri"));
+        return inspect_cache_dir(dir, &segments);
     }
     let dossiers: Vec<&String> = names
         .iter()
@@ -149,12 +149,8 @@ fn inspect_dir(dir: &Path) -> Result<String, String> {
 /// Read-only census of a cache directory: per-segment valid records,
 /// torn tails, and the distinct keys, sorted so two censuses of the same
 /// records diff clean whatever order they were appended in.
-fn inspect_cache_dir(dir: &Path, segments: &[&String], indexed: bool) -> Result<String, String> {
-    let mut out = format!(
-        "cache directory: {} segment(s), index.mmri {}\n",
-        segments.len(),
-        if indexed { "present" } else { "missing" }
-    );
+fn inspect_cache_dir(dir: &Path, segments: &[&String]) -> Result<String, String> {
+    let mut out = format!("cache directory: {} segment(s)\n", segments.len());
     let mut keys: Vec<String> = Vec::new();
     let mut total = 0usize;
     for name in segments {

@@ -356,18 +356,6 @@ impl RunResult {
     }
 }
 
-/// Writes a crash dossier (when a dossier directory is configured) for an
-/// experiment-level incident, counting it in `mc.flight.dossiers`. Dossier
-/// failures never fail the run — a forensic artifact is best-effort.
-fn emit_dossier(reason: &str, delta: &montecarlo::fault::LedgerSnapshot) {
-    let request = obs::flight::current_request();
-    match obs::flight::write_dossier(reason, request.as_deref(), &delta.named_fields()) {
-        Ok(Some(_)) => obs::global().counter("mc.flight.dossiers").inc(),
-        Ok(None) => {}
-        Err(e) => eprintln!("warning: failed to write crash dossier ({reason}): {e}"),
-    }
-}
-
 /// Runs one experiment behind an unwind boundary.
 ///
 /// A panicking experiment becomes a result with one `MISMATCH` and a
@@ -397,14 +385,14 @@ pub fn run_one_isolated(e: &Experiment, ctx: &Ctx) -> ExperimentResult {
                 .map(|s| (*s).to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "opaque panic payload".to_string());
-            emit_dossier("experiment_panicked", &ledger_delta);
+            montecarlo::fault::emit_dossier("experiment_panicked", &ledger_delta);
             format!("experiment PANICKED: {msg}\n\noverall: MISMATCH\n")
         }
     };
     let degraded = ledger_delta.chunks_abandoned > 0 || ledger_delta.degraded_runs > 0;
     if degraded {
         tele.counter("exp.degraded").inc();
-        emit_dossier("experiment_degraded", &ledger_delta);
+        montecarlo::fault::emit_dossier("experiment_degraded", &ledger_delta);
         // Keep the status word distinct from the REPRODUCED/MISMATCH
         // substrings the verdict counters scan for.
         let _ = writeln!(

@@ -16,11 +16,15 @@ use shiftproc::exchangeable;
 ///
 /// At large enough `n` (e.g. n = 1000 under TSO) every sampled factor
 /// `2^-K` has `K > 1074` and rounds to 0, so the estimate is below `f64`
-/// range and is reported as a bound ([`below_range`](Self::below_range)).
+/// range and is reported as an upper bound on the estimate, not on
+/// `Pr[A]` ([`below_range`](Self::below_range)). Such samples do not
+/// resolve `Pr[A]`: at n = 1000 under TSO the bound sits 75 bits under
+/// the paper's proven lower bound on `log2 Pr[A]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RbSurvival {
-    /// `log2 Pr[A]`, or an upper bound on it when
-    /// [`below_range`](Self::below_range) is set.
+    /// The estimate of `log2 Pr[A]`; when
+    /// [`below_range`](Self::below_range) is set, an upper bound on that
+    /// estimate, not on `Pr[A]`.
     pub log2_survival: f64,
     /// The sampled mean of the scaled per-vector factor.
     pub mean_factor: f64,
@@ -28,9 +32,11 @@ pub struct RbSurvival {
     pub factor_sem: f64,
     /// Number of window vectors sampled.
     pub samples: u64,
-    /// Every sampled factor underflowed to 0, so `log2_survival` is the
-    /// upper bound `exchangeable::log2_survival(n, 2, 2^-1074)`: the value
-    /// at the smallest positive factor.
+    /// Every sampled factor underflowed to 0, so `log2_survival` is
+    /// `exchangeable::log2_survival(n, 2, 2^-1074)`, the value at the
+    /// smallest positive factor: an upper bound on the estimate the
+    /// samples' exact mean would give, not on `Pr[A]`, which these samples
+    /// do not resolve.
     pub below_range: bool,
 }
 

@@ -198,7 +198,7 @@ fn torn_cache_writes_recover_and_the_entry_survives_reopen() {
             "the plan must actually have torn the cache append"
         );
         let stats = cache.stats();
-        assert!(stats.torn_tails >= 1, "the tier must report the recovery");
+        assert!(stats.torn_tails >= 1, "the store must report the recovery");
         assert_eq!(stats.errors, 0, "a torn write is recovered, not an error");
         store::clear();
     }

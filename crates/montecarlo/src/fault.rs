@@ -317,6 +317,19 @@ pub fn ledger() -> &'static Ledger {
     &LEDGER
 }
 
+/// Writes a crash dossier for an incident whose fault-ledger delta is
+/// `delta` (when a dossier directory is configured), counting it in
+/// `mc.flight.dossiers`. Any I/O failure is reported to stderr and
+/// swallowed — a dossier must never take down the run it documents.
+pub fn emit_dossier(reason: &str, delta: &LedgerSnapshot) {
+    let request = obs::flight::current_request();
+    match obs::flight::write_dossier(reason, request.as_deref(), &delta.named_fields()) {
+        Ok(Some(_)) => crate::telemetry::dossiers().inc(),
+        Ok(None) => {}
+        Err(e) => eprintln!("warning: failed to write crash dossier ({reason}): {e}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -431,7 +431,10 @@ impl Runner {
                     // The failing chunk is the fault site: record it last,
                     // then freeze the timeline into a dossier.
                     obs::flight::event("chunk_failed").chunk(idx).emit();
-                    emit_dossier("worker_panicked", &ledger_start);
+                    crate::fault::emit_dossier(
+                        "worker_panicked",
+                        &crate::fault::ledger().snapshot().since(&ledger_start),
+                    );
                     return Err(Error::WorkerPanicked {
                         chunk: idx,
                         seed: self.seed,
@@ -456,7 +459,10 @@ impl Runner {
             .emit();
         if degraded {
             crate::fault::ledger().note_degraded_run();
-            emit_dossier(fate, &ledger_start);
+            crate::fault::emit_dossier(
+                fate,
+                &crate::fault::ledger().snapshot().since(&ledger_start),
+            );
         }
         let report = RunReport {
             value,
@@ -532,19 +538,6 @@ impl Default for Runner {
 fn is_prefix_snapshot(clean_full_chunks: u64, max_full_chunks: u64) -> bool {
     clean_full_chunks == max_full_chunks
         || (clean_full_chunks >= 4 && clean_full_chunks.is_power_of_two())
-}
-
-/// Writes a crash dossier scoped to this run's fault-ledger delta. Any
-/// I/O failure is reported to stderr and swallowed — a dossier must
-/// never take down the run it documents.
-fn emit_dossier(reason: &str, ledger_start: &crate::fault::LedgerSnapshot) {
-    let delta = crate::fault::ledger().snapshot().since(ledger_start);
-    let request = obs::flight::current_request();
-    match obs::flight::write_dossier(reason, request.as_deref(), &delta.named_fields()) {
-        Ok(Some(_)) => crate::telemetry::dossiers().inc(),
-        Ok(None) => {}
-        Err(e) => eprintln!("warning: failed to write crash dossier ({reason}): {e}"),
-    }
 }
 
 /// Renders a `catch_unwind` payload for error reports.

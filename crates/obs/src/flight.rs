@@ -3,7 +3,7 @@
 //!
 //! Where the metrics registry *counts* what happened, the flight recorder
 //! *orders* it: every notable step of a run — a chunk claimed, a fault
-//! fired, a chunk abandoned, a cache tier answering, an experiment
+//! fired, a chunk abandoned, the cache answering, an experiment
 //! finished — is appended as one [`FlightEvent`]
 //! to a process-global ring of [`crate::DEFAULT_RING_CAP`] events. The
 //! ring drops its oldest event when full, but evicts a `span` event only
@@ -26,7 +26,6 @@
 //! | `fault_fired` | `chunk`, `detail` = `panic` | fault plan |
 //! | `request` | `detail` = full canonical request key | cache seam |
 //! | `cache_hit` / `cache_extend` / `cache_miss` | `detail` = key, `n` = prefix chunks (extend) | store |
-//! | `cache_compacted` | `n` = records kept | store |
 //! | `span` | `detail` = experiment id, `n` = its wall time in µs (emitted at its end) | experiment harness |
 //!
 //! Logs written before the runner stopped retrying chunks also hold

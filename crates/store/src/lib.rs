@@ -9,9 +9,9 @@
 //! * [`KeySpec`]/[`RequestKey`] canonicalize the tuple into a versioned
 //!   string (floats as IEEE-754 bit patterns) and hash it into a stable
 //!   128-bit content address ([`KeyHash`]);
-//! * [`Store`] serves exact hits from a bounded in-memory LRU backed by
-//!   an append-only CRC-framed segment tier on disk (torn tails
-//!   truncated, garbage skipped, index swapped atomically), and serves
+//! * [`Store`] serves exact hits from one in-memory map of every live
+//!   entry, filled from and appended to one CRC-framed segment file on
+//!   disk (torn tails truncated, garbage skipped), and serves
 //!   *extensions* — cached whole-chunk prefixes a request of another
 //!   trial count can resume from — out of a per-family index;
 //! * [`install`]/[`active`] expose one process-global store the core

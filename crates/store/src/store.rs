@@ -1,35 +1,24 @@
-//! The two-tier content-addressed store and its process-global handle.
+//! The content-addressed store and its process-global handle.
 //!
-//! Layering, fastest first:
-//!
-//! 1. a bounded in-memory LRU of deserialized [`Entry`] values (the warm
-//!    hit path — no I/O, no parsing);
-//! 2. the append-only on-disk [`segment`](crate::segment) tier, consulted
-//!    on LRU miss and promoted back into the LRU;
-//! 3. a **family index** mapping the family canon's content address to
-//!    every cached whole-chunk prefix of that seeded kernel — the
-//!    *extension* path, serving a request of another trial count a
-//!    resumable prefix instead of a cold start.
+//! One map holds every live [`Entry`] by content address (an exact hit
+//! is a lookup, no I/O, no parsing); a disk-backed store also appends
+//! each insert to one [`segment`](crate::segment) file and fills the map
+//! from it on open. A **family index** maps the family canon's content
+//! address to every cached whole-chunk prefix of that seeded kernel —
+//! the *extension* path, serving a request of another trial count a
+//! resumable prefix instead of a cold start.
 //!
 //! Every fallible cache interaction degrades to a (counted) miss: the
 //! cache can make runs faster, never wrong and never failed.
 
 use crate::acc::{CachedPrefix, CachedReport, Entry};
 use crate::key::RequestKey;
-use crate::segment::{DiskTier, DEFAULT_ROLL_BYTES};
+use crate::segment::SegmentFile;
 use crate::telemetry;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Default LRU budget: plenty for full sweep grids, bounded enough to
-/// never matter next to the simulation working set.
-const DEFAULT_MEMORY_BUDGET: u64 = 64 << 20;
-
-/// Most families the extension index retains (insertion-ordered cap; the
-/// exact-hit path is unaffected by this bound).
-const MAX_FAMILIES: usize = 4096;
 
 /// Why a store could not be opened.
 #[derive(Debug)]
@@ -84,8 +73,6 @@ pub struct StatsSnapshot {
     pub misses: u64,
     /// Lookups served a resumable prefix.
     pub extends: u64,
-    /// LRU entries evicted to stay inside the memory budget.
-    pub evictions: u64,
     /// Survivable cache faults (unreadable files, bad records, failed
     /// appends).
     pub errors: u64,
@@ -98,16 +85,8 @@ struct Stats {
     hits: AtomicU64,
     misses: AtomicU64,
     extends: AtomicU64,
-    evictions: AtomicU64,
     errors: AtomicU64,
     torn_tails: AtomicU64,
-}
-
-/// One resident LRU slot.
-struct LruSlot {
-    entry: Entry,
-    bytes: u64,
-    tick: u64,
 }
 
 /// One family's extension state.
@@ -118,71 +97,54 @@ struct Family {
     prefixes: Vec<CachedPrefix>,
 }
 
+#[derive(Default)]
 struct Inner {
-    lru: HashMap<String, LruSlot>,
-    lru_bytes: u64,
-    tick: u64,
+    /// Every live entry, by 32-hex content address.
+    entries: HashMap<String, Entry>,
     families: HashMap<String, Family>,
-    /// Family keys in first-insertion order, for the cap.
-    family_order: Vec<String>,
-    disk: Option<DiskTier>,
+    disk: Option<SegmentFile>,
 }
 
-/// A two-tier content-addressed result cache.
+/// A content-addressed result cache.
 ///
 /// All methods take `&self`; the store is internally synchronized and is
 /// shared as `Arc<Store>` (see [`install`]).
 pub struct Store {
     inner: Mutex<Inner>,
-    memory_budget: u64,
     stats: Stats,
 }
 
 impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Store")
-            .field("memory_budget", &self.memory_budget)
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
 
 impl Store {
-    /// An empty, memory-only store (no disk tier) with the default
-    /// budget.
+    /// An empty, memory-only store (no segment file).
     #[must_use]
     pub fn in_memory() -> Store {
         Store {
-            inner: Mutex::new(Inner {
-                lru: HashMap::new(),
-                lru_bytes: 0,
-                tick: 0,
-                families: HashMap::new(),
-                family_order: Vec::new(),
-                disk: None,
-            }),
-            memory_budget: DEFAULT_MEMORY_BUDGET,
+            inner: Mutex::new(Inner::default()),
             stats: Stats::default(),
         }
     }
 
     /// Opens (or creates) a disk-backed store at `dir`, recovering every
-    /// valid record previous processes left: torn tails are truncated,
+    /// valid record previous processes left in its `seg-*.mmrs` files
+    /// (generation order, later records win): torn tails are truncated,
     /// garbage files and undecodable records are skipped and counted,
     /// and the extension index is rebuilt from the live entries.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when the directory cannot be created or
+    /// [`StoreError::Io`] when the directory cannot be created, read or
     /// written. Callers degrade to running uncached (miss-through) —
     /// an unusable cache must never fail the run itself.
     pub fn open(dir: &Path) -> Result<Store, StoreError> {
-        Store::open_with(dir, DEFAULT_ROLL_BYTES)
-    }
-
-    /// [`Store::open`] with an explicit segment-roll threshold (tests).
-    pub fn open_with(dir: &Path, roll_bytes: u64) -> Result<Store, StoreError> {
-        let (disk, live, faults) = DiskTier::open(dir, roll_bytes).map_err(|source| {
+        let opened = SegmentFile::open(dir).map_err(|source| {
             telemetry::cache().errors.inc();
             StoreError::Io {
                 path: dir.to_path_buf(),
@@ -192,11 +154,23 @@ impl Store {
         let store = Store::in_memory();
         {
             let mut inner = store.lock();
-            inner.disk = Some(disk);
-            for (_, entry) in &live {
-                Store::index_family(&mut inner, entry);
+            // Families are indexed from the live entries in the order
+            // their keys first appear on disk.
+            let mut order = Vec::new();
+            for (hex, entry) in opened.records {
+                if inner.entries.insert(hex.clone(), entry).is_none() {
+                    order.push(hex);
+                }
             }
+            let Inner {
+                entries, families, ..
+            } = &mut *inner;
+            for hex in &order {
+                Store::index_family(families, &entries[hex]);
+            }
+            inner.disk = Some(opened.file);
         }
+        let faults = opened.faults;
         if faults.errors > 0 {
             telemetry::cache().errors.add(faults.errors);
             store
@@ -211,14 +185,6 @@ impl Store {
         Ok(store)
     }
 
-    /// Replaces the default in-memory budget (bytes of resident entries
-    /// the LRU may hold before evicting).
-    #[must_use]
-    pub fn with_memory_budget(mut self, bytes: u64) -> Store {
-        self.memory_budget = bytes;
-        self
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner
             .lock()
@@ -229,36 +195,22 @@ impl Store {
     /// Exactly one of `mc.cache.{hits,extends,misses}` is counted per
     /// call.
     pub fn lookup(&self, key: &RequestKey) -> Lookup {
-        let hex = key.hash().hex();
         let canon = key.canon();
-        let mut inner = self.lock();
+        let inner = self.lock();
 
-        // Tier 1: resident entries.
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(slot) = inner.lru.get_mut(&hex) {
-            if slot.entry.canon == canon {
-                slot.tick = tick;
-                let entry = slot.entry.clone();
-                drop(inner);
-                self.count_hit(&canon);
-                return Lookup::Hit(entry);
-            }
-            // A 128-bit collision: astronomically unlikely, handled
-            // anyway — the canon is authoritative, the hash is a name.
-        }
-
-        // Tier 2: the segment tier, promoting into the LRU.
-        if let Some(entry) = inner.disk.as_ref().and_then(|d| d.get(&hex)) {
+        // A 128-bit collision is astronomically unlikely and handled
+        // anyway — the canon is authoritative, the hash is a name.
+        if let Some(entry) = inner.entries.get(&key.hash().hex()) {
             if entry.canon == canon {
-                Store::admit(&mut inner, self.memory_budget, &self.stats, &hex, &entry);
+                let entry = entry.clone();
                 drop(inner);
-                self.count_hit(&canon);
+                self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                telemetry::cache().hits.inc();
+                obs::flight::event("cache_hit").detail(&canon).emit();
                 return Lookup::Hit(entry);
             }
         }
 
-        // Tier 3: the family extension index.
         let max_chunks = key.trials / montecarlo::CHUNK_WIDTH;
         if let Some(fam) = inner.families.get(&key.family_hash().hex()) {
             if fam.canon == key.family {
@@ -289,9 +241,9 @@ impl Store {
         Lookup::Miss
     }
 
-    /// Inserts a finished run: resident immediately, appended to the
-    /// disk tier (if any), and its prefixes merged into the extension
-    /// index. A disk append failure is counted and degrades the store to
+    /// Inserts a finished run: into the map, appended to the segment
+    /// file (if any), and its prefixes merged into the extension index.
+    /// A disk append failure is counted and degrades the store to
     /// memory-only; it never surfaces to the caller.
     pub fn insert(&self, key: &RequestKey, report: CachedReport, prefixes: Vec<CachedPrefix>) {
         let hex = key.hash().hex();
@@ -302,10 +254,9 @@ impl Store {
             prefixes,
         };
         let mut inner = self.lock();
-        Store::index_family(&mut inner, &entry);
-        Store::admit(&mut inner, self.memory_budget, &self.stats, &hex, &entry);
+        Store::index_family(&mut inner.families, &entry);
         if let Some(disk) = inner.disk.as_mut() {
-            match disk.put(&hex, &entry) {
+            match disk.append(&hex, &entry) {
                 Ok(torn) => {
                     self.stats.torn_tails.fetch_add(torn, Ordering::Relaxed);
                 }
@@ -317,24 +268,7 @@ impl Store {
                 }
             }
         }
-    }
-
-    /// Rewrites the disk tier down to its live records (one fresh
-    /// segment, atomic index swap). A no-op for memory-only stores.
-    pub fn compact(&self) {
-        let mut inner = self.lock();
-        if let Some(disk) = inner.disk.as_mut() {
-            let live = disk.read_live();
-            if let Err(e) = disk.compact(&live) {
-                self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                telemetry::cache().errors.inc();
-                obs::info!("cache: compaction failed ({e}); keeping the old segments");
-            } else {
-                obs::flight::event("cache_compacted")
-                    .n(live.len() as u64)
-                    .emit();
-            }
-        }
+        inner.entries.insert(hex, entry);
     }
 
     /// Process-local statistics since this store was created.
@@ -344,20 +278,15 @@ impl Store {
             hits: self.stats.hits.load(Ordering::Relaxed),
             misses: self.stats.misses.load(Ordering::Relaxed),
             extends: self.stats.extends.load(Ordering::Relaxed),
-            evictions: self.stats.evictions.load(Ordering::Relaxed),
             errors: self.stats.errors.load(Ordering::Relaxed),
             torn_tails: self.stats.torn_tails.load(Ordering::Relaxed),
         }
     }
 
-    /// Distinct finished results reachable (resident or on disk).
+    /// Distinct finished results cached.
     #[must_use]
     pub fn len(&self) -> usize {
-        let inner = self.lock();
-        match inner.disk.as_ref() {
-            Some(d) => d.live_records() as usize,
-            None => inner.lru.len(),
-        }
+        self.lock().entries.len()
     }
 
     /// Whether no finished result is cached.
@@ -366,72 +295,18 @@ impl Store {
         self.len() == 0
     }
 
-    fn count_hit(&self, canon: &str) {
-        self.stats.hits.fetch_add(1, Ordering::Relaxed);
-        telemetry::cache().hits.inc();
-        obs::flight::event("cache_hit").detail(canon).emit();
-    }
-
-    /// Admits an entry into the LRU, evicting least-recently-used slots
-    /// until the budget holds. Eviction loses nothing durable — the disk
-    /// tier (when present) still holds every inserted record.
-    fn admit(inner: &mut Inner, budget: u64, stats: &Stats, hex: &str, entry: &Entry) {
-        let bytes = serde_json::to_string(entry)
-            .expect("Entry serialization is infallible")
-            .len() as u64;
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(old) = inner.lru.insert(
-            hex.to_string(),
-            LruSlot {
-                entry: entry.clone(),
-                bytes,
-                tick,
-            },
-        ) {
-            inner.lru_bytes -= old.bytes;
-        }
-        inner.lru_bytes += bytes;
-        while inner.lru_bytes > budget && inner.lru.len() > 1 {
-            let Some(victim) = inner
-                .lru
-                .iter()
-                .filter(|(k, _)| k.as_str() != hex)
-                .min_by_key(|(_, slot)| slot.tick)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            if let Some(slot) = inner.lru.remove(&victim) {
-                inner.lru_bytes -= slot.bytes;
-                stats.evictions.fetch_add(1, Ordering::Relaxed);
-                telemetry::cache().evictions.inc();
-            }
-        }
-        telemetry::cache().bytes.set(inner.lru_bytes);
-    }
-
     /// Merges an entry's prefixes into the family index (dedup by chunk
-    /// count, later wins), evicting the oldest family past the cap.
-    fn index_family(inner: &mut Inner, entry: &Entry) {
+    /// count, later wins).
+    fn index_family(families: &mut HashMap<String, Family>, entry: &Entry) {
         if entry.prefixes.is_empty() {
             return;
         }
-        let fam_hex = crate::KeyHash::of(&entry.family).hex();
-        if !inner.families.contains_key(&fam_hex) {
-            inner.family_order.push(fam_hex.clone());
-            inner.families.insert(
-                fam_hex.clone(),
-                Family {
-                    canon: entry.family.clone(),
-                    prefixes: Vec::new(),
-                },
-            );
-        }
-        let fam = inner
-            .families
-            .get_mut(&fam_hex)
-            .expect("present by construction");
+        let fam = families
+            .entry(crate::KeyHash::of(&entry.family).hex())
+            .or_insert_with(|| Family {
+                canon: entry.family.clone(),
+                prefixes: Vec::new(),
+            });
         if fam.canon != entry.family {
             return; // hash collision; keep the incumbent
         }
@@ -440,10 +315,6 @@ impl Store {
                 Ok(i) => fam.prefixes[i] = p.clone(),
                 Err(i) => fam.prefixes.insert(i, p.clone()),
             }
-        }
-        while inner.family_order.len() > MAX_FAMILIES {
-            let oldest = inner.family_order.remove(0);
-            inner.families.remove(&oldest);
         }
     }
 }
@@ -593,22 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_to_budget_and_counts() {
-        let store = Store::in_memory().with_memory_budget(1); // absurd: 1 byte
-        let a = spec(10).request(4096);
-        let b = spec(11).request(4096);
-        store.insert(&a, report(1, 4096), vec![]);
-        store.insert(&b, report(2, 4096), vec![]);
-        assert!(store.stats().evictions >= 1);
-        // The newest insert survives even over budget (the LRU never
-        // evicts the entry it just admitted down to empty).
-        match store.lookup(&b) {
-            Lookup::Hit(_) => {}
-            other => panic!("expected the newest entry resident, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn entries_of_an_older_kernel_version_miss() {
         // A cache written by older code holds `mmr-kernels-v1` keys
         // (before attempt-addressed settle draws), `mmr-kernels-v2` keys
@@ -677,24 +532,6 @@ mod tests {
         // The family index was rebuilt from disk too.
         let big = spec(4).request(64 * montecarlo::CHUNK_WIDTH);
         assert!(matches!(store.lookup(&big), Lookup::Extend(_)));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn eviction_loses_nothing_when_disk_backed() {
-        let dir = tmp_dir("evict-disk");
-        let store = Store::open(&dir).unwrap().with_memory_budget(1);
-        let a = spec(20).request(4096);
-        let b = spec(21).request(4096);
-        store.insert(&a, report(1, 4096), vec![]);
-        store.insert(&b, report(2, 4096), vec![]);
-        assert!(store.stats().evictions >= 1);
-        for key in [&a, &b] {
-            assert!(
-                matches!(store.lookup(key), Lookup::Hit(_)),
-                "evicted entries are still served from disk"
-            );
-        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,4 +1,4 @@
-//! Cache observability: `mc.cache.*` counters and gauges.
+//! Cache observability: the `mc.cache.*` counters.
 //!
 //! Same pattern as `montecarlo::telemetry` — handles are resolved once
 //! against the global registry and cached in a `OnceLock`, so the hot
@@ -6,10 +6,10 @@
 //! are documented in `METRICS.md` (the `mmr-bench` metrics-doc test
 //! cross-checks that).
 
-use obs::{Counter, Gauge};
+use obs::Counter;
 use std::sync::OnceLock;
 
-/// Cached handles for the cache-tier metrics.
+/// Cached handles for the cache metrics.
 pub(crate) struct CacheMetrics {
     /// `mc.cache.hits` — exact request-key hits served as pure lookups.
     pub hits: Counter,
@@ -17,12 +17,8 @@ pub(crate) struct CacheMetrics {
     pub misses: Counter,
     /// `mc.cache.extends` — requests resumed from a cached chunk prefix.
     pub extends: Counter,
-    /// `mc.cache.evictions` — LRU entries dropped to stay in budget.
-    pub evictions: Counter,
     /// `mc.cache.errors` — degraded-but-survivable cache faults.
     pub errors: Counter,
-    /// `mc.cache.bytes` — approximate bytes resident in the LRU tier.
-    pub bytes: Gauge,
 }
 
 pub(crate) fn cache() -> &'static CacheMetrics {
@@ -33,9 +29,7 @@ pub(crate) fn cache() -> &'static CacheMetrics {
             hits: g.counter("mc.cache.hits"),
             misses: g.counter("mc.cache.misses"),
             extends: g.counter("mc.cache.extends"),
-            evictions: g.counter("mc.cache.evictions"),
             errors: g.counter("mc.cache.errors"),
-            bytes: g.gauge("mc.cache.bytes"),
         }
     })
 }

@@ -260,9 +260,12 @@ fn cmd_survival(args: &Args) {
     }
     let rb = rm.estimate_survival_rb_with(args.trials, args.seed, args.workers);
     if rb.below_range {
+        // The bound is on the sampled estimate only: it can sit under the
+        // paper's lower bound on Pr[A].
         println!(
-            "  Rao-Blackwellised:   below f64 range   (log2 < {:.2}, {} samples)",
-            rb.log2_survival, rb.samples
+            "  Rao-Blackwellised:   below f64 range   (estimate's log2 < {:.2}, {} samples)\n\
+             {:23}the samples do not resolve Pr[A]; the bound is on their estimate only",
+            rb.log2_survival, rb.samples, ""
         );
     } else {
         println!(
